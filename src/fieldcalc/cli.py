@@ -91,14 +91,19 @@ def _load_program(path: str):
     return prog, main_type, schemes
 
 
-def _load_scenario(path: str, ns):
+def _load_scenario(path: str, ns, obj=None):
+    """Read a scenario (``obj`` when the JSON is already parsed) and apply
+    the --decay/--radius overrides; malformed input exits with code 2."""
     try:
-        sc = scenario_from_json(_read_json(path))
+        sc = scenario_from_json(_read_json(path) if obj is None else obj)
     except ScenarioError as e:
         raise CliError(2, f"{path}: {e}") from None
-    if getattr(ns, "decay", None) is not None:
-        sc = replace(sc, decay=as_time(ns.decay))
-    if getattr(ns, "radius", None) is not None:
+    if ns.decay is not None:
+        try:
+            sc = replace(sc, decay=as_time(ns.decay))
+        except ScenarioError as e:
+            raise CliError(2, f"--decay: {e}") from None
+    if ns.radius is not None:
         sc = replace(sc, radius=ns.radius)
     return sc
 
@@ -136,15 +141,11 @@ def cmd_denot(ns) -> int:
         except DagError as e:
             raise CliError(2, f"{ns.input}: {e}") from None
     else:
+        sc = _load_scenario(ns.input, ns, obj)
         try:
-            sc = scenario_from_json(obj)
+            g = build_dag_from_scenario(sc)
         except ScenarioError as e:
-            raise CliError(2, f"{ns.input}: {e}") from None
-        if ns.decay is not None:
-            sc = replace(sc, decay=as_time(ns.decay))
-        if ns.radius is not None:
-            sc = replace(sc, radius=ns.radius)
-        g = build_dag_from_scenario(sc)
+            raise CliError(1, str(e)) from None
     try:
         denots = denot_program(g, prog, fuel=ns.fuel)
     except (DenotError, EvalError) as e:

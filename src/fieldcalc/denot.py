@@ -45,7 +45,11 @@ from .ast import (
 )
 from .builtins import TABLE, OpContext, SensorState
 from .device import DEFAULT_FUEL, FuelExhausted
-from .network import Scenario, as_time, position_at, run_scenario, sensors_at
+from .network import Scenario, ScenarioError, as_time, run_scenario, sweep
+# position_at stays importable as denot.position_at for tracers that count
+# calls through that name (bench/spans.py); the DAG build itself queries
+# positions only through network's sweep
+from .network import position_at  # noqa: F401
 
 
 class DenotError(ValueError):
@@ -202,10 +206,15 @@ def dag_to_json(g: EventDAG):
 def dag_from_json(obj) -> EventDAG:
     if not isinstance(obj, dict) or "events" not in obj or "neigh" not in obj:
         raise DagError("DAG file must be an object with keys events, neigh")
-    events = [
-        Event(int(r["id"]), int(r["device"]), as_time(r["time"]))
-        for r in obj["events"]
-    ]
+    try:
+        events = [
+            Event(int(r["id"]), int(r["device"]), as_time(r["time"]))
+            for r in obj["events"]
+        ]
+    except KeyError as e:
+        raise DagError(f"DAG event lacks key {e.args[0]!r}") from None
+    except ScenarioError as e:
+        raise DagError(f"DAG event: {e}") from None
     return EventDAG(events, [(int(a), int(b)) for a, b in obj["neigh"]])
 
 
@@ -222,34 +231,22 @@ def load_dag(path: str) -> EventDAG:
 # DAG induced by a scenario (unit-disc communication)
 
 def build_dag_from_scenario(sc: Scenario) -> EventDAG:
-    """Events are the scenario's fires; e' feeds e when (1) it happened
-    within the decay window [t-r, t), (2) the receiving device was
-    continuously on from t' to t, (3) the devices were within radius when
-    e' fired, and (4) no later firing of the same device also qualifies."""
-    events = [Event(i, d, t) for i, (t, d) in enumerate(sc.fires)]
-    sensors = {e.id: sensors_at(sc, e.device, e.time) for e in events}
-    neigh = []
-    for e in events:
-        best = {}
-        for e2 in events:
-            t, t2 = e.time, e2.time
-            if not (t - sc.decay <= t2 < t):
-                continue
-            if not any(
-                seg.start <= t2 and t <= seg.end
-                for seg in sc.paths.get(e.device, ())
-            ):
-                continue
-            p = position_at(sc, e.device, t2)
-            q = position_at(sc, e2.device, t2)
-            if p is None or q is None:
-                continue
-            if ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2) ** 0.5 > sc.radius:
-                continue
-            prev = best.get(e2.device)
-            if prev is None or e2.time > prev.time:
-                best[e2.device] = e2
-        neigh.extend((e2.id, e.id) for e2 in best.values())
+    """Events are the scenario's fires; e' feeds e when the delivery sweep
+    leaves the message of e' in the fresh inbox of e: e' happened within
+    the decay window [t-r, t) and within radius of the receiving device,
+    which stayed on from t' to t, and no later firing of the same device
+    qualifies. The simulator runs on the same sweep, so both sides agree
+    on who hears whom."""
+    events, neigh, sensors = [], [], {}
+
+    def step(t, d, fresh, sens):
+        e = Event(len(events), d, t)
+        events.append(e)
+        sensors[e.id] = sens
+        neigh.extend((m.payload, e.id) for m in fresh.values())
+        return e.id
+
+    sweep(sc, step)
     return EventDAG(events, neigh, sensors)
 
 

@@ -1,15 +1,23 @@
-"""Whole-network small-step evolution driven by timed scenarios.
-
-A network configuration pairs an environment (topology + sensors) with a
-status field mapping every device to the time-tagged value-trees it has
-received. Firing a device evaluates the program against the fresh part of
-its stored environment and broadcasts the resulting tree to its current
-neighbours, itself included. Environment changes rebuild topology and
-sensors while retaining the stored context of surviving devices.
+"""Whole-network evolution driven by timed scenarios.
 
 Scenarios script everything external: device motion as piecewise paths,
 fire times, sensor readings. Timestamps are exact rationals so schedule
 comparisons never suffer float drift.
+
+One forward delivery sweep decides who hears whom. Every device keeps an
+inbox holding the latest time-tagged message of each sender. When device
+d fires at t, the sweep reads only d's part of the world: it cuts d's
+inbox at max(t - decay, start of d's current on-interval), computes d's
+sensors (ranges to d and its fresh senders only), lets its consumer turn
+the fresh inbox into a payload, and delivers that payload to every
+device that is on and within radius at t, d itself included. The
+simulator evaluates the program along the sweep (the payload is the
+value-tree); the induced event DAG records the same deliveries as neigh
+edges (the payload is the event id).
+
+A device is on while some path segment covers the current time.
+Segments that abut or overlap make one continuous on-interval; only a
+gap is an outage, and it drops everything the device had stored.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ import json
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Optional
 
 from .ast import Expr, Program, num
 from .builtins import EvalError, SensorState
@@ -32,10 +39,6 @@ from .device import (
     value_to_json,
     value_to_text,
 )
-
-
-class WellFormednessError(ValueError):
-    pass
 
 
 class ScenarioError(ValueError):
@@ -62,90 +65,6 @@ def as_time(x) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise ScenarioError(f"not a timestamp: {x!r}") from None
     raise ScenarioError(f"not a timestamp: {x!r}")
-
-
-# ---------------------------------------------------------------------------
-# network configurations
-
-@dataclass(frozen=True)
-class Stored:
-    tree: ValueTree
-    tag: Timestamp
-
-
-@dataclass(frozen=True)
-class NetEnv:
-    topology: dict  # DeviceId -> frozenset of DeviceId
-    sensors: dict  # DeviceId -> SensorState
-
-    def validate(self):
-        dom = set(self.topology)
-        if dom != set(self.sensors):
-            raise WellFormednessError("topology and sensors must share a domain")
-        for d, nbrs in self.topology.items():
-            if not set(nbrs) <= dom:
-                raise WellFormednessError(f"topology of device {d} escapes the domain")
-
-    @property
-    def domain(self):
-        return frozenset(self.topology)
-
-
-@dataclass(frozen=True)
-class NetConfig:
-    env: NetEnv
-    status: dict  # DeviceId -> (DeviceId -> Stored)
-    clock: Timestamp = Fraction(0)
-
-
-def empty_config() -> NetConfig:
-    return NetConfig(NetEnv({}, {}), {})
-
-
-def filter_old(status: dict, now: Timestamp, decay: Timestamp) -> dict:
-    """Drop every stored tree whose tag is older than now - decay."""
-    cutoff = now - decay
-    return {
-        d: {d2: s for d2, s in env.items() if s.tag >= cutoff}
-        for d, env in status.items()
-    }
-
-
-def env_change(cfg: NetConfig, new_env: NetEnv, now: Optional[Timestamp] = None) -> NetConfig:
-    new_env.validate()
-    status = {d: cfg.status.get(d, {}) for d in new_env.domain}
-    return NetConfig(new_env, status, cfg.clock if now is None else now)
-
-
-def fire(cfg: NetConfig, d: int, program: Program, now: Timestamp,
-         decay: Timestamp, fuel: int = DEFAULT_FUEL, rng=None):
-    """One firing of device d: evaluate main against the fresh stored
-    environment, broadcast the tree to current neighbours. Returns the
-    updated configuration and the tree."""
-    if d not in cfg.env.domain:
-        raise ScenarioError(f"device {d} fires at t={now} but is not in the network")
-    fresh = filter_old(cfg.status, now, decay)
-    env = {d2: s.tree for d2, s in fresh.get(d, {}).items()}
-    sensors = cfg.env.sensors.get(d) or SensorState()
-    try:
-        tree = evaluate_main(program, d, env, sensors, fuel, rng)
-    except EvalError as e:
-        raise FireError(f"t={now} device={d}: {e}") from e
-    status = dict(cfg.status)
-    for d2 in cfg.env.topology[d]:
-        if d2 in status:
-            status[d2] = {**status[d2], d: Stored(tree, now)}
-    return NetConfig(cfg.env, status, now), tree
-
-
-def snapshot(cfg: NetConfig) -> dict:
-    """The observable field: each device's root of its own stored tree."""
-    out = {}
-    for d in sorted(cfg.env.domain):
-        s = cfg.status.get(d, {}).get(d)
-        if s is not None:
-            out[d] = s.tree.root
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +128,6 @@ def clamped_position_at(sc: Scenario, d: int, t: Timestamp):
     return None
 
 
-def topology_at(sc: Scenario, t: Timestamp) -> dict:
-    pos = {}
-    for d in sc.devices:
-        p = position_at(sc, d, t)
-        if p is not None:
-            pos[d] = p
-    topo = {}
-    for d, p in pos.items():
-        topo[d] = frozenset(
-            d2 for d2, q in pos.items() if math.dist(p, q) <= sc.radius
-        )
-    return topo
-
-
 def ranges_at(sc: Scenario, d: int, t: Timestamp, others=None) -> dict:
     """Distances from d to each other device at time t, using clamped
     positions for devices currently off. Shared by the simulator and the
@@ -247,35 +152,107 @@ def sample_script(steps, t: Timestamp):
     return current
 
 
-def sensors_at(sc: Scenario, d: int, t: Timestamp) -> SensorState:
+def sensors_at(sc: Scenario, d: int, t: Timestamp, others=None) -> SensorState:
+    """Sensor readings of d at t; nbr-range covers ``others`` (every
+    device when None)."""
     local = {}
     for name, steps in sc.sensor_scripts.get(d, {}).items():
         v = sample_script(steps, t)
         if v is not None:
             local[name] = v
-    return SensorState(local=local, nbr={"nbr-range": ranges_at(sc, d, t)})
+    return SensorState(local=local, nbr={"nbr-range": ranges_at(sc, d, t, others)})
 
 
-def env_at(sc: Scenario, t: Timestamp) -> NetEnv:
-    topo = topology_at(sc, t)
-    return NetEnv(topo, {d: sensors_at(sc, d, t) for d in topo})
+# ---------------------------------------------------------------------------
+# the delivery sweep
+
+@dataclass(frozen=True)
+class Stored:
+    payload: object  # a ValueTree in the simulator, an event id in the DAG
+    tag: Timestamp
 
 
-def activation_changes(sc: Scenario):
-    """Times at which the set of active devices may change: all segment
-    borders, plus the midpoint of each gap between consecutive borders
-    (activation is piecewise-constant between borders, so these samples
-    observe every off interval)."""
-    borders = set()
-    for segs in sc.paths.values():
-        for seg in segs:
-            borders.add(seg.start)
-            borders.add(seg.end)
-    out = sorted(borders)
-    times = set(borders)
-    for a, b in zip(out, out[1:]):
-        times.add((a + b) / 2)
-    return sorted(times)
+def _on_intervals(segs) -> tuple:
+    """Maximal (start, end) intervals covered by the segments, sorted;
+    segments that abut or overlap merge into one."""
+    out = []
+    for seg in sorted(segs, key=lambda s: s.start):
+        if out and seg.start <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], seg.end)
+        else:
+            out.append([seg.start, seg.end])
+    return tuple((a, b) for a, b in out)
+
+
+class World:
+    """The physical world of one scenario, built once per sweep: each
+    device's on-intervals; positions come from the scenario's paths."""
+
+    def __init__(self, sc: Scenario):
+        self.sc = sc
+        self.on = {d: _on_intervals(sc.paths.get(d, ())) for d in sc.devices}
+
+
+def hearers(world: World, d: int, t: Timestamp) -> list:
+    """Devices on at t and within radius of d, d included."""
+    sc = world.sc
+    here = position_at(sc, d, t)
+    out = []
+    for d2 in sc.devices:
+        there = position_at(sc, d2, t)
+        if there is not None and math.dist(here, there) <= sc.radius:
+            out.append(d2)
+    return out
+
+
+def env_change(world: World, d: int, t: Timestamp) -> Timestamp:
+    """When d last joined the network: the start of its on-interval
+    containing t. Nothing d stored before then survived its outage."""
+    for start, end in world.on.get(d, ()):
+        if start <= t <= end:
+            return start
+    raise ScenarioError(f"device {d} fires at t={t} but is not in the network")
+
+
+def filter_old(world: World, inbox: dict, d: int, now: Timestamp) -> dict:
+    """Cut d's inbox for good at max(now - decay, d's last reboot) and
+    return it: what is older has expired or was lost while d was off."""
+    cutoff = max(now - world.sc.decay, env_change(world, d, now))
+    box = inbox[d]
+    for sender in [s for s, m in box.items() if m.tag < cutoff]:
+        del box[sender]
+    return box
+
+
+def env_at(world: World, inbox: dict, d: int, t: Timestamp):
+    """The firing device's view of the world at t: its fresh inbox and
+    its sensors, ranging over itself and its fresh senders only."""
+    fresh = filter_old(world, inbox, d, t)
+    return fresh, sensors_at(world.sc, d, t, (d, *fresh))
+
+
+def sweep(sc: Scenario, step) -> None:
+    """Run the scenario's fires in time order. ``step(t, d, fresh,
+    sensors)`` returns the payload d sends; ``fresh`` maps each sender d
+    hears to its Stored message and is only valid during the call."""
+    world = World(sc)
+    inbox = {d: {} for d in sc.devices}
+    for t, d in sc.fires:
+        fresh, sensors = env_at(world, inbox, d, t)
+        msg = Stored(step(t, d, fresh, sensors), t)
+        for d2 in hearers(world, d, t):
+            inbox[d2][d] = msg
+
+
+def fire(program: Program, d: int, now: Timestamp, fresh: dict,
+         sensors: SensorState, fuel: int = DEFAULT_FUEL, rng=None) -> ValueTree:
+    """One firing of device d: evaluate main against the trees in its
+    fresh inbox."""
+    env = {d2: m.payload for d2, m in fresh.items()}
+    try:
+        return evaluate_main(program, d, env, sensors, fuel, rng)
+    except EvalError as e:
+        raise FireError(f"t={now} device={d}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -320,22 +297,15 @@ class FireTrace:
 
 def run_scenario(sc: Scenario, program: Program, fuel: int = DEFAULT_FUEL,
                  rng=None) -> FireTrace:
-    """Interleave environment changes and fires, sorted time-wise.
-
-    The environment is refreshed at every path-segment border and again
-    right before each fire, so topology and sensors are always read at
-    the fire instant."""
-    events = [(t, 0, None) for t in activation_changes(sc)]
-    events += [(t, 1, d) for t, d in sc.fires]
-    events.sort(key=lambda e: (e[0], e[1]))
-    cfg = empty_config()
+    """Evaluate the program along the delivery sweep, one record per fire."""
     trace = FireTrace()
-    for t, kind, d in events:
-        cfg = env_change(cfg, env_at(sc, t), now=t)
-        if kind == 1:
-            used = frozenset(filter_old(cfg.status, t, sc.decay).get(d, {}))
-            cfg, tree = fire(cfg, d, program, t, sc.decay, fuel, rng)
-            trace.records.append(FireRecord(t, d, tree.root, tree, used))
+
+    def step(t, d, fresh, sensors):
+        tree = fire(program, d, t, fresh, sensors, fuel, rng)
+        trace.records.append(FireRecord(t, d, tree.root, tree, frozenset(fresh)))
+        return tree
+
+    sweep(sc, step)
     return trace
 
 
@@ -382,21 +352,29 @@ def scenario_from_json(obj) -> Scenario:
         if d not in devices:
             raise ScenarioError(f"path for unknown device {d}")
         out = []
-        for seg in segs:
-            start, end = as_time(seg["from"]), as_time(seg["to"])
-            if end < start:
-                raise ScenarioError(f"path segment of device {d} ends before it starts")
-            pts = tuple((float(x), float(y)) for x, y in seg["waypoints"])
-            if not pts:
-                raise ScenarioError(f"empty waypoints for device {d}")
-            out.append(PathSeg(start, end, pts))
+        try:
+            for seg in segs:
+                start, end = as_time(seg["from"]), as_time(seg["to"])
+                if end < start:
+                    raise ScenarioError(f"path segment of device {d} ends before it starts")
+                pts = tuple((float(x), float(y)) for x, y in seg["waypoints"])
+                if not pts:
+                    raise ScenarioError(f"empty waypoints for device {d}")
+                out.append(PathSeg(start, end, pts))
+        except KeyError as e:
+            raise ScenarioError(
+                f"path segment {len(out)} of device {d} lacks key {e.args[0]!r}"
+            ) from None
         paths[d] = tuple(out)
     fires = []
-    for f in obj["fires"]:
-        d = int(f["device"])
-        if d not in devices:
-            raise ScenarioError(f"fire by unknown device {d}")
-        fires.append((as_time(f["t"]), d))
+    try:
+        for f in obj["fires"]:
+            d = int(f["device"])
+            if d not in devices:
+                raise ScenarioError(f"fire by unknown device {d}")
+            fires.append((as_time(f["t"]), d))
+    except KeyError as e:
+        raise ScenarioError(f"fire {len(fires)} lacks key {e.args[0]!r}") from None
     fires.sort(key=lambda f: f[0])
     for (t1, _), (t2, _) in zip(fires, fires[1:]):
         if t1 == t2:

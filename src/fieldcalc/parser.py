@@ -123,7 +123,9 @@ def lex(src: str, path: str = "<string>") -> list[Token]:
         if not toks:
             return False
         t = toks[-1]
-        return t.kind in ("num", "name") or t.text in (")", "}")
+        if t.kind == "name":
+            return t.text not in KEYWORDS  # after infix 'and' comes an operand
+        return t.kind == "num" or t.text in (")", "}")
 
     def read_decoration() -> str:
         # caller sits on '['; decorations are short, of the shape [f,l,...]

@@ -4,8 +4,9 @@ The expression generator is type-directed: draw a target type, then
 build an expression of that type bottom-up, so every draw is well typed
 by construction.  Closures never capture field-typed variables and
 function results stay local, mirroring the static checker's rules.  The
-scenario generator draws small mobile networks with outages, varied
-decay, and scripted sensors.
+scenario generator draws small mobile networks with outages, abutting
+segments, border and decay-edge fires, varied decay, and scripted
+sensors.
 """
 
 import random
@@ -223,11 +224,16 @@ def _script(rnd, draw):
 
 
 def gen_scenario(rnd: random.Random) -> Scenario:
+    """A small mobile network. Besides random fires it reaches the corner
+    cases of who hears whom: outages, abutting segments (no outage),
+    fires exactly on segment borders, and a receiver firing exactly
+    ``decay`` after a sender (the closed edge of the window)."""
     n = rnd.randint(1, 5)
     devices = tuple(range(1, n + 1))
     paths = {}
     for d in devices:
-        if rnd.random() < 0.3:
+        roll = rnd.random()
+        if roll < 0.3:
             # mid-run outage: the device drops off and reboots
             down = Fraction(rnd.randint(2, 5))
             up = down + Fraction(rnd.randint(1, 3))
@@ -235,21 +241,39 @@ def gen_scenario(rnd: random.Random) -> Scenario:
                 PathSeg(Fraction(0), down, _waypoints(rnd)),
                 PathSeg(up, Fraction(10), _waypoints(rnd)),
             )
+        elif roll < 0.45:
+            # abutting segments: the device stays on, its path jumps
+            seam = Fraction(rnd.randint(2, 8))
+            paths[d] = (
+                PathSeg(Fraction(0), seam, _waypoints(rnd)),
+                PathSeg(seam, Fraction(10), _waypoints(rnd)),
+            )
         else:
             paths[d] = (PathSeg(Fraction(0), Fraction(10), _waypoints(rnd)),)
+    decay = as_time(rnd.choice([0, 1, 3, 10, 100]))
 
     def active(d, t):
         return any(s.start <= t <= s.end for s in paths[d])
 
-    fires = []
+    fires = {}
     for t4 in rnd.sample(range(1, 40), k=rnd.randint(1, 8)):
         t = Fraction(t4, 4)
         d = rnd.choice(devices)
         if active(d, t):
-            fires.append((t, d))
+            fires[t] = d
+    for d in devices:
+        for seg in paths[d]:
+            for t in (seg.start, seg.end):
+                if t not in fires and rnd.random() < 0.2:
+                    fires[t] = d
+    if fires and decay > 0 and rnd.random() < 0.5:
+        t = rnd.choice(sorted(fires)) + decay
+        d = rnd.choice(devices)
+        if t not in fires and active(d, t):
+            fires[t] = d
     if not fires:
         d = devices[0]
-        fires = [(paths[d][0].start + 1, d)]
+        fires = {paths[d][0].start + 1: d}
 
     sensors = {
         d: {
@@ -265,8 +289,8 @@ def gen_scenario(rnd: random.Random) -> Scenario:
     return Scenario(
         devices=devices,
         radius=rnd.choice([1.0, 1.6, 2.5, 4.0]),
-        decay=as_time(rnd.choice([0, 1, 3, 10, 100])),
+        decay=decay,
         paths=paths,
-        fires=tuple(sorted(fires)),
+        fires=tuple(sorted(fires.items())),
         sensor_scripts=sensors,
     )

@@ -1,4 +1,5 @@
-"""Shared fixtures: the four-device example DAG and scenario builders.
+"""Shared fixtures: the four-device example DAG, scenario builders and the
+all-pairs reference for the induced DAG.
 
 The DAG mirrors the running example: four devices firing 4 to 6 times,
 device 2 rebooting after its second firing (so the self-link into its
@@ -11,7 +12,7 @@ of the highlighted event: it is aware of devices 2, 3 and 4 only.
 from fractions import Fraction as F
 
 from fieldcalc.denot import Event, EventDAG
-from fieldcalc.network import PathSeg, Scenario, as_time
+from fieldcalc.network import PathSeg, Scenario, as_time, position_at, sensors_at
 
 # (id, device, time)
 EXAMPLE_EVENTS = [
@@ -87,3 +88,49 @@ def line_scenario(n, spacing=1.0, radius=1.5, decay=100, rounds=6,
         fires=fires,
         sensors=sensors,
     )
+
+
+def on_throughout(segs, a, b) -> bool:
+    """[a, b] lies inside the union of the closed segments: abutting or
+    overlapping segments count as continuous, only a gap is an outage."""
+    reach = None
+    for seg in sorted(segs, key=lambda s: s.start):
+        if reach is not None and seg.start <= reach:
+            reach = max(reach, seg.end)
+        elif seg.start <= a:
+            reach = seg.end
+        else:
+            break
+        if reach >= b:
+            return True
+    return False
+
+
+def reference_dag(sc: Scenario) -> EventDAG:
+    """The induced DAG by the all-pairs rule: e' feeds e when (1) it
+    happened within the decay window [t-r, t), (2) the receiving device
+    was on throughout [t', t], (3) the devices were within radius when e'
+    fired, and (4) no later firing of the same device also qualifies.
+    Sensors cover every device."""
+    events = [Event(i, d, t) for i, (t, d) in enumerate(sc.fires)]
+    sensors = {e.id: sensors_at(sc, e.device, e.time) for e in events}
+    neigh = []
+    for e in events:
+        best = {}
+        for e2 in events:
+            t, t2 = e.time, e2.time
+            if not (t - sc.decay <= t2 < t):
+                continue
+            if not on_throughout(sc.paths.get(e.device, ()), t2, t):
+                continue
+            p = position_at(sc, e.device, t2)
+            q = position_at(sc, e2.device, t2)
+            if p is None or q is None:
+                continue
+            if ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2) ** 0.5 > sc.radius:
+                continue
+            prev = best.get(e2.device)
+            if prev is None or e2.time > prev.time:
+                best[e2.device] = e2
+        neigh.extend((e2.id, e.id) for e2 in best.values())
+    return EventDAG(events, neigh, sensors)

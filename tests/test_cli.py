@@ -236,6 +236,32 @@ def test_check_adequacy_mismatch_is_exit_1(counter, one_device, capsys,
     assert "denotational 1" in captured.err
 
 
+def _one_device_on(tmp_path, *segs):
+    sc = {**ONE_DEVICE,
+          "paths": {"1": [{"from": a, "to": b, "waypoints": [[0, 0]]}
+                          for a, b in segs]},
+          "fires": [{"t": 4, "device": 1}, {"t": 6, "device": 1}]}
+    p = tmp_path / "segs.json"
+    p.write_text(json.dumps(sc))
+    return str(p)
+
+
+def test_check_adequacy_on_abutting_segments(counter, tmp_path, capsys):
+    # the device stays on across the seam at t=5, so both sides count 1, 2
+    sc = _one_device_on(tmp_path, (0, 5), (5, 10))
+    assert main(["check-adequacy", counter, sc]) == 0
+    assert capsys.readouterr().out == "2/2 events equal\n"
+
+
+def test_check_adequacy_on_gapped_segments(counter, tmp_path, capsys):
+    # off during (5, 11/2): the reboot drops the count, on both sides
+    sc = _one_device_on(tmp_path, (0, 5), ("11/2", 10))
+    assert main(["check-adequacy", counter, sc, "--format", "json"]) == 0
+    events = json.loads(capsys.readouterr().out)["events"]
+    assert [(e["t"], e["denotational"], e["operational"]) for e in events] == [
+        ("4", {"num": 1.0}, {"num": 1.0}), ("6", {"num": 1.0}, {"num": 1.0})]
+
+
 # ---------------------------------------------------------------------------
 # corpus-test
 
@@ -272,3 +298,56 @@ def test_color_toggle(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FIELDC_COLOR", "0")
     main(["typecheck", str(p)])
     assert "\x1b[" not in capsys.readouterr().err
+
+
+def _without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+MALFORMED_SCENARIOS = {
+    **{f"segment without {key}": {**ONE_DEVICE, "paths": {"1": [_without(
+        ONE_DEVICE["paths"]["1"][0], key)]}} for key in ("from", "to", "waypoints")},
+    **{f"fire without {key}": {**ONE_DEVICE, "fires": [_without(
+        ONE_DEVICE["fires"][0], key)]} for key in ("device", "t")},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "denot", "check-adequacy"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
+def test_malformed_scenario_is_a_diagnostic(counter, tmp_path, capsys, case, command):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(MALFORMED_SCENARIOS[case]))
+    assert main([command, counter, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"lacks key '{case.split()[-1]}'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["id", "device", "time"])
+def test_malformed_dag_event_is_a_diagnostic(counter, tmp_path, capsys, key):
+    event = _without({"id": 1, "device": 1, "time": "1"}, key)
+    p = tmp_path / "dag.json"
+    p.write_text(json.dumps({"events": [event], "neigh": []}))
+    assert main(["denot", counter, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"DAG event lacks key '{key}'" in err
+    assert "Traceback" not in err
+
+
+def test_bad_timestamps_are_diagnostics(counter, one_device, tmp_path, capsys):
+    p = tmp_path / "dag.json"
+    p.write_text(json.dumps({"events": [{"id": 1, "device": 1, "time": "soon"}],
+                             "neigh": []}))
+    assert main(["denot", counter, str(p)]) == 2
+    assert main(["run", counter, one_device, "--decay", "soon"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("not a timestamp") == 2
+    assert "Traceback" not in err
+
+
+def test_denot_of_a_fire_while_off_is_exit_1(counter, tmp_path, capsys):
+    sc = {**ONE_DEVICE, "fires": [{"t": 20, "device": 1}]}
+    p = tmp_path / "off.json"
+    p.write_text(json.dumps(sc))
+    assert main(["denot", counter, str(p)]) == 1
+    assert "not in the network" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Denotational evaluation on event DAGs and the adequacy checker."""
 
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -32,7 +33,8 @@ from fieldcalc.device import FuelExhausted
 from fieldcalc.network import PathSeg, Scenario
 from fieldcalc.parser import parse_expr, parse_program
 
-from helpers import FOCUS, example_dag, line_scenario, static_scenario
+from generators import gen_scenario
+from helpers import FOCUS, example_dag, line_scenario, reference_dag, static_scenario
 
 
 def chain_dag(n, device=1):
@@ -313,6 +315,44 @@ def test_induced_dag_requires_receiver_continuously_on():
     assert (0, 1) not in g.neigh  # reboot severs the self-link
     assert (1, 2) in g.neigh
     assert prev_event(g, g.by_id[1]) is None
+
+
+def test_induced_dag_counts_abutting_segments_as_continuous():
+    sc = Scenario(
+        devices=(1,), radius=1, decay=F(100),
+        paths={1: (PathSeg(F(0), F(5), ((0.0, 0.0),)),
+                   PathSeg(F(5), F(10), ((1.0, 0.0),)))},
+        fires=((F(4), 1), (F(6), 1)),
+    )
+    assert build_dag_from_scenario(sc).neigh == {(0, 1)}
+
+
+def test_induced_dag_matches_the_all_pairs_reference():
+    """The sweep gives the reference's events and neigh edges, and the
+    same sensor readings wherever an event can use them: every local
+    sensor, and nbr-range to the event's own device and its senders."""
+    rnd = random.Random(20161025)
+    abutting = border = decay_edge = 0
+    for _ in range(300):
+        sc = gen_scenario(rnd)
+        g, ref = build_dag_from_scenario(sc), reference_dag(sc)
+        assert g.events == ref.events
+        assert g.neigh == ref.neigh
+        for e in g.events:
+            got, want = g.sensors[e.id], ref.sensors[e.id]
+            assert got.local == want.local
+            usable = {e.device} | {s.device for s in g.senders(e)}
+            ranges = got.nbr["nbr-range"]
+            assert {d: ranges[d] for d in usable} == {
+                d: want.nbr["nbr-range"][d] for d in usable}
+        abutting += any(a.end == b.start for segs in sc.paths.values()
+                        for a, b in zip(segs, segs[1:]))
+        border += any(t in (s.start, s.end) for t, d in sc.fires
+                      for s in sc.paths[d])
+        decay_edge += any(sc.decay > 0 and g.by_id[a].time == g.by_id[b].time - sc.decay
+                          for a, b in g.neigh)
+    # the generator reaches each corner case, many times over
+    assert min(abutting, border, decay_edge) >= 20, (abutting, border, decay_edge)
 
 
 def test_induced_dag_keeps_only_last_qualifying_firing():

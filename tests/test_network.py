@@ -1,34 +1,35 @@
-"""Network transitions: firing, decay, environment changes, scenarios."""
+"""Network transitions: the delivery sweep, firing, decay, reboots, scenarios."""
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from fieldcalc.ast import mkfield, num
+from fieldcalc.builtins import SensorState
 from fieldcalc.device import leaf
 from fieldcalc.network import (
     FireError,
     FireRecord,
-    NetEnv,
     PathSeg,
     Scenario,
     ScenarioError,
     Stored,
-    WellFormednessError,
+    World,
     as_time,
     clamped_position_at,
-    empty_config,
+    env_at,
     env_change,
     filter_old,
     fire,
+    hearers,
     position_at,
     ranges_at,
     run_scenario,
     scenario_from_json,
-    snapshot,
-    topology_at,
+    sweep,
 )
 from fieldcalc.parser import parse_program
 
@@ -66,57 +67,117 @@ def test_as_time():
         as_time(True)
 
 
+HERE = ((0.0, 0.0),)
+
+
 def test_filter_old_boundaries():
-    s = {1: {2: Stored(leaf(num(0)), F(0)), 3: Stored(leaf(num(1)), F(5))}}
-    out = filter_old(s, F(10), F(10))
-    assert set(out[1]) == {2, 3}  # tag == now - decay survives
-    out = filter_old(s, F(10), F(5))
-    assert set(out[1]) == {3}
-    out = filter_old(s, F(5), F(0))
-    assert set(out[1]) == {3}  # decay 0 keeps only trees tagged now
+    sc = static_sc({1: (0, 0), 2: (1, 0), 3: (2, 0)}, radius=5, decay=10, fires=[])
+
+    def inbox():
+        return {1: {2: Stored(leaf(num(0)), F(0)), 3: Stored(leaf(num(1)), F(5))},
+                2: {}, 3: {}}
+
+    assert set(filter_old(World(sc), inbox(), 1, F(10))) == {2, 3}  # tag == now - decay survives
+    box = inbox()
+    assert set(filter_old(World(replace(sc, decay=F(5))), box, 1, F(10))) == {3}
+    assert set(box[1]) == {3}  # the cut is for good
+    out = filter_old(World(replace(sc, decay=F(0))), inbox(), 1, F(5))
+    assert set(out) == {3}  # decay 0 keeps only trees tagged now
+
+
+def test_filter_old_cuts_at_the_last_reboot():
+    # device 1 is off during (2, 4): what it stored at t=2 is gone, what
+    # arrived at t=4, as it came back, stays
+    sc = Scenario(
+        devices=(1, 2), radius=1, decay=F(100),
+        paths={1: (PathSeg(F(0), F(2), HERE), PathSeg(F(4), F(9), HERE)),
+               2: (PathSeg(F(0), F(9), HERE),)},
+        fires=(),
+    )
+    box = {1: {1: Stored(leaf(num(0)), F(2)), 2: Stored(leaf(num(1)), F(4))}, 2: {}}
+    assert set(filter_old(World(sc), box, 1, F(5))) == {2}
 
 
 def test_env_change_add_remove_retain():
-    env1 = NetEnv({1: frozenset({1})}, {1: None})
-    cfg = env_change(empty_config(), env1)
-    cfg = cfg.__class__(cfg.env, {1: {1: Stored(leaf(num(7)), F(0))}}, cfg.clock)
-    env2 = NetEnv({1: frozenset({1}), 2: frozenset({2})}, {1: None, 2: None})
-    cfg2 = env_change(cfg, env2)
-    assert cfg2.status[1] == cfg.status[1]
-    assert cfg2.status[2] == {}
-    env3 = NetEnv({2: frozenset({2})}, {2: None})
-    cfg3 = env_change(cfg2, env3)
-    assert set(cfg3.status) == {2}
+    # device 1 stays on across abutting and overlapping segments (its
+    # stored context is retained), device 2 is off during (2, 4) (its
+    # context is removed), device 3 joins at t=3 (added with nothing stored)
+    sc = Scenario(
+        devices=(1, 2, 3), radius=10, decay=F(100),
+        paths={
+            1: (PathSeg(F(5), F(10), HERE), PathSeg(F(0), F(5), HERE),
+                PathSeg(F(8), F(12), HERE)),
+            2: (PathSeg(F(0), F(2), HERE), PathSeg(F(4), F(10), HERE)),
+            3: (PathSeg(F(3), F(10), HERE),),
+        },
+        fires=(),
+    )
+    w = World(sc)
+    assert w.on[1] == ((F(0), F(12)),)
+    assert env_change(w, 1, F(5)) == env_change(w, 1, F(11)) == 0
+    assert env_change(w, 2, F(2)) == 0
+    assert env_change(w, 2, F(4)) == env_change(w, 2, F(7)) == 4
+    assert env_change(w, 3, F(3)) == 3
 
 
 def test_env_change_validates_well_formedness():
-    with pytest.raises(WellFormednessError):
-        env_change(empty_config(), NetEnv({1: frozenset({1})}, {}))
-    with pytest.raises(WellFormednessError):
-        env_change(empty_config(), NetEnv({1: frozenset({1, 2})}, {1: None}))
+    # a device may fire only while it is on
+    sc = Scenario(
+        devices=(1, 2), radius=10, decay=F(100),
+        paths={1: (PathSeg(F(1), F(2), HERE), PathSeg(F(4), F(6), HERE))},
+        fires=(),
+    )
+    w = World(sc)
+    for d, t in [(1, F(1, 2)), (1, F(3)), (1, F(7)), (2, F(1)), (9, F(1))]:
+        with pytest.raises(ScenarioError, match="not in the network"):
+            env_change(w, d, t)
 
 
 def test_fire_requires_known_device():
     prog = parse_program("0")
-    with pytest.raises(ScenarioError):
-        fire(empty_config(), 1, prog, F(0), F(10))
+    sc = static_sc({1: (0, 0)}, radius=1, decay=10, fires=[(0, 1), (1, 2)])
+    with pytest.raises(ScenarioError, match="device 2 fires at t=1"):
+        run_scenario(sc, prog)
+    sc = static_sc({1: (0, 0)}, radius=1, decay=10, fires=[(200, 1)])
+    with pytest.raises(ScenarioError, match="not in the network"):
+        run_scenario(sc, prog)
 
 
 def test_fire_wraps_evaluation_errors():
     prog = parse_program("def loop() { loop() } loop()")
-    cfg = env_change(empty_config(), NetEnv({1: frozenset({1})}, {1: None}))
     with pytest.raises(FireError, match="t=0 device=1"):
-        fire(cfg, 1, prog, F(0), F(10), fuel=50)
+        fire(prog, 1, F(0), {}, SensorState(), fuel=50)
 
 
 def test_fire_broadcast_includes_self():
     prog = parse_program("rep(0){(x) => x + 1}")
-    cfg = env_change(empty_config(), NetEnv({1: frozenset({1})}, {1: None}))
-    roots = []
-    for k in range(3):
-        cfg, tree = fire(cfg, 1, prog, F(k), F(10))
-        roots.append(tree.root)
-    assert roots == [num(1), num(2), num(3)]
+    sc = static_sc({1: (0, 0), 2: (9, 0)}, radius=1, decay=10,
+                   fires=[(0, 1), (1, 1), (2, 1)])
+    assert hearers(World(sc), 1, F(0)) == [1]
+    assert run_scenario(sc, prog).roots() == [num(1), num(2), num(3)]
+
+
+def test_env_at_ranges_over_fresh_senders_only():
+    sc = static_sc({1: (0, 0), 2: (3, 0), 3: (0, 4)}, radius=10, decay=10, fires=[])
+    inbox = {1: {2: Stored(leaf(num(0)), F(1))}, 2: {}, 3: {}}
+    fresh, sensors = env_at(World(sc), inbox, 1, F(2))
+    assert set(fresh) == {2}
+    assert sensors.nbr["nbr-range"] == {1: 0.0, 2: 3.0}
+
+
+def test_sweep_feeds_each_fire_the_latest_payloads():
+    # 1 and 2 hear each other, 3 is out of range; the payload is the fire
+    # index, so each fire sees the latest index of every sender it heard
+    sc = static_sc({1: (0, 0), 2: (1, 0), 3: (50, 0)}, radius=5, decay=100,
+                   fires=[(0, 1), (1, 2), (2, 1), (3, 3), (4, 2)])
+    seen = []
+
+    def step(t, d, fresh, sensors):
+        seen.append({s: m.payload for s, m in fresh.items()})
+        return len(seen) - 1
+
+    sweep(sc, step)
+    assert seen == [{}, {1: 0}, {1: 0, 2: 1}, {}, {1: 2, 2: 1}]
 
 
 def test_min_hood_fire_order_walkthrough():
@@ -152,10 +213,10 @@ def test_position_interpolation_and_clamping():
 
 def test_topology_distance_boundary():
     sc = static_sc({1: (0, 0), 2: (5, 0), 3: (11, 0)}, radius=5, decay=1, fires=[])
-    topo = topology_at(sc, F(0))
-    assert topo[1] == frozenset({1, 2})  # distance 5 == radius counts
-    assert topo[2] == frozenset({1, 2})  # distance 6 does not
-    assert topo[3] == frozenset({3})
+    w = World(sc)
+    assert hearers(w, 1, F(0)) == [1, 2]  # distance 5 == radius counts
+    assert hearers(w, 2, F(0)) == [1, 2]  # distance 6 does not
+    assert hearers(w, 3, F(0)) == [3]
 
 
 def test_topology_excludes_inactive_devices():
@@ -167,9 +228,9 @@ def test_topology_excludes_inactive_devices():
         },
         fires=(),
     )
-    assert set(topology_at(sc, F(1))) == {1, 2}
-    assert set(topology_at(sc, F(3))) == {1}
-    assert topology_at(sc, F(3))[1] == frozenset({1})
+    w = World(sc)
+    assert hearers(w, 1, F(1)) == [1, 2]
+    assert hearers(w, 1, F(3)) == [1]
 
 
 def test_ranges_use_clamped_positions():
@@ -227,6 +288,58 @@ def test_reboot_restarts_rep_state():
     assert trace.roots() == [num(1), num(2), num(1), num(2)]
 
 
+def counter_on(*segs):
+    """The rep counter's roots on one device with the given path
+    segments, firing at t=4 and t=6."""
+    sc = Scenario(
+        devices=(1,), radius=1, decay=F(100),
+        paths={1: tuple(PathSeg(as_time(a), as_time(b), HERE) for a, b in segs)},
+        fires=((F(4), 1), (F(6), 1)),
+    )
+    return run_scenario(sc, parse_program("rep(0){(x) => x + 1}")).roots()
+
+
+def test_abutting_segments_keep_stored_context():
+    assert counter_on((0, 5), (5, 10)) == [num(1), num(2)]
+    assert counter_on((0, 6), (5, 10)) == [num(1), num(2)]
+    assert counter_on((0, 5), ("11/2", 10)) == [num(1), num(1)]
+
+
+def _grid_position_queries(monkeypatch, build, side, rounds=2):
+    """position_at calls per fire when ``build`` runs a static side x side
+    grid for the given number of rounds."""
+    import fieldcalc.network as network
+
+    calls = [0]
+    original = network.position_at
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(network, "position_at", counted)
+    n = side * side
+    sc = static_sc({i: (i % side, i // side) for i in range(n)}, radius=1.5,
+                   decay=100, fires=[(F(k, n), k % n) for k in range(rounds * n)])
+    build(sc)
+    return calls[0] / len(sc.fires)
+
+
+@pytest.mark.parametrize("build", ["run", "dag"])
+def test_position_queries_per_fire_grow_linearly(monkeypatch, build):
+    from fieldcalc.denot import build_dag_from_scenario
+
+    prog = parse_program("min-hood(nbr-range())")
+    fn = {"run": lambda sc: run_scenario(sc, prog),
+          "dag": build_dag_from_scenario}[build]
+    small = _grid_position_queries(monkeypatch, fn, 4)
+    assert small > 0
+    # 4x the devices: a whole-network refresh per fire gives a ratio of ~16
+    assert _grid_position_queries(monkeypatch, fn, 8) / small < 6
+    # 4x the rounds: an all-pairs scan over fires gives ~4
+    assert _grid_position_queries(monkeypatch, fn, 4, rounds=8) / small < 1.5
+
+
 def test_nbr_range_from_paths():
     prog = parse_program("min-hood+(nbr-range())")
     sc = static_sc({1: (0, 0), 2: (3, 0)}, radius=5, decay=100,
@@ -241,19 +354,6 @@ def test_env_domain_recorded_per_fire():
     trace = run_scenario(sc, prog)
     assert trace.records[0].env_domain == frozenset()
     assert trace.records[1].env_domain == frozenset({1})
-
-
-def test_snapshot_reads_own_roots():
-    prog = parse_program("rep(0){(x) => x + 1}")
-    sc = static_sc({1: (0, 0), 2: (1, 0)}, radius=5, decay=100,
-                   fires=[(0, 1), (1, 2), (2, 1)])
-    cfg = empty_config()
-    from fieldcalc.network import env_at
-
-    for t, d in sc.fires:
-        cfg = env_change(cfg, env_at(sc, t), now=t)
-        cfg, _ = fire(cfg, d, prog, t, sc.decay)
-    assert snapshot(cfg) == {1: num(2), 2: num(1)}
 
 
 def test_trace_determinism_with_seed():
@@ -334,6 +434,25 @@ def test_scenario_json_rejects_bad_input():
     ]:
         with pytest.raises(ScenarioError):
             scenario_from_json(bad)
+
+
+SEGMENT = {"from": 0, "to": 10, "waypoints": [[0, 0]]}
+
+
+@pytest.mark.parametrize("key", ["from", "to", "waypoints"])
+def test_scenario_json_names_a_missing_segment_key(key):
+    seg = {k: v for k, v in SEGMENT.items() if k != key}
+    bad = {**GOOD, "paths": {"1": [SEGMENT, seg]}}
+    with pytest.raises(ScenarioError, match=f"path segment 1 of device 1 lacks key '{key}'"):
+        scenario_from_json(bad)
+
+
+@pytest.mark.parametrize("key", ["t", "device"])
+def test_scenario_json_names_a_missing_fire_key(key):
+    bad = {**GOOD, "fires": [{"t": 0, "device": 1}, {"t": 1, "device": 2, **{key: None}}]}
+    del bad["fires"][1][key]
+    with pytest.raises(ScenarioError, match=f"fire 1 lacks key '{key}'"):
+        scenario_from_json(bad)
 
 
 def test_scenario_sensor_value_kinds():

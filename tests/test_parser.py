@@ -57,6 +57,8 @@ def test_negative_numerals():
     assert toks("f(-1, 2)")[2] == ("num", "-1")
     t = lex("-infinity")[0]
     assert t.kind == "num" and t.value == -INF
+    assert toks("0 and -infinity")[2] == ("num", "-infinity")
+    assert toks("0 and -1")[2] == ("num", "-1")
 
 
 def test_special_numerals():
