@@ -24,6 +24,7 @@ from .denot import (
     build_dag_from_scenario,
     check_adequacy,
     denot_program,
+    validate_dag,
 )
 from .device import DEFAULT_FUEL, value_to_json, value_to_text
 from .network import ScenarioError, as_time, run_scenario, scenario_from_json
@@ -140,6 +141,10 @@ def cmd_denot(ns) -> int:
             g = dag_from_json(obj)
         except DagError as e:
             raise CliError(2, f"{ns.input}: {e}") from None
+        bad = validate_dag(g)
+        if bad:
+            raise CliError(2, f"{ns.input}: neigh violates " + "; ".join(
+                f"{v.kind} (events {', '.join(map(str, v.events))})" for v in bad))
     else:
         sc = _load_scenario(ns.input, ns, obj)
         try:

@@ -6,7 +6,9 @@ firings that still hold its value-tree. Evaluation is compositional and
 per-event, with three non-pointwise ingredients: nbr reads neighbour
 events, rep chains same-device events through a fixpoint, and function
 application restricts evaluation to the cluster of events that selected
-the same function value.
+the same function value. All three read only an event's causal past, so
+the evaluator visits the events once, in causal order, and the rep
+fixpoint has exactly the solution that order builds.
 
 Denotational values reuse the syntax tree: local data values and fields
 stand for themselves, and a function value is represented by its tag
@@ -41,11 +43,22 @@ from .ast import (
     free_vars,
     is_value,
     mkfield,
+    subexpressions,
     substitute,
 )
 from .builtins import TABLE, OpContext, SensorState
 from .device import DEFAULT_FUEL, FuelExhausted
-from .network import Scenario, ScenarioError, as_time, run_scenario, sweep
+from .network import (
+    Scenario,
+    SHAPE_ERRORS,
+    ScenarioError,
+    as_time,
+    json_container,
+    json_id,
+    run_scenario,
+    shape_error,
+    sweep,
+)
 # position_at stays importable as denot.position_at for tracers that count
 # calls through that name (bench/spans.py); the DAG build itself queries
 # positions only through network's sweep
@@ -73,6 +86,10 @@ class Event:
     device: int
     time: Fraction
 
+    def __hash__(self):
+        # ids are unique within a DAG; hashing the Fraction time is slow
+        return hash(self.id)
+
 
 class EventDAG:
     """Events plus the neigh relation, stored as sender -> receiver edges.
@@ -96,10 +113,37 @@ class EventDAG:
         self._in = {e.id: [] for e in self.events}
         for a, b in self.neigh:
             self._in[b].append(self.by_id[a])
+        self._order = None
 
     def senders(self, e: Event):
         """Events e is aware of (its neighbour events)."""
         return tuple(self._in[e.id])
+
+    def causal_order(self) -> tuple:
+        """The events in topological generations: a generation holds the
+        events whose senders all lie in earlier generations, in (time, id)
+        order. Raises DagError when neigh has a cycle."""
+        if self._order is None:
+            waiting = {e.id: len(self._in[e.id]) for e in self.events}
+            receivers = {e.id: [] for e in self.events}
+            for a, b in self.neigh:
+                receivers[a].append(b)
+            rank = {e.id: i for i, e in enumerate(self.events)}
+            gen = [e.id for e in self.events if not waiting[e.id]]
+            order = []
+            while gen:
+                order.extend(gen)
+                ready = []
+                for a in gen:
+                    for b in receivers[a]:
+                        waiting[b] -= 1
+                        if not waiting[b]:
+                            ready.append(b)
+                gen = sorted(ready, key=rank.__getitem__)
+            if len(order) < len(self.events):
+                raise DagError("neigh relation has a cycle")
+            self._order = tuple(self.by_id[i] for i in order)
+        return self._order
 
 
 @dataclass(frozen=True)
@@ -111,25 +155,26 @@ class Violation:
 def validate_dag(g: EventDAG):
     """Check the three neigh properties; violations come back as data."""
     out = []
-    # property 1: acyclicity
+    # property 1: acyclicity, by a depth-first walk along senders with an
+    # explicit stack (long causal chains would exhaust Python's)
     state = {}
-    stack = []
-
-    def visit(e):
+    for e in g.events:
+        if e.id in state:
+            continue
         state[e.id] = 1
-        stack.append(e.id)
-        for s in g.senders(e):
-            if state.get(s.id) == 1:
-                cyc = stack[stack.index(s.id):] + [s.id]
+        path, todo = [e.id], [iter(g.senders(e))]
+        while todo:
+            s = next(todo[-1], None)
+            if s is None:
+                todo.pop()
+                state[path.pop()] = 2
+            elif state.get(s.id) == 1:
+                cyc = path[path.index(s.id):] + [s.id]
                 out.append(Violation("cycle", tuple(cyc)))
             elif s.id not in state:
-                visit(s)
-        stack.pop()
-        state[e.id] = 2
-
-    for e in g.events:
-        if e.id not in state:
-            visit(e)
+                state[s.id] = 1
+                path.append(s.id)
+                todo.append(iter(g.senders(s)))
     # property 2: neighbour events of any event lie on distinct devices
     for e in g.events:
         seen = {}
@@ -147,6 +192,11 @@ def validate_dag(g: EventDAG):
             out.append(Violation("double-consumption", (a, *sorted(bs))))
     return out
 
+
+# latest_event and shift are the steps of the fixpoint reading of nbr and
+# rep, which tests keep as the specification (tests/helpers.reference_denot);
+# the causal-order evaluator below does not call them. They stay here while
+# tracers count calls through these names (bench/spans.py).
 
 def latest_event(g: EventDAG, E, e: Event, d: int) -> Optional[Event]:
     """The latest event at device d that e is aware of within E; e itself
@@ -182,7 +232,8 @@ def prev_event(g: EventDAG, e: Event) -> Optional[Event]:
 
 
 def shift(g: EventDAG, E, phi: dict, phi0: dict) -> dict:
-    """Push each value to the next same-device event, starting from phi0."""
+    """Push each value to the next same-device event, starting from phi0:
+    the step of rep's fixpoint over a whole evolution."""
     out = {}
     for e in E:
         p = prev_event(g, e)
@@ -192,6 +243,8 @@ def shift(g: EventDAG, E, phi: dict, phi0: dict) -> dict:
 
 # ---------------------------------------------------------------------------
 # DAG JSON
+
+EVENT_SHAPE = '{"id": id, "device": id, "time": time}'
 
 def dag_to_json(g: EventDAG):
     return {
@@ -207,15 +260,27 @@ def dag_from_json(obj) -> EventDAG:
     if not isinstance(obj, dict) or "events" not in obj or "neigh" not in obj:
         raise DagError("DAG file must be an object with keys events, neigh")
     try:
-        events = [
-            Event(int(r["id"]), int(r["device"]), as_time(r["time"]))
-            for r in obj["events"]
-        ]
-    except KeyError as e:
-        raise DagError(f"DAG event lacks key {e.args[0]!r}") from None
+        events = []
+        for r in json_container(obj["events"], list, "events"):
+            try:
+                i, d, t = r["id"], r["device"], as_time(r["time"])
+            except SHAPE_ERRORS as e:
+                raise shape_error("DAG event", EVENT_SHAPE, r, e) from None
+            if type(i) is not int or type(d) is not int:
+                i, d = json_id(i, "DAG event id"), json_id(d, "DAG event device")
+            events.append(Event(i, d, t))
+        neigh = []
+        for edge in json_container(obj["neigh"], list, "neigh"):
+            try:
+                a, b = edge
+            except SHAPE_ERRORS as e:
+                raise shape_error("neigh edge", "[id, id]", edge, e) from None
+            if type(a) is not int or type(b) is not int:
+                a, b = json_id(a, "neigh edge end"), json_id(b, "neigh edge end")
+            neigh.append((a, b))
     except ScenarioError as e:
-        raise DagError(f"DAG event: {e}") from None
-    return EventDAG(events, [(int(a), int(b)) for a, b in obj["neigh"]])
+        raise DagError(str(e)) from None
+    return EventDAG(events, neigh)
 
 
 def load_dag(path: str) -> EventDAG:
@@ -263,102 +328,123 @@ def restrict_evolution(g: EventDAG, ev: dict, E) -> dict:
     return {e: restrict_value(ev[e], nbr_devices(g, E, e)) for e in E}
 
 
+class _Scope:
+    """The events of one cluster and the memos of its body's nodes.
+
+    The root scope evaluates the top-level expression; an Apply node opens
+    one child scope per function value it selects, holding the parent's
+    events that selected it. Scopes fill event by event in causal order,
+    so when an event is entered every earlier event of the cluster, and
+    with it every sender the event can be aware of, is already there.
+    ``nbrs`` and ``pi`` describe the event being evaluated."""
+
+    __slots__ = ("params", "body", "domain", "memo", "children", "nbrs", "pi")
+
+    def __init__(self, params, body):
+        self.params = params
+        self.body = body
+        self.domain = set()  # ids of the events entered so far
+        self.memo = {}  # id of a Nbr or Rep node -> {event id: value}
+        self.children = {}  # (id of an Apply node, function value) -> _Scope
+        self.nbrs = {}  # other device -> id of the sender event there
+        self.pi = frozenset()  # the aligned neighbours, own device included
+
+
 class _Denot:
+    """Builds the evolution of each node instance event by event, in
+    topological generations of the DAG, evaluating each node once per
+    event. A node instance is a node of a scope's body: an AST path plus
+    the function value of each Apply cluster on it. nbr reads its body's
+    memoised values at the senders, and rep its own value at the previous
+    event of the device, or its init after a reboot. Since neigh is
+    acyclic this is the unique solution of rep's fixpoint.
+
+    Fuel pays for the nodes of each body once per scope it opens, so it
+    bounds the nesting of clusters (unbounded recursion), not |E|;
+    builtins that call functions spend it as the device evaluator does."""
+
     def __init__(self, g, defs, fuel):
         self.g = g
         self.defs = defs or {}
         self.fuel = fuel
 
-    def tick(self):
-        if self.fuel <= 0:
+    def scope(self, params, body) -> _Scope:
+        size = sum(1 for _ in subexpressions(body))
+        if self.fuel < size:
+            self.fuel = 0
             raise FuelExhausted("denotational evaluation fuel exhausted")
-        self.fuel -= 1
+        self.fuel -= size
+        return _Scope(params, body)
+
+    def enter(self, S: _Scope, ev: Event) -> None:
+        """Add ev to S, recording its aligned neighbours there."""
+        nbrs = {}
+        for s in self.g.senders(ev):
+            if s.id in S.domain and s.device != ev.device:
+                if s.device in nbrs:
+                    raise DagError(
+                        f"event {ev.id} has two neighbour events at device {s.device}"
+                    )
+                nbrs[s.device] = s.id
+        S.domain.add(ev.id)
+        S.nbrs = nbrs
+        S.pi = frozenset(nbrs).union((ev.device,))
 
     def eval(self, E, X, e) -> dict:
-        self.tick()
-        g = self.g
+        root = self.scope((), e)
+        out = {}
+        for ev in self.g.causal_order():
+            if ev in E:
+                self.enter(root, ev)
+                out[ev] = self.eval_at(root, {n: phi[ev] for n, phi in X.items()}, e, ev)
+        return out
+
+    def eval_at(self, S: _Scope, X: dict, e: Expr, ev: Event) -> Expr:
+        """The value at ev of e, a node of S's body, where X holds the
+        values at ev of the variables in scope."""
         match e:
             case FieldVal():
-                return {ev: restrict_value(e, nbr_devices(g, E, ev)) for ev in E}
+                return restrict_value(e, S.pi)
             case Data(args=args) if not is_value(e):
-                aevs = [self.eval(E, X, a) for a in args]
-                return {
-                    ev: Data(e.ctor, tuple(av[ev] for av in aevs)) for ev in E
-                }
+                return Data(e.ctor, tuple(self.eval_at(S, X, a, ev) for a in args))
             case Lambda():
                 fv = sorted(free_vars(e))
-                if not fv:
-                    return {ev: e for ev in E}
                 for v in fv:
                     if v not in X:
                         raise DenotError(f"unbound variable {v!r}")
-                return {
-                    ev: substitute(e, {v: X[v][ev] for v in fv}) for ev in E
-                }
+                return substitute(e, {v: X[v] for v in fv}) if fv else e
             case _ if is_value(e):
-                return {ev: e for ev in E}
+                return e
             case Var(name=n):
                 if n not in X:
                     raise DenotError(f"unbound variable {n!r}")
-                phi = X[n]
-                return {ev: restrict_value(phi[ev], nbr_devices(g, E, ev)) for ev in E}
+                return restrict_value(X[n], S.pi)
             case Nbr(body=b):
-                bev = self.eval(E, X, b)
-                out = {}
-                for ev in E:
-                    out[ev] = mkfield({
-                        d: bev[latest_event(g, E, ev, d)]
-                        for d in nbr_devices(g, E, ev)
-                    })
-                return out
+                v = self.eval_at(S, X, b, ev)
+                memo = S.memo.setdefault(id(e), {})
+                memo[ev.id] = v
+                return mkfield([(ev.device, v), *((d, memo[s]) for d, s in S.nbrs.items())])
             case Rep(init=e1, var=x, body=e2):
-                r0 = self.eval(E, X, e1)
-                r = r0
-                for _ in range(len(E) + 1):
-                    r2 = self.eval(E, {**X, x: shift(g, E, r, r0)}, e2)
-                    if r2 == r:
-                        return r2
-                    r = r2
-                raise DenotError(
-                    "internal: rep did not stabilize within |E'|+1 iterations"
-                )
+                r0 = self.eval_at(S, X, e1, ev)
+                memo = S.memo.setdefault(id(e), {})
+                p = prev_event(self.g, ev)
+                last = memo[p.id] if p is not None and p.id in S.domain else r0
+                v = memo[ev.id] = self.eval_at(S, {**X, x: last}, e2, ev)
+                return v
             case Apply(fn=fe, args=args):
-                fev = self.eval(E, X, fe)
-                aevs = [self.eval(E, X, a) for a in args]
-                groups = {}
-                for ev in E:
-                    groups.setdefault(fev[ev], []).append(ev)
-                out = {}
-                for f, evs in groups.items():
-                    if isinstance(f, Builtin):
-                        res = self.apply_builtin(f.name, E, aevs)
-                    else:
-                        cluster = frozenset(evs)
-                        res = self.apply_fun(
-                            f,
-                            cluster,
-                            [restrict_evolution(g, av, cluster) for av in aevs],
-                        )
-                    for ev in evs:
-                        out[ev] = res[ev]
-                return out
+                f = self.eval_at(S, X, fe, ev)
+                avs = [self.eval_at(S, X, a, ev) for a in args]
+                if isinstance(f, Builtin):
+                    return self.apply_builtin(f.name, S, ev, avs)
+                C = S.children.get((id(e), f))
+                if C is None:
+                    C = S.children[id(e), f] = self.scope(*self.fun_parts(f, len(avs)))
+                self.enter(C, ev)
+                params = {x: restrict_value(a, C.pi) for x, a in zip(C.params, avs)}
+                return self.eval_at(C, params, C.body, ev)
         raise DenotError(f"cannot interpret {e!r}")
 
-    def apply_builtin(self, name: str, E, aevs) -> dict:
-        out = {}
-        for ev in E:
-            pi = nbr_devices(self.g, E, ev)
-            ctx = OpContext(
-                device=ev.device,
-                env_domain=pi - {ev.device},
-                sensors=self.g.sensors.get(ev.id) or SensorState(),
-                call=lambda fn, vs, ev=ev: self.device_call(ev, fn, vs),
-                rng=None,
-            )
-            out[ev] = TABLE.eval(name, ctx, [av[ev] for av in aevs])
-        return out
-
-    def apply_fun(self, f: Expr, cluster, aevs) -> dict:
+    def fun_parts(self, f: Expr, nargs: int):
         if isinstance(f, Lambda):
             params, body = f.params, f.body
         elif isinstance(f, DefName):
@@ -368,11 +454,21 @@ class _Denot:
             params, body = d.params, d.body
         else:
             raise DenotError(f"not a function value: {f!r}")
-        if len(params) != len(aevs):
+        if len(params) != nargs:
             raise DenotError(
-                f"function {f!r} takes {len(params)} argument(s), got {len(aevs)}"
+                f"function {f!r} takes {len(params)} argument(s), got {nargs}"
             )
-        return self.eval(cluster, dict(zip(params, aevs)), body)
+        return params, body
+
+    def apply_builtin(self, name: str, S: _Scope, ev: Event, avs) -> Expr:
+        ctx = OpContext(
+            device=ev.device,
+            env_domain=frozenset(S.nbrs),
+            sensors=self.g.sensors.get(ev.id) or SensorState(),
+            call=lambda fn, vs: self.device_call(ev, fn, vs),
+            rng=None,
+        )
+        return TABLE.eval(name, ctx, avs)
 
     def device_call(self, ev: Event, fn: Expr, vals):
         from .device import EvalContext, apply_function
@@ -393,18 +489,6 @@ def denot_eval(g: EventDAG, E, X: dict, e: Expr, defs=None,
                fuel: int = DEFAULT_FUEL) -> dict:
     """Interpret e over the events E under assumptions X."""
     return _Denot(g, defs, fuel).eval(frozenset(E), X, e)
-
-
-def cluster(g: EventDAG, E, fn: Expr, X: dict, ev: Event, defs=None,
-            fuel: int = DEFAULT_FUEL) -> frozenset:
-    """Events that selected the same function value as ev did for fn;
-    all of E when the value is a builtin."""
-    E = frozenset(E)
-    fev = _Denot(g, defs, fuel).eval(E, X, fn)
-    f = fev[ev]
-    if isinstance(f, Builtin):
-        return E
-    return frozenset(e2 for e2 in E if fev[e2] == f)
 
 
 def denot_program(g: EventDAG, program: Program, E=None,

@@ -310,28 +310,73 @@ def run_scenario(sc: Scenario, program: Program, fuel: int = DEFAULT_FUEL,
 
 
 # ---------------------------------------------------------------------------
-# scenario JSON
+# JSON shapes: scenario and DAG files are read by plain indexing, one part
+# (a segment, a fire, an event, an edge) inside one try, so valid input
+# pays nothing for the diagnosis; a part that does not have its shape is a
+# ScenarioError naming it. Explicit checks stay only where a wrong shape
+# would not raise: containers of the wrong kind and non-integer ids.
+
+SHAPE_ERRORS = (KeyError, TypeError, ValueError, ScenarioError)
+
+
+def shape_error(what: str, shape: str, v, exc: Exception) -> ScenarioError:
+    """The diagnostic for part ``what`` of a JSON file, read from ``v``
+    expecting ``shape``, whose reading raised ``exc``."""
+    if isinstance(exc, KeyError) and isinstance(v, dict):
+        return ScenarioError(f"{what} lacks key {exc.args[0]!r}")
+    if isinstance(exc, ScenarioError):
+        return ScenarioError(f"{what}: {exc}")
+    return ScenarioError(f"{what} must be {shape}, got {v!r}")
+
+
+def json_container(v, kind: type, what: str):
+    if not isinstance(v, kind):
+        name = "a JSON object" if kind is dict else "a list"
+        raise ScenarioError(f"{what} must be {name}, got {v!r}")
+    return v
+
+
+def json_id(v, what: str) -> int:
+    """An integer id; object keys carry it as a string."""
+    if type(v) is int:
+        return v
+    if isinstance(v, str):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    raise ScenarioError(f"{what} must be an integer, got {v!r}")
+
+
+SEGMENT_SHAPE = '{"from": time, "to": time, "waypoints": [[x, y], ...]}'
+FIRE_SHAPE = '{"t": time, "device": id}'
+
 
 def _parse_scalar(v) -> Expr:
     from .ast import boolean
-    from .parser import parse_value
+    from .parser import ParseError, parse_value
 
     if isinstance(v, bool):
         return boolean(v)
     if isinstance(v, (int, float)):
         return num(v)
     if isinstance(v, str):
-        return parse_value(v)
+        try:
+            return parse_value(v)
+        except ParseError as e:
+            raise ScenarioError(f"cannot read sensor value {v!r}: {e.msg}") from None
     raise ScenarioError(f"cannot read sensor value {v!r}")
 
 
 def _parse_script(v):
     if isinstance(v, dict) and set(v) == {"steps"}:
         steps = []
-        for step in v["steps"]:
-            if not (isinstance(step, list) and len(step) == 2):
-                raise ScenarioError(f"bad sensor step {step!r}")
-            steps.append((as_time(step[0]), _parse_scalar(step[1])))
+        for step in json_container(v["steps"], list, "sensor steps"):
+            try:
+                t, value = step
+                steps.append((as_time(t), _parse_scalar(value)))
+            except SHAPE_ERRORS as e:
+                raise shape_error("sensor step", "[time, value]", step, e) from None
         steps.sort(key=lambda s: s[0])
         return tuple(steps)
     return ((None, _parse_scalar(v)),)
@@ -343,52 +388,63 @@ def scenario_from_json(obj) -> Scenario:
     missing = {"devices", "radius", "decay", "fires"} - set(obj)
     if missing:
         raise ScenarioError(f"scenario lacks keys: {', '.join(sorted(missing))}")
-    devices = tuple(int(d) for d in obj["devices"])
+    devices = tuple(json_id(d, "device id")
+                    for d in json_container(obj["devices"], list, "devices"))
     if len(set(devices)) != len(devices):
         raise ScenarioError("duplicate device ids")
     paths = {}
-    for key, segs in obj.get("paths", {}).items():
-        d = int(key)
+    for key, segs in json_container(obj.get("paths", {}), dict, "paths").items():
+        d = json_id(key, "device id")
         if d not in devices:
             raise ScenarioError(f"path for unknown device {d}")
         out = []
-        try:
-            for seg in segs:
+        for i, seg in enumerate(json_container(segs, list, f"path of device {d}")):
+            try:
                 start, end = as_time(seg["from"]), as_time(seg["to"])
-                if end < start:
-                    raise ScenarioError(f"path segment of device {d} ends before it starts")
                 pts = tuple((float(x), float(y)) for x, y in seg["waypoints"])
-                if not pts:
-                    raise ScenarioError(f"empty waypoints for device {d}")
-                out.append(PathSeg(start, end, pts))
-        except KeyError as e:
-            raise ScenarioError(
-                f"path segment {len(out)} of device {d} lacks key {e.args[0]!r}"
-            ) from None
+            except SHAPE_ERRORS as e:
+                raise shape_error(f"path segment {i} of device {d}", SEGMENT_SHAPE,
+                                  seg, e) from None
+            if end < start:
+                raise ScenarioError(f"path segment of device {d} ends before it starts")
+            if not pts:
+                raise ScenarioError(f"empty waypoints for device {d}")
+            out.append(PathSeg(start, end, pts))
         paths[d] = tuple(out)
     fires = []
-    try:
-        for f in obj["fires"]:
-            d = int(f["device"])
-            if d not in devices:
-                raise ScenarioError(f"fire by unknown device {d}")
-            fires.append((as_time(f["t"]), d))
-    except KeyError as e:
-        raise ScenarioError(f"fire {len(fires)} lacks key {e.args[0]!r}") from None
+    for i, f in enumerate(json_container(obj["fires"], list, "fires")):
+        try:
+            t, d = as_time(f["t"]), f["device"]
+        except SHAPE_ERRORS as e:
+            raise shape_error(f"fire {i}", FIRE_SHAPE, f, e) from None
+        if type(d) is not int:
+            d = json_id(d, f"device of fire {i}")
+        if d not in devices:
+            raise ScenarioError(f"fire by unknown device {d}")
+        fires.append((t, d))
     fires.sort(key=lambda f: f[0])
     for (t1, _), (t2, _) in zip(fires, fires[1:]):
         if t1 == t2:
             raise ScenarioError(f"two fires at the same instant t={t1}")
     sensors = {}
-    for key, table in obj.get("sensors", {}).items():
-        d = int(key)
+    for key, table in json_container(obj.get("sensors", {}), dict, "sensors").items():
+        d = json_id(key, "device id")
         if d not in devices:
             raise ScenarioError(f"sensors for unknown device {d}")
+        table = json_container(table, dict, f"sensors of device {d}")
         sensors[d] = {name: _parse_script(v) for name, v in table.items()}
+    try:
+        radius = float(obj["radius"])
+    except (TypeError, ValueError):
+        raise ScenarioError(f"radius must be a number, got {obj['radius']!r}") from None
+    try:
+        decay = as_time(obj["decay"])
+    except ScenarioError as e:
+        raise ScenarioError(f"decay: {e}") from None
     return Scenario(
         devices=devices,
-        radius=float(obj["radius"]),
-        decay=as_time(obj["decay"]),
+        radius=radius,
+        decay=decay,
         paths=paths,
         fires=tuple(fires),
         sensor_scripts=sensors,

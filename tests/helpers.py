@@ -1,5 +1,6 @@
-"""Shared fixtures: the four-device example DAG, scenario builders and the
-all-pairs reference for the induced DAG.
+"""Shared fixtures: the four-device example DAG, scenario builders, the
+all-pairs reference for the induced DAG and the fixpoint reference for
+the denotation.
 
 The DAG mirrors the running example: four devices firing 4 to 6 times,
 device 2 rebooting after its second firing (so the self-link into its
@@ -11,7 +12,33 @@ of the highlighted event: it is aware of devices 2, 3 and 4 only.
 
 from fractions import Fraction as F
 
-from fieldcalc.denot import Event, EventDAG
+from fieldcalc.ast import (
+    Apply,
+    Builtin,
+    Data,
+    DefName,
+    FieldVal,
+    Lambda,
+    Nbr,
+    Rep,
+    Var,
+    free_vars,
+    is_value,
+    mkfield,
+    substitute,
+)
+from fieldcalc.builtins import TABLE, OpContext, SensorState
+from fieldcalc.denot import (
+    DenotError,
+    Event,
+    EventDAG,
+    latest_event,
+    nbr_devices,
+    restrict_evolution,
+    restrict_value,
+    shift,
+)
+from fieldcalc.device import DEFAULT_FUEL, EvalContext, FuelExhausted, apply_function
 from fieldcalc.network import PathSeg, Scenario, as_time, position_at, sensors_at
 
 # (id, device, time)
@@ -134,3 +161,145 @@ def reference_dag(sc: Scenario) -> EventDAG:
                 best[e2.device] = e2
         neigh.extend((e2.id, e.id) for e2 in best.values())
     return EventDAG(events, neigh, sensors)
+
+
+class _FixpointDenot:
+    """The denotation as the calculus states it, one whole evolution at a
+    time: rep is a Kleene fixpoint over all of E (at most |E|+1 passes of
+    the body under the shifted guess), and application evaluates the body
+    over each cluster with the arguments restricted to it."""
+
+    def __init__(self, g, defs, fuel):
+        self.g = g
+        self.defs = defs or {}
+        self.fuel = fuel
+
+    def tick(self):
+        if self.fuel <= 0:
+            raise FuelExhausted("denotational evaluation fuel exhausted")
+        self.fuel -= 1
+
+    def eval(self, E, X, e) -> dict:
+        self.tick()
+        g = self.g
+        match e:
+            case FieldVal():
+                return {ev: restrict_value(e, nbr_devices(g, E, ev)) for ev in E}
+            case Data(args=args) if not is_value(e):
+                aevs = [self.eval(E, X, a) for a in args]
+                return {
+                    ev: Data(e.ctor, tuple(av[ev] for av in aevs)) for ev in E
+                }
+            case Lambda():
+                fv = sorted(free_vars(e))
+                if not fv:
+                    return {ev: e for ev in E}
+                for v in fv:
+                    if v not in X:
+                        raise DenotError(f"unbound variable {v!r}")
+                return {
+                    ev: substitute(e, {v: X[v][ev] for v in fv}) for ev in E
+                }
+            case _ if is_value(e):
+                return {ev: e for ev in E}
+            case Var(name=n):
+                if n not in X:
+                    raise DenotError(f"unbound variable {n!r}")
+                phi = X[n]
+                return {ev: restrict_value(phi[ev], nbr_devices(g, E, ev)) for ev in E}
+            case Nbr(body=b):
+                bev = self.eval(E, X, b)
+                return {
+                    ev: mkfield({
+                        d: bev[latest_event(g, E, ev, d)]
+                        for d in nbr_devices(g, E, ev)
+                    })
+                    for ev in E
+                }
+            case Rep(init=e1, var=x, body=e2):
+                r0 = self.eval(E, X, e1)
+                r = r0
+                for _ in range(len(E) + 1):
+                    r2 = self.eval(E, {**X, x: shift(g, E, r, r0)}, e2)
+                    if r2 == r:
+                        return r2
+                    r = r2
+                raise DenotError(
+                    "internal: rep did not stabilize within |E'|+1 iterations")
+            case Apply(fn=fe, args=args):
+                fev = self.eval(E, X, fe)
+                aevs = [self.eval(E, X, a) for a in args]
+                groups = {}
+                for ev in E:
+                    groups.setdefault(fev[ev], []).append(ev)
+                out = {}
+                for f, evs in groups.items():
+                    if isinstance(f, Builtin):
+                        res = self.apply_builtin(f.name, E, aevs)
+                    else:
+                        c = frozenset(evs)
+                        res = self.apply_fun(
+                            f, c, [restrict_evolution(g, av, c) for av in aevs])
+                    for ev in evs:
+                        out[ev] = res[ev]
+                return out
+        raise DenotError(f"cannot interpret {e!r}")
+
+    def apply_builtin(self, name, E, aevs) -> dict:
+        out = {}
+        for ev in E:
+            pi = nbr_devices(self.g, E, ev)
+            ctx = OpContext(
+                device=ev.device,
+                env_domain=pi - {ev.device},
+                sensors=self.g.sensors.get(ev.id) or SensorState(),
+                call=lambda fn, vs, ev=ev: self.device_call(ev, fn, vs),
+                rng=None,
+            )
+            out[ev] = TABLE.eval(name, ctx, [av[ev] for av in aevs])
+        return out
+
+    def apply_fun(self, f, cluster, aevs) -> dict:
+        if isinstance(f, Lambda):
+            params, body = f.params, f.body
+        elif isinstance(f, DefName):
+            d = self.defs.get(f.name)
+            if d is None:
+                raise DenotError(f"unknown function name {f.name!r}")
+            params, body = d.params, d.body
+        else:
+            raise DenotError(f"not a function value: {f!r}")
+        if len(params) != len(aevs):
+            raise DenotError(
+                f"function {f!r} takes {len(params)} argument(s), got {len(aevs)}")
+        return self.eval(cluster, dict(zip(params, aevs)), body)
+
+    def device_call(self, ev, fn, vals):
+        ctx = EvalContext(
+            device=ev.device,
+            sensors=self.g.sensors.get(ev.id) or SensorState(),
+            defs=self.defs,
+            fuel=self.fuel,
+        )
+        try:
+            return apply_function(ctx, fn, vals)
+        finally:
+            self.fuel = ctx.fuel
+
+
+def reference_denot(g: EventDAG, E, X: dict, e, defs=None,
+                    fuel: int = DEFAULT_FUEL) -> dict:
+    """Interpret e over the events E under assumptions X (evolutions) by
+    the fixpoint specification."""
+    return _FixpointDenot(g, defs, fuel).eval(frozenset(E), X, e)
+
+
+def cluster(g: EventDAG, E, fn, X: dict, ev: Event, defs=None) -> frozenset:
+    """Events of E that selected the same function value as ev did for fn;
+    all of E when the value is a builtin."""
+    E = frozenset(E)
+    fev = reference_denot(g, E, X, fn, defs)
+    f = fev[ev]
+    if isinstance(f, Builtin):
+        return E
+    return frozenset(e2 for e2 in E if fev[e2] == f)

@@ -38,6 +38,7 @@ from fieldcalc.denot import (
     check_adequacy,
     check_restriction,
     denot_eval,
+    denot_program,
     nbr_devices,
     validate_dag,
 )
@@ -67,7 +68,14 @@ from fieldcalc.typer import (
 )
 
 from generators import ExprGen, SNS_FUNS, gen_scenario
-from helpers import EXAMPLE_EVENTS, EXAMPLE_NEIGH, example_dag, line_scenario, static_scenario
+from helpers import (
+    EXAMPLE_EVENTS,
+    EXAMPLE_NEIGH,
+    example_dag,
+    line_scenario,
+    reference_denot,
+    static_scenario,
+)
 from test_stdlib import (
     TREE_DEPTH,
     TREE_POSITIONS,
@@ -287,24 +295,32 @@ def test_operational_agrees_with_denotational():
     assert time.monotonic() - t0 < 120.0
 
 
+def test_denotation_matches_the_fixpoint_on_adequacy_pairs():
+    for sc, prog in adequacy_pairs():
+        g = build_dag_from_scenario(sc)
+        want = reference_denot(g, g.events, {}, prog.main, {d.name: d for d in prog.defs})
+        assert denot_program(g, prog) == want
+
+
 # ---------------------------------------------------------------------------
 # 7. alignment domains, cluster isolation, and the rep identity at
 # source events
 
 class AlignedDenot(_Denot):
-    """Evaluator that checks every field value against its event set."""
+    """Evaluator that checks every field value of every node instance, at
+    every event, against the events of its cluster so far."""
 
     def __init__(self, g, defs, fuel):
         super().__init__(g, defs, fuel)
         self.fields_checked = 0
 
-    def eval(self, E, X, e):
-        out = super().eval(E, X, e)
-        for ev, v in out.items():
-            if isinstance(v, FieldVal):
-                assert v.domain() == nbr_devices(self.g, E, ev), (e, ev)
-                self.fields_checked += 1
-        return out
+    def eval_at(self, S, X, e, ev):
+        v = super().eval_at(S, X, e, ev)
+        if isinstance(v, FieldVal):
+            cluster = {self.g.by_id[i] for i in S.domain}
+            assert v.domain() == nbr_devices(self.g, cluster, ev), (e, ev)
+            self.fields_checked += 1
+        return v
 
 
 FREE_STEP = "(src) => mux(src, 0, min-hood( +[f,l](nbr{mux(src, 0, infinity)}, 1)))"

@@ -334,6 +334,67 @@ def test_malformed_dag_event_is_a_diagnostic(counter, tmp_path, capsys, key):
     assert "Traceback" not in err
 
 
+ONE_EVENT = {"events": [{"id": 1, "device": 1, "time": "1"}], "neigh": []}
+
+MALFORMED_SHAPES = {
+    "waypoint not a pair": ("run", {**ONE_DEVICE, "paths": {"1": [
+        {"from": 0, "to": 10, "waypoints": [[0, 0, 0]]}]}}, "path segment 0 of device 1 must be"),
+    "device id not numeric": ("run", {**ONE_DEVICE, "devices": ["one"]},
+                              "must be an integer"),
+    "paths a list": ("run", {**ONE_DEVICE, "paths": [ONE_DEVICE["paths"]["1"]]},
+                     "paths must be a JSON object"),
+    "fire not an object": ("run", {**ONE_DEVICE, "fires": [[1, 1]]},
+                           "fire 0 must be"),
+    "fire device a float": ("run", {**ONE_DEVICE, "fires": [{"t": 1, "device": 1.0}]},
+                            "device of fire 0 must be an integer"),
+    "waypoint coordinate not a number": ("check-adequacy", {**ONE_DEVICE, "paths": {"1": [
+        {"from": 0, "to": 10, "waypoints": [[0, "left"]]}]}}, "[[0, 'left']]"),
+    "sensor value not a value": ("denot", {**ONE_DEVICE, "sensors": {"1": {
+        "sns-num": "(("}}}, "cannot read sensor value"),
+    "neigh edge not a pair": ("denot", {**ONE_EVENT, "neigh": [[1]]},
+                              "neigh edge must be [id, id], got [1]"),
+    "neigh edge end not an id": ("denot", {**ONE_EVENT, "neigh": [[1, None]]},
+                                 "neigh edge end must be an integer"),
+    "DAG event not an object": ("denot", {**ONE_EVENT, "events": [1]},
+                                "DAG event must be"),
+    "DAG event id a float": ("denot", {**ONE_EVENT, "events": [
+        {"id": 1.5, "device": 1, "time": "1"}]}, "DAG event id must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SHAPES))
+def test_malformed_shape_is_a_diagnostic(counter, tmp_path, capsys, case):
+    command, obj, msg = MALFORMED_SHAPES[case]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    assert main([command, counter, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert msg in err
+    assert "Traceback" not in err
+
+
+def test_denot_rejects_a_cyclic_dag(counter, tmp_path, capsys):
+    p = tmp_path / "dag.json"
+    p.write_text(json.dumps({
+        "events": [{"id": 1, "device": 1, "time": "0"}, {"id": 2, "device": 2, "time": "1"}],
+        "neigh": [[1, 2], [2, 1]],
+    }))
+    assert main(["denot", counter, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cycle (events 1, 2, 1)" in captured.err
+
+
+def test_denot_rejects_two_same_device_predecessors(counter, tmp_path, capsys):
+    p = tmp_path / "dag.json"
+    p.write_text(json.dumps({
+        "events": [{"id": i, "device": 1, "time": str(i)} for i in (1, 2, 3)],
+        "neigh": [[1, 3], [2, 3]],
+    }))
+    assert main(["denot", counter, str(p)]) == 2
+    assert "duplicate-device (events 2, 1, 3)" in capsys.readouterr().err
+
+
 def test_bad_timestamps_are_diagnostics(counter, one_device, tmp_path, capsys):
     p = tmp_path / "dag.json"
     p.write_text(json.dumps({"events": [{"id": 1, "device": 1, "time": "soon"}],

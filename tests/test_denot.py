@@ -5,8 +5,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fieldcalc.ast import Apply, Builtin, mkfield, num
+from fieldcalc.ast import Apply, Builtin, Lambda, mkfield, num
+from fieldcalc.builtins import TABLE
 from fieldcalc.denot import (
     CoherenceError,
     DagError,
@@ -17,7 +20,6 @@ from fieldcalc.denot import (
     build_dag_from_scenario,
     check_adequacy,
     check_restriction,
-    cluster,
     dag_from_json,
     dag_to_json,
     denot_eval,
@@ -32,9 +34,20 @@ from fieldcalc.denot import (
 from fieldcalc.device import FuelExhausted
 from fieldcalc.network import PathSeg, Scenario
 from fieldcalc.parser import parse_expr, parse_program
+from fieldcalc.stdlib import corpus_entry
+from fieldcalc.typer import BOOL, NUM, FieldT
 
-from generators import gen_scenario
-from helpers import FOCUS, example_dag, line_scenario, reference_dag, static_scenario
+from generators import ExprGen, gen_scenario
+from helpers import (
+    EXAMPLE_EVENTS,
+    FOCUS,
+    cluster,
+    example_dag,
+    line_scenario,
+    reference_dag,
+    reference_denot,
+    static_scenario,
+)
 
 
 def chain_dag(n, device=1):
@@ -273,6 +286,73 @@ def test_rep_locality_for_pure_local_expressions():
         local = denot_eval(g, sub, {}, e)
         for ev in sub:
             assert out[ev] == local[ev]
+
+
+# ---------------------------------------------------------------------------
+# causal-order evaluation against the fixpoint specification
+
+@pytest.mark.parametrize("rounds", [20, 40, 80])
+def test_rep_counter_evaluates_each_event_once(rounds, monkeypatch):
+    # the fixpoint took rounds + 1 passes, (rounds + 1) * |E| builtin calls
+    g = build_dag_from_scenario(line_scenario(5, rounds=rounds))
+    calls = []
+    real = TABLE.eval
+    monkeypatch.setattr(TABLE, "eval", lambda *a: calls.append(a[0]) or real(*a))
+    out = denot_program(g, parse_program("rep(0){(x) => x + 1}"))
+    assert len(calls) == len(g.events) == 5 * rounds
+    assert [out[e] for e in g.events] == [num(k // 5 + 1) for k in range(5 * rounds)]
+
+
+def test_denotation_matches_the_fixpoint_on_generated_scenarios():
+    """The 300 scenarios of the induced-DAG differential test (abutting
+    segments, border fires, decay edges), each under a corpus program or
+    a generated one."""
+    rnd, prog_rnd = random.Random(20161025), random.Random(7)
+    corpus = [corpus_entry(n).program() for n in ("gradient", "spanning-sum")]
+    for i in range(300):
+        g = build_dag_from_scenario(gen_scenario(rnd))
+        prog = (corpus[i % 2] if i % 3 == 0
+                else ExprGen(prog_rnd).program(depth=prog_rnd.randint(1, 4)))
+        defs = {d.name: d for d in prog.defs}
+        want = reference_denot(g, g.events, {}, prog.main, defs)
+        assert denot_program(g, prog) == want, (i, prog.main)
+
+
+EXAMPLE_IDS = [i for i, _, _ in EXAMPLE_EVENTS]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       ids=st.sets(st.sampled_from(EXAMPLE_IDS)),
+       kind=st.sampled_from(["events", "devices", "cluster"]))
+def test_denotation_matches_the_fixpoint_on_sub_domains(seed, ids, kind):
+    """Any event set: arbitrary subsets, whole devices, and the cluster
+    of a branching function value. Assumptions over all events: a number
+    u and a field w. Half of the draws apply a function of a field whose
+    body may capture u, so that its clusters split by u and restrict the
+    field argument."""
+    g = example_dag()
+    rnd = random.Random(seed)
+    gen = ExprGen(rnd, sensors=False)
+    if kind == "events":
+        E = frozenset(g.by_id[i] for i in ids)
+    elif kind == "devices":
+        devices = {g.by_id[i].device for i in ids}
+        E = frozenset(e for e in g.events if e.device in devices)
+    else:
+        branch = Apply(Builtin("mux"), (gen.expr(BOOL, {}, 2),
+                                        parse_expr("(x) => x"), parse_expr("(y) => y")))
+        E = cluster(g, g.events, branch, {}, g.by_id[min(ids, default=FOCUS)])
+    X = {"u": {e: num(e.id % 3) for e in g.events},
+         "w": reference_denot(g, g.events, {}, parse_expr("nbr{uid()}"))}
+    env = {"u": NUM, "w": FieldT(NUM)}
+    depth = rnd.randint(1, 4)
+    if rnd.random() < 0.5:
+        e = gen.expr(rnd.choice([NUM, BOOL]), env, depth)
+    else:
+        body = gen.expr(NUM, {"u": NUM, "f": FieldT(NUM)}, depth)
+        e = Apply(Lambda(("f",), body), (gen.expr(FieldT(NUM), env, 2),))
+    assert denot_eval(g, E, X, e) == reference_denot(g, E, X, e), e
 
 
 # ---------------------------------------------------------------------------
