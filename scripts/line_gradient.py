@@ -3,9 +3,11 @@
 
 Runs the gradient corpus program (distance-to with the injection point
 at device 0) round by round and prints how each device's estimate
-approaches its shortest-path distance.
+approaches its shortest-path distance. Exits 1 when the final round
+differs from those distances.
 """
 
+import sys
 from fractions import Fraction
 
 from fieldcalc.ast import boolean
@@ -53,7 +55,11 @@ def main():
             print(f"{i // N + 1:5d}  {row}")
     print()
     print("shortest-path distances: " + " ".join(str(d) for d in range(N)))
+    if [latest[d] for d in range(N)] != [d * SPACING for d in range(N)]:
+        print("final round differs from the shortest-path distances", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -5,9 +5,11 @@ Seven devices form a depth-two tree under unit-disc connectivity.  Each
 device contributes its device id plus one; converge-sum funnels the
 contributions along the hop-count potential until the root holds the
 exact total.  The run is then cross-checked against the denotational
-interpretation of the same scenario.
+interpretation of the same scenario; the script exits 1 when the two
+disagree.
 """
 
+import sys
 from fractions import Fraction
 
 from fieldcalc.ast import num
@@ -75,7 +77,8 @@ def main():
     report = check_adequacy(sc, program())
     n = sum(1 for v in report.verdicts if v.ok)
     print(f"denotational cross-check: {n}/{len(report.verdicts)} events equal")
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

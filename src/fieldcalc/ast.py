@@ -186,15 +186,6 @@ class Program:
     defs: tuple
     main: Expr
 
-    def decl(self, name: str) -> Def:
-        for d in self.defs:
-            if d.name == name:
-                return d
-        raise KeyError(name)
-
-    def decls(self) -> dict:
-        return {d.name: d for d in self.defs}
-
 
 # ---------------------------------------------------------------------------
 # constructors and small helpers
@@ -251,16 +242,6 @@ def is_value(e: Expr) -> bool:
     if isinstance(e, FieldVal):
         return all(is_local_value(v) for _, v in e.entries)
     return is_local_value(e)
-
-
-def is_function_value(e: Expr) -> bool:
-    match e:
-        case Builtin() | DefName():
-            return True
-        case Lambda():
-            return not free_vars(e)
-        case _:
-            return False
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +301,6 @@ def substitute(e: Expr, subst: dict) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def syntactic_equal(a: Expr, b: Expr) -> bool:
-    """Structural identity, the function-equality of the calculus.
-
-    Two function values are the same function iff they are the same syntax
-    tree (no alpha conversion). Spans are ignored by construction.
-    """
-    return a == b
-
-
 def subexpressions(e: Expr) -> Iterator[Expr]:
     yield e
     match e:
@@ -344,11 +316,6 @@ def subexpressions(e: Expr) -> Iterator[Expr]:
             yield from subexpressions(b)
         case _:
             pass
-
-
-def uses_builtin(e: Expr, names) -> bool:
-    names = set(names)
-    return any(isinstance(s, Builtin) and s.name in names for s in subexpressions(e))
 
 
 # ---------------------------------------------------------------------------

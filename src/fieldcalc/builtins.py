@@ -41,7 +41,7 @@ from .ast import (
     mkfield,
     num,
 )
-from .typer import Arrow, FieldT, Scheme, Sort, TVar, parse_scheme
+from .typer import Arrow, FieldT, Scheme, Sort, parse_scheme
 
 
 class EvalError(Exception):
@@ -332,7 +332,6 @@ class BuiltinEntry:
     name: str
     scheme: Scheme
     op: Callable
-    pure: bool
 
 
 _DECORATABLE = {"+", "-", "*", "and", "<", "=", "mux", "fst", "snd", "head", "tail", "Pair", "Cons"}
@@ -353,14 +352,11 @@ class BuiltinTable:
         self._ctor_entries: dict = {}
         self._decorated: dict = {}
 
-    def add(self, name: str, scheme_text: str, op: Callable, pure: bool = True):
-        self._entries[name] = BuiltinEntry(name, parse_scheme(scheme_text), op, pure)
+    def add(self, name: str, scheme_text: str, op: Callable):
+        self._entries[name] = BuiltinEntry(name, parse_scheme(scheme_text), op)
 
     def add_ctor(self, name: str, scheme_text: str):
-        self._ctor_entries[name] = BuiltinEntry(name, parse_scheme(scheme_text), _ctor_op(name), True)
-
-    def base_names(self):
-        return set(self._entries)
+        self._ctor_entries[name] = BuiltinEntry(name, parse_scheme(scheme_text), _ctor_op(name))
 
     def entry(self, name: str) -> Optional[BuiltinEntry]:
         if name in self._entries:
@@ -420,7 +416,7 @@ class BuiltinTable:
                 out.append((d, _op(ctx, point_args)))
             return mkfield(out)
 
-        return BuiltinEntry(name, scheme, op, base.pure)
+        return BuiltinEntry(name, scheme, op)
 
     def eval(self, name: str, ctx: OpContext, args) -> Expr:
         e = self.entry(name)
@@ -446,12 +442,6 @@ class BuiltinTable:
         if isinstance(result, FieldVal):
             assert result.domain() == expected, f"{name} produced a misaligned field"
         return result
-
-    def is_pure(self, name: str) -> bool:
-        if name == "map-hood":
-            return True
-        e = self.entry(name)
-        return bool(e and e.pure)
 
 
 def _build_table() -> BuiltinTable:
@@ -480,18 +470,17 @@ def _build_table() -> BuiltinTable:
     t.add("=", "forall t1. (t1, t1) -> bool", op_eq)
     t.add("<", "forall s1. (s1, s1) -> bool", op_lt)
 
-    t.add("uid", "() -> num", op_uid, pure=False)
-    t.add("nbr-range", "() -> field(num)", op_nbr_range, pure=False)
+    t.add("uid", "() -> num", op_uid)
+    t.add("nbr-range", "() -> field(num)", op_nbr_range)
     for name, ty in [
         ("sns-range", "() -> num"),
         ("sns-injection-point", "() -> bool"),
         ("sns-injected-fun", "() -> (() -> num)"),
-        ("sns-injected-function", "() -> (() -> num)"),
         ("sns-num", "() -> num"),
         ("sns-fun", "() -> (() -> num)"),
         ("sns-patron", "() -> bool"),
     ]:
-        t.add(name, ty, _make_sns(name), pure=False)
+        t.add(name, ty, _make_sns(name))
     return t
 
 
@@ -508,9 +497,3 @@ def ctor_scheme(ctor, arity: int) -> Optional[Scheme]:
     want = len(e.scheme.body.args)
     return e.scheme if arity == want else None
 
-
-def builtin_eval(name, device, env_domain, sensors, args, call=None, rng=None):
-    """Flat-argument wrapper over the table (used by tests and the
-    denotational side, which lifts it pointwise per event)."""
-    ctx = OpContext(device=device, env_domain=frozenset(env_domain), sensors=sensors, call=call, rng=rng)
-    return TABLE.eval(name, ctx, args)

@@ -27,7 +27,7 @@ from .denot import (
     validate_dag,
 )
 from .device import DEFAULT_FUEL, value_to_json, value_to_text
-from .network import ScenarioError, as_time, run_scenario, scenario_from_json
+from .network import ScenarioError, run_scenario, scenario_from_json
 from .parser import ParseError, parse_program
 from .stdlib import CorpusError, load_corpus
 from .typer import Scheme, TypecheckError, show_scheme, typecheck_program
@@ -99,13 +99,13 @@ def _load_scenario(path: str, ns, obj=None):
         sc = scenario_from_json(_read_json(path) if obj is None else obj)
     except ScenarioError as e:
         raise CliError(2, f"{path}: {e}") from None
-    if ns.decay is not None:
-        try:
-            sc = replace(sc, decay=as_time(ns.decay))
-        except ScenarioError as e:
-            raise CliError(2, f"--decay: {e}") from None
-    if ns.radius is not None:
-        sc = replace(sc, radius=ns.radius)
+    try:
+        if ns.decay is not None:
+            sc = replace(sc, decay=ns.decay)
+        if ns.radius is not None:
+            sc = replace(sc, radius=ns.radius)
+    except ScenarioError as e:
+        raise CliError(2, str(e)) from None  # the message names the field
     return sc
 
 
@@ -224,8 +224,9 @@ def cmd_corpus_test(ns) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(p, seed=False):
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+def _add_common(p, seed=False, fmt=True):
+    if fmt:
+        p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--fuel", type=int, default=DEFAULT_FUEL, metavar="N")
     if seed:
@@ -266,12 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--format", choices=["json"],
                    help="emit the full report instead of the summary line")
-    p.add_argument("--out", metavar="PATH")
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL, metavar="N")
-    p.add_argument("--decay", metavar="T",
-                   help="override the scenario's message decay")
-    p.add_argument("--radius", type=float, metavar="R",
-                   help="override the scenario's communication radius")
+    _add_common(p, fmt=False)
     p.set_defaults(handler=cmd_check_adequacy)
 
     p = sub.add_parser("corpus-test",
@@ -291,6 +287,11 @@ def main(argv=None) -> int:
     except CliError as e:
         _diag(e.msg)
         return e.code
+    except RecursionError:
+        # deep nesting in the source, or recursion that Python's stack
+        # cannot hold before the fuel runs out
+        _diag("nesting or recursion too deep for the interpreter's stack")
+        return 1
 
 
 if __name__ == "__main__":

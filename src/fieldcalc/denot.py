@@ -23,7 +23,6 @@ of the program with the denotation of each fire's root, event by event.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
@@ -32,7 +31,6 @@ from .ast import (
     Apply,
     Builtin,
     Data,
-    DefName,
     Expr,
     FieldVal,
     Lambda,
@@ -47,7 +45,7 @@ from .ast import (
     substitute,
 )
 from .builtins import TABLE, OpContext, SensorState
-from .device import DEFAULT_FUEL, FuelExhausted
+from .device import DEFAULT_FUEL, FuelExhausted, fun_parts
 from .network import (
     Scenario,
     SHAPE_ERRORS,
@@ -283,15 +281,6 @@ def dag_from_json(obj) -> EventDAG:
     return EventDAG(events, neigh)
 
 
-def load_dag(path: str) -> EventDAG:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise DagError(f"{path}: not valid JSON: {e}") from None
-    return dag_from_json(obj)
-
-
 # ---------------------------------------------------------------------------
 # DAG induced by a scenario (unit-disc communication)
 
@@ -438,27 +427,11 @@ class _Denot:
                     return self.apply_builtin(f.name, S, ev, avs)
                 C = S.children.get((id(e), f))
                 if C is None:
-                    C = S.children[id(e), f] = self.scope(*self.fun_parts(f, len(avs)))
+                    C = S.children[id(e), f] = self.scope(*fun_parts(self.defs, f, len(avs)))
                 self.enter(C, ev)
                 params = {x: restrict_value(a, C.pi) for x, a in zip(C.params, avs)}
                 return self.eval_at(C, params, C.body, ev)
         raise DenotError(f"cannot interpret {e!r}")
-
-    def fun_parts(self, f: Expr, nargs: int):
-        if isinstance(f, Lambda):
-            params, body = f.params, f.body
-        elif isinstance(f, DefName):
-            d = self.defs.get(f.name)
-            if d is None:
-                raise DenotError(f"unknown function name {f.name!r}")
-            params, body = d.params, d.body
-        else:
-            raise DenotError(f"not a function value: {f!r}")
-        if len(params) != nargs:
-            raise DenotError(
-                f"function {f!r} takes {len(params)} argument(s), got {nargs}"
-            )
-        return params, body
 
     def apply_builtin(self, name: str, S: _Scope, ev: Event, avs) -> Expr:
         ctx = OpContext(

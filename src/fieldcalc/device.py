@@ -20,7 +20,6 @@ from .ast import (
     Apply,
     Builtin,
     Data,
-    Def,
     DefName,
     Expr,
     FieldVal,
@@ -121,15 +120,21 @@ class EvalContext:
         self.fuel -= 1
 
 
-def _fun_parts(ctx: EvalContext, f: Expr):
+def fun_parts(defs: dict, f: Expr, nargs: int):
+    """The parameters and body of function value f applied to nargs
+    arguments; both evaluators resolve function values here."""
     if isinstance(f, Lambda):
-        return f.params, f.body
-    if isinstance(f, DefName):
-        d = ctx.defs.get(f.name)
+        params, body = f.params, f.body
+    elif isinstance(f, DefName):
+        d = defs.get(f.name)
         if d is None:
             raise MalformedEnv(f"unknown function name {f.name!r}")
-        return d.params, d.body
-    raise EvalError(f"not a function value: {f!r}")
+        params, body = d.params, d.body
+    else:
+        raise EvalError(f"not a function value: {f!r}")
+    if len(params) != nargs:
+        raise EvalError(f"function {f!r} takes {len(params)} argument(s), got {nargs}")
+    return params, body
 
 
 def eval_expr(ctx: EvalContext, env: dict, e: Expr) -> ValueTree:
@@ -163,11 +168,7 @@ def eval_expr(ctx: EvalContext, env: dict, e: Expr) -> ValueTree:
                 )
                 v = TABLE.eval(f.name, opctx, [k.root for k in kids])
                 return ValueTree(v, (*kids, ft))
-            params, body = _fun_parts(ctx, f)
-            if len(params) != len(kids):
-                raise EvalError(
-                    f"function {f!r} takes {len(params)} argument(s), got {len(kids)}"
-                )
+            params, body = fun_parts(ctx.defs, f, len(kids))
             inst = substitute(body, dict(zip(params, (k.root for k in kids))))
             bt = eval_expr(ctx, align_fun(env, f), inst)
             return ValueTree(bt.root, (*kids, ft, bt))
@@ -211,53 +212,6 @@ def evaluate_main(program: Program, device: int, env: dict,
         rng=rng,
     )
     return eval_expr(ctx, env, program.main)
-
-
-# ---------------------------------------------------------------------------
-# well-formedness of stored trees (shape check per rule)
-
-def well_formed(e: Expr, t: ValueTree, defs: dict) -> bool:
-    match e:
-        case _ if is_value(e) or isinstance(e, (Var, FieldVal, Lambda)):
-            # a lambda with free variables is still a leaf: evaluation
-            # substitutes values for them and stores the closed function
-            return not t.children
-        case Data(args=args):
-            return len(t.children) == len(args) and all(
-                well_formed(a, k, defs) for a, k in zip(args, t.children)
-            )
-        case Nbr(body=b):
-            return len(t.children) == 1 and well_formed(b, t.children[0], defs)
-        case Rep(body=e2):
-            return (
-                len(t.children) == 2
-                and well_formed(e2, t.children[1], defs)
-            )
-        case Apply(fn=fe, args=args):
-            n = len(args)
-            if len(t.children) == n + 1:
-                return (
-                    isinstance(t.children[n].root, Builtin)
-                    and all(well_formed(a, k, defs) for a, k in zip(args, t.children))
-                    and well_formed(fe, t.children[n], defs)
-                )
-            if len(t.children) == n + 2:
-                f = t.children[n].root
-                if not isinstance(f, (Lambda, DefName)):
-                    return False
-                if isinstance(f, Lambda):
-                    body = f.body
-                elif f.name in defs:
-                    body = defs[f.name].body
-                else:
-                    return False
-                return (
-                    all(well_formed(a, k, defs) for a, k in zip(args, t.children))
-                    and well_formed(fe, t.children[n], defs)
-                    and well_formed(body, t.children[n + 1], defs)
-                )
-            return False
-    return False
 
 
 # ---------------------------------------------------------------------------

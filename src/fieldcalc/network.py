@@ -87,6 +87,25 @@ class Scenario:
     sensor_scripts: dict = dc_field(default_factory=dict)
     # DeviceId -> {sensor name -> tuple of (start time or None, value)}
 
+    def __post_init__(self):
+        # the one check of radius and decay, which may arrive raw from a
+        # file or an override: a negative or NaN radius would cut a device
+        # off from itself, a negative decay would expire messages early
+        try:
+            radius = float(self.radius)
+        except (TypeError, ValueError):
+            radius = math.nan
+        if not radius >= 0:
+            raise ScenarioError(f"radius must be a number >= 0, got {self.radius!r}")
+        try:
+            decay = as_time(self.decay)
+        except ScenarioError as e:
+            raise ScenarioError(f"decay: {e}") from None
+        if decay < 0:
+            raise ScenarioError(f"decay must be >= 0, got {decay}")
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "decay", decay)
+
 
 def _interp(seg: PathSeg, t: Timestamp):
     pts = seg.waypoints
@@ -433,28 +452,12 @@ def scenario_from_json(obj) -> Scenario:
             raise ScenarioError(f"sensors for unknown device {d}")
         table = json_container(table, dict, f"sensors of device {d}")
         sensors[d] = {name: _parse_script(v) for name, v in table.items()}
-    try:
-        radius = float(obj["radius"])
-    except (TypeError, ValueError):
-        raise ScenarioError(f"radius must be a number, got {obj['radius']!r}") from None
-    try:
-        decay = as_time(obj["decay"])
-    except ScenarioError as e:
-        raise ScenarioError(f"decay: {e}") from None
     return Scenario(
         devices=devices,
-        radius=radius,
-        decay=decay,
+        radius=obj["radius"],
+        decay=obj["decay"],
         paths=paths,
         fires=tuple(fires),
         sensor_scripts=sensors,
     )
 
-
-def load_scenario(path: str) -> Scenario:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ScenarioError(f"{path}: not valid JSON: {e}") from None
-    return scenario_from_json(obj)

@@ -55,7 +55,6 @@ from .ast import (
     Span,
     Var,
     desugar_if,
-    is_num,
 )
 
 KEYWORDS = {"def", "rep", "nbr", "if", "else", "and"}

@@ -30,7 +30,6 @@ from .ast import (
     Apply,
     Builtin,
     Data,
-    Def,
     DefName,
     Expr,
     FieldVal,
@@ -103,6 +102,30 @@ NUM = Base("num")
 BOOL = Base("bool")
 
 
+def map_vars(t: Type, f) -> Type:
+    """t with each type variable v replaced by f(v), visiting the
+    variables left to right (arguments before results)."""
+    match t:
+        case TVar():
+            return f(t)
+        case Base():
+            return t
+        case TCon(name=n, args=a):
+            return TCon(n, tuple(map_vars(x, f) for x in a))
+        case FieldT(inner=i):
+            return FieldT(map_vars(i, f))
+        case Arrow(args=a, res=r):
+            return Arrow(tuple(map_vars(x, f) for x in a), map_vars(r, f))
+    raise TypeError(f"not a type: {t!r}")
+
+
+def var_ids(t: Type) -> list:
+    """The ids of t's type variables, in order of first appearance."""
+    seen: dict = {}
+    map_vars(t, lambda v: seen.setdefault(v.vid, v))
+    return list(seen)
+
+
 @dataclass(frozen=True)
 class Scheme:
     """Quantified type; qvars pairs (vid, sort) listing body's free vars."""
@@ -154,17 +177,8 @@ class Typer:
         return t
 
     def deep_resolve(self, t: Type) -> Type:
-        t = self.resolve(t)
-        match t:
-            case Base() | TVar():
-                return t
-            case TCon(name=n, args=a):
-                return TCon(n, tuple(self.deep_resolve(x) for x in a))
-            case FieldT(inner=i):
-                return FieldT(self.deep_resolve(i))
-            case Arrow(args=a, res=r):
-                return Arrow(tuple(self.deep_resolve(x) for x in a), self.deep_resolve(r))
-        raise TypeError(f"not a type: {t!r}")
+        return map_vars(
+            t, lambda v: self.deep_resolve(self.subst[v.vid]) if v.vid in self.subst else v)
 
     def err(self, msg: str, rule: str) -> TypecheckError:
         return TypecheckError(msg, rule=rule, span=self.span)
@@ -208,22 +222,8 @@ class Typer:
             case _:
                 raise TypeError(f"not a type: {t!r}")
 
-    def occurs(self, vid: int, t: Type) -> bool:
-        t = self.resolve(t)
-        match t:
-            case TVar(vid=v2):
-                return v2 == vid
-            case TCon(args=args):
-                return any(self.occurs(vid, a) for a in args)
-            case FieldT(inner=i):
-                return self.occurs(vid, i)
-            case Arrow(args=args, res=r):
-                return any(self.occurs(vid, a) for a in args) or self.occurs(vid, r)
-            case _:
-                return False
-
     def bind(self, v: TVar, t: Type, rule: str):
-        if self.occurs(v.vid, t):
+        if v.vid in var_ids(self.deep_resolve(t)):
             raise self.err(f"occurs check: cannot build infinite type {self.show(TVar(v.vid))} = {self.show(t)}", rule)
         self.demote(t, self.sorts[v.vid], rule, blame=self.origin.get(v.vid, rule))
         self.subst[v.vid] = t
@@ -273,50 +273,11 @@ class Typer:
         if not sch.qvars:
             return sch.body
         mapping = {vid: self.fresh(sort, origin=rule) for vid, sort in sch.qvars}
-
-        def walk(t: Type) -> Type:
-            match t:
-                case TVar(vid=v):
-                    return mapping.get(v, t)
-                case Base():
-                    return t
-                case TCon(name=n, args=a):
-                    return TCon(n, tuple(walk(x) for x in a))
-                case FieldT(inner=i):
-                    return FieldT(walk(i))
-                case Arrow(args=a, res=r):
-                    return Arrow(tuple(walk(x) for x in a), walk(r))
-            raise TypeError(f"not a type: {t!r}")
-
-        return walk(sch.body)
-
-    def free_vids(self, t: Type) -> list:
-        out: list = []
-
-        def walk(t: Type):
-            t = self.resolve(t)
-            match t:
-                case TVar(vid=v):
-                    if v not in out:
-                        out.append(v)
-                case TCon(args=a):
-                    for x in a:
-                        walk(x)
-                case FieldT(inner=i):
-                    walk(i)
-                case Arrow(args=a, res=r):
-                    for x in a:
-                        walk(x)
-                    walk(r)
-                case _:
-                    pass
-
-        walk(t)
-        return out
+        return map_vars(sch.body, lambda v: mapping.get(v.vid, v))
 
     def generalize(self, t: Type) -> Scheme:
         body = self.deep_resolve(t)
-        qv = tuple((v, self.sorts[v]) for v in self.free_vids(body))
+        qv = tuple((v, self.sorts[v]) for v in var_ids(body))
         return Scheme(qv, body)
 
     # ---- inference ---------------------------------------------------
@@ -434,13 +395,6 @@ def typecheck_expr(e: Expr, typer: Optional[Typer] = None) -> Type:
     ty = typer or Typer()
     t = ty.infer(e, {}, {})
     return ty.deep_resolve(t)
-
-
-def type_of_program(src: str, path: str = "<string>") -> Type:
-    from .parser import parse_program
-
-    t, _, _ = typecheck_program(parse_program(src, path))
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -615,44 +569,10 @@ def show_scheme(sch: Scheme) -> str:
 
 def _canonical(sch: Scheme, with_sorts: bool):
     """Rename quantified vars in order of first appearance in the body."""
-    order: list = []
-    sorts = dict(sch.qvars)
-
-    def collect(t: Type):
-        match t:
-            case TVar(vid=v):
-                if v not in order:
-                    order.append(v)
-            case TCon(args=a):
-                for x in a:
-                    collect(x)
-            case FieldT(inner=i):
-                collect(i)
-            case Arrow(args=a, res=r):
-                for x in a:
-                    collect(x)
-                collect(r)
-            case _:
-                pass
-
-    collect(sch.body)
-    ren = {v: i for i, v in enumerate(order)}
-
-    def walk(t: Type):
-        match t:
-            case Base(name=n):
-                return ("base", n)
-            case TCon(name=n, args=a):
-                return ("con", n, tuple(walk(x) for x in a))
-            case FieldT(inner=i):
-                return ("field", walk(i))
-            case Arrow(args=a, res=r):
-                return ("arrow", tuple(walk(x) for x in a), walk(r))
-            case TVar(vid=v):
-                return ("var", ren[v], sorts.get(v) if with_sorts else None)
-        raise TypeError(f"not a type: {t!r}")
-
-    return walk(sch.body)
+    order = var_ids(sch.body)
+    ren = {v: TVar(i) for i, v in enumerate(order)}
+    sorts = dict(sch.qvars) if with_sorts else {}
+    return map_vars(sch.body, lambda v: ren[v.vid]), tuple(sorts.get(v) for v in order)
 
 
 def scheme_eq(a: Scheme, b: Scheme, ignore_sorts: bool = False) -> bool:
@@ -673,21 +593,7 @@ def scheme_instance(general: Scheme, specific: Scheme) -> bool:
         ty.adopt(vid + 10_000, sort)
         rigid.add(vid + 10_000)
 
-    def shift(t: Type) -> Type:
-        match t:
-            case TVar(vid=v):
-                return TVar(v + 10_000)
-            case Base():
-                return t
-            case TCon(name=n, args=a):
-                return TCon(n, tuple(shift(x) for x in a))
-            case FieldT(inner=i):
-                return FieldT(shift(i))
-            case Arrow(args=a, res=r):
-                return Arrow(tuple(shift(x) for x in a), shift(r))
-        raise TypeError(f"not a type: {t!r}")
-
-    target = shift(specific.body)
+    target = map_vars(specific.body, lambda v: TVar(v.vid + 10_000))
     inst = ty.instantiate(Scheme(general.qvars, general.body), "instance-check")
     original_sort = {v: ty.sorts[v] for v in rigid}
     try:

@@ -225,12 +225,14 @@ def _script(rnd, draw):
 
 def gen_scenario(rnd: random.Random) -> Scenario:
     """A small mobile network. Besides random fires it reaches the corner
-    cases of who hears whom: outages, abutting segments (no outage),
-    fires exactly on segment borders, and a receiver firing exactly
-    ``decay`` after a sender (the closed edge of the window)."""
+    cases of who hears whom: outages, abutting segments (no outage) with
+    fires just before and just after the seam, fires exactly on segment
+    borders, and a receiver firing exactly ``decay`` after a sender (the
+    closed edge of the window)."""
     n = rnd.randint(1, 5)
     devices = tuple(range(1, n + 1))
     paths = {}
+    seams = {}
     for d in devices:
         roll = rnd.random()
         if roll < 0.3:
@@ -248,6 +250,7 @@ def gen_scenario(rnd: random.Random) -> Scenario:
                 PathSeg(Fraction(0), seam, _waypoints(rnd)),
                 PathSeg(seam, Fraction(10), _waypoints(rnd)),
             )
+            seams[d] = seam
         else:
             paths[d] = (PathSeg(Fraction(0), Fraction(10), _waypoints(rnd)),)
     decay = as_time(rnd.choice([0, 1, 3, 10, 100]))
@@ -266,6 +269,11 @@ def gen_scenario(rnd: random.Random) -> Scenario:
             for t in (seg.start, seg.end):
                 if t not in fires and rnd.random() < 0.2:
                     fires[t] = d
+    for d, seam in seams.items():
+        if rnd.random() < 0.5:
+            # off the quarter grid, so they cannot clash with a random fire
+            for t in (seam - Fraction(1, 8), seam + Fraction(1, 8)):
+                fires.setdefault(t, d)
     if fires and decay > 0 and rnd.random() < 0.5:
         t = rnd.choice(sorted(fires)) + decay
         d = rnd.choice(devices)

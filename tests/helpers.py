@@ -38,7 +38,13 @@ from fieldcalc.denot import (
     restrict_value,
     shift,
 )
-from fieldcalc.device import DEFAULT_FUEL, EvalContext, FuelExhausted, apply_function
+from fieldcalc.device import (
+    DEFAULT_FUEL,
+    EvalContext,
+    FuelExhausted,
+    ValueTree,
+    apply_function,
+)
 from fieldcalc.network import PathSeg, Scenario, as_time, position_at, sensors_at
 
 # (id, device, time)
@@ -303,3 +309,51 @@ def cluster(g: EventDAG, E, fn, X: dict, ev: Event, defs=None) -> frozenset:
     if isinstance(f, Builtin):
         return E
     return frozenset(e2 for e2 in E if fev[e2] == f)
+
+
+# ---------------------------------------------------------------------------
+# well-formedness of stored trees (shape check per rule)
+
+def well_formed(e, t: ValueTree, defs: dict) -> bool:
+    """Whether the value-tree t has the shape evaluating e produces."""
+    match e:
+        case _ if is_value(e) or isinstance(e, (Var, FieldVal, Lambda)):
+            # a lambda with free variables is still a leaf: evaluation
+            # substitutes values for them and stores the closed function
+            return not t.children
+        case Data(args=args):
+            return len(t.children) == len(args) and all(
+                well_formed(a, k, defs) for a, k in zip(args, t.children)
+            )
+        case Nbr(body=b):
+            return len(t.children) == 1 and well_formed(b, t.children[0], defs)
+        case Rep(body=e2):
+            return (
+                len(t.children) == 2
+                and well_formed(e2, t.children[1], defs)
+            )
+        case Apply(fn=fe, args=args):
+            n = len(args)
+            if len(t.children) == n + 1:
+                return (
+                    isinstance(t.children[n].root, Builtin)
+                    and all(well_formed(a, k, defs) for a, k in zip(args, t.children))
+                    and well_formed(fe, t.children[n], defs)
+                )
+            if len(t.children) == n + 2:
+                f = t.children[n].root
+                if not isinstance(f, (Lambda, DefName)):
+                    return False
+                if isinstance(f, Lambda):
+                    body = f.body
+                elif f.name in defs:
+                    body = defs[f.name].body
+                else:
+                    return False
+                return (
+                    all(well_formed(a, k, defs) for a, k in zip(args, t.children))
+                    and well_formed(fe, t.children[n], defs)
+                    and well_formed(body, t.children[n + 1], defs)
+                )
+            return False
+    return False

@@ -21,11 +21,13 @@ from fieldcalc.ast import (
     Apply,
     Builtin,
     Data,
+    DefName,
     FALSE,
     FieldVal,
+    Lambda,
     TRUE,
     boolean,
-    is_function_value,
+    is_value,
     mkfield,
     num,
 )
@@ -49,7 +51,6 @@ from fieldcalc.device import (
     eval_expr,
     leaf,
     tree_to_json,
-    well_formed,
 )
 from fieldcalc.network import as_time, run_scenario
 from fieldcalc.parser import parse_expr, parse_program, parse_value
@@ -75,6 +76,7 @@ from helpers import (
     line_scenario,
     reference_denot,
     static_scenario,
+    well_formed,
 )
 from test_stdlib import (
     TREE_DEPTH,
@@ -197,7 +199,7 @@ def value_has_type(v, T):
             value_has_type(x, T.inner) for _, x in v.entries
         )
     if isinstance(T, Arrow):
-        if not is_function_value(v):
+        if not (isinstance(v, (Builtin, DefName, Lambda)) and is_value(v)):
             return False
         ty = Typer()
         return scheme_instance(ty.generalize(ty.infer(v, {}, {})),
@@ -269,6 +271,7 @@ def adequacy_pairs():
     rnd = random.Random(SUITE_SEED)
     gradient = corpus_entry("gradient").program()
     spanning = corpus_entry("spanning-sum").program()
+    counter = parse_program("rep(0){(x) => x + 1}")
     pairs = []
     for _ in range(100):
         sc = gen_scenario(rnd)
@@ -277,6 +280,8 @@ def adequacy_pairs():
             prog = gradient
         elif roll < 0.45:
             prog = spanning
+        elif roll < 0.55:
+            prog = counter
         else:
             prog = ExprGen(rnd).program(depth=rnd.randint(1, 4))
             typecheck_program(prog)

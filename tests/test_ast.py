@@ -21,7 +21,6 @@ from fieldcalc.ast import (
     canon_num,
     desugar_if,
     free_vars,
-    is_function_value,
     is_local_value,
     is_num,
     is_value,
@@ -30,7 +29,6 @@ from fieldcalc.ast import (
     num_eq,
     substitute,
     subexpressions,
-    uses_builtin,
 )
 
 
@@ -81,8 +79,6 @@ def test_value_predicates():
     assert is_value(Builtin("min-hood")) and is_value(DefName("f"))
     assert is_value(mkfield({1: num(0)}))
     assert not is_value(Nbr(num(0)))
-    assert is_function_value(Lambda(("x",), Var("x")))
-    assert not is_function_value(num(1))
     assert is_local_value(num(1)) and not is_local_value(mkfield({1: num(0)}))
     assert boolean(True) == TRUE
 
@@ -121,5 +117,4 @@ def test_subexpressions_and_uses_builtin():
     e = Apply(Builtin("min-hood"), (Nbr(Apply(Builtin("sns-num"), ())),))
     subs = list(subexpressions(e))
     assert Builtin("sns-num") in subs and Nbr(Apply(Builtin("sns-num"), ())) in subs
-    assert uses_builtin(e, {"sns-num"})
-    assert not uses_builtin(e, {"uid"})
+    assert not any(isinstance(s, Builtin) and s.name == "uid" for s in subs)

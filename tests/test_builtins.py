@@ -22,8 +22,8 @@ from fieldcalc.builtins import (
     DomainError,
     EvalError,
     SensorError,
+    OpContext,
     SensorState,
-    builtin_eval,
     cmp_values,
     ctor_scheme,
     value_equal,
@@ -40,12 +40,14 @@ def fld(m):
 
 
 def ev(name, args, device=1, env_domain=(), sensors=NOSENSE, call=None, rng=None):
-    return builtin_eval(name, device, set(env_domain), sensors, args, call=call, rng=rng)
+    ctx = OpContext(device=device, env_domain=frozenset(env_domain), sensors=sensors,
+                    call=call, rng=rng)
+    return TABLE.eval(name, ctx, args)
 
 
 def table_call(fn, args, device=1, env_domain=()):
     # minimal applier for builtin function values, enough for the hoods
-    return builtin_eval(fn.name, device, set(env_domain), NOSENSE, args)
+    return ev(fn.name, args, device, env_domain)
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +330,3 @@ def test_ctor_schemes():
     assert ctor_scheme("Pair", 1) is None
     assert ctor_scheme("Zog", 0) is None
 
-
-def test_purity_split():
-    assert TABLE.is_pure("+")
-    assert TABLE.is_pure("min-hood")
-    assert TABLE.is_pure("+[f,f]")
-    assert not TABLE.is_pure("uid")
-    assert not TABLE.is_pure("nbr-range")
-    assert not TABLE.is_pure("sns-range")

@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -359,6 +361,12 @@ MALFORMED_SHAPES = {
                                 "DAG event must be"),
     "DAG event id a float": ("denot", {**ONE_EVENT, "events": [
         {"id": 1.5, "device": 1, "time": "1"}]}, "DAG event id must be an integer"),
+    "radius negative": ("run", {**ONE_DEVICE, "radius": -1},
+                        "radius must be a number >= 0, got -1"),
+    "radius NaN": ("denot", {**ONE_DEVICE, "radius": "nan"},
+                   "radius must be a number >= 0, got 'nan'"),
+    "decay negative": ("check-adequacy", {**ONE_DEVICE, "decay": -1},
+                       "decay must be >= 0, got -1"),
 }
 
 
@@ -412,3 +420,71 @@ def test_denot_of_a_fire_while_off_is_exit_1(counter, tmp_path, capsys):
     p.write_text(json.dumps(sc))
     assert main(["denot", counter, str(p)]) == 1
     assert "not in the network" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# deep recursion and nesting end in a diagnostic
+
+@pytest.mark.parametrize("command, source", [
+    ("run", "def f(x) { f(x + 1) }\nf(0)\n"),
+    ("denot", "def f(x) { f(x + 1) }\nf(0)\n"),
+    ("typecheck", "(" * 3000 + "1" + ")" * 3000 + "\n"),
+], ids=["run", "denot", "typecheck"])
+def test_deep_recursion_is_a_diagnostic(command, source, one_device, tmp_path, capsys):
+    p = tmp_path / "deep.hfc"
+    p.write_text(source)
+    argv = [command, str(p)] + ([] if command == "typecheck" else [one_device])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# radius and decay overrides pass the scenario's own check
+
+@pytest.mark.parametrize("command", ["run", "denot", "check-adequacy"])
+@pytest.mark.parametrize("flag, value", [
+    ("--radius", "-1"), ("--radius", "nan"), ("--decay", "-1"),
+])
+def test_bad_radius_or_decay_override_is_exit_2(command, flag, value, counter,
+                                                one_device, capsys):
+    assert main([command, counter, one_device, flag, value]) == 2
+    assert f"{flag[2:]} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--radius", "0"], ["--radius", "inf"],
+                                   ["--decay", "0"]])
+def test_edge_radius_and_decay_stay_valid(flags, counter, one_device, capsys):
+    assert main(["run", counter, one_device, "--format", "csv", *flags]) == 0
+    roots = [r["root"] for r in csv.DictReader(io.StringIO(capsys.readouterr().out))]
+    # the device hears itself unless decay 0 expires its own last message
+    want = ["1"] * 5 if flags == ["--decay", "0"] else ["1", "2", "3", "4", "5"]
+    assert roots == want
+
+
+# ---------------------------------------------------------------------------
+# the README's example session, byte for byte
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_example_session(tmp_path, capsys):
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(), re.M | re.S)
+    program = next(text for _, text in blocks if text.startswith("// grad.hfc"))
+    scenario = next(text for info, text in blocks if info == "json" and '"fires"' in text)
+    session = next(text for _, text in blocks if "$ fieldc run" in text)
+    files = {"grad.hfc": tmp_path / "grad.hfc", "line.json": tmp_path / "line.json"}
+    files["grad.hfc"].write_text(program)
+    files["line.json"].write_text(scenario)
+    checked = []
+    for cmd in re.split(r"^\$ fieldc ", session, flags=re.M)[1:]:
+        line, _, want = cmd.partition("\n")
+        argv = [str(files.get(a, a)) for a in line.split()]
+        if argv[0] == "corpus-test":  # its listing is elided in the README
+            continue
+        assert main(argv) == 0
+        # CSV rows end in CRLF (RFC 4180); the README shows plain lines
+        assert capsys.readouterr().out.replace("\r\n", "\n") == want
+        checked.append(argv[0])
+    assert checked == ["typecheck", "run", "check-adequacy"]

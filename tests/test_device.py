@@ -24,9 +24,9 @@ from fieldcalc.device import (
     value_from_json,
     value_to_json,
     value_to_text,
-    well_formed,
 )
 from fieldcalc.parser import parse_expr, parse_program
+from helpers import well_formed
 
 
 def ev(src, device=1, env=None, sensors=None, fuel=10**6, rng=None):
