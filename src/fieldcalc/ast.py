@@ -245,77 +245,86 @@ def is_value(e: Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# free variables and substitution
+# the one traversal: direct subexpressions and their binders
+
+def children(e: Expr) -> tuple:
+    """Each direct subexpression of e paired with the names e binds around
+    it (a lambda's parameters, rep's variable in its body), fn before args
+    and init before body. Every walk calls this at every node, so it tests
+    the node kinds directly, the most frequent first."""
+    if isinstance(e, Apply):
+        return ((e.fn, ()), *[(a, ()) for a in e.args])
+    if isinstance(e, (Var, Builtin, DefName, FieldVal)):
+        return ()
+    if isinstance(e, Data):
+        return tuple([(a, ()) for a in e.args])
+    if isinstance(e, Lambda):
+        return ((e.body, e.params),)
+    if isinstance(e, Rep):
+        return ((e.init, ()), (e.body, (e.var,)))
+    if isinstance(e, Nbr):
+        return ((e.body, ()),)
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def rebuild(e: Expr, kids) -> Expr:
+    """e with its direct subexpressions replaced by kids (children's order)."""
+    match e:
+        case Data():
+            return Data(e.ctor, tuple(kids), span=e.span)
+        case Lambda():
+            return Lambda(e.params, kids[0], span=e.span)
+        case Apply():
+            return Apply(kids[0], tuple(kids[1:]), span=e.span)
+        case Rep():
+            return Rep(kids[0], e.var, kids[1], span=e.span)
+        case Nbr():
+            return Nbr(kids[0], span=e.span)
+    return e
+
 
 def free_vars(e: Expr) -> frozenset:
-    match e:
-        case Var(name=n):
-            return frozenset([n])
-        case Builtin() | DefName() | FieldVal():
-            return frozenset()
-        case Data(args=args):
-            return frozenset().union(*(free_vars(a) for a in args)) if args else frozenset()
-        case Lambda(params=ps, body=b):
-            return free_vars(b) - frozenset(ps)
-        case Apply(fn=f, args=args):
-            out = free_vars(f)
-            for a in args:
-                out |= free_vars(a)
-            return out
-        case Rep(init=i, var=x, body=b):
-            return free_vars(i) | (free_vars(b) - frozenset([x]))
-        case Nbr(body=b):
-            return free_vars(b)
-    raise TypeError(f"not an expression: {e!r}")
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    out = frozenset()
+    for c, bound in children(e):
+        out |= free_vars(c).difference(bound)
+    return out
 
 
 def substitute(e: Expr, subst: dict) -> Expr:
     """Substitute closed values for variables.
 
     Only closed values are ever substituted (call-by-value), so no capture
-    avoidance is needed beyond respecting binders.
+    avoidance is needed beyond respecting binders. A node the substitution
+    leaves unchanged is returned as it is.
     """
     if not subst:
         return e
-    match e:
-        case Var(name=n):
-            return subst.get(n, e)
-        case Builtin() | DefName() | FieldVal():
-            return e
-        case Data(ctor=c, args=args):
-            if not args:
-                return e
-            return Data(c, tuple(substitute(a, subst) for a in args), span=e.span)
-        case Lambda(params=ps, body=b):
-            inner = {k: v for k, v in subst.items() if k not in ps}
-            if not inner:
-                return e
-            return Lambda(ps, substitute(b, inner), span=e.span)
-        case Apply(fn=f, args=args):
-            return Apply(substitute(f, subst), tuple(substitute(a, subst) for a in args), span=e.span)
-        case Rep(init=i, var=x, body=b):
-            inner = {k: v for k, v in subst.items() if k != x}
-            return Rep(substitute(i, subst), x, substitute(b, inner), span=e.span)
-        case Nbr(body=b):
-            return Nbr(substitute(b, subst), span=e.span)
-    raise TypeError(f"not an expression: {e!r}")
+    if isinstance(e, Var):
+        return subst.get(e.name, e)
+    kids = children(e)
+    if not kids:
+        return e
+    new, same = [], True
+    for c, b in kids:
+        n = substitute(c, {k: v for k, v in subst.items() if k not in b} if b else subst)
+        same = same and n is c
+        new.append(n)
+    return e if same else rebuild(e, new)
 
 
 def subexpressions(e: Expr) -> Iterator[Expr]:
     yield e
-    match e:
-        case Data(args=args) | Apply(args=args):
-            if isinstance(e, Apply):
-                yield from subexpressions(e.fn)
-            for a in args:
-                yield from subexpressions(a)
-        case Lambda(body=b) | Nbr(body=b):
-            yield from subexpressions(b)
-        case Rep(init=i, body=b):
-            yield from subexpressions(i)
-            yield from subexpressions(b)
-        case _:
-            pass
+    for c, _ in children(e):
+        yield from subexpressions(c)
+
+
+def restrict_value(v: Expr, devs) -> Expr:
+    """v restricted to the devices devs if it is a neighbouring field."""
+    if isinstance(v, FieldVal):
+        return mkfield([(d, x) for d, x in v.entries if d in devs])
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ aligned subcomputations) detectable at the point of combination.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
@@ -162,6 +163,13 @@ def _need_num(v: Expr, who: str) -> float:
     return v.ctor
 
 
+def _need_bool(v: Expr, who: str) -> bool:
+    try:
+        return as_bool(v)
+    except ValueError:
+        raise EvalError(f"{who} expects a boolean, got {v!r}") from None
+
+
 def _need_field(v: Expr, who: str) -> FieldVal:
     if not isinstance(v, FieldVal):
         raise EvalError(f"{who} expects a neighbouring field value, got {v!r}")
@@ -177,20 +185,15 @@ def _need_fun(v: Expr, who: str) -> Expr:
 # ---------------------------------------------------------------------------
 # operator implementations
 
-def op_add(ctx, args):
-    return num(_need_num(args[0], "+") + _need_num(args[1], "+"))
+def _num_op(name: str, f: Callable):
+    def op(ctx, args):
+        return num(f(_need_num(args[0], name), _need_num(args[1], name)))
 
-
-def op_sub(ctx, args):
-    return num(_need_num(args[0], "-") - _need_num(args[1], "-"))
-
-
-def op_mul(ctx, args):
-    return num(_need_num(args[0], "*") * _need_num(args[1], "*"))
+    return op
 
 
 def op_and(ctx, args):
-    return boolean(as_bool(args[0]) and as_bool(args[1]))
+    return boolean(_need_bool(args[0], "and") and _need_bool(args[1], "and"))
 
 
 def op_eq(ctx, args):
@@ -205,35 +208,19 @@ def op_lt(ctx, args):
 
 
 def op_mux(ctx, args):
-    return args[1] if as_bool(args[0]) else args[2]
+    return args[1] if _need_bool(args[0], "mux") else args[2]
 
 
-def op_fst(ctx, args):
-    v = args[0]
-    if isinstance(v, Data) and v.ctor == "Pair":
-        return v.args[0]
-    raise EvalError(f"fst expects a pair, got {v!r}")
+def _part_op(ctor: str, i: int, failure: str):
+    """The i-th argument of a ctor value; any other value v fails with
+    failure.format(v)."""
+    def op(ctx, args):
+        v = args[0]
+        if isinstance(v, Data) and v.ctor == ctor:
+            return v.args[i]
+        raise EvalError(failure.format(v))
 
-
-def op_snd(ctx, args):
-    v = args[0]
-    if isinstance(v, Data) and v.ctor == "Pair":
-        return v.args[1]
-    raise EvalError(f"snd expects a pair, got {v!r}")
-
-
-def op_head(ctx, args):
-    v = args[0]
-    if isinstance(v, Data) and v.ctor == "Cons":
-        return v.args[0]
-    raise EvalError("head of an empty or non-list value")
-
-
-def op_tail(ctx, args):
-    v = args[0]
-    if isinstance(v, Data) and v.ctor == "Cons":
-        return v.args[1]
-    raise EvalError("tail of an empty or non-list value")
+    return op
 
 
 def op_min_hood(ctx, args):
@@ -367,10 +354,13 @@ class BuiltinTable:
             return self._decorated[name]
         return None
 
-    def is_builtin_name(self, name: str, arity: Optional[int] = None) -> bool:
-        if name == "map-hood":
-            return arity is None or 2 <= arity <= MAP_HOOD_MAX_ARITY + 1
+    def is_builtin_name(self, name: str) -> bool:
         return self.entry(name) is not None
+
+    def ctor_arity(self, name: str) -> Optional[int]:
+        """The arity of data constructor name; None for any other name."""
+        e = self._ctor_entries.get(name)
+        return None if e is None else len(e.scheme.body.args)
 
     def scheme(self, name: str, arity: Optional[int] = None) -> Optional[Scheme]:
         if name == "map-hood":
@@ -452,10 +442,14 @@ def _build_table() -> BuiltinTable:
     t.add_ctor("Pair", "forall s1, s2. (s1, s2) -> pair(s1, s2)")
     t.add_ctor("Cons", "forall s1. (s1, list(s1)) -> list(s1)")
 
-    t.add("fst", "forall s1, s2. (pair(s1, s2)) -> s1", op_fst)
-    t.add("snd", "forall s1, s2. (pair(s1, s2)) -> s2", op_snd)
-    t.add("head", "forall s1. (list(s1)) -> s1", op_head)
-    t.add("tail", "forall s1. (list(s1)) -> list(s1)", op_tail)
+    t.add("fst", "forall s1, s2. (pair(s1, s2)) -> s1",
+          _part_op("Pair", 0, "fst expects a pair, got {!r}"))
+    t.add("snd", "forall s1, s2. (pair(s1, s2)) -> s2",
+          _part_op("Pair", 1, "snd expects a pair, got {!r}"))
+    t.add("head", "forall s1. (list(s1)) -> s1",
+          _part_op("Cons", 0, "head of an empty or non-list value"))
+    t.add("tail", "forall s1. (list(s1)) -> list(s1)",
+          _part_op("Cons", 1, "tail of an empty or non-list value"))
     t.add("min-hood", "forall s1. (field(s1)) -> s1", op_min_hood)
     t.add("min-hood+", "forall s1. (field(s1)) -> s1", op_min_hood_plus)
     t.add("sum-hood+", "(field(num)) -> num", op_sum_hood_plus)
@@ -464,9 +458,8 @@ def _build_table() -> BuiltinTable:
     t.add("fold-hood", "forall s1. ((s1, s1) -> s1, field(s1)) -> s1", op_fold_hood)
     t.add("mux", "forall s1. (bool, s1, s1) -> s1", op_mux)
     t.add("and", "(bool, bool) -> bool", op_and)
-    t.add("*", "(num, num) -> num", op_mul)
-    t.add("-", "(num, num) -> num", op_sub)
-    t.add("+", "(num, num) -> num", op_add)
+    for name, f in (("*", operator.mul), ("-", operator.sub), ("+", operator.add)):
+        t.add(name, "(num, num) -> num", _num_op(name, f))
     t.add("=", "forall t1. (t1, t1) -> bool", op_eq)
     t.add("<", "forall s1. (s1, s1) -> bool", op_lt)
 
@@ -491,9 +484,7 @@ def ctor_scheme(ctor, arity: int) -> Optional[Scheme]:
     """Scheme of a data constructor, or None if unknown/wrong arity."""
     if isinstance(ctor, float):
         return parse_scheme("() -> num") if arity == 0 else None
-    e = TABLE._ctor_entries.get(ctor)
-    if e is None:
+    if TABLE.ctor_arity(ctor) != arity:
         return None
-    want = len(e.scheme.body.args)
-    return e.scheme if arity == want else None
+    return TABLE._ctor_entries[ctor].scheme
 

@@ -1,21 +1,19 @@
 """The fieldc command line front end.
 
 Exit codes: 0 success, 1 semantic failure (type error, evaluation error,
-failed check), 2 usage error or unreadable/malformed input file.
+failed check) or a closed stdout, 2 usage error or unreadable/malformed
+input file.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import random
 import sys
 from dataclasses import replace
 
-from .ast import DefName
 from .builtins import EvalError
 from .denot import (
     DagError,
@@ -26,11 +24,11 @@ from .denot import (
     denot_program,
     validate_dag,
 )
-from .device import DEFAULT_FUEL, value_to_json, value_to_text
+from .device import DEFAULT_FUEL, csv_text, dumps, jsonl_text, value_to_json, value_to_text
 from .network import ScenarioError, run_scenario, scenario_from_json
 from .parser import ParseError, parse_program
 from .stdlib import CorpusError, load_corpus
-from .typer import Scheme, TypecheckError, show_scheme, typecheck_program
+from .typer import TypecheckError, principal_scheme, show_scheme, typecheck_program
 
 
 class CliError(Exception):
@@ -51,16 +49,14 @@ def _diag(msg: str) -> None:
     print(f"{prefix} {msg}", file=sys.stderr)
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
-
-
 def _read(path: str) -> str:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
         raise CliError(2, str(e)) from None
+    except UnicodeDecodeError as e:
+        raise CliError(2, f"{path}: not UTF-8 text: {e}") from None
 
 
 def _read_json(path: str):
@@ -114,10 +110,7 @@ def _load_scenario(path: str, ns, obj=None):
 
 def cmd_typecheck(ns) -> int:
     prog, main_type, schemes = _load_program(ns.file)
-    if isinstance(prog.main, DefName) and prog.main.name in schemes:
-        print(show_scheme(schemes[prog.main.name]))
-    else:
-        print(show_scheme(Scheme((), main_type)))
+    print(show_scheme(principal_scheme(prog, main_type, schemes)))
     return 0
 
 
@@ -155,25 +148,16 @@ def cmd_denot(ns) -> int:
         denots = denot_program(g, prog, fuel=ns.fuel)
     except (DenotError, EvalError) as e:
         raise CliError(1, str(e)) from None
-    events = sorted(g.events, key=lambda e: (e.time, e.id))
     if ns.format == "json":
-        lines = [
-            _dumps({
-                "event": e.id,
-                "t": str(e.time),
-                "device": e.device,
-                "value": value_to_json(denots[e]),
-            })
-            for e in events
-        ]
-        text = "\n".join(lines) + ("\n" if lines else "")
+        text = jsonl_text({
+            "event": e.id,
+            "t": str(e.time),
+            "device": e.device,
+            "value": value_to_json(denots[e]),
+        } for e in g.events)
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["event", "t", "device", "value"])
-        for e in events:
-            w.writerow([e.id, str(e.time), e.device, value_to_text(denots[e])])
-        text = buf.getvalue()
+        text = csv_text(["event", "t", "device", "value"], (
+            [e.id, str(e.time), e.device, value_to_text(denots[e])] for e in g.events))
     _emit(text, ns.out)
     return 0
 
@@ -186,7 +170,7 @@ def cmd_check_adequacy(ns) -> int:
     except (DenotError, EvalError, ScenarioError) as e:
         raise CliError(1, str(e)) from None
     if ns.format == "json":
-        _emit(_dumps(report.to_json()) + "\n", ns.out)
+        _emit(dumps(report.to_json()) + "\n", ns.out)
     else:
         n = sum(1 for v in report.verdicts if v.ok)
         _emit(f"{n}/{len(report.verdicts)} events equal\n", ns.out)
@@ -283,7 +267,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return ns.handler(ns)
+        code = ns.handler(ns)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CliError as e:
         _diag(e.msg)
         return e.code

@@ -41,11 +41,19 @@ from .ast import (
     free_vars,
     is_value,
     mkfield,
+    restrict_value,
     subexpressions,
     substitute,
 )
-from .builtins import TABLE, OpContext, SensorState
-from .device import DEFAULT_FUEL, FuelExhausted, fun_parts
+from .builtins import SensorState
+from .device import (
+    DEFAULT_FUEL,
+    EvalContext,
+    FuelExhausted,
+    call_builtin,
+    fun_parts,
+    value_to_json,
+)
 from .network import (
     Scenario,
     SHAPE_ERRORS,
@@ -307,12 +315,6 @@ def build_dag_from_scenario(sc: Scenario) -> EventDAG:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def restrict_value(v: Expr, devs) -> Expr:
-    if isinstance(v, FieldVal):
-        return mkfield([(d, x) for d, x in v.entries if d in devs])
-    return v
-
-
 def restrict_evolution(g: EventDAG, ev: dict, E) -> dict:
     return {e: restrict_value(ev[e], nbr_devices(g, E, e)) for e in E}
 
@@ -350,19 +352,19 @@ class _Denot:
 
     Fuel pays for the nodes of each body once per scope it opens, so it
     bounds the nesting of clusters (unbounded recursion), not |E|;
-    builtins that call functions spend it as the device evaluator does."""
+    builtins that call functions spend it as the device evaluator does.
+    It is kept in one EvalContext, which builtins run in at each event."""
 
     def __init__(self, g, defs, fuel):
         self.g = g
-        self.defs = defs or {}
-        self.fuel = fuel
+        self.ctx = EvalContext(device=None, defs=defs or {}, fuel=fuel)
 
     def scope(self, params, body) -> _Scope:
         size = sum(1 for _ in subexpressions(body))
-        if self.fuel < size:
-            self.fuel = 0
+        if self.ctx.fuel < size:
+            self.ctx.fuel = 0
             raise FuelExhausted("denotational evaluation fuel exhausted")
-        self.fuel -= size
+        self.ctx.fuel -= size
         return _Scope(params, body)
 
     def enter(self, S: _Scope, ev: Event) -> None:
@@ -427,35 +429,16 @@ class _Denot:
                     return self.apply_builtin(f.name, S, ev, avs)
                 C = S.children.get((id(e), f))
                 if C is None:
-                    C = S.children[id(e), f] = self.scope(*fun_parts(self.defs, f, len(avs)))
+                    C = S.children[id(e), f] = self.scope(*fun_parts(self.ctx.defs, f, len(avs)))
                 self.enter(C, ev)
                 params = {x: restrict_value(a, C.pi) for x, a in zip(C.params, avs)}
                 return self.eval_at(C, params, C.body, ev)
         raise DenotError(f"cannot interpret {e!r}")
 
     def apply_builtin(self, name: str, S: _Scope, ev: Event, avs) -> Expr:
-        ctx = OpContext(
-            device=ev.device,
-            env_domain=frozenset(S.nbrs),
-            sensors=self.g.sensors.get(ev.id) or SensorState(),
-            call=lambda fn, vs: self.device_call(ev, fn, vs),
-            rng=None,
-        )
-        return TABLE.eval(name, ctx, avs)
-
-    def device_call(self, ev: Event, fn: Expr, vals):
-        from .device import EvalContext, apply_function
-
-        ctx = EvalContext(
-            device=ev.device,
-            sensors=self.g.sensors.get(ev.id) or SensorState(),
-            defs=self.defs,
-            fuel=self.fuel,
-        )
-        try:
-            return apply_function(ctx, fn, vals)
-        finally:
-            self.fuel = ctx.fuel
+        ctx = self.ctx
+        ctx.device, ctx.sensors = ev.device, self.g.sensors.get(ev.id) or SensorState()
+        return call_builtin(ctx, name, frozenset(S.nbrs), avs)
 
 
 def denot_eval(g: EventDAG, E, X: dict, e: Expr, defs=None,
@@ -500,8 +483,6 @@ class AdequacyReport:
         return None
 
     def to_json(self):
-        from .device import value_to_json
-
         out = {
             "ok": self.ok,
             "events": [
@@ -533,7 +514,7 @@ def check_adequacy(sc: Scenario, program: Program,
     denots = denot_program(g, program, fuel=fuel)
     E = frozenset(g.events)
     report = AdequacyReport()
-    for ev, rec in zip(sorted(g.events, key=lambda e: e.time), trace.records):
+    for ev, rec in zip(g.events, trace.records):
         assert (ev.time, ev.device) == (rec.t, rec.device)
         lhs = denots[ev]
         rhs = restrict_value(rec.root, nbr_devices(g, E, ev))

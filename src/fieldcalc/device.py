@@ -12,7 +12,10 @@ surfaces as FuelExhausted instead of hanging the simulator.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -28,11 +31,15 @@ from .ast import (
     Program,
     Rep,
     Var,
+    boolean,
     is_value,
     mkfield,
+    num,
+    restrict_value,
     substitute,
 )
 from .builtins import TABLE, EvalError, OpContext, SensorState
+from .parser import parse_expr, pretty, show_num
 
 
 class FuelExhausted(EvalError):
@@ -99,10 +106,6 @@ def align_fun(env: dict, f: Expr) -> dict:
     return out
 
 
-def env_roots(env: dict) -> dict:
-    return {d: t.root for d, t in env.items()}
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -141,8 +144,7 @@ def eval_expr(ctx: EvalContext, env: dict, e: Expr) -> ValueTree:
     ctx.tick()
     match e:
         case FieldVal():
-            allowed = set(env) | {ctx.device}
-            return leaf(mkfield([(d, v) for d, v in e.entries if d in allowed]))
+            return leaf(restrict_value(e, env.keys() | {ctx.device}))
         case Data(args=args) if not is_value(e):
             # constructor over unevaluated arguments: evaluate each against
             # its aligned environment, collect a tree per argument
@@ -159,14 +161,7 @@ def eval_expr(ctx: EvalContext, env: dict, e: Expr) -> ValueTree:
             ft = eval_expr(ctx, align_i(env, len(args) + 1), fe)
             f = ft.root
             if isinstance(f, Builtin):
-                opctx = OpContext(
-                    device=ctx.device,
-                    env_domain=frozenset(env),
-                    sensors=ctx.sensors,
-                    call=lambda g, vs: apply_function(ctx, g, vs),
-                    rng=ctx.rng,
-                )
-                v = TABLE.eval(f.name, opctx, [k.root for k in kids])
+                v = call_builtin(ctx, f.name, frozenset(env), [k.root for k in kids])
                 return ValueTree(v, (*kids, ft))
             params, body = fun_parts(ctx.defs, f, len(kids))
             inst = substitute(body, dict(zip(params, (k.root for k in kids))))
@@ -175,7 +170,7 @@ def eval_expr(ctx: EvalContext, env: dict, e: Expr) -> ValueTree:
         case Nbr(body=b):
             nbr_env = align_i(env, 1)
             bt = eval_expr(ctx, nbr_env, b)
-            phi = env_roots(nbr_env)
+            phi = {d: t.root for d, t in nbr_env.items()}
             phi[ctx.device] = bt.root
             return ValueTree(mkfield(phi), (bt,))
         case Rep(init=e1, var=x, body=e2):
@@ -192,6 +187,20 @@ def eval_expr(ctx: EvalContext, env: dict, e: Expr) -> ValueTree:
             t2 = eval_expr(ctx, prev_env, substitute(e2, {x: l0}))
             return ValueTree(t2.root, (t1, t2))
     raise EvalError(f"cannot evaluate {e!r}")
+
+
+def call_builtin(ctx: EvalContext, name: str, env_domain: frozenset, args) -> Expr:
+    """Apply builtin name at ctx's device, whose aligned neighbours are
+    env_domain; the functions it calls (map-hood, fold-hood) spend ctx's
+    fuel. Both evaluators call builtins here."""
+    opctx = OpContext(
+        device=ctx.device,
+        env_domain=env_domain,
+        sensors=ctx.sensors,
+        call=lambda g, vs: apply_function(ctx, g, vs),
+        rng=ctx.rng,
+    )
+    return TABLE.eval(name, opctx, args)
 
 
 def apply_function(ctx: EvalContext, f: Expr, args) -> Expr:
@@ -215,21 +224,32 @@ def evaluate_main(program: Program, device: int, env: dict,
 
 
 # ---------------------------------------------------------------------------
-# serialization: values and trees as canonical JSON
+# serialization: values and trees as canonical JSON, rows as JSONL or CSV
+
+def dumps(obj) -> str:
+    """Canonical JSON: sorted keys, no spaces."""
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+
+
+def jsonl_text(rows) -> str:
+    """One canonical JSON object per line."""
+    return "".join(dumps(r) + "\n" for r in rows)
+
+
+def csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
 
 def value_to_json(v: Expr):
-    from .parser import pretty
-
     match v:
         case Data(ctor=c, args=args):
             if isinstance(c, float):
-                if c != c:
-                    return {"num": "nan"}
-                if c == float("inf"):
-                    return {"num": "inf"}
-                if c == float("-inf"):
-                    return {"num": "-inf"}
-                return {"num": c}
+                # JSON has no NaN or infinities: "nan", "inf", "-inf"
+                return {"num": c if math.isfinite(c) else repr(c)}
             if c == "True" or c == "False":
                 return {"bool": c == "True"}
             return {"data": c, "args": [value_to_json(a) for a in args]}
@@ -241,18 +261,8 @@ def value_to_json(v: Expr):
 
 
 def value_from_json(j, defs=()) -> Expr:
-    from .ast import boolean, num
-    from .parser import parse_expr
-
     if "num" in j:
-        x = j["num"]
-        if x == "nan":
-            return num(float("nan"))
-        if x == "inf":
-            return num(float("inf"))
-        if x == "-inf":
-            return num(float("-inf"))
-        return num(float(x))
+        return num(float(j["num"]))
     if "bool" in j:
         return boolean(bool(j["bool"]))
     if "data" in j:
@@ -280,12 +290,10 @@ def tree_from_json(j, defs=()) -> ValueTree:
 
 def value_to_text(v: Expr) -> str:
     """Compact single-token rendering for traces and CSV cells."""
-    from .parser import show_num
-
     match v:
         case Data(ctor=c, args=()) if isinstance(c, float):
             return show_num(c)
         case Data(ctor=c, args=()):
             return c
         case _:
-            return json.dumps(value_to_json(v), separators=(",", ":"), sort_keys=True)
+            return dumps(value_to_json(v))

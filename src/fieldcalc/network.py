@@ -22,23 +22,23 @@ gap is an outage, and it drops everything the device had stored.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .ast import Expr, Program, num
+from .ast import Expr, Program, boolean, num
 from .builtins import EvalError, SensorState
 from .device import (
     DEFAULT_FUEL,
     ValueTree,
+    csv_text,
     evaluate_main,
+    jsonl_text,
     tree_to_json,
     value_to_json,
     value_to_text,
 )
+from .parser import ParseError, parse_value
 
 
 class ScenarioError(ValueError):
@@ -294,24 +294,17 @@ class FireTrace:
         return [r.root for r in self.records]
 
     def jsonl(self) -> str:
-        lines = []
-        for r in self.records:
-            lines.append(json.dumps({
-                "t": str(r.t),
-                "device": r.device,
-                "root": value_to_json(r.root),
-                "tree": tree_to_json(r.tree),
-                "env": sorted(r.env_domain),
-            }, separators=(",", ":"), sort_keys=True))
-        return "\n".join(lines) + ("\n" if lines else "")
+        return jsonl_text({
+            "t": str(r.t),
+            "device": r.device,
+            "root": value_to_json(r.root),
+            "tree": tree_to_json(r.tree),
+            "env": sorted(r.env_domain),
+        } for r in self.records)
 
     def csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["t", "device", "root"])
-        for r in self.records:
-            w.writerow([str(r.t), r.device, value_to_text(r.root)])
-        return buf.getvalue()
+        return csv_text(["t", "device", "root"], (
+            [str(r.t), r.device, value_to_text(r.root)] for r in self.records))
 
 
 def run_scenario(sc: Scenario, program: Program, fuel: int = DEFAULT_FUEL,
@@ -372,9 +365,6 @@ FIRE_SHAPE = '{"t": time, "device": id}'
 
 
 def _parse_scalar(v) -> Expr:
-    from .ast import boolean
-    from .parser import ParseError, parse_value
-
     if isinstance(v, bool):
         return boolean(v)
     if isinstance(v, (int, float)):
@@ -421,6 +411,8 @@ def scenario_from_json(obj) -> Scenario:
             try:
                 start, end = as_time(seg["from"]), as_time(seg["to"])
                 pts = tuple((float(x), float(y)) for x, y in seg["waypoints"])
+                if not all(map(math.isfinite, (c for p in pts for c in p))):
+                    raise ScenarioError(f"waypoints must be finite, got {seg['waypoints']!r}")
             except SHAPE_ERRORS as e:
                 raise shape_error(f"path segment {i} of device {d}", SEGMENT_SHAPE,
                                   seg, e) from None

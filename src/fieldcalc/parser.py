@@ -35,6 +35,7 @@ syntax and are rejected here by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,12 +55,14 @@ from .ast import (
     Rep,
     Span,
     Var,
+    children,
     desugar_if,
+    is_value,
+    rebuild,
 )
+from .builtins import TABLE
 
 KEYWORDS = {"def", "rep", "nbr", "if", "else", "and"}
-CTORS_0 = {"True", "False", "Null"}
-CTOR_ARITY = {"Pair": 2, "Cons": 2}
 OP_CHARS = "+-*<="
 
 # binary levels, loosest first; each entry is the set of operator names
@@ -343,9 +346,10 @@ class _Parser:
         return e
 
     def finish_call(self, fn: Expr, args: tuple, sp: Span) -> Expr:
-        # constructor applications become Data nodes
-        if isinstance(fn, Var) and fn.name in CTOR_ARITY:
-            want = CTOR_ARITY[fn.name]
+        # constructor applications become Data nodes (nullary constructors
+        # are Data already)
+        want = TABLE.ctor_arity(fn.name) if isinstance(fn, Var) else None
+        if want is not None:
             if len(args) != want:
                 raise ParseError(f"constructor {fn.name} takes {want} arguments, got {len(args)}", sp, self.path)
             return Data(fn.name, args, span=sp)
@@ -371,9 +375,10 @@ class _Parser:
             if t.text in KEYWORDS:
                 raise self.err(f"unexpected keyword {t.text!r}", t.span)
             self.next()
-            if t.text in CTORS_0:
+            arity = TABLE.ctor_arity(t.text)
+            if arity == 0:
                 return Data(t.text, span=t.span)
-            if t.text in CTOR_ARITY and not self.at("("):
+            if arity and not self.at("("):
                 raise self.err(f"constructor {t.text} must be applied", t.span)
             # variable for now; the name resolution pass rewrites known
             # builtin and def names
@@ -453,66 +458,39 @@ class _Parser:
 # ---------------------------------------------------------------------------
 # name resolution: decide Var / Builtin / DefName
 
-def _resolve(e: Expr, is_builtin, def_names, bound, path) -> Expr:
+def _resolve(e: Expr, def_names, bound, path) -> Expr:
     match e:
         case Var(name=n, span=sp):
             if n in bound:
                 return e
             if n in def_names:
                 return DefName(n, span=sp)
-            if is_builtin(n):
+            if TABLE.is_builtin_name(n):
                 return Builtin(n, span=sp)
             raise ParseError(f"unknown name {n!r}", sp, path)
         case Builtin(name=n, span=sp):
-            if not is_builtin(n):
+            if not TABLE.is_builtin_name(n):
                 raise ParseError(f"unknown operator {n!r}", sp, path)
             return e
-        case DefName() | FieldVal():
-            return e
-        case Data(ctor=c, args=args, span=sp):
-            return Data(c, tuple(_resolve(a, is_builtin, def_names, bound, path) for a in args), span=sp)
-        case Lambda(params=ps, body=b, span=sp):
-            return Lambda(ps, _resolve(b, is_builtin, def_names, bound | set(ps), path), span=sp)
-        case Apply(fn=f, args=args, span=sp):
-            return Apply(
-                _resolve(f, is_builtin, def_names, bound, path),
-                tuple(_resolve(a, is_builtin, def_names, bound, path) for a in args),
-                span=sp,
-            )
-        case Rep(init=i, var=x, body=b, span=sp):
-            return Rep(
-                _resolve(i, is_builtin, def_names, bound, path),
-                x,
-                _resolve(b, is_builtin, def_names, bound | {x}, path),
-                span=sp,
-            )
-        case Nbr(body=b, span=sp):
-            return Nbr(_resolve(b, is_builtin, def_names, bound, path), span=sp)
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _table_lookup():
-    from .builtins import TABLE
-
-    return TABLE.is_builtin_name
+    return rebuild(e, [_resolve(c, def_names, bound.union(b) if b else bound, path)
+                       for c, b in children(e)])
 
 
 def parse_program(src: str, path: str = "<string>") -> Program:
     toks = lex(src, path)
     p = _Parser(toks, path)
     prog = p.program()
-    is_builtin = _table_lookup()
     def_names: set = set()
     defs = []
     for d in prog.defs:
         if d.name in def_names:
             raise ParseError(f"duplicate definition of {d.name!r}", d.span, path)
-        if is_builtin(d.name):
+        if TABLE.is_builtin_name(d.name):
             raise ParseError(f"definition shadows builtin {d.name!r}", d.span, path)
-        body = _resolve(d.body, is_builtin, def_names | {d.name}, set(d.params), path)
+        body = _resolve(d.body, def_names | {d.name}, set(d.params), path)
         defs.append(Def(d.name, d.params, body, span=d.span))
         def_names.add(d.name)
-    main = _resolve(prog.main, is_builtin, def_names, set(), path)
+    main = _resolve(prog.main, def_names, set(), path)
     return Program(tuple(defs), main)
 
 
@@ -524,12 +502,10 @@ def parse_expr(src: str, path: str = "<string>", defs=()) -> Expr:
     t = p.peek()
     if t.kind != "eof":
         raise ParseError(f"trailing input: {t.text!r}", t.span, path)
-    return _resolve(e, _table_lookup(), set(defs), set(), path)
+    return _resolve(e, set(defs), set(), path)
 
 
 def parse_value(src: str, path: str = "<string>") -> Expr:
-    from .ast import is_value
-
     e = parse_expr(src, path)
     if not is_value(e):
         raise ParseError("expression is not a closed value", None, path)
@@ -540,8 +516,6 @@ def parse_value(src: str, path: str = "<string>") -> Expr:
 # pretty printing
 
 def show_num(x: float) -> str:
-    import math
-
     if math.isnan(x):
         return "NaN"
     if math.isinf(x):

@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .ast import DefName, Program
+from .ast import Program
 from .parser import parse_program
 from .typer import (
     Scheme,
     parse_scheme,
+    principal_scheme,
     scheme_eq,
     scheme_instance,
     typecheck_program,
@@ -44,9 +45,7 @@ class CorpusEntry:
         """
         prog = self.program()
         main_type, schemes, _ = typecheck_program(prog)
-        if isinstance(prog.main, DefName) and prog.main.name in schemes:
-            return schemes[prog.main.name]
-        return Scheme((), main_type)
+        return principal_scheme(prog, main_type, schemes)
 
     def check(self) -> bool:
         """Whether the inferred type agrees with the declared one.

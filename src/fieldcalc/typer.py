@@ -292,6 +292,7 @@ class Typer:
             self.span = prev
 
     def _infer(self, e: Expr, env: dict, schemes: dict) -> Type:
+        # imported here: builtins imports this module for its schemes
         from .builtins import TABLE, ctor_scheme
 
         match e:
@@ -388,6 +389,14 @@ def typecheck_program(p: Program, typer: Optional[Typer] = None):
     ty.span = None
     ty.demote(t, Sort.L, "T-PROGRAM")
     return ty.deep_resolve(t), schemes, ty
+
+
+def principal_scheme(p: Program, main_type: Type, schemes: dict) -> Scheme:
+    """What a program's type is reported as: the generalized scheme of the
+    def its main names, else the main type itself."""
+    if isinstance(p.main, DefName) and p.main.name in schemes:
+        return schemes[p.main.name]
+    return Scheme((), main_type)
 
 
 def typecheck_expr(e: Expr, typer: Optional[Typer] = None) -> Type:

@@ -25,6 +25,7 @@ from fieldcalc.ast import (
     free_vars,
     is_value,
     mkfield,
+    restrict_value,
     substitute,
 )
 from fieldcalc.builtins import TABLE, OpContext, SensorState
@@ -35,7 +36,6 @@ from fieldcalc.denot import (
     latest_event,
     nbr_devices,
     restrict_evolution,
-    restrict_value,
     shift,
 )
 from fieldcalc.device import (

@@ -69,6 +69,17 @@ def test_mux_picks_a_branch():
     assert ev("mux", [boolean(False), num(1), num(0)]) == num(0)
 
 
+@pytest.mark.parametrize("name, args", [
+    ("mux", [num(-1), num(1), num(0)]),
+    ("mux", [Builtin("uid"), num(1), num(0)]),
+    ("and", [boolean(True), num(0)]),
+])
+def test_a_non_boolean_condition_is_an_eval_error(name, args):
+    # a sensor can feed any value to a boolean position
+    with pytest.raises(EvalError, match=f"{name} expects a boolean"):
+        ev(name, args)
+
+
 def test_pair_selectors_and_list_ops():
     p = Data("Pair", (num(1), boolean(True)))
     assert ev("fst", [p]) == num(1)
@@ -274,8 +285,6 @@ def test_map_hood_arity_family():
         assert sch is not None
         assert len(sch.body.args) == n + 1
     assert TABLE.scheme("map-hood", arity=MAP_HOOD_MAX_ARITY + 2) is None
-    assert TABLE.is_builtin_name("map-hood", arity=3)
-    assert not TABLE.is_builtin_name("map-hood", arity=MAP_HOOD_MAX_ARITY + 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,25 @@
 """End-to-end checks of the fieldc command line."""
 
+import copy
 import csv
+import functools
 import io
 import json
+import math
+import operator
+import os
 import re
+import subprocess
+import sys
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fieldcalc
 from fieldcalc.ast import num
 from fieldcalc.cli import main
 from fieldcalc.denot import AdequacyReport, Event, EventDAG, Verdict, dag_to_json
@@ -82,6 +93,35 @@ def test_typecheck_parse_error(tmp_path, capsys):
 def test_missing_file_is_exit_2(capsys):
     assert main(["typecheck", "/no/such/file.hfc"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("position", ["program", "scenario"])
+def test_non_utf8_file_is_exit_2(position, counter, tmp_path, capsys):
+    bad = tmp_path / "bad.hfc"
+    bad.write_bytes(b"\xff\xfe bad")
+    argv = ["typecheck", str(bad)] if position == "program" else ["run", counter, str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["corpus-test", "run"])
+def test_closed_stdout_is_exit_1_without_traceback(command, counter, one_device):
+    argv = [command] + ([counter, one_device] if command == "run" else [])
+    src = str(Path(fieldcalc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    r, w = os.pipe()
+    os.close(r)  # the reader is gone before fieldc writes a byte
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fieldcalc.cli", *argv],
+                              stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(w)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +407,16 @@ MALFORMED_SHAPES = {
                    "radius must be a number >= 0, got 'nan'"),
     "decay negative": ("check-adequacy", {**ONE_DEVICE, "decay": -1},
                        "decay must be >= 0, got -1"),
+    # a non-finite waypoint puts a device at NaN distance from itself
+    "waypoint NaN": ("run", {**ONE_DEVICE, "paths": {"1": [
+        {"from": 0, "to": 10, "waypoints": [[math.nan, 0]]}]}},
+        "path segment 0 of device 1: waypoints must be finite, got [[nan, 0]]"),
+    "waypoint Infinity": ("check-adequacy", {**ONE_DEVICE, "paths": {"1": [
+        {"from": 0, "to": 10, "waypoints": [[math.inf, 0]]}]}},
+        "path segment 0 of device 1: waypoints must be finite"),
+    "waypoint 'inf'": ("denot", {**ONE_DEVICE, "paths": {"1": [
+        {"from": 0, "to": 10, "waypoints": [["inf", 0]]}]}},
+        "path segment 0 of device 1: waypoints must be finite"),
 }
 
 
@@ -411,6 +461,18 @@ def test_bad_timestamps_are_diagnostics(counter, one_device, tmp_path, capsys):
     assert main(["run", counter, one_device, "--decay", "soon"]) == 2
     err = capsys.readouterr().err
     assert err.count("not a timestamp") == 2
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "denot", "check-adequacy"])
+def test_non_boolean_sensor_value_is_exit_1(command, tmp_path, capsys):
+    prog = tmp_path / "guard.hfc"
+    prog.write_text("mux(sns-injection-point(), 1, 0)\n")
+    p = tmp_path / "sensed.json"
+    p.write_text(json.dumps({**ONE_DEVICE, "sensors": {"1": {"sns-injection-point": -1}}}))
+    assert main([command, str(prog), str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "mux expects a boolean, got" in err
     assert "Traceback" not in err
 
 
@@ -467,10 +529,11 @@ def test_edge_radius_and_decay_stay_valid(flags, counter, one_device, capsys):
 # the README's example session, byte for byte
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+README_BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(), re.M | re.S)
 
 
 def test_readme_example_session(tmp_path, capsys):
-    blocks = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(), re.M | re.S)
+    blocks = README_BLOCKS
     program = next(text for _, text in blocks if text.startswith("// grad.hfc"))
     scenario = next(text for info, text in blocks if info == "json" and '"fires"' in text)
     session = next(text for _, text in blocks if "$ fieldc run" in text)
@@ -488,3 +551,51 @@ def test_readme_example_session(tmp_path, capsys):
         assert capsys.readouterr().out.replace("\r\n", "\n") == want
         checked.append(argv[0])
     assert checked == ["typecheck", "run", "check-adequacy"]
+
+
+# ---------------------------------------------------------------------------
+# input files mutated once still end in a defined outcome
+
+FUZZ_PROGRAM = next(text for _, text in README_BLOCKS if text.startswith("// grad.hfc"))
+FUZZ_INPUTS = {
+    kind: json.loads(next(text for info, text in README_BLOCKS
+                          if info == "json" and f'"{key}"' in text))
+    for kind, key in (("scenario", "fires"), ("dag", "events"))
+}
+DELETE = object()
+
+
+def _json_paths(obj, path=()):
+    """The path (keys and indices) of every value nested in obj."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield (*path, k)
+        yield from _json_paths(v, (*path, k))
+
+
+@st.composite
+def mutated_inputs(draw):
+    """The README scenario or DAG with one value deleted or replaced."""
+    kind = draw(st.sampled_from(sorted(FUZZ_INPUTS)))
+    obj = copy.deepcopy(FUZZ_INPUTS[kind])
+    *where, key = draw(st.sampled_from(list(_json_paths(obj))))
+    parent = functools.reduce(operator.getitem, where, obj)
+    value = draw(st.sampled_from([DELETE, None, "x", [], {}, -1, 1e308]))
+    if value is DELETE:
+        del parent[key]
+    else:
+        parent[key] = value
+    return kind, obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_inputs())
+def test_mutated_input_files_end_in_a_defined_outcome(mutated):
+    kind, obj = mutated
+    commands = ["run", "denot", "check-adequacy"] if kind == "scenario" else ["denot"]
+    with tempfile.TemporaryDirectory() as d:
+        prog, inp, out = (os.path.join(d, name) for name in ("grad.hfc", "in.json", "out"))
+        Path(prog).write_text(FUZZ_PROGRAM)
+        Path(inp).write_text(json.dumps(obj))
+        for command in commands:
+            assert main([command, prog, inp, "--out", out]) in (0, 1, 2)
