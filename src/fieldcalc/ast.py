@@ -10,6 +10,7 @@ so alignment keys and map keys can use nodes directly.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -222,29 +223,6 @@ def mkfield(mapping) -> FieldVal:
 
 
 # ---------------------------------------------------------------------------
-# value predicates
-
-def is_local_value(e: Expr) -> bool:
-    """ell ::= b | d | closed lambda | c(ell...)"""
-    match e:
-        case Builtin() | DefName():
-            return True
-        case Lambda():
-            return not free_vars(e)
-        case Data(args=args):
-            return all(is_local_value(a) for a in args)
-        case _:
-            return False
-
-
-def is_value(e: Expr) -> bool:
-    """v ::= ell | phi"""
-    if isinstance(e, FieldVal):
-        return all(is_local_value(v) for _, v in e.entries)
-    return is_local_value(e)
-
-
-# ---------------------------------------------------------------------------
 # the one traversal: direct subexpressions and their binders
 
 def children(e: Expr) -> tuple:
@@ -283,13 +261,65 @@ def rebuild(e: Expr, kids) -> Expr:
     return e
 
 
-def free_vars(e: Expr) -> frozenset:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    out = frozenset()
+# ---------------------------------------------------------------------------
+# the per-node plan both evaluators dispatch on
+
+# What evaluating a node needs to know of the node alone: its free
+# variables (sorted), its number of nodes, and leaf_vars. leaf_vars is None
+# unless the node is value-shaped: a variable, a builtin or function name, a
+# lambda, or data built from these. It then lists the variables in data
+# positions: once every free variable holds a value, the node is a value
+# exactly when these hold local values. The node's class is its kind tag.
+Plan = namedtuple("Plan", "fv leaf_vars size")
+
+
+def plan(e: Expr) -> Plan:
+    """e's plan, computed from its children's on the first call and kept
+    on the node (nodes are immutable, so it never goes stale)."""
+    try:
+        return e._plan
+    except AttributeError:
+        pass
+    fv, leaf, size, shaped = set(), set(), 1, isinstance(e, Data)
     for c, bound in children(e):
-        out |= free_vars(c).difference(bound)
-    return out
+        p = plan(c)
+        size += p.size
+        fv.update(v for v in p.fv if v not in bound)
+        shaped = shaped and p.leaf_vars is not None
+        leaf.update(p.leaf_vars or ())
+    if isinstance(e, Var):
+        fv.add(e.name)
+        leaf.add(e.name)
+    elif not isinstance(e, Data):
+        leaf.clear()
+    shaped = shaped or isinstance(e, (Var, Builtin, DefName, Lambda))
+    p = Plan(tuple(sorted(fv)), tuple(sorted(leaf)) if shaped else None, size)
+    object.__setattr__(e, "_plan", p)
+    return p
+
+
+# ---------------------------------------------------------------------------
+# value predicates and substitution
+
+def is_local_value(e: Expr) -> bool:
+    """ell ::= b | d | closed lambda | c(ell...)"""
+    t = type(e)
+    if t is Data:
+        return all(is_local_value(a) for a in e.args)
+    if t is Lambda:
+        return not plan(e).fv
+    return t is Builtin or t is DefName
+
+
+def is_value(e: Expr) -> bool:
+    """v ::= ell | phi"""
+    if isinstance(e, FieldVal):
+        return all(is_local_value(v) for _, v in e.entries)
+    return is_local_value(e)
+
+
+def free_vars(e: Expr) -> frozenset:
+    return frozenset(plan(e).fv)
 
 
 def substitute(e: Expr, subst: dict) -> Expr:

@@ -331,6 +331,9 @@ def _map_hood_scheme(n: int) -> Scheme:
 
 
 MAP_HOOD_MAX_ARITY = 4
+# the schemes the typer asks for at every use, parsed once here
+_MAP_HOOD_SCHEMES = {n: _map_hood_scheme(n) for n in range(1, MAP_HOOD_MAX_ARITY + 1)}
+_NUMERAL_SCHEME = parse_scheme("() -> num")
 
 
 class BuiltinTable:
@@ -338,6 +341,7 @@ class BuiltinTable:
         self._entries: dict = {}
         self._ctor_entries: dict = {}
         self._decorated: dict = {}
+        self._calls: dict = {}  # name -> (entry, least, greatest argument count)
 
     def add(self, name: str, scheme_text: str, op: Callable):
         self._entries[name] = BuiltinEntry(name, parse_scheme(scheme_text), op)
@@ -364,10 +368,7 @@ class BuiltinTable:
 
     def scheme(self, name: str, arity: Optional[int] = None) -> Optional[Scheme]:
         if name == "map-hood":
-            n = 1 if arity is None else arity - 1
-            if not 1 <= n <= MAP_HOOD_MAX_ARITY:
-                return None
-            return _map_hood_scheme(n)
+            return _MAP_HOOD_SCHEMES.get(1 if arity is None else arity - 1)
         e = self.entry(name)
         return e.scheme if e else None
 
@@ -409,18 +410,18 @@ class BuiltinTable:
         return BuiltinEntry(name, scheme, op)
 
     def eval(self, name: str, ctx: OpContext, args) -> Expr:
-        e = self.entry(name)
-        if e is None:
-            raise EvalError(f"unknown builtin {name!r}")
-        if name == "map-hood":
-            if not 2 <= len(args) <= MAP_HOOD_MAX_ARITY + 1:
-                raise ArityError(
-                    f"map-hood takes 2 to {MAP_HOOD_MAX_ARITY + 1} arguments, got {len(args)}"
-                )
-        else:
-            want = len(e.scheme.body.args) if isinstance(e.scheme.body, Arrow) else 0
-            if len(args) != want:
-                raise ArityError(f"{name} takes {want} argument(s), got {len(args)}")
+        call = self._calls.get(name)
+        if call is None:  # name is resolved on its first call only
+            e = self.entry(name)
+            if e is None:
+                raise EvalError(f"unknown builtin {name!r}")
+            n = len(e.scheme.body.args) if isinstance(e.scheme.body, Arrow) else 0
+            call = self._calls[name] = (e, *((2, MAP_HOOD_MAX_ARITY + 1)
+                                             if name == "map-hood" else (n, n)))
+        e, lo, hi = call
+        if not lo <= len(args) <= hi:
+            raise ArityError(f"{name} takes {lo} argument(s), got {len(args)}" if lo == hi
+                             else f"{name} takes {lo} to {hi} arguments, got {len(args)}")
         expected = ctx.domain
         for a in args:
             if isinstance(a, FieldVal) and a.domain() != expected:
@@ -483,7 +484,7 @@ TABLE = _build_table()
 def ctor_scheme(ctor, arity: int) -> Optional[Scheme]:
     """Scheme of a data constructor, or None if unknown/wrong arity."""
     if isinstance(ctor, float):
-        return parse_scheme("() -> num") if arity == 0 else None
+        return _NUMERAL_SCHEME if arity == 0 else None
     if TABLE.ctor_arity(ctor) != arity:
         return None
     return TABLE._ctor_entries[ctor].scheme

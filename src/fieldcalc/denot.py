@@ -16,9 +16,10 @@ stand for themselves, and a function value is represented by its tag
 derived on demand. Tag equality is exactly the function equality of the
 calculus, so evolutions compare with plain structural equality.
 
-The adequacy checker builds the DAG a scenario induces, runs the
-operational simulator on the same scenario, and compares the denotation
-of the program with the denotation of each fire's root, event by event.
+The adequacy checker runs the operational simulator on a scenario, reads
+the DAG the scenario induces off the simulator's trace (one delivery
+sweep serves both sides), and compares the denotation of the program
+with the denotation of each fire's root, event by event.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .ast import (
     Apply,
     Builtin,
     Data,
+    DefName,
     Expr,
     FieldVal,
     Lambda,
@@ -38,11 +40,9 @@ from .ast import (
     Program,
     Rep,
     Var,
-    free_vars,
-    is_value,
     mkfield,
+    plan,
     restrict_value,
-    subexpressions,
     substitute,
 )
 from .builtins import SensorState
@@ -55,10 +55,12 @@ from .device import (
     value_to_json,
 )
 from .network import (
+    FireTrace,
     Scenario,
     SHAPE_ERRORS,
     ScenarioError,
     as_time,
+    heard,
     json_container,
     json_id,
     run_scenario,
@@ -292,23 +294,26 @@ def dag_from_json(obj) -> EventDAG:
 # ---------------------------------------------------------------------------
 # DAG induced by a scenario (unit-disc communication)
 
-def build_dag_from_scenario(sc: Scenario) -> EventDAG:
+def build_dag_from_scenario(sc: Scenario, trace: FireTrace = None) -> EventDAG:
     """Events are the scenario's fires; e' feeds e when the delivery sweep
     leaves the message of e' in the fresh inbox of e: e' happened within
     the decay window [t-r, t) and within radius of the receiving device,
     which stayed on from t' to t, and no later firing of the same device
     qualifies. The simulator runs on the same sweep, so both sides agree
-    on who hears whom."""
-    events, neigh, sensors = [], [], {}
-
-    def step(t, d, fresh, sens):
+    on who hears whom: given ``trace``, a run of the simulator on sc, the
+    DAG is read off its records instead of sweeping again."""
+    if trace is None:
+        fires = []
+        sweep(sc, lambda t, d, fresh, sens: fires.append((t, d, heard(fresh), sens)))
+    else:
+        fires = ((r.t, r.device, r.heard, r.sensors) for r in trace.records)
+    events, neigh, sensors, at = [], [], {}, {}
+    for t, d, pairs, sens in fires:
         e = Event(len(events), d, t)
         events.append(e)
         sensors[e.id] = sens
-        neigh.extend((m.payload, e.id) for m in fresh.values())
-        return e.id
-
-    sweep(sc, step)
+        at[t] = e.id  # no two fires share an instant: a tag names its fire
+        neigh.extend((at[tag], e.id) for _, tag in pairs)
     return EventDAG(events, neigh, sensors)
 
 
@@ -360,7 +365,7 @@ class _Denot:
         self.ctx = EvalContext(device=None, defs=defs or {}, fuel=fuel)
 
     def scope(self, params, body) -> _Scope:
-        size = sum(1 for _ in subexpressions(body))
+        size = plan(body).size
         if self.ctx.fuel < size:
             self.ctx.fuel = 0
             raise FuelExhausted("denotational evaluation fuel exhausted")
@@ -393,46 +398,48 @@ class _Denot:
     def eval_at(self, S: _Scope, X: dict, e: Expr, ev: Event) -> Expr:
         """The value at ev of e, a node of S's body, where X holds the
         values at ev of the variables in scope."""
-        match e:
-            case FieldVal():
-                return restrict_value(e, S.pi)
-            case Data(args=args) if not is_value(e):
-                return Data(e.ctor, tuple(self.eval_at(S, X, a, ev) for a in args))
-            case Lambda():
-                fv = sorted(free_vars(e))
-                for v in fv:
-                    if v not in X:
-                        raise DenotError(f"unbound variable {v!r}")
-                return substitute(e, {v: X[v] for v in fv}) if fv else e
-            case _ if is_value(e):
+        k = type(e)
+        if k is Apply:
+            f = self.eval_at(S, X, e.fn, ev)
+            avs = [self.eval_at(S, X, a, ev) for a in e.args]
+            if isinstance(f, Builtin):
+                return self.apply_builtin(f.name, S, ev, avs)
+            C = S.children.get((id(e), f))
+            if C is None:
+                C = S.children[id(e), f] = self.scope(*fun_parts(self.ctx.defs, f, len(avs)))
+            self.enter(C, ev)
+            params = {x: restrict_value(a, C.pi) for x, a in zip(C.params, avs)}
+            return self.eval_at(C, params, C.body, ev)
+        if k is Var:
+            if e.name not in X:
+                raise DenotError(f"unbound variable {e.name!r}")
+            return restrict_value(X[e.name], S.pi)
+        if k is Data:
+            p = plan(e)
+            if p.leaf_vars is not None and not p.fv:
                 return e
-            case Var(name=n):
-                if n not in X:
-                    raise DenotError(f"unbound variable {n!r}")
-                return restrict_value(X[n], S.pi)
-            case Nbr(body=b):
-                v = self.eval_at(S, X, b, ev)
-                memo = S.memo.setdefault(id(e), {})
-                memo[ev.id] = v
-                return mkfield([(ev.device, v), *((d, memo[s]) for d, s in S.nbrs.items())])
-            case Rep(init=e1, var=x, body=e2):
-                r0 = self.eval_at(S, X, e1, ev)
-                memo = S.memo.setdefault(id(e), {})
-                p = prev_event(self.g, ev)
-                last = memo[p.id] if p is not None and p.id in S.domain else r0
-                v = memo[ev.id] = self.eval_at(S, {**X, x: last}, e2, ev)
-                return v
-            case Apply(fn=fe, args=args):
-                f = self.eval_at(S, X, fe, ev)
-                avs = [self.eval_at(S, X, a, ev) for a in args]
-                if isinstance(f, Builtin):
-                    return self.apply_builtin(f.name, S, ev, avs)
-                C = S.children.get((id(e), f))
-                if C is None:
-                    C = S.children[id(e), f] = self.scope(*fun_parts(self.ctx.defs, f, len(avs)))
-                self.enter(C, ev)
-                params = {x: restrict_value(a, C.pi) for x, a in zip(C.params, avs)}
-                return self.eval_at(C, params, C.body, ev)
+            return Data(e.ctor, tuple(self.eval_at(S, X, a, ev) for a in e.args))
+        if k is Nbr:
+            v = self.eval_at(S, X, e.body, ev)
+            memo = S.memo.setdefault(id(e), {})
+            memo[ev.id] = v
+            return mkfield([(ev.device, v), *((d, memo[s]) for d, s in S.nbrs.items())])
+        if k is Rep:
+            r0 = self.eval_at(S, X, e.init, ev)
+            memo = S.memo.setdefault(id(e), {})
+            prev = prev_event(self.g, ev)
+            last = memo[prev.id] if prev is not None and prev.id in S.domain else r0
+            v = memo[ev.id] = self.eval_at(S, {**X, e.var: last}, e.body, ev)
+            return v
+        if k is Lambda and (fv := plan(e).fv):
+            for v in fv:
+                if v not in X:
+                    raise DenotError(f"unbound variable {v!r}")
+            return substitute(e, {v: X[v] for v in fv})
+        if k is FieldVal:
+            return restrict_value(e, S.pi)
+        if k is Builtin or k is DefName or k is Lambda:  # the lambda is closed
+            return e
         raise DenotError(f"cannot interpret {e!r}")
 
     def apply_builtin(self, name: str, S: _Scope, ev: Event, avs) -> Expr:
@@ -506,11 +513,11 @@ def check_adequacy(sc: Scenario, program: Program,
                    fuel: int = DEFAULT_FUEL) -> AdequacyReport:
     """Compare the denotation of the program with the denotation of each
     fire's operational result on the DAG the scenario induces."""
-    g = build_dag_from_scenario(sc)
+    trace = run_scenario(sc, program, fuel=fuel)
+    g = build_dag_from_scenario(sc, trace)
     bad = validate_dag(g)
     if bad:
         raise CoherenceError(f"induced DAG violates neigh properties: {bad}")
-    trace = run_scenario(sc, program, fuel=fuel)
     denots = denot_program(g, program, fuel=fuel)
     E = frozenset(g.events)
     report = AdequacyReport()
@@ -520,58 +527,5 @@ def check_adequacy(sc: Scenario, program: Program,
         rhs = restrict_value(rec.root, nbr_devices(g, E, ev))
         report.verdicts.append(
             Verdict(ev.id, ev.time, ev.device, lhs, rhs, lhs == rhs)
-        )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# restriction checker
-
-@dataclass(frozen=True)
-class ClusterVerdict:
-    fun: Expr
-    events: tuple
-    args_agree: bool
-    results_agree: bool
-
-    @property
-    def ok(self) -> bool:
-        return not self.args_agree or self.results_agree
-
-
-@dataclass
-class RestrictionReport:
-    clusters: list = dc_field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.clusters)
-
-
-def check_restriction(g: EventDAG, E, e0: Expr, args, args2, X: dict,
-                      defs=None, fuel: int = DEFAULT_FUEL) -> RestrictionReport:
-    """Per cluster of e0: when the two argument lists denote the same
-    restricted evolutions there, the two applications must agree there."""
-    E = frozenset(E)
-    den = _Denot(g, defs, fuel)
-    fev = den.eval(E, X, e0)
-    app1 = den.eval(E, X, Apply(e0, tuple(args)))
-    app2 = den.eval(E, X, Apply(e0, tuple(args2)))
-    groups = {}
-    for ev in E:
-        groups.setdefault(fev[ev], []).append(ev)
-    report = RestrictionReport()
-    for f, evs in groups.items():
-        c = E if isinstance(f, Builtin) else frozenset(evs)
-        agree = True
-        for a, b in zip(args, args2):
-            ra = restrict_evolution(g, den.eval(E, X, a), c)
-            rb = restrict_evolution(g, den.eval(E, X, b), c)
-            if any(ra[ev] != rb[ev] for ev in evs):
-                agree = False
-                break
-        results = all(app1[ev] == app2[ev] for ev in evs)
-        report.clusters.append(
-            ClusterVerdict(f, tuple(sorted(ev.id for ev in evs)), agree, results)
         )
     return report

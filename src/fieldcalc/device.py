@@ -17,6 +17,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field as dc_field
+from types import MappingProxyType
 from typing import Optional
 
 from .ast import (
@@ -31,15 +32,14 @@ from .ast import (
     Program,
     Rep,
     Var,
-    boolean,
-    is_value,
+    is_local_value,
     mkfield,
-    num,
+    plan,
     restrict_value,
     substitute,
 )
 from .builtins import TABLE, EvalError, OpContext, SensorState
-from .parser import parse_expr, pretty, show_num
+from .parser import pretty, show_num
 
 
 class FuelExhausted(EvalError):
@@ -89,12 +89,8 @@ def subtree_fun(t: ValueTree, f: Expr) -> Optional[ValueTree]:
 # value-tree environments are plain dicts DeviceId -> ValueTree
 
 def align_i(env: dict, i: int) -> dict:
-    out = {}
-    for d, t in env.items():
-        sub = subtree_i(t, i)
-        if sub is not None:
-            out[d] = sub
-    return out
+    """The i-th subtree (1-based) of each tree that has one."""
+    return {d: t.children[i - 1] for d, t in env.items() if len(t.children) >= i}
 
 
 def align_fun(env: dict, f: Expr) -> dict:
@@ -140,52 +136,73 @@ def fun_parts(defs: dict, f: Expr, nargs: int):
     return params, body
 
 
-def eval_expr(ctx: EvalContext, env: dict, e: Expr) -> ValueTree:
+NO_VARS = MappingProxyType({})
+
+
+def eval_expr(ctx: EvalContext, env: dict, e: Expr, X=NO_VARS) -> ValueTree:
+    """The value-tree of e against the aligned trees env, where X holds the
+    values of the variables in scope. This is the substitution semantics
+    evaluated without substituting: e under X yields the tree, the fuel
+    ticks and the errors of e with X's values put in its place."""
     ctx.tick()
-    match e:
-        case FieldVal():
-            return leaf(restrict_value(e, env.keys() | {ctx.device}))
-        case Data(args=args) if not is_value(e):
-            # constructor over unevaluated arguments: evaluate each against
-            # its aligned environment, collect a tree per argument
-            kids = tuple(
-                eval_expr(ctx, align_i(env, i), a) for i, a in enumerate(args, 1)
-            )
-            return ValueTree(Data(e.ctor, tuple(k.root for k in kids)), kids)
-        case _ if is_value(e):
-            return leaf(e)
-        case Var(name=n):
-            raise EvalError(f"unbound variable {n!r} at runtime")
-        case Apply(fn=fe, args=args):
-            kids = [eval_expr(ctx, align_i(env, i), a) for i, a in enumerate(args, 1)]
-            ft = eval_expr(ctx, align_i(env, len(args) + 1), fe)
-            f = ft.root
-            if isinstance(f, Builtin):
-                v = call_builtin(ctx, f.name, frozenset(env), [k.root for k in kids])
-                return ValueTree(v, (*kids, ft))
-            params, body = fun_parts(ctx.defs, f, len(kids))
-            inst = substitute(body, dict(zip(params, (k.root for k in kids))))
-            bt = eval_expr(ctx, align_fun(env, f), inst)
-            return ValueTree(bt.root, (*kids, ft, bt))
-        case Nbr(body=b):
-            nbr_env = align_i(env, 1)
-            bt = eval_expr(ctx, nbr_env, b)
-            phi = {d: t.root for d, t in nbr_env.items()}
-            phi[ctx.device] = bt.root
-            return ValueTree(mkfield(phi), (bt,))
-        case Rep(init=e1, var=x, body=e2):
-            t1 = eval_expr(ctx, align_i(env, 1), e1)
-            prev_env = align_i(env, 2)
-            if ctx.device in env:
-                if ctx.device not in prev_env:
-                    raise MalformedEnv(
-                        f"device {ctx.device} has no stored rep state in its own tree"
-                    )
-                l0 = prev_env[ctx.device].root
-            else:
-                l0 = t1.root
-            t2 = eval_expr(ctx, prev_env, substitute(e2, {x: l0}))
-            return ValueTree(t2.root, (t1, t2))
+    k = type(e)
+    if k is Var:
+        # the variable's value stands where it is: a local value is a leaf,
+        # a field (or data holding one) is evaluated as the node it is
+        if e.name not in X:
+            raise EvalError(f"unbound variable {e.name!r} at runtime")
+        e, X = X[e.name], NO_VARS
+        if is_local_value(e):
+            return ValueTree(e)
+        k = type(e)
+    if k is Apply:
+        args = e.args
+        kids = [eval_expr(ctx, align_i(env, i), a, X) for i, a in enumerate(args, 1)]
+        ft = eval_expr(ctx, align_i(env, len(args) + 1), e.fn, X)
+        f = ft.root
+        if isinstance(f, Builtin):
+            v = call_builtin(ctx, f.name, frozenset(env), [k.root for k in kids])
+            return ValueTree(v, (*kids, ft))
+        params, body = fun_parts(ctx.defs, f, len(kids))
+        bt = eval_expr(ctx, align_fun(env, f), body, dict(zip(params, (k.root for k in kids))))
+        return ValueTree(bt.root, (*kids, ft, bt))
+    if k is Data:
+        p = plan(e)
+        if p.leaf_vars is not None and all(v in X for v in p.fv) and all(
+                is_local_value(X[v]) for v in p.leaf_vars):
+            return ValueTree(substitute(e, {v: X[v] for v in p.fv}) if p.fv else e)
+        # constructor over unevaluated arguments: evaluate each against
+        # its aligned environment, collect a tree per argument
+        kids = tuple(eval_expr(ctx, align_i(env, i), a, X) for i, a in enumerate(e.args, 1))
+        return ValueTree(Data(e.ctor, tuple(k.root for k in kids)), kids)
+    if k is Nbr:
+        nbr_env = align_i(env, 1)
+        bt = eval_expr(ctx, nbr_env, e.body, X)
+        phi = {d: t.root for d, t in nbr_env.items()}
+        phi[ctx.device] = bt.root
+        return ValueTree(mkfield(phi), (bt,))
+    if k is Rep:
+        t1 = eval_expr(ctx, align_i(env, 1), e.init, X)
+        prev_env = align_i(env, 2)
+        if ctx.device in env:
+            if ctx.device not in prev_env:
+                raise MalformedEnv(
+                    f"device {ctx.device} has no stored rep state in its own tree"
+                )
+            l0 = prev_env[ctx.device].root
+        else:
+            l0 = t1.root
+        t2 = eval_expr(ctx, prev_env, e.body, {**X, e.var: l0})
+        return ValueTree(t2.root, (t1, t2))
+    if k is Lambda and (fv := plan(e).fv):
+        # a closure: the lambda closed over the values of its free variables
+        if not all(v in X for v in fv):
+            raise EvalError(f"cannot evaluate {e!r}")
+        return ValueTree(substitute(e, {v: X[v] for v in fv}))
+    if k is FieldVal:
+        return ValueTree(restrict_value(e, env.keys() | {ctx.device}))
+    if k is Builtin or k is DefName or k is Lambda:  # the lambda is closed
+        return ValueTree(e)
     raise EvalError(f"cannot evaluate {e!r}")
 
 
@@ -260,32 +277,11 @@ def value_to_json(v: Expr):
     raise ValueError(f"not a serializable value: {v!r}")
 
 
-def value_from_json(j, defs=()) -> Expr:
-    if "num" in j:
-        return num(float(j["num"]))
-    if "bool" in j:
-        return boolean(bool(j["bool"]))
-    if "data" in j:
-        return Data(j["data"], tuple(value_from_json(a, defs) for a in j["args"]))
-    if "field" in j:
-        return mkfield([(int(d), value_from_json(x, defs)) for d, x in j["field"]])
-    if "fun" in j:
-        return parse_expr(j["fun"], defs=defs)
-    raise ValueError(f"not a value record: {j!r}")
-
-
 def tree_to_json(t: ValueTree):
     out = {"root": value_to_json(t.root)}
     if t.children:
         out["children"] = [tree_to_json(c) for c in t.children]
     return out
-
-
-def tree_from_json(j, defs=()) -> ValueTree:
-    return ValueTree(
-        value_from_json(j["root"], defs),
-        tuple(tree_from_json(c, defs) for c in j.get("children", ())),
-    )
 
 
 def value_to_text(v: Expr) -> str:

@@ -283,7 +283,12 @@ class FireRecord:
     device: int
     root: Expr
     tree: ValueTree
-    env_domain: frozenset
+    heard: tuple  # (sender, tag) of each message in the fresh inbox
+    sensors: SensorState
+
+    @property
+    def env_domain(self) -> frozenset:
+        return frozenset(d for d, _ in self.heard)
 
 
 @dataclass
@@ -307,14 +312,21 @@ class FireTrace:
             [str(r.t), r.device, value_to_text(r.root)] for r in self.records))
 
 
+def heard(fresh: dict) -> tuple:
+    """The (sender, tag) of each message in a fresh inbox."""
+    return tuple((s, m.tag) for s, m in fresh.items())
+
+
 def run_scenario(sc: Scenario, program: Program, fuel: int = DEFAULT_FUEL,
                  rng=None) -> FireTrace:
-    """Evaluate the program along the delivery sweep, one record per fire."""
+    """Evaluate the program along the delivery sweep, one record per fire;
+    the records also keep what each fire heard and sensed, from which the
+    induced event DAG is built without a second sweep."""
     trace = FireTrace()
 
     def step(t, d, fresh, sensors):
         tree = fire(program, d, t, fresh, sensors, fuel, rng)
-        trace.records.append(FireRecord(t, d, tree.root, tree, frozenset(fresh)))
+        trace.records.append(FireRecord(t, d, tree.root, tree, heard(fresh), sensors))
         return tree
 
     sweep(sc, step)
@@ -413,6 +425,12 @@ def scenario_from_json(obj) -> Scenario:
                 pts = tuple((float(x), float(y)) for x, y in seg["waypoints"])
                 if not all(map(math.isfinite, (c for p in pts for c in p))):
                     raise ScenarioError(f"waypoints must be finite, got {seg['waypoints']!r}")
+                # interpolation scales the step between waypoints, which must
+                # be finite too: [-1e308, 0] to [1e308, 0] would overflow
+                if not all(math.isfinite(b - a) for p, q in zip(pts, pts[1:])
+                           for a, b in zip(p, q)):
+                    raise ScenarioError("consecutive waypoints must differ by a finite "
+                                        f"amount, got {seg['waypoints']!r}")
             except SHAPE_ERRORS as e:
                 raise shape_error(f"path segment {i} of device {d}", SEGMENT_SHAPE,
                                   seg, e) from None

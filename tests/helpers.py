@@ -1,6 +1,7 @@
 """Shared fixtures: the four-device example DAG, scenario builders, the
-all-pairs reference for the induced DAG and the fixpoint reference for
-the denotation.
+all-pairs reference for the induced DAG, readers of value and tree JSON,
+the substitution reference for the device evaluator, the fixpoint
+reference for the denotation and the restriction checker.
 
 The DAG mirrors the running example: four devices firing 4 to 6 times,
 device 2 rebooting after its second firing (so the self-link into its
@@ -10,6 +11,7 @@ range of each other. Event 12 (device 3's third firing) plays the role
 of the highlighted event: it is aware of devices 2, 3 and 4 only.
 """
 
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction as F
 
 from fieldcalc.ast import (
@@ -17,22 +19,25 @@ from fieldcalc.ast import (
     Builtin,
     Data,
     DefName,
+    Expr,
     FieldVal,
     Lambda,
     Nbr,
     Rep,
     Var,
-    free_vars,
-    is_value,
+    boolean,
+    children,
     mkfield,
+    num,
     restrict_value,
     substitute,
 )
-from fieldcalc.builtins import TABLE, OpContext, SensorState
+from fieldcalc.builtins import TABLE, EvalError, OpContext, SensorState
 from fieldcalc.denot import (
     DenotError,
     Event,
     EventDAG,
+    _Denot,
     latest_event,
     nbr_devices,
     restrict_evolution,
@@ -42,10 +47,16 @@ from fieldcalc.device import (
     DEFAULT_FUEL,
     EvalContext,
     FuelExhausted,
+    MalformedEnv,
     ValueTree,
+    align_fun,
+    align_i,
     apply_function,
+    fun_parts,
+    leaf,
 )
 from fieldcalc.network import PathSeg, Scenario, as_time, position_at, sensors_at
+from fieldcalc.parser import parse_expr
 
 # (id, device, time)
 EXAMPLE_EVENTS = [
@@ -168,6 +179,120 @@ def reference_dag(sc: Scenario) -> EventDAG:
         neigh.extend((e2.id, e.id) for e2 in best.values())
     return EventDAG(events, neigh, sensors)
 
+
+# ---------------------------------------------------------------------------
+# the references' own value predicates: a walk per question, as the
+# calculus defines them, independent of the evaluators' per-node plans
+
+def free_vars(e) -> frozenset:
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    out = frozenset()
+    for c, bound in children(e):
+        out |= free_vars(c).difference(bound)
+    return out
+
+
+def is_local_value(e) -> bool:
+    match e:
+        case Builtin() | DefName():
+            return True
+        case Lambda():
+            return not free_vars(e)
+        case Data(args=args):
+            return all(is_local_value(a) for a in args)
+    return False
+
+
+def is_value(e) -> bool:
+    if isinstance(e, FieldVal):
+        return all(is_local_value(v) for _, v in e.entries)
+    return is_local_value(e)
+
+
+# ---------------------------------------------------------------------------
+# reading values and trees back from their JSON records
+
+def value_from_json(j, defs=()) -> Expr:
+    if "num" in j:
+        return num(float(j["num"]))
+    if "bool" in j:
+        return boolean(bool(j["bool"]))
+    if "data" in j:
+        return Data(j["data"], tuple(value_from_json(a, defs) for a in j["args"]))
+    if "field" in j:
+        return mkfield([(int(d), value_from_json(x, defs)) for d, x in j["field"]])
+    if "fun" in j:
+        return parse_expr(j["fun"], defs=defs)
+    raise ValueError(f"not a value record: {j!r}")
+
+
+def tree_from_json(j, defs=()) -> ValueTree:
+    return ValueTree(
+        value_from_json(j["root"], defs),
+        tuple(tree_from_json(c, defs) for c in j.get("children", ())),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the device evaluator as the substitution semantics states it
+
+def reference_eval_expr(ctx: EvalContext, env: dict, e) -> ValueTree:
+    """The big-step rules on closed expressions: application and rep
+    substitute the argument values into the body before evaluating it.
+    Builtins that apply functions (map-hood, fold-hood) call back here."""
+    ctx.tick()
+    match e:
+        case FieldVal():
+            return leaf(restrict_value(e, env.keys() | {ctx.device}))
+        case Data(args=args) if not is_value(e):
+            kids = tuple(
+                reference_eval_expr(ctx, align_i(env, i), a) for i, a in enumerate(args, 1)
+            )
+            return ValueTree(Data(e.ctor, tuple(k.root for k in kids)), kids)
+        case _ if is_value(e):
+            return leaf(e)
+        case Var(name=n):
+            raise EvalError(f"unbound variable {n!r} at runtime")
+        case Apply(fn=fe, args=args):
+            kids = [reference_eval_expr(ctx, align_i(env, i), a) for i, a in enumerate(args, 1)]
+            ft = reference_eval_expr(ctx, align_i(env, len(args) + 1), fe)
+            f = ft.root
+            if isinstance(f, Builtin):
+                opctx = OpContext(
+                    device=ctx.device, env_domain=frozenset(env), sensors=ctx.sensors,
+                    call=lambda g, vs: reference_eval_expr(ctx, {}, Apply(g, tuple(vs))).root,
+                    rng=ctx.rng)
+                v = TABLE.eval(f.name, opctx, [k.root for k in kids])
+                return ValueTree(v, (*kids, ft))
+            params, body = fun_parts(ctx.defs, f, len(kids))
+            inst = substitute(body, dict(zip(params, (k.root for k in kids))))
+            bt = reference_eval_expr(ctx, align_fun(env, f), inst)
+            return ValueTree(bt.root, (*kids, ft, bt))
+        case Nbr(body=b):
+            nbr_env = align_i(env, 1)
+            bt = reference_eval_expr(ctx, nbr_env, b)
+            phi = {d: t.root for d, t in nbr_env.items()}
+            phi[ctx.device] = bt.root
+            return ValueTree(mkfield(phi), (bt,))
+        case Rep(init=e1, var=x, body=e2):
+            t1 = reference_eval_expr(ctx, align_i(env, 1), e1)
+            prev_env = align_i(env, 2)
+            if ctx.device in env:
+                if ctx.device not in prev_env:
+                    raise MalformedEnv(
+                        f"device {ctx.device} has no stored rep state in its own tree"
+                    )
+                l0 = prev_env[ctx.device].root
+            else:
+                l0 = t1.root
+            t2 = reference_eval_expr(ctx, prev_env, substitute(e2, {x: l0}))
+            return ValueTree(t2.root, (t1, t2))
+    raise EvalError(f"cannot evaluate {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# the denotation by its fixpoint
 
 class _FixpointDenot:
     """The denotation as the calculus states it, one whole evolution at a
@@ -357,3 +482,56 @@ def well_formed(e, t: ValueTree, defs: dict) -> bool:
                 )
             return False
     return False
+
+
+# ---------------------------------------------------------------------------
+# the restriction property, checked per cluster
+
+@dataclass(frozen=True)
+class ClusterVerdict:
+    fun: Expr
+    events: tuple
+    args_agree: bool
+    results_agree: bool
+
+    @property
+    def ok(self) -> bool:
+        return not self.args_agree or self.results_agree
+
+
+@dataclass
+class RestrictionReport:
+    clusters: list = dc_field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.clusters)
+
+
+def check_restriction(g: EventDAG, E, e0: Expr, args, args2, X: dict,
+                      defs=None, fuel: int = DEFAULT_FUEL) -> RestrictionReport:
+    """Per cluster of e0: when the two argument lists denote the same
+    restricted evolutions there, the two applications must agree there."""
+    E = frozenset(E)
+    den = _Denot(g, defs, fuel)
+    fev = den.eval(E, X, e0)
+    app1 = den.eval(E, X, Apply(e0, tuple(args)))
+    app2 = den.eval(E, X, Apply(e0, tuple(args2)))
+    groups = {}
+    for ev in E:
+        groups.setdefault(fev[ev], []).append(ev)
+    report = RestrictionReport()
+    for f, evs in groups.items():
+        c = E if isinstance(f, Builtin) else frozenset(evs)
+        agree = True
+        for a, b in zip(args, args2):
+            ra = restrict_evolution(g, den.eval(E, X, a), c)
+            rb = restrict_evolution(g, den.eval(E, X, b), c)
+            if any(ra[ev] != rb[ev] for ev in evs):
+                agree = False
+                break
+        results = all(app1[ev] == app2[ev] for ev in evs)
+        report.clusters.append(
+            ClusterVerdict(f, tuple(sorted(ev.id for ev in evs)), agree, results)
+        )
+    return report

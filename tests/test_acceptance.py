@@ -38,7 +38,6 @@ from fieldcalc.denot import (
     _Denot,
     build_dag_from_scenario,
     check_adequacy,
-    check_restriction,
     denot_eval,
     denot_program,
     nbr_devices,
@@ -72,6 +71,7 @@ from generators import ExprGen, SNS_FUNS, gen_scenario
 from helpers import (
     EXAMPLE_EVENTS,
     EXAMPLE_NEIGH,
+    check_restriction,
     example_dag,
     line_scenario,
     reference_denot,

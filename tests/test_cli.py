@@ -431,6 +431,23 @@ def test_malformed_shape_is_a_diagnostic(counter, tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "check-adequacy"])
+def test_overflowing_waypoint_step_is_exit_2(counter, tmp_path, capsys, command):
+    # each waypoint is finite, but the step between them is not: the
+    # device's position would not be finite and it would never hear itself
+    # (the counter read 1, 1, 1 and adequacy held on 3/3 events)
+    sc = {**ONE_DEVICE, "paths": {"1": [
+        {"from": 0, "to": 10, "waypoints": [[-1e308, 0], [1e308, 0]]}]},
+        "fires": [{"t": t, "device": 1} for t in (1, 2, 3)]}
+    p = tmp_path / "far.json"
+    p.write_text(json.dumps(sc))
+    assert main([command, counter, str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "path segment 0 of device 1: consecutive waypoints must differ" in err
+    assert "Traceback" not in err
+
+
 def test_denot_rejects_a_cyclic_dag(counter, tmp_path, capsys):
     p = tmp_path / "dag.json"
     p.write_text(json.dumps({

@@ -19,7 +19,6 @@ from fieldcalc.denot import (
     Violation,
     build_dag_from_scenario,
     check_adequacy,
-    check_restriction,
     dag_from_json,
     dag_to_json,
     denot_eval,
@@ -41,6 +40,7 @@ from generators import ExprGen, gen_scenario
 from helpers import (
     EXAMPLE_EVENTS,
     FOCUS,
+    check_restriction,
     cluster,
     example_dag,
     line_scenario,

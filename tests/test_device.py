@@ -1,11 +1,17 @@
 """Big-step device evaluation: golden trees, alignment, well-formedness."""
 
 import json
+import random
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fieldcalc import ast, denot, device
 from fieldcalc.ast import Builtin, Data, Lambda, boolean, mkfield, num
-from fieldcalc.builtins import SensorState
+from fieldcalc.builtins import TABLE, EvalError, SensorState
+from fieldcalc.denot import check_adequacy
 from fieldcalc.device import (
     EvalContext,
     FuelExhausted,
@@ -14,19 +20,27 @@ from fieldcalc.device import (
     align_fun,
     align_i,
     apply_function,
+    dumps,
     eval_expr,
     evaluate_main,
     leaf,
     subtree_fun,
     subtree_i,
-    tree_from_json,
     tree_to_json,
-    value_from_json,
     value_to_json,
     value_to_text,
 )
+from fieldcalc.network import sweep
 from fieldcalc.parser import parse_expr, parse_program
-from helpers import well_formed
+from fieldcalc.stdlib import corpus_entry
+from generators import ExprGen, gen_scenario
+from helpers import (
+    reference_eval_expr,
+    static_scenario,
+    tree_from_json,
+    value_from_json,
+    well_formed,
+)
 
 
 def ev(src, device=1, env=None, sensors=None, fuel=10**6, rng=None):
@@ -417,3 +431,127 @@ def test_value_to_text():
     assert value_to_text(boolean(True)) == "True"
     out = value_to_text(mkfield({1: num(2)}))
     assert json.loads(out) == {"field": [[1, {"num": 2.0}]]}
+
+
+# ---------------------------------------------------------------------------
+# the environment-passing evaluator against the substitution semantics
+
+def _with_main(name, main):
+    """Corpus entry name's definitions with a new main expression."""
+    src = corpus_entry(name).source.rstrip()
+    return parse_program(src[:src.rindex("\n")] + "\n" + main)
+
+
+DIFFERENTIAL_PROGRAMS = [
+    corpus_entry("gradient").program(),
+    corpus_entry("spanning-sum").program(),
+    parse_program("rep(0){(x) => x + 1}"),
+    # closures over rep's variable, applied directly and by map/fold-hood
+    parse_program("rep(0){(v) => ((w) => v + w)(1) + fold-hood((a, b) => a + b + v,"
+                  " map-hood((y) => y * 2 + v, nbr{v}))}"),
+    # if-thunks (closures), a def applied to a closure, data leaves built
+    # from variables (gradcast's Pair(0, v))
+    _with_main("deploy", "deploy(sns-range(), sns-injection-point(), sns-fun(), () => 0)"),
+    # untyped: a field held by a variable in a data position, so the
+    # constructor is not a leaf and its field is restricted per argument
+    parse_program("def g(phi) { min-hood(snd(Pair(1, phi))) } g(nbr{uid()})"),
+]
+
+
+# TABLE.eval asserts that a builtin's field result is aligned; on another
+# program's trees (pick-hood over a field of fields) the assertion can fire,
+# and then it must fire in both evaluators
+FAILURES = (EvalError, AssertionError)
+
+
+def _outcome(evaluate, prog, d, env, sensors, fuel):
+    """(error type, tree, canonical tree JSON, fuel left) of one evaluation."""
+    ctx = EvalContext(device=d, sensors=sensors, defs={x.name: x for x in prog.defs},
+                      fuel=fuel)
+    try:
+        t = evaluate(ctx, env, prog.main)
+    except FAILURES as e:
+        return type(e), None, None, ctx.fuel
+    return None, t, dumps(tree_to_json(t)), ctx.fuel
+
+
+class _Stop(Exception):
+    pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_environment_passing_matches_substitution(seed):
+    """At every fire of a generated scenario, both evaluators give the
+    same tree bytes, the same fuel left and the same error type. The
+    stored trees come from the program itself or, to reach misaligned
+    environments (MalformedEnv), from another program; a small fuel
+    budget reaches FuelExhausted part way through a fire."""
+    rnd = random.Random(seed)
+    sc = gen_scenario(rnd)
+
+    def draw():
+        if rnd.random() < 0.4:
+            return rnd.choice(DIFFERENTIAL_PROGRAMS)
+        return ExprGen(rnd).program(depth=rnd.randint(1, 4))
+
+    prog = draw()
+    roll = rnd.random()
+    feeder = prog if roll < 0.7 else draw() if roll < 0.85 else parse_program("uid()")
+    fuel = rnd.choice([10**6, 10**6, rnd.randint(1, 300)])
+    compared = []
+
+    def step(t, d, fresh, sensors):
+        env = {s: m.payload for s, m in fresh.items()}
+        err, tree, *new = _outcome(eval_expr, prog, d, env, sensors, fuel)
+        err2, _, *ref = _outcome(reference_eval_expr, prog, d, env, sensors, fuel)
+        assert (err, *new) == (err2, *ref), (t, d)
+        compared.append(err)
+        if feeder is not prog:
+            ctx = EvalContext(device=d, sensors=sensors,
+                              defs={x.name: x for x in feeder.defs})
+            try:
+                return eval_expr(ctx, env, feeder.main)
+            except FAILURES:
+                raise _Stop from None
+        if err is not None:
+            raise _Stop
+        return tree
+
+    try:
+        sweep(sc, step)
+    except _Stop:
+        pass
+    assert compared
+
+
+def test_a_fire_substitutes_nothing_and_resolves_each_name_once(monkeypatch):
+    """Corpus gradient on a static 4x4 grid, under check-adequacy so both
+    evaluators run: no fire substitutes (the program builds no closure),
+    and builtin names are resolved on their first call only, so resolving
+    costs the same for 2 rounds as for 8."""
+    counts = {"substitute": 0, "entry": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for mod in (ast, device, denot):
+        monkeypatch.setattr(mod, "substitute", counting("substitute", ast.substitute))
+    monkeypatch.setattr(TABLE, "entry", counting("entry", TABLE.entry))
+    prog = corpus_entry("gradient").program()
+    grid = {4 * i + j: (float(i), float(j)) for i in range(4) for j in range(4)}
+    seen = {}
+    for rounds in (2, 8):
+        monkeypatch.setattr(TABLE, "_calls", {})
+        counts.update(substitute=0, entry=0)
+        fires = [(F(r * 16 + d, 16), d) for r in range(rounds) for d in grid]
+        sc = static_scenario(grid, radius=1.5, decay=100, fires=fires, sensors={
+            d: {"sns-injection-point": boolean(d == 0)} for d in grid})
+        report = check_adequacy(sc, prog)
+        assert report.ok and len(report.verdicts) == 16 * rounds
+        seen[rounds] = dict(counts)
+    assert seen[2]["substitute"] == seen[8]["substitute"] == 0
+    assert seen[2]["entry"] == seen[8]["entry"] > 0

@@ -2,7 +2,9 @@
 
 import pytest
 
+from fieldcalc import builtins, typer
 from fieldcalc.parser import parse_expr, parse_program
+from fieldcalc.stdlib import corpus_entry
 from fieldcalc.typer import (
     BOOL,
     NUM,
@@ -380,6 +382,22 @@ def test_library_declared_types_are_supported(library_schemes):
     )
     # the reverse direction must not hold
     assert not scheme_instance(parse_scheme("(num) -> num"), schemes["parent"])
+
+
+def test_typecheck_parses_no_scheme_text(monkeypatch):
+    # numerals take the scheme "() -> num" and map-hood one per arity: the
+    # builtin table parses each once, not at every use
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_scheme(text)
+
+    monkeypatch.setattr(builtins, "parse_scheme", counting)
+    monkeypatch.setattr(typer, "parse_scheme", counting)
+    typecheck_program(parse_program(corpus_entry("spanning-sum").source))
+    typecheck_program(parse_program("min-hood(map-hood((x) => x + 1, nbr{1}))"))
+    assert calls == []
 
 
 def test_library_instances(library_schemes):
