@@ -430,8 +430,8 @@ class BuiltinTable:
                     f"expected {sorted(expected)} at device {ctx.device}"
                 )
         result = e.op(ctx, list(args))
-        if isinstance(result, FieldVal):
-            assert result.domain() == expected, f"{name} produced a misaligned field"
+        if isinstance(result, FieldVal) and result.domain() != expected:
+            raise DomainError(f"{name} produced a misaligned field at device {ctx.device}")
         return result
 
 

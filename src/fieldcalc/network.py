@@ -1,8 +1,10 @@
 """Whole-network evolution driven by timed scenarios.
 
 Scenarios script everything external: device motion as piecewise paths,
-fire times, sensor readings. Timestamps are exact rationals so schedule
-comparisons never suffer float drift.
+fire times, sensor readings. Timestamps are exact rationals. The sweep
+compares them as integer ticks of 1/L, L the lcm of the denominators of
+decay, fire times and segment borders, so it suffers no float drift and
+does no Fraction arithmetic.
 
 One forward delivery sweep decides who hears whom. Every device keeps an
 inbox holding the latest time-tagged message of each sender. When device
@@ -18,6 +20,11 @@ edges (the payload is the event id).
 A device is on while some path segment covers the current time.
 Segments that abut or overlap make one continuous on-interval; only a
 gap is an outage, and it drops everything the device had stored.
+
+A fire costs O(neighbours), not O(N): the sweep's World queries each
+device's position at most once per instant, and a device that never
+leaves one point sits in a grid cell of side just over the radius, so a
+fire checks the 3 x 3 cells around it and the devices that move.
 """
 
 from __future__ import annotations
@@ -107,61 +114,6 @@ class Scenario:
         object.__setattr__(self, "decay", decay)
 
 
-def _interp(seg: PathSeg, t: Timestamp):
-    pts = seg.waypoints
-    if len(pts) == 1 or seg.end == seg.start:
-        return pts[0]
-    frac = (t - seg.start) / (seg.end - seg.start)
-    pos = frac * (len(pts) - 1)
-    i = min(int(pos), len(pts) - 2)
-    u = float(pos - i)
-    (x0, y0), (x1, y1) = pts[i], pts[i + 1]
-    return (x0 + u * (x1 - x0), y0 + u * (y1 - y0))
-
-
-def position_at(sc: Scenario, d: int, t: Timestamp):
-    """Position while active; None when no path segment covers t."""
-    for seg in sc.paths.get(d, ()):
-        if seg.start <= t <= seg.end:
-            return _interp(seg, t)
-    return None
-
-
-def clamped_position_at(sc: Scenario, d: int, t: Timestamp):
-    """Position at t, falling back to the nearest earlier segment end
-    (or the very first waypoint when t precedes all segments)."""
-    pos = position_at(sc, d, t)
-    if pos is not None:
-        return pos
-    best = None
-    first = None
-    for seg in sc.paths.get(d, ()):
-        if first is None or seg.start < first.start:
-            first = seg
-        if seg.end <= t and (best is None or seg.end > best.end):
-            best = seg
-    if best is not None:
-        return best.waypoints[-1]
-    if first is not None:
-        return first.waypoints[0]
-    return None
-
-
-def ranges_at(sc: Scenario, d: int, t: Timestamp, others=None) -> dict:
-    """Distances from d to each other device at time t, using clamped
-    positions for devices currently off. Shared by the simulator and the
-    denotational evaluator so both sides sense identical ranges."""
-    here = clamped_position_at(sc, d, t)
-    if here is None:
-        raise ScenarioError(f"device {d} has no path")
-    out = {}
-    for d2 in (sc.devices if others is None else others):
-        there = clamped_position_at(sc, d2, t)
-        if there is not None:
-            out[d2] = math.dist(here, there)
-    return out
-
-
 def sample_script(steps, t: Timestamp):
     """Value of a piecewise-constant script at t; None before the first step."""
     current = None
@@ -171,83 +123,189 @@ def sample_script(steps, t: Timestamp):
     return current
 
 
-def sensors_at(sc: Scenario, d: int, t: Timestamp, others=None) -> SensorState:
-    """Sensor readings of d at t; nbr-range covers ``others`` (every
-    device when None)."""
-    local = {}
-    for name, steps in sc.sensor_scripts.get(d, {}).items():
-        v = sample_script(steps, t)
-        if v is not None:
-            local[name] = v
-    return SensorState(local=local, nbr={"nbr-range": ranges_at(sc, d, t, others)})
-
-
 # ---------------------------------------------------------------------------
-# the delivery sweep
+# the world and the delivery sweep
 
 @dataclass(frozen=True)
 class Stored:
     payload: object  # a ValueTree in the simulator, an event id in the DAG
     tag: Timestamp
+    tick: int  # the tag in the World's ticks
 
 
 def _on_intervals(segs) -> tuple:
-    """Maximal (start, end) intervals covered by the segments, sorted;
-    segments that abut or overlap merge into one."""
+    """Maximal (start, end) intervals covered by the (start, end, ...)
+    segments, sorted; segments that abut or overlap merge into one."""
     out = []
-    for seg in sorted(segs, key=lambda s: s.start):
-        if out and seg.start <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], seg.end)
+    for start, end, *_ in sorted(segs, key=lambda s: s[0]):
+        if out and start <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], end)
         else:
-            out.append([seg.start, seg.end])
+            out.append([start, end])
     return tuple((a, b) for a, b in out)
 
 
 class World:
-    """The physical world of one scenario, built once per sweep: each
-    device's on-intervals; positions come from the scenario's paths."""
+    """The physical world of one scenario, built once per sweep, at the
+    instant the sweep has reached (``at``): times in ticks of 1/scale,
+    per-instant positions and the radius grid."""
 
     def __init__(self, sc: Scenario):
         self.sc = sc
-        self.on = {d: _on_intervals(sc.paths.get(d, ())) for d in sc.devices}
+        times = [sc.decay, *(t for t, _ in sc.fires),
+                 *(b for segs in sc.paths.values() for s in segs for b in (s.start, s.end))]
+        self.scale = math.lcm(*{t.denominator for t in times})
+        self.decay = self.tick(sc.decay)
+        self.paths = {d: tuple((self.tick(s.start), self.tick(s.end), s.waypoints)
+                               for s in segs) for d, segs in sc.paths.items()}
+        self.on = {d: _on_intervals(self.paths.get(d, ())) for d in sc.devices}
+        # the cell side exceeds the radius by a relative 2^-20, which outweighs
+        # the rounding of math.dist and of p / side while |p / side| < 2^30:
+        # then a point within radius is at most one cell index away
+        self.side = sc.radius * (1 + 2**-20)
+        self.cells, self.movers = {}, list(range(len(sc.devices)))
+        if sc.radius < self.side < math.inf:  # else the scan: radius 0 or inf
+            self.movers = []
+            for i, d in enumerate(sc.devices):
+                spots = {p for _, _, pts in self.paths.get(d, ()) for p in pts}
+                key = self.cell(*spots) if len(spots) == 1 else None
+                if key is None:
+                    self.movers.append(i)
+                else:
+                    self.cells.setdefault(key, []).append(i)
+        self.t = self.now = self._pos = None
+
+    def tick(self, t: Timestamp) -> int:
+        if self.scale % t.denominator:
+            raise ValueError(f"t={t} is not a whole number of ticks of 1/{self.scale}")
+        return t.numerator * (self.scale // t.denominator)
+
+    def at(self, t: Timestamp) -> World:
+        """Move to instant t: positions are queried afresh."""
+        self.t, self.now, self._pos = t, self.tick(t), {}
+        return self
+
+    def position(self, d: int):
+        """d's position now, None while it is off: one query per instant."""
+        pos = self._pos
+        if d not in pos:
+            pos[d] = position_at(self, d, self.now)
+        return pos[d]
+
+    def cell(self, p):
+        """The grid cell of point p; None where rounding could misfile it."""
+        x, y = p[0] / self.side, p[1] / self.side
+        if abs(x) < 2**30 and abs(y) < 2**30:
+            return math.floor(x), math.floor(y)
+        return None
+
+    def near(self, here) -> list:
+        """Indices in sc.devices, in order, of the devices that may be
+        within radius of ``here``: its 3 x 3 cells and every mover."""
+        if not self.cells:
+            return self.movers
+        key = self.cell(here)
+        if key is None:
+            return range(len(self.sc.devices))
+        out, (cx, cy), cells = list(self.movers), key, self.cells
+        for x in (cx - 1, cx, cx + 1):
+            for y in (cy - 1, cy, cy + 1):
+                out += cells.get((x, y), ())
+        out.sort()
+        return out
 
 
-def hearers(world: World, d: int, t: Timestamp) -> list:
-    """Devices on at t and within radius of d, d included."""
-    sc = world.sc
-    here = position_at(sc, d, t)
+def position_at(world: World, d: int, now: int):
+    """d's position at tick ``now``; None when no path segment covers it.
+    The first listed segment covering ``now`` wins. Interpolating on ints
+    gives the same float as on the exact rationals."""
+    for start, end, pts in world.paths.get(d, ()):
+        if start <= now <= end:
+            if len(pts) == 1 or end == start:
+                return pts[0]
+            num, den = (now - start) * (len(pts) - 1), end - start
+            i = min(num // den, len(pts) - 2)
+            u = (num - i * den) / den
+            (x0, y0), (x1, y1) = pts[i], pts[i + 1]
+            return (x0 + u * (x1 - x0), y0 + u * (y1 - y0))
+    return None
+
+
+def clamped_position_at(world: World, d: int):
+    """d's position now, falling back to the nearest earlier segment end
+    (or the very first waypoint when now precedes all segments)."""
+    pos, segs = world.position(d), world.paths.get(d)
+    if pos is not None or not segs:
+        return pos
+    ended = [s for s in segs if s[1] <= world.now]
+    if ended:
+        return max(ended, key=lambda s: s[1])[2][-1]
+    return min(segs, key=lambda s: s[0])[2][0]
+
+
+def hearers(world: World, d: int) -> list:
+    """Devices on now and within radius of d, d included, in sc.devices
+    order."""
+    here, radius, devices = world.position(d), world.sc.radius, world.sc.devices
     out = []
-    for d2 in sc.devices:
-        there = position_at(sc, d2, t)
-        if there is not None and math.dist(here, there) <= sc.radius:
-            out.append(d2)
+    for i in world.near(here):
+        there = world.position(devices[i])
+        if there is not None and math.dist(here, there) <= radius:
+            out.append(devices[i])
     return out
 
 
-def env_change(world: World, d: int, t: Timestamp) -> Timestamp:
-    """When d last joined the network: the start of its on-interval
-    containing t. Nothing d stored before then survived its outage."""
+def ranges_at(world: World, d: int, others) -> dict:
+    """Distances from d to each of ``others`` now, using clamped positions
+    for devices currently off. Shared by the simulator and the
+    denotational evaluator so both sides sense identical ranges."""
+    here = clamped_position_at(world, d)
+    if here is None:
+        raise ScenarioError(f"device {d} has no path")
+    out = {}
+    for d2 in others:
+        there = clamped_position_at(world, d2)
+        if there is not None:
+            out[d2] = math.dist(here, there)
+    return out
+
+
+def sensors_at(world: World, d: int, others) -> SensorState:
+    """Sensor readings of d now; nbr-range covers ``others``."""
+    local = {}
+    for name, steps in world.sc.sensor_scripts.get(d, {}).items():
+        v = sample_script(steps, world.t)
+        if v is not None:
+            local[name] = v
+    return SensorState(local=local, nbr={"nbr-range": ranges_at(world, d, others)})
+
+
+def env_change(world: World, d: int) -> int:
+    """When d last joined the network, in ticks: the start of its
+    on-interval containing now. Nothing d stored before then survived its
+    outage."""
+    now = world.now
     for start, end in world.on.get(d, ()):
-        if start <= t <= end:
+        if start <= now <= end:
             return start
-    raise ScenarioError(f"device {d} fires at t={t} but is not in the network")
+    raise ScenarioError(f"device {d} fires at t={world.t} but is not in the network")
 
 
-def filter_old(world: World, inbox: dict, d: int, now: Timestamp) -> dict:
+def filter_old(world: World, inbox: dict, d: int) -> dict:
     """Cut d's inbox for good at max(now - decay, d's last reboot) and
     return it: what is older has expired or was lost while d was off."""
-    cutoff = max(now - world.sc.decay, env_change(world, d, now))
+    cutoff = max(world.now - world.decay, env_change(world, d))
     box = inbox[d]
-    for sender in [s for s, m in box.items() if m.tag < cutoff]:
+    for sender in [s for s, m in box.items() if m.tick < cutoff]:
         del box[sender]
     return box
 
 
-def env_at(world: World, inbox: dict, d: int, t: Timestamp):
-    """The firing device's view of the world at t: its fresh inbox and
-    its sensors, ranging over itself and its fresh senders only."""
-    fresh = filter_old(world, inbox, d, t)
-    return fresh, sensors_at(world.sc, d, t, (d, *fresh))
+def env_at(world: World, inbox: dict, d: int):
+    """The firing device's view of the world now: its fresh inbox and its
+    sensors, ranging over itself and its fresh senders only."""
+    fresh = filter_old(world, inbox, d)
+    return fresh, sensors_at(world, d, (d, *fresh))
 
 
 def sweep(sc: Scenario, step) -> None:
@@ -257,9 +315,9 @@ def sweep(sc: Scenario, step) -> None:
     world = World(sc)
     inbox = {d: {} for d in sc.devices}
     for t, d in sc.fires:
-        fresh, sensors = env_at(world, inbox, d, t)
-        msg = Stored(step(t, d, fresh, sensors), t)
-        for d2 in hearers(world, d, t):
+        fresh, sensors = env_at(world.at(t), inbox, d)
+        msg = Stored(step(t, d, fresh, sensors), t, world.now)
+        for d2 in hearers(world, d):
             inbox[d2][d] = msg
 
 

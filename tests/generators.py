@@ -6,9 +6,12 @@ by construction.  Closures never capture field-typed variables and
 function results stay local, mirroring the static checker's rules.  The
 scenario generator draws small mobile networks with outages, abutting
 segments, border and decay-edge fires, varied decay, and scripted
-sensors.
+sensors. The world generator draws the geometry and clock of the
+delivery sweep: many devices on a lattice of the radius, and times whose
+denominators are co-prime.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -302,3 +305,69 @@ def gen_scenario(rnd: random.Random) -> Scenario:
         fires=tuple(sorted(fires.items())),
         sensor_scripts=sensors,
     )
+
+
+# co-prime time steps: a world mixing them has ticks of 1/210
+TIME_STEPS = (Fraction(1, 3), Fraction(1, 7), Fraction("0.1"))
+
+
+def gen_world(rnd: random.Random) -> Scenario:
+    """Up to 30 devices over several cells of the radius grid, negative
+    coordinates included, with radius 0, inf or finite. Points lie on a
+    lattice of radius / k, so many pairs are exactly the radius apart
+    (3-4-5 diagonals too) and straddle a cell border. Devices are static,
+    static with an outage, static with a single waypoint that jumps
+    between segments, moving, on two overlapping segments listed in either
+    order (the first listed wins at a shared instant), or without a path.
+    Fire times, segment borders and decay mix thirds, sevenths and tenths;
+    fires land on segment borders and exactly decay after another fire."""
+    radius = rnd.choice([0.0, math.inf, 0.1, 1.0, 1.5, 2.5])
+    unit = radius / rnd.choice([1, 2, 5]) if 0 < radius < math.inf else 0.5
+
+    def point():
+        return (rnd.randint(-8, 8) * unit, rnd.randint(-8, 8) * unit)
+
+    def when(lo=0):
+        step = rnd.choice(TIME_STEPS)
+        return step * rnd.randint(math.ceil(lo / step), int(10 / step))
+
+    devices = tuple(range(1, rnd.randint(1, 30) + 1))
+    paths = {}
+    for d in devices:
+        roll, p = rnd.random(), point()
+        a = when()
+        b = rnd.choice([a, when(a)])  # a == b abuts, a < b is a gap or overlap
+        if roll < 0.3:
+            paths[d] = (PathSeg(Fraction(0), Fraction(10), (p,)),)
+        elif roll < 0.45:
+            paths[d] = (PathSeg(Fraction(0), a, (p,)), PathSeg(b, Fraction(10), (p,)))
+        elif roll < 0.6:
+            paths[d] = (PathSeg(Fraction(0), a, (p,)), PathSeg(b, Fraction(10), (point(),)))
+        elif roll < 0.8:
+            pts = tuple(point() for _ in range(rnd.randint(2, 3)))
+            paths[d] = (PathSeg(Fraction(0), a, pts), PathSeg(b, Fraction(10), pts[::-1]))
+        elif roll < 0.95:
+            segs = [PathSeg(Fraction(0), b, (p,)),
+                    PathSeg(a, Fraction(10), tuple(point() for _ in range(rnd.randint(1, 2))))]
+            rnd.shuffle(segs)
+            paths[d] = tuple(segs)
+
+    def on(d, t):
+        return any(s.start <= t <= s.end for s in paths.get(d, ()))
+
+    fires = {}
+    for _ in range(rnd.randint(1, 30)):
+        t, d = when(), rnd.choice(devices)
+        if on(d, t):
+            fires.setdefault(t, d)
+    for d, segs in paths.items():
+        for t in (b for s in segs for b in (s.start, s.end)):
+            if rnd.random() < 0.2:
+                fires.setdefault(t, d)
+    decay = rnd.choice([Fraction(0), *TIME_STEPS, Fraction(1), Fraction(3), Fraction(100)])
+    for t in list(fires)[:3]:
+        d = rnd.choice(devices)
+        if on(d, t + decay):
+            fires.setdefault(t + decay, d)
+    return Scenario(devices=devices, radius=radius, decay=decay, paths=paths,
+                    fires=tuple(sorted(fires.items())))

@@ -1,7 +1,8 @@
 """Shared fixtures: the four-device example DAG, scenario builders, the
-all-pairs reference for the induced DAG, readers of value and tree JSON,
-the substitution reference for the device evaluator, the fixpoint
-reference for the denotation and the restriction checker.
+all-pairs references for the world's answers and the induced DAG,
+readers of value and tree JSON, the substitution reference for the
+device evaluator, the fixpoint reference for the denotation and the
+restriction checker.
 
 The DAG mirrors the running example: four devices firing 4 to 6 times,
 device 2 rebooting after its second firing (so the self-link into its
@@ -11,6 +12,7 @@ range of each other. Event 12 (device 3's third firing) plays the role
 of the highlighted event: it is aware of devices 2, 3 and 4 only.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction as F
 
@@ -55,7 +57,7 @@ from fieldcalc.device import (
     fun_parts,
     leaf,
 )
-from fieldcalc.network import PathSeg, Scenario, as_time, position_at, sensors_at
+from fieldcalc.network import PathSeg, Scenario, as_time, sample_script
 from fieldcalc.parser import parse_expr
 
 # (id, device, time)
@@ -150,6 +152,96 @@ def on_throughout(segs, a, b) -> bool:
     return False
 
 
+# ---------------------------------------------------------------------------
+# the world by all-pairs scans on exact rationals: the specification of
+# network.World's per-instant positions, radius grid and integer ticks
+
+def reference_position_at(sc: Scenario, d: int, t):
+    """Position while active; None when no path segment covers t. The
+    first listed segment covering t wins."""
+    for seg in sc.paths.get(d, ()):
+        if seg.start <= t <= seg.end:
+            pts = seg.waypoints
+            if len(pts) == 1 or seg.end == seg.start:
+                return pts[0]
+            pos = (t - seg.start) / (seg.end - seg.start) * (len(pts) - 1)
+            i = min(int(pos), len(pts) - 2)
+            u = float(pos - i)
+            (x0, y0), (x1, y1) = pts[i], pts[i + 1]
+            return (x0 + u * (x1 - x0), y0 + u * (y1 - y0))
+    return None
+
+
+def reference_clamped_position_at(sc: Scenario, d: int, t):
+    """Position at t, falling back to the nearest earlier segment end
+    (or the very first waypoint when t precedes all segments)."""
+    pos = reference_position_at(sc, d, t)
+    if pos is not None:
+        return pos
+    best = None
+    first = None
+    for seg in sc.paths.get(d, ()):
+        if first is None or seg.start < first.start:
+            first = seg
+        if seg.end <= t and (best is None or seg.end > best.end):
+            best = seg
+    if best is not None:
+        return best.waypoints[-1]
+    if first is not None:
+        return first.waypoints[0]
+    return None
+
+
+def reference_sensors(sc: Scenario, d: int, t, others=None) -> SensorState:
+    """Sensor readings of d at t; nbr-range covers ``others`` (every
+    device when None), by clamped positions."""
+    local = {}
+    for name, steps in sc.sensor_scripts.get(d, {}).items():
+        v = sample_script(steps, t)
+        if v is not None:
+            local[name] = v
+    here = reference_clamped_position_at(sc, d, t)
+    ranges = {}
+    for d2 in (sc.devices if others is None else others):
+        there = reference_clamped_position_at(sc, d2, t)
+        if there is not None:
+            ranges[d2] = math.dist(here, there)
+    return SensorState(local=local, nbr={"nbr-range": ranges})
+
+
+def reference_hearers(sc: Scenario, d: int, t) -> list:
+    """Devices on at t and within radius of d, d included: every device's
+    position is queried."""
+    here = reference_position_at(sc, d, t)
+    out = []
+    for d2 in sc.devices:
+        there = reference_position_at(sc, d2, t)
+        if there is not None and math.dist(here, there) <= sc.radius:
+            out.append(d2)
+    return out
+
+
+def reference_sweep(sc: Scenario) -> list:
+    """(t, device, hearers, fresh (sender, tag) pairs, nbr-range) of each
+    fire of the delivery sweep, by the rules on exact times: a message
+    stays fresh while it is within decay and its receiver has stayed on
+    since it arrived."""
+    inbox = {d: {} for d in sc.devices}
+    out = []
+    for t, d in sc.fires:
+        segs = sc.paths.get(d, ())
+        if not on_throughout(segs, t, t):
+            raise ValueError(f"device {d} fires at t={t} but is off")
+        box = inbox[d] = {s: tag for s, tag in inbox[d].items()
+                          if tag >= t - sc.decay and on_throughout(segs, tag, t)}
+        ranges = reference_sensors(sc, d, t, (d, *box)).nbr["nbr-range"]
+        hear = reference_hearers(sc, d, t)
+        out.append((t, d, hear, tuple(box.items()), ranges))
+        for d2 in hear:
+            inbox[d2][d] = t
+    return out
+
+
 def reference_dag(sc: Scenario) -> EventDAG:
     """The induced DAG by the all-pairs rule: e' feeds e when (1) it
     happened within the decay window [t-r, t), (2) the receiving device
@@ -157,7 +249,7 @@ def reference_dag(sc: Scenario) -> EventDAG:
     fired, and (4) no later firing of the same device also qualifies.
     Sensors cover every device."""
     events = [Event(i, d, t) for i, (t, d) in enumerate(sc.fires)]
-    sensors = {e.id: sensors_at(sc, e.device, e.time) for e in events}
+    sensors = {e.id: reference_sensors(sc, e.device, e.time) for e in events}
     neigh = []
     for e in events:
         best = {}
@@ -167,8 +259,8 @@ def reference_dag(sc: Scenario) -> EventDAG:
                 continue
             if not on_throughout(sc.paths.get(e.device, ()), t2, t):
                 continue
-            p = position_at(sc, e.device, t2)
-            q = position_at(sc, e2.device, t2)
+            p = reference_position_at(sc, e.device, t2)
+            q = reference_position_at(sc, e2.device, t2)
             if p is None or q is None:
                 continue
             if ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2) ** 0.5 > sc.radius:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fieldcalc import ast, denot, device
 from fieldcalc.ast import Builtin, Data, Lambda, boolean, mkfield, num
-from fieldcalc.builtins import TABLE, EvalError, SensorState
+from fieldcalc.builtins import TABLE, DomainError, EvalError, SensorState
 from fieldcalc.denot import check_adequacy
 from fieldcalc.device import (
     EvalContext,
@@ -458,10 +458,10 @@ DIFFERENTIAL_PROGRAMS = [
 ]
 
 
-# TABLE.eval asserts that a builtin's field result is aligned; on another
-# program's trees (pick-hood over a field of fields) the assertion can fire,
-# and then it must fire in both evaluators
-FAILURES = (EvalError, AssertionError)
+# TABLE.eval checks that a builtin's field result is aligned; on another
+# program's trees (pick-hood over a field of fields) the check can fail, and
+# then both evaluators raise DomainError, an EvalError
+FAILURES = EvalError
 
 
 def _outcome(evaluate, prog, d, env, sensors, fuel):
@@ -473,6 +473,19 @@ def _outcome(evaluate, prog, d, env, sensors, fuel):
     except FAILURES as e:
         return type(e), None, None, ctx.fuel
     return None, t, dumps(tree_to_json(t)), ctx.fuel
+
+
+def test_a_misaligned_builtin_result_is_a_domain_error():
+    """On another program's trees pick-hood can pick a neighbour's field,
+    whose domain is not the firing device's. Both evaluators raise
+    DomainError, an EvalError, and not an assertion, which python -O
+    would drop."""
+    stored = evaluate_main(parse_program("pick-hood(nbr{nbr{uid()}})"), 1, {}, SensorState())
+    prog = parse_program("pick-hood(nbr{uid()})")
+    for evaluate in (eval_expr, reference_eval_expr):
+        ctx = EvalContext(device=2, sensors=SensorState(), defs={})
+        with pytest.raises(DomainError, match="pick-hood produced a misaligned field"):
+            evaluate(ctx, {1: stored}, prog.main)
 
 
 class _Stop(Exception):

@@ -1,12 +1,16 @@
 """Network transitions: the delivery sweep, firing, decay, reboots, scenarios."""
 
 import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fieldcalc import network
 from fieldcalc.ast import mkfield, num
 from fieldcalc.builtins import SensorState
 from fieldcalc.device import leaf
@@ -24,6 +28,7 @@ from fieldcalc.network import (
     env_change,
     filter_old,
     fire,
+    heard,
     hearers,
     position_at,
     ranges_at,
@@ -32,6 +37,8 @@ from fieldcalc.network import (
     sweep,
 )
 from fieldcalc.parser import parse_program
+from generators import gen_world
+from helpers import reference_position_at, reference_sweep
 
 
 def static_sc(positions, radius, decay, fires, sensors=None, until=100):
@@ -70,19 +77,25 @@ def test_as_time():
 HERE = ((0.0, 0.0),)
 
 
+def stored(world, payload, tag):
+    return Stored(payload, tag, world.tick(tag))
+
+
 def test_filter_old_boundaries():
     sc = static_sc({1: (0, 0), 2: (1, 0), 3: (2, 0)}, radius=5, decay=10, fires=[])
 
-    def inbox():
-        return {1: {2: Stored(leaf(num(0)), F(0)), 3: Stored(leaf(num(1)), F(5))},
+    def inbox(w):
+        return {1: {2: stored(w, leaf(num(0)), F(0)), 3: stored(w, leaf(num(1)), F(5))},
                 2: {}, 3: {}}
 
-    assert set(filter_old(World(sc), inbox(), 1, F(10))) == {2, 3}  # tag == now - decay survives
-    box = inbox()
-    assert set(filter_old(World(replace(sc, decay=F(5))), box, 1, F(10))) == {3}
+    w = World(sc).at(F(10))
+    assert set(filter_old(w, inbox(w), 1)) == {2, 3}  # tag == now - decay survives
+    w = World(replace(sc, decay=F(5))).at(F(10))
+    box = inbox(w)
+    assert set(filter_old(w, box, 1)) == {3}
     assert set(box[1]) == {3}  # the cut is for good
-    out = filter_old(World(replace(sc, decay=F(0))), inbox(), 1, F(5))
-    assert set(out) == {3}  # decay 0 keeps only trees tagged now
+    w = World(replace(sc, decay=F(0))).at(F(5))
+    assert set(filter_old(w, inbox(w), 1)) == {3}  # decay 0 keeps only trees tagged now
 
 
 def test_filter_old_cuts_at_the_last_reboot():
@@ -94,8 +107,9 @@ def test_filter_old_cuts_at_the_last_reboot():
                2: (PathSeg(F(0), F(9), HERE),)},
         fires=(),
     )
-    box = {1: {1: Stored(leaf(num(0)), F(2)), 2: Stored(leaf(num(1)), F(4))}, 2: {}}
-    assert set(filter_old(World(sc), box, 1, F(5))) == {2}
+    w = World(sc).at(F(5))
+    box = {1: {1: stored(w, leaf(num(0)), F(2)), 2: stored(w, leaf(num(1)), F(4))}, 2: {}}
+    assert set(filter_old(w, box, 1)) == {2}
 
 
 def test_env_change_add_remove_retain():
@@ -113,24 +127,29 @@ def test_env_change_add_remove_retain():
         fires=(),
     )
     w = World(sc)
-    assert w.on[1] == ((F(0), F(12)),)
-    assert env_change(w, 1, F(5)) == env_change(w, 1, F(11)) == 0
-    assert env_change(w, 2, F(2)) == 0
-    assert env_change(w, 2, F(4)) == env_change(w, 2, F(7)) == 4
-    assert env_change(w, 3, F(3)) == 3
+
+    def change(d, t):
+        return env_change(w.at(F(t)), d)
+
+    assert w.on[1] == ((w.tick(F(0)), w.tick(F(12))),)
+    assert change(1, 5) == change(1, 11) == w.tick(F(0))
+    assert change(2, 2) == w.tick(F(0))
+    assert change(2, 4) == change(2, 7) == w.tick(F(4))
+    assert change(3, 3) == w.tick(F(3))
 
 
 def test_env_change_validates_well_formedness():
     # a device may fire only while it is on
+    off = [(1, F(1, 2)), (1, F(3)), (1, F(7)), (2, F(1)), (9, F(1))]
     sc = Scenario(
         devices=(1, 2), radius=10, decay=F(100),
         paths={1: (PathSeg(F(1), F(2), HERE), PathSeg(F(4), F(6), HERE))},
-        fires=(),
+        fires=tuple((t, d) for d, t in off),
     )
     w = World(sc)
-    for d, t in [(1, F(1, 2)), (1, F(3)), (1, F(7)), (2, F(1)), (9, F(1))]:
+    for d, t in off:
         with pytest.raises(ScenarioError, match="not in the network"):
-            env_change(w, d, t)
+            env_change(w.at(t), d)
 
 
 def test_fire_requires_known_device():
@@ -153,14 +172,15 @@ def test_fire_broadcast_includes_self():
     prog = parse_program("rep(0){(x) => x + 1}")
     sc = static_sc({1: (0, 0), 2: (9, 0)}, radius=1, decay=10,
                    fires=[(0, 1), (1, 1), (2, 1)])
-    assert hearers(World(sc), 1, F(0)) == [1]
+    assert hearers(World(sc).at(F(0)), 1) == [1]
     assert run_scenario(sc, prog).roots() == [num(1), num(2), num(3)]
 
 
 def test_env_at_ranges_over_fresh_senders_only():
     sc = static_sc({1: (0, 0), 2: (3, 0), 3: (0, 4)}, radius=10, decay=10, fires=[])
-    inbox = {1: {2: Stored(leaf(num(0)), F(1))}, 2: {}, 3: {}}
-    fresh, sensors = env_at(World(sc), inbox, 1, F(2))
+    w = World(sc).at(F(2))
+    inbox = {1: {2: stored(w, leaf(num(0)), F(1))}, 2: {}, 3: {}}
+    fresh, sensors = env_at(w, inbox, 1)
     assert set(fresh) == {2}
     assert sensors.nbr["nbr-range"] == {1: 0.0, 2: 3.0}
 
@@ -205,18 +225,19 @@ def test_position_interpolation_and_clamping():
         paths={1: (PathSeg(F(0), F(10), ((0.0, 0.0), (10.0, 0.0))),)},
         fires=(),
     )
-    assert position_at(sc, 1, F(5)) == (5.0, 0.0)
-    assert position_at(sc, 1, F(11)) is None
-    assert clamped_position_at(sc, 1, F(11)) == (10.0, 0.0)
-    assert clamped_position_at(sc, 1, F(-1)) == (0.0, 0.0)
+    w = World(sc)
+    assert position_at(w, 1, w.tick(F(5))) == (5.0, 0.0)
+    assert position_at(w, 1, w.tick(F(11))) is None
+    assert clamped_position_at(w.at(F(11)), 1) == (10.0, 0.0)
+    assert clamped_position_at(w.at(F(-1)), 1) == (0.0, 0.0)
 
 
 def test_topology_distance_boundary():
     sc = static_sc({1: (0, 0), 2: (5, 0), 3: (11, 0)}, radius=5, decay=1, fires=[])
-    w = World(sc)
-    assert hearers(w, 1, F(0)) == [1, 2]  # distance 5 == radius counts
-    assert hearers(w, 2, F(0)) == [1, 2]  # distance 6 does not
-    assert hearers(w, 3, F(0)) == [3]
+    w = World(sc).at(F(0))
+    assert hearers(w, 1) == [1, 2]  # distance 5 == radius counts
+    assert hearers(w, 2) == [1, 2]  # distance 6 does not
+    assert hearers(w, 3) == [3]
 
 
 def test_topology_excludes_inactive_devices():
@@ -229,8 +250,8 @@ def test_topology_excludes_inactive_devices():
         fires=(),
     )
     w = World(sc)
-    assert hearers(w, 1, F(1)) == [1, 2]
-    assert hearers(w, 1, F(3)) == [1]
+    assert hearers(w.at(F(1)), 1) == [1, 2]
+    assert hearers(w.at(F(3)), 1) == [1]
 
 
 def test_ranges_use_clamped_positions():
@@ -242,7 +263,7 @@ def test_ranges_use_clamped_positions():
         },
         fires=(),
     )
-    r = ranges_at(sc, 1, F(5))
+    r = ranges_at(World(sc).at(F(5)), 1, (1, 2))
     assert r[1] == 0
     assert r[2] == 5  # device 2 parked at its last position
 
@@ -305,24 +326,25 @@ def test_abutting_segments_keep_stored_context():
     assert counter_on((0, 5), ("11/2", 10)) == [num(1), num(1)]
 
 
-def _grid_position_queries(monkeypatch, build, side, rounds=2):
-    """position_at calls per fire when ``build`` runs a static side x side
-    grid for the given number of rounds."""
-    import fieldcalc.network as network
+def _grid_queries_per_fire(monkeypatch, build, side, rounds=2):
+    """(position_at calls, distance checks) per fire when ``build`` runs a
+    static side x side grid for the given number of rounds."""
+    calls = {"position_at": 0, "dist": 0}
 
-    calls = [0]
-    original = network.position_at
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
-
-    monkeypatch.setattr(network, "position_at", counted)
+    monkeypatch.setattr(network, "position_at", counting("position_at", network.position_at))
+    monkeypatch.setattr(math, "dist", counting("dist", math.dist))
     n = side * side
     sc = static_sc({i: (i % side, i // side) for i in range(n)}, radius=1.5,
                    decay=100, fires=[(F(k, n), k % n) for k in range(rounds * n)])
     build(sc)
-    return calls[0] / len(sc.fires)
+    monkeypatch.undo()
+    return calls["position_at"] / len(sc.fires), calls["dist"] / len(sc.fires)
 
 
 @pytest.mark.parametrize("build", ["run", "dag"])
@@ -332,12 +354,91 @@ def test_position_queries_per_fire_grow_linearly(monkeypatch, build):
     prog = parse_program("min-hood(nbr-range())")
     fn = {"run": lambda sc: run_scenario(sc, prog),
           "dag": build_dag_from_scenario}[build]
-    small = _grid_position_queries(monkeypatch, fn, 4)
-    assert small > 0
+    small = _grid_queries_per_fire(monkeypatch, fn, 4)
+    assert min(small) > 0
     # 4x the devices: a whole-network refresh per fire gives a ratio of ~16
-    assert _grid_position_queries(monkeypatch, fn, 8) / small < 6
+    # and an all-pairs scan ~4; the radius grid keeps both counts flat
+    big = _grid_queries_per_fire(monkeypatch, fn, 8)
+    assert all(b / s < 1.5 for b, s in zip(big, small)), (big, small)
     # 4x the rounds: an all-pairs scan over fires gives ~4
-    assert _grid_position_queries(monkeypatch, fn, 4, rounds=8) / small < 1.5
+    long = _grid_queries_per_fire(monkeypatch, fn, 4, rounds=8)
+    assert all(b / s < 1.5 for b, s in zip(long, small)), (long, small)
+
+
+def _sweep_answers(sc) -> list:
+    """(t, device, hearers, fresh (sender, tag) pairs, nbr-range) of each
+    fire of the delivery sweep."""
+    out = []
+
+    def step(t, d, fresh, sensors):
+        out.append([t, d, None, heard(fresh), sensors.nbr["nbr-range"]])
+
+    def recording(world, d):
+        out[-1][2] = hearers(world, d)
+        return out[-1][2]
+
+    with mock.patch.object(network, "hearers", recording):
+        sweep(sc, step)
+    return [tuple(r) for r in out]
+
+
+def _exact(answers) -> list:
+    """The answers with each range as the hex of its float, in order."""
+    return [(t, d, hear, pairs, [(k, v.hex()) for k, v in ranges.items()])
+            for t, d, hear, pairs, ranges in answers]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_world_answers_as_the_all_pairs_scan(seed):
+    """At every fire, the World's grid, per-instant positions and integer
+    ticks give the all-pairs scan on exact rationals: the same hearers in
+    the same order, the same fresh (sender, tag) pairs and the same
+    nbr-range floats, bit for bit."""
+    sc = gen_world(random.Random(seed))
+    assert _exact(_sweep_answers(sc)) == _exact(reference_sweep(sc))
+
+
+def test_world_generator_reaches_its_corner_cases():
+    seen = dict.fromkeys(["radius 0", "radius inf", "grid", "20+ devices", "negative",
+                          "at radius across a border", "overlap at a shared instant",
+                          "jumping waypoint", "ticks of 1/210"], 0)
+    for seed in range(200):
+        sc = gen_world(random.Random(seed))
+        w = World(sc)
+        seen["radius 0"] += sc.radius == 0
+        seen["radius inf"] += sc.radius == math.inf
+        seen["grid"] += len(w.cells) > 1
+        seen["20+ devices"] += len(sc.devices) >= 20
+        seen["ticks of 1/210"] += w.scale % 210 == 0
+        spots = {d: segs[0].waypoints[0] for d, segs in sc.paths.items()
+                 if len({p for s in segs for p in s.waypoints}) == 1}
+        seen["negative"] += any(min(p) < 0 for p in spots.values())
+        seen["at radius across a border"] += bool(w.cells) and any(
+            math.dist(p, q) == sc.radius and w.cell(p) != w.cell(q)
+            for p in spots.values() for q in spots.values())
+        seen["jumping waypoint"] += any(
+            len(segs) > 1 and len({s.waypoints for s in segs}) > 1
+            and all(len(s.waypoints) == 1 for s in segs) for segs in sc.paths.values())
+        seen["overlap at a shared instant"] += any(
+            a.start < b.end and b.start < a.end and any(
+                a.start <= t <= a.end and b.start <= t <= b.end for t, _ in sc.fires)
+            for segs in sc.paths.values() for a, b in zip(segs, segs[1:]))
+    assert min(seen.values()) >= 10, seen
+
+
+def test_world_ticks_are_exact_on_co_prime_denominators():
+    sc = Scenario(
+        devices=(1,), radius=1, decay=F(1, 3),
+        paths={1: (PathSeg(F(0), F(1, 7), ((0.0, 0.0), (1.0, 0.5), (0.3, -2.0))),)},
+        fires=((F(1, 10), 1),),
+    )
+    w = World(sc)
+    assert w.scale == 210 and w.decay == 70 and w.tick(F(1, 10)) == 21
+    # the same float as interpolating on the exact rationals
+    assert position_at(w, 1, 21) == reference_position_at(sc, 1, F(1, 10))
+    with pytest.raises(ValueError, match="ticks"):
+        w.tick(F(1, 11))
 
 
 def test_nbr_range_from_paths():
@@ -419,7 +520,8 @@ def test_scenario_from_json_round():
     assert sc.devices == (1, 2)
     assert sc.decay == F(10)
     assert sc.fires == ((F(0), 1), (F(1, 2), 2))
-    assert position_at(sc, 2, F(1)) == (3.0, 4.0)
+    w = World(sc)
+    assert position_at(w, 2, w.tick(F(1))) == (3.0, 4.0)
     assert sc.sensor_scripts[1]["sns-num"] == ((None, num(4)),)
 
 
