@@ -14,8 +14,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
-DeviceId = int
-
 # numeric constructors are canonicalised floats: -0.0 folds into 0.0 and all
 # NaNs are the one positive quiet NaN, so structural equality can be a real
 # equivalence relation with a consistent hash
@@ -143,24 +141,15 @@ class FieldVal:
     """Neighbouring field value phi: a finite map from device ids to local
     values. Runtime-only; the parser rejects it in source programs."""
 
-    entries: tuple  # ((DeviceId, LocalValue), ...) sorted by device id
+    entries: tuple  # ((device id, local value), ...) sorted by device id
     span: Optional[Span] = _span_field()
 
     def __post_init__(self):
         ent = tuple(sorted(self.entries, key=lambda kv: kv[0]))
         object.__setattr__(self, "entries", ent)
 
-    def mapping(self) -> dict:
-        return dict(self.entries)
-
     def domain(self) -> frozenset:
         return frozenset(d for d, _ in self.entries)
-
-    def get(self, d: DeviceId):
-        for dd, v in self.entries:
-            if dd == d:
-                return v
-        raise KeyError(d)
 
     def __eq__(self, other):
         if not isinstance(other, FieldVal):
@@ -171,7 +160,8 @@ class FieldVal:
         return hash((FieldVal, self.entries))
 
 
-Expr = Union[Var, Builtin, DefName, Data, Lambda, Apply, Rep, Nbr, FieldVal]
+# a tuple, not a typing.Union: typing's cache would pin re-imported classes
+Expr = (Var, Builtin, DefName, Data, Lambda, Apply, Rep, Nbr, FieldVal)
 
 
 @dataclass(frozen=True)
@@ -193,7 +183,6 @@ class Program:
 
 TRUE = Data("True")
 FALSE = Data("False")
-NULL = Data("Null")
 
 
 def num(x: float) -> Data:

@@ -6,7 +6,8 @@ The table makes three families of names available:
     the typer and evaluator directly, with schemes looked up here;
   - pure operators and the *-hood aggregators;
   - sensors (sns-*, nbr-range, uid), whose results come from the
-    SensorState threaded through OpContext.
+    SensorState of the evaluator's context (device.EvalContext), in
+    which every operator runs.
 
 Decorated names like +[f,f] or mux[f,f,l] are derived mechanically:
 arguments flagged f and the result are promoted to neighbouring-field
@@ -81,8 +82,8 @@ def value_equal(a: Expr, b: Expr) -> bool:
     if isinstance(a, FieldVal) and isinstance(b, FieldVal):
         if a.domain() != b.domain():
             return False
-        bm = b.mapping()
-        return all(value_equal(v, bm[d]) for d, v in a.entries)
+        # same domain, and entries sorted by device: they pair up by position
+        return all(value_equal(v, w) for (_, v), (_, w) in zip(a.entries, b.entries))
     if isinstance(a, (Lambda, Builtin, DefName)) and isinstance(b, (Lambda, Builtin, DefName)):
         return a == b  # syntactic identity, spans ignored
     return False
@@ -130,7 +131,7 @@ def _min_value(values):
 
 
 # ---------------------------------------------------------------------------
-# evaluation context
+# sensor state
 
 @dataclass(frozen=True)
 class SensorState:
@@ -142,19 +143,6 @@ class SensorState:
 
     local: dict = dc_field(default_factory=dict)
     nbr: dict = dc_field(default_factory=dict)
-
-
-@dataclass
-class OpContext:
-    device: int
-    env_domain: frozenset
-    sensors: SensorState
-    call: Optional[Callable] = None  # apply a function value w.r.t. empty env
-    rng: object = None  # random.Random for seeded pick-hood, else least-id
-
-    @property
-    def domain(self) -> frozenset:
-        return self.env_domain | {self.device}
 
 
 def _need_num(v: Expr, who: str) -> float:
@@ -184,6 +172,10 @@ def _need_fun(v: Expr, who: str) -> Expr:
 
 # ---------------------------------------------------------------------------
 # operator implementations
+#
+# op(ctx, args): a builtin reached through ctx.call sets ctx.domain anew, so
+# every op reads ctx.domain before it calls a function. TABLE.eval checked
+# each field argument's domain is ctx.domain: entry i is the i-th device.
 
 def _num_op(name: str, f: Callable):
     def op(ctx, args):
@@ -258,19 +250,15 @@ def op_pick_hood(ctx, args):
 def op_map_hood(ctx, args):
     f = _need_fun(args[0], "map-hood")
     fields = [_need_field(a, "map-hood") for a in args[1:]]
-    if ctx.call is None:
-        raise EvalError("map-hood needs a function applier")
     out = []
-    for d in sorted(ctx.domain):
-        out.append((d, ctx.call(f, [phi.get(d) for phi in fields])))
+    for i, d in enumerate(sorted(ctx.domain)):
+        out.append((d, ctx.call(f, [phi.entries[i][1] for phi in fields])))
     return mkfield(out)
 
 
 def op_fold_hood(ctx, args):
     f = _need_fun(args[0], "fold-hood")
     phi = _need_field(args[1], "fold-hood")
-    if ctx.call is None:
-        raise EvalError("fold-hood needs a function applier")
     vals = [v for _, v in phi.entries]  # ascending device id
     acc = vals[0]
     for v in vals[1:]:
@@ -400,16 +388,16 @@ class BuiltinTable:
 
         def op(ctx, args, _flags=tuple(flags), _op=base_op):
             out = []
-            for d in sorted(ctx.domain):
+            for i, d in enumerate(sorted(ctx.domain)):
                 point_args = [
-                    a.get(d) if flag == "f" else a for a, flag in zip(args, _flags)
+                    a.entries[i][1] if flag == "f" else a for a, flag in zip(args, _flags)
                 ]
                 out.append((d, _op(ctx, point_args)))
             return mkfield(out)
 
         return BuiltinEntry(name, scheme, op)
 
-    def eval(self, name: str, ctx: OpContext, args) -> Expr:
+    def eval(self, name: str, ctx, args) -> Expr:
         call = self._calls.get(name)
         if call is None:  # name is resolved on its first call only
             e = self.entry(name)

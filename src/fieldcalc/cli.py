@@ -38,15 +38,8 @@ class CliError(Exception):
         self.msg = msg
 
 
-def _color() -> bool:
-    return os.environ.get("FIELDC_COLOR", "").lower() not in (
-        "", "0", "false", "no", "never",
-    )
-
-
 def _diag(msg: str) -> None:
-    prefix = "\x1b[31merror:\x1b[0m" if _color() else "error:"
-    print(f"{prefix} {msg}", file=sys.stderr)
+    print(f"error: {msg}", file=sys.stderr)
 
 
 def _read(path: str) -> str:

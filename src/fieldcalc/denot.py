@@ -358,7 +358,8 @@ class _Denot:
     Fuel pays for the nodes of each body once per scope it opens, so it
     bounds the nesting of clusters (unbounded recursion), not |E|;
     builtins that call functions spend it as the device evaluator does.
-    It is kept in one EvalContext, which builtins run in at each event."""
+    It is kept in one EvalContext, which builtins run in: eval moves it to
+    each event's device and sensors."""
 
     def __init__(self, g, defs, fuel):
         self.g = g
@@ -387,10 +388,11 @@ class _Denot:
         S.pi = frozenset(nbrs).union((ev.device,))
 
     def eval(self, E, X, e) -> dict:
-        root = self.scope((), e)
+        root, ctx = self.scope((), e), self.ctx
         out = {}
         for ev in self.g.causal_order():
             if ev in E:
+                ctx.device, ctx.sensors = ev.device, self.g.sensors.get(ev.id) or SensorState()
                 self.enter(root, ev)
                 out[ev] = self.eval_at(root, {n: phi[ev] for n, phi in X.items()}, e, ev)
         return out
@@ -403,7 +405,7 @@ class _Denot:
             f = self.eval_at(S, X, e.fn, ev)
             avs = [self.eval_at(S, X, a, ev) for a in e.args]
             if isinstance(f, Builtin):
-                return self.apply_builtin(f.name, S, ev, avs)
+                return call_builtin(self.ctx, f.name, S.pi, avs)
             C = S.children.get((id(e), f))
             if C is None:
                 C = S.children[id(e), f] = self.scope(*fun_parts(self.ctx.defs, f, len(avs)))
@@ -442,11 +444,6 @@ class _Denot:
             return e
         raise DenotError(f"cannot interpret {e!r}")
 
-    def apply_builtin(self, name: str, S: _Scope, ev: Event, avs) -> Expr:
-        ctx = self.ctx
-        ctx.device, ctx.sensors = ev.device, self.g.sensors.get(ev.id) or SensorState()
-        return call_builtin(ctx, name, frozenset(S.nbrs), avs)
-
 
 def denot_eval(g: EventDAG, E, X: dict, e: Expr, defs=None,
                fuel: int = DEFAULT_FUEL) -> dict:
@@ -454,11 +451,9 @@ def denot_eval(g: EventDAG, E, X: dict, e: Expr, defs=None,
     return _Denot(g, defs, fuel).eval(frozenset(E), X, e)
 
 
-def denot_program(g: EventDAG, program: Program, E=None,
-                  fuel: int = DEFAULT_FUEL) -> dict:
+def denot_program(g: EventDAG, program: Program, fuel: int = DEFAULT_FUEL) -> dict:
     defs = {d.name: d for d in program.defs}
-    events = frozenset(g.events if E is None else E)
-    return denot_eval(g, events, {}, program.main, defs, fuel)
+    return denot_eval(g, g.events, {}, program.main, defs, fuel)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ structure; neighbours evaluate their own subexpressions against the
 matching subtrees, which is what aligns nbr/rep state across devices.
 
 Every rule charges one unit of fuel, so non-terminating recursion
-surfaces as FuelExhausted instead of hanging the simulator.
+surfaces as FuelExhausted instead of hanging the simulator. Builtins run
+in the evaluator's own EvalContext.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .ast import (
     restrict_value,
     substitute,
 )
-from .builtins import TABLE, EvalError, OpContext, SensorState
+from .builtins import TABLE, EvalError, SensorState
 from .parser import pretty, show_num
 
 
@@ -86,7 +87,7 @@ def subtree_fun(t: ValueTree, f: Expr) -> Optional[ValueTree]:
     return None
 
 
-# value-tree environments are plain dicts DeviceId -> ValueTree
+# value-tree environments are plain dicts device id -> ValueTree
 
 def align_i(env: dict, i: int) -> dict:
     """The i-th subtree (1-based) of each tree that has one."""
@@ -107,16 +108,24 @@ def align_fun(env: dict, f: Expr) -> dict:
 
 @dataclass
 class EvalContext:
+    """What evaluation at a device reads; builtins run in it, with domain
+    (the aligned neighbours plus the device) set by call_builtin."""
+
     device: int
     sensors: SensorState = dc_field(default_factory=SensorState)
     defs: dict = dc_field(default_factory=dict)  # name -> Def
     fuel: int = DEFAULT_FUEL
-    rng: object = None
+    rng: object = None  # random.Random for seeded pick-hood, else least id
+    domain: frozenset = frozenset()
 
     def tick(self):
         if self.fuel <= 0:
             raise FuelExhausted(f"evaluation fuel exhausted at device {self.device}")
         self.fuel -= 1
+
+    def call(self, f: Expr, args) -> Expr:
+        """f applied to args against the empty environment (map-hood, fold-hood)."""
+        return eval_expr(self, {}, Apply(f, tuple(args))).root
 
 
 def fun_parts(defs: dict, f: Expr, nargs: int):
@@ -161,7 +170,7 @@ def eval_expr(ctx: EvalContext, env: dict, e: Expr, X=NO_VARS) -> ValueTree:
         ft = eval_expr(ctx, align_i(env, len(args) + 1), e.fn, X)
         f = ft.root
         if isinstance(f, Builtin):
-            v = call_builtin(ctx, f.name, frozenset(env), [k.root for k in kids])
+            v = call_builtin(ctx, f.name, env.keys() | {ctx.device}, [k.root for k in kids])
             return ValueTree(v, (*kids, ft))
         params, body = fun_parts(ctx.defs, f, len(kids))
         bt = eval_expr(ctx, align_fun(env, f), body, dict(zip(params, (k.root for k in kids))))
@@ -206,25 +215,12 @@ def eval_expr(ctx: EvalContext, env: dict, e: Expr, X=NO_VARS) -> ValueTree:
     raise EvalError(f"cannot evaluate {e!r}")
 
 
-def call_builtin(ctx: EvalContext, name: str, env_domain: frozenset, args) -> Expr:
-    """Apply builtin name at ctx's device, whose aligned neighbours are
-    env_domain; the functions it calls (map-hood, fold-hood) spend ctx's
-    fuel. Both evaluators call builtins here."""
-    opctx = OpContext(
-        device=ctx.device,
-        env_domain=env_domain,
-        sensors=ctx.sensors,
-        call=lambda g, vs: apply_function(ctx, g, vs),
-        rng=ctx.rng,
-    )
-    return TABLE.eval(name, opctx, args)
-
-
-def apply_function(ctx: EvalContext, f: Expr, args) -> Expr:
-    """Apply a function value to argument values w.r.t. the empty
-    environment (the map-hood/fold-hood convention)."""
-    t = eval_expr(ctx, {}, Apply(f, tuple(args)))
-    return t.root
+def call_builtin(ctx: EvalContext, name: str, domain, args) -> Expr:
+    """Apply builtin name in ctx, at ctx's device, whose aligned neighbours
+    plus itself are domain; the functions it calls (map-hood, fold-hood)
+    spend ctx's fuel. Both evaluators call builtins here."""
+    ctx.domain = domain
+    return TABLE.eval(name, ctx, args)
 
 
 def evaluate_main(program: Program, device: int, env: dict,

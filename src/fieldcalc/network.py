@@ -89,10 +89,10 @@ class Scenario:
     devices: tuple
     radius: float
     decay: Timestamp
-    paths: dict  # DeviceId -> tuple of PathSeg
-    fires: tuple  # of (Timestamp, DeviceId), strictly increasing times
+    paths: dict  # device id -> tuple of PathSeg
+    fires: tuple  # of (Timestamp, device id), strictly increasing times
     sensor_scripts: dict = dc_field(default_factory=dict)
-    # DeviceId -> {sensor name -> tuple of (start time or None, value)}
+    # device id -> {sensor name -> tuple of (start time or None, value)}
 
     def __post_init__(self):
         # the one check of radius and decay, which may arrive raw from a

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 from .ast import (
     Apply,
@@ -96,7 +96,7 @@ class TVar:
     vid: int
 
 
-Type = Union[Base, TCon, FieldT, Arrow, TVar]
+Type = (Base, TCon, FieldT, Arrow, TVar)  # a tuple: see ast.Expr
 
 NUM = Base("num")
 BOOL = Base("bool")
@@ -368,13 +368,13 @@ class Typer:
 # ---------------------------------------------------------------------------
 # program-level checking
 
-def typecheck_program(p: Program, typer: Optional[Typer] = None):
+def typecheck_program(p: Program):
     """Infer schemes for every declaration and the main expression's type.
 
     Returns (main type, {name: Scheme}, typer). [T-PROGRAM] requires the
     main expression's type to be local.
     """
-    ty = typer or Typer()
+    ty = Typer()
     schemes: dict = {}
     for d in p.defs:
         pvars = {x: ty.fresh(Sort.T) for x in d.params}
@@ -399,9 +399,9 @@ def principal_scheme(p: Program, main_type: Type, schemes: dict) -> Scheme:
     return Scheme((), main_type)
 
 
-def typecheck_expr(e: Expr, typer: Optional[Typer] = None) -> Type:
+def typecheck_expr(e: Expr) -> Type:
     """Type a bare expression with no declarations in scope."""
-    ty = typer or Typer()
+    ty = Typer()
     t = ty.infer(e, {}, {})
     return ty.deep_resolve(t)
 

@@ -34,7 +34,7 @@ from fieldcalc.ast import (
     restrict_value,
     substitute,
 )
-from fieldcalc.builtins import TABLE, EvalError, OpContext, SensorState
+from fieldcalc.builtins import TABLE, EvalError, SensorState
 from fieldcalc.denot import (
     DenotError,
     Event,
@@ -53,7 +53,6 @@ from fieldcalc.device import (
     ValueTree,
     align_fun,
     align_i,
-    apply_function,
     fun_parts,
     leaf,
 )
@@ -351,10 +350,9 @@ def reference_eval_expr(ctx: EvalContext, env: dict, e) -> ValueTree:
             ft = reference_eval_expr(ctx, align_i(env, len(args) + 1), fe)
             f = ft.root
             if isinstance(f, Builtin):
-                opctx = OpContext(
-                    device=ctx.device, env_domain=frozenset(env), sensors=ctx.sensors,
-                    call=lambda g, vs: reference_eval_expr(ctx, {}, Apply(g, tuple(vs))).root,
-                    rng=ctx.rng)
+                opctx = EvalContext(device=ctx.device, sensors=ctx.sensors, rng=ctx.rng,
+                                    domain=env.keys() | {ctx.device})
+                opctx.call = lambda g, vs: reference_eval_expr(ctx, {}, Apply(g, tuple(vs))).root
                 v = TABLE.eval(f.name, opctx, [k.root for k in kids])
                 return ValueTree(v, (*kids, ft))
             params, body = fun_parts(ctx.defs, f, len(kids))
@@ -471,14 +469,12 @@ class _FixpointDenot:
     def apply_builtin(self, name, E, aevs) -> dict:
         out = {}
         for ev in E:
-            pi = nbr_devices(self.g, E, ev)
-            ctx = OpContext(
+            ctx = EvalContext(
                 device=ev.device,
-                env_domain=pi - {ev.device},
                 sensors=self.g.sensors.get(ev.id) or SensorState(),
-                call=lambda fn, vs, ev=ev: self.device_call(ev, fn, vs),
-                rng=None,
+                domain=nbr_devices(self.g, E, ev),
             )
+            ctx.call = lambda fn, vs, ev=ev: self.device_call(ev, fn, vs)
             out[ev] = TABLE.eval(name, ctx, [av[ev] for av in aevs])
         return out
 
@@ -505,7 +501,7 @@ class _FixpointDenot:
             fuel=self.fuel,
         )
         try:
-            return apply_function(ctx, fn, vals)
+            return ctx.call(fn, vals)
         finally:
             self.fuel = ctx.fuel
 

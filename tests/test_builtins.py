@@ -22,12 +22,12 @@ from fieldcalc.builtins import (
     DomainError,
     EvalError,
     SensorError,
-    OpContext,
     SensorState,
     cmp_values,
     ctor_scheme,
     value_equal,
 )
+from fieldcalc.device import EvalContext
 from fieldcalc.typer import parse_scheme, scheme_eq
 
 NOSENSE = SensorState()
@@ -40,8 +40,10 @@ def fld(m):
 
 
 def ev(name, args, device=1, env_domain=(), sensors=NOSENSE, call=None, rng=None):
-    ctx = OpContext(device=device, env_domain=frozenset(env_domain), sensors=sensors,
-                    call=call, rng=rng)
+    ctx = EvalContext(device=device, sensors=sensors, rng=rng,
+                      domain=frozenset(env_domain) | {device})
+    if call is not None:
+        ctx.call = call
     return TABLE.eval(name, ctx, args)
 
 

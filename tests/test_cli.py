@@ -331,17 +331,6 @@ def test_help_exits_zero(capsys):
     assert "typecheck" in capsys.readouterr().out
 
 
-def test_color_toggle(tmp_path, capsys, monkeypatch):
-    p = tmp_path / "bad.hfc"
-    p.write_text("nbr{nbr{1}}\n")
-    monkeypatch.setenv("FIELDC_COLOR", "1")
-    main(["typecheck", str(p)])
-    assert "\x1b[31m" in capsys.readouterr().err
-    monkeypatch.setenv("FIELDC_COLOR", "0")
-    main(["typecheck", str(p)])
-    assert "\x1b[" not in capsys.readouterr().err
-
-
 def _without(record, key):
     return {k: v for k, v in record.items() if k != key}
 

@@ -19,7 +19,6 @@ from fieldcalc.device import (
     ValueTree,
     align_fun,
     align_i,
-    apply_function,
     dumps,
     eval_expr,
     evaluate_main,
@@ -301,7 +300,7 @@ def test_field_literal_is_restricted_before_builtins_see_it():
 def test_apply_function_runs_against_empty_env():
     ctx = EvalContext(device=1)
     f = parse_expr("(x) => x + 1")
-    assert apply_function(ctx, f, [num(41)]) == num(42)
+    assert ctx.call(f, [num(41)]) == num(42)
 
 
 def test_map_hood_uses_device_call():

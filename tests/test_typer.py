@@ -184,23 +184,21 @@ def test_instantiate_pair_scheme():
 # expression inference
 
 def expr_type(src):
-    ty = Typer()
-    t = typecheck_expr(parse_expr(src), ty)
-    return t, ty
+    return typecheck_expr(parse_expr(src))
 
 
 def test_basic_expressions():
-    assert expr_type("3")[0] == NUM
-    assert expr_type("True")[0] == BOOL
-    assert expr_type("nbr{0}")[0] == FieldT(NUM)
-    assert expr_type("uid()")[0] == NUM
-    assert expr_type("nbr-range()")[0] == FieldT(NUM)
-    assert expr_type("rep(0){(x) => x + 1}")[0] == NUM
-    assert expr_type("mux(True, 1, 0)")[0] == NUM
-    assert expr_type("min-hood(nbr{0})")[0] == NUM
-    assert expr_type("nbr{0} +[f,f] nbr{1}")[0] == FieldT(NUM)
-    assert expr_type("Pair(uid(), 0)")[0] == TCon("pair", (NUM, NUM))
-    assert expr_type("Cons(1, Null)")[0] == TCon("list", (NUM,))
+    assert expr_type("3") == NUM
+    assert expr_type("True") == BOOL
+    assert expr_type("nbr{0}") == FieldT(NUM)
+    assert expr_type("uid()") == NUM
+    assert expr_type("nbr-range()") == FieldT(NUM)
+    assert expr_type("rep(0){(x) => x + 1}") == NUM
+    assert expr_type("mux(True, 1, 0)") == NUM
+    assert expr_type("min-hood(nbr{0})") == NUM
+    assert expr_type("nbr{0} +[f,f] nbr{1}") == FieldT(NUM)
+    assert expr_type("Pair(uid(), 0)") == TCon("pair", (NUM, NUM))
+    assert expr_type("Cons(1, Null)") == TCon("list", (NUM,))
 
 
 def test_nbr_of_nbr_is_rejected():
@@ -213,12 +211,12 @@ def test_mux_is_local_only():
     # the field variant is spelled mux[f,f,l]; plain mux takes locals
     with pytest.raises(TypecheckError):
         expr_type("mux(True, nbr{0}, nbr{1})")
-    t, _ = expr_type("mux[f,f,l](nbr{True}, nbr{1}, 0)")
+    t = expr_type("mux[f,f,l](nbr{True}, nbr{1}, 0)")
     assert t == FieldT(NUM)
 
 
 def test_identity_lambda_applied():
-    t, _ = expr_type("((x) => x)(3)")
+    t = expr_type("((x) => x)(3)")
     assert t == NUM
 
 
@@ -235,7 +233,7 @@ E2_WRONG = "min-hood(rep(nbr{0}){(x) => x +[f,f] nbr{uid()}})"
 
 
 def test_e_safe_accepted_at_field_num():
-    t, _ = expr_type(E_SAFE)
+    t = expr_type(E_SAFE)
     assert t == FieldT(NUM)
 
 
@@ -414,8 +412,7 @@ def test_library_instances(library_schemes):
 
 
 def test_injection_expression_type():
-    ty = Typer()
-    _, schemes, _ = typecheck_program(parse_program(LIBRARY), ty)
+    _, schemes, ty = typecheck_program(parse_program(LIBRARY))
     e = parse_program(LIBRARY.rsplit("virtual-machine()", 1)[0] + INJECTION).main
     t = ty.deep_resolve(ty.infer(e, {}, schemes))
     assert show_type(t, sorts=ty.sorts) == "() -> num"
