@@ -136,28 +136,34 @@ class Nbr:
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class FieldVal:
     """Neighbouring field value phi: a finite map from device ids to local
-    values. Runtime-only; the parser rejects it in source programs."""
+    values, kept as its devices in strictly increasing order and the value
+    at each of them. Runtime-only; the parser rejects it in source programs.
 
-    entries: tuple  # ((device id, local value), ...) sorted by device id
+    The constructor trusts the order: every field is built over a domain
+    that is already sorted, so it is never sorted again."""
+
+    devs: tuple  # device ids, strictly increasing
+    vals: tuple  # vals[i] is the value at devs[i]
     span: Optional[Span] = _span_field()
 
-    def __post_init__(self):
-        ent = tuple(sorted(self.entries, key=lambda kv: kv[0]))
-        object.__setattr__(self, "entries", ent)
+    @property
+    def entries(self) -> tuple:
+        """((device id, local value), ...) in device order."""
+        return tuple(zip(self.devs, self.vals))
 
-    def domain(self) -> frozenset:
-        return frozenset(d for d, _ in self.entries)
+    def __repr__(self):  # the printed form diagnostics have always shown
+        return f"FieldVal(entries={self.entries!r})"
 
     def __eq__(self, other):
         if not isinstance(other, FieldVal):
             return NotImplemented
-        return self.entries == other.entries
+        return self.devs == other.devs and self.vals == other.vals
 
     def __hash__(self):
-        return hash((FieldVal, self.entries))
+        return hash((FieldVal, self.devs, self.vals))
 
 
 # a tuple, not a typing.Union: typing's cache would pin re-imported classes
@@ -186,7 +192,7 @@ FALSE = Data("False")
 
 
 def num(x: float) -> Data:
-    return Data(canon_num(x))
+    return Data(float(x))  # Data canonicalises its numeral
 
 
 def boolean(b: bool) -> Data:
@@ -205,10 +211,6 @@ def as_bool(v) -> bool:
     if not is_bool(v):
         raise ValueError(f"not a boolean value: {v!r}")
     return v.ctor == "True"
-
-
-def mkfield(mapping) -> FieldVal:
-    return FieldVal(tuple(mapping.items()) if isinstance(mapping, dict) else tuple(mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +305,7 @@ def is_local_value(e: Expr) -> bool:
 def is_value(e: Expr) -> bool:
     """v ::= ell | phi"""
     if isinstance(e, FieldVal):
-        return all(is_local_value(v) for _, v in e.entries)
+        return all(is_local_value(v) for v in e.vals)
     return is_local_value(e)
 
 
@@ -340,10 +342,14 @@ def subexpressions(e: Expr) -> Iterator[Expr]:
 
 
 def restrict_value(v: Expr, devs) -> Expr:
-    """v restricted to the devices devs if it is a neighbouring field."""
-    if isinstance(v, FieldVal):
-        return mkfield([(d, x) for d, x in v.entries if d in devs])
-    return v
+    """v restricted to the devices devs if it is a neighbouring field; a
+    field that keeps every device is returned as it is."""
+    if not isinstance(v, FieldVal):
+        return v
+    keep = [i for i, d in enumerate(v.devs) if d in devs]
+    if len(keep) == len(v.devs):
+        return v
+    return FieldVal(tuple([v.devs[i] for i in keep]), tuple([v.vals[i] for i in keep]))
 
 
 # ---------------------------------------------------------------------------

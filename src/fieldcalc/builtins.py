@@ -19,7 +19,11 @@ the listed ones for +[f,f], Pair[f,f], Pair[l,f], <[f,l], mux[f,f,l].
 Every field-valued argument of any builtin must have domain equal to
 the current environment's devices plus self; this is the side condition
 that makes domain alignment errors (mixing fields from differently
-aligned subcomputations) detectable at the point of combination.
+aligned subcomputations) detectable at the point of combination. The
+evaluator passes that domain as ctx.domain, a tuple of device ids in
+increasing order, and a field keeps its devices in the same order, so the
+condition is one tuple comparison per field, and a field operator builds
+its result position by position over ctx.domain without sorting.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 from typing import Callable, Optional
 
 from .ast import (
@@ -40,7 +45,6 @@ from .ast import (
     as_bool,
     boolean,
     is_num,
-    mkfield,
     num,
 )
 from .typer import Arrow, FieldT, Scheme, Sort, parse_scheme
@@ -80,10 +84,8 @@ def value_equal(a: Expr, b: Expr) -> bool:
             return False
         return all(value_equal(x, y) for x, y in zip(a.args, b.args))
     if isinstance(a, FieldVal) and isinstance(b, FieldVal):
-        if a.domain() != b.domain():
-            return False
-        # same domain, and entries sorted by device: they pair up by position
-        return all(value_equal(v, w) for (_, v), (_, w) in zip(a.entries, b.entries))
+        # same devices, both in increasing order: values pair up by position
+        return a.devs == b.devs and all(value_equal(v, w) for v, w in zip(a.vals, b.vals))
     if isinstance(a, (Lambda, Builtin, DefName)) and isinstance(b, (Lambda, Builtin, DefName)):
         return a == b  # syntactic identity, spans ignored
     return False
@@ -175,7 +177,7 @@ def _need_fun(v: Expr, who: str) -> Expr:
 #
 # op(ctx, args): a builtin reached through ctx.call sets ctx.domain anew, so
 # every op reads ctx.domain before it calls a function. TABLE.eval checked
-# each field argument's domain is ctx.domain: entry i is the i-th device.
+# each field argument's devices are ctx.domain: value i is at the i-th device.
 
 def _num_op(name: str, f: Callable):
     def op(ctx, args):
@@ -217,12 +219,12 @@ def _part_op(ctor: str, i: int, failure: str):
 
 def op_min_hood(ctx, args):
     phi = _need_field(args[0], "min-hood")
-    return _min_value(v for _, v in phi.entries)
+    return _min_value(phi.vals)
 
 
 def op_min_hood_plus(ctx, args):
     phi = _need_field(args[0], "min-hood+")
-    rest = [v for d, v in phi.entries if d != ctx.device]
+    rest = [v for d, v in zip(phi.devs, phi.vals) if d != ctx.device]
     if not rest:
         # isolated device: neutral element of min over num
         return num(INF)
@@ -232,7 +234,7 @@ def op_min_hood_plus(ctx, args):
 def op_sum_hood_plus(ctx, args):
     phi = _need_field(args[0], "sum-hood+")
     total = 0.0
-    for d, v in phi.entries:
+    for d, v in zip(phi.devs, phi.vals):
         if d != ctx.device:
             total += _need_num(v, "sum-hood+")
     return num(total)
@@ -240,26 +242,25 @@ def op_sum_hood_plus(ctx, args):
 
 def op_pick_hood(ctx, args):
     phi = _need_field(args[0], "pick-hood")
-    if not phi.entries:
+    if not phi.vals:
         raise EvalError("pick-hood on an empty field")
     if ctx.rng is not None:
-        return ctx.rng.choice([v for _, v in phi.entries])
-    return phi.entries[0][1]  # entries sorted by device id; least id wins
+        return ctx.rng.choice(phi.vals)
+    return phi.vals[0]  # devices in increasing order; least id wins
 
 
 def op_map_hood(ctx, args):
     f = _need_fun(args[0], "map-hood")
     fields = [_need_field(a, "map-hood") for a in args[1:]]
-    out = []
-    for i, d in enumerate(sorted(ctx.domain)):
-        out.append((d, ctx.call(f, [phi.entries[i][1] for phi in fields])))
-    return mkfield(out)
+    dom = ctx.domain
+    return FieldVal(dom, tuple([ctx.call(f, list(point))
+                                for point in zip(*[phi.vals for phi in fields])]))
 
 
 def op_fold_hood(ctx, args):
     f = _need_fun(args[0], "fold-hood")
     phi = _need_field(args[1], "fold-hood")
-    vals = [v for _, v in phi.entries]  # ascending device id
+    vals = phi.vals  # ascending device id
     acc = vals[0]
     for v in vals[1:]:
         acc = ctx.call(f, [acc, v])
@@ -274,12 +275,13 @@ def op_nbr_range(ctx, args):
     ranges = ctx.sensors.nbr.get("nbr-range")
     if ranges is None:
         raise SensorError(f"nbr-range not available at device {ctx.device}")
-    out = []
-    for d in sorted(ctx.domain):
+    dom = ctx.domain
+    vals = []
+    for d in dom:
         if d not in ranges:
             raise SensorError(f"nbr-range has no reading for neighbour {d} at device {ctx.device}")
-        out.append((d, num(ranges[d])))
-    return mkfield(out)
+        vals.append(num(ranges[d]))
+    return FieldVal(dom, tuple(vals))
 
 
 def _make_sns(name: str):
@@ -387,13 +389,9 @@ class BuiltinTable:
         base_op = base.op
 
         def op(ctx, args, _flags=tuple(flags), _op=base_op):
-            out = []
-            for i, d in enumerate(sorted(ctx.domain)):
-                point_args = [
-                    a.entries[i][1] if flag == "f" else a for a, flag in zip(args, _flags)
-                ]
-                out.append((d, _op(ctx, point_args)))
-            return mkfield(out)
+            # a field argument gives its value at each device, a local one repeats
+            cols = [a.vals if flag == "f" else repeat(a) for a, flag in zip(args, _flags)]
+            return FieldVal(ctx.domain, tuple([_op(ctx, point) for point in zip(*cols)]))
 
         return BuiltinEntry(name, scheme, op)
 
@@ -412,13 +410,13 @@ class BuiltinTable:
                              else f"{name} takes {lo} to {hi} arguments, got {len(args)}")
         expected = ctx.domain
         for a in args:
-            if isinstance(a, FieldVal) and a.domain() != expected:
+            if isinstance(a, FieldVal) and a.devs != expected:
                 raise DomainError(
-                    f"field argument of {name} has domain {sorted(a.domain())}, "
-                    f"expected {sorted(expected)} at device {ctx.device}"
+                    f"field argument of {name} has domain {list(a.devs)}, "
+                    f"expected {list(expected)} at device {ctx.device}"
                 )
         result = e.op(ctx, list(args))
-        if isinstance(result, FieldVal) and result.domain() != expected:
+        if isinstance(result, FieldVal) and result.devs != expected:
             raise DomainError(f"{name} produced a misaligned field at device {ctx.device}")
         return result
 

@@ -40,7 +40,6 @@ from .ast import (
     Program,
     Rep,
     Var,
-    mkfield,
     plan,
     restrict_value,
     substitute,
@@ -343,7 +342,7 @@ class _Scope:
         self.memo = {}  # id of a Nbr or Rep node -> {event id: value}
         self.children = {}  # (id of an Apply node, function value) -> _Scope
         self.nbrs = {}  # other device -> id of the sender event there
-        self.pi = frozenset()  # the aligned neighbours, own device included
+        self.pi = ()  # the aligned neighbours, own device included, in increasing order
 
 
 class _Denot:
@@ -385,7 +384,7 @@ class _Denot:
                 nbrs[s.device] = s.id
         S.domain.add(ev.id)
         S.nbrs = nbrs
-        S.pi = frozenset(nbrs).union((ev.device,))
+        S.pi = tuple(sorted((*nbrs, ev.device)))
 
     def eval(self, E, X, e) -> dict:
         root, ctx = self.scope((), e), self.ctx
@@ -425,7 +424,8 @@ class _Denot:
             v = self.eval_at(S, X, e.body, ev)
             memo = S.memo.setdefault(id(e), {})
             memo[ev.id] = v
-            return mkfield([(ev.device, v), *((d, memo[s]) for d, s in S.nbrs.items())])
+            nbrs = S.nbrs
+            return FieldVal(S.pi, tuple([memo[nbrs[d]] if d in nbrs else v for d in S.pi]))
         if k is Rep:
             r0 = self.eval_at(S, X, e.init, ev)
             memo = S.memo.setdefault(id(e), {})

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from types import MappingProxyType
 from typing import Optional
@@ -34,7 +35,6 @@ from .ast import (
     Rep,
     Var,
     is_local_value,
-    mkfield,
     plan,
     restrict_value,
     substitute,
@@ -87,7 +87,8 @@ def subtree_fun(t: ValueTree, f: Expr) -> Optional[ValueTree]:
     return None
 
 
-# value-tree environments are plain dicts device id -> ValueTree
+# value-tree environments are plain dicts device id -> ValueTree; the
+# evaluator keeps their keys in increasing order, and aligning keeps it
 
 def align_i(env: dict, i: int) -> dict:
     """The i-th subtree (1-based) of each tree that has one."""
@@ -116,7 +117,7 @@ class EvalContext:
     defs: dict = dc_field(default_factory=dict)  # name -> Def
     fuel: int = DEFAULT_FUEL
     rng: object = None  # random.Random for seeded pick-hood, else least id
-    domain: frozenset = frozenset()
+    domain: tuple = ()  # device ids in increasing order
 
     def tick(self):
         if self.fuel <= 0:
@@ -152,7 +153,45 @@ def eval_expr(ctx: EvalContext, env: dict, e: Expr, X=NO_VARS) -> ValueTree:
     """The value-tree of e against the aligned trees env, where X holds the
     values of the variables in scope. This is the substitution semantics
     evaluated without substituting: e under X yields the tree, the fuel
-    ticks and the errors of e with X's values put in its place."""
+    ticks and the errors of e with X's values put in its place. env may
+    list its devices in any order."""
+    return _eval(ctx, {d: env[d] for d in sorted(env)}, e, X)
+
+
+def _leaf(ctx: EvalContext, e: Expr, X) -> Optional[ValueTree]:
+    """e's tree, for one tick, when e is a closed constant (a builtin or
+    function name, a closed lambda or literal data) or a variable holding a
+    local value: a leaf, which reads no aligned environment. A constant's
+    leaf is built once and kept on the node. None for any other node, which
+    its parent evaluates under an aligned environment."""
+    try:
+        t = e._leaf
+    except AttributeError:
+        p = plan(e)
+        t = ValueTree(e) if p.leaf_vars is not None and not p.fv else None
+        object.__setattr__(e, "_leaf", t)
+    if t is None:
+        if type(e) is not Var:
+            return None
+        v = X.get(e.name)
+        if v is None or not is_local_value(v):
+            return None
+        t = ValueTree(v)
+    ctx.tick()
+    return t
+
+
+def _domain(env: dict, device: int) -> tuple:
+    """env's devices plus device, in increasing order (env's keys are)."""
+    devs = tuple(env)
+    if device in env:
+        return devs
+    i = bisect_left(devs, device)
+    return (*devs[:i], device, *devs[i:])
+
+
+def _eval(ctx: EvalContext, env: dict, e: Expr, X) -> ValueTree:
+    """eval_expr on an env whose keys are in increasing order."""
     ctx.tick()
     k = type(e)
     if k is Var:
@@ -166,14 +205,16 @@ def eval_expr(ctx: EvalContext, env: dict, e: Expr, X=NO_VARS) -> ValueTree:
         k = type(e)
     if k is Apply:
         args = e.args
-        kids = [eval_expr(ctx, align_i(env, i), a, X) for i, a in enumerate(args, 1)]
-        ft = eval_expr(ctx, align_i(env, len(args) + 1), e.fn, X)
+        kids = [_leaf(ctx, a, X) or _eval(ctx, align_i(env, i), a, X)
+                for i, a in enumerate(args, 1)]
+        ft = _leaf(ctx, e.fn, X) or _eval(ctx, align_i(env, len(args) + 1), e.fn, X)
         f = ft.root
         if isinstance(f, Builtin):
-            v = call_builtin(ctx, f.name, env.keys() | {ctx.device}, [k.root for k in kids])
+            v = call_builtin(ctx, f.name, _domain(env, ctx.device), [k.root for k in kids])
             return ValueTree(v, (*kids, ft))
         params, body = fun_parts(ctx.defs, f, len(kids))
-        bt = eval_expr(ctx, align_fun(env, f), body, dict(zip(params, (k.root for k in kids))))
+        bX = dict(zip(params, (k.root for k in kids)))
+        bt = _leaf(ctx, body, bX) or _eval(ctx, align_fun(env, f), body, bX)
         return ValueTree(bt.root, (*kids, ft, bt))
     if k is Data:
         p = plan(e)
@@ -182,26 +223,35 @@ def eval_expr(ctx: EvalContext, env: dict, e: Expr, X=NO_VARS) -> ValueTree:
             return ValueTree(substitute(e, {v: X[v] for v in p.fv}) if p.fv else e)
         # constructor over unevaluated arguments: evaluate each against
         # its aligned environment, collect a tree per argument
-        kids = tuple(eval_expr(ctx, align_i(env, i), a, X) for i, a in enumerate(e.args, 1))
+        kids = tuple(_leaf(ctx, a, X) or _eval(ctx, align_i(env, i), a, X)
+                     for i, a in enumerate(e.args, 1))
         return ValueTree(Data(e.ctor, tuple(k.root for k in kids)), kids)
     if k is Nbr:
-        nbr_env = align_i(env, 1)
-        bt = eval_expr(ctx, nbr_env, e.body, X)
-        phi = {d: t.root for d, t in nbr_env.items()}
-        phi[ctx.device] = bt.root
-        return ValueTree(mkfield(phi), (bt,))
+        bt = _leaf(ctx, e.body, X) or _eval(ctx, align_i(env, 1), e.body, X)
+        # the neighbours' stored values of the body, in device order, with
+        # the device's own new value in its place
+        d = ctx.device
+        devs, vals = [], []
+        for d2, t in env.items():
+            if t.children and d2 != d:
+                devs.append(d2)
+                vals.append(t.children[0].root)
+        i = bisect_left(devs, d)
+        devs.insert(i, d)
+        vals.insert(i, bt.root)
+        return ValueTree(FieldVal(tuple(devs), tuple(vals)), (bt,))
     if k is Rep:
-        t1 = eval_expr(ctx, align_i(env, 1), e.init, X)
-        prev_env = align_i(env, 2)
-        if ctx.device in env:
-            if ctx.device not in prev_env:
-                raise MalformedEnv(
-                    f"device {ctx.device} has no stored rep state in its own tree"
-                )
-            l0 = prev_env[ctx.device].root
-        else:
+        t1 = _leaf(ctx, e.init, X) or _eval(ctx, align_i(env, 1), e.init, X)
+        # the state the device's own tree stored, or init after a reboot
+        own = env.get(ctx.device)
+        if own is None:
             l0 = t1.root
-        t2 = eval_expr(ctx, prev_env, e.body, {**X, e.var: l0})
+        elif len(own.children) >= 2:
+            l0 = own.children[1].root
+        else:
+            raise MalformedEnv(f"device {ctx.device} has no stored rep state in its own tree")
+        bX = {**X, e.var: l0}
+        t2 = _leaf(ctx, e.body, bX) or _eval(ctx, align_i(env, 2), e.body, bX)
         return ValueTree(t2.root, (t1, t2))
     if k is Lambda and (fv := plan(e).fv):
         # a closure: the lambda closed over the values of its free variables
@@ -209,7 +259,7 @@ def eval_expr(ctx: EvalContext, env: dict, e: Expr, X=NO_VARS) -> ValueTree:
             raise EvalError(f"cannot evaluate {e!r}")
         return ValueTree(substitute(e, {v: X[v] for v in fv}))
     if k is FieldVal:
-        return ValueTree(restrict_value(e, env.keys() | {ctx.device}))
+        return ValueTree(restrict_value(e, _domain(env, ctx.device)))
     if k is Builtin or k is DefName or k is Lambda:  # the lambda is closed
         return ValueTree(e)
     raise EvalError(f"cannot evaluate {e!r}")

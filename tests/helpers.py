@@ -1,8 +1,8 @@
 """Shared fixtures: the four-device example DAG, scenario builders, the
-all-pairs references for the world's answers and the induced DAG,
-readers of value and tree JSON, the substitution reference for the
-device evaluator, the fixpoint reference for the denotation and the
-restriction checker.
+all-pairs references for the world's answers and the induced DAG, the
+sorting field constructor, readers of value and tree JSON, the
+substitution reference for the device evaluator, the fixpoint reference
+for the denotation and the restriction checker.
 
 The DAG mirrors the running example: four devices firing 4 to 6 times,
 device 2 rebooting after its second firing (so the self-link into its
@@ -29,7 +29,6 @@ from fieldcalc.ast import (
     Var,
     boolean,
     children,
-    mkfield,
     num,
     restrict_value,
     substitute,
@@ -297,8 +296,15 @@ def is_local_value(e) -> bool:
 
 def is_value(e) -> bool:
     if isinstance(e, FieldVal):
-        return all(is_local_value(v) for _, v in e.entries)
+        return all(is_local_value(v) for v in e.vals)
     return is_local_value(e)
+
+
+def mkfield(pairs) -> FieldVal:
+    """The field of (device id, value) pairs, or of a dict, in any order:
+    the reference for fields the evaluators build in domain order."""
+    items = sorted(pairs.items() if isinstance(pairs, dict) else pairs, key=lambda kv: kv[0])
+    return FieldVal(tuple(d for d, _ in items), tuple(v for _, v in items))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +357,7 @@ def reference_eval_expr(ctx: EvalContext, env: dict, e) -> ValueTree:
             f = ft.root
             if isinstance(f, Builtin):
                 opctx = EvalContext(device=ctx.device, sensors=ctx.sensors, rng=ctx.rng,
-                                    domain=env.keys() | {ctx.device})
+                                    domain=tuple(sorted(env.keys() | {ctx.device})))
                 opctx.call = lambda g, vs: reference_eval_expr(ctx, {}, Apply(g, tuple(vs))).root
                 v = TABLE.eval(f.name, opctx, [k.root for k in kids])
                 return ValueTree(v, (*kids, ft))
@@ -472,7 +478,7 @@ class _FixpointDenot:
             ctx = EvalContext(
                 device=ev.device,
                 sensors=self.g.sensors.get(ev.id) or SensorState(),
-                domain=nbr_devices(self.g, E, ev),
+                domain=tuple(sorted(nbr_devices(self.g, E, ev))),
             )
             ctx.call = lambda fn, vs, ev=ev: self.device_call(ev, fn, vs)
             out[ev] = TABLE.eval(name, ctx, [av[ev] for av in aevs])

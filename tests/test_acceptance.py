@@ -28,7 +28,6 @@ from fieldcalc.ast import (
     TRUE,
     boolean,
     is_value,
-    mkfield,
     num,
 )
 from fieldcalc.builtins import SensorState
@@ -74,6 +73,7 @@ from helpers import (
     check_restriction,
     example_dag,
     line_scenario,
+    mkfield,
     reference_denot,
     static_scenario,
     well_formed,
@@ -253,8 +253,8 @@ def test_evaluation_preserves_types_and_field_domains():
         assert well_formed(e, tree, {})
         assert value_has_type(tree.root, T)
         if isinstance(tree.root, FieldVal):
-            assert tree.root.domain() == dom
-        assert all(f.domain() <= dom for f in subs)
+            assert frozenset(tree.root.devs) == dom
+        assert all(frozenset(f.devs) <= dom for f in subs)
     assert time.monotonic() - t0 < 60.0
 
 
@@ -323,7 +323,7 @@ class AlignedDenot(_Denot):
         v = super().eval_at(S, X, e, ev)
         if isinstance(v, FieldVal):
             cluster = {self.g.by_id[i] for i in S.domain}
-            assert v.domain() == nbr_devices(self.g, cluster, ev), (e, ev)
+            assert frozenset(v.devs) == nbr_devices(self.g, cluster, ev), (e, ev)
             self.fields_checked += 1
         return v
 

@@ -26,12 +26,12 @@ from fieldcalc.ast import (
     is_local_value,
     is_num,
     is_value,
-    mkfield,
     num,
     num_eq,
     substitute,
     subexpressions,
 )
+from helpers import mkfield
 
 
 def test_num_canonicalisation():
@@ -61,11 +61,11 @@ def test_spans_do_not_affect_equality():
 
 
 def test_field_entries_sorted_and_equal():
-    f1 = FieldVal(((2, num(5)), (1, num(4))))
-    f2 = mkfield({1: num(4), 2: num(5)})
+    f1 = mkfield(((2, num(5)), (1, num(4))))
+    f2 = FieldVal((1, 2), (num(4), num(5)))
     assert f1.entries == ((1, num(4)), (2, num(5)))
     assert f1 == f2
-    assert f1.domain() == frozenset({1, 2})
+    assert f1.devs == (1, 2)
 
 
 def test_value_predicates():

@@ -12,7 +12,6 @@ from fieldcalc.ast import (
     Lambda,
     Var,
     boolean,
-    mkfield,
     num,
 )
 from fieldcalc.builtins import (
@@ -29,6 +28,7 @@ from fieldcalc.builtins import (
 )
 from fieldcalc.device import EvalContext
 from fieldcalc.typer import parse_scheme, scheme_eq
+from helpers import mkfield
 
 NOSENSE = SensorState()
 
@@ -41,7 +41,7 @@ def fld(m):
 
 def ev(name, args, device=1, env_domain=(), sensors=NOSENSE, call=None, rng=None):
     ctx = EvalContext(device=device, sensors=sensors, rng=rng,
-                      domain=frozenset(env_domain) | {device})
+                      domain=tuple(sorted({*env_domain, device})))
     if call is not None:
         ctx.call = call
     return TABLE.eval(name, ctx, args)
@@ -227,7 +227,7 @@ def test_map_hood_binary_matches_decorated_add():
 def test_pointwise_add():
     out = ev("+[f,f]", [fld({1: 2, 2: 3}), fld({1: 10, 2: 20})], env_domain={2})
     assert out == fld({1: 12, 2: 23})
-    assert out.domain() == {1, 2}
+    assert out.devs == (1, 2)
 
 
 def test_pointwise_lt_broadcasts_the_local_side():

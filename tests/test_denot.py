@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldcalc.ast import Apply, Builtin, Lambda, mkfield, num
+from fieldcalc.ast import Apply, Builtin, Lambda, num
 from fieldcalc.builtins import TABLE
 from fieldcalc.denot import (
     CoherenceError,
@@ -44,6 +44,7 @@ from helpers import (
     cluster,
     example_dag,
     line_scenario,
+    mkfield,
     reference_dag,
     reference_denot,
     static_scenario,
@@ -169,7 +170,7 @@ def test_field_results_are_aligned():
     E = frozenset(g.events)
     out = denot_eval(g, E, {}, parse_expr("nbr{uid()}"))
     for e in E:
-        assert frozenset(out[e].domain()) == nbr_devices(g, E, e)
+        assert frozenset(out[e].devs) == nbr_devices(g, E, e)
 
 
 def test_rep_counter_counts_predecessors():
@@ -192,7 +193,7 @@ def test_variable_restriction_shrinks_fields():
 
     out = denot_eval(g, only23, {"x": phi}, Var("x"))
     for e in only23:
-        assert frozenset(out[e].domain()) == nbr_devices(g, only23, e)
+        assert frozenset(out[e].devs) == nbr_devices(g, only23, e)
 
 
 def test_field_literal_mirrors_the_restriction_rule():

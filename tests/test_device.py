@@ -3,15 +3,28 @@
 import json
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldcalc import ast, denot, device
-from fieldcalc.ast import Builtin, Data, Lambda, boolean, mkfield, num
+from fieldcalc.ast import (
+    Apply,
+    Builtin,
+    Data,
+    FieldVal,
+    Lambda,
+    Nbr,
+    Program,
+    Rep,
+    Var,
+    boolean,
+    num,
+)
 from fieldcalc.builtins import TABLE, DomainError, EvalError, SensorState
-from fieldcalc.denot import check_adequacy
+from fieldcalc.denot import build_dag_from_scenario, check_adequacy, denot_program
 from fieldcalc.device import (
     EvalContext,
     FuelExhausted,
@@ -29,11 +42,14 @@ from fieldcalc.device import (
     value_to_json,
     value_to_text,
 )
-from fieldcalc.network import sweep
+from fieldcalc.network import fire, run_scenario, sweep
 from fieldcalc.parser import parse_expr, parse_program
 from fieldcalc.stdlib import corpus_entry
+from fieldcalc.typer import BOOL, NUM, FieldT
 from generators import ExprGen, gen_scenario
 from helpers import (
+    is_local_value,
+    mkfield,
     reference_eval_expr,
     static_scenario,
     tree_from_json,
@@ -282,7 +298,7 @@ def test_builtin_sees_full_env_domain():
     prog = parse_program(GOSSIP)
     env = {d: gossip_first_fire(d) for d in (1, 2, 3)}
     t = evaluate_main(prog, 1, env, senses(sns_num=num(1)))
-    assert set(t.children[0].root.domain()) == {1, 2, 3}
+    assert t.children[0].root.devs == (1, 2, 3)
 
 
 def test_field_literal_is_restricted_before_builtins_see_it():
@@ -567,3 +583,119 @@ def test_a_fire_substitutes_nothing_and_resolves_each_name_once(monkeypatch):
         seen[rounds] = dict(counts)
     assert seen[2]["substitute"] == seen[8]["substitute"] == 0
     assert seen[2]["entry"] == seen[8]["entry"] > 0
+
+
+def _fields_in(v):
+    """The field values in value v, v included."""
+    if isinstance(v, FieldVal):
+        yield v
+        for x in v.vals:
+            yield from _fields_in(x)
+    elif isinstance(v, Data):
+        for a in v.args:
+            yield from _fields_in(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_field_is_built_in_domain_order(seed):
+    """On a generated scenario, every field in a fire's value-tree and in
+    an event's denotation lists its devices in strictly increasing order,
+    and every field either evaluator builds equals the field the sorting
+    reference (mkfield) makes of the same pairs: equal, with equal hashes
+    and equal JSON bytes."""
+    rnd = random.Random(seed)
+    sc = gen_scenario(rnd)
+    if rnd.random() < 0.4:
+        prog = rnd.choice(DIFFERENTIAL_PROGRAMS[:4])
+    else:
+        T = rnd.choice([FieldT(NUM), FieldT(BOOL), NUM, BOOL])
+        prog = Program((), ExprGen(rnd).expr(T, {}, rnd.randint(1, 4)))
+    built = []
+    init = FieldVal.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    with mock.patch.object(FieldVal, "__init__", recording):
+        trace = run_scenario(sc, prog)
+        denots = denot_program(build_dag_from_scenario(sc, trace), prog)
+    seen = []
+    for rec in trace.records:
+        stack = [rec.tree]
+        while stack:
+            t = stack.pop()
+            seen.extend(_fields_in(t.root))
+            stack.extend(t.children)
+    for v in denots.values():
+        seen.extend(_fields_in(v))
+    for phi in seen:
+        assert all(a < b for a, b in zip(phi.devs, phi.devs[1:])), phi
+    for phi in built:
+        ref = mkfield(zip(phi.devs, phi.vals))
+        assert phi == ref and hash(phi) == hash(ref), phi
+        assert dumps(value_to_json(phi)) == dumps(value_to_json(ref))
+
+
+def _aligned_children(e, t, defs) -> int:
+    """Over the whole tree t of e, the children evaluated that are neither
+    closed constants nor variables holding a local value."""
+    if isinstance(e, Apply):
+        kids = [*e.args, e.fn]
+        if len(t.children) > len(kids):
+            f = t.children[len(e.args)].root
+            kids.append(f.body if isinstance(f, Lambda) else defs[f.name].body)
+    elif isinstance(e, Data):
+        kids = list(e.args)
+    elif isinstance(e, Nbr):
+        kids = [e.body]
+    elif isinstance(e, Rep):
+        kids = [e.init, e.body]
+    else:
+        kids = []
+    n = 0
+    for c, sub in zip(kids, t.children):
+        if is_local_value(c) or isinstance(c, Var) and is_local_value(sub.root):
+            continue
+        n += 1 + _aligned_children(c, sub, defs)
+    return n
+
+
+def test_constant_children_align_no_environment(monkeypatch):
+    """Corpus spanning-sum on a static 4x4 grid: a fire aligns one
+    environment per child that is neither a closed constant nor a
+    variable holding a local value, and none for those, so the count per
+    fire is fixed by the program and is the same for 2 rounds as for 8."""
+    aligned = [0]
+
+    def counting(fn):
+        def wrapper(*args):
+            aligned[0] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(device, "align_i", counting(device.align_i))
+    monkeypatch.setattr(device, "align_fun", counting(device.align_fun))
+    prog = corpus_entry("spanning-sum").program()
+    defs = {d.name: d for d in prog.defs}
+    grid = {4 * i + j: (float(i), float(j)) for i in range(4) for j in range(4)}
+    seen = {}
+    for rounds in (2, 8):
+        fires = [(F(r * 16 + d, 16), d) for r in range(rounds) for d in grid]
+        sc = static_scenario(grid, radius=1.5, decay=100, fires=fires, sensors={
+            d: {"sns-injection-point": boolean(d == 0), "sns-patron": boolean(d % 3 == 0)}
+            for d in grid})
+        counts = []
+
+        def step(t, d, fresh, sensors):
+            aligned[0] = 0
+            tree = fire(prog, d, t, fresh, sensors)
+            counts.append((aligned[0], _aligned_children(prog.main, tree, defs)))
+            return tree
+
+        sweep(sc, step)
+        assert len(counts) == 16 * rounds
+        assert all(a == b for a, b in counts), counts
+        seen[rounds] = {a for a, _ in counts}
+    assert len(seen[2]) == 1 and seen[2] == seen[8]

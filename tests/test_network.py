@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fieldcalc import network
-from fieldcalc.ast import mkfield, num
+from fieldcalc.ast import num
 from fieldcalc.builtins import SensorState
 from fieldcalc.device import leaf
 from fieldcalc.network import (
@@ -38,7 +38,7 @@ from fieldcalc.network import (
 )
 from fieldcalc.parser import parse_program
 from generators import gen_world
-from helpers import reference_position_at, reference_sweep
+from helpers import mkfield, reference_position_at, reference_sweep
 
 
 def static_sc(positions, radius, decay, fires, sensors=None, until=100):
