@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 # numeric constructors are canonicalised floats: -0.0 folds into 0.0 and all
-# NaNs are the one positive quiet NaN, so structural equality can be a real
-# equivalence relation with a consistent hash
+# NaNs are the one object NAN, which tuple comparison finds equal to itself,
+# so Data's generated equality is a real equivalence with a consistent hash
 NAN = float("nan")
 INF = float("inf")
 
@@ -28,17 +28,6 @@ def canon_num(x: float) -> float:
     if x == 0.0:
         return 0.0
     return x
-
-
-def num_eq(a: float, b: float) -> bool:
-    """Structural equality on numeric constructors (NaN equals itself)."""
-    if math.isnan(a) or math.isnan(b):
-        return math.isnan(a) and math.isnan(b)
-    return a == b
-
-
-def num_key(a: float):
-    return "nan" if math.isnan(a) else a
 
 
 @dataclass(frozen=True)
@@ -75,12 +64,14 @@ class DefName:
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Data:
     """Constructor expression c(e1, ..., en).
 
-    ctor is a string ('True', 'Pair', ...) or a float for numerals. A Data
-    node is a value exactly when all arguments are local values.
+    ctor is a string ('True', 'Pair', ...) or a float for numerals, never
+    a bool (True == 1.0). Numerals are canonical, so the generated
+    equality and hash are structural. A Data node is a value exactly when
+    all arguments are local values.
     """
 
     ctor: Union[str, float]
@@ -90,22 +81,6 @@ class Data:
     def __post_init__(self):
         if isinstance(self.ctor, (int, float)) and not isinstance(self.ctor, bool):
             object.__setattr__(self, "ctor", canon_num(self.ctor))
-
-    def __eq__(self, other):
-        if not isinstance(other, Data):
-            return NotImplemented
-        if isinstance(self.ctor, float) != isinstance(other.ctor, float):
-            return False
-        if isinstance(self.ctor, float):
-            if not num_eq(self.ctor, other.ctor):
-                return False
-        elif self.ctor != other.ctor:
-            return False
-        return self.args == other.args
-
-    def __hash__(self):
-        c = num_key(self.ctor) if isinstance(self.ctor, float) else self.ctor
-        return hash((Data, c, self.args))
 
 
 @dataclass(frozen=True)
@@ -136,7 +111,7 @@ class Nbr:
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class FieldVal:
     """Neighbouring field value phi: a finite map from device ids to local
     values, kept as its devices in strictly increasing order and the value
@@ -156,14 +131,6 @@ class FieldVal:
 
     def __repr__(self):  # the printed form diagnostics have always shown
         return f"FieldVal(entries={self.entries!r})"
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldVal):
-            return NotImplemented
-        return self.devs == other.devs and self.vals == other.vals
-
-    def __hash__(self):
-        return hash((FieldVal, self.devs, self.vals))
 
 
 # a tuple, not a typing.Union: typing's cache would pin re-imported classes
@@ -296,7 +263,7 @@ def is_local_value(e: Expr) -> bool:
     """ell ::= b | d | closed lambda | c(ell...)"""
     t = type(e)
     if t is Data:
-        return all(is_local_value(a) for a in e.args)
+        return all(map(is_local_value, e.args))
     if t is Lambda:
         return not plan(e).fv
     return t is Builtin or t is DefName
@@ -333,6 +300,29 @@ def substitute(e: Expr, subst: dict) -> Expr:
         same = same and n is c
         new.append(n)
     return e if same else rebuild(e, new)
+
+
+def value_of(e: Expr, X) -> Optional[Expr]:
+    """e with X's values in place of its free variables, when that is a
+    local value; None otherwise, and when a free variable is unbound. The
+    one rule both evaluators use for "e is already a value": a closed
+    value-shaped node is itself, a variable its local value, and a
+    closure or data leaf is built by substitute."""
+    try:
+        fv, leaf_vars, _ = e._plan  # plan(e), read without a call when kept
+    except AttributeError:
+        fv, leaf_vars, _ = plan(e)
+    if leaf_vars is None:
+        return None
+    if not fv:
+        return e
+    for v in fv:
+        if v not in X:
+            return None
+    for v in leaf_vars:
+        if not is_local_value(X[v]):
+            return None
+    return X[e.name] if type(e) is Var else substitute(e, {v: X[v] for v in fv})
 
 
 def subexpressions(e: Expr) -> Iterator[Expr]:

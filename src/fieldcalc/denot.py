@@ -32,7 +32,6 @@ from .ast import (
     Apply,
     Builtin,
     Data,
-    DefName,
     Expr,
     FieldVal,
     Lambda,
@@ -42,7 +41,7 @@ from .ast import (
     Var,
     plan,
     restrict_value,
-    substitute,
+    value_of,
 )
 from .builtins import SensorState
 from .device import (
@@ -117,14 +116,15 @@ class EventDAG:
         for a, b in self.neigh:
             if a not in self.by_id or b not in self.by_id:
                 raise DagError(f"neigh edge ({a}, {b}) references unknown events")
-        self._in = {e.id: [] for e in self.events}
+        senders = {e.id: [] for e in self.events}
         for a, b in self.neigh:
-            self._in[b].append(self.by_id[a])
+            senders[b].append(self.by_id[a])
+        self._in = {i: tuple(ss) for i, ss in senders.items()}
         self._order = None
 
-    def senders(self, e: Event):
+    def senders(self, e: Event) -> tuple:
         """Events e is aware of (its neighbour events)."""
-        return tuple(self._in[e.id])
+        return self._in[e.id]
 
     def causal_order(self) -> tuple:
         """The events in topological generations: a generation holds the
@@ -398,7 +398,9 @@ class _Denot:
 
     def eval_at(self, S: _Scope, X: dict, e: Expr, ev: Event) -> Expr:
         """The value at ev of e, a node of S's body, where X holds the
-        values at ev of the variables in scope."""
+        values at ev of the variables in scope. Apply, nbr and rep are
+        never values, a variable's value is restricted to the cluster, and
+        any other node is first tried as a value (value_of)."""
         k = type(e)
         if k is Apply:
             f = self.eval_at(S, X, e.fn, ev)
@@ -415,11 +417,6 @@ class _Denot:
             if e.name not in X:
                 raise DenotError(f"unbound variable {e.name!r}")
             return restrict_value(X[e.name], S.pi)
-        if k is Data:
-            p = plan(e)
-            if p.leaf_vars is not None and not p.fv:
-                return e
-            return Data(e.ctor, tuple(self.eval_at(S, X, a, ev) for a in e.args))
         if k is Nbr:
             v = self.eval_at(S, X, e.body, ev)
             memo = S.memo.setdefault(id(e), {})
@@ -433,15 +430,16 @@ class _Denot:
             last = memo[prev.id] if prev is not None and prev.id in S.domain else r0
             v = memo[ev.id] = self.eval_at(S, {**X, e.var: last}, e.body, ev)
             return v
-        if k is Lambda and (fv := plan(e).fv):
-            for v in fv:
-                if v not in X:
-                    raise DenotError(f"unbound variable {v!r}")
-            return substitute(e, {v: X[v] for v in fv})
+        v = value_of(e, X)
+        if v is not None:
+            return v
+        if k is Data:
+            return Data(e.ctor, tuple(self.eval_at(S, X, a, ev) for a in e.args))
+        if k is Lambda:  # value_of found a free variable unbound
+            v = next(v for v in plan(e).fv if v not in X)
+            raise DenotError(f"unbound variable {v!r}")
         if k is FieldVal:
             return restrict_value(e, S.pi)
-        if k is Builtin or k is DefName or k is Lambda:  # the lambda is closed
-            return e
         raise DenotError(f"cannot interpret {e!r}")
 
 

@@ -34,10 +34,8 @@ from .ast import (
     Program,
     Rep,
     Var,
-    is_local_value,
-    plan,
     restrict_value,
-    substitute,
+    value_of,
 )
 from .builtins import TABLE, EvalError, SensorState
 from .parser import pretty, show_num
@@ -57,10 +55,19 @@ DEFAULT_FUEL = 10**6
 # ---------------------------------------------------------------------------
 # value-trees
 
-@dataclass(frozen=True)
 class ValueTree:
-    root: Expr  # a runtime value
-    children: tuple = ()
+    """A runtime value and the trees of the subexpressions evaluated for it."""
+
+    __slots__ = ("root", "children")
+
+    def __init__(self, root: Expr, children: tuple = ()):
+        self.root = root
+        self.children = children
+
+    def __eq__(self, other):
+        if other.__class__ is not ValueTree:
+            return NotImplemented
+        return (self.root, self.children) == (other.root, other.children)
 
     def __repr__(self):
         if not self.children:
@@ -126,7 +133,7 @@ class EvalContext:
 
     def call(self, f: Expr, args) -> Expr:
         """f applied to args against the empty environment (map-hood, fold-hood)."""
-        return eval_expr(self, {}, Apply(f, tuple(args))).root
+        return _eval(self, {}, Apply(f, tuple(args)), NO_VARS).root
 
 
 def fun_parts(defs: dict, f: Expr, nargs: int):
@@ -154,31 +161,20 @@ def eval_expr(ctx: EvalContext, env: dict, e: Expr, X=NO_VARS) -> ValueTree:
     values of the variables in scope. This is the substitution semantics
     evaluated without substituting: e under X yields the tree, the fuel
     ticks and the errors of e with X's values put in its place. env may
-    list its devices in any order."""
-    return _eval(ctx, {d: env[d] for d in sorted(env)}, e, X)
+    list its devices in any order; it is put in order when e is no value."""
+    return _tree(ctx, e, X, lambda env, _: dict(sorted(env.items())), env, None)
 
 
-def _leaf(ctx: EvalContext, e: Expr, X) -> Optional[ValueTree]:
-    """e's tree, for one tick, when e is a closed constant (a builtin or
-    function name, a closed lambda or literal data) or a variable holding a
-    local value: a leaf, which reads no aligned environment. A constant's
-    leaf is built once and kept on the node. None for any other node, which
-    its parent evaluates under an aligned environment."""
-    try:
-        t = e._leaf
-    except AttributeError:
-        p = plan(e)
-        t = ValueTree(e) if p.leaf_vars is not None and not p.fv else None
-        object.__setattr__(e, "_leaf", t)
-    if t is None:
-        if type(e) is not Var:
-            return None
-        v = X.get(e.name)
-        if v is None or not is_local_value(v):
-            return None
-        t = ValueTree(v)
+def _tree(ctx: EvalContext, e: Expr, X, align, env: dict, key) -> ValueTree:
+    """The tree of e, a child of a node evaluated against env: for one
+    tick a leaf when e under X is a local value (ast.value_of), which
+    reads no aligned environment; otherwise e evaluated against
+    align(env, key)."""
+    v = value_of(e, X)
+    if v is None:
+        return _eval(ctx, align(env, key), e, X)
     ctx.tick()
-    return t
+    return ValueTree(v)
 
 
 def _domain(env: dict, device: int) -> tuple:
@@ -191,43 +187,35 @@ def _domain(env: dict, device: int) -> tuple:
 
 
 def _eval(ctx: EvalContext, env: dict, e: Expr, X) -> ValueTree:
-    """eval_expr on an env whose keys are in increasing order."""
+    """The tree of e, which is not a local value under X, against env,
+    whose keys are in increasing order."""
     ctx.tick()
     k = type(e)
     if k is Var:
-        # the variable's value stands where it is: a local value is a leaf,
-        # a field (or data holding one) is evaluated as the node it is
+        # a variable holding a field (or data holding one) is evaluated as
+        # the value it holds
         if e.name not in X:
             raise EvalError(f"unbound variable {e.name!r} at runtime")
         e, X = X[e.name], NO_VARS
-        if is_local_value(e):
-            return ValueTree(e)
         k = type(e)
     if k is Apply:
         args = e.args
-        kids = [_leaf(ctx, a, X) or _eval(ctx, align_i(env, i), a, X)
-                for i, a in enumerate(args, 1)]
-        ft = _leaf(ctx, e.fn, X) or _eval(ctx, align_i(env, len(args) + 1), e.fn, X)
+        kids = [_tree(ctx, a, X, align_i, env, i) for i, a in enumerate(args, 1)]
+        ft = _tree(ctx, e.fn, X, align_i, env, len(args) + 1)
         f = ft.root
         if isinstance(f, Builtin):
             v = call_builtin(ctx, f.name, _domain(env, ctx.device), [k.root for k in kids])
             return ValueTree(v, (*kids, ft))
         params, body = fun_parts(ctx.defs, f, len(kids))
-        bX = dict(zip(params, (k.root for k in kids)))
-        bt = _leaf(ctx, body, bX) or _eval(ctx, align_fun(env, f), body, bX)
+        bt = _tree(ctx, body, dict(zip(params, (k.root for k in kids))), align_fun, env, f)
         return ValueTree(bt.root, (*kids, ft, bt))
     if k is Data:
-        p = plan(e)
-        if p.leaf_vars is not None and all(v in X for v in p.fv) and all(
-                is_local_value(X[v]) for v in p.leaf_vars):
-            return ValueTree(substitute(e, {v: X[v] for v in p.fv}) if p.fv else e)
         # constructor over unevaluated arguments: evaluate each against
         # its aligned environment, collect a tree per argument
-        kids = tuple(_leaf(ctx, a, X) or _eval(ctx, align_i(env, i), a, X)
-                     for i, a in enumerate(e.args, 1))
+        kids = tuple(_tree(ctx, a, X, align_i, env, i) for i, a in enumerate(e.args, 1))
         return ValueTree(Data(e.ctor, tuple(k.root for k in kids)), kids)
     if k is Nbr:
-        bt = _leaf(ctx, e.body, X) or _eval(ctx, align_i(env, 1), e.body, X)
+        bt = _tree(ctx, e.body, X, align_i, env, 1)
         # the neighbours' stored values of the body, in device order, with
         # the device's own new value in its place
         d = ctx.device
@@ -241,7 +229,7 @@ def _eval(ctx: EvalContext, env: dict, e: Expr, X) -> ValueTree:
         vals.insert(i, bt.root)
         return ValueTree(FieldVal(tuple(devs), tuple(vals)), (bt,))
     if k is Rep:
-        t1 = _leaf(ctx, e.init, X) or _eval(ctx, align_i(env, 1), e.init, X)
+        t1 = _tree(ctx, e.init, X, align_i, env, 1)
         # the state the device's own tree stored, or init after a reboot
         own = env.get(ctx.device)
         if own is None:
@@ -250,18 +238,11 @@ def _eval(ctx: EvalContext, env: dict, e: Expr, X) -> ValueTree:
             l0 = own.children[1].root
         else:
             raise MalformedEnv(f"device {ctx.device} has no stored rep state in its own tree")
-        bX = {**X, e.var: l0}
-        t2 = _leaf(ctx, e.body, bX) or _eval(ctx, align_i(env, 2), e.body, bX)
+        t2 = _tree(ctx, e.body, {**X, e.var: l0}, align_i, env, 2)
         return ValueTree(t2.root, (t1, t2))
-    if k is Lambda and (fv := plan(e).fv):
-        # a closure: the lambda closed over the values of its free variables
-        if not all(v in X for v in fv):
-            raise EvalError(f"cannot evaluate {e!r}")
-        return ValueTree(substitute(e, {v: X[v] for v in fv}))
     if k is FieldVal:
         return ValueTree(restrict_value(e, _domain(env, ctx.device)))
-    if k is Builtin or k is DefName or k is Lambda:  # the lambda is closed
-        return ValueTree(e)
+    # a lambda with an unbound free variable, or no expression at all
     raise EvalError(f"cannot evaluate {e!r}")
 
 

@@ -1,8 +1,12 @@
 import gc
 import importlib
 import math
+import random
 import sys
 import weakref
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldcalc.ast import (
     FALSE,
@@ -27,10 +31,14 @@ from fieldcalc.ast import (
     is_num,
     is_value,
     num,
-    num_eq,
     substitute,
     subexpressions,
+    value_of,
 )
+from fieldcalc.builtins import value_equal
+from fieldcalc.typer import BOOL, NUM, FieldT
+from generators import ExprGen
+import helpers
 from helpers import mkfield
 
 
@@ -44,10 +52,20 @@ def test_num_canonicalisation():
     assert hash(num(float("nan"))) == hash(num(float("nan")))
 
 
-def test_num_eq_is_structural():
-    assert num_eq(float("nan"), float("nan"))
-    assert not num_eq(float("nan"), 1.0)
-    assert num_eq(INF, INF)
+def test_a_numeral_never_equals_another_constructor():
+    for c in ("1", "1.0", "True", "False", "nan", "Pair"):
+        assert num(1) != Data(c) and Data(c) != num(1)
+    assert num(float("nan")) != Data("nan") and num(INF) != Data("inf")
+    assert num(1) != TRUE and num(0) != FALSE
+    assert Data("Pair", (num(1),)) != Data("Pair", (Data("1"),))
+
+
+def test_value_equal_stays_ieee_where_data_equality_is_structural():
+    nan = num(float("nan"))
+    assert nan == num(float("nan"))  # one NaN, for alignment and map keys
+    assert not value_equal(nan, num(float("nan")))  # the builtin `=`
+    assert not value_equal(Data("Pair", (nan,)), Data("Pair", (nan,)))
+    assert value_equal(num(0.0), num(-0.0)) and value_equal(num(INF), num(INF))
 
 
 def test_spans_do_not_affect_equality():
@@ -97,6 +115,40 @@ def test_substitute_respects_binders():
     assert out == Lambda(("x",), Apply(Builtin("+"), (Var("x"), num(2))))
     r = Rep(Var("x"), "x", Var("x"))
     assert substitute(r, {"x": num(7)}) == Rep(num(7), "x", Var("x"))
+
+
+LOCAL_VALUES = [num(0), num(-1), TRUE, Builtin("+"), DefName("f"), Lambda(("y",), Var("y")),
+                Data("Pair", (num(1), Lambda((), num(2))))]
+FIELDS = [mkfield({1: num(0), 2: num(3)}), mkfield({1: TRUE}),
+          Data("Pair", (num(1), mkfield({1: num(1)})))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_value_of_is_substitution_to_a_local_value(seed):
+    """Over each subexpression of a generated program and an X that leaves
+    each free variable unbound or binds it to a local value or to a field
+    (or data holding one): value_of(e, X) is substitute(e, X) when that is
+    a local value by the references' own walk, and None otherwise."""
+    rnd = random.Random(seed)
+    T = rnd.choice([NUM, NUM, BOOL, FieldT(NUM), FieldT(BOOL)])
+    main = ExprGen(rnd).expr(T, {}, rnd.randint(1, 4))
+    for e in subexpressions(main):
+        if any(isinstance(s, FieldVal) for s in subexpressions(e)):
+            continue
+        X = {}
+        for v in helpers.free_vars(e):
+            roll = rnd.random()
+            if roll < 0.6:
+                X[v] = rnd.choice(LOCAL_VALUES)
+            elif roll < 0.85:
+                X[v] = rnd.choice(FIELDS)
+        want = substitute(e, X)
+        got = value_of(e, X)
+        if helpers.is_local_value(want):
+            assert got == want, (e, X)
+        else:
+            assert got is None, (e, X, got)
 
 
 def test_desugar_if_shape():

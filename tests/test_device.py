@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldcalc import ast, denot, device
+from fieldcalc import ast, device
 from fieldcalc.ast import (
     Apply,
     Builtin,
@@ -566,8 +566,7 @@ def test_a_fire_substitutes_nothing_and_resolves_each_name_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for mod in (ast, device, denot):
-        monkeypatch.setattr(mod, "substitute", counting("substitute", ast.substitute))
+    monkeypatch.setattr(ast, "substitute", counting("substitute", ast.substitute))
     monkeypatch.setattr(TABLE, "entry", counting("entry", TABLE.entry))
     prog = corpus_entry("gradient").program()
     grid = {4 * i + j: (float(i), float(j)) for i in range(4) for j in range(4)}
