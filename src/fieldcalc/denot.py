@@ -16,10 +16,11 @@ stand for themselves, and a function value is represented by its tag
 derived on demand. Tag equality is exactly the function equality of the
 calculus, so evolutions compare with plain structural equality.
 
-The adequacy checker runs the operational simulator on a scenario, reads
-the DAG the scenario induces off the simulator's trace (one delivery
-sweep serves both sides), and compares the denotation of the program
-with the denotation of each fire's root, event by event.
+The adequacy checker runs in lockstep with the delivery sweep, whose
+time order is a causal order of the DAG it induces: each fire is
+evaluated, its event denoted and the two compared at once, with no trace
+kept. The first failure in time order is reported; at one fire, the
+device's error comes before the denotation's.
 """
 
 from __future__ import annotations
@@ -53,22 +54,20 @@ from .device import (
     value_to_json,
 )
 from .network import (
-    FireTrace,
     Scenario,
     SHAPE_ERRORS,
     ScenarioError,
     as_time,
-    heard,
+    fire,
     json_container,
     json_id,
-    run_scenario,
     shape_error,
     sweep,
 )
-# position_at stays importable as denot.position_at for tracers that count
-# calls through that name (bench/spans.py); the DAG build itself queries
-# positions only through network's sweep
-from .network import position_at  # noqa: F401
+# position_at and run_scenario stay importable as denot.position_at and
+# denot.run_scenario for tracers that wrap those names (bench/spans.py);
+# denot itself reaches both only through network's sweep
+from .network import position_at, run_scenario  # noqa: F401
 
 
 class DenotError(ValueError):
@@ -76,10 +75,6 @@ class DenotError(ValueError):
 
 
 class DagError(DenotError):
-    pass
-
-
-class CoherenceError(DenotError):
     pass
 
 
@@ -200,10 +195,11 @@ def validate_dag(g: EventDAG):
     return out
 
 
-# latest_event and shift are the steps of the fixpoint reading of nbr and
-# rep, which tests keep as the specification (tests/helpers.reference_denot);
-# the causal-order evaluator below does not call them. They stay here while
-# tracers count calls through these names (bench/spans.py).
+# latest_event, nbr_devices, prev_event, shift and restrict_evolution are the
+# steps of the fixpoint reading of nbr, rep and restriction, which tests keep
+# as the specification (tests/helpers.reference_denot); the evaluator below
+# calls none of them. They stay here while tracers count calls through these
+# names (bench/spans.py).
 
 def latest_event(g: EventDAG, E, e: Event, d: int) -> Optional[Event]:
     """The latest event at device d that e is aware of within E; e itself
@@ -246,6 +242,10 @@ def shift(g: EventDAG, E, phi: dict, phi0: dict) -> dict:
         p = prev_event(g, e)
         out[e] = phi[p] if p is not None and p in E else phi0[e]
     return out
+
+
+def restrict_evolution(g: EventDAG, ev: dict, E) -> dict:
+    return {e: restrict_value(ev[e], nbr_devices(g, E, e)) for e in E}
 
 
 # ---------------------------------------------------------------------------
@@ -293,35 +293,28 @@ def dag_from_json(obj) -> EventDAG:
 # ---------------------------------------------------------------------------
 # DAG induced by a scenario (unit-disc communication)
 
-def build_dag_from_scenario(sc: Scenario, trace: FireTrace = None) -> EventDAG:
+def build_dag_from_scenario(sc: Scenario) -> EventDAG:
     """Events are the scenario's fires; e' feeds e when the delivery sweep
     leaves the message of e' in the fresh inbox of e: e' happened within
     the decay window [t-r, t) and within radius of the receiving device,
     which stayed on from t' to t, and no later firing of the same device
     qualifies. The simulator runs on the same sweep, so both sides agree
-    on who hears whom: given ``trace``, a run of the simulator on sc, the
-    DAG is read off its records instead of sweeping again."""
-    if trace is None:
-        fires = []
-        sweep(sc, lambda t, d, fresh, sens: fires.append((t, d, heard(fresh), sens)))
-    else:
-        fires = ((r.t, r.device, r.heard, r.sensors) for r in trace.records)
-    events, neigh, sensors, at = [], [], {}, {}
-    for t, d, pairs, sens in fires:
+    on who hears whom."""
+    events, neigh, sensors = [], [], {}
+
+    def step(t, d, fresh, sens):
         e = Event(len(events), d, t)
         events.append(e)
         sensors[e.id] = sens
-        at[t] = e.id  # no two fires share an instant: a tag names its fire
-        neigh.extend((at[tag], e.id) for _, tag in pairs)
+        neigh.extend((m.payload, e.id) for m in fresh.values())
+        return e.id
+
+    sweep(sc, step)
     return EventDAG(events, neigh, sensors)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-def restrict_evolution(g: EventDAG, ev: dict, E) -> dict:
-    return {e: restrict_value(ev[e], nbr_devices(g, E, e)) for e in E}
-
 
 class _Scope:
     """The events of one cluster and the memos of its body's nodes.
@@ -331,9 +324,9 @@ class _Scope:
     events that selected it. Scopes fill event by event in causal order,
     so when an event is entered every earlier event of the cluster, and
     with it every sender the event can be aware of, is already there.
-    ``nbrs`` and ``pi`` describe the event being evaluated."""
+    ``nbrs``, ``prev`` and ``pi`` describe the event being evaluated."""
 
-    __slots__ = ("params", "body", "domain", "memo", "children", "nbrs", "pi")
+    __slots__ = ("params", "body", "domain", "memo", "children", "nbrs", "prev", "pi")
 
     def __init__(self, params, body):
         self.params = params
@@ -342,59 +335,67 @@ class _Scope:
         self.memo = {}  # id of a Nbr or Rep node -> {event id: value}
         self.children = {}  # (id of an Apply node, function value) -> _Scope
         self.nbrs = {}  # other device -> id of the sender event there
+        self.prev = None  # id of the sender event on the own device, if any
         self.pi = ()  # the aligned neighbours, own device included, in increasing order
 
 
 class _Denot:
-    """Builds the evolution of each node instance event by event, in
-    topological generations of the DAG, evaluating each node once per
-    event. A node instance is a node of a scope's body: an AST path plus
-    the function value of each Apply cluster on it. nbr reads its body's
-    memoised values at the senders, and rep its own value at the previous
-    event of the device, or its init after a reboot. Since neigh is
-    acyclic this is the unique solution of rep's fixpoint.
+    """Builds the value of each node instance event by event, evaluating
+    each node once per event. A node instance is a node of a scope's body:
+    an AST path plus the function value of each Apply cluster on it. nbr
+    reads its body's memoised values at the senders, and rep its own value
+    at the previous event of the device, or its init after a reboot. Since
+    events come in a causal order, this is the unique solution of rep's
+    fixpoint. ``event`` takes one event; ``eval`` drives it along a DAG's
+    causal order, check_adequacy along the delivery sweep.
 
-    Fuel pays for the nodes of each body once per scope it opens, so it
-    bounds the nesting of clusters (unbounded recursion), not |E|;
-    builtins that call functions spend it as the device evaluator does.
-    It is kept in one EvalContext, which builtins run in: eval moves it to
-    each event's device and sensors."""
+    A scope pays for the nodes of its body, at its first event, from one
+    budget for the run, so fuel bounds the nesting of clusters (unbounded
+    recursion), not |E|. The functions builtins call (map-hood, fold-hood)
+    spend ctx's fuel, which each event resets as each fire's is. ctx is
+    the one EvalContext builtins run in; event moves it to each event."""
 
-    def __init__(self, g, defs, fuel):
-        self.g = g
+    def __init__(self, defs, fuel):
         self.ctx = EvalContext(device=None, defs=defs or {}, fuel=fuel)
-
-    def scope(self, params, body) -> _Scope:
-        size = plan(body).size
-        if self.ctx.fuel < size:
-            self.ctx.fuel = 0
-            raise FuelExhausted("denotational evaluation fuel exhausted")
-        self.ctx.fuel -= size
-        return _Scope(params, body)
+        self.fuel = self.budget = fuel
+        self.senders = ()  # of the event being evaluated
 
     def enter(self, S: _Scope, ev: Event) -> None:
-        """Add ev to S, recording its aligned neighbours there."""
+        """Add ev to S, recording its aligned neighbours there. The first
+        event S takes pays for the nodes of its body."""
+        if not S.domain:
+            size = plan(S.body).size
+            if self.budget < size:
+                raise FuelExhausted("denotational evaluation fuel exhausted")
+            self.budget -= size
         nbrs = {}
-        for s in self.g.senders(ev):
-            if s.id in S.domain and s.device != ev.device:
+        for s in self.senders:
+            if s.id in S.domain:
                 if s.device in nbrs:
-                    raise DagError(
-                        f"event {ev.id} has two neighbour events at device {s.device}"
-                    )
+                    raise DagError(f"event {ev.id} has two neighbour events "
+                                   f"at device {s.device}")
                 nbrs[s.device] = s.id
         S.domain.add(ev.id)
+        S.prev = nbrs.pop(ev.device, None)
         S.nbrs = nbrs
         S.pi = tuple(sorted((*nbrs, ev.device)))
 
-    def eval(self, E, X, e) -> dict:
-        root, ctx = self.scope((), e), self.ctx
-        out = {}
-        for ev in self.g.causal_order():
-            if ev in E:
-                ctx.device, ctx.sensors = ev.device, self.g.sensors.get(ev.id) or SensorState()
-                self.enter(root, ev)
-                out[ev] = self.eval_at(root, {n: phi[ev] for n, phi in X.items()}, e, ev)
-        return out
+    def event(self, root: _Scope, ev: Event, senders, sensors, X) -> Expr:
+        """The value at ev of root's body, where X holds the values at ev of
+        the variables in scope. Every one of ev's senders that root holds
+        has been entered before ev."""
+        ctx = self.ctx
+        ctx.device, ctx.sensors, ctx.fuel = ev.device, sensors, self.fuel
+        self.senders = senders
+        self.enter(root, ev)
+        return self.eval_at(root, X, root.body, ev)
+
+    def eval(self, g: EventDAG, E, X, e) -> dict:
+        """The evolution of e over the events E of g under assumptions X."""
+        root = _Scope((), e)
+        return {ev: self.event(root, ev, g.senders(ev), g.sensors.get(ev.id) or SensorState(),
+                               {n: phi[ev] for n, phi in X.items()})
+                for ev in g.causal_order() if ev in E}
 
     def eval_at(self, S: _Scope, X: dict, e: Expr, ev: Event) -> Expr:
         """The value at ev of e, a node of S's body, where X holds the
@@ -409,7 +410,7 @@ class _Denot:
                 return call_builtin(self.ctx, f.name, S.pi, avs)
             C = S.children.get((id(e), f))
             if C is None:
-                C = S.children[id(e), f] = self.scope(*fun_parts(self.ctx.defs, f, len(avs)))
+                C = S.children[id(e), f] = _Scope(*fun_parts(self.ctx.defs, f, len(avs)))
             self.enter(C, ev)
             params = {x: restrict_value(a, C.pi) for x, a in zip(C.params, avs)}
             return self.eval_at(C, params, C.body, ev)
@@ -426,8 +427,7 @@ class _Denot:
         if k is Rep:
             r0 = self.eval_at(S, X, e.init, ev)
             memo = S.memo.setdefault(id(e), {})
-            prev = prev_event(self.g, ev)
-            last = memo[prev.id] if prev is not None and prev.id in S.domain else r0
+            last = r0 if S.prev is None else memo[S.prev]
             v = memo[ev.id] = self.eval_at(S, {**X, e.var: last}, e.body, ev)
             return v
         v = value_of(e, X)
@@ -446,7 +446,7 @@ class _Denot:
 def denot_eval(g: EventDAG, E, X: dict, e: Expr, defs=None,
                fuel: int = DEFAULT_FUEL) -> dict:
     """Interpret e over the events E under assumptions X."""
-    return _Denot(g, defs, fuel).eval(frozenset(E), X, e)
+    return _Denot(defs, fuel).eval(g, frozenset(E), X, e)
 
 
 def denot_program(g: EventDAG, program: Program, fuel: int = DEFAULT_FUEL) -> dict:
@@ -504,21 +504,19 @@ class AdequacyReport:
 
 def check_adequacy(sc: Scenario, program: Program,
                    fuel: int = DEFAULT_FUEL) -> AdequacyReport:
-    """Compare the denotation of the program with the denotation of each
-    fire's operational result on the DAG the scenario induces."""
-    trace = run_scenario(sc, program, fuel=fuel)
-    g = build_dag_from_scenario(sc, trace)
-    bad = validate_dag(g)
-    if bad:
-        raise CoherenceError(f"induced DAG violates neigh properties: {bad}")
-    denots = denot_program(g, program, fuel=fuel)
-    E = frozenset(g.events)
-    report = AdequacyReport()
-    for ev, rec in zip(g.events, trace.records):
-        assert (ev.time, ev.device) == (rec.t, rec.device)
-        lhs = denots[ev]
-        rhs = restrict_value(rec.root, nbr_devices(g, E, ev))
-        report.verdicts.append(
-            Verdict(ev.id, ev.time, ev.device, lhs, rhs, lhs == rhs)
-        )
+    """Denote each fire's event as the sweep fires it, and compare with the
+    fire's root restricted to the event's aligned neighbours. The senders
+    of an event are the fires whose messages are in its fresh inbox."""
+    den = _Denot({d.name: d for d in program.defs}, fuel)
+    root, at, report = _Scope((), program.main), {}, AdequacyReport()
+
+    def step(t, d, fresh, sensors):
+        tree = fire(program, d, t, fresh, sensors, fuel)
+        ev = at[t] = Event(len(at), d, t)  # no two fires share an instant
+        lhs = den.event(root, ev, [at[m.tag] for m in fresh.values()], sensors, {})
+        rhs = restrict_value(tree.root, root.pi)
+        report.verdicts.append(Verdict(ev.id, t, d, lhs, rhs, lhs == rhs))
+        return tree
+
+    sweep(sc, step)
     return report

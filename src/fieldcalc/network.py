@@ -342,7 +342,6 @@ class FireRecord:
     root: Expr
     tree: ValueTree
     heard: tuple  # (sender, tag) of each message in the fresh inbox
-    sensors: SensorState
 
     @property
     def env_domain(self) -> frozenset:
@@ -377,14 +376,12 @@ def heard(fresh: dict) -> tuple:
 
 def run_scenario(sc: Scenario, program: Program, fuel: int = DEFAULT_FUEL,
                  rng=None) -> FireTrace:
-    """Evaluate the program along the delivery sweep, one record per fire;
-    the records also keep what each fire heard and sensed, from which the
-    induced event DAG is built without a second sweep."""
+    """Evaluate the program along the delivery sweep, one record per fire."""
     trace = FireTrace()
 
     def step(t, d, fresh, sensors):
         tree = fire(program, d, t, fresh, sensors, fuel, rng)
-        trace.records.append(FireRecord(t, d, tree.root, tree, heard(fresh), sensors))
+        trace.records.append(FireRecord(t, d, tree.root, tree, heard(fresh)))
         return tree
 
     sweep(sc, step)

@@ -313,10 +313,7 @@ class Typer:
                 sch = ctor_scheme(c, len(args))
                 if sch is None:
                     raise self.err(f"unknown constructor {c!r} of arity {len(args)}", "T-VAL")
-                ct = self.instantiate(sch, "T-VAL")
-                if not args:
-                    return ct.res if isinstance(ct, Arrow) else ct
-                assert isinstance(ct, Arrow)
+                ct = self.instantiate(sch, "T-VAL")  # an arrow, () -> T for a constant
                 for a, want in zip(args, ct.args):
                     got = self.infer(a, env, schemes)
                     self.unify(got, want, "T-VAL")

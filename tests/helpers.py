@@ -607,10 +607,10 @@ def check_restriction(g: EventDAG, E, e0: Expr, args, args2, X: dict,
     """Per cluster of e0: when the two argument lists denote the same
     restricted evolutions there, the two applications must agree there."""
     E = frozenset(E)
-    den = _Denot(g, defs, fuel)
-    fev = den.eval(E, X, e0)
-    app1 = den.eval(E, X, Apply(e0, tuple(args)))
-    app2 = den.eval(E, X, Apply(e0, tuple(args2)))
+    den = _Denot(defs, fuel)
+    fev = den.eval(g, E, X, e0)
+    app1 = den.eval(g, E, X, Apply(e0, tuple(args)))
+    app2 = den.eval(g, E, X, Apply(e0, tuple(args2)))
     groups = {}
     for ev in E:
         groups.setdefault(fev[ev], []).append(ev)
@@ -619,8 +619,8 @@ def check_restriction(g: EventDAG, E, e0: Expr, args, args2, X: dict,
         c = E if isinstance(f, Builtin) else frozenset(evs)
         agree = True
         for a, b in zip(args, args2):
-            ra = restrict_evolution(g, den.eval(E, X, a), c)
-            rb = restrict_evolution(g, den.eval(E, X, b), c)
+            ra = restrict_evolution(g, den.eval(g, E, X, a), c)
+            rb = restrict_evolution(g, den.eval(g, E, X, b), c)
             if any(ra[ev] != rb[ev] for ev in evs):
                 agree = False
                 break

@@ -316,7 +316,8 @@ class AlignedDenot(_Denot):
     every event, against the events of its cluster so far."""
 
     def __init__(self, g, defs, fuel):
-        super().__init__(g, defs, fuel)
+        super().__init__(defs, fuel)
+        self.g = g
         self.fields_checked = 0
 
     def eval_at(self, S, X, e, ev):
@@ -341,7 +342,7 @@ def test_field_alignment_restriction_and_rep_identity():
     for sc, prog in adequacy_pairs():
         g = build_dag_from_scenario(sc)
         den = AlignedDenot(g, {d.name: d for d in prog.defs}, DEFAULT_FUEL)
-        den.eval(frozenset(g.events), {}, prog.main)
+        den.eval(g, frozenset(g.events), {}, prog.main)
         checked += den.fields_checked
     assert checked > 0
 

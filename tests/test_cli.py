@@ -304,6 +304,61 @@ def test_check_adequacy_on_gapped_segments(counter, tmp_path, capsys):
         ("4", {"num": 1.0}, {"num": 1.0}), ("6", {"num": 1.0}, {"num": 1.0})]
 
 
+# Which error check-adequacy reports: the first failure in time order, and
+# at one fire the device's before the denotation's. Under --fuel 50 each
+# fire of CLOSURES fits its budget, but the denotation pays for the body of
+# every cluster it opens (main's, k's and the closure's) from one budget for
+# the whole run, which runs out at the first event.
+CLOSURES = """def k(x) { () => x + x + x + x + x + x + x + x }
+sns-num() + k(rep(0){(c) => c + 1})()
+"""
+DENOT_OUT_OF_FUEL = "error: denotational evaluation fuel exhausted\n"
+
+
+def _sns_num_scenario(tmp_path, script, fires):
+    sc = {**ONE_DEVICE, "fires": ONE_DEVICE["fires"][:fires],
+          "sensors": {"1": {"sns-num": script}}}
+    p = tmp_path / f"sns-{fires}.json"
+    p.write_text(json.dumps(sc))
+    return str(p)
+
+
+@pytest.fixture
+def closures(tmp_path):
+    p = tmp_path / "closures.hfc"
+    p.write_text(CLOSURES)
+    return str(p)
+
+
+def test_check_adequacy_reports_an_earlier_denotational_failure_first(
+        closures, tmp_path, capsys):
+    # alone, the first fire runs, and its event's denotation fails
+    first = _sns_num_scenario(tmp_path, 1, 1)
+    assert main(["run", closures, first, "--fuel", "50"]) == 0
+    capsys.readouterr()
+    assert main(["check-adequacy", closures, first, "--fuel", "50"]) == 1
+    assert capsys.readouterr().err == DENOT_OUT_OF_FUEL
+    # sns-num turns boolean at t=4, where the fourth fire fails; the
+    # denotation failed at the first event, so that failure is reported
+    sc = _sns_num_scenario(tmp_path, {"steps": [[0, 1], [4, True]]}, 5)
+    assert main(["run", closures, sc, "--fuel", "50"]) == 1
+    assert capsys.readouterr().err.startswith("error: t=4 device=1: + expects numbers")
+    assert main(["check-adequacy", closures, sc, "--fuel", "50"]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", DENOT_OUT_OF_FUEL)
+
+
+def test_check_adequacy_reports_the_device_failure_at_the_same_event(
+        closures, tmp_path, capsys):
+    # a boolean sns-num fails the first fire, whose event's denotation
+    # would run out of fuel as above: the device's error is reported
+    sc = _sns_num_scenario(tmp_path, True, 1)
+    assert main(["check-adequacy", closures, sc, "--fuel", "50"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: t=1 device=1: + expects numbers")
+
+
 # ---------------------------------------------------------------------------
 # corpus-test
 

@@ -1,5 +1,6 @@
 """Denotational evaluation on event DAGs and the adequacy checker."""
 
+import gc
 import json
 import random
 from fractions import Fraction as F
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldcalc.ast import Apply, Builtin, Lambda, num
+from fieldcalc import network
+from fieldcalc.ast import Apply, Builtin, Lambda, boolean, num
 from fieldcalc.builtins import TABLE
 from fieldcalc.denot import (
-    CoherenceError,
     DagError,
     DenotError,
     Event,
@@ -30,7 +31,7 @@ from fieldcalc.denot import (
     shift,
     validate_dag,
 )
-from fieldcalc.device import FuelExhausted
+from fieldcalc.device import FuelExhausted, ValueTree
 from fieldcalc.network import PathSeg, Scenario
 from fieldcalc.parser import parse_expr, parse_program
 from fieldcalc.stdlib import corpus_entry
@@ -505,6 +506,43 @@ def test_adequacy_report_json():
     assert j["ok"] is True
     assert j["first_counterexample"] is None
     assert j["events"][0]["denotational"] == {"num": 3.0}
+
+
+def test_fold_hood_fuel_does_not_run_out_with_scenario_length():
+    """Builtins that call functions spend a budget reset at each event, as
+    each fire's is, so a run long enough to spend --fuel many times over
+    still checks; only opening clusters draws on one budget for the run."""
+    prog = parse_program("fold-hood((a, b) => a + b, nbr{1})")
+    sc = line_scenario(10, rounds=20)
+    g = build_dag_from_scenario(sc)
+    assert list(denot_program(g, prog, fuel=100).values())[-1] == num(2)
+    report = check_adequacy(sc, prog, fuel=100)
+    assert report.ok and len(report.verdicts) == 200
+
+
+def test_adequacy_keeps_no_value_tree_past_its_last_reader(monkeypatch):
+    """Checking adequacy keeps a fire's value-tree only while some inbox
+    holds it: the most value-trees alive as a fire starts is the same for
+    4 rounds as for 16."""
+    prog = corpus_entry("gradient").program()
+    peaks = {}
+    for rounds in (4, 16):
+        sc = line_scenario(6, rounds=rounds, sensors={
+            d: {"sns-injection-point": boolean(d == 0)} for d in range(6)})
+        live = []
+
+        def counting(*args, evaluate=network.evaluate_main):
+            live.append(sum(type(o) is ValueTree for o in gc.get_objects()))
+            return evaluate(*args)
+
+        monkeypatch.setattr(network, "evaluate_main", counting)
+        gc.freeze()  # get_objects then skips what lived before the run
+        try:
+            assert check_adequacy(sc, prog).ok
+        finally:
+            gc.unfreeze()
+        peaks[rounds] = max(live)
+    assert peaks[4] == peaks[16] > 0
 
 
 def test_nbr_range_adequacy():

@@ -619,7 +619,7 @@ def test_every_field_is_built_in_domain_order(seed):
 
     with mock.patch.object(FieldVal, "__init__", recording):
         trace = run_scenario(sc, prog)
-        denots = denot_program(build_dag_from_scenario(sc, trace), prog)
+        denots = denot_program(build_dag_from_scenario(sc), prog)
     seen = []
     for rec in trace.records:
         stack = [rec.tree]
