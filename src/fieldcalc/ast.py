@@ -9,7 +9,6 @@ so alignment keys and map keys can use nodes directly.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
@@ -23,11 +22,9 @@ INF = float("inf")
 
 def canon_num(x: float) -> float:
     x = float(x)
-    if math.isnan(x):
+    if x != x:
         return NAN
-    if x == 0.0:
-        return 0.0
-    return x
+    return x if x else 0.0  # -0.0 is false
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,7 @@ class DefName:
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Data:
     """Constructor expression c(e1, ..., en).
 
@@ -72,15 +69,24 @@ class Data:
     a bool (True == 1.0). Numerals are canonical, so the generated
     equality and hash are structural. A Data node is a value exactly when
     all arguments are local values.
+
+    The evaluators build one of these for nearly every value they make,
+    so the constructor is written by hand: it stores its arguments as
+    given, and a numeral is canonicalised where it is made (num, the
+    parser's numeral).
     """
 
     ctor: Union[str, float]
     args: tuple = ()
     span: Optional[Span] = _span_field()
 
-    def __post_init__(self):
-        if isinstance(self.ctor, (int, float)) and not isinstance(self.ctor, bool):
-            object.__setattr__(self, "ctor", canon_num(self.ctor))
+    def __init__(self, ctor, args=(), span=None):
+        # writing the instance dict passes by the frozen __setattr__,
+        # which still refuses every later assignment
+        d = self.__dict__
+        d["ctor"] = ctor
+        d["args"] = args
+        d["span"] = span
 
 
 @dataclass(frozen=True)
@@ -111,18 +117,25 @@ class Nbr:
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class FieldVal:
     """Neighbouring field value phi: a finite map from device ids to local
     values, kept as its devices in strictly increasing order and the value
     at each of them. Runtime-only; the parser rejects it in source programs.
 
-    The constructor trusts the order: every field is built over a domain
-    that is already sorted, so it is never sorted again."""
+    The constructor, written by hand as Data's is, trusts the order: every
+    field is built over a domain that is already sorted, so it is never
+    sorted again."""
 
     devs: tuple  # device ids, strictly increasing
     vals: tuple  # vals[i] is the value at devs[i]
     span: Optional[Span] = _span_field()
+
+    def __init__(self, devs, vals, span=None):
+        d = self.__dict__
+        d["devs"] = devs
+        d["vals"] = vals
+        d["span"] = span
 
     @property
     def entries(self) -> tuple:
@@ -159,7 +172,7 @@ FALSE = Data("False")
 
 
 def num(x: float) -> Data:
-    return Data(float(x))  # Data canonicalises its numeral
+    return Data(canon_num(x))
 
 
 def boolean(b: bool) -> Data:

@@ -16,6 +16,10 @@ stand for themselves, and a function value is represented by its tag
 derived on demand. Tag equality is exactly the function equality of the
 calculus, so evolutions compare with plain structural equality.
 
+As on the device side, each node is compiled once, at its first
+evaluation, into a closure built from its children's and kept on the
+node; a closed constant child is its own value.
+
 The adequacy checker runs in lockstep with the delivery sweep, whose
 time order is a causal order of the DAG it induces: each fire is
 evaluated, its event denoted and the two compared at once, with no trace
@@ -326,11 +330,12 @@ class _Scope:
     with it every sender the event can be aware of, is already there.
     ``nbrs``, ``prev`` and ``pi`` describe the event being evaluated."""
 
-    __slots__ = ("params", "body", "domain", "memo", "children", "nbrs", "prev", "pi")
+    __slots__ = ("params", "body", "run", "domain", "memo", "children", "nbrs", "prev", "pi")
 
     def __init__(self, params, body):
         self.params = params
         self.body = body
+        self.run = _child(body)
         self.domain = set()  # ids of the events entered so far
         self.memo = {}  # id of a Nbr or Rep node -> {event id: value}
         self.children = {}  # (id of an Apply node, function value) -> _Scope
@@ -388,7 +393,7 @@ class _Denot:
         ctx.device, ctx.sensors, ctx.fuel = ev.device, sensors, self.fuel
         self.senders = senders
         self.enter(root, ev)
-        return self.eval_at(root, X, root.body, ev)
+        return root.run(self, root, X, ev)
 
     def eval(self, g: EventDAG, E, X, e) -> dict:
         """The evolution of e over the events E of g under assumptions X."""
@@ -397,50 +402,120 @@ class _Denot:
                                {n: phi[ev] for n, phi in X.items()})
                 for ev in g.causal_order() if ev in E}
 
-    def eval_at(self, S: _Scope, X: dict, e: Expr, ev: Event) -> Expr:
-        """The value at ev of e, a node of S's body, where X holds the
-        values at ev of the variables in scope. Apply, nbr and rep are
-        never values, a variable's value is restricted to the cluster, and
-        any other node is first tried as a value (value_of)."""
-        k = type(e)
-        if k is Apply:
-            f = self.eval_at(S, X, e.fn, ev)
-            avs = [self.eval_at(S, X, a, ev) for a in e.args]
+
+# A node's closure run(den, S, X, ev) is the value at event ev of the
+# node, a node of scope S's body, where X holds the values at ev of the
+# variables in scope. Apply, nbr and rep are never values, a variable's
+# value is restricted to the cluster, and any other node is first tried
+# as a value (value_of), unless it can never be one.
+
+def _compiled(e: Expr):
+    """e's closure, compiled on the first call and kept on the node."""
+    try:
+        return e._den
+    except AttributeError:
+        run = _compile(e)
+        object.__setattr__(e, "_den", run)
+        return run
+
+
+def _child(c: Expr):
+    """The closure of c, a child of a node or a scope's body; a closed
+    constant is its own value, and is not compiled."""
+    fv, leaf_vars, _ = plan(c)
+    if leaf_vars is not None and not fv:
+        return lambda den, S, X, ev: c
+    return _compiled(c)
+
+
+def _compile(e: Expr):
+    """The closure run(den, S, X, ev) of e, from its children's."""
+    k = type(e)
+    if k is Apply:
+        n, key = len(e.args), id(e)
+        arg_runs = [_child(a) for a in e.args]
+        if type(e.fn) is Builtin:
+            name = e.fn.name
+
+            def run(den, S, X, ev):
+                return call_builtin(den.ctx, name, S.pi, [r(den, S, X, ev) for r in arg_runs])
+
+            return run
+        fn_run = _child(e.fn)
+
+        def run(den, S, X, ev):
+            f = fn_run(den, S, X, ev)
+            avs = [r(den, S, X, ev) for r in arg_runs]
             if isinstance(f, Builtin):
-                return call_builtin(self.ctx, f.name, S.pi, avs)
-            C = S.children.get((id(e), f))
+                return call_builtin(den.ctx, f.name, S.pi, avs)
+            C = S.children.get((key, f))
             if C is None:
-                C = S.children[id(e), f] = _Scope(*fun_parts(self.ctx.defs, f, len(avs)))
-            self.enter(C, ev)
+                C = S.children[key, f] = _Scope(*fun_parts(den.ctx.defs, f, n))
+            den.enter(C, ev)
             params = {x: restrict_value(a, C.pi) for x, a in zip(C.params, avs)}
-            return self.eval_at(C, params, C.body, ev)
-        if k is Var:
-            if e.name not in X:
-                raise DenotError(f"unbound variable {e.name!r}")
-            return restrict_value(X[e.name], S.pi)
-        if k is Nbr:
-            v = self.eval_at(S, X, e.body, ev)
-            memo = S.memo.setdefault(id(e), {})
+            return C.run(den, C, params, ev)
+
+        return run
+    if k is Var:
+        name = e.name
+
+        def run(den, S, X, ev):
+            if name not in X:
+                raise DenotError(f"unbound variable {name!r}")
+            return restrict_value(X[name], S.pi)
+
+        return run
+    if k is Nbr:
+        body_run, key = _child(e.body), id(e)
+
+        def run(den, S, X, ev):
+            v = body_run(den, S, X, ev)
+            memo = S.memo.setdefault(key, {})
             memo[ev.id] = v
             nbrs = S.nbrs
             return FieldVal(S.pi, tuple([memo[nbrs[d]] if d in nbrs else v for d in S.pi]))
-        if k is Rep:
-            r0 = self.eval_at(S, X, e.init, ev)
-            memo = S.memo.setdefault(id(e), {})
+
+        return run
+    if k is Rep:
+        init_run, var, body_run, key = _child(e.init), e.var, _child(e.body), id(e)
+
+        def run(den, S, X, ev):
+            r0 = init_run(den, S, X, ev)
+            memo = S.memo.setdefault(key, {})
             last = r0 if S.prev is None else memo[S.prev]
-            v = memo[ev.id] = self.eval_at(S, {**X, e.var: last}, e.body, ev)
+            v = memo[ev.id] = body_run(den, S, {**X, var: last}, ev)
             return v
-        v = value_of(e, X)
-        if v is not None:
-            return v
-        if k is Data:
-            return Data(e.ctor, tuple(self.eval_at(S, X, a, ev) for a in e.args))
-        if k is Lambda:  # value_of found a free variable unbound
-            v = next(v for v in plan(e).fv if v not in X)
+
+        return run
+    fv, leaf_vars, _ = plan(e)
+    if k is Data:
+        ctor, arg_runs = e.ctor, [_child(a) for a in e.args]
+        if leaf_vars is None:
+            return lambda den, S, X, ev: Data(ctor, tuple([r(den, S, X, ev) for r in arg_runs]))
+
+        def run(den, S, X, ev):
+            v = value_of(e, X)
+            if v is not None:
+                return v
+            return Data(ctor, tuple([r(den, S, X, ev) for r in arg_runs]))
+
+        return run
+    if k is Lambda:
+        def run(den, S, X, ev):
+            v = value_of(e, X)
+            if v is not None:
+                return v
+            v = next(v for v in fv if v not in X)
             raise DenotError(f"unbound variable {v!r}")
-        if k is FieldVal:
-            return restrict_value(e, S.pi)
+
+        return run
+    if k is FieldVal:
+        return lambda den, S, X, ev: restrict_value(e, S.pi)
+
+    def run(den, S, X, ev):
         raise DenotError(f"cannot interpret {e!r}")
+
+    return run
 
 
 def denot_eval(g: EventDAG, E, X: dict, e: Expr, defs=None,

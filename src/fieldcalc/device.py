@@ -9,6 +9,15 @@ matching subtrees, which is what aligns nbr/rep state across devices.
 Every rule charges one unit of fuel, so non-terminating recursion
 surfaces as FuelExhausted instead of hanging the simulator. Builtins run
 in the evaluator's own EvalContext.
+
+Each node is compiled once, at its first evaluation, into a Python
+closure built from its children's closures and specialised to its kind
+and to what each child is (Feeley and Lapalme, "Using Closures for Code
+Generation", 1987): a closed constant child is a leaf built once, a
+child that is never a value skips the value test, a variable child reads
+the variables in scope, and an application of a builtin name calls it by
+the name it already knows. The closure is kept on the node, and there is
+no other evaluator.
 """
 
 from __future__ import annotations
@@ -34,6 +43,8 @@ from .ast import (
     Program,
     Rep,
     Var,
+    is_local_value,
+    plan,
     restrict_value,
     value_of,
 )
@@ -132,8 +143,16 @@ class EvalContext:
         self.fuel -= 1
 
     def call(self, f: Expr, args) -> Expr:
-        """f applied to args against the empty environment (map-hood, fold-hood)."""
-        return _eval(self, {}, Apply(f, tuple(args)), NO_VARS).root
+        """f applied to the values args against the empty environment
+        (map-hood, fold-hood): the ticks and errors of evaluating the
+        application of f to args, with no tree kept."""
+        self.tick()
+        args = [_value(self, a) for a in args]
+        f = _value(self, f)
+        if isinstance(f, Builtin):
+            return call_builtin(self, f.name, (self.device,), args)
+        params, body = fun_parts(self.defs, f, len(args))
+        return _body_tree(self, {}, body, f, dict(zip(params, args))).root
 
 
 def fun_parts(defs: dict, f: Expr, nargs: int):
@@ -162,17 +181,9 @@ def eval_expr(ctx: EvalContext, env: dict, e: Expr, X=NO_VARS) -> ValueTree:
     evaluated without substituting: e under X yields the tree, the fuel
     ticks and the errors of e with X's values put in its place. env may
     list its devices in any order; it is put in order when e is no value."""
-    return _tree(ctx, e, X, lambda env, _: dict(sorted(env.items())), env, None)
-
-
-def _tree(ctx: EvalContext, e: Expr, X, align, env: dict, key) -> ValueTree:
-    """The tree of e, a child of a node evaluated against env: for one
-    tick a leaf when e under X is a local value (ast.value_of), which
-    reads no aligned environment; otherwise e evaluated against
-    align(env, key)."""
     v = value_of(e, X)
     if v is None:
-        return _eval(ctx, align(env, key), e, X)
+        return _compiled(e)(ctx, dict(sorted(env.items())), X)
     ctx.tick()
     return ValueTree(v)
 
@@ -186,64 +197,201 @@ def _domain(env: dict, device: int) -> tuple:
     return (*devs[:i], device, *devs[i:])
 
 
-def _eval(ctx: EvalContext, env: dict, e: Expr, X) -> ValueTree:
-    """The tree of e, which is not a local value under X, against env,
-    whose keys are in increasing order."""
+# A node's closure run(ctx, env, X) is the tree of the node, which is no
+# local value under X, against env, the trees aligned to the node (keys in
+# increasing order); it spends the node's fuel unit first. A child runs
+# through a closure made for its place (_child). The body of an applied
+# function is known only at run time, so it is reached through _body_tree.
+
+def _compiled(e: Expr):
+    """e's closure, compiled on the first call and kept on the node."""
+    try:
+        return e._dev
+    except AttributeError:
+        run = _compile(e)
+        object.__setattr__(e, "_dev", run)
+        return run
+
+
+def _child(c: Expr, i: int):
+    """tree(ctx, env, X): the tree of c, the i-th child (1-based) of a node
+    evaluated against env; for one tick a leaf when c under X is a local
+    value, which reads no aligned environment, else c run against
+    align_i(env, i)."""
+    fv, leaf_vars, _ = plan(c)
+    if leaf_vars is None:
+        run = _compiled(c)
+        return lambda ctx, env, X: run(ctx, align_i(env, i), X)
+    if not fv:
+        lf = ValueTree(c)
+
+        def tree(ctx, env, X):
+            ctx.tick()
+            return lf
+
+        return tree
+    run = _compiled(c)
+    if type(c) is Var:
+        name = c.name
+
+        def tree(ctx, env, X):
+            v = X.get(name)
+            if v is None or not is_local_value(v):
+                return run(ctx, align_i(env, i), X)
+            ctx.tick()
+            return ValueTree(v)
+
+        return tree
+
+    def tree(ctx, env, X):
+        v = value_of(c, X)
+        if v is None:
+            return run(ctx, align_i(env, i), X)
+        ctx.tick()
+        return ValueTree(v)
+
+    return tree
+
+
+def _body_tree(ctx: EvalContext, env: dict, body: Expr, f: Expr, X) -> ValueTree:
+    """The tree of body, the body of function value f applied with its
+    parameters' values in X, at a node evaluated against env: for one
+    tick a leaf when body under X is a local value, else body run against
+    align_fun(env, f)."""
+    v = value_of(body, X)
+    if v is None:
+        return _compiled(body)(ctx, align_fun(env, f), X)
     ctx.tick()
+    return ValueTree(v)
+
+
+def _value(ctx: EvalContext, v: Expr) -> Expr:
+    """The value of v, a value evaluated against the empty environment:
+    a local value for one tick, a field restricted to the device."""
+    ctx.tick()
+    return v if is_local_value(v) else _value_tree(ctx, {}, v).root
+
+
+def _value_tree(ctx: EvalContext, env: dict, v: Expr) -> ValueTree:
+    """The tree of v against env, once its tick is spent, where v is a
+    field, data holding one, or a node no rule evaluates: a field is
+    restricted to env's devices and the device, and a variable holding a
+    field (or data holding one) is evaluated as the value it holds."""
+    k = type(v)
+    if k is FieldVal:
+        return ValueTree(restrict_value(v, _domain(env, ctx.device)))
+    if k is Data:
+        kids = []
+        for i, a in enumerate(v.args, 1):
+            ctx.tick()
+            kids.append(ValueTree(a) if is_local_value(a)
+                        else _value_tree(ctx, align_i(env, i), a))
+        return ValueTree(Data(v.ctor, tuple([k.root for k in kids])), tuple(kids))
+    raise EvalError(f"cannot evaluate {v!r}")
+
+
+def _compile(e: Expr):
+    """The closure run(ctx, env, X) of e, from its children's."""
     k = type(e)
-    if k is Var:
-        # a variable holding a field (or data holding one) is evaluated as
-        # the value it holds
-        if e.name not in X:
-            raise EvalError(f"unbound variable {e.name!r} at runtime")
-        e, X = X[e.name], NO_VARS
-        k = type(e)
     if k is Apply:
-        args = e.args
-        kids = [_tree(ctx, a, X, align_i, env, i) for i, a in enumerate(args, 1)]
-        ft = _tree(ctx, e.fn, X, align_i, env, len(args) + 1)
-        f = ft.root
-        if isinstance(f, Builtin):
-            v = call_builtin(ctx, f.name, _domain(env, ctx.device), [k.root for k in kids])
-            return ValueTree(v, (*kids, ft))
-        params, body = fun_parts(ctx.defs, f, len(kids))
-        bt = _tree(ctx, body, dict(zip(params, (k.root for k in kids))), align_fun, env, f)
-        return ValueTree(bt.root, (*kids, ft, bt))
+        args, n = e.args, len(e.args)
+        kid_trees = [_child(a, i) for i, a in enumerate(args, 1)]
+        fn_tree = _child(e.fn, n + 1)
+        if type(e.fn) is Builtin:
+            name = e.fn.name
+
+            def run(ctx, env, X):
+                ctx.tick()
+                kids = [t(ctx, env, X) for t in kid_trees]
+                ft = fn_tree(ctx, env, X)
+                v = call_builtin(ctx, name, _domain(env, ctx.device), [t.root for t in kids])
+                return ValueTree(v, (*kids, ft))
+
+            return run
+
+        def run(ctx, env, X):
+            ctx.tick()
+            kids = [t(ctx, env, X) for t in kid_trees]
+            ft = fn_tree(ctx, env, X)
+            f = ft.root
+            if isinstance(f, Builtin):
+                v = call_builtin(ctx, f.name, _domain(env, ctx.device), [t.root for t in kids])
+                return ValueTree(v, (*kids, ft))
+            params, body = fun_parts(ctx.defs, f, n)
+            bt = _body_tree(ctx, env, body, f, dict(zip(params, [t.root for t in kids])))
+            return ValueTree(bt.root, (*kids, ft, bt))
+
+        return run
+    if k is Var:
+        name = e.name
+
+        def run(ctx, env, X):
+            # a variable holding a field (or data holding one) is evaluated
+            # as the value it holds
+            ctx.tick()
+            if name not in X:
+                raise EvalError(f"unbound variable {name!r} at runtime")
+            return _value_tree(ctx, env, X[name])
+
+        return run
     if k is Data:
         # constructor over unevaluated arguments: evaluate each against
         # its aligned environment, collect a tree per argument
-        kids = tuple(_tree(ctx, a, X, align_i, env, i) for i, a in enumerate(e.args, 1))
-        return ValueTree(Data(e.ctor, tuple(k.root for k in kids)), kids)
+        ctor = e.ctor
+        kid_trees = [_child(a, i) for i, a in enumerate(e.args, 1)]
+
+        def run(ctx, env, X):
+            ctx.tick()
+            kids = tuple([t(ctx, env, X) for t in kid_trees])
+            return ValueTree(Data(ctor, tuple([t.root for t in kids])), kids)
+
+        return run
     if k is Nbr:
-        bt = _tree(ctx, e.body, X, align_i, env, 1)
-        # the neighbours' stored values of the body, in device order, with
-        # the device's own new value in its place
-        d = ctx.device
-        devs, vals = [], []
-        for d2, t in env.items():
-            if t.children and d2 != d:
-                devs.append(d2)
-                vals.append(t.children[0].root)
-        i = bisect_left(devs, d)
-        devs.insert(i, d)
-        vals.insert(i, bt.root)
-        return ValueTree(FieldVal(tuple(devs), tuple(vals)), (bt,))
+        body_tree = _child(e.body, 1)
+
+        def run(ctx, env, X):
+            ctx.tick()
+            bt = body_tree(ctx, env, X)
+            # the neighbours' stored values of the body, in device order,
+            # with the device's own new value in its place
+            d = ctx.device
+            devs, vals = [], []
+            for d2, t in env.items():
+                if t.children and d2 != d:
+                    devs.append(d2)
+                    vals.append(t.children[0].root)
+            i = bisect_left(devs, d)
+            devs.insert(i, d)
+            vals.insert(i, bt.root)
+            return ValueTree(FieldVal(tuple(devs), tuple(vals)), (bt,))
+
+        return run
     if k is Rep:
-        t1 = _tree(ctx, e.init, X, align_i, env, 1)
-        # the state the device's own tree stored, or init after a reboot
-        own = env.get(ctx.device)
-        if own is None:
-            l0 = t1.root
-        elif len(own.children) >= 2:
-            l0 = own.children[1].root
-        else:
-            raise MalformedEnv(f"device {ctx.device} has no stored rep state in its own tree")
-        t2 = _tree(ctx, e.body, {**X, e.var: l0}, align_i, env, 2)
-        return ValueTree(t2.root, (t1, t2))
-    if k is FieldVal:
-        return ValueTree(restrict_value(e, _domain(env, ctx.device)))
-    # a lambda with an unbound free variable, or no expression at all
-    raise EvalError(f"cannot evaluate {e!r}")
+        init_tree, var, body_tree = _child(e.init, 1), e.var, _child(e.body, 2)
+
+        def run(ctx, env, X):
+            ctx.tick()
+            t1 = init_tree(ctx, env, X)
+            # the state the device's own tree stored, or init after a reboot
+            own = env.get(ctx.device)
+            if own is None:
+                l0 = t1.root
+            elif len(own.children) >= 2:
+                l0 = own.children[1].root
+            else:
+                raise MalformedEnv(f"device {ctx.device} has no stored rep state in its own tree")
+            t2 = body_tree(ctx, env, {**X, var: l0})
+            return ValueTree(t2.root, (t1, t2))
+
+        return run
+
+    # a field literal; a lambda with an unbound free variable, or no
+    # expression at all, cannot be evaluated
+    def run(ctx, env, X):
+        ctx.tick()
+        return _value_tree(ctx, env, e)
+
+    return run
 
 
 def call_builtin(ctx: EvalContext, name: str, domain, args) -> Expr:

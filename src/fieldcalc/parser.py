@@ -55,6 +55,7 @@ from .ast import (
     Rep,
     Span,
     Var,
+    canon_num,
     children,
     desugar_if,
     is_value,
@@ -359,7 +360,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "num":
             self.next()
-            return Data(t.value, span=t.span)
+            return Data(canon_num(t.value), span=t.span)
         if t.kind == "op":
             # prefix operator, either applied or passed as a value
             self.next()

@@ -30,11 +30,11 @@ from fieldcalc.ast import (
     is_value,
     num,
 )
+from fieldcalc import denot
 from fieldcalc.builtins import SensorState
 from fieldcalc.denot import (
     Event,
     EventDAG,
-    _Denot,
     build_dag_from_scenario,
     check_adequacy,
     denot_eval,
@@ -311,40 +311,47 @@ def test_denotation_matches_the_fixpoint_on_adequacy_pairs():
 # 7. alignment domains, cluster isolation, and the rep identity at
 # source events
 
-class AlignedDenot(_Denot):
-    """Evaluator that checks every field value of every node instance, at
-    every event, against the events of its cluster so far."""
+class AlignedFields:
+    """A stand-in for the denotation's compile step that wraps the closure
+    of every node it compiles: each field value a node instance yields,
+    at every event, is checked against the events of its cluster so far."""
 
-    def __init__(self, g, defs, fuel):
-        super().__init__(defs, fuel)
-        self.g = g
+    def __init__(self, compile_):
+        self.compile = compile_
+        self.g = None  # the DAG being denoted
         self.fields_checked = 0
 
-    def eval_at(self, S, X, e, ev):
-        v = super().eval_at(S, X, e, ev)
-        if isinstance(v, FieldVal):
-            cluster = {self.g.by_id[i] for i in S.domain}
-            assert frozenset(v.devs) == nbr_devices(self.g, cluster, ev), (e, ev)
-            self.fields_checked += 1
-        return v
+    def __call__(self, e):
+        run = self.compile(e)
+
+        def checked(den, S, X, ev):
+            v = run(den, S, X, ev)
+            if isinstance(v, FieldVal):
+                cluster = {self.g.by_id[i] for i in S.domain}
+                assert frozenset(v.devs) == nbr_devices(self.g, cluster, ev), (e, ev)
+                self.fields_checked += 1
+            return v
+
+        return checked
 
 
 FREE_STEP = "(src) => mux(src, 0, min-hood( +[f,l](nbr{mux(src, 0, infinity)}, 1)))"
 OBSTACLE = "mux(uid() = 2, (src) => infinity, " + FREE_STEP + ")"
 
 
-def test_field_alignment_restriction_and_rep_identity():
+def test_field_alignment_restriction_and_rep_identity(monkeypatch):
     t0 = time.monotonic()
 
     # every field-typed denotation in the adequacy suite has the domain
-    # of the aligned neighbours at its own evaluation step
-    checked = 0
-    for sc, prog in adequacy_pairs():
-        g = build_dag_from_scenario(sc)
-        den = AlignedDenot(g, {d.name: d for d in prog.defs}, DEFAULT_FUEL)
-        den.eval(g, frozenset(g.events), {}, prog.main)
-        checked += den.fields_checked
-    assert checked > 0
+    # of the aligned neighbours at its own evaluation step; the pairs are
+    # drawn afresh, past the cache, so every node is compiled under the check
+    aligned = AlignedFields(denot._compile)
+    monkeypatch.setattr(denot, "_compile", aligned)
+    for sc, prog in adequacy_pairs.__wrapped__():
+        aligned.g = build_dag_from_scenario(sc)
+        denot_program(aligned.g, prog)
+    monkeypatch.undo()
+    assert aligned.fields_checked > 0
 
     # cluster isolation: devices applying the obstacle branch drop out of
     # the gradient-step cluster, so perturbing the source flag at the

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import importlib
 import math
@@ -5,12 +6,14 @@ import random
 import sys
 import weakref
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldcalc.ast import (
     FALSE,
     INF,
+    NAN,
     TRUE,
     Apply,
     Builtin,
@@ -36,6 +39,7 @@ from fieldcalc.ast import (
     value_of,
 )
 from fieldcalc.builtins import value_equal
+from fieldcalc.parser import parse_expr
 from fieldcalc.typer import BOOL, NUM, FieldT
 from generators import ExprGen
 import helpers
@@ -76,6 +80,39 @@ def test_spans_do_not_affect_equality():
     d1 = Data("Pair", (num(1), num(2)), span=Span(3, 3))
     d2 = Data("Pair", (num(1), num(2)))
     assert d1 == d2 and hash(d1) == hash(d2)
+
+
+def test_values_built_by_hand_stay_frozen_and_ignore_spans():
+    """Data and FieldVal have hand-written constructors and keep what the
+    dataclass gives them: no field can be set or deleted, a span changes
+    neither equality, hash nor repr, and keywords name the fields."""
+    d = Data("Pair", (num(1), num(-0.0)))
+    phi = FieldVal((1, 2), (num(4), TRUE))
+    for v in (d, phi):
+        for name in (*v.__dataclass_fields__, "span"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(v, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(v, name)
+    sp = Span(3, 4)
+    for v, w in ((d, Data("Pair", d.args, span=sp)),
+                 (phi, FieldVal(phi.devs, phi.vals, span=sp)),
+                 (num(2), Data(2.0, span=sp))):
+        assert w.span is sp and v.span is None
+        assert v == w and w == v and hash(v) == hash(w) and repr(v) == repr(w)
+    assert Data(ctor="Pair", args=d.args) == d
+    assert FieldVal(devs=phi.devs, vals=phi.vals) == phi
+    assert dataclasses.replace(d, span=sp) == d
+
+
+def test_numerals_are_canonical_where_they_are_made():
+    """num and the parser's numeral are the only places a float
+    constructor is made: every NaN is ast.NAN and no zero is negative."""
+    for v in (num(-0.0), num(0), parse_expr("-0"), parse_expr("-0.0e3")):
+        assert v.ctor == 0.0 and math.copysign(1, v.ctor) == 1.0
+    for v in (num(float("nan")), num(INF - INF), parse_expr("NaN")):
+        assert v.ctor is NAN
+    assert parse_expr("-infinity").ctor == -INF and parse_expr("3").ctor == 3.0
 
 
 def test_field_entries_sorted_and_equal():

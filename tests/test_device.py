@@ -1,6 +1,7 @@
 """Big-step device evaluation: golden trees, alignment, well-formedness."""
 
 import json
+import math
 import random
 from fractions import Fraction as F
 from unittest import mock
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldcalc import ast, device
+from fieldcalc import ast, denot, device
 from fieldcalc.ast import (
     Apply,
     Builtin,
@@ -584,6 +585,38 @@ def test_a_fire_substitutes_nothing_and_resolves_each_name_once(monkeypatch):
     assert seen[2]["entry"] == seen[8]["entry"] > 0
 
 
+def test_each_node_is_compiled_once_per_program(monkeypatch):
+    """Corpus spanning-sum on a static 4x4 grid, under check-adequacy so
+    both evaluators run: each side compiles each node it evaluates once,
+    so a fresh copy of the program compiles as many nodes in 2 rounds as
+    in 8."""
+    counts = {}
+
+    def counting(module):
+        compile_ = module._compile
+
+        def wrapper(e):
+            counts[module.__name__] += 1
+            return compile_(e)
+        return wrapper
+
+    monkeypatch.setattr(device, "_compile", counting(device))
+    monkeypatch.setattr(denot, "_compile", counting(denot))
+    grid = {4 * i + j: (float(i), float(j)) for i in range(4) for j in range(4)}
+    seen = {}
+    for rounds in (2, 8):
+        counts.update({device.__name__: 0, denot.__name__: 0})
+        fires = [(F(r * 16 + d, 16), d) for r in range(rounds) for d in grid]
+        sc = static_scenario(grid, radius=1.5, decay=100, fires=fires, sensors={
+            d: {"sns-injection-point": boolean(d == 0), "sns-patron": boolean(d % 3 == 0)}
+            for d in grid})
+        report = check_adequacy(sc, corpus_entry("spanning-sum").program())
+        assert report.ok and len(report.verdicts) == 16 * rounds
+        seen[rounds] = dict(counts)
+    assert seen[2] == seen[8]
+    assert all(n > 0 for n in seen[2].values())
+
+
 def _fields_in(v):
     """The field values in value v, v included."""
     if isinstance(v, FieldVal):
@@ -635,6 +668,52 @@ def test_every_field_is_built_in_domain_order(seed):
         ref = mkfield(zip(phi.devs, phi.vals))
         assert phi == ref and hash(phi) == hash(ref), phi
         assert dumps(value_to_json(phi)) == dumps(value_to_json(ref))
+
+
+def _float_ctors(v):
+    """The float constructors in value v: in its data, its fields and the
+    bodies of its closures."""
+    if isinstance(v, FieldVal):
+        for x in v.vals:
+            yield from _float_ctors(x)
+        return
+    if isinstance(v, Data) and isinstance(v.ctor, float):
+        yield v.ctor
+    for c, _ in ast.children(v):
+        yield from _float_ctors(c)
+
+
+# programs whose values reach NaN and negative zero
+SIGNED_ZERO_AND_NAN = [
+    parse_program("Pair(0 * -1, NaN + 1)"),
+    parse_program("min-hood+(nbr{1}) - min-hood+(nbr{uid()})"),
+    parse_program("rep(-0){(x) => x * -1 + 0 * mux(x < 1, NaN, -1)}"),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_numeral_a_run_builds_is_canonical(seed):
+    """On a generated scenario, every float constructor in every fire's
+    value-tree and every event's denotation is canonical: each NaN is
+    ast.NAN, and no zero is negative."""
+    rnd = random.Random(seed)
+    sc = gen_scenario(rnd)
+    if rnd.random() < 0.3:
+        prog = rnd.choice(SIGNED_ZERO_AND_NAN)
+    else:
+        prog = ExprGen(rnd).program(depth=rnd.randint(1, 4))
+    values = []
+    for rec in run_scenario(sc, prog).records:
+        stack = [rec.tree]
+        while stack:
+            t = stack.pop()
+            values.append(t.root)
+            stack.extend(t.children)
+    values.extend(denot_program(build_dag_from_scenario(sc), prog).values())
+    for v in values:
+        for c in _float_ctors(v):
+            assert c is ast.NAN if c != c else c != 0 or math.copysign(1, c) == 1, v
 
 
 def _aligned_children(e, t, defs) -> int:
