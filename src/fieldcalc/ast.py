@@ -31,8 +31,6 @@ def canon_num(x: float) -> float:
 class Span:
     line: int
     col: int
-    end_line: int = 0
-    end_col: int = 0
 
 
 def _span_field():

@@ -253,7 +253,7 @@ def op_map_hood(ctx, args):
     f = _need_fun(args[0], "map-hood")
     fields = [_need_field(a, "map-hood") for a in args[1:]]
     dom = ctx.domain
-    return FieldVal(dom, tuple([ctx.call(f, list(point))
+    return FieldVal(dom, tuple([ctx.call(f, point)
                                 for point in zip(*[phi.vals for phi in fields])]))
 
 
@@ -309,6 +309,13 @@ class BuiltinEntry:
     name: str
     scheme: Scheme
     op: Callable
+    least: int  # the argument counts the op accepts
+    most: int
+
+
+def _entry(name: str, scheme: Scheme, op: Callable, most: Optional[int] = None) -> BuiltinEntry:
+    n = len(scheme.body.args) if isinstance(scheme.body, Arrow) else 0
+    return BuiltinEntry(name, scheme, op, n, n if most is None else most)
 
 
 _DECORATABLE = {"+", "-", "*", "and", "<", "=", "mux", "fst", "snd", "head", "tail", "Pair", "Cons"}
@@ -328,25 +335,22 @@ _NUMERAL_SCHEME = parse_scheme("() -> num")
 
 class BuiltinTable:
     def __init__(self):
+        # name -> entry; a decorated name is derived on its first lookup and
+        # kept, None when it names no builtin
         self._entries: dict = {}
         self._ctor_entries: dict = {}
-        self._decorated: dict = {}
-        self._calls: dict = {}  # name -> (entry, least, greatest argument count)
 
-    def add(self, name: str, scheme_text: str, op: Callable):
-        self._entries[name] = BuiltinEntry(name, parse_scheme(scheme_text), op)
+    def add(self, name: str, scheme_text: str, op: Callable, most: Optional[int] = None):
+        self._entries[name] = _entry(name, parse_scheme(scheme_text), op, most)
 
     def add_ctor(self, name: str, scheme_text: str):
-        self._ctor_entries[name] = BuiltinEntry(name, parse_scheme(scheme_text), _ctor_op(name))
+        self._ctor_entries[name] = _entry(name, parse_scheme(scheme_text), _ctor_op(name))
 
     def entry(self, name: str) -> Optional[BuiltinEntry]:
-        if name in self._entries:
-            return self._entries[name]
-        if "[" in name:
-            if name not in self._decorated:
-                self._decorated[name] = self._derive_decorated(name)
-            return self._decorated[name]
-        return None
+        e = self._entries.get(name)
+        if e is None and "[" in name and name not in self._entries:
+            e = self._entries[name] = self._derive_decorated(name)
+        return e
 
     def is_builtin_name(self, name: str) -> bool:
         return self.entry(name) is not None
@@ -393,19 +397,15 @@ class BuiltinTable:
             cols = [a.vals if flag == "f" else repeat(a) for a, flag in zip(args, _flags)]
             return FieldVal(ctx.domain, tuple([_op(ctx, point) for point in zip(*cols)]))
 
-        return BuiltinEntry(name, scheme, op)
+        return _entry(name, scheme, op)
 
-    def eval(self, name: str, ctx, args) -> Expr:
-        call = self._calls.get(name)
-        if call is None:  # name is resolved on its first call only
-            e = self.entry(name)
-            if e is None:
-                raise EvalError(f"unknown builtin {name!r}")
-            n = len(e.scheme.body.args) if isinstance(e.scheme.body, Arrow) else 0
-            call = self._calls[name] = (e, *((2, MAP_HOOD_MAX_ARITY + 1)
-                                             if name == "map-hood" else (n, n)))
-        e, lo, hi = call
-        if not lo <= len(args) <= hi:
+    def eval(self, name: str, ctx, args: list) -> Expr:
+        """Apply builtin name to args, a list that no op mutates."""
+        e = self._entries.get(name) or self.entry(name)  # entry() derives a decoration
+        if e is None:
+            raise EvalError(f"unknown builtin {name!r}")
+        if not e.least <= len(args) <= e.most:
+            lo, hi = e.least, e.most
             raise ArityError(f"{name} takes {lo} argument(s), got {len(args)}" if lo == hi
                              else f"{name} takes {lo} to {hi} arguments, got {len(args)}")
         expected = ctx.domain
@@ -415,7 +415,7 @@ class BuiltinTable:
                     f"field argument of {name} has domain {list(a.devs)}, "
                     f"expected {list(expected)} at device {ctx.device}"
                 )
-        result = e.op(ctx, list(args))
+        result = e.op(ctx, args)
         if isinstance(result, FieldVal) and result.devs != expected:
             raise DomainError(f"{name} produced a misaligned field at device {ctx.device}")
         return result
@@ -441,7 +441,8 @@ def _build_table() -> BuiltinTable:
     t.add("min-hood+", "forall s1. (field(s1)) -> s1", op_min_hood_plus)
     t.add("sum-hood+", "(field(num)) -> num", op_sum_hood_plus)
     t.add("pick-hood", "forall s1. (field(s1)) -> s1", op_pick_hood)
-    t.add("map-hood", "forall s1, s0. ((s1) -> s0, field(s1)) -> field(s0)", op_map_hood)
+    t.add("map-hood", "forall s1, s0. ((s1) -> s0, field(s1)) -> field(s0)", op_map_hood,
+          most=MAP_HOOD_MAX_ARITY + 1)
     t.add("fold-hood", "forall s1. ((s1, s1) -> s1, field(s1)) -> s1", op_fold_hood)
     t.add("mux", "forall s1. (bool, s1, s1) -> s1", op_mux)
     t.add("and", "(bool, bool) -> bool", op_and)

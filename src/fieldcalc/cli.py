@@ -55,8 +55,10 @@ def _read(path: str) -> str:
 def _read_json(path: str):
     try:
         return json.loads(_read(path))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer of over 4300 digits
         raise CliError(2, f"{path}: not valid JSON: {e}") from None
+    except RecursionError:
+        raise CliError(2, f"{path}: JSON nested too deep to read") from None
 
 
 def _emit(text: str, out) -> None:

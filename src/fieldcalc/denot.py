@@ -64,6 +64,7 @@ from .network import (
     as_time,
     fire,
     json_container,
+    json_device,
     json_id,
     shape_error,
     sweep,
@@ -277,8 +278,7 @@ def dag_from_json(obj) -> EventDAG:
                 i, d, t = r["id"], r["device"], as_time(r["time"])
             except SHAPE_ERRORS as e:
                 raise shape_error("DAG event", EVENT_SHAPE, r, e) from None
-            if type(i) is not int or type(d) is not int:
-                i, d = json_id(i, "DAG event id"), json_id(d, "DAG event device")
+            i, d = json_id(i, "DAG event id"), json_device(d, "DAG event device")
             events.append(Event(i, d, t))
         neigh = []
         for edge in json_container(obj["neigh"], list, "neigh"):

@@ -427,6 +427,19 @@ def json_id(v, what: str) -> int:
     raise ScenarioError(f"{what} must be an integer, got {v!r}")
 
 
+# uid() is a float, which holds every integer in this range exactly
+DEVICE_ID_LIMIT = 2 ** 53
+
+
+def json_device(v, what: str) -> int:
+    """A device id: an integer id that uid() represents exactly."""
+    d = json_id(v, what)
+    if not -DEVICE_ID_LIMIT <= d <= DEVICE_ID_LIMIT:
+        raise ScenarioError(f"{what} must lie in [-2**53, 2**53], where uid() "
+                            f"is exact, got {d}")
+    return d
+
+
 SEGMENT_SHAPE = '{"from": time, "to": time, "waypoints": [[x, y], ...]}'
 FIRE_SHAPE = '{"t": time, "device": id}'
 
@@ -464,7 +477,7 @@ def scenario_from_json(obj) -> Scenario:
     missing = {"devices", "radius", "decay", "fires"} - set(obj)
     if missing:
         raise ScenarioError(f"scenario lacks keys: {', '.join(sorted(missing))}")
-    devices = tuple(json_id(d, "device id")
+    devices = tuple(json_device(d, "device id")
                     for d in json_container(obj["devices"], list, "devices"))
     if len(set(devices)) != len(devices):
         raise ScenarioError("duplicate device ids")

@@ -15,7 +15,13 @@ Surface syntax:
               |  '(' expr ')'
               |  OP | OP '(' args ')'             (prefix operator call)
 
-Lexical quirks, all needed by the standard library sources:
+Tokens are read by one regular expression, _TOKEN, with one alternative
+per token class. Whitespace is space, tab, CR and LF; '//' comments run
+to the end of the line. A numeral is decimal digits with an optional
+fraction and exponent ('infinity' and 'NaN' are numerals too). A name
+starts with a letter (str.isalpha) or '_' and goes on with letters,
+digits or '_'. Any other character is a ParseError at its line and
+column. Lexical quirks, all needed by the standard library sources:
 
   - identifiers may contain hyphens (distance-to), so subtraction needs
     spaces around '-' or the prefix form '-(a, b)';
@@ -23,8 +29,9 @@ Lexical quirks, all needed by the standard library sources:
     '(' '[' ',' ')' (min-hood+, sum-hood+);
   - '[f,l]'-style decorations glue onto the preceding name or operator,
     forming atomic builtin names: +[f,f], mux[f,f,l], =[f,l], Pair[l,f];
-  - '-' directly followed by a digit or 'infinity' in operand position is
-    a negative numeral;
+  - '-' directly followed by a digit or 'infinity' is a negative numeral
+    unless the token before it ends an operand (a name other than a
+    keyword, a numeral, ')' or '}'), the one rule the lexer keeps in code;
   - a call suffix never attaches to rep(..){..}; parenthesise to apply a
     rep result. This is what lets a lambda of the form
     (x) => rep(x){...} (e) denote the lambda applied to e.
@@ -36,12 +43,11 @@ syntax and are rejected here by construction.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional
 
 from .ast import (
-    INF,
-    NAN,
     Apply,
     Builtin,
     Data,
@@ -64,7 +70,6 @@ from .ast import (
 from .builtins import TABLE
 
 KEYWORDS = {"def", "rep", "nbr", "if", "else", "and"}
-OP_CHARS = "+-*<="
 
 # binary levels, loosest first; each entry is the set of operator names
 INFIX_LEVELS = [
@@ -96,150 +101,56 @@ class Token:
     value: float = 0.0
 
 
-def _is_name_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
+_DECO = r"(?:\[[fl](?:,[fl])*\])?"
+# one alternative per token class, tried in order. \w is exactly the
+# characters str.isalnum() accepts, plus '_'; exp catches a numeral whose
+# exponent would start with a non-decimal digit, as in 1e²
+_TOKEN = re.compile(rf"""
+    (?P<skip>[ \t\r\n]+|//[^\n]*)
+  | (?P<num>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+|(?=[eE][+-]?(?P<exp>\w)))?|-infinity(?!\w))
+  | (?P<name>[^\W\d]\w*(?:-\w+)*(?:\+(?=[(\[,)]))?{_DECO})
+  | (?P<punct>=>|[(){{}},])
+  | (?P<op>[-+*<=]{_DECO})
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
-def _is_name_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
+def _ends_operand(t: Token) -> bool:
+    if t.kind == "name":
+        return t.text not in KEYWORDS  # after infix 'and' comes an operand
+    return t.kind == "num" or t.text in (")", "}")
 
 
 def lex(src: str, path: str = "<string>") -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-
-    def here() -> Span:
-        return Span(line, col)
-
-    def bump(k: int = 1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and src[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    def prev_ends_value() -> bool:
-        if not toks:
-            return False
-        t = toks[-1]
-        if t.kind == "name":
-            return t.text not in KEYWORDS  # after infix 'and' comes an operand
-        return t.kind == "num" or t.text in (")", "}")
-
-    def read_decoration() -> str:
-        # caller sits on '['; decorations are short, of the shape [f,l,...]
-        nonlocal i
-        j = i + 1
-        parts = []
-        while True:
-            if j < n and src[j] in "fl":
-                parts.append(src[j])
-                j += 1
-            else:
-                return ""
-            if j < n and src[j] == ",":
-                j += 1
-                continue
-            if j < n and src[j] == "]":
-                deco = "[" + ",".join(parts) + "]"
-                bump(j + 1 - i)
-                return deco
-            return ""
-
-    def read_number(sign: str = "") -> Token:
-        nonlocal i
-        sp = here()
-        j = i
-        while j < n and src[j].isdigit():
-            j += 1
-        if j < n and src[j] == "." and j + 1 < n and src[j + 1].isdigit():
-            j += 1
-            while j < n and src[j].isdigit():
-                j += 1
-        if j < n and src[j] in "eE":
-            k = j + 1
-            if k < n and src[k] in "+-":
-                k += 1
-            if k < n and src[k].isdigit():
-                j = k
-                while j < n and src[j].isdigit():
-                    j += 1
-        text = src[i:j]
-        bump(j - i)
-        return Token("num", sign + text, sp, float(sign + text))
-
-    while i < n:
-        c = src[i]
-        if c in " \t\r\n":
-            bump()
+    pos, line, line_start = 0, 1, 0
+    while pos < len(src):
+        m = _TOKEN.match(src, pos)
+        kind, text = m.lastgroup, m.group()
+        if kind == "num" and (m.group("exp") or "").isdigit():
+            pos = m.start("exp")  # isdigit() holds for '²', float() fails on it
+            kind = "bad"
+        sp = Span(line, pos - line_start + 1)
+        if kind == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = pos + text.rindex("\n") + 1
+        elif kind == "num" and text[0] == "-" and toks and _ends_operand(toks[-1]):
+            # a sign only where no operand ends: after one, '-' subtracts
+            toks.append(Token("op", "-", sp))
+            pos += 1
             continue
-        if c == "/" and i + 1 < n and src[i + 1] == "/":
-            while i < n and src[i] != "\n":
-                bump()
-            continue
-        sp = here()
-        if c.isdigit():
-            toks.append(read_number())
-            continue
-        if c == "-" and not prev_ends_value():
-            if i + 1 < n and src[i + 1].isdigit():
-                bump()
-                toks.append(read_number("-"))
-                continue
-            if src.startswith("-infinity", i) and not (
-                i + 9 < n and _is_name_char(src[i + 9])
-            ):
-                bump(9)
-                toks.append(Token("num", "-infinity", sp, -INF))
-                continue
-        if _is_name_start(c):
-            j = i
-            while j < n and _is_name_char(src[j]):
-                j += 1
-            # hyphen continues the identifier when followed by a name char
-            while j < n and src[j] == "-" and j + 1 < n and _is_name_char(src[j + 1]):
-                j += 1
-                while j < n and _is_name_char(src[j]):
-                    j += 1
-            # trailing '+' for the -hood+ family
-            if j < n and src[j] == "+" and j + 1 < n and src[j + 1] in "([,)":
-                j += 1
-            name = src[i:j]
-            bump(j - i)
-            if i < n and src[i] == "[":
-                deco = read_decoration()
-                if deco:
-                    name += deco
-            if name == "infinity":
-                toks.append(Token("num", name, sp, INF))
-            elif name == "NaN":
-                toks.append(Token("num", name, sp, NAN))
-            else:
-                toks.append(Token("name", name, sp))
-            continue
-        if c == "=" and i + 1 < n and src[i + 1] == ">":
-            bump(2)
-            toks.append(Token("punct", "=>", sp))
-            continue
-        if c in OP_CHARS:
-            op = c
-            bump()
-            if i < n and src[i] == "[":
-                deco = read_decoration()
-                if deco:
-                    op += deco
-            toks.append(Token("op", op, sp))
-            continue
-        if c in "(){},":
-            bump()
-            toks.append(Token("punct", c, sp))
-            continue
-        raise ParseError(f"unexpected character {c!r}", sp, path)
-    toks.append(Token("eof", "", here()))
+        elif kind == "num" or text in ("infinity", "NaN"):
+            if text[0] == "-" and text != "-infinity":
+                sp = Span(line, sp.col + 1)  # a negative numeral sits at its first digit
+            toks.append(Token("num", text, sp, float(text)))
+        elif kind == "bad" or kind == "name" and not (text[0].isalpha() or text[0] == "_"):
+            # a name starts with a letter or '_', and \w holds '²' and '½' too
+            raise ParseError(f"unexpected character {src[pos]!r}", sp, path)
+        else:
+            toks.append(Token(kind, text, sp))
+        pos = m.end()
+    toks.append(Token("eof", "", Span(line, pos - line_start + 1)))
     return toks
 
 
@@ -391,14 +302,12 @@ class _Parser:
     def parens_or_lambda(self) -> Expr:
         start = self.expect("(").span
         # lambda when '(' names ')' '=>' ahead
-        save = self.pos
         if self.lambda_ahead():
             params = self.name_list()
             self.expect(")")
             self.expect("=>")
             body = self.expr()
             return Lambda(params, body, span=start)
-        self.pos = save
         e = self.expr()
         self.expect(")")
         return e

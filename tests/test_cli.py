@@ -563,6 +563,111 @@ def test_deep_recursion_is_a_diagnostic(command, source, one_device, tmp_path, c
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "denot", "check-adequacy"])
+def test_deeply_nested_json_is_exit_2(command, counter, tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([command, counter, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"{p}: JSON nested too deep to read" in err
+    assert "Traceback" not in err
+
+
+def test_integer_of_over_4300_digits_is_exit_2(counter, tmp_path, capsys):
+    # valid JSON that Python's int conversion refuses to read
+    p = tmp_path / "huge.json"
+    p.write_text('{"devices": [' + "1" * 5000 + "]}")
+    assert main(["run", counter, str(p)]) == 2
+    assert f"{p}: not valid JSON" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# program text that no token matches ends in a diagnostic
+
+@settings(max_examples=100, deadline=None)
+@given(st.text())
+def test_typecheck_of_any_text_is_exit_0_or_1(src):
+    with tempfile.TemporaryDirectory() as d:
+        p = os.path.join(d, "any.hfc")
+        Path(p).write_text(src, encoding="utf-8")
+        assert main(["typecheck", p]) in (0, 1)
+
+
+def test_non_decimal_digit_in_a_program_is_exit_1(tmp_path, capsys):
+    # str.isdigit holds for '²', float() fails on it: this was a ValueError
+    p = tmp_path / "sq.hfc"
+    p.write_text("2²\n", encoding="utf-8")
+    assert main(["typecheck", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert f"{p}:1:2: error: unexpected character '²'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "denot", "check-adequacy"])
+def test_non_decimal_digit_in_a_sensor_value_is_exit_2(command, counter, tmp_path, capsys):
+    p = tmp_path / "sq.json"
+    p.write_text(json.dumps({**ONE_DEVICE, "sensors": {"1": {"sns-num": "2²"}}}),
+                 encoding="utf-8")
+    assert main([command, counter, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read sensor value '2²'" in err
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# device ids are integers that uid() holds exactly
+
+def _devices_file(tmp_path, devices):
+    """Devices side by side, firing once each in the order given."""
+    p = tmp_path / "ids.json"
+    p.write_text(json.dumps({
+        "devices": devices, "radius": 5, "decay": 100,
+        "paths": {str(d): [{"from": 0, "to": 10, "waypoints": [[0, 0]]}] for d in devices},
+        "fires": [{"t": t, "device": d} for t, d in enumerate(devices, 1)],
+    }))
+    return str(p)
+
+
+@pytest.mark.parametrize("command", ["run", "denot", "check-adequacy"])
+def test_device_id_beyond_a_float_is_exit_2(command, tmp_path, capsys):
+    # uid() read 10**400 as a float: an OverflowError traceback
+    prog = tmp_path / "uid.hfc"
+    prog.write_text("uid()\n")
+    assert main([command, str(prog), _devices_file(tmp_path, [1, 10 ** 400])]) == 2
+    err = capsys.readouterr().err
+    assert "device id must lie in [-2**53, 2**53]" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "denot", "check-adequacy"])
+def test_device_ids_that_share_a_uid_are_exit_2(command, tmp_path, capsys):
+    # 2**53 and 2**53 + 1 round to one float: device 2**53 + 1 took its
+    # neighbour 2**53 for itself and read 1 where 0 is right
+    prog = tmp_path / "same.hfc"
+    prog.write_text("sum-hood+(mux[f,f,l](nbr{uid()} =[f,l] uid(), nbr{1}, 0))\n")
+    sc = _devices_file(tmp_path, [2 ** 53, 2 ** 53 + 1])
+    assert main([command, str(prog), sc]) == 2
+    assert f"device id must lie in [-2**53, 2**53], where uid() is exact, got {2 ** 53 + 1}" \
+        in capsys.readouterr().err
+
+
+def test_device_ids_at_the_uid_limits_run(tmp_path, capsys):
+    prog = tmp_path / "uid.hfc"
+    prog.write_text("uid()\n")
+    assert main(["run", str(prog), _devices_file(tmp_path, [-2 ** 53, 2 ** 53]),
+                 "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [f"{t},{d},{d}" for t, d in (
+        (1, -2 ** 53), (2, 2 ** 53))]
+
+
+def test_dag_event_device_beyond_the_uid_limit_is_exit_2(counter, tmp_path, capsys):
+    p = tmp_path / "dag.json"
+    p.write_text(json.dumps({"events": [{"id": 10 ** 400, "device": -2 ** 53 - 1, "time": "1"}],
+                             "neigh": []}))
+    assert main(["denot", counter, str(p)]) == 2
+    assert "DAG event device must lie in [-2**53, 2**53]" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # radius and decay overrides pass the scenario's own check
 

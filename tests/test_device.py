@@ -573,7 +573,8 @@ def test_a_fire_substitutes_nothing_and_resolves_each_name_once(monkeypatch):
     grid = {4 * i + j: (float(i), float(j)) for i in range(4) for j in range(4)}
     seen = {}
     for rounds in (2, 8):
-        monkeypatch.setattr(TABLE, "_calls", {})
+        # forget the derived +[f,f], so each round resolves it anew
+        monkeypatch.delitem(TABLE._entries, "+[f,f]", raising=False)
         counts.update(substitute=0, entry=0)
         fires = [(F(r * 16 + d, 16), d) for r in range(rounds) for d in grid]
         sc = static_scenario(grid, radius=1.5, decay=100, fires=fires, sensors={

@@ -76,6 +76,53 @@ def test_arrow_token():
     assert ("punct", "=>") in toks("(x) => x")
 
 
+def test_spans_count_lines_and_columns():
+    spans = [(t.text, t.span.line, t.span.col) for t in lex("f(\n  // c\r\n\t-1, - -infinity)")]
+    assert spans == [("f", 1, 1), ("(", 1, 2),
+                     # a negative numeral sits at its first digit, -infinity at its sign
+                     ("-1", 3, 3), (",", 3, 4), ("-", 3, 6), ("-infinity", 3, 8),
+                     (")", 3, 17), ("", 3, 18)]
+
+
+def test_names_start_with_a_letter_or_underscore():
+    assert toks("é_ß x² _1 a-٣") == [("name", "é_ß"), ("name", "x²"), ("name", "_1"), ("name", "a-٣")]
+    # '²', '½' and 'Ⅻ' are alphanumeric to Python but no letter
+    for c in "²½Ⅻ":
+        with pytest.raises(ParseError, match=f"1:3: error: unexpected character '{c}'"):
+            lex(f"1 {c}x")
+
+
+def test_numerals_are_decimal_digits():
+    assert [(t.text, t.value) for t in lex("٣, -٣.5")[:-1]] == [
+        ("٣", 3.0), (",", 0.0), ("-٣.5", -3.5)]
+    # '²' is a digit to str.isdigit but no decimal one: float() fails on it
+    for src, col in (("2²", 2), ("1e²", 3), ("-1E+²", 5), ("2.²", 2)):
+        with pytest.raises(ParseError, match=f"1:{col}: error: unexpected character"):
+            lex(src)
+
+
+def test_other_whitespace_is_an_unexpected_character():
+    with pytest.raises(ParseError, match=r"1:2: error: unexpected character '\\xa0'"):
+        lex("1\xa02")
+
+
+TEXT_PIECES = ["def", "rep", "nbr", "if", "else", "and", "infinity", "NaN", "-infinity",
+               "min-hood+", "sum-hood+", "[f,l]", "[f]", "=>", "//", "\n", "(", ")", "{",
+               "}", ",", "-", "+", "*", "<", "=", "1", "2.5e-3", "x", "uid", "Pair", "²"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(TEXT_PIECES), st.characters()), max_size=30).map(" ".join)
+       | st.text())
+def test_any_text_parses_or_is_a_parse_error(src):
+    # (nesting deeper than Python's stack is a RecursionError, which fieldc
+    # reports as a diagnostic: tests/test_cli.py)
+    try:
+        parse_program(src)
+    except ParseError:
+        pass
+
+
 # ---------------------------------------------------------------------------
 # grammar
 
