@@ -47,7 +47,7 @@ from .ast import (
     is_num,
     num,
 )
-from .typer import Arrow, FieldT, Scheme, Sort, parse_scheme
+from .typer import Arrow, FieldT, Scheme, Sort, canonical, parse_scheme
 
 
 class EvalError(Exception):
@@ -386,10 +386,8 @@ class BuiltinTable:
         new_args = tuple(
             FieldT(t) if flag == "f" else t for t, flag in zip(body.args, flags)
         )
-        scheme = Scheme(
-            tuple((vid, Sort.S) for vid, _ in base.scheme.qvars),
-            Arrow(new_args, FieldT(body.res)),
-        )
+        scheme = canonical(Arrow(new_args, FieldT(body.res)),
+                           {vid: Sort.S for vid, _ in base.scheme.qvars})
         base_op = base.op
 
         def op(ctx, args, _flags=tuple(flags), _op=base_op):

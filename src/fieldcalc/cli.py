@@ -55,8 +55,11 @@ def _read(path: str) -> str:
 def _read_json(path: str):
     try:
         return json.loads(_read(path))
-    except ValueError as e:  # a JSONDecodeError, or an integer of over 4300 digits
+    except json.JSONDecodeError as e:
         raise CliError(2, f"{path}: not valid JSON: {e}") from None
+    except ValueError:  # Python converts no integer of more digits than its limit
+        raise CliError(2, f"{path}: not valid JSON: an integer of more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         raise CliError(2, f"{path}: JSON nested too deep to read") from None
 

@@ -67,6 +67,7 @@ from .network import (
     json_device,
     json_id,
     shape_error,
+    show_id,
     sweep,
 )
 # position_at and run_scenario stay importable as denot.position_at and
@@ -111,11 +112,11 @@ class EventDAG:
         self.by_id = {}
         for e in self.events:
             if e.id in self.by_id:
-                raise DagError(f"duplicate event id {e.id}")
+                raise DagError(f"duplicate event id {show_id(e.id)}")
             self.by_id[e.id] = e
         for a, b in self.neigh:
             if a not in self.by_id or b not in self.by_id:
-                raise DagError(f"neigh edge ({a}, {b}) references unknown events")
+                raise DagError(f"neigh edge ({show_id(a)}, {show_id(b)}) references unknown events")
         senders = {e.id: [] for e in self.events}
         for a, b in self.neigh:
             senders[b].append(self.by_id[a])

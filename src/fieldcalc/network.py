@@ -431,12 +431,18 @@ def json_id(v, what: str) -> int:
 DEVICE_ID_LIMIT = 2 ** 53
 
 
+def show_id(d: int) -> str:
+    """An id read from a file, for a diagnostic: a long one by its head and digit count."""
+    s = str(d)
+    return s if len(s) <= 20 else f"{s[:12]}... ({len(s.lstrip('-'))} digits)"
+
+
 def json_device(v, what: str) -> int:
     """A device id: an integer id that uid() represents exactly."""
     d = json_id(v, what)
     if not -DEVICE_ID_LIMIT <= d <= DEVICE_ID_LIMIT:
         raise ScenarioError(f"{what} must lie in [-2**53, 2**53], where uid() "
-                            f"is exact, got {d}")
+                            f"is exact, got {show_id(d)}")
     return d
 
 
@@ -485,7 +491,7 @@ def scenario_from_json(obj) -> Scenario:
     for key, segs in json_container(obj.get("paths", {}), dict, "paths").items():
         d = json_id(key, "device id")
         if d not in devices:
-            raise ScenarioError(f"path for unknown device {d}")
+            raise ScenarioError(f"path for unknown device {show_id(d)}")
         out = []
         for i, seg in enumerate(json_container(segs, list, f"path of device {d}")):
             try:
@@ -517,7 +523,7 @@ def scenario_from_json(obj) -> Scenario:
         if type(d) is not int:
             d = json_id(d, f"device of fire {i}")
         if d not in devices:
-            raise ScenarioError(f"fire by unknown device {d}")
+            raise ScenarioError(f"fire by unknown device {show_id(d)}")
         fires.append((t, d))
     fires.sort(key=lambda f: f[0])
     for (t1, _), (t2, _) in zip(fires, fires[1:]):
@@ -527,7 +533,7 @@ def scenario_from_json(obj) -> Scenario:
     for key, table in json_container(obj.get("sensors", {}), dict, "sensors").items():
         d = json_id(key, "device id")
         if d not in devices:
-            raise ScenarioError(f"sensors for unknown device {d}")
+            raise ScenarioError(f"sensors for unknown device {show_id(d)}")
         table = json_container(table, dict, f"sensors of device {d}")
         sensors[d] = {name: _parse_script(v) for name, v in table.items()}
     return Scenario(

@@ -141,8 +141,6 @@ def lex(src: str, path: str = "<string>") -> list[Token]:
             pos += 1
             continue
         elif kind == "num" or text in ("infinity", "NaN"):
-            if text[0] == "-" and text != "-infinity":
-                sp = Span(line, sp.col + 1)  # a negative numeral sits at its first digit
             toks.append(Token("num", text, sp, float(text)))
         elif kind == "bad" or kind == "name" and not (text[0].isalpha() or text[0] == "_"):
             # a name starts with a letter or '_', and \w holds '²' and '½' too

@@ -17,6 +17,10 @@ binding an L-variable to field(num) is a sort error.
 Every demotion records which syntax rule caused it, so a later sort
 clash can say which construct is to blame ([T-A-FUN] for a field-typed
 free variable of a lambda, [T-REP] for a field-typed rep, and so on).
+
+Schemes are canonical where they are made: a scheme's quantified variables
+are numbered 0..n-1 in order of first appearance in its body. So one
+printer, one equality and one instance check serve every scheme.
 """
 
 from __future__ import annotations
@@ -59,11 +63,8 @@ def sort_leq(a: Sort, b: Sort) -> bool:
 
 
 def sort_meet(a: Sort, b: Sort) -> Sort:
-    if sort_leq(a, b):
-        return a
-    if sort_leq(b, a):
-        return b
-    return Sort.S  # the only incomparable pair is {L, R}
+    # the only incomparable pair is {L, R}
+    return a if sort_leq(a, b) else b if sort_leq(b, a) else Sort.S
 
 
 # ---------------------------------------------------------------------------
@@ -105,17 +106,17 @@ BOOL = Base("bool")
 def map_vars(t: Type, f) -> Type:
     """t with each type variable v replaced by f(v), visiting the
     variables left to right (arguments before results)."""
-    match t:
-        case TVar():
-            return f(t)
-        case Base():
-            return t
-        case TCon(name=n, args=a):
-            return TCon(n, tuple(map_vars(x, f) for x in a))
-        case FieldT(inner=i):
-            return FieldT(map_vars(i, f))
-        case Arrow(args=a, res=r):
-            return Arrow(tuple(map_vars(x, f) for x in a), map_vars(r, f))
+    k = type(t)
+    if k is TVar:
+        return f(t)
+    if k is Base:
+        return t
+    if k is Arrow:
+        return Arrow(tuple([map_vars(x, f) for x in t.args]), map_vars(t.res, f))
+    if k is TCon:
+        return TCon(t.name, tuple([map_vars(x, f) for x in t.args]))
+    if k is FieldT:
+        return FieldT(map_vars(t.inner, f))
     raise TypeError(f"not a type: {t!r}")
 
 
@@ -128,7 +129,8 @@ def var_ids(t: Type) -> list:
 
 @dataclass(frozen=True)
 class Scheme:
-    """Quantified type; qvars pairs (vid, sort) listing body's free vars."""
+    """Quantified type; qvars pairs (vid, sort) listing body's free vars.
+    Every scheme the typer makes is canonical (see `canonical`)."""
 
     qvars: tuple  # ((vid, Sort), ...)
     body: Type
@@ -136,9 +138,7 @@ class Scheme:
 
 class TypecheckError(Exception):
     def __init__(self, msg: str, rule: str = "", span: Optional[Span] = None):
-        self.msg = msg
-        self.rule = rule
-        self.span = span
+        self.msg, self.rule, self.span = msg, rule, span
         super().__init__(str(self))
 
     def __str__(self):
@@ -155,21 +155,16 @@ class Typer:
         self.subst: dict = {}
         self.sorts: dict = {}
         self.origin: dict = {}
-        self._next = 0
         self.span: Optional[Span] = None  # innermost span, for errors
+        from .builtins import TABLE, ctor_scheme  # not at import: builtins imports this module
+        self.builtins, self.ctor_scheme = TABLE, ctor_scheme
 
     def fresh(self, sort: Sort, origin: str = "") -> TVar:
-        v = TVar(self._next)
-        self._next += 1
+        v = TVar(len(self.sorts))  # every variable is made here and sorted
         self.sorts[v.vid] = sort
         if origin:
             self.origin[v.vid] = origin
         return v
-
-    def adopt(self, vid: int, sort: Sort):
-        """Register an externally numbered variable (from a parsed scheme)."""
-        self.sorts.setdefault(vid, sort)
-        self._next = max(self._next, vid + 1)
 
     def resolve(self, t: Type) -> Type:
         while isinstance(t, TVar) and t.vid in self.subst:
@@ -210,9 +205,8 @@ class Typer:
             case Arrow(args=args, res=res):
                 if want in (Sort.R, Sort.S):
                     # only arrows between local return types are return types
-                    for a in args:
+                    for a in (*args, res):
                         self.demote(a, Sort.S, rule, blame)
-                    self.demote(res, Sort.S, rule, blame)
             case TVar(vid=vid):
                 cur = self.sorts[vid]
                 new = sort_meet(cur, want)
@@ -250,22 +244,19 @@ class Typer:
         if isinstance(b, TVar):
             self.bind(b, a, rule)
             return
-        match (a, b):
-            case (Base(name=n1), Base(name=n2)) if n1 == n2:
-                return
+        match (a, b):  # the pairs of parts to unify, left to right
+            case (Base(), Base()) if a == b:
+                pairs = ()
             case (TCon(name=n1, args=a1), TCon(name=n2, args=a2)) if n1 == n2 and len(a1) == len(a2):
-                for x, y in zip(a1, a2):
-                    self.unify(x, y, rule)
-                return
+                pairs = zip(a1, a2)
             case (FieldT(inner=i1), FieldT(inner=i2)):
-                self.unify(i1, i2, rule)
-                return
+                pairs = ((i1, i2),)
             case (Arrow(args=a1, res=r1), Arrow(args=a2, res=r2)) if len(a1) == len(a2):
-                for x, y in zip(a1, a2):
-                    self.unify(x, y, rule)
-                self.unify(r1, r2, rule)
-                return
-        raise self.err(f"cannot unify {self.show(a)} with {self.show(b)}", rule)
+                pairs = (*zip(a1, a2), (r1, r2))
+            case _:
+                raise self.err(f"cannot unify {self.show(a)} with {self.show(b)}", rule)
+        for x, y in pairs:
+            self.unify(x, y, rule)
 
     # ---- schemes -----------------------------------------------------
 
@@ -276,9 +267,13 @@ class Typer:
         return map_vars(sch.body, lambda v: mapping.get(v.vid, v))
 
     def generalize(self, t: Type) -> Scheme:
-        body = self.deep_resolve(t)
-        qv = tuple((v, self.sorts[v]) for v in var_ids(body))
-        return Scheme(qv, body)
+        return canonical(self.deep_resolve(t), self.sorts)
+
+    def builtin_type(self, name: str, arity: Optional[int] = None) -> Type:
+        sch = self.builtins.scheme(name, arity=arity)
+        if sch is None:
+            raise self.err(f"unknown builtin {name!r}", "T-N-FUN")
+        return self.instantiate(sch, "T-N-FUN")
 
     # ---- inference ---------------------------------------------------
 
@@ -292,25 +287,19 @@ class Typer:
             self.span = prev
 
     def _infer(self, e: Expr, env: dict, schemes: dict) -> Type:
-        # imported here: builtins imports this module for its schemes
-        from .builtins import TABLE, ctor_scheme
-
         match e:
             case Var(name=n):
                 if n not in env:
                     raise self.err(f"unbound variable {n!r}", "T-VAR")
                 return env[n]
             case Builtin(name=n):
-                sch = TABLE.scheme(n)
-                if sch is None:
-                    raise self.err(f"unknown builtin {n!r}", "T-N-FUN")
-                return self.instantiate(sch, "T-N-FUN")
+                return self.builtin_type(n)
             case DefName(name=n):
                 if n not in schemes:
                     raise self.err(f"unknown function {n!r}", "T-N-FUN")
                 return self.instantiate(schemes[n], "T-N-FUN")
             case Data(ctor=c, args=args):
-                sch = ctor_scheme(c, len(args))
+                sch = self.ctor_scheme(c, len(args))
                 if sch is None:
                     raise self.err(f"unknown constructor {c!r} of arity {len(args)}", "T-VAL")
                 ct = self.instantiate(sch, "T-VAL")  # an arrow, () -> T for a constant
@@ -327,10 +316,7 @@ class Typer:
                 return Arrow(tuple(pvars[x] for x in ps), tb)
             case Apply(fn=f, args=args):
                 if isinstance(f, Builtin):
-                    sch = TABLE.scheme(f.name, arity=len(args))
-                    if sch is None:
-                        raise self.err(f"unknown builtin {f.name!r}", "T-N-FUN")
-                    tf = self.instantiate(sch, "T-N-FUN")
+                    tf = self.builtin_type(f.name, arity=len(args))
                 else:
                     tf = self.infer(f, env, schemes)
                 targs = tuple(self.infer(a, env, schemes) for a in args)
@@ -399,8 +385,7 @@ def principal_scheme(p: Program, main_type: Type, schemes: dict) -> Scheme:
 def typecheck_expr(e: Expr) -> Type:
     """Type a bare expression with no declarations in scope."""
     ty = Typer()
-    t = ty.infer(e, {}, {})
-    return ty.deep_resolve(t)
+    return ty.deep_resolve(ty.infer(e, {}, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -408,141 +393,107 @@ def typecheck_expr(e: Expr) -> Type:
 #
 # Concrete syntax: num, bool, pair(T,T), list(T), field(T), (T,...) -> T,
 # variables t1/l2/r3/s4 (sort from the leading letter), schemes
-# "forall s1, s2. body".
+# "forall s1, s2. body". A forall lists the body's variables in order of
+# first appearance; without one, every variable of the body is quantified.
+# Schemes are canonical where they are made (see `canonical`), so one
+# printer, one equality and one instance check serve them all.
 
 _TYPE_TOKEN = re.compile(r"->|[(),.]|[A-Za-z][A-Za-z0-9+-]*|\S")
+_TYPE_VAR = re.compile(r"[tlrs][0-9]*")
 
 
-def _sort_of_varname(name: str) -> Optional[Sort]:
-    if re.fullmatch(r"[tlrs][0-9]*", name):
-        return Sort(name[0])
-    return None
+def canonical(body: Type, sorts: dict) -> Scheme:
+    """The scheme quantifying every variable of body, renumbered 0..n-1 in
+    order of first appearance (the order map_vars visits them), each with
+    its sort in `sorts`. A variable `sorts` lacks gets None: scheme_eq
+    compares variables no scheme quantifies that way."""
+    new: dict = {}
+    body = map_vars(body, lambda v: new.setdefault(v.vid, TVar(len(new))))
+    return Scheme(tuple((n.vid, sorts.get(v)) for v, n in new.items()), body)
 
 
-class _TypeParser:
-    def __init__(self, text: str):
-        self.toks = _TYPE_TOKEN.findall(text)
-        self.pos = 0
-        self.vars: dict = {}
-        self.next_vid = 0
+def _expect(toks: list, i: int, want: str) -> int:
+    if toks[i] != want:
+        raise ValueError(f"expected {want!r} in type, found {toks[i]!r}")
+    return i + 1
 
-    def peek(self) -> str:
-        return self.toks[self.pos] if self.pos < len(self.toks) else ""
 
-    def take(self) -> str:
-        t = self.peek()
-        self.pos += 1
-        return t
+def _read_types(toks: list, i: int, names: dict) -> tuple:
+    """One or more comma-separated types from toks[i], and the index after them."""
+    t, i = _read_type(toks, i, names)
+    out = [t]
+    while toks[i] == ",":
+        t, i = _read_type(toks, i + 1, names)
+        out.append(t)
+    return out, i
 
-    def expect(self, t: str):
-        got = self.take()
-        if got != t:
-            raise ValueError(f"expected {t!r} in type, found {got!r}")
 
-    def var(self, name: str) -> TVar:
-        if name not in self.vars:
-            self.vars[name] = TVar(self.next_vid)
-            self.next_vid += 1
-        return self.vars[name]
-
-    def scheme(self) -> Scheme:
-        declared: list = []
-        if self.peek() == "forall":
-            self.take()
-            while True:
-                name = self.take()
-                sort = _sort_of_varname(name)
-                if sort is None:
-                    raise ValueError(f"bad type variable {name!r}")
-                declared.append((self.var(name).vid, sort))
-                if self.peek() == ",":
-                    self.take()
-                    continue
-                break
-            self.expect(".")
-        body = self.type()
-        if self.pos != len(self.toks):
-            raise ValueError(f"trailing type tokens: {self.toks[self.pos:]}")
-        return Scheme(tuple(declared), body)
-
-    def type(self) -> Type:
-        if self.peek() == "(":
-            self.take()
-            args: list = []
-            if self.peek() != ")":
-                args.append(self.type())
-                while self.peek() == ",":
-                    self.take()
-                    args.append(self.type())
-            self.expect(")")
-            if self.peek() == "->":
-                self.take()
-                return Arrow(tuple(args), self.type())
-            if len(args) == 1:
-                return args[0]
-            raise ValueError("tuple types do not exist; use pair(...)")
-        name = self.take()
-        if name in ("num", "bool"):
-            return Base(name)
-        if name in ("pair", "list", "field"):
-            self.expect("(")
-            args = [self.type()]
-            while self.peek() == ",":
-                self.take()
-                args.append(self.type())
-            self.expect(")")
-            if name == "field":
-                if len(args) != 1:
-                    raise ValueError("field takes one argument")
-                return FieldT(args[0])
-            want = 2 if name == "pair" else 1
-            if len(args) != want:
-                raise ValueError(f"{name} takes {want} argument(s)")
-            return TCon(name, tuple(args))
-        sort = _sort_of_varname(name)
-        if sort is not None:
-            return self.var(name)
-        raise ValueError(f"unknown type {name!r}")
+def _read_type(toks: list, i: int, names: dict) -> tuple:
+    """The type at toks[i], and the index after it; `names` maps each
+    variable name read so far to its TVar, numbered as first read."""
+    tok = toks[i]
+    i += 1
+    if tok == "(":
+        args, i = ([], i) if toks[i] == ")" else _read_types(toks, i, names)
+        i = _expect(toks, i, ")")
+        if toks[i] == "->":
+            res, i = _read_type(toks, i + 1, names)
+            return Arrow(tuple(args), res), i
+        if len(args) == 1:
+            return args[0], i
+        raise ValueError("tuple types do not exist; use pair(...)")
+    if tok in ("num", "bool"):
+        return Base(tok), i
+    if tok in ("pair", "list", "field"):
+        args, i = _read_types(toks, _expect(toks, i, "("), names)
+        i = _expect(toks, i, ")")
+        want = 2 if tok == "pair" else 1
+        if len(args) != want:
+            raise ValueError("field takes one argument" if tok == "field"
+                             else f"{tok} takes {want} argument(s)")
+        return (FieldT(args[0]) if tok == "field" else TCon(tok, tuple(args))), i
+    if _TYPE_VAR.fullmatch(tok):
+        return names.setdefault(tok, TVar(len(names))), i
+    raise ValueError(f"unknown type {tok!r}")
 
 
 def parse_scheme(text: str) -> Scheme:
-    p = _TypeParser(text)
-    sch = p.scheme()
-    if sch.qvars:
-        return sch
-    # undeclared variables quantify implicitly, sorted by first appearance
-    declared = []
-    for name, tv in p.vars.items():
-        declared.append((tv.vid, _sort_of_varname(name)))
-    return Scheme(tuple(declared), sch.body)
+    """Read a type, or a scheme "forall v1, ... . type", as a canonical scheme."""
+    toks = _TYPE_TOKEN.findall(text)
+    toks.append("")  # the end, read as an empty token
+    declared, i = [], 0
+    if toks[0] == "forall":
+        while not declared or toks[i] == ",":
+            if not _TYPE_VAR.fullmatch(toks[i + 1]):
+                raise ValueError(f"bad type variable {toks[i + 1]!r}")
+            declared.append(toks[i + 1])
+            i += 2
+        i = _expect(toks, i, ".")
+    names: dict = {}
+    body, i = _read_type(toks, i, names)
+    if i != len(toks) - 1:
+        raise ValueError(f"trailing type tokens: {toks[i:-1]}")
+    if declared and declared != list(names):
+        raise ValueError(f"forall lists {', '.join(declared)}, but the body's variables "
+                         f"in order of first appearance are {', '.join(names) or 'none'}")
+    return canonical(body, {v.vid: Sort(name[0]) for name, v in names.items()})
 
 
-def parse_type(text: str) -> Type:
-    sch = parse_scheme(text)
-    if sch.qvars:
-        raise ValueError(f"type contains variables: {text!r}")
-    return sch.body
+def _var_names(t: Type, sorts: dict) -> dict:
+    """Each variable of t named by the letter of its sort in `sorts` (T when
+    absent), numbered per sort in order of first appearance."""
+    counts = dict.fromkeys(Sort, 0)
+    names: dict = {}
+    for v in var_ids(t):
+        sort = sorts.get(v, Sort.T)
+        counts[sort] += 1
+        names[v] = f"{sort.value}{counts[sort]}"
+    return names
 
 
-def show_type(t: Type, sorts: Optional[dict] = None, names: Optional[dict] = None) -> str:
-    """Render a (resolved) type; variables get canonical sort-letter names."""
-    if names is None:
-        names = {}
-    counters: dict = {}
-
-    def name_of(vid: int) -> str:
-        if vid in names:
-            return names[vid]
-        sort = sorts.get(vid, Sort.T) if sorts else Sort.T
-        counters[sort] = counters.get(sort, 0) + 1
-        names[vid] = f"{sort.value}{counters[sort]}"
-        return names[vid]
-
-    # seed counters from pre-assigned names
-    for n in names.values():
-        s = _sort_of_varname(n)
-        if s is not None and n[1:].isdigit():
-            counters[s] = max(counters.get(s, 0), int(n[1:] or 0))
+def show_type(t: Type, sorts: dict) -> str:
+    """Render a (resolved) type, naming its variables by _var_names."""
+    names = _var_names(t, sorts)
 
     def walk(t: Type) -> str:
         match t:
@@ -555,65 +506,54 @@ def show_type(t: Type, sorts: Optional[dict] = None, names: Optional[dict] = Non
             case Arrow(args=a, res=r):
                 return f"({', '.join(walk(x) for x in a)}) -> {walk(r)}"
             case TVar(vid=v):
-                return name_of(v)
+                return names[v]
         raise TypeError(f"not a type: {t!r}")
 
     return walk(t)
 
 
 def show_scheme(sch: Scheme) -> str:
-    names: dict = {}
-    counters: dict = {}
-    for vid, sort in sch.qvars:
-        counters[sort] = counters.get(sort, 0) + 1
-        names[vid] = f"{sort.value}{counters[sort]}"
-    body = show_type(sch.body, sorts=dict(sch.qvars), names=names)
-    if not sch.qvars:
-        return body
-    return f"forall {', '.join(names[vid] for vid, _ in sch.qvars)}. {body}"
-
-
-def _canonical(sch: Scheme, with_sorts: bool):
-    """Rename quantified vars in order of first appearance in the body."""
-    order = var_ids(sch.body)
-    ren = {v: TVar(i) for i, v in enumerate(order)}
-    sorts = dict(sch.qvars) if with_sorts else {}
-    return map_vars(sch.body, lambda v: ren[v.vid]), tuple(sorts.get(v) for v in order)
+    """The quantifier list, then the body. sch is canonical, so the list
+    names its variables as the body does."""
+    sorts = dict(sch.qvars)
+    body = show_type(sch.body, sorts)
+    names = _var_names(sch.body, sorts)
+    return f"forall {', '.join(names[v] for v, _ in sch.qvars)}. {body}" if sch.qvars else body
 
 
 def scheme_eq(a: Scheme, b: Scheme, ignore_sorts: bool = False) -> bool:
-    """Alpha-equivalence of schemes; sorts of variables must match unless
-    ignore_sorts is set (used when comparing against looser annotations)."""
-    return _canonical(a, not ignore_sorts) == _canonical(b, not ignore_sorts)
+    """Alpha-equivalence of schemes: equal canonical forms. Sorts of
+    variables must match unless ignore_sorts is set (used when comparing
+    against looser annotations); a variable neither scheme quantifies, as in
+    principal_scheme's unquantified main type, has no sort."""
+    sa, sb = ({}, {}) if ignore_sorts else (dict(a.qvars), dict(b.qvars))
+    return canonical(a.body, sa) == canonical(b.body, sb)
 
 
 def scheme_instance(general: Scheme, specific: Scheme) -> bool:
     """Whether `specific` is a sort-respecting instance of `general`.
 
-    The specific scheme's own variables are rigid: they only match
-    themselves, and their sorts may not be narrowed.
+    Each variable of specific becomes a fresh rigid variable: it only
+    matches itself, and its sort may not be narrowed. Each variable of
+    general becomes a fresh flexible one. A variable its scheme does not
+    quantify takes sort T.
     """
     ty = Typer()
-    rigid = set()
-    for vid, sort in specific.qvars:
-        ty.adopt(vid + 10_000, sort)
-        rigid.add(vid + 10_000)
 
-    target = map_vars(specific.body, lambda v: TVar(v.vid + 10_000))
-    inst = ty.instantiate(Scheme(general.qvars, general.body), "instance-check")
-    original_sort = {v: ty.sorts[v] for v in rigid}
+    def fresh_copy(sch: Scheme) -> tuple:
+        sorts = dict(sch.qvars)
+        fresh = {v: ty.fresh(sorts.get(v, Sort.T)) for v in var_ids(sch.body)}
+        return map_vars(sch.body, lambda v: fresh[v.vid]), fresh.values()
+
+    inst, _ = fresh_copy(general)
+    target, rigid = fresh_copy(specific)
+    sorts = [ty.sorts[v.vid] for v in rigid]
     try:
         ty.unify(inst, target, "instance-check")
     except TypecheckError:
         return False
     # every rigid variable must still denote itself: resolve to a variable,
     # distinct from the other rigids' resolutions, with its sort intact
-    seen = set()
-    for v in rigid:
-        rt = ty.resolve(TVar(v))
-        if not isinstance(rt, TVar) or rt.vid in seen:
-            return False
-        if ty.sorts[rt.vid] != original_sort[v]:
-            return False
-        seen.add(rt.vid)
-    return True
+    ends = [ty.resolve(v) for v in rigid]
+    return (all(isinstance(e, TVar) and ty.sorts[e.vid] == s for e, s in zip(ends, sorts))
+            and len({e.vid for e in ends}) == len(ends))

