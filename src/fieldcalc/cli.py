@@ -25,7 +25,7 @@ from .denot import (
     validate_dag,
 )
 from .device import DEFAULT_FUEL, csv_text, dumps, jsonl_text, value_to_json, value_to_text
-from .network import ScenarioError, run_scenario, scenario_from_json
+from .network import ScenarioError, run_scenario, scenario_from_json, show_id
 from .parser import ParseError, parse_program
 from .stdlib import CorpusError, load_corpus
 from .typer import TypecheckError, principal_scheme, show_scheme, typecheck_program
@@ -135,7 +135,7 @@ def cmd_denot(ns) -> int:
         bad = validate_dag(g)
         if bad:
             raise CliError(2, f"{ns.input}: neigh violates " + "; ".join(
-                f"{v.kind} (events {', '.join(map(str, v.events))})" for v in bad))
+                f"{v.kind} (events {', '.join(map(show_id, v.events))})" for v in bad))
     else:
         sc = _load_scenario(ns.input, ns, obj)
         try:

@@ -48,12 +48,11 @@ from .ast import (
     restrict_value,
     value_of,
 )
-from .builtins import SensorState
+from .builtins import TABLE, SensorState
 from .device import (
     DEFAULT_FUEL,
     EvalContext,
     FuelExhausted,
-    call_builtin,
     fun_parts,
     value_to_json,
 )
@@ -216,7 +215,7 @@ def latest_event(g: EventDAG, E, e: Event, d: int) -> Optional[Event]:
     for s in g.senders(e):
         if s.device == d and s in E:
             if found is not None:
-                raise DagError(f"event {e.id} has two neighbour events at device {d}")
+                raise DagError(f"event {show_id(e.id)} has two neighbour events at device {d}")
             found = s
     return found
 
@@ -235,7 +234,7 @@ def prev_event(g: EventDAG, e: Event) -> Optional[Event]:
     for s in g.senders(e):
         if s.device == e.device:
             if found is not None:
-                raise DagError(f"event {e.id} has two same-device predecessors")
+                raise DagError(f"event {show_id(e.id)} has two same-device predecessors")
             found = s
     return found
 
@@ -378,7 +377,7 @@ class _Denot:
         for s in self.senders:
             if s.id in S.domain:
                 if s.device in nbrs:
-                    raise DagError(f"event {ev.id} has two neighbour events "
+                    raise DagError(f"event {show_id(ev.id)} has two neighbour events "
                                    f"at device {s.device}")
                 nbrs[s.device] = s.id
         S.domain.add(ev.id)
@@ -439,7 +438,10 @@ def _compile(e: Expr):
             name = e.fn.name
 
             def run(den, S, X, ev):
-                return call_builtin(den.ctx, name, S.pi, [r(den, S, X, ev) for r in arg_runs])
+                avs = [r(den, S, X, ev) for r in arg_runs]
+                ctx = den.ctx
+                ctx.domain = S.pi
+                return TABLE.eval(name, ctx, avs)
 
             return run
         fn_run = _child(e.fn)
@@ -448,7 +450,9 @@ def _compile(e: Expr):
             f = fn_run(den, S, X, ev)
             avs = [r(den, S, X, ev) for r in arg_runs]
             if isinstance(f, Builtin):
-                return call_builtin(den.ctx, f.name, S.pi, avs)
+                ctx = den.ctx
+                ctx.domain = S.pi
+                return TABLE.eval(f.name, ctx, avs)
             C = S.children.get((key, f))
             if C is None:
                 C = S.children[key, f] = _Scope(*fun_parts(den.ctx.defs, f, n))

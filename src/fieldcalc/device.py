@@ -128,7 +128,9 @@ def align_fun(env: dict, f: Expr) -> dict:
 @dataclass
 class EvalContext:
     """What evaluation at a device reads; builtins run in it, with domain
-    (the aligned neighbours plus the device) set by call_builtin."""
+    (the aligned neighbours plus the device) set by the caller of
+    TABLE.eval, once the arguments are evaluated. The functions builtins
+    call (map-hood, fold-hood) spend its fuel."""
 
     device: int
     sensors: SensorState = dc_field(default_factory=SensorState)
@@ -150,7 +152,8 @@ class EvalContext:
         args = [_value(self, a) for a in args]
         f = _value(self, f)
         if isinstance(f, Builtin):
-            return call_builtin(self, f.name, (self.device,), args)
+            self.domain = (self.device,)
+            return TABLE.eval(f.name, self, args)
         params, body = fun_parts(self.defs, f, len(args))
         return _body_tree(self, {}, body, f, dict(zip(params, args))).root
 
@@ -304,7 +307,8 @@ def _compile(e: Expr):
                 ctx.tick()
                 kids = [t(ctx, env, X) for t in kid_trees]
                 ft = fn_tree(ctx, env, X)
-                v = call_builtin(ctx, name, _domain(env, ctx.device), [t.root for t in kids])
+                ctx.domain = _domain(env, ctx.device)
+                v = TABLE.eval(name, ctx, [t.root for t in kids])
                 return ValueTree(v, (*kids, ft))
 
             return run
@@ -315,7 +319,8 @@ def _compile(e: Expr):
             ft = fn_tree(ctx, env, X)
             f = ft.root
             if isinstance(f, Builtin):
-                v = call_builtin(ctx, f.name, _domain(env, ctx.device), [t.root for t in kids])
+                ctx.domain = _domain(env, ctx.device)
+                v = TABLE.eval(f.name, ctx, [t.root for t in kids])
                 return ValueTree(v, (*kids, ft))
             params, body = fun_parts(ctx.defs, f, n)
             bt = _body_tree(ctx, env, body, f, dict(zip(params, [t.root for t in kids])))
@@ -392,14 +397,6 @@ def _compile(e: Expr):
         return _value_tree(ctx, env, e)
 
     return run
-
-
-def call_builtin(ctx: EvalContext, name: str, domain, args) -> Expr:
-    """Apply builtin name in ctx, at ctx's device, whose aligned neighbours
-    plus itself are domain; the functions it calls (map-hood, fold-hood)
-    spend ctx's fuel. Both evaluators call builtins here."""
-    ctx.domain = domain
-    return TABLE.eval(name, ctx, args)
 
 
 def evaluate_main(program: Program, device: int, env: dict,

@@ -63,15 +63,15 @@ def as_time(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
-        raise ScenarioError(f"not a timestamp: {x!r}")
+        raise ScenarioError(f"not a timestamp: {show_value(x)}")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, (float, str)):
         try:
             return Fraction(str(x))
         except (ValueError, ZeroDivisionError):
-            raise ScenarioError(f"not a timestamp: {x!r}") from None
-    raise ScenarioError(f"not a timestamp: {x!r}")
+            raise ScenarioError(f"not a timestamp: {show_value(x)}") from None
+    raise ScenarioError(f"not a timestamp: {show_value(x)}")
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +103,13 @@ class Scenario:
         except (TypeError, ValueError):
             radius = math.nan
         if not radius >= 0:
-            raise ScenarioError(f"radius must be a number >= 0, got {self.radius!r}")
+            raise ScenarioError(f"radius must be a number >= 0, got {show_value(self.radius)}")
         try:
             decay = as_time(self.decay)
         except ScenarioError as e:
             raise ScenarioError(f"decay: {e}") from None
         if decay < 0:
-            raise ScenarioError(f"decay must be >= 0, got {decay}")
+            raise ScenarioError(f"decay must be >= 0, got {show_value(decay, str)}")
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "decay", decay)
 
@@ -405,13 +405,13 @@ def shape_error(what: str, shape: str, v, exc: Exception) -> ScenarioError:
         return ScenarioError(f"{what} lacks key {exc.args[0]!r}")
     if isinstance(exc, ScenarioError):
         return ScenarioError(f"{what}: {exc}")
-    return ScenarioError(f"{what} must be {shape}, got {v!r}")
+    return ScenarioError(f"{what} must be {shape}, got {show_value(v)}")
 
 
 def json_container(v, kind: type, what: str):
     if not isinstance(v, kind):
         name = "a JSON object" if kind is dict else "a list"
-        raise ScenarioError(f"{what} must be {name}, got {v!r}")
+        raise ScenarioError(f"{what} must be {name}, got {show_value(v)}")
     return v
 
 
@@ -423,8 +423,11 @@ def json_id(v, what: str) -> int:
         try:
             return int(v)
         except ValueError:
-            pass
-    raise ScenarioError(f"{what} must be an integer, got {v!r}")
+            s = v.strip()
+            if (s[1:] if s[:1] in ("+", "-") else s).isdecimal():  # refused for its length
+                raise ScenarioError(f"{what} has too many digits to read, "
+                                    f"got {show_id(s.removeprefix('+'))}") from None
+    raise ScenarioError(f"{what} must be an integer, got {show_value(v)}")
 
 
 # uid() is a float, which holds every integer in this range exactly
@@ -435,6 +438,16 @@ def show_id(d: int) -> str:
     """An id read from a file, for a diagnostic: a long one by its head and digit count."""
     s = str(d)
     return s if len(s) <= 20 else f"{s[:12]}... ({len(s.lstrip('-'))} digits)"
+
+
+def show_value(v, text=repr) -> str:
+    """Any other value read from a file, for a diagnostic, as text shows it:
+    a long one by its head and length."""
+    try:
+        s = text(v)
+    except ValueError:  # it holds an integer longer than Python will print
+        return "a value with too many digits to print"
+    return s if len(s) <= 80 else f"{s[:60]}... ({len(s)} characters)"
 
 
 def json_device(v, what: str) -> int:
@@ -459,8 +472,8 @@ def _parse_scalar(v) -> Expr:
         try:
             return parse_value(v)
         except ParseError as e:
-            raise ScenarioError(f"cannot read sensor value {v!r}: {e.msg}") from None
-    raise ScenarioError(f"cannot read sensor value {v!r}")
+            raise ScenarioError(f"cannot read sensor value {show_value(v)}: {e.msg}") from None
+    raise ScenarioError(f"cannot read sensor value {show_value(v)}")
 
 
 def _parse_script(v):
@@ -498,13 +511,14 @@ def scenario_from_json(obj) -> Scenario:
                 start, end = as_time(seg["from"]), as_time(seg["to"])
                 pts = tuple((float(x), float(y)) for x, y in seg["waypoints"])
                 if not all(map(math.isfinite, (c for p in pts for c in p))):
-                    raise ScenarioError(f"waypoints must be finite, got {seg['waypoints']!r}")
+                    raise ScenarioError("waypoints must be finite, "
+                                        f"got {show_value(seg['waypoints'])}")
                 # interpolation scales the step between waypoints, which must
                 # be finite too: [-1e308, 0] to [1e308, 0] would overflow
                 if not all(math.isfinite(b - a) for p, q in zip(pts, pts[1:])
                            for a, b in zip(p, q)):
                     raise ScenarioError("consecutive waypoints must differ by a finite "
-                                        f"amount, got {seg['waypoints']!r}")
+                                        f"amount, got {show_value(seg['waypoints'])}")
             except SHAPE_ERRORS as e:
                 raise shape_error(f"path segment {i} of device {d}", SEGMENT_SHAPE,
                                   seg, e) from None

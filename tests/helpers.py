@@ -1,8 +1,10 @@
 """Shared fixtures: the four-device example DAG, scenario builders, the
 all-pairs references for the world's answers and the induced DAG, the
-sorting field constructor, readers of value and tree JSON, the
-substitution reference for the device evaluator, the fixpoint reference
-for the denotation and the restriction checker.
+sorting field constructor, the value order and pointwise lifting that
+the builtins' order key and field kernels are checked against, readers
+of value and tree JSON, the substitution reference for the device
+evaluator, the fixpoint reference for the denotation and the
+restriction checker.
 
 The DAG mirrors the running example: four devices firing 4 to 6 times,
 device 2 rebooting after its second firing (so the self-link into its
@@ -15,6 +17,7 @@ of the highlighted event: it is aware of devices 2, 3 and 4 only.
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction as F
+from itertools import repeat
 
 from fieldcalc.ast import (
     Apply,
@@ -29,6 +32,7 @@ from fieldcalc.ast import (
     Var,
     boolean,
     children,
+    is_num,
     num,
     restrict_value,
     substitute,
@@ -305,6 +309,63 @@ def mkfield(pairs) -> FieldVal:
     the reference for fields the evaluators build in domain order."""
     items = sorted(pairs.items() if isinstance(pairs, dict) else pairs, key=lambda kv: kv[0])
     return FieldVal(tuple(d for d, _ in items), tuple(v for _, v in items))
+
+
+# ---------------------------------------------------------------------------
+# references for the builtins' field kernels and value order
+
+_CTOR_RANK = {"False": 0, "True": 1, "Null": 0, "Cons": 1}
+
+
+def cmp_values(a: Expr, b: Expr) -> int:
+    """The value order of min-hood and < as a three-way comparison, the
+    reference for the order key. Numbers order as usual with NaN greatest
+    (so NaN markers lose against real values), booleans as False < True,
+    structured data lexicographically. Functions have no ordering."""
+    if isinstance(a, (Lambda, Builtin, DefName)) or isinstance(b, (Lambda, Builtin, DefName)):
+        raise EvalError("values of function type cannot be ordered")
+    if isinstance(a, FieldVal) or isinstance(b, FieldVal):
+        raise EvalError("neighbouring field values cannot be ordered")
+    an, bn = is_num(a), is_num(b)
+    if an != bn:
+        return -1 if an else 1  # ill-typed mix; keep it deterministic
+    if an:
+        x, y = a.ctor, b.ctor
+        xn, yn = math.isnan(x), math.isnan(y)
+        if xn or yn:
+            return 0 if xn and yn else (1 if xn else -1)
+        return 0 if x == y else (-1 if x < y else 1)
+    ka = (_CTOR_RANK.get(a.ctor, 0), a.ctor)
+    kb = (_CTOR_RANK.get(b.ctor, 0), b.ctor)
+    if ka != kb:
+        return -1 if ka < kb else 1
+    for x, y in zip(a.args, b.args):
+        c = cmp_values(x, y)
+        if c:
+            return c
+    la, lb = len(a.args), len(b.args)
+    return 0 if la == lb else (-1 if la < lb else 1)
+
+
+def reference_min_value(values):
+    """The first least value under cmp_values; a lone value is not compared."""
+    best = None
+    for v in values:
+        if best is None or cmp_values(v, best) < 0:
+            best = v
+    return best
+
+
+def reference_decorated(name: str, ctx, args) -> FieldVal:
+    """The decorated builtin name applied to args as the generic lifting
+    does it: the base op at each device, a field argument giving its value
+    there and a local one repeating."""
+    base, _, deco = name.partition("[")
+    flags = deco[:-1].split(",")
+    e = TABLE.entry(base)
+    op = e.op if e is not None else lambda ctx, point: Data(base, tuple(point))
+    cols = [a.vals if flag == "f" else repeat(a) for a, flag in zip(args, flags)]
+    return FieldVal(ctx.domain, tuple([op(ctx, point) for point in zip(*cols)]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,22 @@
 """Operational semantics of the builtin table."""
 
+import itertools
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fieldcalc.ast import (
+    FALSE,
     INF,
     NAN,
+    TRUE,
     Builtin,
     Data,
+    DefName,
+    FieldVal,
     Lambda,
     Var,
     boolean,
@@ -22,13 +30,13 @@ from fieldcalc.builtins import (
     EvalError,
     SensorError,
     SensorState,
-    cmp_values,
+    _order_key,
     ctor_scheme,
     value_equal,
 )
-from fieldcalc.device import EvalContext
+from fieldcalc.device import EvalContext, value_to_json
 from fieldcalc.typer import parse_scheme, scheme_eq
-from helpers import mkfield
+from helpers import cmp_values, mkfield, reference_decorated, reference_min_value
 
 NOSENSE = SensorState()
 
@@ -159,6 +167,88 @@ def test_functions_have_no_order():
         cmp_values(Builtin("+"), Builtin("-"))
 
 
+def test_order_keys_compare_lazily():
+    f, g = Builtin("+"), Builtin("-")
+    assert _order_key(Data("Pair", (num(1), f))) < _order_key(Data("Pair", (num(2), g)))
+    # the same function object on both sides still refuses to be ordered
+    with pytest.raises(EvalError, match="function type"):
+        _order_key(Data("Pair", (f, num(1)))) < _order_key(Data("Pair", (f, num(2))))
+
+
+def counting_list(first: float, n: int) -> Data:
+    """Cons(first, Cons(first - 1, ...)), n long."""
+    v = Data("Null")
+    for x in range(int(first) - n + 1, int(first) + 1):
+        v = Data("Cons", (num(x), v))
+    return v
+
+
+def test_long_lists_whose_heads_differ_order_at_their_heads():
+    # 5,000 nested Cons each: a key made whole would recurse past Python's limit
+    a, b = counting_list(7, 5000), counting_list(3, 5000)
+    assert ev("min-hood", [mkfield({1: a, 2: b})], env_domain=(2,)) is b
+    assert ev("<", [b, a]) == boolean(True)
+    assert ev("<", [a, b]) == boolean(False)
+    # a prefix of b comes first, as Null comes before Cons
+    assert ev("<", [counting_list(3, 10), b]) == boolean(True)
+
+
+# the leaves come from one small pool, so the same function or field
+# object often meets itself at the same position on both sides
+ORDER_LEAVES = [num(0), num(1), num(-1), num(INF), num(-INF), num(NAN), TRUE, FALSE,
+                Data("True"), Data("Null"), Builtin("+"), Lambda(("x",), Var("x")),
+                DefName("f"), mkfield({1: num(0)}), mkfield({1: num(0), 2: num(1)})]
+
+
+def ordered_value(rnd: random.Random, depth: int = 3):
+    """A leaf, or data nested up to depth deep."""
+    if depth and rnd.random() < 0.5:
+        return Data(rnd.choice(["Pair", "Cons"]),
+                    (ordered_value(rnd, depth - 1), ordered_value(rnd, depth - 1)))
+    return rnd.choice(ORDER_LEAVES)
+
+
+def outcome(thunk):
+    """thunk's value, or the type and text of the error it raises."""
+    try:
+        return "value", thunk()
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _sign(c: int) -> int:
+    return (c > 0) - (c < 0)
+
+
+def _key_sign(a, b) -> int:
+    ka, kb = _order_key(a), _order_key(b)
+    return (ka > kb) - (ka < kb)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_order_key_is_the_value_order(seed):
+    """Over 2,000 pairs: the key order has cmp_values's sign and error
+    text, < on non-numbers follows it, and min-hood returns the first
+    least value or raises as the pairwise reference does."""
+    rnd = random.Random(seed)
+    pairs = [(ordered_value(rnd), ordered_value(rnd)) for _ in range(10)]
+    for a, b in pairs:
+        assert outcome(lambda: _key_sign(a, b)) == outcome(lambda: _sign(cmp_values(a, b)))
+        if FieldVal not in (type(a), type(b)) and not (
+                type(a) is Data and isinstance(a.ctor, float)
+                and type(b) is Data and isinstance(b.ctor, float)):
+            # < on two numbers is IEEE; a field argument is checked for its domain
+            assert outcome(lambda: ev("<", [a, b])) == \
+                outcome(lambda: boolean(cmp_values(a, b) < 0))
+    for vals in [*pairs, [v for p in pairs for v in p]]:
+        phi = FieldVal(tuple(range(1, len(vals) + 1)), tuple(vals))
+        got = outcome(lambda: ev("min-hood", [phi], env_domain=phi.devs))
+        want = outcome(lambda: reference_min_value(vals))
+        assert got[0] == want[0]
+        assert got[1] is want[1] if got[0] == "value" else got == want
+
+
 # ---------------------------------------------------------------------------
 # hood aggregators
 
@@ -254,6 +344,82 @@ def test_pointwise_pair_with_local_first():
         1: Data("Pair", (num(9), num(1))),
         2: Data("Pair", (num(9), num(2))),
     })
+
+
+# each decoratable base, with the kind of value it expects at each
+# argument (None: any kind)
+DECORATABLE = {
+    "+": ("num", "num"), "-": ("num", "num"), "*": ("num", "num"),
+    "<": ("num", "num"), "=": ("num", "num"), "and": ("bool", "bool"),
+    "mux": ("bool", None, None), "fst": ("pair",), "snd": ("pair",),
+    "head": ("list",), "tail": ("list",), "Pair": (None, None), "Cons": (None, "list"),
+}
+DECORATED = [
+    (f"{base}[{','.join(flags)}]", flags, kinds)
+    for base, kinds in DECORATABLE.items()
+    for flags in itertools.product("fl", repeat=len(kinds))
+    if "f" in flags
+]
+KIND_VALUES = {
+    "num": st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.5, INF, -INF, NAN]), st.floats()).map(num),
+    "bool": st.sampled_from([TRUE, FALSE, Data("True"), Data("False")]),
+    "pair": st.builds(lambda a, b: Data("Pair", (a, b)),
+                      st.sampled_from([0.0, NAN, INF]).map(num), st.sampled_from([TRUE, FALSE])),
+    "list": st.sampled_from([Data("Null"), Data("Cons", (num(1), Data("Null")))]),
+    "fun": st.sampled_from([Builtin("+"), Lambda(("x",), Var("x")), DefName("f")]),
+}
+any_value = st.one_of(*KIND_VALUES.values())
+
+
+def test_exactly_the_listed_bases_are_decoratable():
+    names = [*TABLE._entries, *TABLE._ctor_entries]
+    for name in names:
+        decoratable = any(TABLE.entry(f"{name}[{','.join(flags)}]") is not None
+                          for n in range(1, 4) for flags in itertools.product("fl", repeat=n)
+                          if "f" in flags)
+        assert decoratable == (name in DECORATABLE), name
+    assert all(TABLE.entry(name) is not None for name, _, _ in DECORATED)
+
+
+@st.composite
+def decorated_calls(draw):
+    """A decorated name and its arguments over 0 to 12 devices: each
+    column mostly of the kind the base expects there, else of a random
+    kind, and sometimes one point of a random kind at a random position."""
+    name, flags, kinds = draw(st.sampled_from(DECORATED))
+    devs = tuple(sorted(draw(st.sets(st.integers(-20, 20), max_size=12))))
+    cols = []
+    for flag, kind in zip(flags, kinds):
+        if kind is None or draw(st.integers(0, 3)) == 0:
+            kind = draw(st.sampled_from(sorted(KIND_VALUES)))
+        values = KIND_VALUES[kind]
+        cols.append(draw(st.lists(values, min_size=len(devs), max_size=len(devs)))
+                    if flag == "f" else draw(values))
+    if devs and draw(st.integers(0, 3)) == 0:
+        i = draw(st.sampled_from([i for i, flag in enumerate(flags) if flag == "f"]))
+        cols[i][draw(st.integers(0, len(devs) - 1))] = draw(any_value)
+    args = [FieldVal(devs, tuple(c)) if flag == "f" else c for c, flag in zip(cols, flags)]
+    return name, devs, args
+
+
+@settings(max_examples=300, deadline=None)
+@given(decorated_calls())
+# -1 * 0 is -0.0, and inf - inf and inf + -inf are fresh NaNs: num makes
+# them 0.0 and NAN
+@example(("*[f,l]", (1,), [fld({1: -1}), num(0)]))
+@example(("-[f,f]", (1,), [fld({1: INF}), fld({1: INF})]))
+@example(("+[f,f]", (1, 2), [fld({1: INF, 2: 1}), fld({1: -INF, 2: NAN})]))
+def test_decorated_kernels_match_the_pointwise_lifting(call):
+    """Each decorated operator's kernel gives what the base op at each
+    point gives, with canonical numbers (one NaN, no -0.0) and the same
+    JSON, or raises the base op's error at the same point."""
+    name, devs, args = call
+    ctx = EvalContext(device=devs[0] if devs else 0, domain=devs)
+    got = outcome(lambda: TABLE.eval(name, ctx, list(args)))
+    want = outcome(lambda: reference_decorated(name, ctx, args))
+    assert got == want
+    if got[0] == "value":
+        assert json.dumps(value_to_json(got[1])) == json.dumps(value_to_json(want[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -702,6 +702,43 @@ def test_a_huge_dag_event_id_gives_a_short_diagnostic(counter, tmp_path, capsys)
     assert len(err) < len(str(p)) + 120
 
 
+@pytest.mark.parametrize("command", ["run", "denot", "check-adequacy"])
+@pytest.mark.parametrize("change, shown", [
+    ('"decay": -' + _huge(401), "decay must be >= 0, got -1000000000000000"),
+    ('"decay": "-1e-5000"', "decay must be >= 0, got a value with too many digits to print"),
+    ('"radius": [' + ", ".join(["0"] * 3000) + "]",
+     "radius must be a number >= 0, got [0, 0, 0,"),
+    ('"paths": {"' + "1" * 5000 + '": []}', "device id has too many digits to read, "
+     "got 111111111111... (5000 digits)"),
+    ('"sensors": [' + ", ".join(["0"] * 3000) + "]", "sensors must be a JSON object, got [0, 0,"),
+    ('"fires": [[' + ", ".join(["0"] * 3000) + "]]",
+     'fire 0 must be {"t": time, "device": id}, got [0, 0,'),
+], ids=["decay", "decay-fraction", "radius", "paths-key", "sensors", "fire"])
+def test_a_long_value_gives_a_short_diagnostic(command, change, shown, counter, tmp_path, capsys):
+    # each value was printed whole: a 5,000-digit key as over 5,000 bytes
+    # of stderr, a 3,000-element sensors list as over 9,000; a decay of
+    # -1/10**5000 could not be printed at all
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps(ONE_DEVICE)[:-1] + ", " + change + "}")
+    assert main([command, counter, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert shown in err
+    assert "characters)" in err or "digits" in err
+    assert len(err) < len(str(p)) + 160
+
+
+def test_a_violation_naming_a_huge_event_id_is_short(counter, tmp_path, capsys):
+    # event 10**400 and event 2, both on device 1, are neighbours of event 3
+    p = tmp_path / "dag.json"
+    p.write_text('{"events": [{"id": ' + _huge(401) + ', "device": 1, "time": "1"}, '
+                 '{"id": 2, "device": 1, "time": "2"}, {"id": 3, "device": 2, "time": "3"}], '
+                 '"neigh": [[' + _huge(401) + ", 3], [2, 3]]}")
+    assert main(["denot", counter, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "duplicate-device (events 2, 100000000000... (401 digits), 3)" in err
+    assert len(err) < len(str(p)) + 120
+
+
 # ---------------------------------------------------------------------------
 # radius and decay overrides pass the scenario's own check
 
