@@ -24,7 +24,7 @@ from .denot import (
     denot_program,
     validate_dag,
 )
-from .device import DEFAULT_FUEL, csv_text, dumps, jsonl_text, value_to_json, value_to_text
+from .device import DEFAULT_FUEL, csv_text, record_json, scalar_json, value_json, value_to_text
 from .network import ScenarioError, run_scenario, scenario_from_json, show_id
 from .parser import ParseError, parse_program
 from .stdlib import CorpusError, load_corpus
@@ -147,12 +147,11 @@ def cmd_denot(ns) -> int:
     except (DenotError, EvalError) as e:
         raise CliError(1, str(e)) from None
     if ns.format == "json":
-        text = jsonl_text({
-            "event": e.id,
-            "t": str(e.time),
-            "device": e.device,
-            "value": value_to_json(denots[e]),
-        } for e in g.events)
+        text = "".join([record_json(
+            ("device", scalar_json(e.device)),
+            ("event", scalar_json(e.id)),
+            ("t", scalar_json(str(e.time))),
+            ("value", value_json(denots[e]))) + "\n" for e in g.events])
     else:
         text = csv_text(["event", "t", "device", "value"], (
             [e.id, str(e.time), e.device, value_to_text(denots[e])] for e in g.events))
@@ -168,7 +167,7 @@ def cmd_check_adequacy(ns) -> int:
     except (DenotError, EvalError, ScenarioError) as e:
         raise CliError(1, str(e)) from None
     if ns.format == "json":
-        _emit(dumps(report.to_json()) + "\n", ns.out)
+        _emit(report.to_json() + "\n", ns.out)
     else:
         n = sum(1 for v in report.verdicts if v.ok)
         _emit(f"{n}/{len(report.verdicts)} events equal\n", ns.out)

@@ -54,7 +54,10 @@ from .device import (
     EvalContext,
     FuelExhausted,
     fun_parts,
-    value_to_json,
+    list_json,
+    record_json,
+    scalar_json,
+    value_json,
 )
 from .network import (
     Scenario,
@@ -257,16 +260,6 @@ def restrict_evolution(g: EventDAG, ev: dict, E) -> dict:
 # DAG JSON
 
 EVENT_SHAPE = '{"id": id, "device": id, "time": time}'
-
-def dag_to_json(g: EventDAG):
-    return {
-        "events": [
-            {"id": e.id, "device": e.device, "time": str(e.time)}
-            for e in g.events
-        ],
-        "neigh": [list(edge) for edge in sorted(g.neigh)],
-    }
-
 
 def dag_from_json(obj) -> EventDAG:
     if not isinstance(obj, dict) or "events" not in obj or "neigh" not in obj:
@@ -562,24 +555,19 @@ class AdequacyReport:
                 return v
         return None
 
-    def to_json(self):
-        out = {
-            "ok": self.ok,
-            "events": [
-                {
-                    "event": v.event,
-                    "t": str(v.t),
-                    "device": v.device,
-                    "denotational": value_to_json(v.denotational),
-                    "operational": value_to_json(v.operational),
-                    "ok": v.ok,
-                }
-                for v in self.verdicts
-            ],
-        }
+    def to_json(self) -> str:
+        """The report as canonical JSON text, its keys in sorted order."""
         c = self.first_counterexample
-        out["first_counterexample"] = None if c is None else c.event
-        return out
+        return record_json(
+            ("events", list_json([record_json(
+                ("denotational", value_json(v.denotational)),
+                ("device", scalar_json(v.device)),
+                ("event", scalar_json(v.event)),
+                ("ok", scalar_json(v.ok)),
+                ("operational", value_json(v.operational)),
+                ("t", scalar_json(str(v.t)))) for v in self.verdicts])),
+            ("first_counterexample", scalar_json(None if c is None else c.event)),
+            ("ok", scalar_json(self.ok)))
 
 
 def check_adequacy(sc: Scenario, program: Program,

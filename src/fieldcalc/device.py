@@ -90,13 +90,6 @@ def leaf(v: Expr) -> ValueTree:
     return ValueTree(v)
 
 
-def subtree_i(t: ValueTree, i: int) -> Optional[ValueTree]:
-    """i-th child, 1-based; None when absent."""
-    if 1 <= i <= len(t.children):
-        return t.children[i - 1]
-    return None
-
-
 def subtree_fun(t: ValueTree, f: Expr) -> Optional[ValueTree]:
     """Last child, provided the second-to-last child's root equals the
     function value f; None otherwise."""
@@ -413,16 +406,112 @@ def evaluate_main(program: Program, device: int, env: dict,
 
 
 # ---------------------------------------------------------------------------
-# serialization: values and trees as canonical JSON, rows as JSONL or CSV
+# serialization: values and trees as canonical JSON text, rows as JSONL or CSV
+#
+# The text is what json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# makes of each JSON object (README, "Output format"), written directly:
+# keys in sorted order by construction, numbers and strings by the functions
+# json.dumps calls. A value or a tree is written as parts into one list that
+# is joined once, so no level of nesting copies the text below it, and the
+# writer recurses one frame per level, no deeper than the evaluator that
+# built the value. The emitters (FireTrace.jsonl, AdequacyReport.to_json,
+# fieldc denot) build their records with record_json and the helpers below.
 
-def dumps(obj) -> str:
-    """Canonical JSON: sorted keys, no spaces."""
-    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+str_json = json.encoder.encode_basestring_ascii
 
 
-def jsonl_text(rows) -> str:
-    """One canonical JSON object per line."""
-    return "".join(dumps(r) + "\n" for r in rows)
+def _value_parts(v: Expr, w) -> None:
+    """Write v's text through w, a list's append."""
+    k = v.__class__
+    if k is Data:
+        c = v.ctor
+        if c.__class__ is float:
+            s = float.__repr__(c)
+            w('{"num":' + s + "}" if math.isfinite(c) else '{"num":"' + s + '"}')
+        elif c == "True":
+            w('{"bool":true}')
+        elif c == "False":
+            w('{"bool":false}')
+        else:
+            w('{"args":[')
+            for i, a in enumerate(v.args):
+                if i:
+                    w(",")
+                _value_parts(a, w)
+            w('],"data":' + str_json(c) + "}")
+    elif k is FieldVal:
+        w('{"field":[')
+        sep = "["
+        for d, x in zip(v.devs, v.vals):
+            w(sep + int.__repr__(d) + ",")
+            _value_parts(x, w)
+            sep = "],["
+        w("]]}" if v.devs else "]}")
+    elif k is Lambda or k is Builtin or k is DefName:
+        w('{"fun":' + str_json(pretty(v)) + "}")
+    else:
+        raise ValueError(f"not a serializable value: {v!r}")
+
+
+def _tree_parts(t: ValueTree, w) -> None:
+    kids = t.children
+    if kids:
+        w('{"children":[')
+        for i, c in enumerate(kids):
+            if i:
+                w(",")
+            _tree_parts(c, w)
+        w('],"root":')
+    else:
+        w('{"root":')
+    _value_parts(t.root, w)
+    w("}")
+
+
+def value_json(v: Expr) -> str:
+    """v's canonical JSON text."""
+    out = []
+    _value_parts(v, out.append)
+    return "".join(out)
+
+
+def tree_json(t: ValueTree) -> str:
+    """t's canonical JSON text: {"children":[...],"root":...}, with no
+    children key for a leaf."""
+    out = []
+    _tree_parts(t, out.append)
+    return "".join(out)
+
+
+def scalar_json(x) -> str:
+    """JSON text of None, a boolean, an int or a string."""
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    return int.__repr__(x) if x.__class__ is int else str_json(x)
+
+
+def list_json(texts) -> str:
+    """A JSON array of texts that are JSON already."""
+    return "[" + ",".join(texts) + "]"
+
+
+def record_json(*members) -> str:
+    """A JSON object of (key, text) members, given in sorted key order;
+    each key is a plain name and each text is JSON already."""
+    return "{" + ",".join([f'"{k}":{s}' for k, s in members]) + "}"
+
+
+def value_to_text(v: Expr) -> str:
+    """Compact single-token rendering for traces and CSV cells: a number
+    or a constant by its source text, any other value as its JSON."""
+    if v.__class__ is Data and not v.args:
+        c = v.ctor
+        return show_num(c) if c.__class__ is float else c
+    return value_json(v)
 
 
 def csv_text(header, rows) -> str:
@@ -431,37 +520,3 @@ def csv_text(header, rows) -> str:
     w.writerow(header)
     w.writerows(rows)
     return buf.getvalue()
-
-
-def value_to_json(v: Expr):
-    match v:
-        case Data(ctor=c, args=args):
-            if isinstance(c, float):
-                # JSON has no NaN or infinities: "nan", "inf", "-inf"
-                return {"num": c if math.isfinite(c) else repr(c)}
-            if c == "True" or c == "False":
-                return {"bool": c == "True"}
-            return {"data": c, "args": [value_to_json(a) for a in args]}
-        case FieldVal(entries=ent):
-            return {"field": [[d, value_to_json(x)] for d, x in ent]}
-        case Lambda() | Builtin() | DefName():
-            return {"fun": pretty(v)}
-    raise ValueError(f"not a serializable value: {v!r}")
-
-
-def tree_to_json(t: ValueTree):
-    out = {"root": value_to_json(t.root)}
-    if t.children:
-        out["children"] = [tree_to_json(c) for c in t.children]
-    return out
-
-
-def value_to_text(v: Expr) -> str:
-    """Compact single-token rendering for traces and CSV cells."""
-    match v:
-        case Data(ctor=c, args=()) if isinstance(c, float):
-            return show_num(c)
-        case Data(ctor=c, args=()):
-            return c
-        case _:
-            return dumps(value_to_json(v))

@@ -40,9 +40,11 @@ from .device import (
     ValueTree,
     csv_text,
     evaluate_main,
-    jsonl_text,
-    tree_to_json,
-    value_to_json,
+    list_json,
+    record_json,
+    scalar_json,
+    tree_json,
+    value_json,
     value_to_text,
 )
 from .parser import ParseError, parse_value
@@ -356,13 +358,13 @@ class FireTrace:
         return [r.root for r in self.records]
 
     def jsonl(self) -> str:
-        return jsonl_text({
-            "t": str(r.t),
-            "device": r.device,
-            "root": value_to_json(r.root),
-            "tree": tree_to_json(r.tree),
-            "env": sorted(r.env_domain),
-        } for r in self.records)
+        """One canonical JSON object per fire, its keys in sorted order."""
+        return "".join([record_json(
+            ("device", scalar_json(r.device)),
+            ("env", list_json(map(scalar_json, sorted(r.env_domain)))),
+            ("root", value_json(r.root)),
+            ("t", scalar_json(str(r.t))),
+            ("tree", tree_json(r.tree))) + "\n" for r in self.records])
 
     def csv(self) -> str:
         return csv_text(["t", "device", "root"], (

@@ -472,11 +472,3 @@ def pretty(e: Expr) -> str:
             inner = ", ".join(f"{d} -> {pretty(v)}" for d, v in ent)
             raise ValueError(f"neighbouring field values have no source syntax: ({inner})")
     raise TypeError(f"not an expression: {e!r}")
-
-
-def pretty_program(p: Program) -> str:
-    out = []
-    for d in p.defs:
-        out.append(f"def {d.name}({', '.join(d.params)}) {{\n  {pretty(d.body)}\n}}")
-    out.append(pretty(p.main))
-    return "\n".join(out) + "\n"

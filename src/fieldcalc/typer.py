@@ -99,9 +99,6 @@ class TVar:
 
 Type = (Base, TCon, FieldT, Arrow, TVar)  # a tuple: see ast.Expr
 
-NUM = Base("num")
-BOOL = Base("bool")
-
 
 def map_vars(t: Type, f) -> Type:
     """t with each type variable v replaced by f(v), visiting the
@@ -380,12 +377,6 @@ def principal_scheme(p: Program, main_type: Type, schemes: dict) -> Scheme:
     if isinstance(p.main, DefName) and p.main.name in schemes:
         return schemes[p.main.name]
     return Scheme((), main_type)
-
-
-def typecheck_expr(e: Expr) -> Type:
-    """Type a bare expression with no declarations in scope."""
-    ty = Typer()
-    return ty.deep_resolve(ty.infer(e, {}, {}))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ from fieldcalc.ast import (
 )
 from fieldcalc.network import PathSeg, Scenario, as_time
 from fieldcalc.parser import parse_value
-from fieldcalc.typer import BOOL, NUM, Arrow, FieldT
+from fieldcalc.typer import Arrow, FieldT
+from helpers import BOOL, NUM
 
 
 def bapp(name, *args):

@@ -1,10 +1,13 @@
-"""Shared fixtures: the four-device example DAG, scenario builders, the
-all-pairs references for the world's answers and the induced DAG, the
-sorting field constructor, the value order and pointwise lifting that
-the builtins' order key and field kernels are checked against, readers
-of value and tree JSON, the substitution reference for the device
-evaluator, the fixpoint reference for the denotation and the
-restriction checker.
+"""Shared fixtures: the four-device example DAG and its JSON, scenario
+builders, the all-pairs references for the world's answers and the
+induced DAG, the sorting field constructor, the value order and
+pointwise lifting that the builtins' order key and field kernels are
+checked against, the JSON objects of values, trees and output records
+that the canonical-JSON writer is checked against and readers of them,
+the substitution reference for the device evaluator, the fixpoint
+reference for the denotation, the restriction checker, and small
+helpers only tests call (a tree's i-th subtree, a program's source
+text, a bare expression's type).
 
 The DAG mirrors the running example: four devices firing 4 to 6 times,
 device 2 rebooting after its second firing (so the self-link into its
@@ -14,6 +17,7 @@ range of each other. Event 12 (device 3's third firing) plays the role
 of the highlighted event: it is aware of devices 2, 3 and 4 only.
 """
 
+import json
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction as F
@@ -60,7 +64,11 @@ from fieldcalc.device import (
     leaf,
 )
 from fieldcalc.network import PathSeg, Scenario, as_time, sample_script
-from fieldcalc.parser import parse_expr
+from fieldcalc.parser import parse_expr, pretty, show_num
+from fieldcalc.typer import Base, Typer
+
+NUM = Base("num")
+BOOL = Base("bool")
 
 # (id, device, time)
 EXAMPLE_EVENTS = [
@@ -366,6 +374,97 @@ def reference_decorated(name: str, ctx, args) -> FieldVal:
     op = e.op if e is not None else lambda ctx, point: Data(base, tuple(point))
     cols = [a.vals if flag == "f" else repeat(a) for a, flag in zip(args, flags)]
     return FieldVal(ctx.domain, tuple([op(ctx, point) for point in zip(*cols)]))
+
+
+# ---------------------------------------------------------------------------
+# values, trees and output records as JSON objects: the reference that the
+# writer's text (device.value_json and the emitters) must equal once dumped
+
+def dumps(obj) -> str:
+    """Canonical JSON: sorted keys, no spaces, ASCII escapes."""
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+
+
+def value_to_json(v: Expr):
+    match v:
+        case Data(ctor=c, args=args):
+            if isinstance(c, float):
+                # JSON has no NaN or infinities: "nan", "inf", "-inf"
+                return {"num": c if math.isfinite(c) else repr(c)}
+            if c == "True" or c == "False":
+                return {"bool": c == "True"}
+            return {"data": c, "args": [value_to_json(a) for a in args]}
+        case FieldVal(entries=ent):
+            return {"field": [[d, value_to_json(x)] for d, x in ent]}
+        case Lambda() | Builtin() | DefName():
+            return {"fun": pretty(v)}
+    raise ValueError(f"not a serializable value: {v!r}")
+
+
+def tree_to_json(t: ValueTree):
+    out = {"root": value_to_json(t.root)}
+    if t.children:
+        out["children"] = [tree_to_json(c) for c in t.children]
+    return out
+
+
+def value_text(v: Expr) -> str:
+    """A CSV cell: a number or a constant by its source text, any other
+    value as its JSON."""
+    if isinstance(v, Data) and not v.args:
+        return show_num(v.ctor) if isinstance(v.ctor, float) else v.ctor
+    return dumps(value_to_json(v))
+
+
+def run_jsonl(trace) -> str:
+    """`fieldc run`'s JSONL: one object per fire."""
+    return "".join(dumps({
+        "t": str(r.t),
+        "device": r.device,
+        "root": value_to_json(r.root),
+        "tree": tree_to_json(r.tree),
+        "env": sorted(r.env_domain),
+    }) + "\n" for r in trace.records)
+
+
+def denot_jsonl(events, denots: dict) -> str:
+    """`fieldc denot`'s JSONL: one object per event."""
+    return "".join(dumps({
+        "event": e.id,
+        "t": str(e.time),
+        "device": e.device,
+        "value": value_to_json(denots[e]),
+    }) + "\n" for e in events)
+
+
+def report_json(report) -> str:
+    """`fieldc check-adequacy --format json`'s report, without its newline."""
+    c = report.first_counterexample
+    return dumps({
+        "ok": report.ok,
+        "events": [
+            {
+                "event": v.event,
+                "t": str(v.t),
+                "device": v.device,
+                "denotational": value_to_json(v.denotational),
+                "operational": value_to_json(v.operational),
+                "ok": v.ok,
+            }
+            for v in report.verdicts
+        ],
+        "first_counterexample": None if c is None else c.event,
+    })
+
+
+def dag_to_json(g: EventDAG):
+    return {
+        "events": [
+            {"id": e.id, "device": e.device, "time": str(e.time)}
+            for e in g.events
+        ],
+        "neigh": [list(edge) for edge in sorted(g.neigh)],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -690,3 +789,27 @@ def check_restriction(g: EventDAG, E, e0: Expr, args, args2, X: dict,
             ClusterVerdict(f, tuple(sorted(ev.id for ev in evs)), agree, results)
         )
     return report
+
+
+# ---------------------------------------------------------------------------
+# small helpers only tests call
+
+def subtree_i(t: ValueTree, i: int):
+    """i-th child, 1-based; None when absent."""
+    if 1 <= i <= len(t.children):
+        return t.children[i - 1]
+    return None
+
+
+def pretty_program(p) -> str:
+    out = []
+    for d in p.defs:
+        out.append(f"def {d.name}({', '.join(d.params)}) {{\n  {pretty(d.body)}\n}}")
+    out.append(pretty(p.main))
+    return "\n".join(out) + "\n"
+
+
+def typecheck_expr(e: Expr):
+    """Type a bare expression with no declarations in scope."""
+    ty = Typer()
+    return ty.deep_resolve(ty.infer(e, {}, {}))

@@ -42,14 +42,7 @@ from fieldcalc.denot import (
     nbr_devices,
     validate_dag,
 )
-from fieldcalc.device import (
-    DEFAULT_FUEL,
-    EvalContext,
-    ValueTree,
-    eval_expr,
-    leaf,
-    tree_to_json,
-)
+from fieldcalc.device import DEFAULT_FUEL, EvalContext, ValueTree, eval_expr, leaf
 from fieldcalc.network import as_time, run_scenario
 from fieldcalc.parser import parse_expr, parse_program, parse_value
 from fieldcalc.stdlib import corpus_entry, load_corpus
@@ -57,12 +50,10 @@ from fieldcalc.typer import (
     Arrow,
     Base,
     FieldT,
-    NUM,
     Scheme,
     Typer,
     TypecheckError,
     scheme_instance,
-    typecheck_expr,
     typecheck_program,
 )
 
@@ -70,12 +61,15 @@ from generators import ExprGen, SNS_FUNS, gen_scenario
 from helpers import (
     EXAMPLE_EVENTS,
     EXAMPLE_NEIGH,
+    NUM,
     check_restriction,
     example_dag,
     line_scenario,
     mkfield,
     reference_denot,
     static_scenario,
+    tree_to_json,
+    typecheck_expr,
     well_formed,
 )
 from test_stdlib import (

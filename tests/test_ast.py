@@ -40,10 +40,10 @@ from fieldcalc.ast import (
 )
 from fieldcalc.builtins import value_equal
 from fieldcalc.parser import parse_expr
-from fieldcalc.typer import BOOL, NUM, FieldT
+from fieldcalc.typer import FieldT
 from generators import ExprGen
 import helpers
-from helpers import mkfield
+from helpers import BOOL, NUM, mkfield
 
 
 def test_num_canonicalisation():

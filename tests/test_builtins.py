@@ -34,9 +34,15 @@ from fieldcalc.builtins import (
     ctor_scheme,
     value_equal,
 )
-from fieldcalc.device import EvalContext, value_to_json
+from fieldcalc.device import EvalContext
 from fieldcalc.typer import parse_scheme, scheme_eq
-from helpers import cmp_values, mkfield, reference_decorated, reference_min_value
+from helpers import (
+    cmp_values,
+    mkfield,
+    reference_decorated,
+    reference_min_value,
+    value_to_json,
+)
 
 NOSENSE = SensorState()
 

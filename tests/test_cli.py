@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -22,8 +23,20 @@ from hypothesis import strategies as st
 import fieldcalc
 from fieldcalc.ast import num
 from fieldcalc.cli import main
-from fieldcalc.denot import AdequacyReport, Event, EventDAG, Verdict, dag_to_json
+from fieldcalc.denot import (
+    AdequacyReport,
+    Event,
+    EventDAG,
+    Verdict,
+    build_dag_from_scenario,
+    check_adequacy,
+    denot_program,
+)
+from fieldcalc.device import csv_text
+from fieldcalc.network import FireTrace, run_scenario, scenario_from_json
+from fieldcalc.parser import parse_program
 from fieldcalc.stdlib import corpus_entry
+from helpers import dag_to_json, denot_jsonl, report_json, run_jsonl, value_text
 
 COUNTER = "rep(0){(x) => x + 1}\n"
 
@@ -222,6 +235,49 @@ def test_denot_csv_quotes_structured_values(tmp_path, one_device, capsys):
     assert json.loads(rows[1][3]) == {
         "data": "Pair", "args": [{"num": 1.0}, {"num": 2.0}],
     }
+
+
+# every output format against the reference records, on three devices
+# whose sensors read values JSON has no literal for
+LINE3 = {
+    "devices": [1, 2, 3],
+    "radius": 1.5,
+    "decay": 3,
+    "paths": {str(d): [{"from": 0, "to": 20, "waypoints": [[d, 0]]}] for d in (1, 2, 3)},
+    "fires": [{"t": f"{3 * r + d}/2", "device": d} for r in range(4) for d in (1, 2, 3)],
+    "sensors": {str(d): {"sns-num": x, "sns-injection-point": d == 1}
+                for d, x in ((1, "NaN"), (2, "-infinity"), (3, 1e300))},
+}
+
+RECORD_SOURCES = [
+    COUNTER,
+    corpus_entry("gradient").source,
+    "Pair(uid(), (é) => é)\n",
+    "rep(Null){(l) => Cons(Pair(min-hood(nbr{sns-num()}), uid() < 2), l)}\n",
+    "Pair(-infinity, Pair(5e-324, min-hood+(nbr{sns-num()})))\n",
+]
+
+
+@pytest.mark.parametrize("source", RECORD_SOURCES, ids=range(len(RECORD_SOURCES)))
+def test_every_output_is_the_reference_records(source, tmp_path, capsys):
+    prog_file, sc_file = tmp_path / "p.hfc", tmp_path / "s.json"
+    prog_file.write_text(source)
+    sc_file.write_text(json.dumps(LINE3))
+    prog, sc = parse_program(source), scenario_from_json(LINE3)
+    trace, g = run_scenario(sc, prog), build_dag_from_scenario(sc)
+    denots = denot_program(g, prog)
+    want = {
+        ("run",): run_jsonl(trace),
+        ("run", "--format", "csv"): csv_text(["t", "device", "root"], (
+            [str(r.t), r.device, value_text(r.root)] for r in trace.records)),
+        ("denot",): denot_jsonl(g.events, denots),
+        ("denot", "--format", "csv"): csv_text(["event", "t", "device", "value"], (
+            [e.id, str(e.time), e.device, value_text(denots[e])] for e in g.events)),
+        ("check-adequacy", "--format", "json"): report_json(check_adequacy(sc, prog)) + "\n",
+    }
+    for (command, *opts), text in want.items():
+        assert main([command, str(prog_file), str(sc_file), *opts]) == 0
+        assert capsys.readouterr().out == text, (command, *opts)
 
 
 def test_denot_missing_sensor_is_exit_1(tmp_path, capsys):
@@ -561,6 +617,61 @@ def test_deep_recursion_is_a_diagnostic(command, source, one_device, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_a_list_as_deep_as_the_evaluator_builds_is_written(tmp_path):
+    """450 fires of a rep that conses onto its list: fieldc run, in a fresh
+    interpreter, builds lists 450 deep and writes them as the reference
+    does. The reference takes 4 frames a level, so it runs here under a
+    raised recursion limit, and on every 25th fire and the deepest 5 (its
+    time grows with the square of the depth)."""
+    n = 450
+    source = "rep(Null){(l) => Cons(1, l)}\n"
+    sc = {**ONE_DEVICE, "paths": {"1": [{"from": 0, "to": n + 1, "waypoints": [[0, 0]]}]},
+          "fires": [{"t": t, "device": 1} for t in range(1, n + 1)]}
+    prog_file, sc_file = tmp_path / "cons.hfc", tmp_path / "cons.json"
+    prog_file.write_text(source)
+    sc_file.write_text(json.dumps(sc))
+    src = str(Path(fieldcalc.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "fieldcalc.cli", "run", str(prog_file), str(sc_file)],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    lines = proc.stdout.decode().splitlines(keepends=True)
+    assert len(lines) == n
+    sample = [*range(0, n, 25), *range(n - 5, n)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 4 * n)
+    try:
+        trace = run_scenario(scenario_from_json(sc), parse_program(source))
+        want = run_jsonl(FireTrace([trace.records[i] for i in sample]))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert "".join(lines[i] for i in sample) == want
+
+
+def test_writing_fresh_deep_lists_holds_no_text_past_its_record(tmp_path):
+    """fieldc denot of a list 50 deep, built afresh at each of 12 events:
+    beyond what the denotation itself holds, writing it takes memory of
+    the order of its output, not a text for every suffix of every list."""
+    source = "def build(n) { if (n < 1) { Null } else { Cons(n, build(n - 1)) } }\nbuild(50)\n"
+    n = 12
+    sc = {**ONE_DEVICE, "paths": {"1": [{"from": 0, "to": n + 1, "waypoints": [[0, 0]]}]},
+          "fires": [{"t": t, "device": 1} for t in range(1, n + 1)]}
+    prog_file, sc_file, out = tmp_path / "build.hfc", tmp_path / "build.json", tmp_path / "out"
+    prog_file.write_text(source)
+    sc_file.write_text(json.dumps(sc))
+    tracemalloc.start()
+    try:
+        denot_program(build_dag_from_scenario(scenario_from_json(sc)), parse_program(source))
+        denotation = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert main(["denot", str(prog_file), str(sc_file), "--out", str(out)]) == 0
+        command = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 50 * 30 * n
+    assert command - denotation < 5 * size
 
 
 @pytest.mark.parametrize("command", ["run", "denot", "check-adequacy"])

@@ -21,7 +21,6 @@ from fieldcalc.denot import (
     build_dag_from_scenario,
     check_adequacy,
     dag_from_json,
-    dag_to_json,
     denot_eval,
     denot_program,
     latest_event,
@@ -35,14 +34,17 @@ from fieldcalc.device import FuelExhausted, ValueTree
 from fieldcalc.network import PathSeg, Scenario
 from fieldcalc.parser import parse_expr, parse_program
 from fieldcalc.stdlib import corpus_entry
-from fieldcalc.typer import BOOL, NUM, FieldT
+from fieldcalc.typer import FieldT
 
 from generators import ExprGen, gen_scenario
 from helpers import (
+    BOOL,
     EXAMPLE_EVENTS,
     FOCUS,
+    NUM,
     check_restriction,
     cluster,
+    dag_to_json,
     example_dag,
     line_scenario,
     mkfield,
@@ -502,7 +504,7 @@ def test_adequacy_across_a_reboot():
 def test_adequacy_report_json():
     sc = static_scenario({1: (0, 0)}, radius=1, decay=10, fires=[(0, 1)])
     prog = parse_program("1 + 2")
-    j = check_adequacy(sc, prog).to_json()
+    j = json.loads(check_adequacy(sc, prog).to_json())
     assert j["ok"] is True
     assert j["first_counterexample"] is None
     assert j["events"][0]["denotational"] == {"num": 3.0}

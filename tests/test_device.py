@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction as F
 from unittest import mock
 
@@ -15,17 +16,26 @@ from fieldcalc.ast import (
     Apply,
     Builtin,
     Data,
+    DefName,
+    FALSE,
     FieldVal,
     Lambda,
     Nbr,
     Program,
     Rep,
+    TRUE,
     Var,
     boolean,
     num,
 )
 from fieldcalc.builtins import TABLE, DomainError, EvalError, SensorState
-from fieldcalc.denot import build_dag_from_scenario, check_adequacy, denot_program
+from fieldcalc.denot import (
+    AdequacyReport,
+    Verdict,
+    build_dag_from_scenario,
+    check_adequacy,
+    denot_program,
+)
 from fieldcalc.device import (
     EvalContext,
     FuelExhausted,
@@ -33,28 +43,36 @@ from fieldcalc.device import (
     ValueTree,
     align_fun,
     align_i,
-    dumps,
+    csv_text,
     eval_expr,
     evaluate_main,
     leaf,
     subtree_fun,
-    subtree_i,
-    tree_to_json,
-    value_to_json,
+    tree_json,
+    value_json,
     value_to_text,
 )
 from fieldcalc.network import fire, run_scenario, sweep
 from fieldcalc.parser import parse_expr, parse_program
 from fieldcalc.stdlib import corpus_entry
-from fieldcalc.typer import BOOL, NUM, FieldT
+from fieldcalc.typer import FieldT
 from generators import ExprGen, gen_scenario
 from helpers import (
+    BOOL,
+    NUM,
+    dumps,
     is_local_value,
     mkfield,
     reference_eval_expr,
+    report_json,
+    run_jsonl,
     static_scenario,
+    subtree_i,
     tree_from_json,
+    tree_to_json,
     value_from_json,
+    value_text,
+    value_to_json,
     well_formed,
 )
 
@@ -409,27 +427,25 @@ ROUND_TRIP_VALUES = [
 @pytest.mark.parametrize("src", ROUND_TRIP_VALUES)
 def test_value_json_round_trip(src):
     v = parse_expr(src)
-    j = json.loads(json.dumps(value_to_json(v)))
-    assert value_from_json(j) == v
+    assert value_from_json(json.loads(value_json(v))) == v
 
 
 def test_special_numbers_round_trip():
     for src in ("infinity", "-infinity", "NaN"):
         v = parse_expr(src)
-        assert value_from_json(value_to_json(v)) == v
+        assert value_from_json(json.loads(value_json(v))) == v
 
 
 def test_field_value_round_trip():
     v = mkfield({1: num(1), 3: parse_expr("Pair(1, 2)")})
-    assert value_from_json(value_to_json(v)) == v
+    assert value_from_json(json.loads(value_json(v))) == v
 
 
 def test_def_name_round_trip_needs_defs():
-    from fieldcalc.ast import DefName
     from fieldcalc.parser import ParseError
 
     v = DefName("f")
-    j = value_to_json(v)
+    j = json.loads(value_json(v))
     assert value_from_json(j, defs=["f"]) == v
     with pytest.raises(ParseError):
         value_from_json(j)
@@ -437,8 +453,7 @@ def test_def_name_round_trip_needs_defs():
 
 def test_tree_json_round_trip():
     t = ev(GOSSIP, device=1, sensors=senses(sns_num=num(1)))
-    j = json.loads(json.dumps(tree_to_json(t)))
-    assert tree_from_json(j) == t
+    assert tree_from_json(json.loads(tree_json(t))) == t
 
 
 def test_value_to_text():
@@ -447,6 +462,186 @@ def test_value_to_text():
     assert value_to_text(boolean(True)) == "True"
     out = value_to_text(mkfield({1: num(2)}))
     assert json.loads(out) == {"field": [[1, {"num": 2.0}]]}
+
+
+# the writer's text against json.dumps of the reference's JSON objects
+
+NULL = Data("Null")
+
+# (value, its text): the output contract, written out once
+CANONICAL_TEXTS = [
+    (num(math.nan), '{"num":"nan"}'),
+    (num(math.inf), '{"num":"inf"}'),
+    (num(-math.inf), '{"num":"-inf"}'),
+    (num(-0.0), '{"num":0.0}'),
+    (num(1e300), '{"num":1e+300}'),
+    (num(5e-324), '{"num":5e-324}'),
+    (TRUE, '{"bool":true}'),
+    (FALSE, '{"bool":false}'),
+    (NULL, '{"args":[],"data":"Null"}'),
+    (Data("Pair", (num(1), Data("Cons", (TRUE, NULL)))),
+     '{"args":[{"num":1.0},{"args":[{"bool":true},{"args":[],"data":"Null"}],'
+     '"data":"Cons"}],"data":"Pair"}'),
+    (FieldVal((-2 ** 53, 2 ** 53), (num(1), NULL)),
+     '{"field":[[-9007199254740992,{"num":1.0}],[9007199254740992,'
+     '{"args":[],"data":"Null"}]]}'),
+    (Lambda(("é",), Var("é")), '{"fun":"(\\u00e9) => \\u00e9"}'),
+    (DefName("f"), '{"fun":"f"}'),
+    (Builtin("min-hood+"), '{"fun":"(min-hood+)"}'),
+    (Builtin("+[f,l]"), '{"fun":"+[f,l]"}'),
+]
+
+
+@pytest.mark.parametrize("v, text", CANONICAL_TEXTS)
+def test_value_json_writes_the_canonical_text(v, text):
+    assert value_json(v) == text == dumps(value_to_json(v))
+    assert tree_json(ValueTree(v)) == '{"root":' + text + "}"
+    assert tree_json(ValueTree(v, (ValueTree(v),))) == (
+        '{"children":[{"root":' + text + '}],"root":' + text + "}")
+
+
+NEAR_LIMIT = 2 ** 53
+ids = st.one_of(st.integers(-NEAR_LIMIT, NEAR_LIMIT),
+                st.integers(NEAR_LIMIT - 3, NEAR_LIMIT),
+                st.integers(-NEAR_LIMIT, -NEAR_LIMIT + 3))
+names = st.text(min_size=1, max_size=4)  # escapes, quotes, non-ASCII
+json_leaves = st.one_of(
+    st.builds(num, st.one_of(st.floats(), st.sampled_from(
+        [math.nan, math.inf, -math.inf, 1e300, 5e-324, -5e-324, 2.0 ** 53, 1e16, 0.1]))),
+    st.sampled_from([TRUE, FALSE, NULL, *(v for v, _ in CANONICAL_TEXTS[-4:])]),
+    st.builds(lambda n: Lambda((n,), Var(n)), names),
+    st.builds(lambda n: parse_expr(f"(x) => x + min-hood+(nbr{{{n}}})"),
+              st.sampled_from(["1", "x", "uid()"])),
+    st.builds(DefName, names),
+    st.builds(Builtin, st.sampled_from(["+", "mux", "nbr-range", "Pair[l,f]", "<[f,f]"])),
+)
+
+
+def _compound_values(kids):
+    return st.one_of(
+        st.builds(lambda a, b: Data("Pair", (a, b)), kids, kids),
+        st.builds(lambda a, b: Data("Cons", (a, b)), kids, kids),
+        st.builds(lambda c, args: Data(c, tuple(args)), names, st.lists(kids, max_size=3)),
+        st.dictionaries(ids, kids, max_size=4).map(
+            lambda m: FieldVal(tuple(sorted(m)), tuple(m[d] for d in sorted(m)))),
+    )
+
+
+json_values = st.recursive(json_leaves, _compound_values, max_leaves=10)
+tree_roots = st.recursive(json_leaves, _compound_values, max_leaves=3)
+json_trees = st.recursive(
+    st.builds(ValueTree, tree_roots),
+    lambda kids: st.builds(ValueTree, tree_roots, st.lists(kids, max_size=3).map(tuple)),
+    max_leaves=8)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(json_values, min_size=1, max_size=3))
+def test_value_json_is_the_reference_dumped(vs):
+    """Alone, and inside a value that shares its parts."""
+    shared = Data("Pair", (vs[0], FieldVal((1, 2), (vs[-1], vs[0]))))
+    for v in [*vs, shared]:
+        assert value_json(v) == dumps(value_to_json(v))
+        assert value_to_text(v) == value_text(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(json_trees, min_size=1, max_size=2))
+def test_tree_json_is_the_reference_dumped(ts):
+    for t in [*ts, ValueTree(ts[0].root, tuple(ts))]:
+        assert tree_json(t) == dumps(tree_to_json(t))
+
+
+NON_VALUES = [
+    Var("x"),
+    parse_expr("1 + 2"),
+    parse_expr("nbr{1}"),
+    parse_expr("rep(0){(x) => x}"),
+    Data("Pair", (num(1), Var("y"))),
+    FieldVal((1, 2), (num(1), Data("Cons", (Var("z"), NULL)))),
+    3,
+    None,
+]
+
+
+@pytest.mark.parametrize("v", NON_VALUES, ids=repr)
+def test_a_non_value_raises_the_reference_error(v):
+    with pytest.raises(ValueError) as want:
+        value_to_json(v)
+    with pytest.raises(ValueError) as got:
+        value_json(v)
+    assert str(got.value) == str(want.value)
+    t = ValueTree(num(1), (ValueTree(TRUE), ValueTree(v)))
+    with pytest.raises(ValueError) as got:
+        tree_json(t)
+    assert str(got.value) == str(want.value)
+
+
+def _frames() -> int:
+    f, n = sys._getframe(), 0
+    while f is not None:
+        f, n = f.f_back, n + 1
+    return n
+
+
+def test_the_writer_recurses_one_frame_per_level():
+    """A list 600 deep, and a tree 600 deep, are written within 700 frames
+    of the caller's stack: the writer needs no more stack
+    than the evaluator that builds them."""
+    deep, tree = NULL, ValueTree(NULL)
+    for i in range(600):
+        deep = Data("Cons", (num(i), deep))
+        tree = ValueTree(num(i), (ValueTree(TRUE), tree))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2000)
+    try:  # the reference itself takes 2 frames a level, and json.dumps 2 more
+        want_value, want_tree = dumps(value_to_json(deep)), dumps(tree_to_json(tree))
+    finally:
+        sys.setrecursionlimit(limit)
+    sys.setrecursionlimit(_frames() + 700)
+    try:
+        got_value, got_tree = value_json(deep), tree_json(tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got_value == want_value
+    assert got_tree == want_tree
+
+
+# what FireTrace.jsonl, FireTrace.csv and AdequacyReport.to_json write, against
+# the reference records; fieldc denot's records are checked in test_cli
+
+RECORD_PROGRAMS = [
+    corpus_entry("gradient").program(),
+    corpus_entry("spanning-sum").program(),
+    parse_program("Pair(nbr{uid()}, (é) => é)"),
+    parse_program("rep(Null){(l) => Cons(Pair(min-hood(nbr{uid()}), infinity < NaN), l)}"),
+    parse_program("map-hood((x) => Pair(x, x < 2), nbr{uid() * 1e300})"),
+]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_output_records_are_the_reference_records(seed):
+    rnd = random.Random(seed)
+    prog = RECORD_PROGRAMS[seed % len(RECORD_PROGRAMS)] if seed % 3 else ExprGen(rnd).program()
+    sc = gen_scenario(rnd)
+    trace = run_scenario(sc, prog)
+    assert trace.jsonl() == run_jsonl(trace)
+    assert trace.csv() == csv_text(["t", "device", "root"], (
+        [str(r.t), r.device, value_text(r.root)] for r in trace.records))
+    report = check_adequacy(sc, prog)
+    assert report.to_json() == report_json(report)
+
+
+def test_a_failing_report_is_the_reference_record():
+    report = AdequacyReport([
+        Verdict(0, F(1, 3), 2 ** 53, num(math.nan), num(math.nan), True),
+        Verdict(1, F(2), -2 ** 53, Lambda(("é",), Var("é")), DefName("f"), False),
+        Verdict(2, F(5, 2), 7, FieldVal((1,), (TRUE,)), NULL, False),
+    ])
+    assert report.to_json() == report_json(report)
+    assert json.loads(report.to_json())["first_counterexample"] == 1
+    assert AdequacyReport().to_json() == report_json(AdequacyReport()) == (
+        '{"events":[],"first_counterexample":null,"ok":true}')
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from fieldcalc.ast import (
     Var,
     num,
 )
-from fieldcalc.parser import ParseError, lex, parse_expr, parse_program, pretty, pretty_program
+from fieldcalc.parser import ParseError, lex, parse_expr, parse_program, pretty
+from helpers import pretty_program
 
 
 def toks(src):

@@ -8,8 +8,6 @@ from fieldcalc import builtins, typer
 from fieldcalc.parser import parse_expr, parse_program
 from fieldcalc.stdlib import corpus_entry
 from fieldcalc.typer import (
-    BOOL,
-    NUM,
     Arrow,
     FieldT,
     Scheme,
@@ -27,9 +25,9 @@ from fieldcalc.typer import (
     show_type,
     sort_leq,
     sort_meet,
-    typecheck_expr,
     typecheck_program,
 )
+from helpers import BOOL, NUM, typecheck_expr
 
 # ---------------------------------------------------------------------------
 # the sort lattice against its intended denotation
