@@ -271,10 +271,19 @@ def plan(e: Expr) -> Plan:
 # value predicates and substitution
 
 def is_local_value(e: Expr) -> bool:
-    """ell ::= b | d | closed lambda | c(ell...)"""
+    """ell ::= b | d | closed lambda | c(ell...)
+
+    The answer for data with arguments is kept on the node, so a value
+    that grows by one constructor per fire costs one step, not its depth."""
     t = type(e)
     if t is Data:
-        return all(map(is_local_value, e.args))
+        if not e.args:
+            return True
+        try:
+            return e._local
+        except AttributeError:
+            local = e.__dict__["_local"] = all(map(is_local_value, e.args))
+            return local
     if t is Lambda:
         return not plan(e).fv
     return t is Builtin or t is DefName

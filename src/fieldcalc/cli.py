@@ -8,6 +8,7 @@ input file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -258,9 +259,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built at the first call: argparse
+    keeps no state between parses, and building it costs about 1 ms."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        ns = parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -22,9 +22,12 @@ Segments that abut or overlap make one continuous on-interval; only a
 gap is an outage, and it drops everything the device had stored.
 
 A fire costs O(neighbours), not O(N): the sweep's World queries each
-device's position at most once per instant, and a device that never
-leaves one point sits in a grid cell of side just over the radius, so a
-fire checks the 3 x 3 cells around it and the devices that move.
+device's position at most once per instant, and a still device, one that
+never leaves one point, sits in a grid cell of side just over the
+radius, so a fire checks the 3 x 3 cells around it and the devices that
+move. A still device's geometry cannot change, so the World works it out
+once, at its first fire: its still neighbours within radius, of which a
+later fire asks only which are on, and its range to each still device.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ def sample_script(steps, t: Timestamp):
 # ---------------------------------------------------------------------------
 # the world and the delivery sweep
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # one per fire: plain slot stores, not frozen setattr calls
 class Stored:
     payload: object  # a ValueTree in the simulator, an event id in the DAG
     tag: Timestamp
@@ -150,7 +153,8 @@ def _on_intervals(segs) -> tuple:
 class World:
     """The physical world of one scenario, built once per sweep, at the
     instant the sweep has reached (``at``): times in ticks of 1/scale,
-    per-instant positions and the radius grid."""
+    per-instant positions, the radius grid and the fixed geometry of the
+    still devices."""
 
     def __init__(self, sc: Scenario):
         self.sc = sc
@@ -161,6 +165,13 @@ class World:
         self.paths = {d: tuple((self.tick(s.start), self.tick(s.end), s.waypoints)
                                for s in segs) for d, segs in sc.paths.items()}
         self.on = {d: _on_intervals(self.paths.get(d, ())) for d in sc.devices}
+        # a still device: every waypoint of every segment is the same point,
+        # which is then its clamped position at every instant
+        self.spots = {}
+        for d in sc.devices:
+            spots = {p for _, _, pts in self.paths.get(d, ()) for p in pts}
+            if len(spots) == 1:
+                self.spots[d] = spots.pop()
         # the cell side exceeds the radius by a relative 2^-20, which outweighs
         # the rounding of math.dist and of p / side while |p / side| < 2^30:
         # then a point within radius is at most one cell index away
@@ -169,12 +180,14 @@ class World:
         if sc.radius < self.side < math.inf:  # else the scan: radius 0 or inf
             self.movers = []
             for i, d in enumerate(sc.devices):
-                spots = {p for _, _, pts in self.paths.get(d, ()) for p in pts}
-                key = self.cell(*spots) if len(spots) == 1 else None
+                key = self.cell(self.spots[d]) if d in self.spots else None
                 if key is None:
                     self.movers.append(i)
                 else:
                     self.cells.setdefault(key, []).append(i)
+        # filled as devices first fire: a still device's hearer candidates
+        # (None for any other device), and its ranges to still devices
+        self._near, self.ranges = {}, {}
         self.t = self.now = self._pos = None
 
     def tick(self, t: Timestamp) -> int:
@@ -216,6 +229,23 @@ class World:
         out.sort()
         return out
 
+    def still_near(self, d: int):
+        """(device, close) of each device that may hear still device d, in
+        sc.devices order, worked out at d's first call: the still devices
+        within radius, which are ``close`` for good, and every mover. None
+        when d moves, sits off the grid or the grid is off."""
+        try:
+            return self._near[d]
+        except KeyError:
+            pass
+        here, near = self.spots.get(d), None
+        if here is not None and self.cells and self.cell(here) is not None:
+            devices, movers = self.sc.devices, set(self.movers)
+            near = [(devices[i], i not in movers) for i in self.near(here) if i in movers
+                    or math.dist(here, self.spots[devices[i]]) <= self.sc.radius]
+        self._near[d] = near
+        return near
+
 
 def position_at(world: World, d: int, now: int):
     """d's position at tick ``now``; None when no path segment covers it.
@@ -248,10 +278,15 @@ def clamped_position_at(world: World, d: int):
 def hearers(world: World, d: int) -> list:
     """Devices on now and within radius of d, d included, in sc.devices
     order."""
-    here, radius, devices = world.position(d), world.sc.radius, world.sc.devices
-    out = []
+    position, radius = world.position, world.sc.radius
+    near = world.still_near(d)
+    if near is not None:  # d is still: only who is on, and where movers are, is new
+        here = world.spots[d]
+        return [d2 for d2, close in near if (there := position(d2)) is not None
+                and (close or math.dist(here, there) <= radius)]
+    here, devices, out = position(d), world.sc.devices, []
     for i in world.near(here):
-        there = world.position(devices[i])
+        there = position(devices[i])
         if there is not None and math.dist(here, there) <= radius:
             out.append(devices[i])
     return out
@@ -260,15 +295,26 @@ def hearers(world: World, d: int) -> list:
 def ranges_at(world: World, d: int, others) -> dict:
     """Distances from d to each of ``others`` now, using clamped positions
     for devices currently off. Shared by the simulator and the
-    denotational evaluator so both sides sense identical ranges."""
-    here = clamped_position_at(world, d)
-    if here is None:
-        raise ScenarioError(f"device {d} has no path")
-    out = {}
+    denotational evaluator so both sides sense identical ranges. A range
+    between two still devices never changes: it is worked out once."""
+    spots, out = world.spots, {}
+    here = spots.get(d)
+    if here is not None:
+        known = world.ranges.setdefault(d, {})
+    else:  # d moves: no range from it is kept
+        here, known = clamped_position_at(world, d), {}
+        if here is None:
+            raise ScenarioError(f"device {d} has no path")
     for d2 in others:
-        there = clamped_position_at(world, d2)
-        if there is not None:
-            out[d2] = math.dist(here, there)
+        r = known.get(d2)
+        if r is None:
+            there = clamped_position_at(world, d2)
+            if there is None:
+                continue
+            r = math.dist(here, there)
+            if d2 in spots:
+                known[d2] = r
+        out[d2] = r
     return out
 
 

@@ -316,12 +316,14 @@ def gen_world(rnd: random.Random) -> Scenario:
     """Up to 30 devices over several cells of the radius grid, negative
     coordinates included, with radius 0, inf or finite. Points lie on a
     lattice of radius / k, so many pairs are exactly the radius apart
-    (3-4-5 diagonals too) and straddle a cell border. Devices are static,
-    static with an outage, static with a single waypoint that jumps
-    between segments, moving, on two overlapping segments listed in either
-    order (the first listed wins at a shared instant), or without a path.
-    Fire times, segment borders and decay mix thirds, sevenths and tenths;
-    fires land on segment borders and exactly decay after another fire."""
+    (3-4-5 diagonals too) and straddle a cell border. Devices are static
+    (some listing their one point several times), static with an outage,
+    static with a single waypoint that jumps between segments, moving, on
+    two overlapping segments listed in either order (the first listed
+    wins at a shared instant), or without a path. Fire times, segment
+    borders and decay mix thirds, sevenths and tenths; fires land on
+    segment borders, exactly decay after another fire, and inside a
+    static device's outage, by the static device nearest to it."""
     radius = rnd.choice([0.0, math.inf, 0.1, 1.0, 1.5, 2.5])
     unit = radius / rnd.choice([1, 2, 5]) if 0 < radius < math.inf else 0.5
 
@@ -339,7 +341,7 @@ def gen_world(rnd: random.Random) -> Scenario:
         a = when()
         b = rnd.choice([a, when(a)])  # a == b abuts, a < b is a gap or overlap
         if roll < 0.3:
-            paths[d] = (PathSeg(Fraction(0), Fraction(10), (p,)),)
+            paths[d] = (PathSeg(Fraction(0), Fraction(10), (p,) * rnd.choice([1, 1, 3])),)
         elif roll < 0.45:
             paths[d] = (PathSeg(Fraction(0), a, (p,)), PathSeg(b, Fraction(10), (p,)))
         elif roll < 0.6:
@@ -365,6 +367,14 @@ def gen_world(rnd: random.Random) -> Scenario:
         for t in (b for s in segs for b in (s.start, s.end)):
             if rnd.random() < 0.2:
                 fires.setdefault(t, d)
+    spots = {d: segs[0].waypoints[0] for d, segs in paths.items()
+             if len({p for s in segs for p in s.waypoints}) == 1}
+    for d, segs in paths.items():
+        t = (segs[0].end + segs[-1].start) / 2
+        if d in spots and segs[0].end < t < segs[-1].start:
+            near = [d2 for d2 in spots if d2 != d and on(d2, t)]
+            if near:
+                fires.setdefault(t, min(near, key=lambda d2: math.dist(spots[d], spots[d2])))
     decay = rnd.choice([Fraction(0), *TIME_STEPS, Fraction(1), Fraction(3), Fraction(100)])
     for t in list(fires)[:3]:
         d = rnd.choice(devices)

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fieldcalc
+from fieldcalc import cli
 from fieldcalc.ast import num
 from fieldcalc.cli import main
 from fieldcalc.denot import (
@@ -135,6 +136,34 @@ def test_closed_stdout_is_exit_1_without_traceback(command, counter, one_device)
     err = proc.stderr.decode()
     assert proc.returncode == 1
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_the_parser_is_built_once_and_parses_as_a_fresh_one(counter, one_device,
+                                                            monkeypatch, capsys):
+    argvs = [["run", counter, one_device], ["run", "--fuel", "many", counter],
+             ["denot", counter, one_device]]
+
+    def outputs():
+        out = []
+        for argv in argvs:
+            code = main(argv)
+            printed = capsys.readouterr()
+            out.append((code, printed.out, printed.err))
+        return out
+
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "parser", build)  # a fresh parser per call
+    fresh = outputs()
+    monkeypatch.undo()
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli.parser.cache_clear()
+    assert outputs() == fresh
+    assert len(builds) == 1
+    assert [code for code, _, _ in fresh] == [0, 2, 0]
+    assert fresh[1][1] == "" and fresh[1][2].startswith("usage: fieldc run")
+    assert "invalid int value: 'many'" in fresh[1][2]
+    assert fresh[0][1] and fresh[2][1] and fresh[0][1] != fresh[2][1]
 
 
 # ---------------------------------------------------------------------------

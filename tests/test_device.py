@@ -813,6 +813,32 @@ def test_each_node_is_compiled_once_per_program(monkeypatch):
     assert all(n > 0 for n in seen[2].values())
 
 
+def test_a_growing_rep_state_is_checked_in_constant_steps_per_fire(monkeypatch):
+    """rep(Null){(l) => Cons(1, l)} on one device: the state grows by one
+    constructor per fire, and whether a node is a local value is kept on
+    it, so a fire checks as many nodes at 200 fires as at 100 (a walk of
+    the whole state makes them grow with the fire count)."""
+    calls = 0
+    check = ast.is_local_value
+
+    def counting(e):
+        nonlocal calls
+        calls += 1
+        return check(e)
+
+    monkeypatch.setattr(ast, "is_local_value", counting)
+    monkeypatch.setattr(device, "is_local_value", counting)
+    prog = parse_program("rep(Null){(l) => Cons(1, l)}")
+    per_fire = {}
+    for n in (100, 200):
+        calls = 0
+        sc = static_scenario({1: (0, 0)}, radius=1, decay=1000,
+                             fires=[(t, 1) for t in range(n)], until=n)
+        assert len(run_scenario(sc, prog).records) == n
+        per_fire[n] = calls / n
+    assert 0 < per_fire[200] <= 1.01 * per_fire[100], per_fire
+
+
 def _fields_in(v):
     """The field values in value v, v included."""
     if isinstance(v, FieldVal):

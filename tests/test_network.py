@@ -365,6 +365,21 @@ def test_position_queries_per_fire_grow_linearly(monkeypatch, build):
     assert all(b / s < 1.5 for b, s in zip(long, small)), (long, small)
 
 
+@pytest.mark.parametrize("build", ["run", "dag"])
+def test_still_geometry_is_worked_out_once_per_device(monkeypatch, build):
+    """On a grid of still devices, each device's neighbours and ranges are
+    worked out at its first fire and read back after: distance checks per
+    fire fall with the rounds (recomputed per fire, they stay flat)."""
+    from fieldcalc.denot import build_dag_from_scenario
+
+    prog = parse_program("min-hood(nbr-range())")
+    fn = {"run": lambda sc: run_scenario(sc, prog),
+          "dag": build_dag_from_scenario}[build]
+    _, one = _grid_queries_per_fire(monkeypatch, fn, 4, rounds=1)
+    _, eight = _grid_queries_per_fire(monkeypatch, fn, 4, rounds=8)
+    assert one > 0 and eight <= one / 4, (one, eight)
+
+
 def _sweep_answers(sc) -> list:
     """(t, device, hearers, fresh (sender, tag) pairs, nbr-range) of each
     fire of the delivery sweep."""
@@ -402,7 +417,9 @@ def test_world_answers_as_the_all_pairs_scan(seed):
 def test_world_generator_reaches_its_corner_cases():
     seen = dict.fromkeys(["radius 0", "radius inf", "grid", "20+ devices", "negative",
                           "at radius across a border", "overlap at a shared instant",
-                          "jumping waypoint", "ticks of 1/210"], 0)
+                          "jumping waypoint", "ticks of 1/210", "still and moving",
+                          "still, off in a gap, while a neighbour fires",
+                          "one point listed several times"], 0)
     for seed in range(200):
         sc = gen_world(random.Random(seed))
         w = World(sc)
@@ -417,6 +434,15 @@ def test_world_generator_reaches_its_corner_cases():
         seen["at radius across a border"] += bool(w.cells) and any(
             math.dist(p, q) == sc.radius and w.cell(p) != w.cell(q)
             for p in spots.values() for q in spots.values())
+        seen["still and moving"] += bool(w.cells) and 0 < len(spots) < len(sc.paths)
+        seen["still, off in a gap, while a neighbour fires"] += bool(w.cells) and any(
+            d in spots and math.dist(spots[d], spots[d2]) <= sc.radius
+            and not any(s.start <= t <= s.end for s in segs)
+            and any(s.end < t for s in segs) and any(t < s.start for s in segs)
+            for t, d2 in sc.fires if d2 in spots for d, segs in sc.paths.items())
+        seen["one point listed several times"] += any(
+            d in spots and len(s.waypoints) > 1
+            for d, segs in sc.paths.items() for s in segs)
         seen["jumping waypoint"] += any(
             len(segs) > 1 and len({s.waypoints for s in segs}) > 1
             and all(len(s.waypoints) == 1 for s in segs) for segs in sc.paths.values())
