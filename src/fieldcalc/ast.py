@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 # numeric constructors are canonicalised floats: -0.0 folds into 0.0 and all
 # NaNs are the one object NAN, which tuple comparison finds equal to itself,
-# so Data's generated equality is a real equivalence with a consistent hash
+# so Data's equality is a real equivalence with a consistent hash
 NAN = float("nan")
 INF = float("inf")
 
@@ -64,8 +64,8 @@ class Data:
     """Constructor expression c(e1, ..., en).
 
     ctor is a string ('True', 'Pair', ...) or a float for numerals, never
-    a bool (True == 1.0). Numerals are canonical, so the generated
-    equality and hash are structural. A Data node is a value exactly when
+    a bool (True == 1.0). Numerals are canonical, so equality and the
+    generated hash are structural. A Data node is a value exactly when
     all arguments are local values.
 
     The evaluators build one of these for nearly every value they make,
@@ -85,6 +85,27 @@ class Data:
         d["ctor"] = ctor
         d["args"] = args
         d["span"] = span
+
+    def __eq__(self, other):
+        # the generated equality (same constructor and arguments, spans
+        # ignored) with the pending pairs on a list, so that a list
+        # thousands long compares without recursion; the tuples keep the
+        # one NAN equal to itself, and the dataclass still makes __hash__
+        if other.__class__ is not Data:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a.__class__ is not Data or b.__class__ is not Data:
+                if not a == b:  # any other class compares by its own ==
+                    return False
+            elif (a.ctor, len(a.args)) != (b.ctor, len(b.args)):
+                return False
+            else:
+                todo += zip(a.args, b.args)
+        return True
 
 
 @dataclass(frozen=True)
@@ -343,12 +364,6 @@ def value_of(e: Expr, X) -> Optional[Expr]:
         if not is_local_value(X[v]):
             return None
     return X[e.name] if type(e) is Var else substitute(e, {v: X[v] for v in fv})
-
-
-def subexpressions(e: Expr) -> Iterator[Expr]:
-    yield e
-    for c, _ in children(e):
-        yield from subexpressions(c)
 
 
 def restrict_value(v: Expr, devs) -> Expr:

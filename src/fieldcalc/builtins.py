@@ -20,10 +20,10 @@ Each decoratable operator has a field kernel, one loop over the field:
 boolean condition, Pair and Cons build their data in the loop, and any
 other point goes to the base operator, which computes it or raises its
 error there; the hoods are single loops too. min-hood, min-hood+ and <
-on non-numbers order values by a key (_order_key), compared by tuple
-comparison: numbers first with NaN greatest, then data by constructor
-and arguments, a nested argument's key made only when it is reached;
-functions and fields have no order.
+on non-numbers order values by one walk over both (_compare): numbers
+first with NaN greatest, then data by constructor and arguments left to
+right, stopping at the first difference; functions and fields have no
+order.
 
 Every field-valued argument of any builtin must have domain equal to
 the current environment's devices plus self; this is the side condition
@@ -86,111 +86,87 @@ _FUNCTIONS = (Lambda, Builtin, DefName)
 def value_equal(a: Expr, b: Expr) -> bool:
     """The builtin `=`: IEEE on numbers (NaN is not equal to itself),
     structural on data, syntactic identity on functions, pointwise on
-    neighbouring fields."""
-    if isinstance(a, Data) and isinstance(b, Data):
-        if isinstance(a.ctor, float) or isinstance(b.ctor, float):
-            return (
-                isinstance(a.ctor, float)
-                and isinstance(b.ctor, float)
-                and a.ctor == b.ctor  # IEEE: NaN != NaN
-            )
-        if a.ctor != b.ctor or len(a.args) != len(b.args):
-            return False
-        return all(value_equal(x, y) for x, y in zip(a.args, b.args))
-    if isinstance(a, FieldVal) and isinstance(b, FieldVal):
-        # same devices, both in increasing order: values pair up by position
-        return a.devs == b.devs and all(value_equal(v, w) for v, w in zip(a.vals, b.vals))
-    if isinstance(a, _FUNCTIONS) and isinstance(b, _FUNCTIONS):
-        return a == b  # syntactic identity, spans ignored
-    return False
+    neighbouring fields. The walk keeps its pending pairs on a list, so
+    deep data compares without recursion."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a.__class__ is Data and b.__class__ is Data:
+            x, y = a.ctor, b.ctor
+            if x.__class__ is float or y.__class__ is float:
+                if x != y:  # IEEE: NaN != NaN, and a number is no other data
+                    return False
+            elif x != y or len(a.args) != len(b.args):
+                return False
+            else:
+                todo += zip(a.args, b.args)
+        elif a.__class__ is FieldVal and b.__class__ is FieldVal:
+            # same devices, both in increasing order: values pair up by position
+            if a.devs != b.devs:
+                return False
+            todo += zip(a.vals, b.vals)
+        elif not (a.__class__ in _FUNCTIONS and b.__class__ in _FUNCTIONS and a == b):
+            return False  # functions: syntactic identity, spans ignored
+    return True
 
 
 _CTOR_RANK = {"False": 0, "True": 1, "Null": 0, "Cons": 1}
-_NAN_KEY = (0, 1)
-_NESTED = repeat(True)  # _order_key's nested flag for each argument; it keeps no state
 
 
-class _Unordered:
-    """The order key of a function (fun) or field value: every comparison
-    with it raises, a function's text winning when both kinds meet. Each
-    value gets a fresh one, since == on tuples passes over an element that
-    is the same object on both sides without comparing it."""
-
-    __slots__ = ("fun",)
-
-    def __init__(self, fun: bool):
-        self.fun = fun
-
-    def _refuse(self, other):
-        if self.fun or (other.__class__ is _Unordered and other.fun):
-            raise EvalError("values of function type cannot be ordered")
-        raise EvalError("neighbouring field values cannot be ordered")
-
-    __eq__ = __ne__ = __lt__ = __gt__ = _refuse
-
-
-class _DataKey:
-    """The lazy order key of data nested in another value and having
-    arguments of its own: its key is made only when a comparison reaches
-    it, so two lists whose heads differ compare at their heads."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v: Data):
-        self.v = v
-
-    def __eq__(self, other):
-        return _compare(self, other) == 0
-
-    def __lt__(self, other):
-        return _compare(self, other) < 0
-
-    def __gt__(self, other):
-        return _compare(self, other) > 0
-
-
-def _compare(ka, kb) -> int:
-    """-1, 0 or 1 as key ka is below, equal to or above key kb, making the
-    key of a nested argument when it is reached and comparing it once."""
-    if ka.__class__ is _DataKey:
-        ka = _order_key(ka.v)
-    if kb.__class__ is _DataKey:
-        kb = _order_key(kb.v)
-    if ka.__class__ is not tuple or kb.__class__ is not tuple:
-        return (ka > kb) - (ka < kb)  # one is _Unordered, which raises
-    for x, y in zip(ka, kb):
-        if x.__class__ is _DataKey or y.__class__ is _DataKey:
-            c = _compare(x, y)
-        else:
-            c = (x > y) - (x < y)
-        if c:
-            return c
-    return (len(ka) > len(kb)) - (len(ka) < len(kb))
-
-
-def _order_key(v: Expr, nested: bool = False):
-    """v's key in the total order of min-hood and <, compared by tuple
-    comparison. Numbers come first, ordered as usual with NaN greatest (so
-    NaN markers lose against real values); other data follow by
-    constructor (False < True, Null < Cons) and then by arguments,
-    lexicographically. Functions and fields have no order. A value's key
-    holds its arguments' keys, which are lazy for nested data with
-    arguments of its own, and Pair(1, f) orders before Pair(2, g)."""
-    if v.__class__ is Data:
-        c = v.ctor
-        if c.__class__ is float:
-            return (0, 0, c) if c == c else _NAN_KEY
-        if nested and v.args:
-            return _DataKey(v)
-        return (1, _CTOR_RANK.get(c, 0), c, *map(_order_key, v.args, _NESTED))
-    return _Unordered(v.__class__ in _FUNCTIONS)
+def _compare(a: Expr, b: Expr) -> int:
+    """-1, 0 or 1 as value a is below, equal to or above value b in the
+    order of min-hood and <. Numbers come first, ordered as usual with NaN
+    greatest (so NaN markers lose against real values); other data follow
+    by constructor (True and Cons after the rest, so False < True and
+    Null < Cons, and otherwise by name) and then by arguments, left to
+    right, the shorter list first. Functions and fields have no order.
+    The walk keeps its pending argument pairs on a list and stops at the
+    first difference, so Pair(1, f) orders before Pair(2, g) and two
+    lists thousands long compare without recursion."""
+    todo = None  # made at the first arguments, which most pairs of numbers lack
+    while True:
+        if a.__class__ is not Data or b.__class__ is not Data:
+            if a.__class__ in _FUNCTIONS or b.__class__ in _FUNCTIONS:
+                raise EvalError("values of function type cannot be ordered")
+            raise EvalError("neighbouring field values cannot be ordered")
+        x, y = a.ctor, b.ctor
+        if x.__class__ is float:
+            if y.__class__ is not float:
+                return -1
+            if x < y:
+                return -1
+            if y < x:
+                return 1
+            if (x == x) is not (y == y):  # one is NaN, the greatest number
+                return 1 if y == y else -1
+        elif y.__class__ is float:
+            return 1
+        elif x != y:
+            rx, ry = _CTOR_RANK.get(x, 0), _CTOR_RANK.get(y, 0)
+            return -1 if (rx, x) < (ry, y) else 1
+        elif a.args or b.args:
+            if todo is None:
+                todo = []
+            n, m = len(a.args), len(b.args)
+            if n != m:  # reached once the shared arguments are equal
+                todo.append(-1 if n < m else 1)
+            todo += zip(reversed(a.args[:m]), reversed(b.args[:n]))
+        if not todo:
+            return 0
+        pair = todo.pop()
+        if pair.__class__ is int:
+            return pair
+        a, b = pair
 
 
 def _min_value(values):
     """The first least value in device order; a lone value is not compared."""
-    if len(values) == 1:
-        return values[0]
-    return min(values, key=_order_key, default=None)
+    it = iter(values)
+    best = next(it, None)
+    for v in it:
+        if _compare(v, best) < 0:
+            best = v
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +235,7 @@ def op_lt(ctx, args):
     a, b = args
     if is_num(a) and is_num(b):
         return boolean(a.ctor < b.ctor)  # IEEE: NaN comparisons are false
-    return boolean(_order_key(a) < _order_key(b))
+    return boolean(_compare(a, b) < 0)
 
 
 def op_mux(ctx, args):

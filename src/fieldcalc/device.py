@@ -86,10 +86,6 @@ class ValueTree:
         return f"«{self.root!r}»({', '.join(repr(c) for c in self.children)})"
 
 
-def leaf(v: Expr) -> ValueTree:
-    return ValueTree(v)
-
-
 def subtree_fun(t: ValueTree, f: Expr) -> Optional[ValueTree]:
     """Last child, provided the second-to-last child's root equals the
     function value f; None otherwise."""

@@ -400,9 +400,6 @@ class FireRecord:
 class FireTrace:
     records: list = dc_field(default_factory=list)
 
-    def roots(self):
-        return [r.root for r in self.records]
-
     def jsonl(self) -> str:
         """One canonical JSON object per fire, its keys in sorted order."""
         return "".join([record_json(

@@ -1,13 +1,14 @@
 """Shared fixtures: the four-device example DAG and its JSON, scenario
 builders, the all-pairs references for the world's answers and the
 induced DAG, the sorting field constructor, the value order and
-pointwise lifting that the builtins' order key and field kernels are
+pointwise lifting that the builtins' value order and field kernels are
 checked against, the JSON objects of values, trees and output records
 that the canonical-JSON writer is checked against and readers of them,
 the substitution reference for the device evaluator, the fixpoint
 reference for the denotation, the restriction checker, and small
-helpers only tests call (a tree's i-th subtree, a program's source
-text, a bare expression's type).
+helpers only tests call (a leaf tree, an expression's subexpressions,
+a trace's roots, a tree's i-th subtree, a program's source text, a bare
+expression's type).
 
 The DAG mirrors the running example: four devices firing 4 to 6 times,
 device 2 rebooting after its second firing (so the self-link into its
@@ -61,7 +62,6 @@ from fieldcalc.device import (
     align_fun,
     align_i,
     fun_parts,
-    leaf,
 )
 from fieldcalc.network import PathSeg, Scenario, as_time, sample_script
 from fieldcalc.parser import parse_expr, pretty, show_num
@@ -327,7 +327,7 @@ _CTOR_RANK = {"False": 0, "True": 1, "Null": 0, "Cons": 1}
 
 def cmp_values(a: Expr, b: Expr) -> int:
     """The value order of min-hood and < as a three-way comparison, the
-    reference for the order key. Numbers order as usual with NaN greatest
+    reference for builtins._compare. Numbers order as usual with NaN greatest
     (so NaN markers lose against real values), booleans as False < True,
     structured data lexicographically. Functions have no ordering."""
     if isinstance(a, (Lambda, Builtin, DefName)) or isinstance(b, (Lambda, Builtin, DefName)):
@@ -793,6 +793,22 @@ def check_restriction(g: EventDAG, E, e0: Expr, args, args2, X: dict,
 
 # ---------------------------------------------------------------------------
 # small helpers only tests call
+
+def leaf(v: Expr) -> ValueTree:
+    return ValueTree(v)
+
+
+def subexpressions(e: Expr):
+    """e and every subexpression of it, preorder."""
+    yield e
+    for c, _ in children(e):
+        yield from subexpressions(c)
+
+
+def roots(trace) -> list:
+    """The root value of each fire of a FireTrace, in order."""
+    return [r.root for r in trace.records]
+
 
 def subtree_i(t: ValueTree, i: int):
     """i-th child, 1-based; None when absent."""

@@ -42,7 +42,7 @@ from fieldcalc.denot import (
     nbr_devices,
     validate_dag,
 )
-from fieldcalc.device import DEFAULT_FUEL, EvalContext, ValueTree, eval_expr, leaf
+from fieldcalc.device import DEFAULT_FUEL, EvalContext, ValueTree, eval_expr
 from fieldcalc.network import as_time, run_scenario
 from fieldcalc.parser import parse_expr, parse_program, parse_value
 from fieldcalc.stdlib import corpus_entry, load_corpus
@@ -64,9 +64,11 @@ from helpers import (
     NUM,
     check_restriction,
     example_dag,
+    leaf,
     line_scenario,
     mkfield,
     reference_denot,
+    roots,
     static_scenario,
     tree_to_json,
     typecheck_expr,
@@ -91,7 +93,7 @@ def test_rep_counter_counts_every_fire():
     sc = static_scenario({1: (0.0, 0.0)}, radius=1.0, decay=100,
                          fires=[(t, 1) for t in range(1, 6)])
     trace = run_scenario(sc, parse_program("rep(0){(x) => x + 1}"))
-    assert trace.roots() == [num(i) for i in range(1, 6)]
+    assert roots(trace) == [num(i) for i in range(1, 6)]
     assert time.monotonic() - t0 < 1.0
 
 

@@ -35,7 +35,6 @@ from fieldcalc.ast import (
     is_value,
     num,
     substitute,
-    subexpressions,
     value_of,
 )
 from fieldcalc.builtins import value_equal
@@ -43,7 +42,7 @@ from fieldcalc.parser import parse_expr
 from fieldcalc.typer import FieldT
 from generators import ExprGen
 import helpers
-from helpers import BOOL, NUM, mkfield
+from helpers import BOOL, NUM, mkfield, subexpressions
 
 
 def test_num_canonicalisation():
@@ -80,6 +79,32 @@ def test_spans_do_not_affect_equality():
     d1 = Data("Pair", (num(1), num(2)), span=Span(3, 3))
     d2 = Data("Pair", (num(1), num(2)))
     assert d1 == d2 and hash(d1) == hash(d2)
+
+
+def test_data_equality_walks_deep_data_without_recursion():
+    """Data's equality means the generated one (same class, constructor
+    and arguments) on data 5,000 deep; equal values hash equal; and a pair
+    of another class inside, or on the other side, compares by its own ==."""
+    def cons_list(xs, end=Data("Null")):
+        for x in reversed(xs):
+            end = Data("Cons", (x, end))
+        return end
+
+    xs = [num(i) for i in range(5000)]
+    assert cons_list(xs) == cons_list(xs) and not cons_list(xs) != cons_list(xs)
+    assert cons_list(xs) != cons_list(xs[:-1] + [num(-1)])
+    assert cons_list(xs) != cons_list(xs[:-1])
+    assert cons_list([num(NAN)] * 3) == cons_list([num(NAN)] * 3)
+    f, g = Lambda(("x",), Var("x")), Lambda(("x",), Var("x"))
+    assert cons_list(xs, f) == cons_list(xs, g) and cons_list(xs, f) != cons_list(xs, TRUE)
+    for v, w in ((Data("Pair", (num(1), Var("x"))), Data("Pair", (num(1), Var("x")))),
+                 (Data("Cons", (num(NAN), Data("Null"))), Data("Cons", (num(NAN), Data("Null")))),
+                 (cons_list(xs[:50]), cons_list(xs[:50]))):
+        assert v is not w and v == w and hash(v) == hash(w)
+    mixed = (Data("Pair", (num(1), Var("x"))), Data("Pair", (num(1), num(0))))
+    assert mixed[0] != mixed[1] and mixed[1] != mixed[0]
+    assert num(1) != 1.0 and 1.0 != num(1) and num(1).__eq__(1.0) is NotImplemented
+    assert Data("Pair", (num(1), f)) != f and f != Data("Pair", (num(1), f))
 
 
 def test_values_built_by_hand_stay_frozen_and_ignore_spans():

@@ -30,7 +30,7 @@ from fieldcalc.builtins import (
     EvalError,
     SensorError,
     SensorState,
-    _order_key,
+    _compare,
     ctor_scheme,
     value_equal,
 )
@@ -150,6 +150,25 @@ def test_eq_pointwise_on_fields():
     assert ev("=", [a, fld({1: 1, 2: 3})], env_domain={2}) == boolean(False)
 
 
+def counting_list(first: float, n: int, end: Data = Data("Null")) -> Data:
+    """Cons(first, Cons(first - 1, ...)), n long, then end."""
+    v = end
+    for x in range(int(first) - n + 1, int(first) + 1):
+        v = Data("Cons", (num(x), v))
+    return v
+
+
+def test_eq_on_long_lists_walks_to_the_end():
+    # 5,000 nested Cons each: a recursive walk would pass Python's limit
+    a = counting_list(7, 5000)
+    assert ev("=", [a, counting_list(7, 5000)]) == boolean(True)
+    for last in (-1, NAN):  # the last element changed, or NaN
+        b = counting_list(7, 4999, Data("Cons", (num(last), Data("Null"))))
+        assert ev("=", [a, b]) == boolean(False)
+    c = counting_list(0, 3, Data("Cons", (num(NAN), Data("Null"))))
+    assert ev("=", [c, c]) == boolean(False)
+
+
 # ---------------------------------------------------------------------------
 # the value order behind min-hood
 
@@ -173,20 +192,12 @@ def test_functions_have_no_order():
         cmp_values(Builtin("+"), Builtin("-"))
 
 
-def test_order_keys_compare_lazily():
+def test_the_order_stops_at_the_first_difference():
     f, g = Builtin("+"), Builtin("-")
-    assert _order_key(Data("Pair", (num(1), f))) < _order_key(Data("Pair", (num(2), g)))
+    assert _compare(Data("Pair", (num(1), f)), Data("Pair", (num(2), g))) == -1
     # the same function object on both sides still refuses to be ordered
     with pytest.raises(EvalError, match="function type"):
-        _order_key(Data("Pair", (f, num(1)))) < _order_key(Data("Pair", (f, num(2))))
-
-
-def counting_list(first: float, n: int) -> Data:
-    """Cons(first, Cons(first - 1, ...)), n long."""
-    v = Data("Null")
-    for x in range(int(first) - n + 1, int(first) + 1):
-        v = Data("Cons", (num(x), v))
-    return v
+        _compare(Data("Pair", (f, num(1))), Data("Pair", (f, num(2))))
 
 
 def test_long_lists_whose_heads_differ_order_at_their_heads():
@@ -197,6 +208,14 @@ def test_long_lists_whose_heads_differ_order_at_their_heads():
     assert ev("<", [a, b]) == boolean(False)
     # a prefix of b comes first, as Null comes before Cons
     assert ev("<", [counting_list(3, 10), b]) == boolean(True)
+
+
+def test_long_equal_lists_are_equal_in_the_order():
+    # 5,000 nested Cons each, equal to the end: the walk goes the whole way
+    a, b = counting_list(7, 5000), counting_list(7, 5000)
+    assert ev("<", [a, b]) == boolean(False)
+    assert ev("<", [b, a]) == boolean(False)
+    assert ev("min-hood", [mkfield({1: a, 2: b})], env_domain=(2,)) is a
 
 
 # the leaves come from one small pool, so the same function or field
@@ -226,21 +245,16 @@ def _sign(c: int) -> int:
     return (c > 0) - (c < 0)
 
 
-def _key_sign(a, b) -> int:
-    ka, kb = _order_key(a), _order_key(b)
-    return (ka > kb) - (ka < kb)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_order_key_is_the_value_order(seed):
-    """Over 2,000 pairs: the key order has cmp_values's sign and error
-    text, < on non-numbers follows it, and min-hood returns the first
-    least value or raises as the pairwise reference does."""
+def test_compare_is_the_value_order(seed):
+    """Over 2,000 pairs: _compare has cmp_values's sign and error text,
+    < on non-numbers follows it, and min-hood returns the first least
+    value or raises as the pairwise reference does."""
     rnd = random.Random(seed)
     pairs = [(ordered_value(rnd), ordered_value(rnd)) for _ in range(10)]
     for a, b in pairs:
-        assert outcome(lambda: _key_sign(a, b)) == outcome(lambda: _sign(cmp_values(a, b)))
+        assert outcome(lambda: _compare(a, b)) == outcome(lambda: _sign(cmp_values(a, b)))
         if FieldVal not in (type(a), type(b)) and not (
                 type(a) is Data and isinstance(a.ctor, float)
                 and type(b) is Data and isinstance(b.ctor, float)):

@@ -648,6 +648,27 @@ def test_deep_recursion_is_a_diagnostic(command, source, one_device, tmp_path, c
     assert "Traceback" not in err
 
 
+CONS_ONTO = "rep(Null){(l) => Cons(1, l)}\n"
+
+
+def cons_onto_files(tmp_path, n):
+    """The rep that conses onto its list, and a scenario of n fires of one
+    device, as files; and that scenario."""
+    sc = {**ONE_DEVICE, "paths": {"1": [{"from": 0, "to": n + 1, "waypoints": [[0, 0]]}]},
+          "fires": [{"t": t, "device": 1} for t in range(1, n + 1)]}
+    prog_file, sc_file = tmp_path / "cons.hfc", tmp_path / "cons.json"
+    prog_file.write_text(CONS_ONTO)
+    sc_file.write_text(json.dumps(sc))
+    return str(prog_file), str(sc_file), sc
+
+
+def fresh_fieldc(*argv):
+    """fieldc argv in a fresh interpreter, whose stack holds nothing else."""
+    src = str(Path(fieldcalc.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-m", "fieldcalc.cli", *argv],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+
+
 def test_a_list_as_deep_as_the_evaluator_builds_is_written(tmp_path):
     """450 fires of a rep that conses onto its list: fieldc run, in a fresh
     interpreter, builds lists 450 deep and writes them as the reference
@@ -655,15 +676,8 @@ def test_a_list_as_deep_as_the_evaluator_builds_is_written(tmp_path):
     raised recursion limit, and on every 25th fire and the deepest 5 (its
     time grows with the square of the depth)."""
     n = 450
-    source = "rep(Null){(l) => Cons(1, l)}\n"
-    sc = {**ONE_DEVICE, "paths": {"1": [{"from": 0, "to": n + 1, "waypoints": [[0, 0]]}]},
-          "fires": [{"t": t, "device": 1} for t in range(1, n + 1)]}
-    prog_file, sc_file = tmp_path / "cons.hfc", tmp_path / "cons.json"
-    prog_file.write_text(source)
-    sc_file.write_text(json.dumps(sc))
-    src = str(Path(fieldcalc.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-m", "fieldcalc.cli", "run", str(prog_file), str(sc_file)],
-                          capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    prog_file, sc_file, sc = cons_onto_files(tmp_path, n)
+    proc = fresh_fieldc("run", prog_file, sc_file)
     assert proc.returncode == 0, proc.stderr.decode()
     lines = proc.stdout.decode().splitlines(keepends=True)
     assert len(lines) == n
@@ -671,11 +685,22 @@ def test_a_list_as_deep_as_the_evaluator_builds_is_written(tmp_path):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + 4 * n)
     try:
-        trace = run_scenario(scenario_from_json(sc), parse_program(source))
+        trace = run_scenario(scenario_from_json(sc), parse_program(CONS_ONTO))
         want = run_jsonl(FireTrace([trace.records[i] for i in sample]))
     finally:
         sys.setrecursionlimit(limit)
     assert "".join(lines[i] for i in sample) == want
+
+
+def test_every_command_takes_a_list_480_deep(tmp_path):
+    """480 fires of the same rep: run, denot and check-adequacy each exit 0
+    in a fresh interpreter, and the two semantics agree at every event,
+    whose values Data's equality compares without recursion."""
+    prog_file, sc_file, _ = cons_onto_files(tmp_path, 480)
+    for command in ("run", "denot", "check-adequacy"):
+        proc = fresh_fieldc(command, prog_file, sc_file, "--out", str(tmp_path / command))
+        assert proc.returncode == 0, (command, proc.stderr.decode())
+    assert (tmp_path / "check-adequacy").read_text() == "480/480 events equal\n"
 
 
 def test_writing_fresh_deep_lists_holds_no_text_past_its_record(tmp_path):

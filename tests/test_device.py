@@ -46,7 +46,6 @@ from fieldcalc.device import (
     csv_text,
     eval_expr,
     evaluate_main,
-    leaf,
     subtree_fun,
     tree_json,
     value_json,
@@ -62,6 +61,7 @@ from helpers import (
     NUM,
     dumps,
     is_local_value,
+    leaf,
     mkfield,
     reference_eval_expr,
     report_json,

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from fieldcalc import network
 from fieldcalc.ast import num
 from fieldcalc.builtins import SensorState
-from fieldcalc.device import leaf
 from fieldcalc.network import (
     FireError,
     FireRecord,
@@ -38,7 +37,7 @@ from fieldcalc.network import (
 )
 from fieldcalc.parser import parse_program
 from generators import gen_world
-from helpers import mkfield, reference_position_at, reference_sweep
+from helpers import leaf, mkfield, reference_position_at, reference_sweep, roots
 
 
 def static_sc(positions, radius, decay, fires, sensors=None, until=100):
@@ -173,7 +172,7 @@ def test_fire_broadcast_includes_self():
     sc = static_sc({1: (0, 0), 2: (9, 0)}, radius=1, decay=10,
                    fires=[(0, 1), (1, 1), (2, 1)])
     assert hearers(World(sc).at(F(0)), 1) == [1]
-    assert run_scenario(sc, prog).roots() == [num(1), num(2), num(3)]
+    assert roots(run_scenario(sc, prog)) == [num(1), num(2), num(3)]
 
 
 def test_env_at_ranges_over_fresh_senders_only():
@@ -211,7 +210,7 @@ def test_min_hood_fire_order_walkthrough():
         sensors={d: {"sns-num": num(d)} for d in (1, 2, 3)},
     )
     trace = run_scenario(sc, prog)
-    assert trace.roots() == [num(1)] * 4
+    assert roots(trace) == [num(1)] * 4
     last = trace.records[-1]
     assert last.tree.children[0].root == mkfield({1: num(1), 2: num(2), 3: num(3)})
 
@@ -275,7 +274,7 @@ def test_rep_counter_scenario():
     prog = parse_program("rep(0){(x) => x + 1}")
     sc = static_sc({1: (0, 0)}, radius=1, decay=100,
                    fires=[(t, 1) for t in range(5)])
-    assert run_scenario(sc, prog).roots() == [num(k) for k in range(1, 6)]
+    assert roots(run_scenario(sc, prog)) == [num(k) for k in range(1, 6)]
 
 
 def test_out_of_radius_devices_compute_isolated():
@@ -283,7 +282,7 @@ def test_out_of_radius_devices_compute_isolated():
     sc = static_sc({1: (0, 0), 2: (50, 0)}, radius=5, decay=100,
                    fires=[(0, 1), (1, 2), (2, 1)])
     trace = run_scenario(sc, prog)
-    assert trace.roots()[-1] == mkfield({1: num(1)})
+    assert roots(trace)[-1] == mkfield({1: num(1)})
 
 
 def test_decay_boundary_in_a_run():
@@ -291,10 +290,10 @@ def test_decay_boundary_in_a_run():
     fires = [(0, 1), (10, 2)]
     sc = static_sc({1: (0, 0), 2: (1, 0)}, radius=5, decay=10, fires=fires)
     trace = run_scenario(sc, prog)
-    assert trace.roots()[-1] == mkfield({1: num(1), 2: num(2)})
+    assert roots(trace)[-1] == mkfield({1: num(1), 2: num(2)})
     sc2 = static_sc({1: (0, 0), 2: (1, 0)}, radius=5, decay=F(99, 10), fires=fires)
     trace2 = run_scenario(sc2, prog)
-    assert trace2.roots()[-1] == mkfield({2: num(2)})
+    assert roots(trace2)[-1] == mkfield({2: num(2)})
 
 
 def test_reboot_restarts_rep_state():
@@ -306,7 +305,7 @@ def test_reboot_restarts_rep_state():
         fires=((F(1, 2), 1), (F(3, 2), 1), (F(9, 2), 1), (F(11, 2), 1)),
     )
     trace = run_scenario(sc, prog)
-    assert trace.roots() == [num(1), num(2), num(1), num(2)]
+    assert roots(trace) == [num(1), num(2), num(1), num(2)]
 
 
 def counter_on(*segs):
@@ -317,7 +316,7 @@ def counter_on(*segs):
         paths={1: tuple(PathSeg(as_time(a), as_time(b), HERE) for a, b in segs)},
         fires=((F(4), 1), (F(6), 1)),
     )
-    return run_scenario(sc, parse_program("rep(0){(x) => x + 1}")).roots()
+    return roots(run_scenario(sc, parse_program("rep(0){(x) => x + 1}")))
 
 
 def test_abutting_segments_keep_stored_context():
@@ -472,7 +471,7 @@ def test_nbr_range_from_paths():
     sc = static_sc({1: (0, 0), 2: (3, 0)}, radius=5, decay=100,
                    fires=[(0, 1), (1, 2)])
     trace = run_scenario(sc, prog)
-    assert trace.roots() == [num(float("inf")), num(3)]
+    assert roots(trace) == [num(float("inf")), num(3)]
 
 
 def test_env_domain_recorded_per_fire():
@@ -606,7 +605,7 @@ def test_scripted_sensor_steps():
     trace = run_scenario(scenario_from_json(obj), prog)
     from fieldcalc.ast import FALSE, TRUE
 
-    assert trace.roots() == [FALSE, TRUE]
+    assert roots(trace) == [FALSE, TRUE]
 
 
 def test_sensor_missing_before_first_step():

@@ -34,3 +34,70 @@ def test_the_package_imports_only_itself_and_the_standard_library():
             found += [f"{p.name}:{node.lineno}: {n}" for n in names
                       if n.partition(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+# names the package keeps for callers outside it, each with its reason
+UNREFERENCED_ALLOWED = {
+    "denot.shift": "bench/spans.py wraps it by attribute",
+    "denot.latest_event": "bench/spans.py wraps it by attribute",
+    "denot.restrict_evolution": "bench/spans.py wraps it by attribute",
+    "denot.position_at (import)": "bench/spans.py wraps denot's re-export by attribute",
+    "denot.run_scenario (import)": "bench/spans.py wraps denot's re-export by attribute",
+    "stdlib.corpus_entry": "the scripts look corpus programs up by name with it",
+}
+
+
+def _definitions(tree):
+    """(qualified name, node) of each top-level function and class and of
+    each method of a top-level class, dunder methods left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, ast.FunctionDef) and not (
+                            m.name.startswith("__") and m.name.endswith("__")):
+                        yield f"{node.name}.{m.name}", m
+
+
+def _references(tree):
+    """(name, line) of each name the module reads, as a variable it does
+    not bind in an enclosing function or as an attribute."""
+    def walk(node, local):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            local = local | {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                             args.vararg, args.kwarg) if a is not None}
+            local |= {n.id for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, local)
+
+    return walk(tree, frozenset())
+
+
+def test_every_definition_in_the_package_is_used_in_it():
+    """Each top-level function and class, and each method, is read
+    somewhere in the package outside its own body, and each name a module
+    imports from the package is read in that module: a name only tests
+    call lives in tests/helpers.py. The allowed names must be unread, so
+    the list cannot outlive its reasons."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    refs = {mod: list(_references(tree)) for mod, tree in trees.items()}
+    unread = []
+    for mod, tree in trees.items():
+        for qual, node in _definitions(tree):
+            name = qual.rpartition(".")[2]
+            if not any(n == name and not (m == mod and node.lineno <= line <= node.end_lineno)
+                       for m, rs in refs.items() for n, line in rs):
+                unread.append(f"{mod}.{qual}")
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                unread += [f"{mod}.{a.asname or a.name} (import)" for a in node.names
+                           if not any(n == (a.asname or a.name) for n, _ in refs[mod])]
+    assert sorted(unread) == sorted(UNREFERENCED_ALLOWED)
