@@ -10,7 +10,7 @@ so alignment keys and map keys can use nodes directly.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional, Union
 
 # numeric constructors are canonicalised floats: -0.0 folds into 0.0 and all
@@ -27,70 +27,123 @@ def canon_num(x: float) -> float:
     return x if x else 0.0  # -0.0 is false
 
 
-@dataclass(frozen=True)
-class Span:
-    line: int
-    col: int
+# ---------------------------------------------------------------------------
+# records
+
+set_field = object.__setattr__  # how a frozen record's constructor stores a field
 
 
-def _span_field():
-    return field(default=None, compare=False, repr=False)
+class Record:
+    """A record: the fields a class names in _fields, in order, give its
+    == (true only between records of one class) and its repr; a node's
+    source span is never among them. A record that can change is
+    unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        if "_fields" in cls.__dict__:
+            # the fields' values, read as cls._key(record): a tuple from two
+            # fields up, the lone value of one
+            cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self.__class__._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    span: Optional[Span] = _span_field()
+class Frozen(Record):
+    """A record whose constructor stores its fields through set_field and
+    that refuses every later assignment or deletion. Its hash is the hash
+    of the tuple of its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        key = self.__class__._key(self)
+        return hash(key if len(self._fields) > 1 else (key,))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class Builtin:
+class Span(Frozen):
+    __slots__ = _fields = ("line", "col")
+
+    def __init__(self, line: int, col: int):
+        set_field(self, "line", line)
+        set_field(self, "col", col)
+
+
+class Node(Frozen):
+    """An expression node: its source span, if it has one, and what the
+    evaluators keep on it once worked out: its plan (_plan) and the
+    operational and denotational closures (_dev, _den)."""
+
+    __slots__ = ("span", "_plan", "_dev", "_den")
+
+
+class Name(Node):
+    """What a variable, a builtin and a function name share: one name."""
+
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str, span: Optional[Span] = None):
+        set_field(self, "name", name)
+        set_field(self, "span", span)
+
+
+class Var(Name):
+    __slots__ = ()
+
+
+class Builtin(Name):
     """A builtin operator name, possibly decorated (e.g. '+[f,f]')."""
 
-    name: str
-    span: Optional[Span] = _span_field()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DefName:
+class DefName(Name):
     """Reference to a declared function; a value by itself."""
 
-    name: str
-    span: Optional[Span] = _span_field()
+    __slots__ = ()
 
 
-@dataclass(frozen=True, init=False)
-class Data:
+class Data(Node):
     """Constructor expression c(e1, ..., en).
 
     ctor is a string ('True', 'Pair', ...) or a float for numerals, never
-    a bool (True == 1.0). Numerals are canonical, so equality and the
-    generated hash are structural. A Data node is a value exactly when
-    all arguments are local values.
+    a bool (True == 1.0). Numerals are canonical, so equality and hash are
+    structural. A Data node is a value exactly when all arguments are
+    local values (kept in _local once asked); its hash is kept in _hash.
 
-    The evaluators build one of these for nearly every value they make,
-    so the constructor is written by hand: it stores its arguments as
-    given, and a numeral is canonicalised where it is made (num, the
-    parser's numeral).
+    The evaluators build one of these for nearly every value they make:
+    the constructor stores its arguments as given, and a numeral is
+    canonicalised where it is made (num, the parser's numeral).
     """
 
-    ctor: Union[str, float]
-    args: tuple = ()
-    span: Optional[Span] = _span_field()
+    __slots__ = ("ctor", "args", "_local", "_hash")
+    _fields = ("ctor", "args")
 
-    def __init__(self, ctor, args=(), span=None):
-        # writing the instance dict passes by the frozen __setattr__,
-        # which still refuses every later assignment
-        d = self.__dict__
-        d["ctor"] = ctor
-        d["args"] = args
-        d["span"] = span
+    def __init__(self, ctor: Union[str, float], args: tuple = (), span: Optional[Span] = None):
+        set_field(self, "ctor", ctor)
+        set_field(self, "args", args)
+        set_field(self, "span", span)
 
     def __eq__(self, other):
-        # the generated equality (same constructor and arguments, spans
-        # ignored) with the pending pairs on a list, so that a list
-        # thousands long compares without recursion; the tuples keep the
-        # one NAN equal to itself, and the dataclass still makes __hash__
+        # the equality of (ctor, args), spans ignored, with the pending
+        # pairs on a list, so that a list thousands long compares without
+        # recursion; the tuples keep the one NAN equal to itself
         if other.__class__ is not Data:
             return NotImplemented
         todo = [(self, other)]
@@ -107,54 +160,82 @@ class Data:
                 todo += zip(a.args, b.args)
         return True
 
-
-@dataclass(frozen=True)
-class Lambda:
-    params: tuple
-    body: "Expr"
-    span: Optional[Span] = _span_field()
-
-
-@dataclass(frozen=True)
-class Apply:
-    fn: "Expr"
-    args: tuple
-    span: Optional[Span] = _span_field()
-
-
-@dataclass(frozen=True)
-class Rep:
-    init: "Expr"
-    var: str
-    body: "Expr"
-    span: Optional[Span] = _span_field()
-
-
-@dataclass(frozen=True)
-class Nbr:
-    body: "Expr"
-    span: Optional[Span] = _span_field()
+    def __hash__(self):
+        # the hash of (ctor, args), kept on the node. The data below it
+        # that has none yet is hashed first, from a list, deepest first,
+        # so each tuple's hash finds its data arguments' hashes kept and a
+        # list thousands long hashes without recursion
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        todo = [self]
+        while todo:
+            d = todo[-1]
+            if hasattr(d, "_hash"):  # reached twice through shared data
+                todo.pop()
+                continue
+            deeper = [a for a in d.args if a.__class__ is Data and not hasattr(a, "_hash")]
+            if deeper:
+                todo += deeper
+            else:
+                todo.pop()
+                set_field(d, "_hash", hash((d.ctor, d.args)))
+        return self._hash
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class FieldVal:
+class Lambda(Node):
+    __slots__ = _fields = ("params", "body")
+
+    def __init__(self, params: tuple, body: "Expr", span: Optional[Span] = None):
+        set_field(self, "params", params)
+        set_field(self, "body", body)
+        set_field(self, "span", span)
+
+
+class Apply(Node):
+    __slots__ = _fields = ("fn", "args")
+
+    def __init__(self, fn: "Expr", args: tuple, span: Optional[Span] = None):
+        set_field(self, "fn", fn)
+        set_field(self, "args", args)
+        set_field(self, "span", span)
+
+
+class Rep(Node):
+    __slots__ = _fields = ("init", "var", "body")
+
+    def __init__(self, init: "Expr", var: str, body: "Expr", span: Optional[Span] = None):
+        set_field(self, "init", init)
+        set_field(self, "var", var)
+        set_field(self, "body", body)
+        set_field(self, "span", span)
+
+
+class Nbr(Node):
+    __slots__ = _fields = ("body",)
+
+    def __init__(self, body: "Expr", span: Optional[Span] = None):
+        set_field(self, "body", body)
+        set_field(self, "span", span)
+
+
+class FieldVal(Node):
     """Neighbouring field value phi: a finite map from device ids to local
     values, kept as its devices in strictly increasing order and the value
     at each of them. Runtime-only; the parser rejects it in source programs.
 
-    The constructor, written by hand as Data's is, trusts the order: every
-    field is built over a domain that is already sorted, so it is never
-    sorted again."""
+    The constructor, written as Data's is, trusts the order: every field
+    is built over a domain that is already sorted, so it is never sorted
+    again."""
 
-    devs: tuple  # device ids, strictly increasing
-    vals: tuple  # vals[i] is the value at devs[i]
-    span: Optional[Span] = _span_field()
+    # devs: device ids, strictly increasing; vals[i]: the value at devs[i]
+    __slots__ = _fields = ("devs", "vals")
 
-    def __init__(self, devs, vals, span=None):
-        d = self.__dict__
-        d["devs"] = devs
-        d["vals"] = vals
-        d["span"] = span
+    def __init__(self, devs: tuple, vals: tuple, span: Optional[Span] = None):
+        set_field(self, "devs", devs)
+        set_field(self, "vals", vals)
+        set_field(self, "span", span)
 
     @property
     def entries(self) -> tuple:
@@ -169,18 +250,23 @@ class FieldVal:
 Expr = (Var, Builtin, DefName, Data, Lambda, Apply, Rep, Nbr, FieldVal)
 
 
-@dataclass(frozen=True)
-class Def:
-    name: str
-    params: tuple
-    body: Expr
-    span: Optional[Span] = _span_field()
+class Def(Frozen):
+    __slots__ = ("name", "params", "body", "span")
+    _fields = ("name", "params", "body")
+
+    def __init__(self, name: str, params: tuple, body: Expr, span: Optional[Span] = None):
+        set_field(self, "name", name)
+        set_field(self, "params", params)
+        set_field(self, "body", body)
+        set_field(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Program:
-    defs: tuple
-    main: Expr
+class Program(Frozen):
+    __slots__ = _fields = ("defs", "main")
+
+    def __init__(self, defs: tuple, main: Expr):
+        set_field(self, "defs", defs)
+        set_field(self, "main", main)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +370,7 @@ def plan(e: Expr) -> Plan:
         leaf.clear()
     shaped = shaped or isinstance(e, (Var, Builtin, DefName, Lambda))
     p = Plan(tuple(sorted(fv)), tuple(sorted(leaf)) if shaped else None, size)
-    object.__setattr__(e, "_plan", p)
+    set_field(e, "_plan", p)
     return p
 
 
@@ -303,7 +389,8 @@ def is_local_value(e: Expr) -> bool:
         try:
             return e._local
         except AttributeError:
-            local = e.__dict__["_local"] = all(map(is_local_value, e.args))
+            local = all(map(is_local_value, e.args))
+            set_field(e, "_local", local)
             return local
     if t is Lambda:
         return not plan(e).fv

@@ -38,7 +38,6 @@ its result position by position over ctx.domain without sorting.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field as dc_field
 from itertools import repeat
 from typing import Callable, Optional
 
@@ -52,11 +51,13 @@ from .ast import (
     DefName,
     Expr,
     FieldVal,
+    Frozen,
     Lambda,
     as_bool,
     boolean,
     is_num,
     num,
+    set_field,
 )
 from .typer import Arrow, FieldT, Scheme, Sort, canonical, parse_scheme
 
@@ -172,16 +173,19 @@ def _min_value(values):
 # ---------------------------------------------------------------------------
 # sensor state
 
-@dataclass(frozen=True)
-class SensorState:
+class SensorState(Frozen):
     """Per-device sensor readings for one firing instant.
 
     local maps sensor name to a local value; nbr maps relational sensor
     name to a per-neighbour map (nbr-range distances, in particular).
+    Each is a new empty dict when not given.
     """
 
-    local: dict = dc_field(default_factory=dict)
-    nbr: dict = dc_field(default_factory=dict)
+    __slots__ = _fields = ("local", "nbr")
+
+    def __init__(self, local: Optional[dict] = None, nbr: Optional[dict] = None):
+        set_field(self, "local", {} if local is None else local)
+        set_field(self, "nbr", {} if nbr is None else nbr)
 
 
 def _need_num(v: Expr, who: str) -> float:
@@ -421,14 +425,20 @@ def _decorated_op(loop: Callable, flags: tuple):
 # ---------------------------------------------------------------------------
 # the table
 
-@dataclass(frozen=True)
-class BuiltinEntry:
-    name: str
-    scheme: Scheme
-    op: Optional[Callable]  # None for a constructor: the evaluators build data
-    least: int  # the argument counts the op accepts
-    most: int
-    loop: Optional[Callable] = None  # the field kernel of a decoratable op
+class BuiltinEntry(Frozen):
+    # op is None for a constructor: the evaluators build data; least and
+    # most bound the argument counts op accepts; loop is the field kernel
+    # of a decoratable op
+    __slots__ = _fields = ("name", "scheme", "op", "least", "most", "loop")
+
+    def __init__(self, name: str, scheme: Scheme, op: Optional[Callable], least: int,
+                 most: int, loop: Optional[Callable] = None):
+        set_field(self, "name", name)
+        set_field(self, "scheme", scheme)
+        set_field(self, "op", op)
+        set_field(self, "least", least)
+        set_field(self, "most", most)
+        set_field(self, "loop", loop)
 
 
 def _entry(name: str, scheme: Scheme, op: Optional[Callable], most: Optional[int] = None,

@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import replace
 
 from .builtins import EvalError
 from .denot import (
@@ -96,9 +95,9 @@ def _load_scenario(path: str, ns, obj=None):
         raise CliError(2, f"{path}: {e}") from None
     try:
         if ns.decay is not None:
-            sc = replace(sc, decay=ns.decay)
+            sc = sc.replace(decay=ns.decay)
         if ns.radius is not None:
-            sc = replace(sc, radius=ns.radius)
+            sc = sc.replace(radius=ns.radius)
     except ScenarioError as e:
         raise CliError(2, str(e)) from None  # the message names the field
     return sc

@@ -29,7 +29,6 @@ device's error comes before the denotation's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
@@ -39,13 +38,16 @@ from .ast import (
     Data,
     Expr,
     FieldVal,
+    Frozen,
     Lambda,
     Nbr,
     Program,
+    Record,
     Rep,
     Var,
     plan,
     restrict_value,
+    set_field,
     value_of,
 )
 from .builtins import TABLE, SensorState
@@ -89,11 +91,13 @@ class DagError(DenotError):
 # ---------------------------------------------------------------------------
 # event DAGs
 
-@dataclass(frozen=True)
-class Event:
-    id: int
-    device: int
-    time: Fraction
+class Event(Frozen):
+    __slots__ = _fields = ("id", "device", "time")
+
+    def __init__(self, id: int, device: int, time: Fraction):
+        set_field(self, "id", id)
+        set_field(self, "device", device)
+        set_field(self, "time", time)
 
     def __hash__(self):
         # ids are unique within a DAG; hashing the Fraction time is slow
@@ -156,10 +160,12 @@ class EventDAG:
         return self._order
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "cycle" | "duplicate-device" | "double-consumption"
-    events: tuple
+class Violation(Frozen):
+    __slots__ = _fields = ("kind", "events")  # "cycle" | "duplicate-device" | "double-consumption"
+
+    def __init__(self, kind: str, events: tuple):
+        set_field(self, "kind", kind)
+        set_field(self, "events", events)
 
 
 def validate_dag(g: EventDAG):
@@ -530,19 +536,24 @@ def denot_program(g: EventDAG, program: Program, fuel: int = DEFAULT_FUEL) -> di
 # ---------------------------------------------------------------------------
 # adequacy
 
-@dataclass(frozen=True)
-class Verdict:
-    event: int
-    t: Fraction
-    device: int
-    denotational: Expr
-    operational: Expr
-    ok: bool
+class Verdict(Frozen):
+    __slots__ = _fields = ("event", "t", "device", "denotational", "operational", "ok")
+
+    def __init__(self, event: int, t: Fraction, device: int, denotational: Expr,
+                 operational: Expr, ok: bool):
+        set_field(self, "event", event)
+        set_field(self, "t", t)
+        set_field(self, "device", device)
+        set_field(self, "denotational", denotational)
+        set_field(self, "operational", operational)
+        set_field(self, "ok", ok)
 
 
-@dataclass
-class AdequacyReport:
-    verdicts: list = dc_field(default_factory=list)
+class AdequacyReport(Record):
+    __slots__ = _fields = ("verdicts",)
+
+    def __init__(self, verdicts: Optional[list] = None):
+        self.verdicts = [] if verdicts is None else verdicts
 
     @property
     def ok(self) -> bool:

@@ -27,7 +27,6 @@ import io
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field as dc_field
 from types import MappingProxyType
 from typing import Optional
 
@@ -41,6 +40,7 @@ from .ast import (
     Lambda,
     Nbr,
     Program,
+    Record,
     Rep,
     Var,
     is_local_value,
@@ -114,19 +114,28 @@ def align_fun(env: dict, f: Expr) -> dict:
 # ---------------------------------------------------------------------------
 # evaluation
 
-@dataclass
-class EvalContext:
+class EvalContext(Record):
     """What evaluation at a device reads; builtins run in it, with domain
     (the aligned neighbours plus the device) set by the caller of
     TABLE.eval, once the arguments are evaluated. The functions builtins
-    call (map-hood, fold-hood) spend its fuel."""
+    call (map-hood, fold-hood) spend its fuel.
 
-    device: int
-    sensors: SensorState = dc_field(default_factory=SensorState)
-    defs: dict = dc_field(default_factory=dict)  # name -> Def
-    fuel: int = DEFAULT_FUEL
-    rng: object = None  # random.Random for seeded pick-hood, else least id
-    domain: tuple = ()  # device ids in increasing order
+    defs maps a name to its Def; rng is a random.Random for seeded
+    pick-hood, else None for the least id; domain holds device ids in
+    increasing order. It keeps an instance dict, so a test can put its
+    own call on one context."""
+
+    _fields = ("device", "sensors", "defs", "fuel", "rng", "domain")
+
+    def __init__(self, device: int, sensors: Optional[SensorState] = None,
+                 defs: Optional[dict] = None, fuel: int = DEFAULT_FUEL, rng: object = None,
+                 domain: tuple = ()):
+        self.device = device
+        self.sensors = SensorState() if sensors is None else sensors
+        self.defs = {} if defs is None else defs
+        self.fuel = fuel
+        self.rng = rng
+        self.domain = domain
 
     def tick(self):
         if self.fuel <= 0:
@@ -417,36 +426,49 @@ str_json = json.encoder.encode_basestring_ascii
 
 
 def _value_parts(v: Expr, w) -> None:
-    """Write v's text through w, a list's append."""
-    k = v.__class__
-    if k is Data:
-        c = v.ctor
-        if c.__class__ is float:
-            s = float.__repr__(c)
-            w('{"num":' + s + "}" if math.isfinite(c) else '{"num":"' + s + '"}')
-        elif c == "True":
-            w('{"bool":true}')
-        elif c == "False":
-            w('{"bool":false}')
+    """Write v's text through w, a list's append. A constructor's last
+    argument is written by the same loop, and the constructor's closing
+    text is kept for the end, so a right-nested list spends no frame per
+    element."""
+    ends = []  # the closing text of each constructor whose last argument v is
+    while True:
+        k = v.__class__
+        if k is Data:
+            c = v.ctor
+            if c.__class__ is float:
+                s = float.__repr__(c)
+                w('{"num":' + s + "}" if math.isfinite(c) else '{"num":"' + s + '"}')
+            elif c == "True":
+                w('{"bool":true}')
+            elif c == "False":
+                w('{"bool":false}')
+            else:
+                w('{"args":[')
+                end = '],"data":' + str_json(c) + "}"
+                args = v.args
+                if args:
+                    for a in args[:-1]:
+                        _value_parts(a, w)
+                        w(",")
+                    ends.append(end)
+                    v = args[-1]
+                    continue
+                w(end)
+        elif k is FieldVal:
+            w('{"field":[')
+            sep = "["
+            for d, x in zip(v.devs, v.vals):
+                w(sep + int.__repr__(d) + ",")
+                _value_parts(x, w)
+                sep = "],["
+            w("]]}" if v.devs else "]}")
+        elif k is Lambda or k is Builtin or k is DefName:
+            w('{"fun":' + str_json(pretty(v)) + "}")
         else:
-            w('{"args":[')
-            for i, a in enumerate(v.args):
-                if i:
-                    w(",")
-                _value_parts(a, w)
-            w('],"data":' + str_json(c) + "}")
-    elif k is FieldVal:
-        w('{"field":[')
-        sep = "["
-        for d, x in zip(v.devs, v.vals):
-            w(sep + int.__repr__(d) + ",")
-            _value_parts(x, w)
-            sep = "],["
-        w("]]}" if v.devs else "]}")
-    elif k is Lambda or k is Builtin or k is DefName:
-        w('{"fun":' + str_json(pretty(v)) + "}")
-    else:
-        raise ValueError(f"not a serializable value: {v!r}")
+            raise ValueError(f"not a serializable value: {v!r}")
+        break
+    if ends:
+        w("".join(reversed(ends)))
 
 
 def _tree_parts(t: ValueTree, w) -> None:

@@ -33,10 +33,10 @@ later fire asks only which are on, and its range to each still device.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import Optional
 
-from .ast import Expr, Program, boolean, num
+from .ast import Expr, Frozen, Program, Record, boolean, num, set_field
 from .builtins import EvalError, SensorState
 from .device import (
     DEFAULT_FUEL,
@@ -82,41 +82,50 @@ def as_time(x) -> Fraction:
 # ---------------------------------------------------------------------------
 # scenarios
 
-@dataclass(frozen=True)
-class PathSeg:
-    start: Timestamp
-    end: Timestamp
-    waypoints: tuple  # of (x, y)
+class PathSeg(Frozen):
+    __slots__ = _fields = ("start", "end", "waypoints")  # waypoints: a tuple of (x, y)
+
+    def __init__(self, start: Timestamp, end: Timestamp, waypoints: tuple):
+        set_field(self, "start", start)
+        set_field(self, "end", end)
+        set_field(self, "waypoints", waypoints)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    devices: tuple
-    radius: float
-    decay: Timestamp
-    paths: dict  # device id -> tuple of PathSeg
-    fires: tuple  # of (Timestamp, device id), strictly increasing times
-    sensor_scripts: dict = dc_field(default_factory=dict)
-    # device id -> {sensor name -> tuple of (start time or None, value)}
+class Scenario(Frozen):
+    """paths maps a device id to its tuple of PathSeg; fires holds
+    (Timestamp, device id) pairs at strictly increasing times;
+    sensor_scripts maps a device id to {sensor name: tuple of (start time
+    or None, value)}, a new empty dict when not given."""
 
-    def __post_init__(self):
+    __slots__ = _fields = ("devices", "radius", "decay", "paths", "fires", "sensor_scripts")
+
+    def __init__(self, devices: tuple, radius: float, decay: Timestamp, paths: dict,
+                 fires: tuple, sensor_scripts: Optional[dict] = None):
         # the one check of radius and decay, which may arrive raw from a
         # file or an override: a negative or NaN radius would cut a device
         # off from itself, a negative decay would expire messages early
         try:
-            radius = float(self.radius)
+            r = float(radius)
         except (TypeError, ValueError):
-            radius = math.nan
-        if not radius >= 0:
-            raise ScenarioError(f"radius must be a number >= 0, got {show_value(self.radius)}")
+            r = math.nan
+        if not r >= 0:
+            raise ScenarioError(f"radius must be a number >= 0, got {show_value(radius)}")
         try:
-            decay = as_time(self.decay)
+            d = as_time(decay)
         except ScenarioError as e:
             raise ScenarioError(f"decay: {e}") from None
-        if decay < 0:
-            raise ScenarioError(f"decay must be >= 0, got {show_value(decay, str)}")
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "decay", decay)
+        if d < 0:
+            raise ScenarioError(f"decay must be >= 0, got {show_value(d, str)}")
+        set_field(self, "devices", devices)
+        set_field(self, "radius", r)
+        set_field(self, "decay", d)
+        set_field(self, "paths", paths)
+        set_field(self, "fires", fires)
+        set_field(self, "sensor_scripts", {} if sensor_scripts is None else sensor_scripts)
+
+    def replace(self, **changes) -> Scenario:
+        """This scenario with the named fields changed, checked again."""
+        return Scenario(**{**{f: getattr(self, f) for f in self._fields}, **changes})
 
 
 def sample_script(steps, t: Timestamp):
@@ -131,11 +140,17 @@ def sample_script(steps, t: Timestamp):
 # ---------------------------------------------------------------------------
 # the world and the delivery sweep
 
-@dataclass(slots=True)  # one per fire: plain slot stores, not frozen setattr calls
-class Stored:
-    payload: object  # a ValueTree in the simulator, an event id in the DAG
-    tag: Timestamp
-    tick: int  # the tag in the World's ticks
+class Stored(Record):
+    """A stored message: payload is a ValueTree in the simulator, an event
+    id in the DAG, and tick is the tag in the World's ticks. One is made
+    per fire, so it takes plain slot stores."""
+
+    __slots__ = _fields = ("payload", "tag", "tick")
+
+    def __init__(self, payload: object, tag: Timestamp, tick: int):
+        self.payload = payload
+        self.tag = tag
+        self.tick = tick
 
 
 def _on_intervals(segs) -> tuple:
@@ -383,22 +398,27 @@ def fire(program: Program, d: int, now: Timestamp, fresh: dict,
 # ---------------------------------------------------------------------------
 # running a scenario
 
-@dataclass(frozen=True)
-class FireRecord:
-    t: Timestamp
-    device: int
-    root: Expr
-    tree: ValueTree
-    heard: tuple  # (sender, tag) of each message in the fresh inbox
+class FireRecord(Frozen):
+    # heard: the (sender, tag) of each message in the fresh inbox
+    __slots__ = _fields = ("t", "device", "root", "tree", "heard")
+
+    def __init__(self, t: Timestamp, device: int, root: Expr, tree: ValueTree, heard: tuple):
+        set_field(self, "t", t)
+        set_field(self, "device", device)
+        set_field(self, "root", root)
+        set_field(self, "tree", tree)
+        set_field(self, "heard", heard)
 
     @property
     def env_domain(self) -> frozenset:
         return frozenset(d for d, _ in self.heard)
 
 
-@dataclass
-class FireTrace:
-    records: list = dc_field(default_factory=list)
+class FireTrace(Record):
+    __slots__ = _fields = ("records",)
+
+    def __init__(self, records: Optional[list] = None):
+        self.records = [] if records is None else records
 
     def jsonl(self) -> str:
         """One canonical JSON object per fire, its keys in sorted order."""

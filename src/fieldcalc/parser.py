@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .ast import (
@@ -55,6 +54,7 @@ from .ast import (
     DefName,
     Expr,
     FieldVal,
+    Frozen,
     Lambda,
     Nbr,
     Program,
@@ -66,6 +66,7 @@ from .ast import (
     desugar_if,
     is_value,
     rebuild,
+    set_field,
 )
 from .builtins import TABLE
 
@@ -93,12 +94,16 @@ class ParseError(Exception):
         return f"{self.path}:{self.span.line}:{self.span.col}: error: {self.msg}"
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'num' | 'name' | 'op' | 'punct' | 'eof'
-    text: str
-    span: Span
-    value: float = 0.0
+class Token(Frozen):
+    # kind: 'num' | 'name' | 'op' | 'punct' | 'eof'; a token's span is one
+    # of its fields
+    __slots__ = _fields = ("kind", "text", "span", "value")
+
+    def __init__(self, kind: str, text: str, span: Span, value: float = 0.0):
+        set_field(self, "kind", kind)
+        set_field(self, "text", text)
+        set_field(self, "span", span)
+        set_field(self, "value", value)
 
 
 _DECO = r"(?:\[[fl](?:,[fl])*\])?"

@@ -8,10 +8,9 @@ mains declare a plain type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 
-from .ast import Program
+from .ast import Frozen, Program, set_field
 from .parser import parse_program
 from .typer import (
     Scheme,
@@ -27,11 +26,13 @@ class CorpusError(ValueError):
     """A corpus file is malformed or fails its type annotation."""
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    source: str
-    declared_type: Scheme
+class CorpusEntry(Frozen):
+    __slots__ = _fields = ("name", "source", "declared_type")
+
+    def __init__(self, name: str, source: str, declared_type: Scheme):
+        set_field(self, "name", name)
+        set_field(self, "source", source)
+        set_field(self, "declared_type", declared_type)
 
     def program(self) -> Program:
         return parse_program(self.source, path=f"corpus/{self.name}.hfc")

@@ -26,7 +26,6 @@ printer, one equality and one instance check serve every scheme.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -37,6 +36,7 @@ from .ast import (
     DefName,
     Expr,
     FieldVal,
+    Frozen,
     Lambda,
     Nbr,
     Program,
@@ -44,6 +44,7 @@ from .ast import (
     Span,
     Var,
     free_vars,
+    set_field,
 )
 
 
@@ -70,31 +71,41 @@ def sort_meet(a: Sort, b: Sort) -> Sort:
 # ---------------------------------------------------------------------------
 # type syntax
 
-@dataclass(frozen=True)
-class Base:
-    name: str  # 'num' | 'bool'
+class Base(Frozen):
+    __slots__ = _fields = ("name",)  # 'num' | 'bool'
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class TCon:
-    name: str  # 'pair' | 'list'
-    args: tuple
+class TCon(Frozen):
+    __slots__ = _fields = ("name", "args")  # 'pair' | 'list', argument types
+
+    def __init__(self, name: str, args: tuple):
+        set_field(self, "name", name)
+        set_field(self, "args", args)
 
 
-@dataclass(frozen=True)
-class FieldT:
-    inner: "Type"
+class FieldT(Frozen):
+    __slots__ = _fields = ("inner",)
+
+    def __init__(self, inner: "Type"):
+        set_field(self, "inner", inner)
 
 
-@dataclass(frozen=True)
-class Arrow:
-    args: tuple
-    res: "Type"
+class Arrow(Frozen):
+    __slots__ = _fields = ("args", "res")
+
+    def __init__(self, args: tuple, res: "Type"):
+        set_field(self, "args", args)
+        set_field(self, "res", res)
 
 
-@dataclass(frozen=True)
-class TVar:
-    vid: int
+class TVar(Frozen):
+    __slots__ = _fields = ("vid",)
+
+    def __init__(self, vid: int):
+        set_field(self, "vid", vid)
 
 
 Type = (Base, TCon, FieldT, Arrow, TVar)  # a tuple: see ast.Expr
@@ -124,13 +135,15 @@ def var_ids(t: Type) -> list:
     return list(seen)
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(Frozen):
     """Quantified type; qvars pairs (vid, sort) listing body's free vars.
     Every scheme the typer makes is canonical (see `canonical`)."""
 
-    qvars: tuple  # ((vid, Sort), ...)
-    body: Type
+    __slots__ = _fields = ("qvars", "body")  # ((vid, Sort), ...), a Type
+
+    def __init__(self, qvars: tuple, body: Type):
+        set_field(self, "qvars", qvars)
+        set_field(self, "body", body)
 
 
 class TypecheckError(Exception):

@@ -1,10 +1,10 @@
-import dataclasses
 import gc
 import importlib
 import math
 import random
 import sys
 import weakref
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +18,12 @@ from fieldcalc.ast import (
     Apply,
     Builtin,
     Data,
+    Def,
     DefName,
     FieldVal,
     Lambda,
     Nbr,
+    Program,
     Rep,
     Span,
     Var,
@@ -37,9 +39,13 @@ from fieldcalc.ast import (
     substitute,
     value_of,
 )
-from fieldcalc.builtins import value_equal
-from fieldcalc.parser import parse_expr
-from fieldcalc.typer import FieldT
+from fieldcalc.builtins import BuiltinEntry, SensorState, value_equal
+from fieldcalc.denot import AdequacyReport, Event, Verdict, Violation
+from fieldcalc.device import EvalContext, ValueTree
+from fieldcalc.network import FireRecord, FireTrace, PathSeg, Scenario, Stored
+from fieldcalc.parser import Token, parse_expr
+from fieldcalc.stdlib import CorpusEntry
+from fieldcalc.typer import Arrow, Base, FieldT, Scheme, TCon, TVar
 from generators import ExprGen
 import helpers
 from helpers import BOOL, NUM, mkfield, subexpressions
@@ -101,33 +107,120 @@ def test_data_equality_walks_deep_data_without_recursion():
                  (Data("Cons", (num(NAN), Data("Null"))), Data("Cons", (num(NAN), Data("Null")))),
                  (cons_list(xs[:50]), cons_list(xs[:50]))):
         assert v is not w and v == w and hash(v) == hash(w)
+    long = cons_list(xs)
+    try:  # pytest takes minutes to print a RecursionError from frames this deep
+        hashes = {hash(long), hash(cons_list(xs)), hash(long), hash(("Cons", long.args))}
+    except RecursionError:
+        hashes = None
+    assert hashes is not None and len(hashes) == 1  # equal lists and the field tuple
     mixed = (Data("Pair", (num(1), Var("x"))), Data("Pair", (num(1), num(0))))
     assert mixed[0] != mixed[1] and mixed[1] != mixed[0]
     assert num(1) != 1.0 and 1.0 != num(1) and num(1).__eq__(1.0) is NotImplemented
     assert Data("Pair", (num(1), f)) != f and f != Data("Pair", (num(1), f))
 
 
+_X = Var("x")
+_FIRE = F(1, 2)
+_SCHEME = Scheme((), NUM)
+# (class, keywords naming every field) of each frozen record, one each
+FROZEN_RECORDS = [
+    (Span, dict(line=3, col=4)),
+    (Var, dict(name="x")),
+    (Builtin, dict(name="+")),
+    (DefName, dict(name="f")),
+    (Data, dict(ctor="Pair", args=(num(1), num(-0.0)))),
+    (Lambda, dict(params=("x",), body=_X)),
+    (Apply, dict(fn=Builtin("+"), args=(_X, num(1)))),
+    (Rep, dict(init=num(0), var="x", body=_X)),
+    (Nbr, dict(body=_X)),
+    (FieldVal, dict(devs=(1, 2), vals=(num(4), TRUE))),
+    (Def, dict(name="f", params=("x",), body=_X)),
+    (Program, dict(defs=(), main=num(1))),
+    (Base, dict(name="num")),
+    (TCon, dict(name="pair", args=(NUM, NUM))),
+    (FieldT, dict(inner=NUM)),
+    (Arrow, dict(args=(NUM,), res=NUM)),
+    (TVar, dict(vid=7)),
+    (Scheme, dict(qvars=(), body=NUM)),
+    (SensorState, dict(local={}, nbr={})),
+    (BuiltinEntry, dict(name="+", scheme=_SCHEME, op=None, least=2, most=2, loop=None)),
+    (Token, dict(kind="name", text="x", span=Span(1, 1), value=0.0)),
+    (CorpusEntry, dict(name="one", source="1", declared_type=_SCHEME)),
+    (PathSeg, dict(start=F(0), end=F(1), waypoints=((0, 0),))),
+    (Scenario, dict(devices=(1,), radius=1.0, decay=F(1), paths={}, fires=((_FIRE, 1),),
+                    sensor_scripts={})),
+    (FireRecord, dict(t=_FIRE, device=1, root=num(1), tree=ValueTree(num(1)), heard=())),
+    (Event, dict(id=1, device=2, time=_FIRE)),
+    (Violation, dict(kind="cycle", events=(1, 2))),
+    (Verdict, dict(event=1, t=_FIRE, device=2, denotational=num(1), operational=num(1),
+                   ok=True)),
+]
+# the records whose constructor takes a span that no comparison sees
+SPAN_IGNORED = (Var, Builtin, DefName, Data, Lambda, Apply, Rep, Nbr, FieldVal, Def)
+# (class, keywords) of each record that can change: equal by fields, unhashable
+MUTABLE_RECORDS = [
+    (EvalContext, dict(device=1, sensors=SensorState(), defs={}, fuel=5, rng=None, domain=(1,))),
+    (Stored, dict(payload=3, tag=_FIRE, tick=1)),
+    (FireTrace, dict(records=[])),
+    (AdequacyReport, dict(verdicts=[])),
+]
+
+
 def test_values_built_by_hand_stay_frozen_and_ignore_spans():
-    """Data and FieldVal have hand-written constructors and keep what the
-    dataclass gives them: no field can be set or deleted, a span changes
-    neither equality, hash nor repr, and keywords name the fields."""
-    d = Data("Pair", (num(1), num(-0.0)))
-    phi = FieldVal((1, 2), (num(4), TRUE))
-    for v in (d, phi):
-        for name in (*v.__dataclass_fields__, "span"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(v, name, None)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(v, name)
+    """Each frozen record keeps what a frozen dataclass gave it: keywords
+    name the fields; setting or deleting any field, or the span, raises
+    AttributeError; == and repr see the fields; the hash is the hash of
+    the field tuple (an event's is its id's); and a span that is no field
+    changes neither ==, hash nor repr."""
     sp = Span(3, 4)
-    for v, w in ((d, Data("Pair", d.args, span=sp)),
-                 (phi, FieldVal(phi.devs, phi.vals, span=sp)),
-                 (num(2), Data(2.0, span=sp))):
-        assert w.span is sp and v.span is None
-        assert v == w and w == v and hash(v) == hash(w) and repr(v) == repr(w)
-    assert Data(ctor="Pair", args=d.args) == d
-    assert FieldVal(devs=phi.devs, vals=phi.vals) == phi
-    assert dataclasses.replace(d, span=sp) == d
+    for cls, kw in FROZEN_RECORDS:
+        v, w = cls(**kw), cls(*kw.values())
+        assert all(getattr(v, k) == x for k, x in kw.items())
+        for name in (*kw, "span"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+        assert all(getattr(v, k) == x for k, x in kw.items())
+        assert v == w and not v != w and v != object()
+        if cls is FieldVal:
+            assert repr(v) == f"FieldVal(entries={v.entries!r})"
+        else:
+            assert repr(v) == f"{cls.__name__}({', '.join(f'{k}={x!r}' for k, x in kw.items())})"
+        if cls is Event:
+            assert hash(v) == hash(v.id)
+        elif cls not in (SensorState, Scenario, FireRecord):  # a dict or tree field: unhashable
+            assert hash(v) == hash(w) == hash(tuple(kw.values()))
+        if cls in SPAN_IGNORED:
+            s = cls(**kw, span=sp)
+            assert s.span is sp and v.span is None
+            assert v == s and s == v and hash(v) == hash(s) and repr(v) == repr(s)
+
+
+def test_mutable_records_compare_by_fields_and_are_unhashable():
+    for cls, kw in MUTABLE_RECORDS:
+        v, w = cls(**kw), cls(*kw.values())
+        assert v == w
+        assert repr(v) == f"{cls.__name__}({', '.join(f'{k}={x!r}' for k, x in kw.items())})"
+        with pytest.raises(TypeError):
+            hash(v)
+        first = next(iter(kw))
+        setattr(w, first, None)
+        assert getattr(w, first) is None and v != w
+
+
+def test_default_fields_are_new_each_time():
+    """A field whose dataclass default was a factory is a new object in
+    each record built without it."""
+    assert SensorState().local == {} and SensorState().local is not SensorState().local
+    assert EvalContext(1).defs is not EvalContext(1).defs
+    assert EvalContext(1).sensors == SensorState() and EvalContext(1).domain == ()
+    assert FireTrace().records == [] and FireTrace().records is not FireTrace().records
+    assert AdequacyReport().verdicts is not AdequacyReport().verdicts
+    sc = Scenario((1,), 1, 0, {}, ())
+    assert sc.sensor_scripts == {} and sc.radius == 1.0 and sc.decay == F(0)
+    assert Token("eof", "", Span(1, 1)).value == 0.0
+    assert BuiltinEntry("+", _SCHEME, None, 2, 2).loop is None
 
 
 def test_numerals_are_canonical_where_they_are_made():

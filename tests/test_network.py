@@ -3,7 +3,6 @@
 import json
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 from unittest import mock
 
@@ -89,11 +88,11 @@ def test_filter_old_boundaries():
 
     w = World(sc).at(F(10))
     assert set(filter_old(w, inbox(w), 1)) == {2, 3}  # tag == now - decay survives
-    w = World(replace(sc, decay=F(5))).at(F(10))
+    w = World(sc.replace(decay=F(5))).at(F(10))
     box = inbox(w)
     assert set(filter_old(w, box, 1)) == {3}
     assert set(box[1]) == {3}  # the cut is for good
-    w = World(replace(sc, decay=F(0))).at(F(5))
+    w = World(sc.replace(decay=F(0))).at(F(5))
     assert set(filter_old(w, inbox(w), 1)) == {3}  # decay 0 keeps only trees tagged now
 
 

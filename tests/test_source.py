@@ -1,6 +1,8 @@
 """Properties of the package's own source text."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,6 +36,22 @@ def test_the_package_imports_only_itself_and_the_standard_library():
             found += [f"{p.name}:{node.lineno}: {n}" for n in names
                       if n.partition(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_importing_the_package_generates_no_code():
+    """Every record is a plain class, so importing every module of the
+    package, in a fresh interpreter, loads neither dataclasses, which
+    writes and runs the source of each decorated class's methods, nor
+    inspect, which only dataclasses pulled in."""
+    mods = sorted(f"fieldcalc.{p.stem}" for p in SRC.glob("*.py") if p.stem != "__init__")
+    code = ("import sys\nbefore = set(sys.modules)\n" + "".join(f"import {m}\n" for m in mods)
+            + "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert set(mods) <= added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
 
 
 # names the package keeps for callers outside it, each with its reason
