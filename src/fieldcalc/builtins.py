@@ -430,15 +430,7 @@ class BuiltinEntry(Frozen):
     # most bound the argument counts op accepts; loop is the field kernel
     # of a decoratable op
     __slots__ = _fields = ("name", "scheme", "op", "least", "most", "loop")
-
-    def __init__(self, name: str, scheme: Scheme, op: Optional[Callable], least: int,
-                 most: int, loop: Optional[Callable] = None):
-        set_field(self, "name", name)
-        set_field(self, "scheme", scheme)
-        set_field(self, "op", op)
-        set_field(self, "least", least)
-        set_field(self, "most", most)
-        set_field(self, "loop", loop)
+    _defaults = {"loop": None}
 
 
 def _entry(name: str, scheme: Scheme, op: Optional[Callable], most: Optional[int] = None,

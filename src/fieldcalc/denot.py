@@ -29,7 +29,6 @@ device's error comes before the denotation's.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .ast import (
@@ -94,11 +93,6 @@ class DagError(DenotError):
 class Event(Frozen):
     __slots__ = _fields = ("id", "device", "time")
 
-    def __init__(self, id: int, device: int, time: Fraction):
-        set_field(self, "id", id)
-        set_field(self, "device", device)
-        set_field(self, "time", time)
-
     def __hash__(self):
         # ids are unique within a DAG; hashing the Fraction time is slow
         return hash(self.id)
@@ -162,10 +156,6 @@ class EventDAG:
 
 class Violation(Frozen):
     __slots__ = _fields = ("kind", "events")  # "cycle" | "duplicate-device" | "double-consumption"
-
-    def __init__(self, kind: str, events: tuple):
-        set_field(self, "kind", kind)
-        set_field(self, "events", events)
 
 
 def validate_dag(g: EventDAG):
@@ -414,7 +404,7 @@ def _compiled(e: Expr):
         return e._den
     except AttributeError:
         run = _compile(e)
-        object.__setattr__(e, "_den", run)
+        set_field(e, "_den", run)
         return run
 
 
@@ -538,15 +528,6 @@ def denot_program(g: EventDAG, program: Program, fuel: int = DEFAULT_FUEL) -> di
 
 class Verdict(Frozen):
     __slots__ = _fields = ("event", "t", "device", "denotational", "operational", "ok")
-
-    def __init__(self, event: int, t: Fraction, device: int, denotational: Expr,
-                 operational: Expr, ok: bool):
-        set_field(self, "event", event)
-        set_field(self, "t", t)
-        set_field(self, "device", device)
-        set_field(self, "denotational", denotational)
-        set_field(self, "operational", operational)
-        set_field(self, "ok", ok)
 
 
 class AdequacyReport(Record):

@@ -46,6 +46,7 @@ from .ast import (
     is_local_value,
     plan,
     restrict_value,
+    set_field,
     value_of,
 )
 from .builtins import TABLE, EvalError, SensorState
@@ -210,7 +211,7 @@ def _compiled(e: Expr):
         return e._dev
     except AttributeError:
         run = _compile(e)
-        object.__setattr__(e, "_dev", run)
+        set_field(e, "_dev", run)
         return run
 
 

@@ -85,11 +85,6 @@ def as_time(x) -> Fraction:
 class PathSeg(Frozen):
     __slots__ = _fields = ("start", "end", "waypoints")  # waypoints: a tuple of (x, y)
 
-    def __init__(self, start: Timestamp, end: Timestamp, waypoints: tuple):
-        set_field(self, "start", start)
-        set_field(self, "end", end)
-        set_field(self, "waypoints", waypoints)
-
 
 class Scenario(Frozen):
     """paths maps a device id to its tuple of PathSeg; fires holds
@@ -401,13 +396,6 @@ def fire(program: Program, d: int, now: Timestamp, fresh: dict,
 class FireRecord(Frozen):
     # heard: the (sender, tag) of each message in the fresh inbox
     __slots__ = _fields = ("t", "device", "root", "tree", "heard")
-
-    def __init__(self, t: Timestamp, device: int, root: Expr, tree: ValueTree, heard: tuple):
-        set_field(self, "t", t)
-        set_field(self, "device", device)
-        set_field(self, "root", root)
-        set_field(self, "tree", tree)
-        set_field(self, "heard", heard)
 
     @property
     def env_domain(self) -> frozenset:

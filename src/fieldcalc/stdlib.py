@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .ast import Frozen, Program, set_field
+from .ast import Frozen, Program
 from .parser import parse_program
 from .typer import (
     Scheme,
@@ -28,11 +28,6 @@ class CorpusError(ValueError):
 
 class CorpusEntry(Frozen):
     __slots__ = _fields = ("name", "source", "declared_type")
-
-    def __init__(self, name: str, source: str, declared_type: Scheme):
-        set_field(self, "name", name)
-        set_field(self, "source", source)
-        set_field(self, "declared_type", declared_type)
 
     def program(self) -> Program:
         return parse_program(self.source, path=f"corpus/{self.name}.hfc")

@@ -141,10 +141,6 @@ class Scheme(Frozen):
 
     __slots__ = _fields = ("qvars", "body")  # ((vid, Sort), ...), a Type
 
-    def __init__(self, qvars: tuple, body: Type):
-        set_field(self, "qvars", qvars)
-        set_field(self, "body", body)
-
 
 class TypecheckError(Exception):
     def __init__(self, msg: str, rule: str = "", span: Optional[Span] = None):
