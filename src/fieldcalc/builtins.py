@@ -472,6 +472,13 @@ class BuiltinTable:
             e = self._entries[name] = self._derive_decorated(name)
         return e
 
+    def bind(self, name: str):
+        """What an application of builtin name, once compiled, passes to
+        eval: the name's entry, or the name itself when it names no
+        builtin, so that eval raises at the call."""
+        e = self.entry(name)
+        return name if e is None else e
+
     def is_builtin_name(self, name: str) -> bool:
         return self.entry(name) is not None
 
@@ -508,25 +515,31 @@ class BuiltinTable:
                            {vid: Sort.S for vid, _ in base.scheme.qvars})
         return _entry(name, scheme, _decorated_op(base.loop, flags))
 
-    def eval(self, name: str, ctx, args: list) -> Expr:
-        """Apply builtin name to args, a list that no op mutates."""
-        e = self._entries.get(name) or self.entry(name)  # entry() derives a decoration
-        if e is None:
-            raise EvalError(f"unknown builtin {name!r}")
+    def eval(self, name, ctx, args: list) -> Expr:
+        """Apply builtin name to args, a list that no op mutates. name may
+        be the builtin's entry, which an application of a builtin name
+        binds when it is compiled; every call checks arity and domains
+        here."""
+        if name.__class__ is BuiltinEntry:
+            e = name
+        else:
+            e = self._entries.get(name) or self.entry(name)  # entry() derives a decoration
+            if e is None:
+                raise EvalError(f"unknown builtin {name!r}")
         if not e.least <= len(args) <= e.most:
             lo, hi = e.least, e.most
-            raise ArityError(f"{name} takes {lo} argument(s), got {len(args)}" if lo == hi
-                             else f"{name} takes {lo} to {hi} arguments, got {len(args)}")
+            raise ArityError(f"{e.name} takes {lo} argument(s), got {len(args)}" if lo == hi
+                             else f"{e.name} takes {lo} to {hi} arguments, got {len(args)}")
         expected = ctx.domain
         for a in args:
             if a.__class__ is FieldVal and a.devs != expected:
                 raise DomainError(
-                    f"field argument of {name} has domain {list(a.devs)}, "
+                    f"field argument of {e.name} has domain {list(a.devs)}, "
                     f"expected {list(expected)} at device {ctx.device}"
                 )
         result = e.op(ctx, args)
         if result.__class__ is FieldVal and result.devs != expected:
-            raise DomainError(f"{name} produced a misaligned field at device {ctx.device}")
+            raise DomainError(f"{e.name} produced a misaligned field at device {ctx.device}")
         return result
 
 

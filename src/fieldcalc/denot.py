@@ -417,6 +417,44 @@ def _child(c: Expr):
     return _compiled(c)
 
 
+def _apply_builtin(b, arg_runs: list):
+    """The closure of an application of a builtin name: b is what
+    TABLE.bind gives for the name. One closure per argument count from 1
+    to 3 calls its argument closures without a comprehension."""
+    n = len(arg_runs)
+    if n == 1:
+        r0, = arg_runs
+
+        def run(den, S, X, ev):
+            avs = [r0(den, S, X, ev)]
+            ctx = den.ctx
+            ctx.domain = S.pi
+            return TABLE.eval(b, ctx, avs)
+    elif n == 2:
+        r0, r1 = arg_runs
+
+        def run(den, S, X, ev):
+            avs = [r0(den, S, X, ev), r1(den, S, X, ev)]
+            ctx = den.ctx
+            ctx.domain = S.pi
+            return TABLE.eval(b, ctx, avs)
+    elif n == 3:
+        r0, r1, r2 = arg_runs
+
+        def run(den, S, X, ev):
+            avs = [r0(den, S, X, ev), r1(den, S, X, ev), r2(den, S, X, ev)]
+            ctx = den.ctx
+            ctx.domain = S.pi
+            return TABLE.eval(b, ctx, avs)
+    else:
+        def run(den, S, X, ev):
+            avs = [r(den, S, X, ev) for r in arg_runs] if arg_runs else []
+            ctx = den.ctx
+            ctx.domain = S.pi
+            return TABLE.eval(b, ctx, avs)
+    return run
+
+
 def _compile(e: Expr):
     """The closure run(den, S, X, ev) of e, from its children's."""
     k = type(e)
@@ -424,15 +462,7 @@ def _compile(e: Expr):
         n, key = len(e.args), id(e)
         arg_runs = [_child(a) for a in e.args]
         if type(e.fn) is Builtin:
-            name = e.fn.name
-
-            def run(den, S, X, ev):
-                avs = [r(den, S, X, ev) for r in arg_runs]
-                ctx = den.ctx
-                ctx.domain = S.pi
-                return TABLE.eval(name, ctx, avs)
-
-            return run
+            return _apply_builtin(TABLE.bind(e.fn.name), arg_runs)
         fn_run = _child(e.fn)
 
         def run(den, S, X, ev):

@@ -15,8 +15,8 @@ closure built from its children's closures and specialised to its kind
 and to what each child is (Feeley and Lapalme, "Using Closures for Code
 Generation", 1987): a closed constant child is a leaf built once, a
 child that is never a value skips the value test, a variable child reads
-the variables in scope, and an application of a builtin name calls it by
-the name it already knows. The closure is kept on the node, and there is
+the variables in scope, and an application of a builtin name is bound to
+the builtin's table entry. The closure is kept on the node, and there is
 no other evaluator.
 """
 
@@ -87,44 +87,22 @@ class ValueTree:
         return f"«{self.root!r}»({', '.join(repr(c) for c in self.children)})"
 
 
-def subtree_fun(t: ValueTree, f: Expr) -> Optional[ValueTree]:
-    """Last child, provided the second-to-last child's root equals the
-    function value f; None otherwise."""
-    if len(t.children) >= 2 and t.children[-2].root == f:
-        return t.children[-1]
-    return None
-
-
-# value-tree environments are plain dicts device id -> ValueTree; the
-# evaluator keeps their keys in increasing order, and aligning keeps it
-
-def align_i(env: dict, i: int) -> dict:
-    """The i-th subtree (1-based) of each tree that has one."""
-    return {d: t.children[i - 1] for d, t in env.items() if len(t.children) >= i}
-
-
-def align_fun(env: dict, f: Expr) -> dict:
-    out = {}
-    for d, t in env.items():
-        sub = subtree_fun(t, f)
-        if sub is not None:
-            out[d] = sub
-    return out
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
 class EvalContext(Record):
-    """What evaluation at a device reads; builtins run in it, with domain
-    (the aligned neighbours plus the device) set by the caller of
-    TABLE.eval, once the arguments are evaluated. The functions builtins
-    call (map-hood, fold-hood) spend its fuel.
+    """What evaluation at a device reads; builtins run in it. domain is
+    the domain of the builtin being applied, the aligned neighbours plus
+    the device in increasing order: each application of a builtin sets it
+    once its arguments are evaluated, to the domain its aligned
+    environment carries (in the denotation, the cluster's devices at the
+    event). A function that a builtin calls (map-hood, fold-hood) runs
+    against the empty environment, whose domain is the device alone, and
+    spends this context's fuel.
 
     defs maps a name to its Def; rng is a random.Random for seeded
-    pick-hood, else None for the least id; domain holds device ids in
-    increasing order. It keeps an instance dict, so a test can put its
-    own call on one context."""
+    pick-hood, else None for the least id. It keeps an instance dict, so a
+    test can put its own call on one context."""
 
     _fields = ("device", "sensors", "defs", "fuel", "rng", "domain")
 
@@ -139,6 +117,9 @@ class EvalContext(Record):
         self.domain = domain
 
     def tick(self):
+        """Spend one unit of fuel. The evaluators charge fuel inline, with
+        `if ctx.fuel <= 0: ctx.tick()` before `ctx.fuel -= 1`, and so call
+        this only to raise FuelExhausted."""
         if self.fuel <= 0:
             raise FuelExhausted(f"evaluation fuel exhausted at device {self.device}")
         self.fuel -= 1
@@ -147,14 +128,17 @@ class EvalContext(Record):
         """f applied to the values args against the empty environment
         (map-hood, fold-hood): the ticks and errors of evaluating the
         application of f to args, with no tree kept."""
-        self.tick()
+        if self.fuel <= 0:
+            self.tick()
+        self.fuel -= 1
         args = [_value(self, a) for a in args]
         f = _value(self, f)
+        A = _empty(self)
         if isinstance(f, Builtin):
-            self.domain = (self.device,)
+            self.domain = A[2]
             return TABLE.eval(f.name, self, args)
         params, body = fun_parts(self.defs, f, len(args))
-        return _body_tree(self, {}, body, f, dict(zip(params, args))).root
+        return _body_tree(self, A, body, f, dict(zip(params, args))).root
 
 
 def fun_parts(defs: dict, f: Expr, nargs: int):
@@ -178,32 +162,74 @@ NO_VARS = MappingProxyType({})
 
 
 def eval_expr(ctx: EvalContext, env: dict, e: Expr, X=NO_VARS) -> ValueTree:
-    """The value-tree of e against the aligned trees env, where X holds the
-    values of the variables in scope. This is the substitution semantics
-    evaluated without substituting: e under X yields the tree, the fuel
-    ticks and the errors of e with X's values put in its place. env may
-    list its devices in any order; it is put in order when e is no value."""
+    """The value-tree of e against the aligned trees env (device id ->
+    tree), where X holds the values of the variables in scope. This is
+    the substitution semantics evaluated without substituting: e under X
+    yields the tree, the fuel ticks and the errors of e with X's values
+    put in its place. env may list its devices in any order."""
     v = value_of(e, X)
     if v is None:
-        return _compiled(e)(ctx, dict(sorted(env.items())), X)
-    ctx.tick()
+        devs = tuple(sorted(env))
+        return _compiled(e)(ctx, (devs, [env[d] for d in devs], _domain(devs, ctx.device)), X)
+    if ctx.fuel <= 0:
+        ctx.tick()
+    ctx.fuel -= 1
     return ValueTree(v)
 
 
-def _domain(env: dict, device: int) -> tuple:
-    """env's devices plus device, in increasing order (env's keys are)."""
-    devs = tuple(env)
-    if device in env:
-        return devs
+# The aligned environment A of a node is a triple (devs, trees, dom):
+# devs holds the aligned neighbours' ids in increasing order (the device's
+# own among them when its own tree is aligned), trees their trees at the
+# same positions, and dom the domain of a builtin applied at the node, devs
+# plus the device, worked out once per fire. Aligning to the i-th child
+# (0-based) lists the i-th child of every tree and keeps devs and dom.
+# Only where a tree has no such child, or a function body is aligned to
+# trees of another function value, are the devices filtered and the
+# domain worked out anew.
+
+def _domain(devs: tuple, device: int) -> tuple:
+    """devs plus device, in increasing order (devs are); devs itself when
+    it holds device."""
     i = bisect_left(devs, device)
+    if i < len(devs) and devs[i] == device:
+        return devs
     return (*devs[:i], device, *devs[i:])
 
 
-# A node's closure run(ctx, env, X) is the tree of the node, which is no
-# local value under X, against env, the trees aligned to the node (keys in
-# increasing order); it spends the node's fuel unit first. A child runs
-# through a closure made for its place (_child). The body of an applied
-# function is known only at run time, so it is reached through _body_tree.
+def _empty(ctx: EvalContext) -> tuple:
+    """The empty aligned environment, whose domain is the device alone."""
+    return (), [], (ctx.device,)
+
+
+def _align(A: tuple, i: int, device: int) -> tuple:
+    """A aligned to the i-th child (0-based): the trees without one drop out."""
+    devs, trees, dom = A
+    try:
+        return devs, [t.children[i] for t in trees], dom
+    except IndexError:
+        pass
+    keep = [j for j, t in enumerate(trees) if len(t.children) > i]
+    devs = tuple([devs[j] for j in keep])
+    return devs, [trees[j].children[i] for j in keep], _domain(devs, device)
+
+
+def _align_fun(A: tuple, f: Expr, device: int) -> tuple:
+    """A aligned to the body of function value f: the last child of each
+    tree whose second-to-last child's root is f; the others drop out."""
+    devs, trees, dom = A
+    keep = [j for j, t in enumerate(trees)
+            if len(t.children) >= 2 and t.children[-2].root == f]
+    if len(keep) == len(trees):
+        return devs, [t.children[-1] for t in trees], dom
+    devs = tuple([devs[j] for j in keep])
+    return devs, [trees[j].children[-1] for j in keep], _domain(devs, device)
+
+
+# A node's closure run(ctx, A, X) is the tree of the node, which is no
+# local value under X, against A, its aligned environment; it spends the
+# node's fuel unit first. A child runs through a closure made for its
+# place (_child). The body of an applied function is known only at run
+# time, so it is compiled at its first application.
 
 def _compiled(e: Expr):
     """e's closure, compiled on the first call and kept on the node."""
@@ -215,20 +241,32 @@ def _compiled(e: Expr):
         return run
 
 
-def _child(c: Expr, i: int):
-    """tree(ctx, env, X): the tree of c, the i-th child (1-based) of a node
-    evaluated against env; for one tick a leaf when c under X is a local
-    value, which reads no aligned environment, else c run against
-    align_i(env, i)."""
+def _child(c: Expr, i: Optional[int]):
+    """tree(ctx, A, X): the tree of c, the i-th child (0-based) of a node
+    evaluated against A; for one tick a leaf when c under X is a local
+    value, which reads no aligned environment, else c run against A
+    aligned to its i-th child, or against A itself when i is None."""
     fv, leaf_vars, _ = plan(c)
     if leaf_vars is None:
         run = _compiled(c)
-        return lambda ctx, env, X: run(ctx, align_i(env, i), X)
+        if i is None:
+            return run
+
+        def tree(ctx, A, X):
+            try:
+                kids = [t.children[i] for t in A[1]]
+            except IndexError:
+                return run(ctx, _align(A, i, ctx.device), X)
+            return run(ctx, (A[0], kids, A[2]), X)
+
+        return tree
     if not fv:
         lf = ValueTree(c)
 
-        def tree(ctx, env, X):
-            ctx.tick()
+        def tree(ctx, A, X):
+            if ctx.fuel <= 0:
+                ctx.tick()
+            ctx.fuel -= 1
             return lf
 
         return tree
@@ -236,164 +274,260 @@ def _child(c: Expr, i: int):
     if type(c) is Var:
         name = c.name
 
-        def tree(ctx, env, X):
+        def tree(ctx, A, X):
             v = X.get(name)
             if v is None or not is_local_value(v):
-                return run(ctx, align_i(env, i), X)
-            ctx.tick()
+                return run(ctx, A if i is None else _align(A, i, ctx.device), X)
+            if ctx.fuel <= 0:
+                ctx.tick()
+            ctx.fuel -= 1
             return ValueTree(v)
 
         return tree
 
-    def tree(ctx, env, X):
+    def tree(ctx, A, X):
         v = value_of(c, X)
         if v is None:
-            return run(ctx, align_i(env, i), X)
-        ctx.tick()
+            return run(ctx, A if i is None else _align(A, i, ctx.device), X)
+        if ctx.fuel <= 0:
+            ctx.tick()
+        ctx.fuel -= 1
         return ValueTree(v)
 
     return tree
 
 
-def _body_tree(ctx: EvalContext, env: dict, body: Expr, f: Expr, X) -> ValueTree:
+def _body_tree(ctx: EvalContext, A: tuple, body: Expr, f: Expr, X) -> ValueTree:
     """The tree of body, the body of function value f applied with its
-    parameters' values in X, at a node evaluated against env: for one
-    tick a leaf when body under X is a local value, else body run against
-    align_fun(env, f)."""
+    parameters' values in X, at a node evaluated against A: for one tick
+    a leaf when body under X is a local value, else body run against A
+    aligned to f."""
     v = value_of(body, X)
     if v is None:
-        return _compiled(body)(ctx, align_fun(env, f), X)
-    ctx.tick()
+        return _compiled(body)(ctx, _align_fun(A, f, ctx.device), X)
+    if ctx.fuel <= 0:
+        ctx.tick()
+    ctx.fuel -= 1
     return ValueTree(v)
 
 
 def _value(ctx: EvalContext, v: Expr) -> Expr:
     """The value of v, a value evaluated against the empty environment:
     a local value for one tick, a field restricted to the device."""
-    ctx.tick()
-    return v if is_local_value(v) else _value_tree(ctx, {}, v).root
+    if ctx.fuel <= 0:
+        ctx.tick()
+    ctx.fuel -= 1
+    return v if is_local_value(v) else _value_tree(ctx, _empty(ctx), v).root
 
 
-def _value_tree(ctx: EvalContext, env: dict, v: Expr) -> ValueTree:
-    """The tree of v against env, once its tick is spent, where v is a
+def _value_tree(ctx: EvalContext, A: tuple, v: Expr) -> ValueTree:
+    """The tree of v against A, once its tick is spent, where v is a
     field, data holding one, or a node no rule evaluates: a field is
-    restricted to env's devices and the device, and a variable holding a
-    field (or data holding one) is evaluated as the value it holds."""
+    restricted to A's domain, and a variable holding a field (or data
+    holding one) is evaluated as the value it holds."""
     k = type(v)
     if k is FieldVal:
-        return ValueTree(restrict_value(v, _domain(env, ctx.device)))
+        return ValueTree(restrict_value(v, A[2]))
     if k is Data:
         kids = []
-        for i, a in enumerate(v.args, 1):
-            ctx.tick()
+        for i, a in enumerate(v.args):
+            if ctx.fuel <= 0:
+                ctx.tick()
+            ctx.fuel -= 1
             kids.append(ValueTree(a) if is_local_value(a)
-                        else _value_tree(ctx, align_i(env, i), a))
+                        else _value_tree(ctx, _align(A, i, ctx.device), a))
         return ValueTree(Data(v.ctor, tuple([k.root for k in kids])), tuple(kids))
     raise EvalError(f"cannot evaluate {v!r}")
 
 
+def _apply_builtin(b, lf: ValueTree, kid_trees: list):
+    """The closure of an application of a builtin name: b is what
+    TABLE.bind gives for the name, and lf the leaf tree of the name, whose
+    tick comes after the arguments'. One closure per argument count from 1
+    to 3 calls its argument closures without a comprehension."""
+    n = len(kid_trees)
+    if n == 1:
+        t0, = kid_trees
+
+        def run(ctx, A, X):
+            if ctx.fuel <= 0:
+                ctx.tick()
+            ctx.fuel -= 1
+            k0 = t0(ctx, A, X)
+            if ctx.fuel <= 0:
+                ctx.tick()
+            ctx.fuel -= 1
+            ctx.domain = A[2]
+            return ValueTree(TABLE.eval(b, ctx, [k0.root]), (k0, lf))
+    elif n == 2:
+        t0, t1 = kid_trees
+
+        def run(ctx, A, X):
+            if ctx.fuel <= 0:
+                ctx.tick()
+            ctx.fuel -= 1
+            k0 = t0(ctx, A, X)
+            k1 = t1(ctx, A, X)
+            if ctx.fuel <= 0:
+                ctx.tick()
+            ctx.fuel -= 1
+            ctx.domain = A[2]
+            return ValueTree(TABLE.eval(b, ctx, [k0.root, k1.root]), (k0, k1, lf))
+    elif n == 3:
+        t0, t1, t2 = kid_trees
+
+        def run(ctx, A, X):
+            if ctx.fuel <= 0:
+                ctx.tick()
+            ctx.fuel -= 1
+            k0 = t0(ctx, A, X)
+            k1 = t1(ctx, A, X)
+            k2 = t2(ctx, A, X)
+            if ctx.fuel <= 0:
+                ctx.tick()
+            ctx.fuel -= 1
+            ctx.domain = A[2]
+            return ValueTree(TABLE.eval(b, ctx, [k0.root, k1.root, k2.root]), (k0, k1, k2, lf))
+    else:
+        def run(ctx, A, X):
+            if ctx.fuel <= 0:
+                ctx.tick()
+            ctx.fuel -= 1
+            kids = [t(ctx, A, X) for t in kid_trees] if kid_trees else []
+            if ctx.fuel <= 0:
+                ctx.tick()
+            ctx.fuel -= 1
+            ctx.domain = A[2]
+            return ValueTree(TABLE.eval(b, ctx, [t.root for t in kids]), (*kids, lf))
+    return run
+
+
 def _compile(e: Expr):
-    """The closure run(ctx, env, X) of e, from its children's."""
+    """The closure run(ctx, A, X) of e, from its children's."""
     k = type(e)
     if k is Apply:
-        args, n = e.args, len(e.args)
-        kid_trees = [_child(a, i) for i, a in enumerate(args, 1)]
-        fn_tree = _child(e.fn, n + 1)
-        if type(e.fn) is Builtin:
-            name = e.fn.name
+        fn, n = e.fn, len(e.args)
+        kid_trees = [_child(a, i) for i, a in enumerate(e.args)]
+        if type(fn) is Builtin:
+            return _apply_builtin(TABLE.bind(fn.name), ValueTree(fn), kid_trees)
+        fn_tree = _child(fn, n)
 
-            def run(ctx, env, X):
+        def run(ctx, A, X):
+            if ctx.fuel <= 0:
                 ctx.tick()
-                kids = [t(ctx, env, X) for t in kid_trees]
-                ft = fn_tree(ctx, env, X)
-                ctx.domain = _domain(env, ctx.device)
-                v = TABLE.eval(name, ctx, [t.root for t in kids])
-                return ValueTree(v, (*kids, ft))
-
-            return run
-
-        def run(ctx, env, X):
-            ctx.tick()
-            kids = [t(ctx, env, X) for t in kid_trees]
-            ft = fn_tree(ctx, env, X)
+            ctx.fuel -= 1
+            kids = [t(ctx, A, X) for t in kid_trees] if kid_trees else []
+            ft = fn_tree(ctx, A, X)
             f = ft.root
             if isinstance(f, Builtin):
-                ctx.domain = _domain(env, ctx.device)
+                ctx.domain = A[2]
                 v = TABLE.eval(f.name, ctx, [t.root for t in kids])
                 return ValueTree(v, (*kids, ft))
             params, body = fun_parts(ctx.defs, f, n)
-            bt = _body_tree(ctx, env, body, f, dict(zip(params, [t.root for t in kids])))
+            # _body_tree, written out here to spare a frame per call level
+            Xb = dict(zip(params, [t.root for t in kids]))
+            v = value_of(body, Xb)
+            if v is None:
+                bt = _compiled(body)(ctx, _align_fun(A, f, ctx.device), Xb)
+            else:
+                if ctx.fuel <= 0:
+                    ctx.tick()
+                ctx.fuel -= 1
+                bt = ValueTree(v)
             return ValueTree(bt.root, (*kids, ft, bt))
 
         return run
     if k is Var:
         name = e.name
 
-        def run(ctx, env, X):
+        def run(ctx, A, X):
             # a variable holding a field (or data holding one) is evaluated
             # as the value it holds
-            ctx.tick()
+            if ctx.fuel <= 0:
+                ctx.tick()
+            ctx.fuel -= 1
             if name not in X:
                 raise EvalError(f"unbound variable {name!r} at runtime")
-            return _value_tree(ctx, env, X[name])
+            return _value_tree(ctx, A, X[name])
 
         return run
     if k is Data:
         # constructor over unevaluated arguments: evaluate each against
         # its aligned environment, collect a tree per argument
         ctor = e.ctor
-        kid_trees = [_child(a, i) for i, a in enumerate(e.args, 1)]
+        kid_trees = [_child(a, i) for i, a in enumerate(e.args)]
+        if len(kid_trees) == 2:  # Pair and Cons, without a comprehension
+            t0, t1 = kid_trees
 
-        def run(ctx, env, X):
-            ctx.tick()
-            kids = tuple([t(ctx, env, X) for t in kid_trees])
+            def run(ctx, A, X):
+                if ctx.fuel <= 0:
+                    ctx.tick()
+                ctx.fuel -= 1
+                k0 = t0(ctx, A, X)
+                k1 = t1(ctx, A, X)
+                return ValueTree(Data(ctor, (k0.root, k1.root)), (k0, k1))
+
+            return run
+
+        def run(ctx, A, X):
+            if ctx.fuel <= 0:
+                ctx.tick()
+            ctx.fuel -= 1
+            kids = tuple([t(ctx, A, X) for t in kid_trees])
             return ValueTree(Data(ctor, tuple([t.root for t in kids])), kids)
 
         return run
     if k is Nbr:
-        body_tree = _child(e.body, 1)
+        body_tree = _child(e.body, None)
 
-        def run(ctx, env, X):
-            ctx.tick()
-            bt = body_tree(ctx, env, X)
-            # the neighbours' stored values of the body, in device order,
-            # with the device's own new value in its place
+        def run(ctx, A, X):
+            if ctx.fuel <= 0:
+                ctx.tick()
+            ctx.fuel -= 1
             d = ctx.device
-            devs, vals = [], []
-            for d2, t in env.items():
-                if t.children and d2 != d:
-                    devs.append(d2)
-                    vals.append(t.children[0].root)
+            devs, trees, dom = A = _align(A, 0, d)
+            bt = body_tree(ctx, A, X)
+            # the neighbours' stored values of the body over the domain,
+            # with the device's own new value in its place
+            vals = [t.root for t in trees]
             i = bisect_left(devs, d)
-            devs.insert(i, d)
-            vals.insert(i, bt.root)
-            return ValueTree(FieldVal(tuple(devs), tuple(vals)), (bt,))
+            if len(devs) == len(dom):
+                vals[i] = bt.root
+            else:
+                vals.insert(i, bt.root)
+            return ValueTree(FieldVal(dom, tuple(vals)), (bt,))
 
         return run
     if k is Rep:
-        init_tree, var, body_tree = _child(e.init, 1), e.var, _child(e.body, 2)
+        init_tree, var, body_tree = _child(e.init, 0), e.var, _child(e.body, 1)
 
-        def run(ctx, env, X):
-            ctx.tick()
-            t1 = init_tree(ctx, env, X)
+        def run(ctx, A, X):
+            if ctx.fuel <= 0:
+                ctx.tick()
+            ctx.fuel -= 1
+            t1 = init_tree(ctx, A, X)
             # the state the device's own tree stored, or init after a reboot
-            own = env.get(ctx.device)
-            if own is None:
+            devs, trees, dom = A
+            if len(devs) < len(dom):
                 l0 = t1.root
-            elif len(own.children) >= 2:
-                l0 = own.children[1].root
             else:
-                raise MalformedEnv(f"device {ctx.device} has no stored rep state in its own tree")
-            t2 = body_tree(ctx, env, {**X, var: l0})
+                own = trees[bisect_left(devs, ctx.device)].children
+                if len(own) < 2:
+                    raise MalformedEnv(
+                        f"device {ctx.device} has no stored rep state in its own tree")
+                l0 = own[1].root
+            t2 = body_tree(ctx, A, {**X, var: l0})
             return ValueTree(t2.root, (t1, t2))
 
         return run
 
     # a field literal; a lambda with an unbound free variable, or no
     # expression at all, cannot be evaluated
-    def run(ctx, env, X):
-        ctx.tick()
-        return _value_tree(ctx, env, e)
+    def run(ctx, A, X):
+        if ctx.fuel <= 0:
+            ctx.tick()
+        ctx.fuel -= 1
+        return _value_tree(ctx, A, e)
 
     return run
 

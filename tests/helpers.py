@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction as F
 from itertools import repeat
+from typing import Optional
 
 from fieldcalc.ast import (
     Apply,
@@ -59,8 +60,6 @@ from fieldcalc.device import (
     FuelExhausted,
     MalformedEnv,
     ValueTree,
-    align_fun,
-    align_i,
     fun_parts,
 )
 from fieldcalc.network import PathSeg, Scenario, as_time, sample_script
@@ -493,6 +492,31 @@ def tree_from_json(j, defs=()) -> ValueTree:
 
 # ---------------------------------------------------------------------------
 # the device evaluator as the substitution semantics states it
+#
+# value-tree environments are plain dicts device id -> ValueTree
+
+def subtree_fun(t: ValueTree, f: Expr) -> Optional[ValueTree]:
+    """Last child, provided the second-to-last child's root equals the
+    function value f; None otherwise."""
+    if len(t.children) >= 2 and t.children[-2].root == f:
+        return t.children[-1]
+    return None
+
+
+def align_i(env: dict, i: int) -> dict:
+    """The i-th subtree (1-based) of each tree that has one."""
+    return {d: t.children[i - 1] for d, t in env.items() if len(t.children) >= i}
+
+
+def align_fun(env: dict, f: Expr) -> dict:
+    """The body subtree of each tree that applied function value f."""
+    out = {}
+    for d, t in env.items():
+        sub = subtree_fun(t, f)
+        if sub is not None:
+            out[d] = sub
+    return out
+
 
 def reference_eval_expr(ctx: EvalContext, env: dict, e) -> ValueTree:
     """The big-step rules on closed expressions: application and rep

@@ -714,6 +714,26 @@ def test_every_command_takes_a_list_1200_deep(tmp_path):
         assert want in last, command
 
 
+def test_a_function_recursing_110_calls_deep_runs_and_checks(one_device, tmp_path):
+    """build(110), a program's own function recursing 110 calls deep on
+    one device: run and check-adequacy each exit 0 in a fresh interpreter,
+    under Python's default recursion limit of 1,000, and run's last record
+    holds the list. The device evaluator spends 8 frames per call level
+    and reaches 121 levels; at 13 frames per level (10 on Python 3.12 and
+    later) it stopped at 74 (97)."""
+    n = 110
+    p = tmp_path / "build.hfc"
+    p.write_text("def build(n) { if (n < 1) { Null } else { Cons(n, build(n - 1)) } }\n"
+                 f"build({n})\n")
+    listed = "".join(f'{{"args":[{{"num":{k}.0}},' for k in range(n, 0, -1))
+    deepest = listed + '{"args":[],"data":"Null"}' + '],"data":"Cons"}' * n
+    for command, want in (("run", f'"root":{deepest},"t":"5"'),
+                          ("check-adequacy", "5/5 events equal\n")):
+        proc = fresh_fieldc(command, str(p), one_device)
+        assert proc.returncode == 0, (command, proc.stderr.decode())
+        assert want in proc.stdout.decode().splitlines(keepends=True)[-1], command
+
+
 def test_writing_fresh_deep_lists_holds_no_text_past_its_record(tmp_path):
     """fieldc denot of a list 50 deep, built afresh at each of 12 events:
     beyond what the denotation itself holds, writing it takes memory of

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldcalc import network
-from fieldcalc.ast import Apply, Builtin, Lambda, boolean, num
-from fieldcalc.builtins import TABLE
+from fieldcalc.ast import Apply, Builtin, Lambda, Program, boolean, num
+from fieldcalc.builtins import TABLE, EvalError
 from fieldcalc.denot import (
     DagError,
     DenotError,
@@ -294,6 +294,20 @@ def test_rep_locality_for_pure_local_expressions():
 
 # ---------------------------------------------------------------------------
 # causal-order evaluation against the fixpoint specification
+
+def test_an_unknown_builtin_name_fails_at_its_call():
+    """An application of a name that is no builtin, which only a program
+    built without the parser holds, compiles, and fails as an EvalError
+    when it is called: after its argument, so an error there comes
+    first."""
+    g = build_dag_from_scenario(line_scenario(3, rounds=2))
+    call = Apply(Builtin("no-such"), (parse_expr("nbr{uid()}"),))
+    with pytest.raises(EvalError, match="^unknown builtin 'no-such'$"):
+        denot_program(g, Program((), call))
+    failing = Apply(Builtin("no-such"), (parse_expr("fst(uid())"),))
+    with pytest.raises(EvalError, match="^fst expects a pair"):
+        denot_program(g, Program((), failing))
+
 
 @pytest.mark.parametrize("rounds", [20, 40, 80])
 def test_rep_counter_evaluates_each_event_once(rounds, monkeypatch):

@@ -28,7 +28,7 @@ from fieldcalc.ast import (
     boolean,
     num,
 )
-from fieldcalc.builtins import TABLE, DomainError, EvalError, SensorState
+from fieldcalc.builtins import TABLE, ArityError, DomainError, EvalError, SensorState
 from fieldcalc.denot import (
     AdequacyReport,
     Verdict,
@@ -37,21 +37,19 @@ from fieldcalc.denot import (
     denot_program,
 )
 from fieldcalc.device import (
+    DEFAULT_FUEL,
     EvalContext,
     FuelExhausted,
     MalformedEnv,
     ValueTree,
-    align_fun,
-    align_i,
     csv_text,
     eval_expr,
     evaluate_main,
-    subtree_fun,
     tree_json,
     value_json,
     value_to_text,
 )
-from fieldcalc.network import fire, run_scenario, sweep
+from fieldcalc.network import PathSeg, Scenario, fire, run_scenario, sweep
 from fieldcalc.parser import parse_expr, parse_program
 from fieldcalc.stdlib import corpus_entry
 from fieldcalc.typer import FieldT
@@ -59,6 +57,8 @@ from generators import ExprGen, gen_scenario
 from helpers import (
     BOOL,
     NUM,
+    align_fun,
+    align_i,
     dumps,
     is_local_value,
     leaf,
@@ -67,6 +67,7 @@ from helpers import (
     report_json,
     run_jsonl,
     static_scenario,
+    subtree_fun,
     subtree_i,
     tree_from_json,
     tree_to_json,
@@ -676,14 +677,15 @@ FAILURES = EvalError
 
 
 def _outcome(evaluate, prog, d, env, sensors, fuel):
-    """(error type, tree, canonical tree JSON, fuel left) of one evaluation."""
+    """(error class, error text, fuel left, canonical tree JSON) of one
+    evaluation, and the tree."""
     ctx = EvalContext(device=d, sensors=sensors, defs={x.name: x for x in prog.defs},
                       fuel=fuel)
     try:
         t = evaluate(ctx, env, prog.main)
     except FAILURES as e:
-        return type(e), None, None, ctx.fuel
-    return None, t, dumps(tree_to_json(t)), ctx.fuel
+        return (type(e), str(e), ctx.fuel, None), None
+    return (None, None, ctx.fuel, dumps(tree_to_json(t))), t
 
 
 def test_a_misaligned_builtin_result_is_a_domain_error():
@@ -707,10 +709,10 @@ class _Stop(Exception):
 @given(st.integers(0, 2**32 - 1))
 def test_environment_passing_matches_substitution(seed):
     """At every fire of a generated scenario, both evaluators give the
-    same tree bytes, the same fuel left and the same error type. The
-    stored trees come from the program itself or, to reach misaligned
-    environments (MalformedEnv), from another program; a small fuel
-    budget reaches FuelExhausted part way through a fire."""
+    same tree bytes, the same fuel left and the same error class and
+    text. The stored trees come from the program itself or, to reach
+    misaligned environments (MalformedEnv), from another program; a small
+    fuel budget reaches FuelExhausted part way through a fire."""
     rnd = random.Random(seed)
     sc = gen_scenario(rnd)
 
@@ -727,9 +729,10 @@ def test_environment_passing_matches_substitution(seed):
 
     def step(t, d, fresh, sensors):
         env = {s: m.payload for s, m in fresh.items()}
-        err, tree, *new = _outcome(eval_expr, prog, d, env, sensors, fuel)
-        err2, _, *ref = _outcome(reference_eval_expr, prog, d, env, sensors, fuel)
-        assert (err, *new) == (err2, *ref), (t, d)
+        got, tree = _outcome(eval_expr, prog, d, env, sensors, fuel)
+        want, _ = _outcome(reference_eval_expr, prog, d, env, sensors, fuel)
+        assert got == want, (t, d)
+        err = got[0]
         compared.append(err)
         if feeder is not prog:
             ctx = EvalContext(device=d, sensors=sensors,
@@ -749,11 +752,81 @@ def test_environment_passing_matches_substitution(seed):
     assert compared
 
 
+# Three devices firing in turn: 2 moves away from 1 towards 3, and 3 is
+# off during (4, 6), so its fire at 7 follows a reboot; a decay of 3 drops
+# the trees of devices out of range.
+FUEL_SCENARIO = Scenario(
+    devices=(1, 2, 3), radius=1.5, decay=F(3),
+    paths={1: (PathSeg(F(0), F(12), ((0.0, 0.0),)),),
+           2: (PathSeg(F(0), F(12), ((0.0, 0.0), (4.0, 0.0))),),
+           3: (PathSeg(F(0), F(4), ((2.0, 0.0),)), PathSeg(F(6), F(12), ((2.0, 0.0),)))},
+    fires=tuple((F(k, 2), k % 3 + 1) for k in range(1, 22) if not 8 <= k <= 12 or k % 3 != 2),
+    sensor_scripts={d: {"sns-injection-point": ((None, boolean(d == 1)),),
+                        "sns-patron": ((None, boolean(d != 2)),),
+                        "sns-num": ((None, num(10 * d)),)} for d in (1, 2, 3)},
+)
+
+# (program, the program whose tree with no neighbours a fire delivers where
+# the first fails, the outcome besides FuelExhausted that some fire must
+# reach: an error class, or None for a tree)
+FUEL_PROGRAMS = [
+    (corpus_entry("gradient").program(), None, None),
+    (corpus_entry("spanning-sum").program(), None, None),
+    # min-hood+ is infinity at a device that hears no other, so gradcast
+    # fails there unless the device is a source
+    (_with_main("gradcast", "gradcast(sns-injection-point(), sns-num())"),
+     _with_main("gradcast", "gradcast(True, sns-num())"), None),
+    # functions that builtins call (EvalContext.call)
+    (parse_program("fold-hood((a, b) => a + b, map-hood((y) => y * 2, nbr{uid()}))"), None, None),
+    # untyped: a field held by a variable in a data position (_value_tree)
+    (parse_program("def g(phi) { min-hood(snd(Pair(1, phi))) } g(nbr{uid()})"), None, None),
+    # untyped: an ArityError inside the arguments of two builtins, after
+    # the neighbours' minimum is taken
+    (parse_program("sum-hood+(nbr{min-hood(nbr{uid()}) + mux(uid() < 3, 1)})"),
+     parse_program("sum-hood+(nbr{min-hood(nbr{uid()}) + mux(uid() < 3, 1, 2)})"), ArityError),
+    # untyped: pick-hood picks a neighbour's field, a DomainError inside
+    # the arguments of min-hood and + wherever the two domains differ
+    (parse_program("1 + min-hood(pick-hood(nbr{nbr{uid()}}))"),
+     parse_program("1 + min-hood(nbr{uid()})"), DomainError),
+    # an application of a name that is no builtin, which only a program
+    # built without the parser holds: an EvalError at the call
+    (Program((), Apply(Builtin("no-such"), (parse_expr("min-hood(nbr{uid()})"),))),
+     parse_program("1"), EvalError),
+]
+
+
+@pytest.mark.parametrize("prog, feeder, reached", FUEL_PROGRAMS, ids=[
+    "gradient", "spanning-sum", "gradcast", "hood-calls", "field-in-data", "arity", "domain",
+    "unknown"])
+def test_fuel_runs_out_at_the_same_tick_as_in_the_reference(prog, feeder, reached):
+    """At every fire of a small mobile scenario with a reboot, and for every
+    fuel budget from 0 to one more than the fire's full cost, eval_expr
+    gives what the reference gives: the error class and text, the fuel
+    left and the tree bytes. Charging a tick earlier or later than the
+    rules do moves the fuel left at an error, or the budget at which
+    FuelExhausted comes."""
+    seen = set()
+
+    def step(t, d, fresh, sensors):
+        env = {s: m.payload for s, m in fresh.items()}
+        full, tree = _outcome(eval_expr, prog, d, env, sensors, DEFAULT_FUEL)
+        for fuel in range(DEFAULT_FUEL - full[2] + 2):
+            got, _ = _outcome(eval_expr, prog, d, env, sensors, fuel)
+            want, _ = _outcome(reference_eval_expr, prog, d, env, sensors, fuel)
+            assert got == want, (t, d, fuel)
+            seen.add(got[0])
+        return tree if tree is not None else evaluate_main(feeder, d, {}, sensors)
+
+    sweep(FUEL_SCENARIO, step)
+    assert {FuelExhausted, reached} <= seen, seen
+
+
 def test_a_fire_substitutes_nothing_and_resolves_each_name_once(monkeypatch):
     """Corpus gradient on a static 4x4 grid, under check-adequacy so both
     evaluators run: no fire substitutes (the program builds no closure),
-    and builtin names are resolved on their first call only, so resolving
-    costs the same for 2 rounds as for 8."""
+    and builtin names are resolved only where their applications are
+    compiled, so resolving costs the same for 2 rounds as for 8. Each
+    round compiles a fresh copy of the program."""
     counts = {"substitute": 0, "entry": 0}
 
     def counting(name, fn):
@@ -764,10 +837,10 @@ def test_a_fire_substitutes_nothing_and_resolves_each_name_once(monkeypatch):
 
     monkeypatch.setattr(ast, "substitute", counting("substitute", ast.substitute))
     monkeypatch.setattr(TABLE, "entry", counting("entry", TABLE.entry))
-    prog = corpus_entry("gradient").program()
     grid = {4 * i + j: (float(i), float(j)) for i in range(4) for j in range(4)}
     seen = {}
     for rounds in (2, 8):
+        prog = corpus_entry("gradient").program()
         # forget the derived +[f,f], so each round resolves it anew
         monkeypatch.delitem(TABLE._entries, "+[f,f]", raising=False)
         counts.update(substitute=0, entry=0)
@@ -963,20 +1036,26 @@ def _aligned_children(e, t, defs) -> int:
 
 
 def test_constant_children_align_no_environment(monkeypatch):
-    """Corpus spanning-sum on a static 4x4 grid: a fire aligns one
-    environment per child that is neither a closed constant nor a
-    variable holding a local value, and none for those, so the count per
-    fire is fixed by the program and is the same for 2 rounds as for 8."""
+    """Corpus spanning-sum on a static 4x4 grid: a fire runs a compiled
+    node closure, against an aligned environment, once for its main and
+    once for each child evaluated that is neither a closed constant nor a
+    variable holding a local value, and for none of those, so the count
+    per fire is fixed by the program and is the same for 2 rounds as for
+    8. Every closure is counted by wrapping what _compile makes, on a
+    fresh copy of the program."""
     aligned = [0]
 
-    def counting(fn):
-        def wrapper(*args):
-            aligned[0] += 1
-            return fn(*args)
+    def counting(compile_):
+        def wrapper(e):
+            run = compile_(e)
+
+            def counted(ctx, A, X):
+                aligned[0] += 1
+                return run(ctx, A, X)
+            return counted
         return wrapper
 
-    monkeypatch.setattr(device, "align_i", counting(device.align_i))
-    monkeypatch.setattr(device, "align_fun", counting(device.align_fun))
+    monkeypatch.setattr(device, "_compile", counting(device._compile))
     prog = corpus_entry("spanning-sum").program()
     defs = {d.name: d for d in prog.defs}
     grid = {4 * i + j: (float(i), float(j)) for i in range(4) for j in range(4)}
@@ -991,7 +1070,7 @@ def test_constant_children_align_no_environment(monkeypatch):
         def step(t, d, fresh, sensors):
             aligned[0] = 0
             tree = fire(prog, d, t, fresh, sensors)
-            counts.append((aligned[0], _aligned_children(prog.main, tree, defs)))
+            counts.append((aligned[0], 1 + _aligned_children(prog.main, tree, defs)))
             return tree
 
         sweep(sc, step)
