@@ -25,7 +25,7 @@ from .denot import (
     validate_dag,
 )
 from .device import DEFAULT_FUEL, csv_text, record_json, scalar_json, value_json, value_to_text
-from .network import ScenarioError, run_scenario, scenario_from_json, show_id
+from .network import ScenarioError, run_scenario, scenario_from_json, show_id, text_sink
 from .parser import ParseError, parse_program
 from .stdlib import CorpusError, load_corpus
 from .typer import TypecheckError, principal_scheme, show_scheme, typecheck_program
@@ -64,13 +64,15 @@ def _read_json(path: str):
         raise CliError(2, f"{path}: JSON nested too deep to read") from None
 
 
-def _emit(text: str, out) -> None:
+def _emit(parts: list, out) -> None:
+    """Write the strings parts to stdout or to the file out, one by one,
+    so that the text is never copied whole."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return
     try:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     except OSError as e:
         raise CliError(2, str(e)) from None
 
@@ -116,11 +118,14 @@ def cmd_run(ns) -> int:
     prog, _, _ = _load_program(ns.program)
     sc = _load_scenario(ns.scenario, ns)
     rng = random.Random(ns.seed) if ns.seed is not None else None
+    # each fire's text is made as the fire returns, and written at the end,
+    # so that an error leaves no output
+    lines = []
     try:
-        trace = run_scenario(sc, prog, fuel=ns.fuel, rng=rng)
+        run_scenario(sc, prog, fuel=ns.fuel, rng=rng, sink=text_sink(ns.format, lines))
     except (EvalError, ScenarioError) as e:
         raise CliError(1, str(e)) from None
-    _emit(trace.jsonl() if ns.format == "json" else trace.csv(), ns.out)
+    _emit(lines, ns.out)
     return 0
 
 
@@ -155,7 +160,7 @@ def cmd_denot(ns) -> int:
     else:
         text = csv_text(["event", "t", "device", "value"], (
             [e.id, str(e.time), e.device, value_to_text(denots[e])] for e in g.events))
-    _emit(text, ns.out)
+    _emit([text], ns.out)
     return 0
 
 
@@ -167,10 +172,10 @@ def cmd_check_adequacy(ns) -> int:
     except (DenotError, EvalError, ScenarioError) as e:
         raise CliError(1, str(e)) from None
     if ns.format == "json":
-        _emit(report.to_json() + "\n", ns.out)
+        _emit([report.to_json(), "\n"], ns.out)
     else:
         n = sum(1 for v in report.verdicts if v.ok)
-        _emit(f"{n}/{len(report.verdicts)} events equal\n", ns.out)
+        _emit([f"{n}/{len(report.verdicts)} events equal\n"], ns.out)
     if report.ok:
         return 0
     c = report.first_counterexample
@@ -271,6 +276,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if getattr(ns, "fuel", 0) < 0:
+            raise CliError(2, f"--fuel must be >= 0, got {ns.fuel}")
         code = ns.handler(ns)
         sys.stdout.flush()
         return code

@@ -23,11 +23,10 @@ no other evaluator.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from bisect import bisect_left
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import Optional
 
 from .ast import (
@@ -77,7 +76,7 @@ class ValueTree:
         self.children = children
 
     def __eq__(self, other):
-        if other.__class__ is not ValueTree:
+        if not isinstance(other, ValueTree):
             return NotImplemented
         return (self.root, self.children) == (other.root, other.children)
 
@@ -85,6 +84,27 @@ class ValueTree:
         if not self.children:
             return f"«{self.root!r}»"
         return f"«{self.root!r}»({', '.join(repr(c) for c in self.children)})"
+
+
+class Leaf(ValueTree):
+    """A tree without children that a compiled node makes once and shares
+    across fires: the tree of a closed constant, or of a builtin's name.
+    It keeps its JSON text once written; it equals any tree with the same
+    root and no children, and any such tree equals it."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, root: Expr):
+        self.root = root
+        self.children = ()
+        self.text = None
+
+    def json(self) -> str:
+        """{"root":...}, made at the first call."""
+        text = self.text
+        if text is None:
+            text = self.text = '{"root":' + value_json(self.root) + "}"
+        return text
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +281,7 @@ def _child(c: Expr, i: Optional[int]):
 
         return tree
     if not fv:
-        lf = ValueTree(c)
+        lf = Leaf(c)
 
         def tree(ctx, A, X):
             if ctx.fuel <= 0:
@@ -409,7 +429,7 @@ def _compile(e: Expr):
         fn, n = e.fn, len(e.args)
         kid_trees = [_child(a, i) for i, a in enumerate(e.args)]
         if type(fn) is Builtin:
-            return _apply_builtin(TABLE.bind(fn.name), ValueTree(fn), kid_trees)
+            return _apply_builtin(TABLE.bind(fn.name), Leaf(fn), kid_trees)
         fn_tree = _child(fn, n)
 
         def run(ctx, A, X):
@@ -554,10 +574,38 @@ def evaluate_main(program: Program, device: int, env: dict,
 # json.dumps calls. A value or a tree is written as parts into one list that
 # is joined once, so no level of nesting copies the text below it, and the
 # writer recurses one frame per level, no deeper than the evaluator that
-# built the value. The emitters (FireTrace.jsonl, AdequacyReport.to_json,
-# fieldc denot) build their records with record_json and the helpers below.
+# built the value. A constructor without arguments (a number, a boolean,
+# Null), alone, as a field's entry or as a tree's root, and a tree without
+# children are each written in one piece, with no call of their own. The
+# emitters (fieldc run's records, AdequacyReport.to_json, fieldc denot)
+# build their records with record_json and the helpers below.
 
 str_json = json.encoder.encode_basestring_ascii
+
+# The text of each constructor without arguments written lately, by its
+# constructor: numerals are canonical (one NaN, no -0.0), so equal keys have
+# equal text. A number is written again and again, in its own tree, as a
+# neighbour's field entry and as a root, and float's repr is the slowest
+# part of writing it. The table is emptied when it fills, so it stays small.
+_ATOMS = {}
+ATOMS_KEPT = 4096
+
+
+def _atom_json(c) -> str:
+    """The text of c() and keep it in _ATOMS; c is a float or a string."""
+    if c.__class__ is float:
+        s = float.__repr__(c)
+        text = '{"num":' + s + "}" if math.isfinite(c) else '{"num":"' + s + '"}'
+    elif c == "True":
+        text = '{"bool":true}'
+    elif c == "False":
+        text = '{"bool":false}'
+    else:
+        text = '{"args":[],"data":' + str_json(c) + "}"
+    if len(_ATOMS) >= ATOMS_KEPT:
+        _ATOMS.clear()
+    _ATOMS[c] = text
+    return text
 
 
 def _value_parts(v: Expr, w) -> None:
@@ -569,34 +617,25 @@ def _value_parts(v: Expr, w) -> None:
     while True:
         k = v.__class__
         if k is Data:
-            c = v.ctor
-            if c.__class__ is float:
-                s = float.__repr__(c)
-                w('{"num":' + s + "}" if math.isfinite(c) else '{"num":"' + s + '"}')
-            elif c == "True":
-                w('{"bool":true}')
-            elif c == "False":
-                w('{"bool":false}')
-            else:
-                w('{"args":[')
-                end = '],"data":' + str_json(c) + "}"
-                args = v.args
-                if args:
-                    for a in args[:-1]:
-                        _value_parts(a, w)
-                        w(",")
-                    ends.append(end)
-                    v = args[-1]
-                    continue
-                w(end)
-        elif k is FieldVal:
-            w('{"field":[')
-            sep = "["
+            args = v.args
+            if not args:
+                w(_ATOMS.get(v.ctor) or _atom_json(v.ctor))
+                break
+            w('{"args":[')
+            for a in args[:-1]:
+                _value_parts(a, w)
+                w(",")
+            ends.append('],"data":' + str_json(v.ctor) + "}")
+            v = args[-1]
+            continue
+        if k is FieldVal:
+            entries = []
             for d, x in zip(v.devs, v.vals):
-                w(sep + int.__repr__(d) + ",")
-                _value_parts(x, w)
-                sep = "],["
-            w("]]}" if v.devs else "]}")
+                if x.__class__ is Data and not x.args:
+                    entries.append(f"[{d},{_ATOMS.get(x.ctor) or _atom_json(x.ctor)}]")
+                else:
+                    entries.append(f"[{d},{value_json(x)}]")
+            w('{"field":[' + ",".join(entries) + "]}")
         elif k is Lambda or k is Builtin or k is DefName:
             w('{"fun":' + str_json(pretty(v)) + "}")
         else:
@@ -606,33 +645,49 @@ def _value_parts(v: Expr, w) -> None:
         w("".join(reversed(ends)))
 
 
-def _tree_parts(t: ValueTree, w) -> None:
+def _tree_parts(t: ValueTree, w, root: Optional[str] = None, head: str = "") -> None:
+    """Write head, then t's text, through w; root is the text of t's root
+    when it is made already. A Leaf child is written by the text it keeps,
+    and a root that is a constructor without arguments by its kept text."""
     kids = t.children
     if kids:
-        w('{"children":[')
-        for i, c in enumerate(kids):
-            if i:
-                w(",")
-            _tree_parts(c, w)
-        w('],"root":')
+        w(head + '{"children":[')
+        sep = ""
+        for c in kids:
+            if c.__class__ is Leaf:
+                w(sep + (c.text or c.json()))
+            else:
+                _tree_parts(c, w, None, sep)
+            sep = ","
+        head = '],"root":'
     else:
-        w('{"root":')
-    _value_parts(t.root, w)
-    w("}")
+        head += '{"root":'
+    if root is None:
+        x = t.root
+        if x.__class__ is not Data or x.args:
+            w(head)
+            _value_parts(x, w)
+            w("}")
+            return
+        root = _ATOMS.get(x.ctor) or _atom_json(x.ctor)
+    w(head + root + "}")
 
 
 def value_json(v: Expr) -> str:
     """v's canonical JSON text."""
+    if v.__class__ is Data and not v.args:
+        return _ATOMS.get(v.ctor) or _atom_json(v.ctor)
     out = []
     _value_parts(v, out.append)
     return "".join(out)
 
 
-def tree_json(t: ValueTree) -> str:
+def tree_json(t: ValueTree, root: Optional[str] = None) -> str:
     """t's canonical JSON text: {"children":[...],"root":...}, with no
-    children key for a leaf."""
+    children key for a leaf. root is value_json(t.root) when the caller
+    has made it already."""
     out = []
-    _tree_parts(t, out.append)
+    _tree_parts(t, out.append, root)
     return "".join(out)
 
 
@@ -667,9 +722,14 @@ def value_to_text(v: Expr) -> str:
     return value_json(v)
 
 
+def csv_writer(lines: list):
+    """A csv writer that appends each row's text to lines."""
+    return csv.writer(SimpleNamespace(write=lines.append))
+
+
 def csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
+    lines = []
+    w = csv_writer(lines)
     w.writerow(header)
     w.writerows(rows)
-    return buf.getvalue()
+    return "".join(lines)

@@ -42,6 +42,7 @@ from .device import (
     DEFAULT_FUEL,
     ValueTree,
     csv_text,
+    csv_writer,
     evaluate_main,
     list_json,
     record_json,
@@ -402,6 +403,28 @@ class FireRecord(Frozen):
         return frozenset(d for d, _ in self.heard)
 
 
+# The text of one fire, for fieldc run and FireTrace alike: senders are the
+# ids of the messages the fire heard.
+
+RUN_CSV_HEADER = ("t", "device", "root")
+
+
+def fire_jsonl(t: Timestamp, d: int, tree: ValueTree, senders) -> str:
+    """A fire's JSONL line, its keys in sorted order; the root's text is
+    made once, for the record and its tree."""
+    root = value_json(tree.root)
+    return record_json(
+        ("device", scalar_json(d)),
+        ("env", list_json(map(str, sorted(senders)))),  # ids are ints
+        ("root", root),
+        ("t", scalar_json(str(t))),
+        ("tree", tree_json(tree, root))) + "\n"
+
+
+def fire_csv_row(t: Timestamp, d: int, root) -> list:
+    return [str(t), d, value_to_text(root)]
+
+
 class FireTrace(Record):
     __slots__ = _fields = ("records",)
 
@@ -410,16 +433,11 @@ class FireTrace(Record):
 
     def jsonl(self) -> str:
         """One canonical JSON object per fire, its keys in sorted order."""
-        return "".join([record_json(
-            ("device", scalar_json(r.device)),
-            ("env", list_json(map(scalar_json, sorted(r.env_domain)))),
-            ("root", value_json(r.root)),
-            ("t", scalar_json(str(r.t))),
-            ("tree", tree_json(r.tree))) + "\n" for r in self.records])
+        return "".join([fire_jsonl(r.t, r.device, r.tree, r.env_domain) for r in self.records])
 
     def csv(self) -> str:
-        return csv_text(["t", "device", "root"], (
-            [str(r.t), r.device, value_to_text(r.root)] for r in self.records))
+        return csv_text(RUN_CSV_HEADER,
+                        (fire_csv_row(r.t, r.device, r.root) for r in self.records))
 
 
 def heard(fresh: dict) -> tuple:
@@ -428,17 +446,42 @@ def heard(fresh: dict) -> tuple:
 
 
 def run_scenario(sc: Scenario, program: Program, fuel: int = DEFAULT_FUEL,
-                 rng=None) -> FireTrace:
-    """Evaluate the program along the delivery sweep, one record per fire."""
-    trace = FireTrace()
+                 rng=None, sink=None) -> Optional[FireTrace]:
+    """Evaluate the program along the delivery sweep. ``sink(t, d, tree,
+    fresh)`` takes each fire as it returns, where ``fresh`` is the inbox
+    it heard, valid only during the call; without a sink, one record per
+    fire is kept and the FireTrace of them returned."""
+    trace = None
+    if sink is None:
+        trace = FireTrace()
+        records = trace.records
+
+        def sink(t, d, tree, fresh):
+            records.append(FireRecord(t, d, tree.root, tree, heard(fresh)))
 
     def step(t, d, fresh, sensors):
         tree = fire(program, d, t, fresh, sensors, fuel, rng)
-        trace.records.append(FireRecord(t, d, tree.root, tree, heard(fresh)))
+        sink(t, d, tree, fresh)
         return tree
 
     sweep(sc, step)
     return trace
+
+
+def text_sink(fmt: str, lines: list):
+    """A sink for run_scenario that appends each fire's finished text to
+    lines, a JSONL line (fmt "json") or a CSV row after the header."""
+    if fmt == "json":
+        def sink(t, d, tree, fresh):
+            lines.append(fire_jsonl(t, d, tree, fresh))
+        return sink
+    row = csv_writer(lines).writerow
+    row(RUN_CSV_HEADER)
+
+    def sink(t, d, tree, fresh):
+        row(fire_csv_row(t, d, tree.root))
+
+    return sink
 
 
 # ---------------------------------------------------------------------------

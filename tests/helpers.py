@@ -7,8 +7,8 @@ that the canonical-JSON writer is checked against and readers of them,
 the substitution reference for the device evaluator, the fixpoint
 reference for the denotation, the restriction checker, and small
 helpers only tests call (a leaf tree, an expression's subexpressions,
-a trace's roots, a tree's i-th subtree, a program's source text, a bare
-expression's type).
+a trace's roots, a tree's i-th subtree, a scenario's JSON, a program's
+source text, a bare expression's type).
 
 The DAG mirrors the running example: four devices firing 4 to 6 times,
 device 2 rebooting after its second firing (so the self-link into its
@@ -18,6 +18,8 @@ range of each other. Event 12 (device 3's third firing) plays the role
 of the highlighted event: it is aware of devices 2, 3 and 4 only.
 """
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field as dc_field
@@ -424,6 +426,15 @@ def run_jsonl(trace) -> str:
         "tree": tree_to_json(r.tree),
         "env": sorted(r.env_domain),
     }) + "\n" for r in trace.records)
+
+
+def run_csv(trace) -> str:
+    """`fieldc run --format csv`: a header, then one row per fire."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["t", "device", "root"])
+    w.writerows([str(r.t), r.device, value_text(r.root)] for r in trace.records)
+    return buf.getvalue()
 
 
 def denot_jsonl(events, denots: dict) -> str:
@@ -839,6 +850,35 @@ def subtree_i(t: ValueTree, i: int):
     if 1 <= i <= len(t.children):
         return t.children[i - 1]
     return None
+
+
+def scenario_json(sc: Scenario) -> dict:
+    """The JSON object of a scenario file that fieldc reads as sc: a
+    number or a boolean reading as itself, any other by its source text."""
+    def reading(v):
+        if isinstance(v, Data) and not v.args:
+            if isinstance(v.ctor, float):
+                return v.ctor
+            if v.ctor in ("True", "False"):
+                return v.ctor == "True"
+        return pretty(v)
+
+    def script(steps):
+        if len(steps) == 1 and steps[0][0] is None:
+            return reading(steps[0][1])
+        return {"steps": [[str(t), reading(v)] for t, v in steps]}
+
+    return {
+        "devices": list(sc.devices),
+        "radius": sc.radius,
+        "decay": str(sc.decay),
+        "paths": {str(d): [{"from": str(s.start), "to": str(s.end),
+                            "waypoints": [list(p) for p in s.waypoints]} for s in segs]
+                  for d, segs in sc.paths.items()},
+        "fires": [{"t": str(t), "device": d} for t, d in sc.fires],
+        "sensors": {str(d): {name: script(steps) for name, steps in table.items()}
+                    for d, table in sc.sensor_scripts.items()},
+    }
 
 
 def pretty_program(p) -> str:

@@ -3,11 +3,13 @@
 import copy
 import csv
 import functools
+import gc
 import io
 import json
 import math
 import operator
 import os
+import random
 import re
 import subprocess
 import sys
@@ -21,8 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fieldcalc
-from fieldcalc import cli
-from fieldcalc.ast import num
+from fieldcalc import cli, device, network
+from fieldcalc.ast import boolean, num
 from fieldcalc.cli import main
 from fieldcalc.denot import (
     AdequacyReport,
@@ -33,11 +35,23 @@ from fieldcalc.denot import (
     check_adequacy,
     denot_program,
 )
-from fieldcalc.device import csv_text
-from fieldcalc.network import FireTrace, run_scenario, scenario_from_json
+from fieldcalc.device import DEFAULT_FUEL, ValueTree, csv_text
+from fieldcalc.network import FireError, FireTrace, run_scenario, scenario_from_json
 from fieldcalc.parser import parse_program
 from fieldcalc.stdlib import corpus_entry
-from helpers import dag_to_json, denot_jsonl, report_json, run_jsonl, value_text
+from generators import ExprGen, gen_scenario
+from helpers import (
+    dag_to_json,
+    denot_jsonl,
+    line_scenario,
+    pretty_program,
+    report_json,
+    run_csv,
+    run_jsonl,
+    scenario_json,
+    static_scenario,
+    value_text,
+)
 
 COUNTER = "rep(0){(x) => x + 1}\n"
 
@@ -198,6 +212,100 @@ def test_run_is_byte_identical(counter, one_device, capsys):
     first = capsys.readouterr().out
     main(["run", counter, one_device, "--seed", "7"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_run_writes_what_the_records_api_writes(block, tmp_path, capsys):
+    """fieldc run makes each fire's text as the fire returns. On 50
+    generated program and scenario pairs per block it prints exactly the
+    reference JSONL and CSV of run_scenario's records, with and without
+    --seed. Every third pair runs on a small fuel budget, so that some
+    fail: such a pair exits 1 with the fire's diagnostic, prints nothing,
+    and leaves an existing --out file as it was."""
+    prog_file, sc_file, out = tmp_path / "p.hfc", tmp_path / "s.json", tmp_path / "out"
+    files = [str(prog_file), str(sc_file)]
+    failed = 0
+    for seed in range(50 * block, 50 * block + 50):
+        rnd = random.Random(seed)
+        source, obj = pretty_program(ExprGen(rnd).program()), scenario_json(gen_scenario(rnd))
+        prog_file.write_text(source)
+        sc_file.write_text(json.dumps(obj))
+        prog, sc = parse_program(source), scenario_from_json(obj)
+        fuel = rnd.randint(0, 30) if seed % 3 == 0 else DEFAULT_FUEL
+        for opts in ([], ["--seed", str(seed)]):
+            argv = ["run", *files, "--fuel", str(fuel), *opts]
+            try:
+                trace = run_scenario(sc, prog, fuel=fuel,
+                                     rng=random.Random(seed) if opts else None)
+            except FireError as e:
+                failed += 1
+                assert re.match(r"t=\S+ device=\S+: ", str(e))
+                out.write_bytes(b"kept\n")
+                for fmt in ("json", "csv"):
+                    assert main([*argv, "--format", fmt]) == 1
+                    assert capsys.readouterr() == ("", f"error: {e}\n")
+                    assert main([*argv, "--format", fmt, "--out", str(out)]) == 1
+                    assert capsys.readouterr() == ("", f"error: {e}\n")
+                    assert out.read_bytes() == b"kept\n"
+                continue
+            for fmt, want in (("json", run_jsonl(trace)), ("csv", run_csv(trace))):
+                assert main([*argv, "--format", fmt]) == 0
+                assert capsys.readouterr() == (want, ""), (seed, fmt, opts)
+    assert failed >= 10
+
+
+def _gradient_files(tmp_path, sc):
+    prog_file, sc_file = tmp_path / "gradient.hfc", tmp_path / "sc.json"
+    prog_file.write_text(corpus_entry("gradient").source)
+    sc_file.write_text(json.dumps(scenario_json(sc)))
+    return [str(prog_file), str(sc_file), "--out", str(tmp_path / "out")]
+
+
+def test_run_keeps_no_value_tree_past_its_last_reader(tmp_path, monkeypatch):
+    """fieldc run keeps each fire's text, not its record: the most
+    value-trees alive as a fire starts is the same for 4 rounds as for
+    16, so a fire's tree lives only while some inbox holds it."""
+    evaluate, peaks = network.evaluate_main, {}
+    for rounds in (4, 16):
+        files = _gradient_files(tmp_path, line_scenario(6, rounds=rounds, sensors={
+            d: {"sns-injection-point": boolean(d == 0)} for d in range(6)}))
+        live = []
+
+        def counting(*args):
+            live.append(sum(type(o) is ValueTree for o in gc.get_objects()))
+            return evaluate(*args)
+
+        monkeypatch.setattr(network, "evaluate_main", counting)
+        gc.freeze()  # get_objects then skips what lived before the run
+        try:
+            assert main(["run", *files]) == 0
+        finally:
+            gc.unfreeze()
+        peaks[rounds] = max(live)
+    assert peaks[4] == peaks[16] > 0
+
+
+def test_run_writes_each_constant_leaf_once(tmp_path, monkeypatch):
+    """The leaves of closed constants and builtin names, which a compiled
+    node makes once, keep their text: while fieldc run writes corpus
+    gradient on a static 4 x 4 grid, the writer prints a function value
+    as often for 2 rounds as for 8."""
+    pretty, calls = device.pretty, {}
+    for rounds in (2, 8):
+        sc = static_scenario({d: (d % 4, d // 4) for d in range(16)}, radius=1.5, decay=100,
+                             fires=[(r + F(d, 16), d) for r in range(rounds) for d in range(16)],
+                             sensors={d: {"sns-injection-point": boolean(d == 0)}
+                                      for d in range(16)})
+        files = _gradient_files(tmp_path, sc)
+        n = calls[rounds] = [0]
+
+        def counting(v):
+            n[0] += 1
+            return pretty(v)
+
+        monkeypatch.setattr(device, "pretty", counting)
+        assert main(["run", *files]) == 0
+    assert calls[2] == calls[8] != [0]
 
 
 def test_run_bad_scenario_json(counter, tmp_path, capsys):
@@ -956,6 +1064,17 @@ def test_edge_radius_and_decay_stay_valid(flags, counter, one_device, capsys):
     # the device hears itself unless decay 0 expires its own last message
     want = ["1"] * 5 if flags == ["--decay", "0"] else ["1", "2", "3", "4", "5"]
     assert roots == want
+
+
+@pytest.mark.parametrize("command", ["run", "denot", "check-adequacy"])
+def test_negative_fuel_is_exit_2(command, counter, one_device, capsys):
+    """A fuel budget below 0 is a usage error, named before anything runs;
+    a budget of 0 is valid, and the first fire runs out of it."""
+    assert main([command, counter, one_device, "--fuel", "-5"]) == 2
+    assert capsys.readouterr() == ("", "error: --fuel must be >= 0, got -5\n")
+    assert main([command, counter, one_device, "--fuel", "0"]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == "" and "fuel exhausted" in printed.err
 
 
 # ---------------------------------------------------------------------------

@@ -608,6 +608,51 @@ def test_the_writer_recurses_one_frame_per_level():
     assert got_tree == want_tree
 
 
+def test_the_kept_text_of_constructors_without_arguments_stays_right():
+    """The writer keeps the text of each constructor without arguments it
+    writes, in a table it empties when full: past the table's size, with
+    NaN, the infinities and 0 among the numbers, a field, a tree and a
+    list still read as the reference writes them."""
+    atoms = [num(x) for x in (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324)]
+    atoms += [TRUE, FALSE, Data("Null"), Data("é")]
+    atoms += [num(i / 7) for i in range(device.ATOMS_KEPT + 100)]
+    for _ in range(2):
+        field = FieldVal(tuple(range(len(atoms))), tuple(atoms))
+        assert value_json(field) == dumps(value_to_json(field))
+        tree = ValueTree(atoms[0], tuple(ValueTree(a, (leaf(a),)) for a in atoms))
+        assert tree_json(tree) == dumps(tree_to_json(tree))
+        for a in atoms:
+            assert value_json(Data("Cons", (a, a))) == dumps(value_to_json(Data("Cons", (a, a))))
+        assert len(device._ATOMS) <= device.ATOMS_KEPT
+
+
+def test_a_shared_constant_leaf_equals_a_fresh_tree():
+    """A compiled node makes the leaf of a closed constant or of a
+    builtin's name once, and every fire shares it. It keeps its text once
+    written, and compares as any tree with its root does: equal to a
+    fresh ValueTree with the same root in both directions, before and
+    after its text is kept and inside larger trees, and unequal to a tree
+    with another root."""
+    prog = parse_program("Pair(mux(uid() < 2, 0, 1), (x) => x)")
+    first, second = evaluate_main(prog, 1, {}), evaluate_main(prog, 3, {})
+    mux_kids = first.children[0].children
+    shared = [*mux_kids[1:], first.children[1]]
+    assert [type(t) for t in shared] == [device.Leaf] * 4
+    assert shared[-1] is second.children[1] and mux_kids[3] is second.children[0].children[3]
+    for kept in (False, True):
+        if kept:  # writing the tree keeps each shared leaf's text
+            assert tree_json(first) == dumps(tree_to_json(first))
+        for t in shared:
+            fresh = ValueTree(t.root)
+            assert t == fresh and fresh == t
+            assert not t != fresh and not fresh != t
+            assert t != ValueTree(num(7)) and ValueTree(num(7)) != t
+            assert t.text == (tree_json(fresh) if kept else None)
+    want = reference_eval_expr(EvalContext(1), {}, prog.main)
+    assert first == want and want == first
+    assert ValueTree(first.root, (*first.children[:1], ValueTree(first.children[1].root))) == first
+
+
 # what FireTrace.jsonl, FireTrace.csv and AdequacyReport.to_json write, against
 # the reference records; fieldc denot's records are checked in test_cli
 
