@@ -75,8 +75,7 @@ def main():
             print(f"{i // len(POSITIONS) + 1:5d}  {rec.root.ctor:13.0f}")
     print()
     report = check_adequacy(sc, program())
-    n = sum(1 for v in report.verdicts if v.ok)
-    print(f"denotational cross-check: {n}/{len(report.verdicts)} events equal")
+    print(f"denotational cross-check: {report.equal}/{report.events} events equal")
     return 0 if report.ok else 1
 
 

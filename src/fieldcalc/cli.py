@@ -19,13 +19,25 @@ from .denot import (
     DagError,
     DenotError,
     dag_from_json,
-    build_dag_from_scenario,
     check_adequacy,
     denot_program,
+    denot_scenario,
     validate_dag,
+    verdict_json,
 )
-from .device import DEFAULT_FUEL, csv_text, record_json, scalar_json, value_json, value_to_text
-from .network import ScenarioError, run_scenario, scenario_from_json, show_id, text_sink
+# only for tracers that wrap cli.build_dag_from_scenario (bench/spans.py):
+# fieldc never builds the DAG of a scenario
+from .denot import build_dag_from_scenario  # noqa: F401
+from .device import DEFAULT_FUEL, record_json, scalar_json, text_sink, value_json, value_to_text
+from .network import (
+    RUN_CSV_HEADER,
+    ScenarioError,
+    fire_csv_row,
+    fire_jsonl,
+    run_scenario,
+    scenario_from_json,
+    show_id,
+)
 from .parser import ParseError, parse_program
 from .stdlib import CorpusError, load_corpus
 from .typer import TypecheckError, principal_scheme, show_scheme, typecheck_program
@@ -121,18 +133,30 @@ def cmd_run(ns) -> int:
     # each fire's text is made as the fire returns, and written at the end,
     # so that an error leaves no output
     lines = []
+    sink = text_sink(ns.format, lines, RUN_CSV_HEADER, fire_jsonl,
+                     lambda t, d, tree, fresh: fire_csv_row(t, d, tree.root))
     try:
-        run_scenario(sc, prog, fuel=ns.fuel, rng=rng, sink=text_sink(ns.format, lines))
+        run_scenario(sc, prog, fuel=ns.fuel, rng=rng, sink=sink)
     except (EvalError, ScenarioError) as e:
         raise CliError(1, str(e)) from None
     _emit(lines, ns.out)
     return 0
 
 
+def _denot_jsonl(i: int, t, d: int, value) -> str:
+    """An event's JSONL line in fieldc denot's output."""
+    return record_json(("device", scalar_json(d)), ("event", scalar_json(i)),
+                       ("t", scalar_json(str(t))), ("value", value_json(value))) + "\n"
+
+
 def cmd_denot(ns) -> int:
     prog, _, _ = _load_program(ns.program)
-    obj = _read_json(ns.input)
+    obj, g = _read_json(ns.input), None
     if isinstance(obj, dict) and "events" in obj:
+        for opt in ("decay", "radius"):
+            if getattr(ns, opt) is not None:
+                raise CliError(2, f"{ns.input}: --{opt} overrides a scenario, "
+                                  "not an event DAG")
         try:
             g = dag_from_json(obj)
         except DagError as e:
@@ -143,39 +167,39 @@ def cmd_denot(ns) -> int:
                 f"{v.kind} (events {', '.join(map(show_id, v.events))})" for v in bad))
     else:
         sc = _load_scenario(ns.input, ns, obj)
-        try:
-            g = build_dag_from_scenario(sc)
-        except ScenarioError as e:
-            raise CliError(1, str(e)) from None
+    del obj  # the file's JSON is dead once read: the run does not hold it
+    # each event's text is made as it is denoted, and written at the end,
+    # so that an error leaves no output
+    lines = []
+    sink = text_sink(ns.format, lines, ("event", "t", "device", "value"), _denot_jsonl,
+                     lambda i, t, d, value: [i, str(t), d, value_to_text(value)])
     try:
-        denots = denot_program(g, prog, fuel=ns.fuel)
-    except (DenotError, EvalError) as e:
+        if g is None:
+            denot_scenario(sc, prog, sink, fuel=ns.fuel)
+        else:
+            denots = denot_program(g, prog, fuel=ns.fuel)
+            for e in g.events:
+                sink(e.id, e.time, e.device, denots[e])
+    except (DenotError, EvalError, ScenarioError) as e:
         raise CliError(1, str(e)) from None
-    if ns.format == "json":
-        text = "".join([record_json(
-            ("device", scalar_json(e.device)),
-            ("event", scalar_json(e.id)),
-            ("t", scalar_json(str(e.time))),
-            ("value", value_json(denots[e]))) + "\n" for e in g.events])
-    else:
-        text = csv_text(["event", "t", "device", "value"], (
-            [e.id, str(e.time), e.device, value_to_text(denots[e])] for e in g.events))
-    _emit([text], ns.out)
+    _emit(lines, ns.out)
     return 0
 
 
 def cmd_check_adequacy(ns) -> int:
     prog, _, _ = _load_program(ns.program)
     sc = _load_scenario(ns.scenario, ns)
+    # the JSON report keeps each verdict's text; the summary line only counts
+    texts = []
+    sink = (lambda v: texts.append(verdict_json(v))) if ns.format == "json" else None
     try:
-        report = check_adequacy(sc, prog, fuel=ns.fuel)
+        report = check_adequacy(sc, prog, fuel=ns.fuel, sink=sink)
     except (DenotError, EvalError, ScenarioError) as e:
         raise CliError(1, str(e)) from None
     if ns.format == "json":
-        _emit([report.to_json(), "\n"], ns.out)
+        _emit([report.to_json(texts), "\n"], ns.out)
     else:
-        n = sum(1 for v in report.verdicts if v.ok)
-        _emit([f"{n}/{len(report.verdicts)} events equal\n"], ns.out)
+        _emit([f"{report.equal}/{report.events} events equal\n"], ns.out)
     if report.ok:
         return 0
     c = report.first_counterexample

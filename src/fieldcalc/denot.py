@@ -1,4 +1,4 @@
-"""Denotational semantics over event DAGs, and the adequacy checker.
+"""Denotational semantics over event structures, and the adequacy checker.
 
 Programs denote field evolutions: maps from events to values. The event
 structure is a DAG whose edges carry messages from a firing to the later
@@ -7,8 +7,16 @@ per-event, with three non-pointwise ingredients: nbr reads neighbour
 events, rep chains same-device events through a fixpoint, and function
 application restricts evaluation to the cluster of events that selected
 the same function value. All three read only an event's causal past, so
-the evaluator visits the events once, in causal order, and the rep
-fixpoint has exactly the solution that order builds.
+the evaluator visits the events once, in a causal order, and the rep
+fixpoint has exactly the solution that order builds. What a later event
+reads of an event, its nbr and rep values in each cluster, is one record.
+
+A scenario is denoted in lockstep with the delivery sweep, whose time
+order is causal: each fire's event is denoted as it fires, and its record
+travels in the fire's message. The adequacy checker takes the same step,
+plus the fire and the comparison. The first failure in time order is
+reported; at one fire, the device's error comes before the denotation's.
+An event DAG file is kept whole and denoted in its causal generations.
 
 Denotational values reuse the syntax tree: local data values and fields
 stand for themselves, and a function value is represented by its tag
@@ -19,16 +27,11 @@ calculus, so evolutions compare with plain structural equality.
 As on the device side, each node is compiled once, at its first
 evaluation, into a closure built from its children's and kept on the
 node; a closed constant child is its own value.
-
-The adequacy checker runs in lockstep with the delivery sweep, whose
-time order is a causal order of the DAG it induces: each fire is
-evaluated, its event denoted and the two compared at once, with no trace
-kept. The first failure in time order is reported; at one fire, the
-device's error comes before the denotation's.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Optional
 
 from .ast import (
@@ -291,8 +294,9 @@ def build_dag_from_scenario(sc: Scenario) -> EventDAG:
     leaves the message of e' in the fresh inbox of e: e' happened within
     the decay window [t-r, t) and within radius of the receiving device,
     which stayed on from t' to t, and no later firing of the same device
-    qualifies. The simulator runs on the same sweep, so both sides agree
-    on who hears whom."""
+    qualifies. fieldc denotes a scenario along the sweep itself and never
+    builds this DAG; tests keep it as the reference, and tracers wrap it
+    (bench/spans.py)."""
     events, neigh, sensors = [], [], {}
 
     def step(t, d, fresh, sens):
@@ -309,39 +313,51 @@ def build_dag_from_scenario(sc: Scenario) -> EventDAG:
 # ---------------------------------------------------------------------------
 # evaluation
 
+class Denoted(Record):
+    """What later events read of one event: for each cluster (_Scope) it
+    entered, the values there of the body's nbr and rep nodes, by node id."""
+
+    __slots__ = _fields = ("id", "device", "scopes")
+
+    def __init__(self, id: int, device: int):
+        self.id = id
+        self.device = device
+        self.scopes = {}
+
+
 class _Scope:
-    """The events of one cluster and the memos of its body's nodes.
+    """One cluster and the body it evaluates.
 
     The root scope evaluates the top-level expression; an Apply node opens
     one child scope per function value it selects, holding the parent's
-    events that selected it. Scopes fill event by event in causal order,
-    so when an event is entered every earlier event of the cluster, and
-    with it every sender the event can be aware of, is already there.
+    events that selected it. An event belongs to a scope when its record
+    holds values there. Events come in a causal order, so when an event is
+    entered every sender it can be aware of has its record. ``here``,
     ``nbrs``, ``prev`` and ``pi`` describe the event being evaluated."""
 
-    __slots__ = ("params", "body", "run", "domain", "memo", "children", "nbrs", "prev", "pi")
+    __slots__ = ("params", "body", "run", "children", "here", "nbrs", "prev", "pi")
 
     def __init__(self, params, body):
         self.params = params
         self.body = body
         self.run = _child(body)
-        self.domain = set()  # ids of the events entered so far
-        self.memo = {}  # id of a Nbr or Rep node -> {event id: value}
         self.children = {}  # (id of an Apply node, function value) -> _Scope
-        self.nbrs = {}  # other device -> id of the sender event there
-        self.prev = None  # id of the sender event on the own device, if any
-        self.pi = ()  # the aligned neighbours, own device included, in increasing order
+        self.here = None  # the event's values here, which its record holds
+        self.nbrs = {}  # other device -> the values here of the sender event there
+        self.prev = None  # the values here of the sender event on the own device, if any
+        self.pi = None  # the aligned neighbours and own device, increasing; None till then
 
 
 class _Denot:
     """Builds the value of each node instance event by event, evaluating
     each node once per event. A node instance is a node of a scope's body:
     an AST path plus the function value of each Apply cluster on it. nbr
-    reads its body's memoised values at the senders, and rep its own value
-    at the previous event of the device, or its init after a reboot. Since
-    events come in a causal order, this is the unique solution of rep's
-    fixpoint. ``event`` takes one event; ``eval`` drives it along a DAG's
-    causal order, check_adequacy along the delivery sweep.
+    reads its body's values at the senders, and rep its own value at the
+    previous event of the device, or its init after a reboot, each from
+    the sender's record. Since events come in a causal order, this is the
+    unique solution of rep's fixpoint. ``event`` takes one event; ``eval``
+    drives it along a DAG's causal order, denot_scenario and
+    check_adequacy along the delivery sweep.
 
     A scope pays for the nodes of its body, at its first event, from one
     budget for the run, so fuel bounds the nesting of clusters (unbounded
@@ -352,51 +368,57 @@ class _Denot:
     def __init__(self, defs, fuel):
         self.ctx = EvalContext(device=None, defs=defs or {}, fuel=fuel)
         self.fuel = self.budget = fuel
-        self.senders = ()  # of the event being evaluated
+        self.rec = None  # the record of the event being evaluated
+        self.senders = ()  # the records of its senders
 
-    def enter(self, S: _Scope, ev: Event) -> None:
-        """Add ev to S, recording its aligned neighbours there. The first
-        event S takes pays for the nodes of its body."""
-        if not S.domain:
+    def enter(self, S: _Scope) -> None:
+        """Add the event to S, recording its aligned neighbours there. The
+        first event S takes pays for the nodes of its body."""
+        if S.pi is None:
             size = plan(S.body).size
             if self.budget < size:
                 raise FuelExhausted("denotational evaluation fuel exhausted")
             self.budget -= size
-        nbrs = {}
+        rec, nbrs = self.rec, {}
         for s in self.senders:
-            if s.id in S.domain:
+            vals = s.scopes.get(S)
+            if vals is not None:
                 if s.device in nbrs:
-                    raise DagError(f"event {show_id(ev.id)} has two neighbour events "
+                    raise DagError(f"event {show_id(rec.id)} has two neighbour events "
                                    f"at device {s.device}")
-                nbrs[s.device] = s.id
-        S.domain.add(ev.id)
-        S.prev = nbrs.pop(ev.device, None)
+                nbrs[s.device] = vals
+        S.here = rec.scopes[S] = {}
+        S.prev = nbrs.pop(rec.device, None)
         S.nbrs = nbrs
-        S.pi = tuple(sorted((*nbrs, ev.device)))
+        S.pi = tuple(sorted((*nbrs, rec.device)))
 
-    def event(self, root: _Scope, ev: Event, senders, sensors, X) -> Expr:
-        """The value at ev of root's body, where X holds the values at ev of
-        the variables in scope. Every one of ev's senders that root holds
-        has been entered before ev."""
+    def event(self, root: _Scope, rec: Denoted, senders, sensors, X) -> Expr:
+        """The value of root's body at the event whose record is rec, where
+        X holds the values there of the variables in scope. senders are the
+        records of the events it is aware of; rec is filled as it goes."""
         ctx = self.ctx
-        ctx.device, ctx.sensors, ctx.fuel = ev.device, sensors, self.fuel
-        self.senders = senders
-        self.enter(root, ev)
-        return root.run(self, root, X, ev)
+        ctx.device, ctx.sensors, ctx.fuel = rec.device, sensors, self.fuel
+        self.rec, self.senders = rec, senders
+        self.enter(root)
+        return root.run(self, root, X)
 
     def eval(self, g: EventDAG, E, X, e) -> dict:
         """The evolution of e over the events E of g under assumptions X."""
-        root = _Scope((), e)
-        return {ev: self.event(root, ev, g.senders(ev), g.sensors.get(ev.id) or SensorState(),
-                               {n: phi[ev] for n, phi in X.items()})
-                for ev in g.causal_order() if ev in E}
+        root, recs, out = _Scope((), e), {}, {}
+        for ev in g.causal_order():
+            if ev in E:
+                rec = recs[ev.id] = Denoted(ev.id, ev.device)
+                senders = [recs[s.id] for s in g.senders(ev) if s.id in recs]
+                out[ev] = self.event(root, rec, senders, g.sensors.get(ev.id) or SensorState(),
+                                     {n: phi[ev] for n, phi in X.items()})
+        return out
 
 
-# A node's closure run(den, S, X, ev) is the value at event ev of the
-# node, a node of scope S's body, where X holds the values at ev of the
+# A node's closure run(den, S, X) is the value at den's event of the node,
+# a node of scope S's body, where X holds the values there of the
 # variables in scope. Apply, nbr and rep are never values, a variable's
-# value is restricted to the cluster, and any other node is first tried
-# as a value (value_of), unless it can never be one.
+# value is restricted to the cluster, and any other node is first tried as
+# a value (value_of), unless it can never be one.
 
 def _compiled(e: Expr):
     """e's closure, compiled on the first call and kept on the node."""
@@ -413,7 +435,7 @@ def _child(c: Expr):
     constant is its own value, and is not compiled."""
     fv, leaf_vars, _ = plan(c)
     if leaf_vars is not None and not fv:
-        return lambda den, S, X, ev: c
+        return lambda den, S, X: c
     return _compiled(c)
 
 
@@ -425,30 +447,30 @@ def _apply_builtin(b, arg_runs: list):
     if n == 1:
         r0, = arg_runs
 
-        def run(den, S, X, ev):
-            avs = [r0(den, S, X, ev)]
+        def run(den, S, X):
+            avs = [r0(den, S, X)]
             ctx = den.ctx
             ctx.domain = S.pi
             return TABLE.eval(b, ctx, avs)
     elif n == 2:
         r0, r1 = arg_runs
 
-        def run(den, S, X, ev):
-            avs = [r0(den, S, X, ev), r1(den, S, X, ev)]
+        def run(den, S, X):
+            avs = [r0(den, S, X), r1(den, S, X)]
             ctx = den.ctx
             ctx.domain = S.pi
             return TABLE.eval(b, ctx, avs)
     elif n == 3:
         r0, r1, r2 = arg_runs
 
-        def run(den, S, X, ev):
-            avs = [r0(den, S, X, ev), r1(den, S, X, ev), r2(den, S, X, ev)]
+        def run(den, S, X):
+            avs = [r0(den, S, X), r1(den, S, X), r2(den, S, X)]
             ctx = den.ctx
             ctx.domain = S.pi
             return TABLE.eval(b, ctx, avs)
     else:
-        def run(den, S, X, ev):
-            avs = [r(den, S, X, ev) for r in arg_runs] if arg_runs else []
+        def run(den, S, X):
+            avs = [r(den, S, X) for r in arg_runs] if arg_runs else []
             ctx = den.ctx
             ctx.domain = S.pi
             return TABLE.eval(b, ctx, avs)
@@ -456,7 +478,7 @@ def _apply_builtin(b, arg_runs: list):
 
 
 def _compile(e: Expr):
-    """The closure run(den, S, X, ev) of e, from its children's."""
+    """The closure run(den, S, X) of e, from its children's."""
     k = type(e)
     if k is Apply:
         n, key = len(e.args), id(e)
@@ -465,9 +487,9 @@ def _compile(e: Expr):
             return _apply_builtin(TABLE.bind(e.fn.name), arg_runs)
         fn_run = _child(e.fn)
 
-        def run(den, S, X, ev):
-            f = fn_run(den, S, X, ev)
-            avs = [r(den, S, X, ev) for r in arg_runs]
+        def run(den, S, X):
+            f = fn_run(den, S, X)
+            avs = [r(den, S, X) for r in arg_runs]
             if isinstance(f, Builtin):
                 ctx = den.ctx
                 ctx.domain = S.pi
@@ -475,15 +497,15 @@ def _compile(e: Expr):
             C = S.children.get((key, f))
             if C is None:
                 C = S.children[key, f] = _Scope(*fun_parts(den.ctx.defs, f, n))
-            den.enter(C, ev)
+            den.enter(C)
             params = {x: restrict_value(a, C.pi) for x, a in zip(C.params, avs)}
-            return C.run(den, C, params, ev)
+            return C.run(den, C, params)
 
         return run
     if k is Var:
         name = e.name
 
-        def run(den, S, X, ev):
+        def run(den, S, X):
             if name not in X:
                 raise DenotError(f"unbound variable {name!r}")
             return restrict_value(X[name], S.pi)
@@ -492,22 +514,19 @@ def _compile(e: Expr):
     if k is Nbr:
         body_run, key = _child(e.body), id(e)
 
-        def run(den, S, X, ev):
-            v = body_run(den, S, X, ev)
-            memo = S.memo.setdefault(key, {})
-            memo[ev.id] = v
+        def run(den, S, X):
+            v = S.here[key] = body_run(den, S, X)
             nbrs = S.nbrs
-            return FieldVal(S.pi, tuple([memo[nbrs[d]] if d in nbrs else v for d in S.pi]))
+            return FieldVal(S.pi, tuple([nbrs[d][key] if d in nbrs else v for d in S.pi]))
 
         return run
     if k is Rep:
         init_run, var, body_run, key = _child(e.init), e.var, _child(e.body), id(e)
 
-        def run(den, S, X, ev):
-            r0 = init_run(den, S, X, ev)
-            memo = S.memo.setdefault(key, {})
-            last = r0 if S.prev is None else memo[S.prev]
-            v = memo[ev.id] = body_run(den, S, {**X, var: last}, ev)
+        def run(den, S, X):
+            r0 = init_run(den, S, X)
+            last = r0 if S.prev is None else S.prev[key]
+            v = S.here[key] = body_run(den, S, {**X, var: last})
             return v
 
         return run
@@ -515,17 +534,17 @@ def _compile(e: Expr):
     if k is Data:
         ctor, arg_runs = e.ctor, [_child(a) for a in e.args]
         if leaf_vars is None:
-            return lambda den, S, X, ev: Data(ctor, tuple([r(den, S, X, ev) for r in arg_runs]))
+            return lambda den, S, X: Data(ctor, tuple([r(den, S, X) for r in arg_runs]))
 
-        def run(den, S, X, ev):
+        def run(den, S, X):
             v = value_of(e, X)
             if v is not None:
                 return v
-            return Data(ctor, tuple([r(den, S, X, ev) for r in arg_runs]))
+            return Data(ctor, tuple([r(den, S, X) for r in arg_runs]))
 
         return run
     if k is Lambda:
-        def run(den, S, X, ev):
+        def run(den, S, X):
             v = value_of(e, X)
             if v is not None:
                 return v
@@ -534,9 +553,9 @@ def _compile(e: Expr):
 
         return run
     if k is FieldVal:
-        return lambda den, S, X, ev: restrict_value(e, S.pi)
+        return lambda den, S, X: restrict_value(e, S.pi)
 
-    def run(den, S, X, ev):
+    def run(den, S, X):
         raise DenotError(f"cannot interpret {e!r}")
 
     return run
@@ -553,6 +572,21 @@ def denot_program(g: EventDAG, program: Program, fuel: int = DEFAULT_FUEL) -> di
     return denot_eval(g, g.events, {}, program.main, defs, fuel)
 
 
+def denot_scenario(sc: Scenario, program: Program, sink, fuel: int = DEFAULT_FUEL) -> None:
+    """Denote each fire's event as the sweep fires it, in time order, and
+    hand it to ``sink(event, t, d, value)``; events are numbered from 0 in
+    time order. Each fire's message carries its event's record."""
+    den, root = _Denot({d.name: d for d in program.defs}, fuel), _Scope((), program.main)
+    ids = count()
+
+    def step(t, d, fresh, sensors):
+        rec = Denoted(next(ids), d)
+        sink(rec.id, t, d, den.event(root, rec, [m.payload for m in fresh.values()], sensors, {}))
+        return rec
+
+    sweep(sc, step)
+
+
 # ---------------------------------------------------------------------------
 # adequacy
 
@@ -560,53 +594,70 @@ class Verdict(Frozen):
     __slots__ = _fields = ("event", "t", "device", "denotational", "operational", "ok")
 
 
-class AdequacyReport(Record):
-    __slots__ = _fields = ("verdicts",)
+def verdict_json(v: Verdict) -> str:
+    """A verdict as canonical JSON text, its keys in sorted order."""
+    return record_json(
+        ("denotational", value_json(v.denotational)),
+        ("device", scalar_json(v.device)),
+        ("event", scalar_json(v.event)),
+        ("ok", scalar_json(v.ok)),
+        ("operational", value_json(v.operational)),
+        ("t", scalar_json(str(v.t))))
 
-    def __init__(self, verdicts: Optional[list] = None):
-        self.verdicts = [] if verdicts is None else verdicts
+
+class AdequacyReport(Record):
+    """The counts of an adequacy check and its first counterexample."""
+
+    __slots__ = _fields = ("events", "equal", "first_counterexample")
+
+    def __init__(self, events: int = 0, equal: int = 0,
+                 first_counterexample: Optional[Verdict] = None):
+        self.events = events
+        self.equal = equal
+        self.first_counterexample = first_counterexample
 
     @property
     def ok(self) -> bool:
-        return all(v.ok for v in self.verdicts)
+        return self.first_counterexample is None
 
-    @property
-    def first_counterexample(self) -> Optional[Verdict]:
-        for v in self.verdicts:
-            if not v.ok:
-                return v
-        return None
+    def add(self, v: Verdict) -> None:
+        """Count one more verdict."""
+        self.events += 1
+        if v.ok:
+            self.equal += 1
+        elif self.first_counterexample is None:
+            self.first_counterexample = v
 
-    def to_json(self) -> str:
-        """The report as canonical JSON text, its keys in sorted order."""
+    def to_json(self, texts) -> str:
+        """The report as canonical JSON text, its keys in sorted order;
+        texts are the verdicts' own (verdict_json), in order."""
         c = self.first_counterexample
         return record_json(
-            ("events", list_json([record_json(
-                ("denotational", value_json(v.denotational)),
-                ("device", scalar_json(v.device)),
-                ("event", scalar_json(v.event)),
-                ("ok", scalar_json(v.ok)),
-                ("operational", value_json(v.operational)),
-                ("t", scalar_json(str(v.t)))) for v in self.verdicts])),
+            ("events", list_json(texts)),
             ("first_counterexample", scalar_json(None if c is None else c.event)),
             ("ok", scalar_json(self.ok)))
 
 
-def check_adequacy(sc: Scenario, program: Program,
-                   fuel: int = DEFAULT_FUEL) -> AdequacyReport:
-    """Denote each fire's event as the sweep fires it, and compare with the
-    fire's root restricted to the event's aligned neighbours. The senders
-    of an event are the fires whose messages are in its fresh inbox."""
-    den = _Denot({d.name: d for d in program.defs}, fuel)
-    root, at, report = _Scope((), program.main), {}, AdequacyReport()
+def check_adequacy(sc: Scenario, program: Program, fuel: int = DEFAULT_FUEL,
+                   sink=None) -> AdequacyReport:
+    """Fire each device and denote its event as the sweep fires it, and
+    compare the value with the fire's root restricted to the event's
+    aligned neighbours. ``sink(verdict)``, when given, takes each verdict;
+    the report keeps only counts and the first counterexample. Each fire's
+    message carries its value-tree and its event's record."""
+    den, root = _Denot({d.name: d for d in program.defs}, fuel), _Scope((), program.main)
+    report = AdequacyReport()
 
     def step(t, d, fresh, sensors):
-        tree = fire(program, d, t, fresh, sensors, fuel)
-        ev = at[t] = Event(len(at), d, t)  # no two fires share an instant
-        lhs = den.event(root, ev, [at[m.tag] for m in fresh.values()], sensors, {})
+        tree = fire(program, d, t, {s: m.payload[0] for s, m in fresh.items()}, sensors, fuel)
+        rec = Denoted(report.events, d)
+        lhs = den.event(root, rec, [m.payload[1] for m in fresh.values()], sensors, {})
         rhs = restrict_value(tree.root, root.pi)
-        report.verdicts.append(Verdict(ev.id, t, d, lhs, rhs, lhs == rhs))
-        return tree
+        v = Verdict(rec.id, t, d, lhs, rhs, lhs == rhs)
+        report.add(v)
+        if sink is not None:
+            sink(v)
+        return tree, rec
 
     sweep(sc, step)
     return report

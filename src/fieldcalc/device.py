@@ -727,6 +727,17 @@ def csv_writer(lines: list):
     return csv.writer(SimpleNamespace(write=lines.append))
 
 
+def text_sink(fmt: str, lines: list, header, line, row):
+    """A sink that appends the finished text of each item it takes to
+    lines: the JSON line line(*item) (fmt "json"), or the CSV row
+    row(*item) after the header."""
+    if fmt == "json":
+        return lambda *item: lines.append(line(*item))
+    write = csv_writer(lines).writerow
+    write(header)
+    return lambda *item: write(row(*item))
+
+
 def csv_text(header, rows) -> str:
     lines = []
     w = csv_writer(lines)

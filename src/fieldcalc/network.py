@@ -14,8 +14,9 @@ sensors (ranges to d and its fresh senders only), lets its consumer turn
 the fresh inbox into a payload, and delivers that payload to every
 device that is on and within radius at t, d itself included. The
 simulator evaluates the program along the sweep (the payload is the
-value-tree); the induced event DAG records the same deliveries as neigh
-edges (the payload is the event id).
+value-tree), and the denotation denotes each fire's event along it (the
+payload is the event's record); the induced event DAG records the same
+deliveries as neigh edges (the payload is the event id).
 
 A device is on while some path segment covers the current time.
 Segments that abut or overlap make one continuous on-interval; only a
@@ -42,7 +43,6 @@ from .device import (
     DEFAULT_FUEL,
     ValueTree,
     csv_text,
-    csv_writer,
     evaluate_main,
     list_json,
     record_json,
@@ -137,9 +137,10 @@ def sample_script(steps, t: Timestamp):
 # the world and the delivery sweep
 
 class Stored(Record):
-    """A stored message: payload is a ValueTree in the simulator, an event
-    id in the DAG, and tick is the tag in the World's ticks. One is made
-    per fire, so it takes plain slot stores."""
+    """A stored message: payload is a ValueTree in the simulator, an
+    event's record in the denotation, the pair of both in the adequacy
+    check and an event id in the induced DAG, and tick is the tag in the
+    World's ticks. One is made per fire, so it takes plain slot stores."""
 
     __slots__ = _fields = ("payload", "tag", "tick")
 
@@ -380,11 +381,10 @@ def sweep(sc: Scenario, step) -> None:
             inbox[d2][d] = msg
 
 
-def fire(program: Program, d: int, now: Timestamp, fresh: dict,
+def fire(program: Program, d: int, now: Timestamp, env: dict,
          sensors: SensorState, fuel: int = DEFAULT_FUEL, rng=None) -> ValueTree:
-    """One firing of device d: evaluate main against the trees in its
-    fresh inbox."""
-    env = {d2: m.payload for d2, m in fresh.items()}
+    """One firing of device d: evaluate main against env, the trees of its
+    fresh inbox by sender."""
     try:
         return evaluate_main(program, d, env, sensors, fuel, rng)
     except EvalError as e:
@@ -460,28 +460,12 @@ def run_scenario(sc: Scenario, program: Program, fuel: int = DEFAULT_FUEL,
             records.append(FireRecord(t, d, tree.root, tree, heard(fresh)))
 
     def step(t, d, fresh, sensors):
-        tree = fire(program, d, t, fresh, sensors, fuel, rng)
+        tree = fire(program, d, t, {s: m.payload for s, m in fresh.items()}, sensors, fuel, rng)
         sink(t, d, tree, fresh)
         return tree
 
     sweep(sc, step)
     return trace
-
-
-def text_sink(fmt: str, lines: list):
-    """A sink for run_scenario that appends each fire's finished text to
-    lines, a JSONL line (fmt "json") or a CSV row after the header."""
-    if fmt == "json":
-        def sink(t, d, tree, fresh):
-            lines.append(fire_jsonl(t, d, tree, fresh))
-        return sink
-    row = csv_writer(lines).writerow
-    row(RUN_CSV_HEADER)
-
-    def sink(t, d, tree, fresh):
-        row(fire_csv_row(t, d, tree.root))
-
-    return sink
 
 
 # ---------------------------------------------------------------------------

@@ -447,8 +447,9 @@ def denot_jsonl(events, denots: dict) -> str:
     }) + "\n" for e in events)
 
 
-def report_json(report) -> str:
-    """`fieldc check-adequacy --format json`'s report, without its newline."""
+def report_json(report, verdicts) -> str:
+    """`fieldc check-adequacy --format json`'s report, without its newline,
+    where verdicts are the ones check_adequacy handed its sink."""
     c = report.first_counterexample
     return dumps({
         "ok": report.ok,
@@ -461,7 +462,7 @@ def report_json(report) -> str:
                 "operational": value_to_json(v.operational),
                 "ok": v.ok,
             }
-            for v in report.verdicts
+            for v in verdicts
         ],
         "first_counterexample": None if c is None else c.event,
     })

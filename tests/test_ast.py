@@ -40,7 +40,7 @@ from fieldcalc.ast import (
     value_of,
 )
 from fieldcalc.builtins import BuiltinEntry, SensorState, value_equal
-from fieldcalc.denot import AdequacyReport, Event, Verdict, Violation
+from fieldcalc.denot import AdequacyReport, Denoted, Event, Verdict, Violation
 from fieldcalc.device import EvalContext, ValueTree
 from fieldcalc.network import FireRecord, FireTrace, PathSeg, Scenario, Stored
 from fieldcalc.parser import Token, parse_expr
@@ -162,7 +162,7 @@ MUTABLE_RECORDS = [
     (EvalContext, dict(device=1, sensors=SensorState(), defs={}, fuel=5, rng=None, domain=(1,))),
     (Stored, dict(payload=3, tag=_FIRE, tick=1)),
     (FireTrace, dict(records=[])),
-    (AdequacyReport, dict(verdicts=[])),
+    (AdequacyReport, dict(events=0, equal=0, first_counterexample=None)),
 ]
 
 
@@ -216,7 +216,8 @@ def test_default_fields_are_new_each_time():
     assert EvalContext(1).defs is not EvalContext(1).defs
     assert EvalContext(1).sensors == SensorState() and EvalContext(1).domain == ()
     assert FireTrace().records == [] and FireTrace().records is not FireTrace().records
-    assert AdequacyReport().verdicts is not AdequacyReport().verdicts
+    assert AdequacyReport() == AdequacyReport(0, 0, None)
+    assert Denoted(0, 1).scopes == {} and Denoted(0, 1).scopes is not Denoted(0, 1).scopes
     sc = Scenario((1,), 1, 0, {}, ())
     assert sc.sensor_scripts == {} and sc.radius == 1.0 and sc.decay == F(0)
     assert Token("eof", "", Span(1, 1)).value == 0.0

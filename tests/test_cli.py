@@ -402,7 +402,7 @@ def test_every_output_is_the_reference_records(source, tmp_path, capsys):
     sc_file.write_text(json.dumps(LINE3))
     prog, sc = parse_program(source), scenario_from_json(LINE3)
     trace, g = run_scenario(sc, prog), build_dag_from_scenario(sc)
-    denots = denot_program(g, prog)
+    denots, verdicts = denot_program(g, prog), []
     want = {
         ("run",): run_jsonl(trace),
         ("run", "--format", "csv"): csv_text(["t", "device", "root"], (
@@ -410,7 +410,8 @@ def test_every_output_is_the_reference_records(source, tmp_path, capsys):
         ("denot",): denot_jsonl(g.events, denots),
         ("denot", "--format", "csv"): csv_text(["event", "t", "device", "value"], (
             [e.id, str(e.time), e.device, value_text(denots[e])] for e in g.events)),
-        ("check-adequacy", "--format", "json"): report_json(check_adequacy(sc, prog)) + "\n",
+        ("check-adequacy", "--format", "json"): report_json(
+            check_adequacy(sc, prog, sink=verdicts.append), verdicts) + "\n",
     }
     for (command, *opts), text in want.items():
         assert main([command, str(prog_file), str(sc_file), *opts]) == 0
@@ -429,6 +430,36 @@ def test_denot_missing_sensor_is_exit_1(tmp_path, capsys):
 
 def test_denot_rejects_seed(counter, one_device, capsys):
     assert main(["denot", counter, one_device, "--seed", "7"]) == 2
+
+
+@pytest.mark.parametrize("override", [["--radius", "-3"], ["--radius", "2"], ["--decay", "5"]])
+def test_denot_rejects_scenario_overrides_on_a_dag_file(counter, tmp_path, capsys, override):
+    """--radius and --decay override a scenario; on an event DAG file they
+    would be silently ignored, so denot exits 2 and names the option."""
+    dag = tmp_path / "dag.json"
+    dag.write_text(json.dumps(dag_to_json(EventDAG([Event(1, 1, F(1))], []))))
+    assert main(["denot", counter, str(dag)]) == 0
+    capsys.readouterr()
+    assert main(["denot", counter, str(dag), *override]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {dag}: {override[0]} overrides a scenario, " \
+                                 "not an event DAG\n"
+
+
+def test_denot_and_check_adequacy_report_the_same_first_failure(tmp_path, capsys):
+    """Both denote a scenario in the sweep's time order, so both stop at
+    the first fire that fails in time: device 2 at t=2, which lacks the
+    sensor. Device 3 at t=3 lacks it too, and hears nobody, so its event
+    comes first in the DAG's causal generations."""
+    sc = static_scenario({1: (0, 0), 2: (1, 0), 3: (10, 0)}, radius=1.5, decay=10,
+                         fires=[(1, 1), (2, 2), (3, 3)], sensors={1: {"sns-num": num(4)}})
+    prog, sc_file = tmp_path / "sense.hfc", tmp_path / "sc.json"
+    prog.write_text("sns-num()\n")
+    sc_file.write_text(json.dumps(scenario_json(sc)))
+    for command in ("denot", "check-adequacy"):
+        assert main([command, str(prog), str(sc_file)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("sensor sns-num not available at device 2\n"), err
 
 
 def test_denot_bad_dag_file(counter, tmp_path, capsys):
@@ -460,11 +491,9 @@ def test_check_adequacy_rejects_seed(counter, one_device, capsys):
 
 def test_check_adequacy_mismatch_is_exit_1(counter, one_device, capsys,
                                            monkeypatch):
-    bad = AdequacyReport([
-        Verdict(1, F(1), 1, num(1), num(2), False),
-    ])
+    bad = AdequacyReport(1, 0, Verdict(1, F(1), 1, num(1), num(2), False))
     monkeypatch.setattr("fieldcalc.cli.check_adequacy",
-                        lambda sc, prog, fuel: bad)
+                        lambda sc, prog, fuel, sink: bad)
     assert main(["check-adequacy", counter, one_device]) == 1
     captured = capsys.readouterr()
     assert captured.out == "0/1 events equal\n"

@@ -15,20 +15,24 @@ from fieldcalc.builtins import TABLE, EvalError
 from fieldcalc.denot import (
     DagError,
     DenotError,
+    Denoted,
     Event,
     EventDAG,
+    Verdict,
     Violation,
     build_dag_from_scenario,
     check_adequacy,
     dag_from_json,
     denot_eval,
     denot_program,
+    denot_scenario,
     latest_event,
     nbr_devices,
     prev_event,
     restrict_evolution,
     shift,
     validate_dag,
+    verdict_json,
 )
 from fieldcalc.device import FuelExhausted, ValueTree
 from fieldcalc.network import PathSeg, Scenario
@@ -468,10 +472,11 @@ def test_adequacy_rep_counter():
     sc = static_scenario({1: (0, 0)}, radius=1, decay=100,
                          fires=[(t, 1) for t in range(5)])
     prog = parse_program("rep(0){(x) => x + 1}")
-    report = check_adequacy(sc, prog)
+    verdicts = []
+    report = check_adequacy(sc, prog, sink=verdicts.append)
     assert report.ok
-    assert len(report.verdicts) == 5
-    assert [v.denotational for v in report.verdicts] == [num(k) for k in range(1, 6)]
+    assert report.events == report.equal == len(verdicts) == 5
+    assert [v.denotational for v in verdicts] == [num(k) for k in range(1, 6)]
 
 
 def test_adequacy_min_hood_gossip():
@@ -483,7 +488,7 @@ def test_adequacy_min_hood_gossip():
     prog = parse_program("min-hood(nbr{sns-num()})")
     report = check_adequacy(sc, prog)
     assert report.ok
-    assert len(report.verdicts) == 4
+    assert report.events == report.equal == 4
 
 
 def test_adequacy_with_functions_and_fields():
@@ -518,7 +523,9 @@ def test_adequacy_across_a_reboot():
 def test_adequacy_report_json():
     sc = static_scenario({1: (0, 0)}, radius=1, decay=10, fires=[(0, 1)])
     prog = parse_program("1 + 2")
-    j = json.loads(check_adequacy(sc, prog).to_json())
+    verdicts = []
+    report = check_adequacy(sc, prog, sink=verdicts.append)
+    j = json.loads(report.to_json([verdict_json(v) for v in verdicts]))
     assert j["ok"] is True
     assert j["first_counterexample"] is None
     assert j["events"][0]["denotational"] == {"num": 3.0}
@@ -532,49 +539,68 @@ def test_fold_hood_fuel_does_not_run_out_with_scenario_length():
     sc = line_scenario(10, rounds=20)
     g = build_dag_from_scenario(sc)
     assert list(denot_program(g, prog, fuel=100).values())[-1] == num(2)
+    values = []
+    denot_scenario(sc, prog, lambda *ev: values.append(ev[3]), fuel=100)
+    assert len(values) == 200 and values[-1] == num(2)
     report = check_adequacy(sc, prog, fuel=100)
-    assert report.ok and len(report.verdicts) == 200
+    assert report.ok and report.events == 200
 
 
 def test_adequacy_keeps_no_value_tree_past_its_last_reader(monkeypatch):
-    """Checking adequacy keeps a fire's value-tree only while some inbox
-    holds it: the most value-trees alive as a fire starts is the same for
-    4 rounds as for 16. The program runs once before counting, so the
-    leaves its compiled nodes share, which live as long as the program,
-    are made before the count starts."""
+    """Checking adequacy keeps a fire's value-tree, and both it and the
+    denotation of a scenario keep an event's record, only while some
+    inbox holds them, and checking without a sink keeps no verdict: the
+    most value-trees, records and verdicts alive as a fire starts is the
+    same for 4 rounds as for 16. The program runs once before counting, so
+    the leaves its compiled nodes share, which live as long as the
+    program, are made before the count starts."""
     prog = corpus_entry("gradient").program()
+    kinds = (ValueTree, Denoted, Verdict)
 
     def scenario(rounds):
         return line_scenario(6, rounds=rounds, sensors={
             d: {"sns-injection-point": boolean(d == 0)} for d in range(6)})
 
+    def peaks(check):
+        """The most objects of each kind alive as a fire starts, by rounds."""
+        out = {}
+        for rounds in (4, 16):
+            sc, live = scenario(rounds), []
+
+            def counting(*args, env_at=network.env_at):
+                objs = [type(o) for o in gc.get_objects()]
+                live.append([objs.count(k) for k in kinds])
+                return env_at(*args)
+
+            monkeypatch.setattr(network, "env_at", counting)
+            gc.freeze()  # get_objects then skips what lived before the run
+            try:
+                check(sc)
+            finally:
+                gc.unfreeze()
+                monkeypatch.undo()
+            out[rounds] = [max(c) for c in zip(*live)]
+        return out
+
     assert check_adequacy(scenario(4), prog).ok
-    peaks = {}
-    for rounds in (4, 16):
-        sc = scenario(rounds)
-        live = []
-
-        def counting(*args, evaluate=network.evaluate_main):
-            live.append(sum(type(o) is ValueTree for o in gc.get_objects()))
-            return evaluate(*args)
-
-        monkeypatch.setattr(network, "evaluate_main", counting)
-        gc.freeze()  # get_objects then skips what lived before the run
-        try:
-            assert check_adequacy(sc, prog).ok
-        finally:
-            gc.unfreeze()
-        peaks[rounds] = max(live)
-    assert peaks[4] == peaks[16] > 0
+    adequacy = peaks(lambda sc: check_adequacy(sc, prog).ok or pytest.fail("not adequate"))
+    assert adequacy[4] == adequacy[16]
+    trees, records, verdicts = adequacy[16]
+    assert trees > 0 and records > 0 and verdicts == 0
+    values = []
+    denotation = peaks(lambda sc: denot_scenario(sc, prog, lambda *ev: values.append(ev[3])))
+    assert denotation[4] == denotation[16] == [0, records, 0]
+    assert len(values) == 6 * (4 + 16)
 
 
 def test_nbr_range_adequacy():
     sc = static_scenario({1: (0, 0), 2: (3, 4)}, radius=10, decay=100,
                          fires=[(0, 1), (1, 2), (2, 1)])
     prog = parse_program("min-hood+(nbr-range())")
-    report = check_adequacy(sc, prog)
+    verdicts = []
+    report = check_adequacy(sc, prog, sink=verdicts.append)
     assert report.ok
-    assert report.verdicts[-1].denotational == num(5)
+    assert verdicts[-1].denotational == num(5)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from fieldcalc.denot import (
     build_dag_from_scenario,
     check_adequacy,
     denot_program,
+    verdict_json,
 )
 from fieldcalc.device import (
     DEFAULT_FUEL,
@@ -674,19 +675,25 @@ def test_output_records_are_the_reference_records(seed):
     assert trace.jsonl() == run_jsonl(trace)
     assert trace.csv() == csv_text(["t", "device", "root"], (
         [str(r.t), r.device, value_text(r.root)] for r in trace.records))
-    report = check_adequacy(sc, prog)
-    assert report.to_json() == report_json(report)
+    verdicts = []
+    report = check_adequacy(sc, prog, sink=verdicts.append)
+    assert report.to_json([verdict_json(v) for v in verdicts]) == report_json(report, verdicts)
 
 
 def test_a_failing_report_is_the_reference_record():
-    report = AdequacyReport([
+    verdicts = [
         Verdict(0, F(1, 3), 2 ** 53, num(math.nan), num(math.nan), True),
         Verdict(1, F(2), -2 ** 53, Lambda(("é",), Var("é")), DefName("f"), False),
         Verdict(2, F(5, 2), 7, FieldVal((1,), (TRUE,)), NULL, False),
-    ])
-    assert report.to_json() == report_json(report)
-    assert json.loads(report.to_json())["first_counterexample"] == 1
-    assert AdequacyReport().to_json() == report_json(AdequacyReport()) == (
+    ]
+    report = AdequacyReport()
+    for v in verdicts:
+        report.add(v)
+    assert (report.events, report.equal, report.first_counterexample) == (3, 1, verdicts[1])
+    text = report.to_json([verdict_json(v) for v in verdicts])
+    assert text == report_json(report, verdicts)
+    assert json.loads(text)["first_counterexample"] == 1
+    assert AdequacyReport().to_json([]) == report_json(AdequacyReport(), []) == (
         '{"events":[],"first_counterexample":null,"ok":true}')
 
 
@@ -893,7 +900,7 @@ def test_a_fire_substitutes_nothing_and_resolves_each_name_once(monkeypatch):
         sc = static_scenario(grid, radius=1.5, decay=100, fires=fires, sensors={
             d: {"sns-injection-point": boolean(d == 0)} for d in grid})
         report = check_adequacy(sc, prog)
-        assert report.ok and len(report.verdicts) == 16 * rounds
+        assert report.ok and report.events == 16 * rounds
         seen[rounds] = dict(counts)
     assert seen[2]["substitute"] == seen[8]["substitute"] == 0
     assert seen[2]["entry"] == seen[8]["entry"] > 0
@@ -925,7 +932,7 @@ def test_each_node_is_compiled_once_per_program(monkeypatch):
             d: {"sns-injection-point": boolean(d == 0), "sns-patron": boolean(d % 3 == 0)}
             for d in grid})
         report = check_adequacy(sc, corpus_entry("spanning-sum").program())
-        assert report.ok and len(report.verdicts) == 16 * rounds
+        assert report.ok and report.events == 16 * rounds
         seen[rounds] = dict(counts)
     assert seen[2] == seen[8]
     assert all(n > 0 for n in seen[2].values())
@@ -1114,7 +1121,7 @@ def test_constant_children_align_no_environment(monkeypatch):
 
         def step(t, d, fresh, sensors):
             aligned[0] = 0
-            tree = fire(prog, d, t, fresh, sensors)
+            tree = fire(prog, d, t, {s: m.payload for s, m in fresh.items()}, sensors)
             counts.append((aligned[0], 1 + _aligned_children(prog.main, tree, defs)))
             return tree
 
