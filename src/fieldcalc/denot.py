@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from itertools import count
 from typing import Optional
+from weakref import WeakValueDictionary
 
 from .ast import (
     Apply,
@@ -333,15 +334,19 @@ class _Scope:
     events that selected it. An event belongs to a scope when its record
     holds values there. Events come in a causal order, so when an event is
     entered every sender it can be aware of has its record. ``here``,
-    ``nbrs``, ``prev`` and ``pi`` describe the event being evaluated."""
+    ``nbrs``, ``prev`` and ``pi`` describe the event being evaluated. A
+    parent holds its children weakly, so a scope lives while a live record
+    reads it; it keeps its body, so the Apply node ids keying children stay unique."""
 
-    __slots__ = ("params", "body", "run", "children", "here", "nbrs", "prev", "pi")
+    __slots__ = ("params", "body", "size", "run", "children", "here", "nbrs", "prev", "pi",
+                 "__weakref__")
 
     def __init__(self, params, body):
         self.params = params
         self.body = body
+        self.size = plan(body).size
         self.run = _child(body)
-        self.children = {}  # (id of an Apply node, function value) -> _Scope
+        self.children = WeakValueDictionary()  # (id of an Apply node, function value) -> _Scope
         self.here = None  # the event's values here, which its record holds
         self.nbrs = {}  # other device -> the values here of the sender event there
         self.prev = None  # the values here of the sender event on the own device, if any
@@ -359,8 +364,8 @@ class _Denot:
     drives it along a DAG's causal order, denot_scenario and
     check_adequacy along the delivery sweep.
 
-    A scope pays for the nodes of its body, at its first event, from one
-    budget for the run, so fuel bounds the nesting of clusters (unbounded
+    Each event pays for the body of each scope it enters from a budget
+    reset to fuel, so fuel bounds the clusters of one event (unbounded
     recursion), not |E|. The functions builtins call (map-hood, fold-hood)
     spend ctx's fuel, which each event resets as each fire's is. ctx is
     the one EvalContext builtins run in; event moves it to each event."""
@@ -372,13 +377,10 @@ class _Denot:
         self.senders = ()  # the records of its senders
 
     def enter(self, S: _Scope) -> None:
-        """Add the event to S, recording its aligned neighbours there. The
-        first event S takes pays for the nodes of its body."""
-        if S.pi is None:
-            size = plan(S.body).size
-            if self.budget < size:
-                raise FuelExhausted("denotational evaluation fuel exhausted")
-            self.budget -= size
+        """Add the event to S, paying for S's body, and record its aligned neighbours."""
+        if self.budget < S.size:
+            raise FuelExhausted("denotational evaluation fuel exhausted")
+        self.budget -= S.size
         rec, nbrs = self.rec, {}
         for s in self.senders:
             vals = s.scopes.get(S)
@@ -388,8 +390,7 @@ class _Denot:
                                    f"at device {s.device}")
                 nbrs[s.device] = vals
         S.here = rec.scopes[S] = {}
-        S.prev = nbrs.pop(rec.device, None)
-        S.nbrs = nbrs
+        S.prev, S.nbrs = nbrs.pop(rec.device, None), nbrs
         S.pi = tuple(sorted((*nbrs, rec.device)))
 
     def event(self, root: _Scope, rec: Denoted, senders, sensors, X) -> Expr:
@@ -398,7 +399,7 @@ class _Denot:
         records of the events it is aware of; rec is filled as it goes."""
         ctx = self.ctx
         ctx.device, ctx.sensors, ctx.fuel = rec.device, sensors, self.fuel
-        self.rec, self.senders = rec, senders
+        self.rec, self.senders, self.budget = rec, senders, self.fuel
         self.enter(root)
         return root.run(self, root, X)
 
@@ -568,8 +569,7 @@ def denot_eval(g: EventDAG, E, X: dict, e: Expr, defs=None,
 
 
 def denot_program(g: EventDAG, program: Program, fuel: int = DEFAULT_FUEL) -> dict:
-    defs = {d.name: d for d in program.defs}
-    return denot_eval(g, g.events, {}, program.main, defs, fuel)
+    return denot_eval(g, g.events, {}, program.main, {d.name: d for d in program.defs}, fuel)
 
 
 def denot_scenario(sc: Scenario, program: Program, sink, fuel: int = DEFAULT_FUEL) -> None:

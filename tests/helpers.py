@@ -130,8 +130,9 @@ def static_scenario(positions, radius, decay, fires, sensors=None, until=100):
 
 
 def line_scenario(n, spacing=1.0, radius=1.5, decay=100, rounds=6,
-                  sensors=None):
-    """n devices on a line, firing round-robin; device ids 0..n-1."""
+                  sensors=None, until=100):
+    """n devices on a line, firing round-robin, each round taking one time
+    unit; device ids 0..n-1, in the network from 0 to until."""
     fires = []
     t = F(0)
     for _ in range(rounds):
@@ -144,6 +145,7 @@ def line_scenario(n, spacing=1.0, radius=1.5, decay=100, rounds=6,
         decay=decay,
         fires=fires,
         sensors=sensors,
+        until=until,
     )
 
 

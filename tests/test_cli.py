@@ -528,9 +528,9 @@ def test_check_adequacy_on_gapped_segments(counter, tmp_path, capsys):
 
 # Which error check-adequacy reports: the first failure in time order, and
 # at one fire the device's before the denotation's. Under --fuel 50 each
-# fire of CLOSURES fits its budget, but the denotation pays for the body of
-# every cluster it opens (main's, k's and the closure's) from one budget for
-# the whole run, which runs out at the first event.
+# fire of CLOSURES fits its budget, but each event of the denotation pays for
+# the body of every cluster it enters (main's, k's and the closure's) from a
+# budget of --fuel, which the first event already overspends.
 CLOSURES = """def k(x) { () => x + x + x + x + x + x + x + x }
 sns-num() + k(rep(0){(c) => c + 1})()
 """

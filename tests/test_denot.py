@@ -20,6 +20,7 @@ from fieldcalc.denot import (
     EventDAG,
     Verdict,
     Violation,
+    _Scope,
     build_dag_from_scenario,
     check_adequacy,
     dag_from_json,
@@ -534,7 +535,8 @@ def test_adequacy_report_json():
 def test_fold_hood_fuel_does_not_run_out_with_scenario_length():
     """Builtins that call functions spend a budget reset at each event, as
     each fire's is, so a run long enough to spend --fuel many times over
-    still checks; only opening clusters draws on one budget for the run."""
+    still checks; so does entering a cluster, which pays from its own
+    budget reset at each event."""
     prog = parse_program("fold-hood((a, b) => a + b, nbr{1})")
     sc = line_scenario(10, rounds=20)
     g = build_dag_from_scenario(sc)
@@ -544,6 +546,43 @@ def test_fold_hood_fuel_does_not_run_out_with_scenario_length():
     assert len(values) == 200 and values[-1] == num(2)
     report = check_adequacy(sc, prog, fuel=100)
     assert report.ok and report.events == 200
+
+
+def test_cluster_fuel_does_not_run_out_with_scenario_length():
+    """Each event pays for the body of every cluster it enters from a budget
+    reset at each event, so a program whose function value changes at each
+    event (the if's thunks read the growing count) checks however long it
+    runs, where one budget for the run would run out after 22 events."""
+    prog = parse_program("rep(0){(v) => if (v < 1000000) { v + 1 } else { 0 }}")
+    sc = line_scenario(1, rounds=2000, until=2001)
+    values = []
+    denot_scenario(sc, prog, lambda *ev: values.append(ev[3]), fuel=200)
+    assert len(values) == 2000 and values[-1] == num(2000)
+    report = check_adequacy(sc, prog, fuel=200)
+    assert report.ok and report.events == 2000
+
+
+def _most_alive(monkeypatch, kinds, scenarios, check):
+    """The most objects of each kind alive as a fire starts, for each of
+    scenarios (rounds -> scenario) that check runs."""
+    out = {}
+    for rounds, sc in scenarios.items():
+        live = []
+
+        def counting(*args, env_at=network.env_at):
+            objs = [type(o) for o in gc.get_objects()]
+            live.append([objs.count(k) for k in kinds])
+            return env_at(*args)
+
+        monkeypatch.setattr(network, "env_at", counting)
+        gc.freeze()  # get_objects then skips what lived before the run
+        try:
+            check(sc)
+        finally:
+            gc.unfreeze()
+            monkeypatch.undo()
+        out[rounds] = [max(c) for c in zip(*live)]
+    return out
 
 
 def test_adequacy_keeps_no_value_tree_past_its_last_reader(monkeypatch):
@@ -556,41 +595,38 @@ def test_adequacy_keeps_no_value_tree_past_its_last_reader(monkeypatch):
     program, are made before the count starts."""
     prog = corpus_entry("gradient").program()
     kinds = (ValueTree, Denoted, Verdict)
+    scenarios = {rounds: line_scenario(6, rounds=rounds, sensors={
+        d: {"sns-injection-point": boolean(d == 0)} for d in range(6)}) for rounds in (4, 16)}
 
-    def scenario(rounds):
-        return line_scenario(6, rounds=rounds, sensors={
-            d: {"sns-injection-point": boolean(d == 0)} for d in range(6)})
-
-    def peaks(check):
-        """The most objects of each kind alive as a fire starts, by rounds."""
-        out = {}
-        for rounds in (4, 16):
-            sc, live = scenario(rounds), []
-
-            def counting(*args, env_at=network.env_at):
-                objs = [type(o) for o in gc.get_objects()]
-                live.append([objs.count(k) for k in kinds])
-                return env_at(*args)
-
-            monkeypatch.setattr(network, "env_at", counting)
-            gc.freeze()  # get_objects then skips what lived before the run
-            try:
-                check(sc)
-            finally:
-                gc.unfreeze()
-                monkeypatch.undo()
-            out[rounds] = [max(c) for c in zip(*live)]
-        return out
-
-    assert check_adequacy(scenario(4), prog).ok
-    adequacy = peaks(lambda sc: check_adequacy(sc, prog).ok or pytest.fail("not adequate"))
+    assert check_adequacy(scenarios[4], prog).ok
+    adequacy = _most_alive(monkeypatch, kinds, scenarios,
+                           lambda sc: check_adequacy(sc, prog).ok or pytest.fail("not adequate"))
     assert adequacy[4] == adequacy[16]
     trees, records, verdicts = adequacy[16]
     assert trees > 0 and records > 0 and verdicts == 0
     values = []
-    denotation = peaks(lambda sc: denot_scenario(sc, prog, lambda *ev: values.append(ev[3])))
+    denotation = _most_alive(monkeypatch, kinds, scenarios,
+                             lambda sc: denot_scenario(sc, prog, lambda *ev: values.append(ev[3])))
     assert denotation[4] == denotation[16] == [0, records, 0]
     assert len(values) == 6 * (4 + 16)
+
+
+def test_denotation_keeps_a_cluster_only_while_a_live_record_reads_it(monkeypatch):
+    """A cluster lives only while the record of some event that entered it
+    lives, so a program that selects a new function value at each round
+    (the applied lambda reads the count) keeps as many clusters alive at
+    256 rounds as at 16, both when denoting a scenario and when checking
+    adequacy without a sink."""
+    prog = parse_program("rep(0){(v) => ((y) => y + v)(1)}")
+    scenarios = {rounds: line_scenario(6, rounds=rounds, until=rounds + 1) for rounds in (16, 256)}
+    counts = []
+    denotation = _most_alive(monkeypatch, (_Scope,), scenarios,
+                             lambda sc: denot_scenario(sc, prog, lambda *ev: counts.append(1)))
+    assert len(counts) == 6 * (16 + 256)
+    adequacy = _most_alive(monkeypatch, (_Scope,), scenarios,
+                           lambda sc: check_adequacy(sc, prog).ok or pytest.fail("not adequate"))
+    assert denotation[16] == denotation[256] and adequacy[16] == adequacy[256]
+    assert denotation[16][0] > 1 and adequacy[16][0] > 1
 
 
 def test_nbr_range_adequacy():
