@@ -399,26 +399,16 @@ _VALS = operator.attrgetter("vals")
 def _decorated_op(loop: Callable, flags: tuple):
     """The op of a decorated name: loop over the columns of its arguments,
     where a field argument gives its value at each device and a local one
-    repeats. One op per arity (every decoratable base takes 1 to 3
-    arguments) spares a comprehension frame per call: about 6% more
-    events per second on adequacy-mobile in 10 alternating bench pairs
-    (Python 3.11, 2 vCPUs)."""
-    columns = [_VALS if flag == "f" else repeat for flag in flags]
-    if len(columns) == 1:
-        c0, = columns
+    repeats. TABLE.eval has checked that args has one value per flag. Read
+    by index, three columns take 620 ns, by zip 850 (timeit, Python 3.11)."""
+    columns = tuple(enumerate([_VALS if flag == "f" else repeat for flag in flags]))
 
-        def op(ctx, args):
-            return FieldVal(ctx.domain, loop(ctx, c0(args[0])))
-    elif len(columns) == 2:
-        c0, c1 = columns
+    def op(ctx, args):
+        cols = []
+        for i, c in columns:
+            cols.append(c(args[i]))
+        return FieldVal(ctx.domain, loop(ctx, *cols))
 
-        def op(ctx, args):
-            return FieldVal(ctx.domain, loop(ctx, c0(args[0]), c1(args[1])))
-    else:
-        c0, c1, c2 = columns
-
-        def op(ctx, args):
-            return FieldVal(ctx.domain, loop(ctx, c0(args[0]), c1(args[1]), c2(args[2])))
     return op
 
 
@@ -481,6 +471,10 @@ class BuiltinTable:
 
     def is_builtin_name(self, name: str) -> bool:
         return self.entry(name) is not None
+
+    def is_sensor_name(self, name: str) -> bool:
+        """Whether name is a local sensor a scenario scripts: an sns-* builtin."""
+        return name.startswith("sns-") and self._entries.get(name) is not None
 
     def ctor_arity(self, name: str) -> Optional[int]:
         """The arity of data constructor name; None for any other name."""

@@ -363,62 +363,25 @@ def _value_tree(ctx: EvalContext, A: tuple, v: Expr) -> ValueTree:
 def _apply_builtin(b, lf: ValueTree, kid_trees: list):
     """The closure of an application of a builtin name: b is what
     TABLE.bind gives for the name, and lf the leaf tree of the name, whose
-    tick comes after the arguments'. One closure per argument count from 1
-    to 3 calls its argument closures without a comprehension."""
-    n = len(kid_trees)
-    if n == 1:
-        t0, = kid_trees
+    tick comes after the arguments'. The arguments run in a plain loop,
+    which costs no frame of its own, as a comprehension does before
+    Python 3.12."""
+    def run(ctx, A, X):
+        if ctx.fuel <= 0:
+            ctx.tick()
+        ctx.fuel -= 1
+        kids, args = [], []
+        for t in kid_trees:
+            k = t(ctx, A, X)
+            kids.append(k)
+            args.append(k.root)
+        if ctx.fuel <= 0:
+            ctx.tick()
+        ctx.fuel -= 1
+        ctx.domain = A[2]
+        kids.append(lf)
+        return ValueTree(TABLE.eval(b, ctx, args), tuple(kids))
 
-        def run(ctx, A, X):
-            if ctx.fuel <= 0:
-                ctx.tick()
-            ctx.fuel -= 1
-            k0 = t0(ctx, A, X)
-            if ctx.fuel <= 0:
-                ctx.tick()
-            ctx.fuel -= 1
-            ctx.domain = A[2]
-            return ValueTree(TABLE.eval(b, ctx, [k0.root]), (k0, lf))
-    elif n == 2:
-        t0, t1 = kid_trees
-
-        def run(ctx, A, X):
-            if ctx.fuel <= 0:
-                ctx.tick()
-            ctx.fuel -= 1
-            k0 = t0(ctx, A, X)
-            k1 = t1(ctx, A, X)
-            if ctx.fuel <= 0:
-                ctx.tick()
-            ctx.fuel -= 1
-            ctx.domain = A[2]
-            return ValueTree(TABLE.eval(b, ctx, [k0.root, k1.root]), (k0, k1, lf))
-    elif n == 3:
-        t0, t1, t2 = kid_trees
-
-        def run(ctx, A, X):
-            if ctx.fuel <= 0:
-                ctx.tick()
-            ctx.fuel -= 1
-            k0 = t0(ctx, A, X)
-            k1 = t1(ctx, A, X)
-            k2 = t2(ctx, A, X)
-            if ctx.fuel <= 0:
-                ctx.tick()
-            ctx.fuel -= 1
-            ctx.domain = A[2]
-            return ValueTree(TABLE.eval(b, ctx, [k0.root, k1.root, k2.root]), (k0, k1, k2, lf))
-    else:
-        def run(ctx, A, X):
-            if ctx.fuel <= 0:
-                ctx.tick()
-            ctx.fuel -= 1
-            kids = [t(ctx, A, X) for t in kid_trees] if kid_trees else []
-            if ctx.fuel <= 0:
-                ctx.tick()
-            ctx.fuel -= 1
-            ctx.domain = A[2]
-            return ValueTree(TABLE.eval(b, ctx, [t.root for t in kids]), (*kids, lf))
     return run
 
 
@@ -476,25 +439,17 @@ def _compile(e: Expr):
         # its aligned environment, collect a tree per argument
         ctor = e.ctor
         kid_trees = [_child(a, i) for i, a in enumerate(e.args)]
-        if len(kid_trees) == 2:  # Pair and Cons, without a comprehension
-            t0, t1 = kid_trees
-
-            def run(ctx, A, X):
-                if ctx.fuel <= 0:
-                    ctx.tick()
-                ctx.fuel -= 1
-                k0 = t0(ctx, A, X)
-                k1 = t1(ctx, A, X)
-                return ValueTree(Data(ctor, (k0.root, k1.root)), (k0, k1))
-
-            return run
 
         def run(ctx, A, X):
             if ctx.fuel <= 0:
                 ctx.tick()
             ctx.fuel -= 1
-            kids = tuple([t(ctx, A, X) for t in kid_trees])
-            return ValueTree(Data(ctor, tuple([t.root for t in kids])), kids)
+            kids, args = [], []
+            for t in kid_trees:
+                k = t(ctx, A, X)
+                kids.append(k)
+                args.append(k.root)
+            return ValueTree(Data(ctor, tuple(args)), tuple(kids))
 
         return run
     if k is Nbr:

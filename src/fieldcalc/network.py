@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .ast import Expr, Frozen, Program, Record, boolean, num, set_field
-from .builtins import EvalError, SensorState
+from .builtins import TABLE, EvalError, SensorState
 from .device import (
     DEFAULT_FUEL,
     ValueTree,
@@ -101,7 +101,7 @@ class Scenario(Frozen):
         # file or an override: a negative or NaN radius would cut a device
         # off from itself, a negative decay would expire messages early
         try:
-            r = float(radius)
+            r = math.nan if isinstance(radius, bool) else float(radius)
         except (TypeError, ValueError):
             r = math.nan
         if not r >= 0:
@@ -590,6 +590,9 @@ def scenario_from_json(obj) -> Scenario:
             try:
                 start, end = as_time(seg["from"]), as_time(seg["to"])
                 pts = tuple((float(x), float(y)) for x, y in seg["waypoints"])
+                if any(isinstance(c, bool) for p in seg["waypoints"] for c in p):
+                    raise ScenarioError("waypoints must be numbers, "
+                                        f"got {show_value(seg['waypoints'])}")
                 if not all(map(math.isfinite, (c for p in pts for c in p))):
                     raise ScenarioError("waypoints must be finite, "
                                         f"got {show_value(seg['waypoints'])}")
@@ -629,6 +632,10 @@ def scenario_from_json(obj) -> Scenario:
         if d not in devices:
             raise ScenarioError(f"sensors for unknown device {show_id(d)}")
         table = json_container(table, dict, f"sensors of device {d}")
+        for name in table:
+            if not TABLE.is_sensor_name(name):
+                raise ScenarioError(f"unknown sensor {show_value(name)} for device {d}: "
+                                    "a sensor is named by an sns-* builtin")
         sensors[d] = {name: _parse_script(v) for name, v in table.items()}
     return Scenario(
         devices=devices,

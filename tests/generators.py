@@ -28,6 +28,7 @@ from fieldcalc.ast import (
     boolean,
     num,
 )
+from fieldcalc.builtins import MAP_HOOD_MAX_ARITY
 from fieldcalc.network import PathSeg, Scenario, as_time
 from fieldcalc.parser import parse_value
 from fieldcalc.typer import Arrow, FieldT
@@ -171,9 +172,7 @@ class ExprGen:
                 lambda T, e, d: bapp("+[f,f]", g(T, e, d), g(T, e, d)),
                 lambda T, e, d: bapp("mux[f,f,l]", g(FieldT(BOOL), e, d),
                                      g(T, e, d), g(NUM, e, d)),
-                lambda T, e, d: bapp("map-hood",
-                                     self.lam(Arrow((NUM,), NUM), e, d),
-                                     g(T, e, d)),
+                lambda T, e, d: self.map_hood(NUM, e, d),
             ]
         elif T == FieldT(BOOL):
             out = [
@@ -181,15 +180,20 @@ class ExprGen:
                 lambda T, e, d: Nbr(g(BOOL, e, d)),
                 lambda T, e, d: bapp("<[f,f]", g(FieldT(NUM), e, d),
                                      g(FieldT(NUM), e, d)),
-                lambda T, e, d: bapp("map-hood",
-                                     self.lam(Arrow((NUM,), BOOL), e, d),
-                                     g(FieldT(NUM), e, d)),
+                lambda T, e, d: self.map_hood(BOOL, e, d),
             ]
         elif isinstance(T, Arrow):
             out = [lambda T, e, d: self.fun_value(T, e, d)]
         else:
             raise ValueError(f"no builders for type {T}")
         return out
+
+    def map_hood(self, R, env, depth):
+        """map-hood of a function to R over 1 to MAP_HOOD_MAX_ARITY number
+        fields, so builtins are applied to up to 5 arguments."""
+        n = self.rnd.randint(1, MAP_HOOD_MAX_ARITY)
+        return bapp("map-hood", self.lam(Arrow((NUM,) * n, R), env, depth),
+                    *[self.expr(FieldT(NUM), env, depth) for _ in range(n)])
 
     def apply(self, R, env, depth):
         n = self.rnd.randint(0, 2)

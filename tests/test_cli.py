@@ -683,6 +683,15 @@ MALFORMED_SHAPES = {
     "waypoint 'inf'": ("denot", {**ONE_DEVICE, "paths": {"1": [
         {"from": 0, "to": 10, "waypoints": [["inf", 0]]}]}},
         "path segment 0 of device 1: waypoints must be finite"),
+    # JSON booleans are no numbers, though Python's float() reads them
+    "radius a boolean": ("run", {**ONE_DEVICE, "radius": True},
+                         "radius must be a number >= 0, got True"),
+    "waypoint booleans": ("check-adequacy", {**ONE_DEVICE, "paths": {"1": [
+        {"from": 0, "to": 10, "waypoints": [[True, False]]}]}},
+        "path segment 0 of device 1: waypoints must be numbers, got [[True, False]]"),
+    # a misspelt sensor would never be read
+    "sensor name no builtin": ("run", {**ONE_DEVICE, "sensors": {"1": {"sns-rnage": 3}}},
+                               "unknown sensor 'sns-rnage' for device 1"),
 }
 
 

@@ -820,6 +820,11 @@ FUEL_SCENARIO = Scenario(
                         "sns-num": ((None, num(10 * d)),)} for d in (1, 2, 3)},
 )
 
+WIDE_APPLICATIONS = (
+    "min-hood(map-hood((a, b, c) => a + b * c, nbr{uid()}, nbr{1},"
+    " map-hood((a, b, c, e) => a - b + c * e, nbr{2}, nbr-range(), nbr{uid()},"
+    " mux[f,f,l](nbr{uid() < 2}, nbr{2}, 3))))")
+
 # (program, the program whose tree with no neighbours a fire delivers where
 # the first fails, the outcome besides FuelExhausted that some fire must
 # reach: an error class, or None for a tree)
@@ -846,12 +851,14 @@ FUEL_PROGRAMS = [
     # built without the parser holds: an EvalError at the call
     (Program((), Apply(Builtin("no-such"), (parse_expr("min-hood(nbr{uid()})"),))),
      parse_program("1"), EvalError),
+    # builtins applied to 0 to 5 arguments
+    (parse_program(WIDE_APPLICATIONS), None, None),
 ]
 
 
 @pytest.mark.parametrize("prog, feeder, reached", FUEL_PROGRAMS, ids=[
     "gradient", "spanning-sum", "gradcast", "hood-calls", "field-in-data", "arity", "domain",
-    "unknown"])
+    "unknown", "wide"])
 def test_fuel_runs_out_at_the_same_tick_as_in_the_reference(prog, feeder, reached):
     """At every fire of a small mobile scenario with a reboot, and for every
     fuel budget from 0 to one more than the fire's full cost, eval_expr
@@ -873,6 +880,13 @@ def test_fuel_runs_out_at_the_same_tick_as_in_the_reference(prog, feeder, reache
 
     sweep(FUEL_SCENARIO, step)
     assert {FuelExhausted, reached} <= seen, seen
+
+
+def test_builtins_applied_to_up_to_5_arguments_are_adequate():
+    """map-hood over 3 and 4 fields, on the mobile scenario with a reboot:
+    both evaluators apply builtins to 4 and 5 arguments and agree."""
+    report = check_adequacy(FUEL_SCENARIO, parse_program(WIDE_APPLICATIONS))
+    assert report.ok and report.events == len(FUEL_SCENARIO.fires)
 
 
 def test_a_fire_substitutes_nothing_and_resolves_each_name_once(monkeypatch):
