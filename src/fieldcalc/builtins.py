@@ -85,29 +85,22 @@ _FUNCTIONS = (Lambda, Builtin, DefName)
 
 
 def value_equal(a: Expr, b: Expr) -> bool:
-    """The builtin `=`: IEEE on numbers (NaN is not equal to itself),
-    structural on data, syntactic identity on functions, pointwise on
-    neighbouring fields. The walk keeps its pending pairs on a list, so
-    deep data compares without recursion."""
-    todo = [(a, b)]
+    """The builtin `=`: the values' own structural equality (Data's,
+    fields pointwise, functions syntactically with spans ignored), which
+    finds the one NaN equal to itself, and then false at a NaN in a's data
+    arguments or field entries, as IEEE has it. The walk keeps its pending
+    values on a list, so deep data is walked without recursion."""
+    if not a == b:
+        return False
+    todo = [a]
     while todo:
-        a, b = todo.pop()
-        if a.__class__ is Data and b.__class__ is Data:
-            x, y = a.ctor, b.ctor
-            if x.__class__ is float or y.__class__ is float:
-                if x != y:  # IEEE: NaN != NaN, and a number is no other data
-                    return False
-            elif x != y or len(a.args) != len(b.args):
+        v = todo.pop()
+        if v.__class__ is Data:
+            if v.ctor != v.ctor:  # NaN
                 return False
-            else:
-                todo += zip(a.args, b.args)
-        elif a.__class__ is FieldVal and b.__class__ is FieldVal:
-            # same devices, both in increasing order: values pair up by position
-            if a.devs != b.devs:
-                return False
-            todo += zip(a.vals, b.vals)
-        elif not (a.__class__ in _FUNCTIONS and b.__class__ in _FUNCTIONS and a == b):
-            return False  # functions: syntactic identity, spans ignored
+            todo += v.args
+        elif v.__class__ is FieldVal:
+            todo += v.vals
     return True
 
 
@@ -120,10 +113,11 @@ def _compare(a: Expr, b: Expr) -> int:
     greatest (so NaN markers lose against real values); other data follow
     by constructor (True and Cons after the rest, so False < True and
     Null < Cons, and otherwise by name) and then by arguments, left to
-    right, the shorter list first. Functions and fields have no order.
-    The walk keeps its pending argument pairs on a list and stops at the
-    first difference, so Pair(1, f) orders before Pair(2, g) and two
-    lists thousands long compare without recursion."""
+    right; a constructor has one number of arguments, so the lists pair
+    up. Functions and fields have no order. The walk keeps its pending
+    argument pairs on a list and stops at the first difference, so
+    Pair(1, f) orders before Pair(2, g) and two lists thousands long
+    compare without recursion."""
     todo = None  # made at the first arguments, which most pairs of numbers lack
     while True:
         if a.__class__ is not Data or b.__class__ is not Data:
@@ -145,19 +139,13 @@ def _compare(a: Expr, b: Expr) -> int:
         elif x != y:
             rx, ry = _CTOR_RANK.get(x, 0), _CTOR_RANK.get(y, 0)
             return -1 if (rx, x) < (ry, y) else 1
-        elif a.args or b.args:
+        elif a.args:
             if todo is None:
                 todo = []
-            n, m = len(a.args), len(b.args)
-            if n != m:  # reached once the shared arguments are equal
-                todo.append(-1 if n < m else 1)
-            todo += zip(reversed(a.args[:m]), reversed(b.args[:n]))
+            todo += zip(reversed(a.args), reversed(b.args))
         if not todo:
             return 0
-        pair = todo.pop()
-        if pair.__class__ is int:
-            return pair
-        a, b = pair
+        a, b = todo.pop()
 
 
 def _min_value(values):

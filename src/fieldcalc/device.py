@@ -145,20 +145,35 @@ class EvalContext(Record):
         self.fuel -= 1
 
     def call(self, f: Expr, args) -> Expr:
-        """f applied to the values args against the empty environment
-        (map-hood, fold-hood): the ticks and errors of evaluating the
-        application of f to args, with no tree kept."""
+        """f applied to the values args (map-hood, fold-hood) against the
+        empty environment A, whose domain is the device alone, keeping no
+        tree: a tick for the application, one per argument and one for f (a
+        field restricted to the device), then builtin f at A's domain, or
+        f's body as a local value for one tick, else run against A aligned
+        to f, which is A."""
         if self.fuel <= 0:
             self.tick()
         self.fuel -= 1
-        args = [_value(self, a) for a in args]
-        f = _value(self, f)
-        A = _empty(self)
+        A = (), [], (self.device,)
+        vals = []
+        for v in (*args, f):
+            if self.fuel <= 0:
+                self.tick()
+            self.fuel -= 1
+            vals.append(v if is_local_value(v) else _value_tree(self, A, v).root)
+        f = vals.pop()
         if isinstance(f, Builtin):
             self.domain = A[2]
-            return TABLE.eval(f.name, self, args)
-        params, body = fun_parts(self.defs, f, len(args))
-        return _body_tree(self, A, body, f, dict(zip(params, args))).root
+            return TABLE.eval(f.name, self, vals)
+        params, body = fun_parts(self.defs, f, len(vals))
+        X = dict(zip(params, vals))
+        v = value_of(body, X)
+        if v is None:
+            return _compiled(body)(self, A, X).root
+        if self.fuel <= 0:
+            self.tick()
+        self.fuel -= 1
+        return v
 
 
 def fun_parts(defs: dict, f: Expr, nargs: int):
@@ -214,11 +229,6 @@ def _domain(devs: tuple, device: int) -> tuple:
     if i < len(devs) and devs[i] == device:
         return devs
     return (*devs[:i], device, *devs[i:])
-
-
-def _empty(ctx: EvalContext) -> tuple:
-    """The empty aligned environment, whose domain is the device alone."""
-    return (), [], (ctx.device,)
 
 
 def _align(A: tuple, i: int, device: int) -> tuple:
@@ -317,29 +327,6 @@ def _child(c: Expr, i: Optional[int]):
     return tree
 
 
-def _body_tree(ctx: EvalContext, A: tuple, body: Expr, f: Expr, X) -> ValueTree:
-    """The tree of body, the body of function value f applied with its
-    parameters' values in X, at a node evaluated against A: for one tick
-    a leaf when body under X is a local value, else body run against A
-    aligned to f."""
-    v = value_of(body, X)
-    if v is None:
-        return _compiled(body)(ctx, _align_fun(A, f, ctx.device), X)
-    if ctx.fuel <= 0:
-        ctx.tick()
-    ctx.fuel -= 1
-    return ValueTree(v)
-
-
-def _value(ctx: EvalContext, v: Expr) -> Expr:
-    """The value of v, a value evaluated against the empty environment:
-    a local value for one tick, a field restricted to the device."""
-    if ctx.fuel <= 0:
-        ctx.tick()
-    ctx.fuel -= 1
-    return v if is_local_value(v) else _value_tree(ctx, _empty(ctx), v).root
-
-
 def _value_tree(ctx: EvalContext, A: tuple, v: Expr) -> ValueTree:
     """The tree of v against A, once its tick is spent, where v is a
     field, data holding one, or a node no rule evaluates: a field is
@@ -407,7 +394,7 @@ def _compile(e: Expr):
                 v = TABLE.eval(f.name, ctx, [t.root for t in kids])
                 return ValueTree(v, (*kids, ft))
             params, body = fun_parts(ctx.defs, f, n)
-            # _body_tree, written out here to spare a frame per call level
+            # f's body, as EvalContext.call evaluates it, against A aligned to f
             Xb = dict(zip(params, [t.root for t in kids]))
             v = value_of(body, Xb)
             if v is None:

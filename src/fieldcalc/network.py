@@ -97,9 +97,10 @@ class Scenario(Frozen):
 
     def __init__(self, devices: tuple, radius: float, decay: Timestamp, paths: dict,
                  fires: tuple, sensor_scripts: Optional[dict] = None):
-        # the one check of radius and decay, which may arrive raw from a
-        # file or an override: a negative or NaN radius would cut a device
-        # off from itself, a negative decay would expire messages early
+        # the one check of radius, decay and sensor names, which may arrive
+        # raw from a file, an override or a caller: a negative or NaN radius
+        # would cut a device off from itself, a negative decay would expire
+        # messages early, and a sensor no sns-* builtin names is never read
         try:
             r = math.nan if isinstance(radius, bool) else float(radius)
         except (TypeError, ValueError):
@@ -112,12 +113,18 @@ class Scenario(Frozen):
             raise ScenarioError(f"decay: {e}") from None
         if d < 0:
             raise ScenarioError(f"decay must be >= 0, got {show_value(d, str)}")
+        sensor_scripts = {} if sensor_scripts is None else sensor_scripts
+        for device, table in sensor_scripts.items():
+            for name in table:
+                if not TABLE.is_sensor_name(name):
+                    raise ScenarioError(f"unknown sensor {show_value(name)} for device {device}: "
+                                        "a sensor is named by an sns-* builtin")
         set_field(self, "devices", devices)
         set_field(self, "radius", r)
         set_field(self, "decay", d)
         set_field(self, "paths", paths)
         set_field(self, "fires", fires)
-        set_field(self, "sensor_scripts", {} if sensor_scripts is None else sensor_scripts)
+        set_field(self, "sensor_scripts", sensor_scripts)
 
     def replace(self, **changes) -> Scenario:
         """This scenario with the named fields changed, checked again."""
@@ -305,25 +312,21 @@ def hearers(world: World, d: int) -> list:
 
 
 def ranges_at(world: World, d: int, others) -> dict:
-    """Distances from d to each of ``others`` now, using clamped positions
-    for devices currently off. Shared by the simulator and the
-    denotational evaluator so both sides sense identical ranges. A range
-    between two still devices never changes: it is worked out once."""
+    """Distances from d to each of ``others`` now, devices that have fired
+    (so each has a path), using clamped positions for devices currently
+    off. Shared by the simulator and the denotational evaluator so both
+    sides sense identical ranges. A range between two still devices
+    never changes: it is worked out once."""
     spots, out = world.spots, {}
     here = spots.get(d)
     if here is not None:
         known = world.ranges.setdefault(d, {})
     else:  # d moves: no range from it is kept
         here, known = clamped_position_at(world, d), {}
-        if here is None:
-            raise ScenarioError(f"device {d} has no path")
     for d2 in others:
         r = known.get(d2)
         if r is None:
-            there = clamped_position_at(world, d2)
-            if there is None:
-                continue
-            r = math.dist(here, there)
+            r = math.dist(here, clamped_position_at(world, d2))
             if d2 in spots:
                 known[d2] = r
         out[d2] = r
@@ -632,10 +635,6 @@ def scenario_from_json(obj) -> Scenario:
         if d not in devices:
             raise ScenarioError(f"sensors for unknown device {show_id(d)}")
         table = json_container(table, dict, f"sensors of device {d}")
-        for name in table:
-            if not TABLE.is_sensor_name(name):
-                raise ScenarioError(f"unknown sensor {show_value(name)} for device {d}: "
-                                    "a sensor is named by an sns-* builtin")
         sensors[d] = {name: _parse_script(v) for name, v in table.items()}
     return Scenario(
         devices=devices,

@@ -35,7 +35,6 @@ from .ast import (
     Data,
     DefName,
     Expr,
-    FieldVal,
     Frozen,
     Lambda,
     Nbr,
@@ -340,12 +339,6 @@ class Typer:
                 t = self.infer(b, env, schemes)
                 self.demote(t, Sort.S, "T-NBR")
                 return FieldT(t)
-            case FieldVal(entries=ent):
-                # runtime-only; typed for value-tree checking
-                s = self.fresh(Sort.S, origin="T-FLD")
-                for _, v in ent:
-                    self.unify(self.infer(v, env, schemes), s, "T-FLD")
-                return FieldT(s)
         raise TypeError(f"not an expression: {e!r}")
 
     # ---- rendering ---------------------------------------------------

@@ -41,6 +41,13 @@ def bapp(name, *args):
 
 FUN0_NUM = Arrow((), NUM)
 
+# builtin names drawn as function values, by their arrow type
+BUILTIN_FUNS = {
+    Arrow((NUM, NUM), NUM): ("+", "-", "*"),
+    Arrow((NUM, NUM), BOOL): ("<", "="),
+    Arrow((BOOL, BOOL), BOOL): ("and",),
+}
+
 
 class ExprGen:
     """Draw closed, well-typed expressions of a given target type."""
@@ -101,6 +108,8 @@ class ExprGen:
                 opts += [bapp("nbr-range")]
         elif isinstance(T, Arrow):
             opts += [self.lam(T, env, 0)]
+            if T in BUILTIN_FUNS:
+                opts += [Builtin(self.rnd.choice(BUILTIN_FUNS[T]))]
             if T == FUN0_NUM and self.sensors:
                 opts += [bapp("sns-fun")]
         if not opts:
@@ -114,9 +123,17 @@ class ExprGen:
         inner.update(zip(params, T.args))
         return Lambda(params, self.expr(T.res, inner, depth))
 
+    def hood_fun(self, T, env, depth):
+        """A function a hood or a branch gives: a third of the time a
+        builtin name of type T, when one has it, else a lambda."""
+        if T in BUILTIN_FUNS and self.rnd.random() < 1 / 3:
+            return Builtin(self.rnd.choice(BUILTIN_FUNS[T]))
+        return self.lam(T, env, depth)
+
     def fun_value(self, T, env, depth):
         """A function-typed expression: a lambda, a branch between two
-        lambdas (exercising clusters), or a function-valued atom.
+        lambdas or builtin names (exercising clusters), or a
+        function-valued atom.
 
         Branching with mux is only well sorted for arrows over local
         types, so field-consuming functions stay literal."""
@@ -126,7 +143,7 @@ class ExprGen:
             return self.lam(T, env, depth)
         if roll < 0.8:
             return bapp("mux", self.expr(BOOL, env, depth),
-                        self.lam(T, env, depth), self.lam(T, env, depth))
+                        self.hood_fun(T, env, depth), self.hood_fun(T, env, depth))
         return self.atom(T, env)
 
     def builders(self, T, env):
@@ -146,7 +163,7 @@ class ExprGen:
                                     g(NUM, {**e, "r": NUM}, d)),
                 lambda T, e, d: self.apply(NUM, e, d),
                 lambda T, e, d: bapp("fold-hood",
-                                     self.lam(Arrow((NUM, NUM), NUM), e, d),
+                                     self.hood_fun(Arrow((NUM, NUM), NUM), e, d),
                                      g(FieldT(NUM), e, d)),
                 lambda T, e, d: Apply(bapp("pick-hood", Nbr(bapp("sns-fun"))),
                                       ()) if self.sensors
@@ -161,6 +178,9 @@ class ExprGen:
                 lambda T, e, d: bapp("mux", g(BOOL, e, d), g(BOOL, e, d),
                                      g(BOOL, e, d)),
                 lambda T, e, d: bapp("pick-hood", g(FieldT(BOOL), e, d)),
+                lambda T, e, d: bapp("fold-hood",
+                                     self.hood_fun(Arrow((BOOL, BOOL), BOOL), e, d),
+                                     g(FieldT(BOOL), e, d)),
                 lambda T, e, d: Rep(g(BOOL, e, 1), "r",
                                     g(BOOL, {**e, "r": BOOL}, d)),
                 lambda T, e, d: self.apply(BOOL, e, d),
@@ -192,7 +212,7 @@ class ExprGen:
         """map-hood of a function to R over 1 to MAP_HOOD_MAX_ARITY number
         fields, so builtins are applied to up to 5 arguments."""
         n = self.rnd.randint(1, MAP_HOOD_MAX_ARITY)
-        return bapp("map-hood", self.lam(Arrow((NUM,) * n, R), env, depth),
+        return bapp("map-hood", self.hood_fun(Arrow((NUM,) * n, R), env, depth),
                     *[self.expr(FieldT(NUM), env, depth) for _ in range(n)])
 
     def apply(self, R, env, depth):

@@ -476,6 +476,39 @@ def test_check_adequacy_summary_line(counter, one_device, capsys):
     assert capsys.readouterr().out == "5/5 events equal\n"
 
 
+# devices 1 to 3 at x = 1 to 3 in reach of their line neighbours only,
+# firing in turn at t = k/3
+THREE_ON_A_LINE = {
+    "devices": [1, 2, 3],
+    "radius": 1.5,
+    "decay": 100,
+    "paths": {str(d): [{"from": 0, "to": 10, "waypoints": [[d, 0]]}] for d in (1, 2, 3)},
+    "fires": [{"t": f"{k}/3", "device": k % 3 + 1} for k in range(9)],
+}
+
+# (program, its roots): builtin names as values, applied where the program
+# computes them and where fold-hood calls them
+BUILTIN_VALUES = [
+    ("((f) => f(1, 2))(+)", ["3"] * 9),
+    ("fold-hood(+, nbr{uid()})", ["1", "3", "5", "3", "6", "5", "3", "6", "5"]),
+    ("mux(uid() < 2, +, -)(3, 1)", ["4", "2", "2"] * 3),
+]
+
+
+@pytest.mark.parametrize("source, roots", BUILTIN_VALUES, ids=["passed", "folded", "chosen"])
+def test_builtin_values_applied_at_run_time(source, roots, tmp_path, capsys):
+    """The roots are pinned: both sides of check-adequacy apply a function
+    that a builtin calls on one path, so agreement alone would not show a
+    fault there."""
+    prog, sc = tmp_path / "prog.hfc", tmp_path / "line.json"
+    prog.write_text(source + "\n")
+    sc.write_text(json.dumps(THREE_ON_A_LINE))
+    assert main(["run", str(prog), str(sc), "--format", "csv"]) == 0
+    assert [r["root"] for r in csv.DictReader(io.StringIO(capsys.readouterr().out))] == roots
+    assert main(["check-adequacy", str(prog), str(sc)]) == 0
+    assert capsys.readouterr().out == "9/9 events equal\n"
+
+
 def test_check_adequacy_json_report(counter, one_device, capsys):
     assert main(["check-adequacy", counter, one_device,
                  "--format", "json"]) == 0
@@ -692,6 +725,11 @@ MALFORMED_SHAPES = {
     # a misspelt sensor would never be read
     "sensor name no builtin": ("run", {**ONE_DEVICE, "sensors": {"1": {"sns-rnage": 3}}},
                                "unknown sensor 'sns-rnage' for device 1"),
+    "scenario not an object": ("run", [], "scenario must be a JSON object"),
+    "sensor step not a pair": ("check-adequacy", {**ONE_DEVICE, "sensors": {"1": {
+        "sns-num": {"steps": [[1]]}}}}, "sensor step must be [time, value], got [1]"),
+    "sensor value not closed": ("denot", {**ONE_DEVICE, "sensors": {"1": {
+        "sns-num": "nbr{1}"}}}, "expression is not a closed value"),
 }
 
 

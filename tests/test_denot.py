@@ -326,6 +326,21 @@ def test_rep_counter_evaluates_each_event_once(rounds, monkeypatch):
     assert [out[e] for e in g.events] == [num(k // 5 + 1) for k in range(5 * rounds)]
 
 
+def test_data_over_a_rep_variable_is_denoted_as_its_value():
+    """Pair(x, 1), where x is rep's variable holding a number, is a value
+    once x's value is put in its place: the value_of path of the
+    denotation's data closure, checked against the fixpoint and the
+    simulator."""
+    sc = line_scenario(3, rounds=3)
+    g = build_dag_from_scenario(sc)
+    prog = parse_program("rep(0){(x) => fst(Pair(x, 1)) + 1}")
+    out = denot_eval(g, g.events, {}, prog.main)
+    assert out == reference_denot(g, g.events, {}, prog.main)
+    assert [out[e] for e in g.events] == [num(k // 3 + 1) for k in range(9)]
+    report = check_adequacy(sc, prog)
+    assert report.ok and report.events == report.equal == 9
+
+
 def test_denotation_matches_the_fixpoint_on_generated_scenarios():
     """The 300 scenarios of the induced-DAG differential test (abutting
     segments, border fires, decay edges), each under a corpus program or

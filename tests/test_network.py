@@ -252,6 +252,19 @@ def test_topology_excludes_inactive_devices():
     assert hearers(w.at(F(3)), 1) == [1]
 
 
+def test_a_scenario_built_in_python_checks_its_sensor_names():
+    """A sensor that no sns-* builtin names would never be read: Scenario
+    refuses it as it refuses a bad radius, however the scenario is made."""
+    paths = {1: (PathSeg(F(0), F(10), ((0.0, 0.0),)),)}
+    with pytest.raises(ScenarioError, match="^unknown sensor 'sns-rnage' for device 1: "):
+        Scenario(devices=(1,), radius=1, decay=F(10), paths=paths, fires=((F(1), 1),),
+                 sensor_scripts={1: {"sns-rnage": ((None, num(3)),)}})
+    sc = Scenario(devices=(1,), radius=1, decay=F(10), paths=paths, fires=((F(1), 1),),
+                  sensor_scripts={1: {"sns-range": ((None, num(3)),)}})
+    with pytest.raises(ScenarioError, match="^unknown sensor 'nbr-range' for device 1: "):
+        sc.replace(sensor_scripts={1: {"nbr-range": ((None, num(3)),)}})
+
+
 def test_ranges_use_clamped_positions():
     sc = Scenario(
         devices=(1, 2), radius=10, decay=F(1),
