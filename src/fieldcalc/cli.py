@@ -21,7 +21,6 @@ from .denot import (
     dag_from_json,
     check_adequacy,
     denot_program,
-    denot_scenario,
     validate_dag,
     verdict_json,
 )
@@ -100,21 +99,31 @@ def _load_program(path: str):
     return prog, main_type, schemes
 
 
-def _load_scenario(path: str, ns, obj=None):
-    """Read a scenario (``obj`` when the JSON is already parsed) and apply
-    the --decay/--radius overrides; malformed input exits with code 2."""
+def _load_input(path: str, ns):
+    """Read a scenario, with the --decay/--radius overrides applied, or,
+    when the JSON has events, an event DAG, which takes no override and
+    must satisfy validate_dag; malformed input exits with code 2."""
+    obj = _read_json(path)
+    dag = isinstance(obj, dict) and "events" in obj
+    for opt in ("decay", "radius"):
+        if dag and getattr(ns, opt) is not None:
+            raise CliError(2, f"{path}: --{opt} overrides a scenario, not an event DAG")
     try:
-        sc = scenario_from_json(_read_json(path) if obj is None else obj)
-    except ScenarioError as e:
+        src = dag_from_json(obj) if dag else scenario_from_json(obj)
+    except (DagError, ScenarioError) as e:
         raise CliError(2, f"{path}: {e}") from None
+    bad = validate_dag(src) if dag else ()
+    if bad:
+        raise CliError(2, f"{path}: neigh violates " + "; ".join(
+            f"{v.kind} (events {', '.join(map(show_id, v.events))})" for v in bad))
     try:
         if ns.decay is not None:
-            sc = sc.replace(decay=ns.decay)
+            src = src.replace(decay=ns.decay)
         if ns.radius is not None:
-            sc = sc.replace(radius=ns.radius)
+            src = src.replace(radius=ns.radius)
     except ScenarioError as e:
         raise CliError(2, str(e)) from None  # the message names the field
-    return sc
+    return src
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +137,7 @@ def cmd_typecheck(ns) -> int:
 
 def cmd_run(ns) -> int:
     prog, _, _ = _load_program(ns.program)
-    sc = _load_scenario(ns.scenario, ns)
+    src = _load_input(ns.input, ns)
     rng = random.Random(ns.seed) if ns.seed is not None else None
     # each fire's text is made as the fire returns, and written at the end,
     # so that an error leaves no output
@@ -136,7 +145,7 @@ def cmd_run(ns) -> int:
     sink = text_sink(ns.format, lines, RUN_CSV_HEADER, fire_jsonl,
                      lambda t, d, tree, fresh: fire_csv_row(t, d, tree.root))
     try:
-        run_scenario(sc, prog, fuel=ns.fuel, rng=rng, sink=sink)
+        run_scenario(src, prog, fuel=ns.fuel, rng=rng, sink=sink)
     except (EvalError, ScenarioError) as e:
         raise CliError(1, str(e)) from None
     _emit(lines, ns.out)
@@ -151,35 +160,14 @@ def _denot_jsonl(i: int, t, d: int, value) -> str:
 
 def cmd_denot(ns) -> int:
     prog, _, _ = _load_program(ns.program)
-    obj, g = _read_json(ns.input), None
-    if isinstance(obj, dict) and "events" in obj:
-        for opt in ("decay", "radius"):
-            if getattr(ns, opt) is not None:
-                raise CliError(2, f"{ns.input}: --{opt} overrides a scenario, "
-                                  "not an event DAG")
-        try:
-            g = dag_from_json(obj)
-        except DagError as e:
-            raise CliError(2, f"{ns.input}: {e}") from None
-        bad = validate_dag(g)
-        if bad:
-            raise CliError(2, f"{ns.input}: neigh violates " + "; ".join(
-                f"{v.kind} (events {', '.join(map(show_id, v.events))})" for v in bad))
-    else:
-        sc = _load_scenario(ns.input, ns, obj)
-    del obj  # the file's JSON is dead once read: the run does not hold it
+    src = _load_input(ns.input, ns)
     # each event's text is made as it is denoted, and written at the end,
     # so that an error leaves no output
     lines = []
     sink = text_sink(ns.format, lines, ("event", "t", "device", "value"), _denot_jsonl,
                      lambda i, t, d, value: [i, str(t), d, value_to_text(value)])
     try:
-        if g is None:
-            denot_scenario(sc, prog, sink, fuel=ns.fuel)
-        else:
-            denots = denot_program(g, prog, fuel=ns.fuel)
-            for e in g.events:
-                sink(e.id, e.time, e.device, denots[e])
+        denot_program(src, prog, sink, fuel=ns.fuel)
     except (DenotError, EvalError, ScenarioError) as e:
         raise CliError(1, str(e)) from None
     _emit(lines, ns.out)
@@ -188,12 +176,12 @@ def cmd_denot(ns) -> int:
 
 def cmd_check_adequacy(ns) -> int:
     prog, _, _ = _load_program(ns.program)
-    sc = _load_scenario(ns.scenario, ns)
+    src = _load_input(ns.input, ns)
     # the JSON report keeps each verdict's text; the summary line only counts
     texts = []
     sink = (lambda v: texts.append(verdict_json(v))) if ns.format == "json" else None
     try:
-        report = check_adequacy(sc, prog, fuel=ns.fuel, sink=sink)
+        report = check_adequacy(src, prog, fuel=ns.fuel, sink=sink)
     except (DenotError, EvalError, ScenarioError) as e:
         raise CliError(1, str(e)) from None
     if ns.format == "json":
@@ -258,23 +246,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(handler=cmd_typecheck)
 
-    p = sub.add_parser("run", help="simulate a scenario and emit the trace")
+    p = sub.add_parser("run", help="simulate a scenario or an event DAG and emit the trace")
     p.add_argument("program")
-    p.add_argument("scenario")
+    p.add_argument("input", help="scenario JSON or DAG JSON")
     _add_common(p, seed=True)
     p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("denot",
-                       help="evaluate denotationally over an event DAG")
+                       help="evaluate denotationally over a scenario or an event DAG")
     p.add_argument("program")
-    p.add_argument("input", help="DAG JSON or scenario JSON")
+    p.add_argument("input", help="scenario JSON or DAG JSON")
     _add_common(p)
     p.set_defaults(handler=cmd_denot)
 
     p = sub.add_parser("check-adequacy",
                        help="compare operational and denotational results")
     p.add_argument("program")
-    p.add_argument("scenario")
+    p.add_argument("input", help="scenario JSON or DAG JSON")
     p.add_argument("--format", choices=["json"],
                    help="emit the full report instead of the summary line")
     _add_common(p, fmt=False)

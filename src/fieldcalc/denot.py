@@ -11,12 +11,14 @@ the evaluator visits the events once, in a causal order, and the rep
 fixpoint has exactly the solution that order builds. What a later event
 reads of an event, its nbr and rep values in each cluster, is one record.
 
-A scenario is denoted in lockstep with the delivery sweep, whose time
-order is causal: each fire's event is denoted as it fires, and its record
-travels in the fire's message. The adequacy checker takes the same step,
-plus the fire and the comparison. The first failure in time order is
-reported; at one fire, the device's error comes before the denotation's.
-An event DAG file is kept whole and denoted in its causal generations.
+Every input is denoted in one event loop (network.walk): a scenario in
+lockstep with the delivery sweep, whose time order is causal, and an
+event DAG by its replay, which visits its events in a causal order, least
+(time, id) first. Each event is denoted as it is reached, and its record
+travels in its message, which is dropped once its last receiver has read
+it. The adequacy checker takes the same step, plus the fire and the
+comparison. The first failure in that order is reported; at one event,
+the device's error comes before the denotation's.
 
 Denotational values reuse the syntax tree: local data values and fields
 stand for themselves, and a function value is represented by its tag
@@ -31,7 +33,7 @@ node; a closed constant child is its own value.
 
 from __future__ import annotations
 
-from itertools import count
+from heapq import heappop, heappush
 from typing import Optional
 from weakref import WeakValueDictionary
 
@@ -68,6 +70,7 @@ from .network import (
     Scenario,
     SHAPE_ERRORS,
     ScenarioError,
+    Stored,
     as_time,
     fire,
     json_container,
@@ -76,6 +79,7 @@ from .network import (
     shape_error,
     show_id,
     sweep,
+    walk,
 )
 # position_at and run_scenario stay importable as denot.position_at and
 # denot.run_scenario for tracers that wrap those names (bench/spans.py);
@@ -125,37 +129,51 @@ class EventDAG:
         for a, b in self.neigh:
             senders[b].append(self.by_id[a])
         self._in = {i: tuple(ss) for i, ss in senders.items()}
-        self._order = None
 
     def senders(self, e: Event) -> tuple:
         """Events e is aware of (its neighbour events)."""
         return self._in[e.id]
 
-    def causal_order(self) -> tuple:
-        """The events in topological generations: a generation holds the
-        events whose senders all lie in earlier generations, in (time, id)
-        order. Raises DagError when neigh has a cycle."""
-        if self._order is None:
-            waiting = {e.id: len(self._in[e.id]) for e in self.events}
-            receivers = {e.id: [] for e in self.events}
-            for a, b in self.neigh:
-                receivers[a].append(b)
-            rank = {e.id: i for i, e in enumerate(self.events)}
-            gen = [e.id for e in self.events if not waiting[e.id]]
-            order = []
-            while gen:
-                order.extend(gen)
-                ready = []
-                for a in gen:
-                    for b in receivers[a]:
-                        waiting[b] -= 1
-                        if not waiting[b]:
-                            ready.append(b)
-                gen = sorted(ready, key=rank.__getitem__)
-            if len(order) < len(self.events):
-                raise DagError("neigh relation has a cycle")
-            self._order = tuple(self.by_id[i] for i in order)
-        return self._order
+    def replay(self, step) -> None:
+        """Run the events as network.sweep runs fires: ``step(i, t, d, fresh,
+        sensors)`` returns the payload of event i, of device d at time t;
+        ``fresh`` maps the device of each sender to its Stored message, and
+        sensors are the event's own or none. The events come in a causal
+        order, least (time, id) first of those whose senders have all run,
+        which is (time, id) order when every edge points forward in it. A
+        payload is kept only until its last receiver has read it. Raises
+        DagError when two senders share a device or neigh has a cycle."""
+        events = self.events  # in (time, id) order, so ranks are heap keys
+        rank = {e.id: k for k, e in enumerate(events)}
+        waiting = [len(self._in[e.id]) for e in events]
+        receivers = [[] for _ in events]
+        for a, b in self.neigh:
+            receivers[rank[a]].append(rank[b])
+        unread = [len(rs) for rs in receivers]
+        ready = [k for k, n in enumerate(waiting) if not n]  # sorted, so a heap
+        kept, none = {}, SensorState()
+        while ready:
+            k = heappop(ready)
+            e, fresh = events[k], {}
+            for s in self._in[e.id]:
+                if s.device in fresh:
+                    raise DagError(f"event {show_id(e.id)} has two neighbour events "
+                                   f"at device {s.device}")
+                j = rank[s.id]
+                fresh[s.device] = kept[j]
+                unread[j] -= 1
+                if not unread[j]:
+                    del kept[j]
+            kept[k] = Stored(step(e.id, e.time, e.device, fresh,
+                                  self.sensors.get(e.id) or none), e.time, None)
+            if not unread[k]:  # a lost message
+                del kept[k]
+            for b in receivers[k]:
+                waiting[b] -= 1
+                if not waiting[b]:
+                    heappush(ready, b)
+        if any(waiting):  # the events on or after a cycle never ran
+            raise DagError("neigh relation has a cycle")
 
 
 class Violation(Frozen):
@@ -300,12 +318,11 @@ def build_dag_from_scenario(sc: Scenario) -> EventDAG:
     (bench/spans.py)."""
     events, neigh, sensors = [], [], {}
 
-    def step(t, d, fresh, sens):
-        e = Event(len(events), d, t)
-        events.append(e)
-        sensors[e.id] = sens
-        neigh.extend((m.payload, e.id) for m in fresh.values())
-        return e.id
+    def step(i, t, d, fresh, sens):
+        events.append(Event(i, d, t))
+        sensors[i] = sens
+        neigh.extend((m.payload, i) for m in fresh.values())
+        return i
 
     sweep(sc, step)
     return EventDAG(events, neigh, sensors)
@@ -333,7 +350,8 @@ class _Scope:
     one child scope per function value it selects, holding the parent's
     events that selected it. An event belongs to a scope when its record
     holds values there. Events come in a causal order, so when an event is
-    entered every sender it can be aware of has its record. ``here``,
+    entered every sender it can be aware of has its record, and there is
+    at most one sender per device (network.walk). ``here``,
     ``nbrs``, ``prev`` and ``pi`` describe the event being evaluated. A
     parent holds its children weakly, so a scope lives while a live record
     reads it; it keeps its body, so the Apply node ids keying children stay unique."""
@@ -360,9 +378,9 @@ class _Denot:
     reads its body's values at the senders, and rep its own value at the
     previous event of the device, or its init after a reboot, each from
     the sender's record. Since events come in a causal order, this is the
-    unique solution of rep's fixpoint. ``event`` takes one event; ``eval``
-    drives it along a DAG's causal order, denot_scenario and
-    check_adequacy along the delivery sweep.
+    unique solution of rep's fixpoint. ``event`` takes one event;
+    denot_program and check_adequacy drive it along network.walk, the
+    delivery sweep of a scenario or the replay of an event DAG.
 
     Each event pays for the body of each scope it enters from a budget
     reset to fuel, so fuel bounds the clusters of one event (unbounded
@@ -385,9 +403,6 @@ class _Denot:
         for s in self.senders:
             vals = s.scopes.get(S)
             if vals is not None:
-                if s.device in nbrs:
-                    raise DagError(f"event {show_id(rec.id)} has two neighbour events "
-                                   f"at device {s.device}")
                 nbrs[s.device] = vals
         S.here = rec.scopes[S] = {}
         S.prev, S.nbrs = nbrs.pop(rec.device, None), nbrs
@@ -401,18 +416,9 @@ class _Denot:
         ctx.device, ctx.sensors, ctx.fuel = rec.device, sensors, self.fuel
         self.rec, self.senders, self.budget = rec, senders, self.fuel
         self.enter(root)
-        return root.run(self, root, X)
-
-    def eval(self, g: EventDAG, E, X, e) -> dict:
-        """The evolution of e over the events E of g under assumptions X."""
-        root, recs, out = _Scope((), e), {}, {}
-        for ev in g.causal_order():
-            if ev in E:
-                rec = recs[ev.id] = Denoted(ev.id, ev.device)
-                senders = [recs[s.id] for s in g.senders(ev) if s.id in recs]
-                out[ev] = self.event(root, rec, senders, g.sensors.get(ev.id) or SensorState(),
-                                     {n: phi[ev] for n, phi in X.items()})
-        return out
+        v = root.run(self, root, X)
+        self.rec, self.senders = None, ()  # the records live only as long as their messages
+        return v
 
 
 # A node's closure run(den, S, X) is the value at den's event of the node,
@@ -540,29 +546,18 @@ def _compile(e: Expr):
     return run
 
 
-def denot_eval(g: EventDAG, E, X: dict, e: Expr, defs=None,
-               fuel: int = DEFAULT_FUEL) -> dict:
-    """Interpret e over the events E under assumptions X."""
-    return _Denot(defs, fuel).eval(g, frozenset(E), X, e)
-
-
-def denot_program(g: EventDAG, program: Program, fuel: int = DEFAULT_FUEL) -> dict:
-    return denot_eval(g, g.events, {}, program.main, {d.name: d for d in program.defs}, fuel)
-
-
-def denot_scenario(sc: Scenario, program: Program, sink, fuel: int = DEFAULT_FUEL) -> None:
-    """Denote each fire's event as the sweep fires it, in time order, and
-    hand it to ``sink(event, t, d, value)``; events are numbered from 0 in
-    time order. Each fire's message carries its event's record."""
+def denot_program(src, program: Program, sink, fuel: int = DEFAULT_FUEL) -> None:
+    """Denote each event of src, a scenario or an event DAG, as network.walk
+    reaches it, and hand it to ``sink(event, t, d, value)``. Each event's
+    message carries its record."""
     den, root = _Denot({d.name: d for d in program.defs}, fuel), _Scope((), program.main)
-    ids = count()
 
-    def step(t, d, fresh, sensors):
-        rec = Denoted(next(ids), d)
-        sink(rec.id, t, d, den.event(root, rec, [m.payload for m in fresh.values()], sensors, {}))
+    def step(i, t, d, fresh, sensors):
+        rec = Denoted(i, d)
+        sink(i, t, d, den.event(root, rec, [m.payload for m in fresh.values()], sensors, {}))
         return rec
 
-    sweep(sc, step)
+    walk(src, step)
 
 
 # ---------------------------------------------------------------------------
@@ -616,26 +611,27 @@ class AdequacyReport(Record):
             ("ok", scalar_json(self.ok)))
 
 
-def check_adequacy(sc: Scenario, program: Program, fuel: int = DEFAULT_FUEL,
+def check_adequacy(src, program: Program, fuel: int = DEFAULT_FUEL,
                    sink=None) -> AdequacyReport:
-    """Fire each device and denote its event as the sweep fires it, and
-    compare the value with the fire's root restricted to the event's
-    aligned neighbours. ``sink(verdict)``, when given, takes each verdict;
-    the report keeps only counts and the first counterexample. Each fire's
-    message carries its value-tree and its event's record."""
+    """At each event of src, a scenario or an event DAG, as network.walk
+    reaches it, fire the device and denote the event, and compare the
+    value with the fire's root restricted to the event's aligned
+    neighbours. ``sink(verdict)``, when given, takes each verdict; the
+    report keeps only counts and the first counterexample. Each event's
+    message carries its value-tree and its record."""
     den, root = _Denot({d.name: d for d in program.defs}, fuel), _Scope((), program.main)
     report = AdequacyReport()
 
-    def step(t, d, fresh, sensors):
+    def step(i, t, d, fresh, sensors):
         tree = fire(program, d, t, {s: m.payload[0] for s, m in fresh.items()}, sensors, fuel)
-        rec = Denoted(report.events, d)
+        rec = Denoted(i, d)
         lhs = den.event(root, rec, [m.payload[1] for m in fresh.values()], sensors, {})
         rhs = restrict_value(tree.root, root.pi)
-        v = Verdict(rec.id, t, d, lhs, rhs, lhs == rhs)
+        v = Verdict(i, t, d, lhs, rhs, lhs == rhs)
         report.add(v)
         if sink is not None:
             sink(v)
         return tree, rec
 
-    sweep(sc, step)
+    walk(src, step)
     return report

@@ -16,7 +16,8 @@ device that is on and within radius at t, d itself included. The
 simulator evaluates the program along the sweep (the payload is the
 value-tree), and the denotation denotes each fire's event along it (the
 payload is the event's record); the induced event DAG records the same
-deliveries as neigh edges (the payload is the event id).
+deliveries as neigh edges (the payload is the event id). An event DAG's
+replay takes the same consumer (``walk``).
 
 A device is on while some path segment covers the current time.
 Segments that abut or overlap make one continuous on-interval; only a
@@ -147,11 +148,12 @@ class Stored(Record):
     """A stored message: payload is a ValueTree in the simulator, an
     event's record in the denotation, the pair of both in the adequacy
     check and an event id in the induced DAG, and tick is the tag in the
-    World's ticks. One is made per fire, so it takes plain slot stores."""
+    World's ticks, None in a DAG's replay. One is made per fire, so it
+    takes plain slot stores."""
 
     __slots__ = _fields = ("payload", "tag", "tick")
 
-    def __init__(self, payload: object, tag: Timestamp, tick: int):
+    def __init__(self, payload: object, tag: Timestamp, tick: Optional[int]):
         self.payload = payload
         self.tag = tag
         self.tick = tick
@@ -372,16 +374,26 @@ def env_at(world: World, inbox: dict, d: int):
 
 
 def sweep(sc: Scenario, step) -> None:
-    """Run the scenario's fires in time order. ``step(t, d, fresh,
-    sensors)`` returns the payload d sends; ``fresh`` maps each sender d
-    hears to its Stored message and is only valid during the call."""
+    """Run the scenario's fires in time order. ``step(i, t, d, fresh,
+    sensors)`` returns the payload d sends, where i numbers the fires from
+    0; ``fresh`` maps each sender d hears to its Stored message and is
+    only valid during the call."""
     world = World(sc)
     inbox = {d: {} for d in sc.devices}
-    for t, d in sc.fires:
+    for i, (t, d) in enumerate(sc.fires):
         fresh, sensors = env_at(world.at(t), inbox, d)
-        msg = Stored(step(t, d, fresh, sensors), t, world.now)
+        msg = Stored(step(i, t, d, fresh, sensors), t, world.now)
         for d2 in hearers(world, d):
             inbox[d2][d] = msg
+
+
+def walk(src, step) -> None:
+    """Run step at each event of src: the sweep of a Scenario, the replay
+    of an event DAG (denot.EventDAG.replay), each calling it as sweep does."""
+    if isinstance(src, Scenario):
+        sweep(src, step)
+    else:
+        src.replay(step)
 
 
 def fire(program: Program, d: int, now: Timestamp, env: dict,
@@ -448,12 +460,13 @@ def heard(fresh: dict) -> tuple:
     return tuple((s, m.tag) for s, m in fresh.items())
 
 
-def run_scenario(sc: Scenario, program: Program, fuel: int = DEFAULT_FUEL,
+def run_scenario(src, program: Program, fuel: int = DEFAULT_FUEL,
                  rng=None, sink=None) -> Optional[FireTrace]:
-    """Evaluate the program along the delivery sweep. ``sink(t, d, tree,
-    fresh)`` takes each fire as it returns, where ``fresh`` is the inbox
-    it heard, valid only during the call; without a sink, one record per
-    fire is kept and the FireTrace of them returned."""
+    """Fire the program at each event of src, a scenario or an event DAG
+    (``walk``). ``sink(t, d, tree, fresh)`` takes each fire as it returns,
+    where ``fresh`` is the inbox it heard, valid only during the call;
+    without a sink, one record per fire is kept and the FireTrace of them
+    returned."""
     trace = None
     if sink is None:
         trace = FireTrace()
@@ -462,12 +475,12 @@ def run_scenario(sc: Scenario, program: Program, fuel: int = DEFAULT_FUEL,
         def sink(t, d, tree, fresh):
             records.append(FireRecord(t, d, tree.root, tree, heard(fresh)))
 
-    def step(t, d, fresh, sensors):
+    def step(i, t, d, fresh, sensors):
         tree = fire(program, d, t, {s: m.payload for s, m in fresh.items()}, sensors, fuel, rng)
         sink(t, d, tree, fresh)
         return tree
 
-    sweep(sc, step)
+    walk(src, step)
     return trace
 
 

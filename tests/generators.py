@@ -8,7 +8,8 @@ scenario generator draws small mobile networks with outages, abutting
 segments, border and decay-edge fires, varied decay, and scripted
 sensors. The world generator draws the geometry and clock of the
 delivery sweep: many devices on a lattice of the radius, and times whose
-denominators are co-prime.
+denominators are co-prime. The DAG generator draws event structures no
+geometry produces.
 """
 
 import math
@@ -28,7 +29,8 @@ from fieldcalc.ast import (
     boolean,
     num,
 )
-from fieldcalc.builtins import MAP_HOOD_MAX_ARITY
+from fieldcalc.builtins import MAP_HOOD_MAX_ARITY, SensorState
+from fieldcalc.denot import Event, EventDAG
 from fieldcalc.network import PathSeg, Scenario, as_time
 from fieldcalc.parser import parse_value
 from fieldcalc.typer import Arrow, FieldT
@@ -406,3 +408,63 @@ def gen_world(rnd: random.Random) -> Scenario:
             fires.setdefault(t + decay, d)
     return Scenario(devices=devices, radius=radius, decay=decay, paths=paths,
                     fires=tuple(sorted(fires.items())))
+
+
+# ---------------------------------------------------------------------------
+# event DAGs
+
+SNS_FUN_VALUES = [parse_value(f) for f in SNS_FUNS]
+
+
+def _readings(rnd, devices) -> SensorState:
+    """One event's sensors: every local sensor, and nbr-range to every device."""
+    return SensorState(
+        local={
+            "sns-num": num(rnd.randint(-3, 9)),
+            "sns-range": num(rnd.randint(0, 5)),
+            "sns-patron": boolean(rnd.random() < 0.5),
+            "sns-injection-point": boolean(rnd.random() < 0.4),
+            "sns-fun": rnd.choice(SNS_FUN_VALUES),
+        },
+        nbr={"nbr-range": {d: float(rnd.randint(0, 8)) for d in devices}},
+    )
+
+
+def gen_dag(rnd: random.Random) -> EventDAG:
+    """A small valid event DAG of the shapes no geometry produces: links
+    one way only, lost messages (events nobody hears), an event that hears
+    an older event of a device and not its newer one, a reboot at any event
+    (a missing own-device edge, or one from an older event of the device),
+    events of two devices at one time, ids out of time order, and edges
+    that point backward in time. Device ids include 0 and negatives. Each
+    event carries readings of every sensor."""
+    devices = rnd.sample(range(-2, 7), rnd.randint(1, 4))
+    n = rnd.randint(1, 30)
+    ids = rnd.sample(range(3 * n), n)
+    order, t = [], Fraction(1)  # the events in the causal order the edges follow
+    for k in range(n):
+        t += Fraction(rnd.choice([0, 1, 1, 2]), 4)
+        back = Fraction(rnd.randint(1, 8), 4) if rnd.random() < 0.1 else 0
+        order.append(Event(ids[k], rnd.choice(devices), t - back))
+    neigh, consumed = [], set()  # consumed: events that feed one of their own device
+    for k, e in enumerate(order):
+        past = {}
+        for p in order[:k]:
+            past.setdefault(p.device, []).append(p)
+        for d, evs in past.items():
+            roll = rnd.random()
+            if d != e.device:
+                if roll >= 0.5:
+                    continue
+                s = rnd.choice(evs)
+            else:
+                free = [p for p in evs[:-1] if p.id not in consumed]
+                if roll < 0.8:
+                    s = evs[-1]
+                elif roll < 0.9 and free:
+                    s = rnd.choice(free)
+                else:
+                    continue
+                consumed.add(s.id)
+            neigh.append((s.id, e.id))
+    return EventDAG(order, neigh, {e.id: _readings(rnd, devices) for e in order})

@@ -5,7 +5,9 @@ pointwise lifting that the builtins' value order and field kernels are
 checked against, the JSON objects of values, trees and output records
 that the canonical-JSON writer is checked against and readers of them,
 the substitution reference for the device evaluator, the fixpoint
-reference for the denotation, the restriction checker, and small
+reference for the denotation, the package's denotation of an event set
+under assumptions (denot_eval) and of a program at each event of a DAG
+(denotation), the restriction checker, and small
 helpers only tests call (a leaf tree, an expression's subexpressions,
 a trace's roots, a tree's i-th subtree, a scenario's JSON, a program's
 source text, a bare expression's type).
@@ -48,9 +50,12 @@ from fieldcalc.ast import (
 from fieldcalc.builtins import TABLE, EvalError, SensorState
 from fieldcalc.denot import (
     DenotError,
+    Denoted,
     Event,
     EventDAG,
     _Denot,
+    _Scope,
+    denot_program,
     latest_event,
     nbr_devices,
     restrict_evolution,
@@ -710,6 +715,33 @@ class _FixpointDenot:
             self.fuel = ctx.fuel
 
 
+def denot_eval(g: EventDAG, E, X: dict, e, defs=None, fuel: int = DEFAULT_FUEL) -> dict:
+    """Interpret e over the events E of g under assumptions X (evolutions)
+    with the package's evaluator: the replay of g restricted to E, each
+    event reading the values X gives it."""
+    E = frozenset(E)
+    sub = EventDAG([ev for ev in g.events if ev in E],
+                   [(a, b) for a, b in g.neigh if g.by_id[a] in E and g.by_id[b] in E],
+                   g.sensors)
+    den, root, out = _Denot(defs, fuel), _Scope((), e), {}
+
+    def step(i, t, d, fresh, sensors):
+        ev, rec = g.by_id[i], Denoted(i, d)
+        out[ev] = den.event(root, rec, [m.payload for m in fresh.values()], sensors,
+                            {n: phi[ev] for n, phi in X.items()})
+        return rec
+
+    sub.replay(step)
+    return out
+
+
+def denotation(g: EventDAG, program, fuel: int = DEFAULT_FUEL) -> dict:
+    """The program's value at each event of g, by denot.denot_program."""
+    out = {}
+    denot_program(g, program, lambda i, t, d, v: out.__setitem__(g.by_id[i], v), fuel)
+    return out
+
+
 def reference_denot(g: EventDAG, E, X: dict, e, defs=None,
                     fuel: int = DEFAULT_FUEL) -> dict:
     """Interpret e over the events E under assumptions X (evolutions) by
@@ -805,10 +837,9 @@ def check_restriction(g: EventDAG, E, e0: Expr, args, args2, X: dict,
     """Per cluster of e0: when the two argument lists denote the same
     restricted evolutions there, the two applications must agree there."""
     E = frozenset(E)
-    den = _Denot(defs, fuel)
-    fev = den.eval(g, E, X, e0)
-    app1 = den.eval(g, E, X, Apply(e0, tuple(args)))
-    app2 = den.eval(g, E, X, Apply(e0, tuple(args2)))
+    fev = denot_eval(g, E, X, e0, defs, fuel)
+    app1 = denot_eval(g, E, X, Apply(e0, tuple(args)), defs, fuel)
+    app2 = denot_eval(g, E, X, Apply(e0, tuple(args2)), defs, fuel)
     groups = {}
     for ev in E:
         groups.setdefault(fev[ev], []).append(ev)
@@ -817,8 +848,8 @@ def check_restriction(g: EventDAG, E, e0: Expr, args, args2, X: dict,
         c = E if isinstance(f, Builtin) else frozenset(evs)
         agree = True
         for a, b in zip(args, args2):
-            ra = restrict_evolution(g, den.eval(g, E, X, a), c)
-            rb = restrict_evolution(g, den.eval(g, E, X, b), c)
+            ra = restrict_evolution(g, denot_eval(g, E, X, a, defs, fuel), c)
+            rb = restrict_evolution(g, denot_eval(g, E, X, b, defs, fuel), c)
             if any(ra[ev] != rb[ev] for ev in evs):
                 agree = False
                 break

@@ -3,9 +3,9 @@
 Each test exercises a whole pipeline rather than a unit: the walkthrough
 traces of the simulator, the typing verdicts on the alignment fixtures
 and the annotated corpus, the randomized preservation and adequacy
-suites, the restriction and rep identities of the denotational
-evaluator, self-stabilization of the library algorithms, and the DAG
-validator. Every test carries a wall-clock budget; the budgets are loose
+suites on scenarios and on generated event DAGs, the restriction and rep
+identities of the denotational evaluator, self-stabilization of the
+library algorithms, and the DAG validator. Every test carries a wall-clock budget; the budgets are loose
 on purpose and exist to catch pathological slowdowns, not to benchmark.
 """
 
@@ -25,6 +25,7 @@ from fieldcalc.ast import (
     FALSE,
     FieldVal,
     Lambda,
+    Program,
     TRUE,
     boolean,
     is_value,
@@ -37,7 +38,6 @@ from fieldcalc.denot import (
     EventDAG,
     build_dag_from_scenario,
     check_adequacy,
-    denot_eval,
     denot_program,
     nbr_devices,
     validate_dag,
@@ -57,12 +57,14 @@ from fieldcalc.typer import (
     typecheck_program,
 )
 
-from generators import ExprGen, SNS_FUNS, gen_scenario
+from generators import ExprGen, SNS_FUNS, gen_dag, gen_scenario
 from helpers import (
     EXAMPLE_EVENTS,
     EXAMPLE_NEIGH,
     NUM,
     check_restriction,
+    denot_eval,
+    denotation,
     example_dag,
     leaf,
     line_scenario,
@@ -300,7 +302,86 @@ def test_denotation_matches_the_fixpoint_on_adequacy_pairs():
     for sc, prog in adequacy_pairs():
         g = build_dag_from_scenario(sc)
         want = reference_denot(g, g.events, {}, prog.main, {d.name: d for d in prog.defs})
-        assert denot_program(g, prog) == want
+        assert denotation(g, prog) == want
+
+
+# ---------------------------------------------------------------------------
+# 6b. adequacy and preservation on event structures no geometry produces:
+# generated DAGs (one-way links, lost messages, stale senders, reboots at
+# any event, backward edges) replayed through both evaluators
+
+DAG_SEED = 20180613
+
+# programs whose clusters and fixpoints reach across the DAG's edges
+DAG_PROGRAMS = [
+    "rep(0){(x) => x + 1}",
+    "rep(0){(v) => fold-hood(+, nbr{v}) + 1}",
+    "mux(uid() < 2, (x) => min-hood(nbr{x}), (y) => min-hood(nbr{y + 1}))(rep(0){(r) => r + 1})",
+    "rep(0){(v) => mux(v < 3, (a) => a + 1, (b) => min-hood(nbr{b}))(v)}",
+    "sum-hood+(nbr{if (uid() < 1) { rep(1){(r) => r * 2} } else { 0 }})",
+]
+
+
+@functools.lru_cache(maxsize=1)
+def dag_pairs():
+    """Five hundred (DAG, program) pairs: the corpus gradient and
+    spanning-sum, the programs above, and generated ones."""
+    rnd = random.Random(DAG_SEED)
+    fixed = [corpus_entry("gradient").program(), corpus_entry("spanning-sum").program(),
+             *map(parse_program, DAG_PROGRAMS)]
+    for prog in fixed:
+        typecheck_program(prog)
+    pairs = []
+    for _ in range(500):
+        g = gen_dag(rnd)
+        if rnd.random() < 0.4:
+            prog = rnd.choice(fixed)
+        else:
+            prog = ExprGen(rnd).program(depth=rnd.randint(1, 4))
+            typecheck_program(prog)
+        pairs.append((g, prog))
+    return pairs
+
+
+def test_operational_agrees_with_denotational_on_generated_dags():
+    t0 = time.monotonic()
+    events = 0
+    for g, prog in dag_pairs():
+        report = check_adequacy(g, prog)
+        assert report.ok, (prog.main, report.first_counterexample)
+        events += report.events
+    assert events == sum(len(g.events) for g, _ in dag_pairs())
+    assert time.monotonic() - t0 < 60.0
+
+
+def test_evaluation_on_generated_dags_preserves_types_and_field_domains():
+    """Both evaluators, replaying a generated DAG, give each event a value
+    of the expression's static type; each operational tree is well formed,
+    with field domains bounded by the event's device and senders."""
+    t0 = time.monotonic()
+    rnd = random.Random(DAG_SEED + 1)
+    for _ in range(500):
+        g, gen = gen_dag(rnd), ExprGen(rnd)
+        T = gen.type()
+        e = gen.expr(T, {}, rnd.randint(1, 4))
+        typecheck_expr(e)
+
+        def fired(t, d, tree, fresh):
+            dom = frozenset(fresh) | {d}
+            subs = []
+            all_field_roots(tree, subs)
+            assert well_formed(e, tree, {})
+            assert value_has_type(tree.root, T)
+            if isinstance(tree.root, FieldVal):
+                assert frozenset(tree.root.devs) == dom
+            assert all(frozenset(f.devs) <= dom for f in subs)
+
+        def denoted(i, t, d, v):
+            assert value_has_type(v, T), (e, i)
+
+        run_scenario(g, Program((), e), sink=fired)
+        denot_program(g, Program((), e), denoted)
+    assert time.monotonic() - t0 < 60.0
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +403,7 @@ class AlignedFields:
 
     def denote(self, g, prog):
         self.g, self.clusters = g, {}
-        denot_program(g, prog)
+        denotation(g, prog)
 
     def entering(self, enter):
         def noted(den, S):

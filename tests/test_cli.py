@@ -33,7 +33,6 @@ from fieldcalc.denot import (
     Verdict,
     build_dag_from_scenario,
     check_adequacy,
-    denot_program,
 )
 from fieldcalc.device import DEFAULT_FUEL, ValueTree, csv_text
 from fieldcalc.network import FireError, FireTrace, run_scenario, scenario_from_json
@@ -43,6 +42,7 @@ from generators import ExprGen, gen_scenario
 from helpers import (
     dag_to_json,
     denot_jsonl,
+    denotation,
     line_scenario,
     pretty_program,
     report_json,
@@ -402,7 +402,7 @@ def test_every_output_is_the_reference_records(source, tmp_path, capsys):
     sc_file.write_text(json.dumps(LINE3))
     prog, sc = parse_program(source), scenario_from_json(LINE3)
     trace, g = run_scenario(sc, prog), build_dag_from_scenario(sc)
-    denots, verdicts = denot_program(g, prog), []
+    denots, verdicts = denotation(g, prog), []
     want = {
         ("run",): run_jsonl(trace),
         ("run", "--format", "csv"): csv_text(["t", "device", "root"], (
@@ -449,8 +449,7 @@ def test_denot_rejects_scenario_overrides_on_a_dag_file(counter, tmp_path, capsy
 def test_denot_and_check_adequacy_report_the_same_first_failure(tmp_path, capsys):
     """Both denote a scenario in the sweep's time order, so both stop at
     the first fire that fails in time: device 2 at t=2, which lacks the
-    sensor. Device 3 at t=3 lacks it too, and hears nobody, so its event
-    comes first in the DAG's causal generations."""
+    sensor. Device 3 at t=3 lacks it too, and hears nobody."""
     sc = static_scenario({1: (0, 0), 2: (1, 0), 3: (10, 0)}, radius=1.5, decay=10,
                          fires=[(1, 1), (2, 2), (3, 3)], sensors={1: {"sns-num": num(4)}})
     prog, sc_file = tmp_path / "sense.hfc", tmp_path / "sc.json"
@@ -466,6 +465,119 @@ def test_denot_bad_dag_file(counter, tmp_path, capsys):
     p = tmp_path / "dag.json"
     p.write_text('{"events": [], "neigh": [[1, 2]]}')
     assert main(["denot", counter, str(p)]) == 2
+
+
+# device 2's event at t=5 is independent of device 1's two, so the causal
+# generations were (1, 2), (3), where the output is in (time, id) order
+FORWARD_DAG = {"events": [{"id": 1, "device": 1, "time": "1"}, {"id": 2, "device": 2, "time": "5"},
+                          {"id": 3, "device": 1, "time": "2"}], "neigh": [[1, 3]]}
+# event 1 at t=5 feeds event 2 at t=1: an edge that points backward in time
+BACKWARD_DAG = {"events": [{"id": 1, "device": 1, "time": "5"}, {"id": 2, "device": 2, "time": "1"},
+                           {"id": 3, "device": 1, "time": "6"}], "neigh": [[1, 2], [1, 3]]}
+
+
+@pytest.mark.parametrize("dag, order", [(FORWARD_DAG, (1, 3, 2)), (BACKWARD_DAG, (1, 2, 3))],
+                         ids=["forward", "backward"])
+def test_denot_writes_a_dag_in_its_replay_order(dag, order, counter, tmp_path, capsys):
+    """denot writes a DAG's events in the replay's order: the least (time,
+    id) of the events whose senders have all run comes next. When every
+    edge points forward in (time, id), that is (time, id) order; an edge
+    backward in time puts its sender first."""
+    p = tmp_path / "dag.json"
+    p.write_text(json.dumps(dag))
+    assert main(["denot", counter, str(p)]) == 0
+    times = {e["id"]: e["time"] for e in dag["events"]}
+    devices = {e["id"]: e["device"] for e in dag["events"]}
+    values = {1: 1, 2: 1, 3: 2}
+    assert capsys.readouterr().out == "".join(
+        f'{{"device":{devices[i]},"event":{i},"t":"{times[i]}","value":{{"num":{values[i]}.0}}}}\n'
+        for i in order)
+
+
+def test_run_and_check_adequacy_take_a_dag_file(tmp_path, capsys):
+    """run fires the program at each event of a DAG file, as denot denotes
+    it: env lists the devices of the event's senders. check-adequacy
+    compares the two sides there, counting its events."""
+    prog, p = tmp_path / "heard.hfc", tmp_path / "dag.json"
+    prog.write_text("sum-hood+(nbr{uid()}) + rep(0){(x) => x + 1}\n")
+    p.write_text(json.dumps(BACKWARD_DAG))
+    assert main(["run", str(prog), str(p)]) == 0
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["device"], r["t"], r["env"], r["root"]) for r in recs] == [
+        (1, "5", [], {"num": 1.0}), (2, "1", [1], {"num": 2.0}), (1, "6", [1], {"num": 2.0})]
+    assert main(["check-adequacy", str(prog), str(p)]) == 0
+    assert capsys.readouterr().out == "3/3 events equal\n"
+    assert main(["denot", str(prog), str(p), "--format", "csv"]) == 0
+    assert [r[3] for r in csv.reader(io.StringIO(capsys.readouterr().out))][1:] == ["1", "2", "2"]
+
+
+def test_a_dag_event_senses_nothing(tmp_path, capsys):
+    """A DAG file carries no sensor readings, so under every command a
+    sensor or nbr-range is not available, an evaluation error. The error
+    names the first event that fails in replay order: in the last program
+    events 2 and 3 both sense, and event 3 (device 1, t=2) comes first."""
+    p = tmp_path / "dag.json"
+    p.write_text(json.dumps(FORWARD_DAG))
+    for source, err in (("sns-num()\n", "sensor sns-num not available at device 1"),
+                        ("min-hood+(nbr-range())\n", "nbr-range not available at device 1"),
+                        ("if (uid() < 2) { if (1 < rep(0){(x) => x + 1}) { sns-num() } "
+                         "else { 0 } } else { sns-num() }\n",
+                         "sensor sns-num not available at device 1")):
+        prog = tmp_path / "sense.hfc"
+        prog.write_text(source)
+        for command in ("run", "denot", "check-adequacy"):
+            assert main([command, str(prog), str(p)]) == 1
+            out, got = capsys.readouterr()
+            assert out == "" and got.endswith(err + "\n"), (command, got)
+
+
+TWO_EVENTS = [{"id": 1, "device": 1, "time": "0"}, {"id": 2, "device": 2, "time": "1"}]
+BAD_DAG_INPUTS = {
+    "--decay on a DAG": ({"events": TWO_EVENTS, "neigh": []}, ["--decay", "5"],
+                         "--decay overrides a scenario, not an event DAG"),
+    "--radius on a DAG": ({"events": TWO_EVENTS, "neigh": []}, ["--radius", "2"],
+                          "--radius overrides a scenario, not an event DAG"),
+    "cycle": ({"events": TWO_EVENTS, "neigh": [[1, 2], [2, 1]]}, [],
+              "neigh violates cycle (events 1, 2, 1)"),
+    "duplicate device": ({"events": [{"id": i, "device": 1, "time": str(i)} for i in (1, 2, 3)],
+                          "neigh": [[1, 3], [2, 3]]}, [], "duplicate-device (events 2, 1, 3)"),
+    "double consumption": ({"events": [{"id": i, "device": 1, "time": str(i)} for i in (1, 2, 3)],
+                            "neigh": [[1, 2], [1, 3]]}, [], "double-consumption (events 1, 2, 3)"),
+    "unknown edge end": ({"events": [], "neigh": [[1, 2]]}, [],
+                         "neigh edge (1, 2) references unknown events"),
+    "event without time": ({"events": [{"id": 1, "device": 1}], "neigh": []}, [],
+                           "DAG event lacks key 'time'"),
+    "neigh edge not a pair": ({"events": TWO_EVENTS, "neigh": [[1]]}, [],
+                              "neigh edge must be [id, id], got [1]"),
+    "no neigh": ({"events": TWO_EVENTS}, [], "DAG file must be an object with keys events, neigh"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "denot", "check-adequacy"])
+@pytest.mark.parametrize("case", sorted(BAD_DAG_INPUTS))
+def test_a_bad_dag_input_is_exit_2_under_every_command(command, case, counter, tmp_path, capsys):
+    obj, opts, msg = BAD_DAG_INPUTS[case]
+    p = tmp_path / "dag.json"
+    p.write_text(json.dumps(obj))
+    assert main([command, counter, str(p), *opts]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {p}: ") and msg in err, err
+    assert "Traceback" not in err
+
+
+def test_denot_calls_denot_program_once_for_any_input(counter, one_device, tmp_path,
+                                                      monkeypatch):
+    """fieldc denot of a scenario and of a DAG file each goes through one
+    call of cli.denot_program, the name a tracer wraps to time the
+    denotation."""
+    calls = []
+    real = cli.denot_program
+    monkeypatch.setattr(cli, "denot_program", lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+    p = tmp_path / "dag.json"
+    p.write_text(json.dumps(FORWARD_DAG))
+    assert main(["denot", counter, one_device, "--out", str(tmp_path / "a")]) == 0
+    assert main(["denot", counter, str(p), "--out", str(tmp_path / "b")]) == 0
+    assert [type(src).__name__ for src in calls] == ["Scenario", "EventDAG"]
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +842,12 @@ MALFORMED_SHAPES = {
         "sns-num": {"steps": [[1]]}}}}, "sensor step must be [time, value], got [1]"),
     "sensor value not closed": ("denot", {**ONE_DEVICE, "sensors": {"1": {
         "sns-num": "nbr{1}"}}}, "expression is not a closed value"),
+    # an events key makes the file an event DAG under every command
+    "scenario with an events key (run)": ("run", {**ONE_DEVICE, "events": []},
+                                          "DAG file must be an object with keys events, neigh"),
+    "scenario with an events key (check-adequacy)": (
+        "check-adequacy", {**ONE_DEVICE, "events": []},
+        "DAG file must be an object with keys events, neigh"),
 }
 
 
@@ -931,8 +1049,8 @@ def test_writing_fresh_deep_lists_holds_no_text_past_its_record(tmp_path):
     sc_file.write_text(json.dumps(sc))
     tracemalloc.start()
     try:
-        denot_program(build_dag_from_scenario(scenario_from_json(sc)), parse_program(source))
-        denotation = tracemalloc.get_traced_memory()[1]
+        denotation(build_dag_from_scenario(scenario_from_json(sc)), parse_program(source))
+        held = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         assert main(["denot", str(prog_file), str(sc_file), "--out", str(out)]) == 0
         command = tracemalloc.get_traced_memory()[1]
@@ -940,7 +1058,7 @@ def test_writing_fresh_deep_lists_holds_no_text_past_its_record(tmp_path):
         tracemalloc.stop()
     size = out.stat().st_size
     assert size > 50 * 30 * n
-    assert command - denotation < 5 * size
+    assert command - held < 5 * size
 
 
 @pytest.mark.parametrize("command", ["run", "denot", "check-adequacy"])
@@ -1160,14 +1278,9 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 README_BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(), re.M | re.S)
 
 
-def test_readme_example_session(tmp_path, capsys):
-    blocks = README_BLOCKS
-    program = next(text for _, text in blocks if text.startswith("// grad.hfc"))
-    scenario = next(text for info, text in blocks if info == "json" and '"fires"' in text)
-    session = next(text for _, text in blocks if "$ fieldc run" in text)
-    files = {"grad.hfc": tmp_path / "grad.hfc", "line.json": tmp_path / "line.json"}
-    files["grad.hfc"].write_text(program)
-    files["line.json"].write_text(scenario)
+def _readme_session(session, files, capsys) -> list:
+    """Run each ``$ fieldc`` line of a README session on files (name ->
+    path), checking its output; the commands run, in order."""
     checked = []
     for cmd in re.split(r"^\$ fieldc ", session, flags=re.M)[1:]:
         line, _, want = cmd.partition("\n")
@@ -1178,7 +1291,29 @@ def test_readme_example_session(tmp_path, capsys):
         # CSV rows end in CRLF (RFC 4180); the README shows plain lines
         assert capsys.readouterr().out.replace("\r\n", "\n") == want
         checked.append(argv[0])
-    assert checked == ["typecheck", "run", "check-adequacy"]
+    return checked
+
+
+def test_readme_example_session(tmp_path, capsys):
+    blocks = README_BLOCKS
+    program = next(text for _, text in blocks if text.startswith("// grad.hfc"))
+    scenario = next(text for info, text in blocks if info == "json" and '"fires"' in text)
+    session = next(text for _, text in blocks if "$ fieldc run" in text)
+    files = {"grad.hfc": tmp_path / "grad.hfc", "line.json": tmp_path / "line.json"}
+    files["grad.hfc"].write_text(program)
+    files["line.json"].write_text(scenario)
+    assert _readme_session(session, files, capsys) == ["typecheck", "run", "check-adequacy"]
+
+
+def test_readme_dag_session(tmp_path, capsys):
+    blocks = README_BLOCKS
+    program = next(text for _, text in blocks if text.startswith("// heard.hfc"))
+    dag = next(text for info, text in blocks if info == "json" and '"events"' in text)
+    session = next(text for _, text in blocks if "$ fieldc run heard.hfc" in text)
+    files = {"heard.hfc": tmp_path / "heard.hfc", "dag.json": tmp_path / "dag.json"}
+    files["heard.hfc"].write_text(program)
+    files["dag.json"].write_text(dag)
+    assert _readme_session(session, files, capsys) == ["run", "denot", "check-adequacy"]
 
 
 # ---------------------------------------------------------------------------
@@ -1220,10 +1355,9 @@ def mutated_inputs(draw):
 @given(mutated_inputs())
 def test_mutated_input_files_end_in_a_defined_outcome(mutated):
     kind, obj = mutated
-    commands = ["run", "denot", "check-adequacy"] if kind == "scenario" else ["denot"]
     with tempfile.TemporaryDirectory() as d:
         prog, inp, out = (os.path.join(d, name) for name in ("grad.hfc", "in.json", "out"))
         Path(prog).write_text(FUZZ_PROGRAM)
         Path(inp).write_text(json.dumps(obj))
-        for command in commands:
+        for command in ("run", "denot", "check-adequacy"):
             assert main([command, prog, inp, "--out", out]) in (0, 1, 2)

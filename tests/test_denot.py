@@ -3,15 +3,16 @@
 import gc
 import json
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldcalc import network
+from fieldcalc import denot, network
 from fieldcalc.ast import Apply, Builtin, Lambda, Program, boolean, num
-from fieldcalc.builtins import TABLE, EvalError
+from fieldcalc.builtins import TABLE, EvalError, SensorState
 from fieldcalc.denot import (
     DagError,
     DenotError,
@@ -24,9 +25,7 @@ from fieldcalc.denot import (
     build_dag_from_scenario,
     check_adequacy,
     dag_from_json,
-    denot_eval,
     denot_program,
-    denot_scenario,
     latest_event,
     nbr_devices,
     prev_event,
@@ -41,7 +40,7 @@ from fieldcalc.parser import parse_expr, parse_program
 from fieldcalc.stdlib import corpus_entry
 from fieldcalc.typer import FieldT
 
-from generators import ExprGen, gen_scenario
+from generators import ExprGen, gen_dag, gen_scenario
 from helpers import (
     BOOL,
     EXAMPLE_EVENTS,
@@ -50,6 +49,8 @@ from helpers import (
     check_restriction,
     cluster,
     dag_to_json,
+    denot_eval,
+    denotation,
     example_dag,
     line_scenario,
     mkfield,
@@ -259,7 +260,7 @@ def test_defined_function_recursion_budget():
     g = chain_dag(1)
     prog = parse_program("def f(x) { f(x) } f(0)")
     with pytest.raises(FuelExhausted):
-        denot_program(g, prog, fuel=500)
+        denotation(g, prog, fuel=500)
 
 
 def test_unbound_variable_is_an_error():
@@ -308,10 +309,10 @@ def test_an_unknown_builtin_name_fails_at_its_call():
     g = build_dag_from_scenario(line_scenario(3, rounds=2))
     call = Apply(Builtin("no-such"), (parse_expr("nbr{uid()}"),))
     with pytest.raises(EvalError, match="^unknown builtin 'no-such'$"):
-        denot_program(g, Program((), call))
+        denotation(g, Program((), call))
     failing = Apply(Builtin("no-such"), (parse_expr("fst(uid())"),))
     with pytest.raises(EvalError, match="^fst expects a pair"):
-        denot_program(g, Program((), failing))
+        denotation(g, Program((), failing))
 
 
 @pytest.mark.parametrize("rounds", [20, 40, 80])
@@ -321,7 +322,7 @@ def test_rep_counter_evaluates_each_event_once(rounds, monkeypatch):
     calls = []
     real = TABLE.eval
     monkeypatch.setattr(TABLE, "eval", lambda *a: calls.append(a[0]) or real(*a))
-    out = denot_program(g, parse_program("rep(0){(x) => x + 1}"))
+    out = denotation(g, parse_program("rep(0){(x) => x + 1}"))
     assert len(calls) == len(g.events) == 5 * rounds
     assert [out[e] for e in g.events] == [num(k // 5 + 1) for k in range(5 * rounds)]
 
@@ -353,7 +354,7 @@ def test_denotation_matches_the_fixpoint_on_generated_scenarios():
                 else ExprGen(prog_rnd).program(depth=prog_rnd.randint(1, 4)))
         defs = {d.name: d for d in prog.defs}
         want = reference_denot(g, g.events, {}, prog.main, defs)
-        assert denot_program(g, prog) == want, (i, prog.main)
+        assert denotation(g, prog) == want, (i, prog.main)
 
 
 EXAMPLE_IDS = [i for i, _, _ in EXAMPLE_EVENTS]
@@ -555,9 +556,9 @@ def test_fold_hood_fuel_does_not_run_out_with_scenario_length():
     prog = parse_program("fold-hood((a, b) => a + b, nbr{1})")
     sc = line_scenario(10, rounds=20)
     g = build_dag_from_scenario(sc)
-    assert list(denot_program(g, prog, fuel=100).values())[-1] == num(2)
+    assert list(denotation(g, prog, fuel=100).values())[-1] == num(2)
     values = []
-    denot_scenario(sc, prog, lambda *ev: values.append(ev[3]), fuel=100)
+    denot_program(sc, prog, lambda *ev: values.append(ev[3]), fuel=100)
     assert len(values) == 200 and values[-1] == num(2)
     report = check_adequacy(sc, prog, fuel=100)
     assert report.ok and report.events == 200
@@ -571,7 +572,7 @@ def test_cluster_fuel_does_not_run_out_with_scenario_length():
     prog = parse_program("rep(0){(v) => if (v < 1000000) { v + 1 } else { 0 }}")
     sc = line_scenario(1, rounds=2000, until=2001)
     values = []
-    denot_scenario(sc, prog, lambda *ev: values.append(ev[3]), fuel=200)
+    denot_program(sc, prog, lambda *ev: values.append(ev[3]), fuel=200)
     assert len(values) == 2000 and values[-1] == num(2000)
     report = check_adequacy(sc, prog, fuel=200)
     assert report.ok and report.events == 2000
@@ -621,7 +622,7 @@ def test_adequacy_keeps_no_value_tree_past_its_last_reader(monkeypatch):
     assert trees > 0 and records > 0 and verdicts == 0
     values = []
     denotation = _most_alive(monkeypatch, kinds, scenarios,
-                             lambda sc: denot_scenario(sc, prog, lambda *ev: values.append(ev[3])))
+                             lambda sc: denot_program(sc, prog, lambda *ev: values.append(ev[3])))
     assert denotation[4] == denotation[16] == [0, records, 0]
     assert len(values) == 6 * (4 + 16)
 
@@ -636,12 +637,109 @@ def test_denotation_keeps_a_cluster_only_while_a_live_record_reads_it(monkeypatc
     scenarios = {rounds: line_scenario(6, rounds=rounds, until=rounds + 1) for rounds in (16, 256)}
     counts = []
     denotation = _most_alive(monkeypatch, (_Scope,), scenarios,
-                             lambda sc: denot_scenario(sc, prog, lambda *ev: counts.append(1)))
+                             lambda sc: denot_program(sc, prog, lambda *ev: counts.append(1)))
     assert len(counts) == 6 * (16 + 256)
     adequacy = _most_alive(monkeypatch, (_Scope,), scenarios,
                            lambda sc: check_adequacy(sc, prog).ok or pytest.fail("not adequate"))
     assert denotation[16] == denotation[256] and adequacy[16] == adequacy[256]
     assert denotation[16][0] > 1 and adequacy[16][0] > 1
+
+
+class _WeakTree(ValueTree):
+    __slots__ = ("__weakref__",)
+
+
+class _WeakRecord(Denoted):
+    __slots__ = ("__weakref__",)
+
+
+def _watch_payloads(monkeypatch, g: EventDAG) -> list:
+    """Make each value-tree a fire returns and each record the denotation
+    makes weakly referable, and check, as each event of a replay of g
+    starts, that the payloads alive are exactly those of the events
+    already run that an event yet to run hears. Returns the ids of the
+    events checked, in order."""
+    receivers = {e.id: set() for e in g.events}
+    for a, b in g.neigh:
+        receivers[a].add(b)
+    refs, checked = {}, []
+    walk, fire = network.walk, network.fire
+
+    def watch(step):
+        def watched(i, t, d, fresh, sensors):
+            done = set(refs)
+            for j, rs in refs.items():
+                alive = [r() is not None for r in rs]
+                assert alive == [not receivers[j] <= done] * len(rs), (j, i)
+            payload = step(i, t, d, fresh, sensors)
+            refs[i] = [weakref.ref(p) for p in (payload if type(payload) is tuple else (payload,))]
+            checked.append(i)
+            return payload
+
+        return watched
+
+    def weak_fire(*args):
+        tree = fire(*args)
+        return _WeakTree(tree.root, tree.children)
+
+    for mod in (denot, network):
+        monkeypatch.setattr(mod, "walk", lambda src, step: walk(src, watch(step)))
+        monkeypatch.setattr(mod, "fire", weak_fire)
+    monkeypatch.setattr(denot, "Denoted", _WeakRecord)
+    return checked
+
+
+def test_replay_keeps_no_message_past_its_last_reader(monkeypatch):
+    """Replaying a generated DAG keeps an event's value-tree and record
+    only until its last receiver has read them, and none for an event
+    nobody hears, under check-adequacy, the denotation and the simulator
+    alike; so memory follows the live window on a DAG as on a scenario."""
+    rnd, prog = random.Random(5), corpus_entry("gradient").program()
+    dags = [g for g in (gen_dag(rnd) for _ in range(40)) if len(g.events) >= 10][:8]
+    lost = sum(not any(a == e.id for a, _ in g.neigh) for g in dags for e in g.events)
+    shared = sum(sum(a == e.id for a, _ in g.neigh) > 1 for g in dags for e in g.events)
+    assert len(dags) == 8 and lost > 0 and shared > 0
+    for g in dags:
+        runs = [lambda: check_adequacy(g, prog).ok or pytest.fail("not adequate"),
+                lambda: denot_program(g, prog, lambda *ev: None),
+                lambda: network.run_scenario(g, prog, sink=lambda *fire: None)]
+        for run in runs:
+            checked = _watch_payloads(monkeypatch, g)
+            try:
+                run()
+            finally:
+                monkeypatch.undo()
+            assert sorted(checked) == sorted(e.id for e in g.events)
+
+
+def test_replay_runs_each_event_after_its_senders_least_time_and_id_first():
+    """Of the events whose senders have all run, the least in (time, id)
+    runs next; fresh maps each sender's device to its message, tagged with
+    the sender's time, and an event without readings senses nothing."""
+    g = EventDAG([Event(1, 1, F(5)), Event(2, 2, F(1)), Event(3, 1, F(6)), Event(4, 3, F(1))],
+                 [(1, 2), (1, 3)])
+    seen = []
+
+    def step(i, t, d, fresh, sensors):
+        seen.append((i, t, d, {s: (m.payload, m.tag) for s, m in fresh.items()}, sensors))
+        return f"m{i}"
+
+    g.replay(step)
+    assert seen == [(4, 1, 3, {}, SensorState()), (1, 5, 1, {}, SensorState()),
+                    (2, 1, 2, {1: ("m1", 5)}, SensorState()),
+                    (3, 6, 1, {1: ("m1", 5)}, SensorState())]
+
+
+def test_replay_refuses_two_senders_on_one_device_and_a_cycle():
+    two = EventDAG([Event(1, 1, F(1)), Event(2, 1, F(2)), Event(3, 2, F(3))], [(1, 3), (2, 3)])
+    with pytest.raises(DagError, match="^event 3 has two neighbour events at device 1$"):
+        two.replay(lambda *event: None)
+    ran = []
+    cyclic = EventDAG([Event(1, 1, F(0)), Event(2, 2, F(1)), Event(3, 3, F(2))],
+                      [(1, 2), (2, 1)])
+    with pytest.raises(DagError, match="^neigh relation has a cycle$"):
+        cyclic.replay(lambda i, *event: ran.append(i))
+    assert ran == [3]
 
 
 def test_nbr_range_adequacy():

@@ -34,7 +34,6 @@ from fieldcalc.denot import (
     Verdict,
     build_dag_from_scenario,
     check_adequacy,
-    denot_program,
     verdict_json,
 )
 from fieldcalc.device import (
@@ -60,6 +59,7 @@ from helpers import (
     NUM,
     align_fun,
     align_i,
+    denotation,
     dumps,
     is_local_value,
     leaf,
@@ -781,7 +781,7 @@ def test_environment_passing_matches_substitution(seed):
     fuel = rnd.choice([10**6, 10**6, rnd.randint(1, 300)])
     compared = []
 
-    def step(t, d, fresh, sensors):
+    def step(i, t, d, fresh, sensors):
         env = {s: m.payload for s, m in fresh.items()}
         got, tree = _outcome(eval_expr, prog, d, env, sensors, fuel)
         want, _ = _outcome(reference_eval_expr, prog, d, env, sensors, fuel)
@@ -868,7 +868,7 @@ def test_fuel_runs_out_at_the_same_tick_as_in_the_reference(prog, feeder, reache
     FuelExhausted comes."""
     seen = set()
 
-    def step(t, d, fresh, sensors):
+    def step(i, t, d, fresh, sensors):
         env = {s: m.payload for s, m in fresh.items()}
         full, tree = _outcome(eval_expr, prog, d, env, sensors, DEFAULT_FUEL)
         for fuel in range(DEFAULT_FUEL - full[2] + 2):
@@ -1015,7 +1015,7 @@ def test_every_field_is_built_in_domain_order(seed):
 
     with mock.patch.object(FieldVal, "__init__", recording):
         trace = run_scenario(sc, prog)
-        denots = denot_program(build_dag_from_scenario(sc), prog)
+        denots = denotation(build_dag_from_scenario(sc), prog)
     seen = []
     for rec in trace.records:
         stack = [rec.tree]
@@ -1073,7 +1073,7 @@ def test_every_numeral_a_run_builds_is_canonical(seed):
             t = stack.pop()
             values.append(t.root)
             stack.extend(t.children)
-    values.extend(denot_program(build_dag_from_scenario(sc), prog).values())
+    values.extend(denotation(build_dag_from_scenario(sc), prog).values())
     for v in values:
         for c in _float_ctors(v):
             assert c is ast.NAN if c != c else c != 0 or math.copysign(1, c) == 1, v
@@ -1135,7 +1135,7 @@ def test_constant_children_align_no_environment(monkeypatch):
             for d in grid})
         counts = []
 
-        def step(t, d, fresh, sensors):
+        def step(i, t, d, fresh, sensors):
             aligned[0] = 0
             tree = fire(prog, d, t, {s: m.payload for s, m in fresh.items()}, sensors)
             counts.append((aligned[0], 1 + _aligned_children(prog.main, tree, defs)))

@@ -190,9 +190,9 @@ def test_sweep_feeds_each_fire_the_latest_payloads():
                    fires=[(0, 1), (1, 2), (2, 1), (3, 3), (4, 2)])
     seen = []
 
-    def step(t, d, fresh, sensors):
+    def step(i, t, d, fresh, sensors):
         seen.append({s: m.payload for s, m in fresh.items()})
-        return len(seen) - 1
+        return i
 
     sweep(sc, step)
     assert seen == [{}, {1: 0}, {1: 0, 2: 1}, {}, {1: 2, 2: 1}]
@@ -396,7 +396,7 @@ def _sweep_answers(sc) -> list:
     fire of the delivery sweep."""
     out = []
 
-    def step(t, d, fresh, sensors):
+    def step(i, t, d, fresh, sensors):
         out.append([t, d, None, heard(fresh), sensors.nbr["nbr-range"]])
 
     def recording(world, d):
