@@ -164,16 +164,16 @@ def _min_value(values):
 class SensorState(Frozen):
     """Per-device sensor readings for one firing instant.
 
-    local maps sensor name to a local value; nbr maps relational sensor
-    name to a per-neighbour map (nbr-range distances, in particular).
-    Each is a new empty dict when not given.
+    local maps sensor name to a local value, a new empty dict when not
+    given; ranges maps a device to its nbr-range distance, None where no
+    range is known (an event of a DAG file).
     """
 
-    __slots__ = _fields = ("local", "nbr")
+    __slots__ = _fields = ("local", "ranges")
 
-    def __init__(self, local: Optional[dict] = None, nbr: Optional[dict] = None):
+    def __init__(self, local: Optional[dict] = None, ranges: Optional[dict] = None):
         set_field(self, "local", {} if local is None else local)
-        set_field(self, "nbr", {} if nbr is None else nbr)
+        set_field(self, "ranges", ranges)
 
 
 def _need_num(v: Expr, who: str) -> float:
@@ -304,7 +304,7 @@ def op_uid(ctx, args):
 
 
 def op_nbr_range(ctx, args):
-    ranges = ctx.sensors.nbr.get("nbr-range")
+    ranges = ctx.sensors.ranges
     if ranges is None:
         raise SensorError(f"nbr-range not available at device {ctx.device}")
     dom = ctx.domain

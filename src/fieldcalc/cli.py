@@ -21,7 +21,6 @@ from .denot import (
     dag_from_json,
     check_adequacy,
     denot_program,
-    validate_dag,
     verdict_json,
 )
 # only for tracers that wrap cli.build_dag_from_scenario (bench/spans.py):
@@ -35,7 +34,6 @@ from .network import (
     fire_jsonl,
     run_scenario,
     scenario_from_json,
-    show_id,
 )
 from .parser import ParseError, parse_program
 from .stdlib import CorpusError, load_corpus
@@ -101,8 +99,8 @@ def _load_program(path: str):
 
 def _load_input(path: str, ns):
     """Read a scenario, with the --decay/--radius overrides applied, or,
-    when the JSON has events, an event DAG, which takes no override and
-    must satisfy validate_dag; malformed input exits with code 2."""
+    when the JSON has events, an event DAG, which takes no override;
+    malformed input exits with code 2."""
     obj = _read_json(path)
     dag = isinstance(obj, dict) and "events" in obj
     for opt in ("decay", "radius"):
@@ -112,10 +110,6 @@ def _load_input(path: str, ns):
         src = dag_from_json(obj) if dag else scenario_from_json(obj)
     except (DagError, ScenarioError) as e:
         raise CliError(2, f"{path}: {e}") from None
-    bad = validate_dag(src) if dag else ()
-    if bad:
-        raise CliError(2, f"{path}: neigh violates " + "; ".join(
-            f"{v.kind} (events {', '.join(map(show_id, v.events))})" for v in bad))
     try:
         if ns.decay is not None:
             src = src.replace(decay=ns.decay)

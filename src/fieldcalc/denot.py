@@ -9,16 +9,18 @@ application restricts evaluation to the cluster of events that selected
 the same function value. All three read only an event's causal past, so
 the evaluator visits the events once, in a causal order, and the rep
 fixpoint has exactly the solution that order builds. What a later event
-reads of an event, its nbr and rep values in each cluster, is one record.
+reads of an event, its nbr and rep values in each cluster, is one record:
+a dict from each cluster (_Scope) the event entered to the values there
+of the body's nbr and rep nodes, by node id.
 
 Every input is denoted in one event loop (network.walk): a scenario in
 lockstep with the delivery sweep, whose time order is causal, and an
 event DAG by its replay, which visits its events in a causal order, least
 (time, id) first. Each event is denoted as it is reached, and its record
-travels in its message, which is dropped once its last receiver has read
-it. The adequacy checker takes the same step, plus the fire and the
-comparison. The first failure in that order is reported; at one event,
-the device's error comes before the denotation's.
+goes out in the payload it sends, which is dropped once its last
+receiver has read it. The adequacy checker takes the same step, plus the
+fire and the comparison. The first failure in that order is reported; at
+one event, the device's error comes before the denotation's.
 
 Denotational values reuse the syntax tree: local data values and fields
 stand for themselves, and a function value is represented by its tag
@@ -70,7 +72,6 @@ from .network import (
     Scenario,
     SHAPE_ERRORS,
     ScenarioError,
-    Stored,
     as_time,
     fire,
     json_container,
@@ -137,7 +138,7 @@ class EventDAG:
     def replay(self, step) -> None:
         """Run the events as network.sweep runs fires: ``step(i, t, d, fresh,
         sensors)`` returns the payload of event i, of device d at time t;
-        ``fresh`` maps the device of each sender to its Stored message, and
+        ``fresh`` maps the device of each sender to its payload, and
         sensors are the event's own or none. The events come in a causal
         order, least (time, id) first of those whose senders have all run,
         which is (time, id) order when every edge points forward in it. A
@@ -164,8 +165,7 @@ class EventDAG:
                 unread[j] -= 1
                 if not unread[j]:
                     del kept[j]
-            kept[k] = Stored(step(e.id, e.time, e.device, fresh,
-                                  self.sensors.get(e.id) or none), e.time, None)
+            kept[k] = step(e.id, e.time, e.device, fresh, self.sensors.get(e.id) or none)
             if not unread[k]:  # a lost message
                 del kept[k]
             for b in receivers[k]:
@@ -278,10 +278,16 @@ def restrict_evolution(g: EventDAG, ev: dict, E) -> dict:
 # DAG JSON
 
 EVENT_SHAPE = '{"id": id, "device": id, "time": time}'
+SCENARIO_KEYS = frozenset({"decay", "devices", "fires", "paths", "radius", "sensors"})
+
 
 def dag_from_json(obj) -> EventDAG:
+    """The event DAG a DAG file holds, which must satisfy validate_dag."""
     if not isinstance(obj, dict) or "events" not in obj or "neigh" not in obj:
         raise DagError("DAG file must be an object with keys events, neigh")
+    mixed = sorted(SCENARIO_KEYS.intersection(obj))
+    if mixed:
+        raise DagError(f"DAG file holds the scenario keys {', '.join(mixed)}")
     try:
         events = []
         for r in json_container(obj["events"], list, "events"):
@@ -302,7 +308,13 @@ def dag_from_json(obj) -> EventDAG:
             neigh.append((a, b))
     except ScenarioError as e:
         raise DagError(str(e)) from None
-    return EventDAG(events, neigh)
+    g = EventDAG(events, neigh)
+    del events, neigh  # g holds copies of both: free them before the check walks g
+    bad = validate_dag(g)
+    if bad:
+        raise DagError("neigh violates " + "; ".join(
+            f"{v.kind} (events {', '.join(map(show_id, v.events))})" for v in bad))
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +333,7 @@ def build_dag_from_scenario(sc: Scenario) -> EventDAG:
     def step(i, t, d, fresh, sens):
         events.append(Event(i, d, t))
         sensors[i] = sens
-        neigh.extend((m.payload, i) for m in fresh.values())
+        neigh.extend((j, i) for j in fresh.values())
         return i
 
     sweep(sc, step)
@@ -331,18 +343,6 @@ def build_dag_from_scenario(sc: Scenario) -> EventDAG:
 # ---------------------------------------------------------------------------
 # evaluation
 
-class Denoted(Record):
-    """What later events read of one event: for each cluster (_Scope) it
-    entered, the values there of the body's nbr and rep nodes, by node id."""
-
-    __slots__ = _fields = ("id", "device", "scopes")
-
-    def __init__(self, id: int, device: int):
-        self.id = id
-        self.device = device
-        self.scopes = {}
-
-
 class _Scope:
     """One cluster and the body it evaluates.
 
@@ -350,11 +350,11 @@ class _Scope:
     one child scope per function value it selects, holding the parent's
     events that selected it. An event belongs to a scope when its record
     holds values there. Events come in a causal order, so when an event is
-    entered every sender it can be aware of has its record, and there is
-    at most one sender per device (network.walk). ``here``,
-    ``nbrs``, ``prev`` and ``pi`` describe the event being evaluated. A
-    parent holds its children weakly, so a scope lives while a live record
-    reads it; it keeps its body, so the Apply node ids keying children stay unique."""
+    entered every sender it can be aware of has its record, keyed by its
+    device (network.walk). ``here``, ``nbrs``, ``prev`` and ``pi``
+    describe the event being evaluated. A parent holds its children
+    weakly, so a scope lives while a live record reads it; it keeps its
+    body, so the Apply node ids keying children stay unique."""
 
     __slots__ = ("params", "body", "size", "run", "children", "here", "nbrs", "prev", "pi",
                  "__weakref__")
@@ -392,32 +392,33 @@ class _Denot:
         self.ctx = EvalContext(device=None, defs=defs or {}, fuel=fuel)
         self.fuel = self.budget = fuel
         self.rec = None  # the record of the event being evaluated
-        self.senders = ()  # the records of its senders
+        self.senders = {}  # the records of its senders, by device
 
     def enter(self, S: _Scope) -> None:
         """Add the event to S, paying for S's body, and record its aligned neighbours."""
         if self.budget < S.size:
             raise FuelExhausted("denotational evaluation fuel exhausted")
         self.budget -= S.size
-        rec, nbrs = self.rec, {}
-        for s in self.senders:
-            vals = s.scopes.get(S)
+        nbrs, d = {}, self.ctx.device
+        for s, sent in self.senders.items():
+            vals = sent.get(S)
             if vals is not None:
-                nbrs[s.device] = vals
-        S.here = rec.scopes[S] = {}
-        S.prev, S.nbrs = nbrs.pop(rec.device, None), nbrs
-        S.pi = tuple(sorted((*nbrs, rec.device)))
+                nbrs[s] = vals
+        S.here = self.rec[S] = {}
+        S.prev, S.nbrs = nbrs.pop(d, None), nbrs
+        S.pi = tuple(sorted((*nbrs, d)))
 
-    def event(self, root: _Scope, rec: Denoted, senders, sensors, X) -> Expr:
-        """The value of root's body at the event whose record is rec, where
-        X holds the values there of the variables in scope. senders are the
-        records of the events it is aware of; rec is filled as it goes."""
+    def event(self, root: _Scope, rec: dict, d: int, senders: dict, sensors, X) -> Expr:
+        """The value of root's body at the event of device d whose record is
+        rec, where X holds the values there of the variables in scope.
+        senders maps the device of each event it is aware of to that
+        event's record; rec is filled as it goes."""
         ctx = self.ctx
-        ctx.device, ctx.sensors, ctx.fuel = rec.device, sensors, self.fuel
+        ctx.device, ctx.sensors, ctx.fuel = d, sensors, self.fuel
         self.rec, self.senders, self.budget = rec, senders, self.fuel
         self.enter(root)
         v = root.run(self, root, X)
-        self.rec, self.senders = None, ()  # the records live only as long as their messages
+        self.rec, self.senders = None, {}  # the records live only as long as their payloads
         return v
 
 
@@ -548,13 +549,13 @@ def _compile(e: Expr):
 
 def denot_program(src, program: Program, sink, fuel: int = DEFAULT_FUEL) -> None:
     """Denote each event of src, a scenario or an event DAG, as network.walk
-    reaches it, and hand it to ``sink(event, t, d, value)``. Each event's
-    message carries its record."""
+    reaches it, and hand it to ``sink(event, t, d, value)``. Each event
+    sends its record."""
     den, root = _Denot({d.name: d for d in program.defs}, fuel), _Scope((), program.main)
 
     def step(i, t, d, fresh, sensors):
-        rec = Denoted(i, d)
-        sink(i, t, d, den.event(root, rec, [m.payload for m in fresh.values()], sensors, {}))
+        rec = {}
+        sink(i, t, d, den.event(root, rec, d, fresh, sensors, {}))
         return rec
 
     walk(src, step)
@@ -617,15 +618,15 @@ def check_adequacy(src, program: Program, fuel: int = DEFAULT_FUEL,
     reaches it, fire the device and denote the event, and compare the
     value with the fire's root restricted to the event's aligned
     neighbours. ``sink(verdict)``, when given, takes each verdict; the
-    report keeps only counts and the first counterexample. Each event's
-    message carries its value-tree and its record."""
+    report keeps only counts and the first counterexample. Each event
+    sends the pair of its value-tree and its record."""
     den, root = _Denot({d.name: d for d in program.defs}, fuel), _Scope((), program.main)
     report = AdequacyReport()
 
     def step(i, t, d, fresh, sensors):
-        tree = fire(program, d, t, {s: m.payload[0] for s, m in fresh.items()}, sensors, fuel)
-        rec = Denoted(i, d)
-        lhs = den.event(root, rec, [m.payload[1] for m in fresh.values()], sensors, {})
+        tree = fire(program, d, t, {s: p[0] for s, p in fresh.items()}, sensors, fuel)
+        rec = {}
+        lhs = den.event(root, rec, d, {s: p[1] for s, p in fresh.items()}, sensors, {})
         rhs = restrict_value(tree.root, root.pi)
         v = Verdict(i, t, d, lhs, rhs, lhs == rhs)
         report.add(v)

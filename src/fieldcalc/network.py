@@ -7,17 +7,18 @@ decay, fire times and segment borders, so it suffers no float drift and
 does no Fraction arithmetic.
 
 One forward delivery sweep decides who hears whom. Every device keeps an
-inbox holding the latest time-tagged message of each sender. When device
-d fires at t, the sweep reads only d's part of the world: it cuts d's
-inbox at max(t - decay, start of d's current on-interval), computes d's
-sensors (ranges to d and its fresh senders only), lets its consumer turn
-the fresh inbox into a payload, and delivers that payload to every
-device that is on and within radius at t, d itself included. The
-simulator evaluates the program along the sweep (the payload is the
-value-tree), and the denotation denotes each fire's event along it (the
-payload is the event's record); the induced event DAG records the same
-deliveries as neigh edges (the payload is the event id). An event DAG's
-replay takes the same consumer (``walk``).
+inbox holding the latest payload of each sender, beside the tick it was
+sent at. When device d fires at t, the sweep reads only d's part of the
+world: it cuts d's inbox at max(t - decay, start of d's current
+on-interval), computes d's sensors (ranges to d and its fresh senders
+only), lets its consumer turn the fresh payloads, by sender, into a
+payload, and delivers that payload to every device that is on and within
+radius at t, d itself included. The simulator evaluates the program
+along the sweep (the payload is the value-tree), and the denotation
+denotes each fire's event along it (the payload is the event's record);
+the induced event DAG records the same deliveries as neigh edges (the
+payload is the event id). An event DAG's replay takes the same consumer
+(``walk``).
 
 A device is on while some path segment covers the current time.
 Segments that abut or overlap make one continuous on-interval; only a
@@ -143,21 +144,6 @@ def sample_script(steps, t: Timestamp):
 
 # ---------------------------------------------------------------------------
 # the world and the delivery sweep
-
-class Stored(Record):
-    """A stored message: payload is a ValueTree in the simulator, an
-    event's record in the denotation, the pair of both in the adequacy
-    check and an event id in the induced DAG, and tick is the tag in the
-    World's ticks, None in a DAG's replay. One is made per fire, so it
-    takes plain slot stores."""
-
-    __slots__ = _fields = ("payload", "tag", "tick")
-
-    def __init__(self, payload: object, tag: Timestamp, tick: Optional[int]):
-        self.payload = payload
-        self.tag = tag
-        self.tick = tick
-
 
 def _on_intervals(segs) -> tuple:
     """Maximal (start, end) intervals covered by the (start, end, ...)
@@ -336,13 +322,13 @@ def ranges_at(world: World, d: int, others) -> dict:
 
 
 def sensors_at(world: World, d: int, others) -> SensorState:
-    """Sensor readings of d now; nbr-range covers ``others``."""
+    """Sensor readings of d now; its ranges cover ``others``."""
     local = {}
     for name, steps in world.sc.sensor_scripts.get(d, {}).items():
         v = sample_script(steps, world.t)
         if v is not None:
             local[name] = v
-    return SensorState(local=local, nbr={"nbr-range": ranges_at(world, d, others)})
+    return SensorState(local, ranges_at(world, d, others))
 
 
 def env_change(world: World, d: int) -> int:
@@ -357,18 +343,20 @@ def env_change(world: World, d: int) -> int:
 
 
 def filter_old(world: World, inbox: dict, d: int) -> dict:
-    """Cut d's inbox for good at max(now - decay, d's last reboot) and
-    return it: what is older has expired or was lost while d was off."""
+    """Cut d's inbox, the pair (payloads, ticks sent) by sender, for good
+    at max(now - decay, d's last reboot), and return its payloads: what
+    is older has expired or was lost while d was off."""
     cutoff = max(world.now - world.decay, env_change(world, d))
-    box = inbox[d]
-    for sender in [s for s, m in box.items() if m.tick < cutoff]:
-        del box[sender]
-    return box
+    payloads, ticks = inbox[d]
+    for sender in [s for s, tick in ticks.items() if tick < cutoff]:
+        del payloads[sender], ticks[sender]
+    return payloads
 
 
 def env_at(world: World, inbox: dict, d: int):
-    """The firing device's view of the world now: its fresh inbox and its
-    sensors, ranging over itself and its fresh senders only."""
+    """The firing device's view of the world now: its fresh payloads by
+    sender and its sensors, ranging over itself and its fresh senders
+    only."""
     fresh = filter_old(world, inbox, d)
     return fresh, sensors_at(world, d, (d, *fresh))
 
@@ -376,15 +364,18 @@ def env_at(world: World, inbox: dict, d: int):
 def sweep(sc: Scenario, step) -> None:
     """Run the scenario's fires in time order. ``step(i, t, d, fresh,
     sensors)`` returns the payload d sends, where i numbers the fires from
-    0; ``fresh`` maps each sender d hears to its Stored message and is
-    only valid during the call."""
+    0; ``fresh`` maps each sender d hears to its payload and is only valid
+    during the call. Each inbox keeps its payloads beside the ticks they
+    were sent at, which no step sees."""
     world = World(sc)
-    inbox = {d: {} for d in sc.devices}
+    inbox = {d: ({}, {}) for d in sc.devices}
     for i, (t, d) in enumerate(sc.fires):
         fresh, sensors = env_at(world.at(t), inbox, d)
-        msg = Stored(step(i, t, d, fresh, sensors), t, world.now)
+        payload, now = step(i, t, d, fresh, sensors), world.now
         for d2 in hearers(world, d):
-            inbox[d2][d] = msg
+            payloads, ticks = inbox[d2]
+            payloads[d] = payload
+            ticks[d] = now
 
 
 def walk(src, step) -> None:
@@ -399,7 +390,7 @@ def walk(src, step) -> None:
 def fire(program: Program, d: int, now: Timestamp, env: dict,
          sensors: SensorState, fuel: int = DEFAULT_FUEL, rng=None) -> ValueTree:
     """One firing of device d: evaluate main against env, the trees of its
-    fresh inbox by sender."""
+    fresh senders by device."""
     try:
         return evaluate_main(program, d, env, sensors, fuel, rng)
     except EvalError as e:
@@ -410,16 +401,12 @@ def fire(program: Program, d: int, now: Timestamp, env: dict,
 # running a scenario
 
 class FireRecord(Frozen):
-    # heard: the (sender, tag) of each message in the fresh inbox
-    __slots__ = _fields = ("t", "device", "root", "tree", "heard")
-
-    @property
-    def env_domain(self) -> frozenset:
-        return frozenset(d for d, _ in self.heard)
+    # env_domain: the frozenset of the senders the fire heard
+    __slots__ = _fields = ("t", "device", "root", "tree", "env_domain")
 
 
 # The text of one fire, for fieldc run and FireTrace alike: senders are the
-# ids of the messages the fire heard.
+# devices the fire heard.
 
 RUN_CSV_HEADER = ("t", "device", "root")
 
@@ -455,28 +442,23 @@ class FireTrace(Record):
                         (fire_csv_row(r.t, r.device, r.root) for r in self.records))
 
 
-def heard(fresh: dict) -> tuple:
-    """The (sender, tag) of each message in a fresh inbox."""
-    return tuple((s, m.tag) for s, m in fresh.items())
-
-
 def run_scenario(src, program: Program, fuel: int = DEFAULT_FUEL,
                  rng=None, sink=None) -> Optional[FireTrace]:
     """Fire the program at each event of src, a scenario or an event DAG
     (``walk``). ``sink(t, d, tree, fresh)`` takes each fire as it returns,
-    where ``fresh`` is the inbox it heard, valid only during the call;
-    without a sink, one record per fire is kept and the FireTrace of them
-    returned."""
+    where ``fresh`` holds the trees it heard by sender, valid only during
+    the call; without a sink, one record per fire is kept and the
+    FireTrace of them returned."""
     trace = None
     if sink is None:
         trace = FireTrace()
         records = trace.records
 
         def sink(t, d, tree, fresh):
-            records.append(FireRecord(t, d, tree.root, tree, heard(fresh)))
+            records.append(FireRecord(t, d, tree.root, tree, frozenset(fresh)))
 
     def step(i, t, d, fresh, sensors):
-        tree = fire(program, d, t, {s: m.payload for s, m in fresh.items()}, sensors, fuel, rng)
+        tree = fire(program, d, t, fresh, sensors, fuel, rng)
         sink(t, d, tree, fresh)
         return tree
 

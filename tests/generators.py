@@ -417,7 +417,7 @@ SNS_FUN_VALUES = [parse_value(f) for f in SNS_FUNS]
 
 
 def _readings(rnd, devices) -> SensorState:
-    """One event's sensors: every local sensor, and nbr-range to every device."""
+    """One event's sensors: every local sensor, and a range to every device."""
     return SensorState(
         local={
             "sns-num": num(rnd.randint(-3, 9)),
@@ -426,7 +426,7 @@ def _readings(rnd, devices) -> SensorState:
             "sns-injection-point": boolean(rnd.random() < 0.4),
             "sns-fun": rnd.choice(SNS_FUN_VALUES),
         },
-        nbr={"nbr-range": {d: float(rnd.randint(0, 8)) for d in devices}},
+        ranges={d: float(rnd.randint(0, 8)) for d in devices},
     )
 
 

@@ -50,7 +50,6 @@ from fieldcalc.ast import (
 from fieldcalc.builtins import TABLE, EvalError, SensorState
 from fieldcalc.denot import (
     DenotError,
-    Denoted,
     Event,
     EventDAG,
     _Denot,
@@ -211,7 +210,7 @@ def reference_clamped_position_at(sc: Scenario, d: int, t):
 
 
 def reference_sensors(sc: Scenario, d: int, t, others=None) -> SensorState:
-    """Sensor readings of d at t; nbr-range covers ``others`` (every
+    """Sensor readings of d at t; its ranges cover ``others`` (every
     device when None), by clamped positions."""
     local = {}
     for name, steps in sc.sensor_scripts.get(d, {}).items():
@@ -224,7 +223,7 @@ def reference_sensors(sc: Scenario, d: int, t, others=None) -> SensorState:
         there = reference_clamped_position_at(sc, d2, t)
         if there is not None:
             ranges[d2] = math.dist(here, there)
-    return SensorState(local=local, nbr={"nbr-range": ranges})
+    return SensorState(local=local, ranges=ranges)
 
 
 def reference_hearers(sc: Scenario, d: int, t) -> list:
@@ -240,8 +239,8 @@ def reference_hearers(sc: Scenario, d: int, t) -> list:
 
 
 def reference_sweep(sc: Scenario) -> list:
-    """(t, device, hearers, fresh (sender, tag) pairs, nbr-range) of each
-    fire of the delivery sweep, by the rules on exact times: a message
+    """(t, device, hearers, fresh (sender, time sent) pairs, ranges) of
+    each fire of the delivery sweep, by the rules on exact times: a message
     stays fresh while it is within decay and its receiver has stayed on
     since it arrived."""
     inbox = {d: {} for d in sc.devices}
@@ -252,7 +251,7 @@ def reference_sweep(sc: Scenario) -> list:
             raise ValueError(f"device {d} fires at t={t} but is off")
         box = inbox[d] = {s: tag for s, tag in inbox[d].items()
                           if tag >= t - sc.decay and on_throughout(segs, tag, t)}
-        ranges = reference_sensors(sc, d, t, (d, *box)).nbr["nbr-range"]
+        ranges = reference_sensors(sc, d, t, (d, *box)).ranges
         hear = reference_hearers(sc, d, t)
         out.append((t, d, hear, tuple(box.items()), ranges))
         for d2 in hear:
@@ -726,9 +725,8 @@ def denot_eval(g: EventDAG, E, X: dict, e, defs=None, fuel: int = DEFAULT_FUEL) 
     den, root, out = _Denot(defs, fuel), _Scope((), e), {}
 
     def step(i, t, d, fresh, sensors):
-        ev, rec = g.by_id[i], Denoted(i, d)
-        out[ev] = den.event(root, rec, [m.payload for m in fresh.values()], sensors,
-                            {n: phi[ev] for n, phi in X.items()})
+        ev, rec = g.by_id[i], {}
+        out[ev] = den.event(root, rec, d, fresh, sensors, {n: phi[ev] for n, phi in X.items()})
         return rec
 
     sub.replay(step)

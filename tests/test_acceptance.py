@@ -214,7 +214,7 @@ def sensor_state(rnd, all_devices):
             "sns-injection-point": boolean(rnd.random() < 0.4),
             "sns-fun": parse_value(rnd.choice(SNS_FUNS)),
         },
-        nbr={"nbr-range": {d: float(rnd.randint(0, 8)) for d in all_devices}},
+        ranges={d: float(rnd.randint(0, 8)) for d in all_devices},
     )
 
 
@@ -392,22 +392,35 @@ class AlignedFields:
     """A stand-in for the denotation's compile step that wraps the closure
     of every node it compiles: each field value a node instance yields,
     at every event, is checked against the events of its cluster so far.
-    The events of each cluster are noted as they enter its scope, by
-    wrapping the denotation's enter step (``entering``)."""
+    The event being denoted is noted by wrapping the step that the
+    denotation's walk takes (``walking``), and the events of each cluster
+    as they enter its scope, by wrapping the denotation's enter step
+    (``entering``)."""
 
     def __init__(self, compile_):
         self.compile = compile_
         self.g = None  # the DAG being denoted
-        self.clusters = {}  # scope -> ids of the events it has taken
+        self.event = None  # the event being denoted
+        self.clusters = {}  # scope -> the events it has taken
         self.fields_checked = 0
 
     def denote(self, g, prog):
         self.g, self.clusters = g, {}
         denotation(g, prog)
 
+    def walking(self, walk):
+        def noted(src, step):
+            def stepped(i, *event):
+                self.event = self.g.by_id[i]
+                return step(i, *event)
+
+            return walk(src, stepped)
+
+        return noted
+
     def entering(self, enter):
         def noted(den, S):
-            self.clusters.setdefault(S, set()).add(den.rec.id)
+            self.clusters.setdefault(S, set()).add(self.event)
             return enter(den, S)
 
         return noted
@@ -418,9 +431,8 @@ class AlignedFields:
         def checked(den, S, X):
             v = run(den, S, X)
             if isinstance(v, FieldVal):
-                ev = self.g.by_id[den.rec.id]
-                cluster = {self.g.by_id[i] for i in self.clusters[S]}
-                assert frozenset(v.devs) == nbr_devices(self.g, cluster, ev), (e, ev)
+                ev = self.event
+                assert frozenset(v.devs) == nbr_devices(self.g, self.clusters[S], ev), (e, ev)
                 self.fields_checked += 1
             return v
 
@@ -440,6 +452,7 @@ def test_field_alignment_restriction_and_rep_identity(monkeypatch):
     aligned = AlignedFields(denot._compile)
     monkeypatch.setattr(denot, "_compile", aligned)
     monkeypatch.setattr(denot._Denot, "enter", aligned.entering(denot._Denot.enter))
+    monkeypatch.setattr(denot, "walk", aligned.walking(denot.walk))
     for sc, prog in adequacy_pairs.__wrapped__():
         aligned.denote(build_dag_from_scenario(sc), prog)
     monkeypatch.undo()

@@ -40,9 +40,9 @@ from fieldcalc.ast import (
     value_of,
 )
 from fieldcalc.builtins import BuiltinEntry, SensorState, value_equal
-from fieldcalc.denot import AdequacyReport, Denoted, Event, Verdict, Violation
+from fieldcalc.denot import AdequacyReport, Event, Verdict, Violation
 from fieldcalc.device import EvalContext, ValueTree
-from fieldcalc.network import FireRecord, FireTrace, PathSeg, Scenario, Stored
+from fieldcalc.network import FireRecord, FireTrace, PathSeg, Scenario
 from fieldcalc.parser import Token, parse_expr
 from fieldcalc.stdlib import CorpusEntry
 from fieldcalc.typer import Arrow, Base, FieldT, Scheme, TCon, TVar
@@ -142,14 +142,15 @@ FROZEN_RECORDS = [
     (Arrow, dict(args=(NUM,), res=NUM)),
     (TVar, dict(vid=7)),
     (Scheme, dict(qvars=(), body=NUM)),
-    (SensorState, dict(local={}, nbr={})),
+    (SensorState, dict(local={}, ranges={1: 0.0})),
     (BuiltinEntry, dict(name="+", scheme=_SCHEME, op=None, least=2, most=2, loop=None)),
     (Token, dict(kind="name", text="x", span=Span(1, 1), value=0.0)),
     (CorpusEntry, dict(name="one", source="1", declared_type=_SCHEME)),
     (PathSeg, dict(start=F(0), end=F(1), waypoints=((0, 0),))),
     (Scenario, dict(devices=(1,), radius=1.0, decay=F(1), paths={}, fires=((_FIRE, 1),),
                     sensor_scripts={})),
-    (FireRecord, dict(t=_FIRE, device=1, root=num(1), tree=ValueTree(num(1)), heard=())),
+    (FireRecord, dict(t=_FIRE, device=1, root=num(1), tree=ValueTree(num(1)),
+                      env_domain=frozenset({2}))),
     (Event, dict(id=1, device=2, time=_FIRE)),
     (Violation, dict(kind="cycle", events=(1, 2))),
     (Verdict, dict(event=1, t=_FIRE, device=2, denotational=num(1), operational=num(1),
@@ -160,7 +161,6 @@ SPAN_IGNORED = (Var, Builtin, DefName, Data, Lambda, Apply, Rep, Nbr, FieldVal, 
 # (class, keywords) of each record that can change: equal by fields, unhashable
 MUTABLE_RECORDS = [
     (EvalContext, dict(device=1, sensors=SensorState(), defs={}, fuel=5, rng=None, domain=(1,))),
-    (Stored, dict(payload=3, tag=_FIRE, tick=1)),
     (FireTrace, dict(records=[])),
     (AdequacyReport, dict(events=0, equal=0, first_counterexample=None)),
 ]
@@ -217,7 +217,6 @@ def test_default_fields_are_new_each_time():
     assert EvalContext(1).sensors == SensorState() and EvalContext(1).domain == ()
     assert FireTrace().records == [] and FireTrace().records is not FireTrace().records
     assert AdequacyReport() == AdequacyReport(0, 0, None)
-    assert Denoted(0, 1).scopes == {} and Denoted(0, 1).scopes is not Denoted(0, 1).scopes
     sc = Scenario((1,), 1, 0, {}, ())
     assert sc.sensor_scripts == {} and sc.radius == 1.0 and sc.decay == F(0)
     assert Token("eof", "", Span(1, 1)).value == 0.0

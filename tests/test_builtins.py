@@ -505,7 +505,7 @@ def test_sensors():
 
 
 def test_nbr_range_covers_the_neighbourhood():
-    sensors = SensorState(nbr={"nbr-range": {1: 0.0, 2: 1.5}})
+    sensors = SensorState(ranges={1: 0.0, 2: 1.5})
     out = ev("nbr-range", [], env_domain={2}, sensors=sensors)
     assert out == fld({1: 0, 2: 1.5})
     with pytest.raises(SensorError):

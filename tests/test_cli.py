@@ -848,6 +848,11 @@ MALFORMED_SHAPES = {
     "scenario with an events key (check-adequacy)": (
         "check-adequacy", {**ONE_DEVICE, "events": []},
         "DAG file must be an object with keys events, neigh"),
+    # a file with the keys of both shapes is neither, under every command
+    **{f"scenario with events and neigh keys ({command})": (
+        command, {**ONE_DEVICE, "events": [], "neigh": []},
+        ": DAG file holds the scenario keys decay, devices, fires, paths, radius\n")
+       for command in ("run", "denot", "check-adequacy")},
 }
 
 

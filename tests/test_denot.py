@@ -16,7 +16,6 @@ from fieldcalc.builtins import TABLE, EvalError, SensorState
 from fieldcalc.denot import (
     DagError,
     DenotError,
-    Denoted,
     Event,
     EventDAG,
     Verdict,
@@ -143,6 +142,17 @@ def test_dag_json_round_trip():
     g2 = dag_from_json(j)
     assert g2.neigh == g.neigh
     assert g2.events == g.events
+
+
+def test_dag_file_is_checked_where_it_is_read():
+    """dag_from_json refuses a DAG that breaks the neigh properties, each
+    violation named as validate_dag finds it, and a file that also holds
+    scenario keys, which it names."""
+    events = [{"id": i, "device": 1, "time": str(i)} for i in (1, 2)]
+    with pytest.raises(DagError, match=r"^neigh violates cycle \(events 1, 2, 1\)$"):
+        dag_from_json({"events": events, "neigh": [[1, 2], [2, 1]]})
+    with pytest.raises(DagError, match="^DAG file holds the scenario keys fires, sensors$"):
+        dag_from_json({"events": events, "neigh": [], "sensors": {}, "fires": []})
 
 
 def test_dag_rejects_bad_references():
@@ -449,7 +459,7 @@ def test_induced_dag_counts_abutting_segments_as_continuous():
 def test_induced_dag_matches_the_all_pairs_reference():
     """The sweep gives the reference's events and neigh edges, and the
     same sensor readings wherever an event can use them: every local
-    sensor, and nbr-range to the event's own device and its senders."""
+    sensor, and the range to the event's own device and its senders."""
     rnd = random.Random(20161025)
     abutting = border = decay_edge = 0
     for _ in range(300):
@@ -461,9 +471,7 @@ def test_induced_dag_matches_the_all_pairs_reference():
             got, want = g.sensors[e.id], ref.sensors[e.id]
             assert got.local == want.local
             usable = {e.device} | {s.device for s in g.senders(e)}
-            ranges = got.nbr["nbr-range"]
-            assert {d: ranges[d] for d in usable} == {
-                d: want.nbr["nbr-range"][d] for d in usable}
+            assert {d: got.ranges[d] for d in usable} == {d: want.ranges[d] for d in usable}
         abutting += any(a.end == b.start for segs in sc.paths.values()
                         for a, b in zip(segs, segs[1:]))
         border += any(t in (s.start, s.end) for t, d in sc.fires
@@ -578,10 +586,33 @@ def test_cluster_fuel_does_not_run_out_with_scenario_length():
     assert report.ok and report.events == 2000
 
 
+class _Record(dict):
+    """An event's record, a plain dict, as a type of its own that can be
+    counted among the live objects and weakly referenced."""
+
+    __slots__ = ("__weakref__",)
+
+
+def _own_records(step):
+    """step, sending a _Record copy of each record it sends (alone, or
+    beside a value-tree), which later events read in its place."""
+    def stepped(*event):
+        payload = step(*event)
+        if type(payload) is dict:
+            return _Record(payload)
+        if type(payload) is tuple:
+            return payload[0], _Record(payload[1])
+        return payload
+
+    return stepped
+
+
 def _most_alive(monkeypatch, kinds, scenarios, check):
     """The most objects of each kind alive as a fire starts, for each of
-    scenarios (rounds -> scenario) that check runs."""
+    scenarios (rounds -> scenario) that check runs, each record counted
+    as a _Record."""
     out = {}
+    walk = denot.walk
     for rounds, sc in scenarios.items():
         live = []
 
@@ -591,6 +622,7 @@ def _most_alive(monkeypatch, kinds, scenarios, check):
             return env_at(*args)
 
         monkeypatch.setattr(network, "env_at", counting)
+        monkeypatch.setattr(denot, "walk", lambda src, step: walk(src, _own_records(step)))
         gc.freeze()  # get_objects then skips what lived before the run
         try:
             check(sc)
@@ -610,7 +642,7 @@ def test_adequacy_keeps_no_value_tree_past_its_last_reader(monkeypatch):
     the leaves its compiled nodes share, which live as long as the
     program, are made before the count starts."""
     prog = corpus_entry("gradient").program()
-    kinds = (ValueTree, Denoted, Verdict)
+    kinds = (ValueTree, _Record, Verdict)
     scenarios = {rounds: line_scenario(6, rounds=rounds, sensors={
         d: {"sns-injection-point": boolean(d == 0)} for d in range(6)}) for rounds in (4, 16)}
 
@@ -649,13 +681,9 @@ class _WeakTree(ValueTree):
     __slots__ = ("__weakref__",)
 
 
-class _WeakRecord(Denoted):
-    __slots__ = ("__weakref__",)
-
-
 def _watch_payloads(monkeypatch, g: EventDAG) -> list:
     """Make each value-tree a fire returns and each record the denotation
-    makes weakly referable, and check, as each event of a replay of g
+    sends weakly referable, and check, as each event of a replay of g
     starts, that the payloads alive are exactly those of the events
     already run that an event yet to run hears. Returns the ids of the
     events checked, in order."""
@@ -683,9 +711,8 @@ def _watch_payloads(monkeypatch, g: EventDAG) -> list:
         return _WeakTree(tree.root, tree.children)
 
     for mod in (denot, network):
-        monkeypatch.setattr(mod, "walk", lambda src, step: walk(src, watch(step)))
+        monkeypatch.setattr(mod, "walk", lambda src, step: walk(src, watch(_own_records(step))))
         monkeypatch.setattr(mod, "fire", weak_fire)
-    monkeypatch.setattr(denot, "Denoted", _WeakRecord)
     return checked
 
 
@@ -714,20 +741,19 @@ def test_replay_keeps_no_message_past_its_last_reader(monkeypatch):
 
 def test_replay_runs_each_event_after_its_senders_least_time_and_id_first():
     """Of the events whose senders have all run, the least in (time, id)
-    runs next; fresh maps each sender's device to its message, tagged with
-    the sender's time, and an event without readings senses nothing."""
+    runs next; fresh maps each sender's device to its payload, and an
+    event without readings senses nothing."""
     g = EventDAG([Event(1, 1, F(5)), Event(2, 2, F(1)), Event(3, 1, F(6)), Event(4, 3, F(1))],
                  [(1, 2), (1, 3)])
     seen = []
 
     def step(i, t, d, fresh, sensors):
-        seen.append((i, t, d, {s: (m.payload, m.tag) for s, m in fresh.items()}, sensors))
+        seen.append((i, t, d, dict(fresh), sensors))
         return f"m{i}"
 
     g.replay(step)
     assert seen == [(4, 1, 3, {}, SensorState()), (1, 5, 1, {}, SensorState()),
-                    (2, 1, 2, {1: ("m1", 5)}, SensorState()),
-                    (3, 6, 1, {1: ("m1", 5)}, SensorState())]
+                    (2, 1, 2, {1: "m1"}, SensorState()), (3, 6, 1, {1: "m1"}, SensorState())]
 
 
 def test_replay_refuses_two_senders_on_one_device_and_a_cycle():

@@ -782,9 +782,8 @@ def test_environment_passing_matches_substitution(seed):
     compared = []
 
     def step(i, t, d, fresh, sensors):
-        env = {s: m.payload for s, m in fresh.items()}
-        got, tree = _outcome(eval_expr, prog, d, env, sensors, fuel)
-        want, _ = _outcome(reference_eval_expr, prog, d, env, sensors, fuel)
+        got, tree = _outcome(eval_expr, prog, d, fresh, sensors, fuel)
+        want, _ = _outcome(reference_eval_expr, prog, d, fresh, sensors, fuel)
         assert got == want, (t, d)
         err = got[0]
         compared.append(err)
@@ -792,7 +791,7 @@ def test_environment_passing_matches_substitution(seed):
             ctx = EvalContext(device=d, sensors=sensors,
                               defs={x.name: x for x in feeder.defs})
             try:
-                return eval_expr(ctx, env, feeder.main)
+                return eval_expr(ctx, fresh, feeder.main)
             except FAILURES:
                 raise _Stop from None
         if err is not None:
@@ -869,11 +868,10 @@ def test_fuel_runs_out_at_the_same_tick_as_in_the_reference(prog, feeder, reache
     seen = set()
 
     def step(i, t, d, fresh, sensors):
-        env = {s: m.payload for s, m in fresh.items()}
-        full, tree = _outcome(eval_expr, prog, d, env, sensors, DEFAULT_FUEL)
+        full, tree = _outcome(eval_expr, prog, d, fresh, sensors, DEFAULT_FUEL)
         for fuel in range(DEFAULT_FUEL - full[2] + 2):
-            got, _ = _outcome(eval_expr, prog, d, env, sensors, fuel)
-            want, _ = _outcome(reference_eval_expr, prog, d, env, sensors, fuel)
+            got, _ = _outcome(eval_expr, prog, d, fresh, sensors, fuel)
+            want, _ = _outcome(reference_eval_expr, prog, d, fresh, sensors, fuel)
             assert got == want, (t, d, fuel)
             seen.add(got[0])
         return tree if tree is not None else evaluate_main(feeder, d, {}, sensors)
@@ -1137,7 +1135,7 @@ def test_constant_children_align_no_environment(monkeypatch):
 
         def step(i, t, d, fresh, sensors):
             aligned[0] = 0
-            tree = fire(prog, d, t, {s: m.payload for s, m in fresh.items()}, sensors)
+            tree = fire(prog, d, t, fresh, sensors)
             counts.append((aligned[0], 1 + _aligned_children(prog.main, tree, defs)))
             return tree
 

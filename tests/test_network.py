@@ -12,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 from fieldcalc import network
 from fieldcalc.ast import num
 from fieldcalc.builtins import SensorState
+from fieldcalc.denot import build_dag_from_scenario
 from fieldcalc.network import (
     FireError,
     FireRecord,
     PathSeg,
     Scenario,
     ScenarioError,
-    Stored,
     World,
     as_time,
     clamped_position_at,
@@ -26,7 +26,6 @@ from fieldcalc.network import (
     env_change,
     filter_old,
     fire,
-    heard,
     hearers,
     position_at,
     ranges_at,
@@ -75,25 +74,29 @@ def test_as_time():
 HERE = ((0.0, 0.0),)
 
 
-def stored(world, payload, tag):
-    return Stored(payload, tag, world.tick(tag))
+def box(world, messages: dict) -> tuple:
+    """An inbox as the sweep keeps it, (payloads, ticks sent) by sender,
+    from the (payload, time sent) of each sender's message."""
+    return ({s: p for s, (p, _) in messages.items()},
+            {s: world.tick(t) for s, (_, t) in messages.items()})
 
 
 def test_filter_old_boundaries():
     sc = static_sc({1: (0, 0), 2: (1, 0), 3: (2, 0)}, radius=5, decay=10, fires=[])
 
     def inbox(w):
-        return {1: {2: stored(w, leaf(num(0)), F(0)), 3: stored(w, leaf(num(1)), F(5))},
-                2: {}, 3: {}}
+        return {1: box(w, {2: (leaf(num(0)), F(0)), 3: (leaf(num(1)), F(5))}),
+                2: box(w, {}), 3: box(w, {})}
 
     w = World(sc).at(F(10))
-    assert set(filter_old(w, inbox(w), 1)) == {2, 3}  # tag == now - decay survives
+    assert set(filter_old(w, inbox(w), 1)) == {2, 3}  # sent at now - decay survives
     w = World(sc.replace(decay=F(5))).at(F(10))
-    box = inbox(w)
-    assert set(filter_old(w, box, 1)) == {3}
-    assert set(box[1]) == {3}  # the cut is for good
+    kept = inbox(w)
+    fresh = filter_old(w, kept, 1)
+    assert fresh is kept[1][0] and fresh == {3: leaf(num(1))}
+    assert set(kept[1][1]) == {3}  # the cut is for good, of payloads and ticks alike
     w = World(sc.replace(decay=F(0))).at(F(5))
-    assert set(filter_old(w, inbox(w), 1)) == {3}  # decay 0 keeps only trees tagged now
+    assert set(filter_old(w, inbox(w), 1)) == {3}  # decay 0 keeps only what was sent now
 
 
 def test_filter_old_cuts_at_the_last_reboot():
@@ -106,8 +109,8 @@ def test_filter_old_cuts_at_the_last_reboot():
         fires=(),
     )
     w = World(sc).at(F(5))
-    box = {1: {1: stored(w, leaf(num(0)), F(2)), 2: stored(w, leaf(num(1)), F(4))}, 2: {}}
-    assert set(filter_old(w, box, 1)) == {2}
+    inbox = {1: box(w, {1: (leaf(num(0)), F(2)), 2: (leaf(num(1)), F(4))}), 2: box(w, {})}
+    assert set(filter_old(w, inbox, 1)) == {2}
 
 
 def test_env_change_add_remove_retain():
@@ -177,25 +180,29 @@ def test_fire_broadcast_includes_self():
 def test_env_at_ranges_over_fresh_senders_only():
     sc = static_sc({1: (0, 0), 2: (3, 0), 3: (0, 4)}, radius=10, decay=10, fires=[])
     w = World(sc).at(F(2))
-    inbox = {1: {2: stored(w, leaf(num(0)), F(1))}, 2: {}, 3: {}}
+    inbox = {1: box(w, {2: (leaf(num(0)), F(1))}), 2: box(w, {}), 3: box(w, {})}
     fresh, sensors = env_at(w, inbox, 1)
     assert set(fresh) == {2}
-    assert sensors.nbr["nbr-range"] == {1: 0.0, 2: 3.0}
+    assert sensors.ranges == {1: 0.0, 2: 3.0}
 
 
 def test_sweep_feeds_each_fire_the_latest_payloads():
-    # 1 and 2 hear each other, 3 is out of range; the payload is the fire
-    # index, so each fire sees the latest index of every sender it heard
+    """1 and 2 hear each other, 3 is out of range. Each fire sends a new
+    object, and its fresh holds, by device, the very objects that the
+    latest fire of each sender it hears sent: on the scenario's sweep and
+    on the replay of the DAG it induces alike (network.walk)."""
     sc = static_sc({1: (0, 0), 2: (1, 0), 3: (50, 0)}, radius=5, decay=100,
                    fires=[(0, 1), (1, 2), (2, 1), (3, 3), (4, 2)])
-    seen = []
+    for src in (sc, build_dag_from_scenario(sc)):
+        sent, seen = {}, []
 
-    def step(i, t, d, fresh, sensors):
-        seen.append({s: m.payload for s, m in fresh.items()})
-        return i
+        def step(i, t, d, fresh, sensors):
+            seen.append({s: [j for j, p in sent.items() if p is m] for s, m in fresh.items()})
+            sent[i] = object()
+            return sent[i]
 
-    sweep(sc, step)
-    assert seen == [{}, {1: 0}, {1: 0, 2: 1}, {}, {1: 2, 2: 1}]
+        network.walk(src, step)
+        assert seen == [{}, {1: [0]}, {1: [0], 2: [1]}, {}, {1: [2], 2: [1]}]
 
 
 def test_min_hood_fire_order_walkthrough():
@@ -392,12 +399,13 @@ def test_still_geometry_is_worked_out_once_per_device(monkeypatch, build):
 
 
 def _sweep_answers(sc) -> list:
-    """(t, device, hearers, fresh (sender, tag) pairs, nbr-range) of each
-    fire of the delivery sweep."""
+    """(t, device, hearers, fresh (sender, time sent) pairs, ranges) of
+    each fire of the delivery sweep, each fire sending its time."""
     out = []
 
     def step(i, t, d, fresh, sensors):
-        out.append([t, d, None, heard(fresh), sensors.nbr["nbr-range"]])
+        out.append([t, d, None, tuple(fresh.items()), sensors.ranges])
+        return t
 
     def recording(world, d):
         out[-1][2] = hearers(world, d)
@@ -419,7 +427,7 @@ def _exact(answers) -> list:
 def test_world_answers_as_the_all_pairs_scan(seed):
     """At every fire, the World's grid, per-instant positions and integer
     ticks give the all-pairs scan on exact rationals: the same hearers in
-    the same order, the same fresh (sender, tag) pairs and the same
+    the same order, the same fresh (sender, time sent) pairs and the same
     nbr-range floats, bit for bit."""
     sc = gen_world(random.Random(seed))
     assert _exact(_sweep_answers(sc)) == _exact(reference_sweep(sc))
