@@ -30,7 +30,14 @@ def canon_num(x: float) -> float:
 # ---------------------------------------------------------------------------
 # records
 
-set_field = object.__setattr__  # how a frozen record stores a field
+set_field = object.__setattr__  # how a frozen record stores a field by name
+
+
+def slot_stores(cls, *names) -> tuple:
+    """The store of each named slot of cls: the __set__ of the slot's own
+    descriptor, which a frozen record's refusing __setattr__ does not
+    reach and which finds the slot without a lookup by name."""
+    return tuple([getattr(cls, n).__set__ for n in names])
 
 
 class Record:
@@ -61,19 +68,30 @@ class Record:
 class Frozen(Record):
     """A record that refuses every assignment or deletion once made. Its
     hash is the hash of the tuple of its fields. This constructor takes
-    the fields by position or keyword, those in _defaults optional; a
-    record built in bulk (a span, a token, a type, an expression node)
-    has its own, two to three times as fast."""
+    the fields by position or keyword, those in _defaults optional.
+
+    Every field is a slot, and a record stores its fields through the
+    slots' own descriptors (slot_stores), found once per class: this
+    constructor through _stores, and a record built in bulk (a span, a
+    token, a type, an expression node, data, a field, sensor readings)
+    through its own constructor, which names each store and is two to
+    three times as fast. Assignment and deletion still go through the
+    refusing __setattr__ and __delattr__."""
 
     __slots__ = ()
     _defaults = {}
 
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "_fields" in cls.__dict__:
+            cls._stores = slot_stores(cls, *cls._fields)
+
     def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
+        stores = self._stores
+        if kwargs or len(args) != len(stores):
             args = self._bind(args, kwargs)
-        for f, v in zip(fields, args):
-            set_field(self, f, v)
+        for store, v in zip(stores, args):
+            store(self, v)
 
     @classmethod
     def _bind(cls, args, kwargs):
@@ -108,8 +126,11 @@ class Span(Frozen):
     __slots__ = _fields = ("line", "col")
 
     def __init__(self, line: int, col: int):
-        set_field(self, "line", line)
-        set_field(self, "col", col)
+        _span_line(self, line)
+        _span_col(self, col)
+
+
+_span_line, _span_col = slot_stores(Span, "line", "col")
 
 
 class Node(Frozen):
@@ -120,14 +141,20 @@ class Node(Frozen):
     __slots__ = ("span", "_plan", "_dev", "_den")
 
 
+_node_span, = slot_stores(Node, "span")
+
+
 class Name(Node):
     """What a variable, a builtin and a function name share: one name."""
 
     __slots__ = _fields = ("name",)
 
     def __init__(self, name: str, span: Optional[Span] = None):
-        set_field(self, "name", name)
-        set_field(self, "span", span)
+        _name_name(self, name)
+        _node_span(self, span)
+
+
+_name_name, = slot_stores(Name, "name")
 
 
 class Var(Name):
@@ -163,9 +190,9 @@ class Data(Node):
     _fields = ("ctor", "args")
 
     def __init__(self, ctor: Union[str, float], args: tuple = (), span: Optional[Span] = None):
-        set_field(self, "ctor", ctor)
-        set_field(self, "args", args)
-        set_field(self, "span", span)
+        _data_ctor(self, ctor)
+        _data_args(self, args)
+        _node_span(self, span)
 
     def __eq__(self, other):
         # the equality of (ctor, args), spans ignored, with the pending
@@ -211,40 +238,55 @@ class Data(Node):
         return self._hash
 
 
+_data_ctor, _data_args = slot_stores(Data, "ctor", "args")
+
+
 class Lambda(Node):
     __slots__ = _fields = ("params", "body")
 
     def __init__(self, params: tuple, body: "Expr", span: Optional[Span] = None):
-        set_field(self, "params", params)
-        set_field(self, "body", body)
-        set_field(self, "span", span)
+        _lambda_params(self, params)
+        _lambda_body(self, body)
+        _node_span(self, span)
+
+
+_lambda_params, _lambda_body = slot_stores(Lambda, "params", "body")
 
 
 class Apply(Node):
     __slots__ = _fields = ("fn", "args")
 
     def __init__(self, fn: "Expr", args: tuple, span: Optional[Span] = None):
-        set_field(self, "fn", fn)
-        set_field(self, "args", args)
-        set_field(self, "span", span)
+        _apply_fn(self, fn)
+        _apply_args(self, args)
+        _node_span(self, span)
+
+
+_apply_fn, _apply_args = slot_stores(Apply, "fn", "args")
 
 
 class Rep(Node):
     __slots__ = _fields = ("init", "var", "body")
 
     def __init__(self, init: "Expr", var: str, body: "Expr", span: Optional[Span] = None):
-        set_field(self, "init", init)
-        set_field(self, "var", var)
-        set_field(self, "body", body)
-        set_field(self, "span", span)
+        _rep_init(self, init)
+        _rep_var(self, var)
+        _rep_body(self, body)
+        _node_span(self, span)
+
+
+_rep_init, _rep_var, _rep_body = slot_stores(Rep, "init", "var", "body")
 
 
 class Nbr(Node):
     __slots__ = _fields = ("body",)
 
     def __init__(self, body: "Expr", span: Optional[Span] = None):
-        set_field(self, "body", body)
-        set_field(self, "span", span)
+        _nbr_body(self, body)
+        _node_span(self, span)
+
+
+_nbr_body, = slot_stores(Nbr, "body")
 
 
 class FieldVal(Node):
@@ -260,9 +302,9 @@ class FieldVal(Node):
     __slots__ = _fields = ("devs", "vals")
 
     def __init__(self, devs: tuple, vals: tuple, span: Optional[Span] = None):
-        set_field(self, "devs", devs)
-        set_field(self, "vals", vals)
-        set_field(self, "span", span)
+        _field_devs(self, devs)
+        _field_vals(self, vals)
+        _node_span(self, span)
 
     @property
     def entries(self) -> tuple:
@@ -271,6 +313,9 @@ class FieldVal(Node):
 
     def __repr__(self):  # the printed form diagnostics have always shown
         return f"FieldVal(entries={self.entries!r})"
+
+
+_field_devs, _field_vals = slot_stores(FieldVal, "devs", "vals")
 
 
 # a tuple, not a typing.Union: typing's cache would pin re-imported classes
@@ -282,10 +327,14 @@ class Def(Frozen):
     _fields = ("name", "params", "body")
 
     def __init__(self, name: str, params: tuple, body: Expr, span: Optional[Span] = None):
-        set_field(self, "name", name)
-        set_field(self, "params", params)
-        set_field(self, "body", body)
-        set_field(self, "span", span)
+        _def_name(self, name)
+        _def_params(self, params)
+        _def_body(self, body)
+        _def_span(self, span)
+
+
+_def_name, _def_params, _def_body, _def_span = slot_stores(
+    Def, "name", "params", "body", "span")
 
 
 class Program(Frozen):

@@ -9,21 +9,34 @@ The table makes three families of names available:
     SensorState of the evaluator's context (device.EvalContext), in
     which every operator runs.
 
+Each application of a builtin name is a site. Its node fixes the name
+and the number of arguments, so the site is bound once, when the node is
+compiled (TABLE.bind), to a kernel: the name's operation, checked
+against that number there. The evaluators pass the kernel to TABLE.eval
+at every call, which checks domains and runs it, and tests no arity
+again. A wrong number of arguments, or a name that names no builtin,
+binds a kernel that raises the error at the call, after the arguments
+have run. A name given to TABLE.eval (a builtin a program applies as a
+value, or one a builtin calls) is bound there, for the number of
+arguments it gets; kernels are kept by name and number.
+
 Decorated names like +[f,f] or mux[f,f,l] are derived mechanically:
 arguments flagged f and the result are promoted to neighbouring-field
 types, remaining type variables are re-sorted to local return types,
 and evaluation applies the base operator pointwise over the domain,
 broadcasting the l-flagged arguments. The derived schemes coincide with
 the listed ones for +[f,f], Pair[f,f], Pair[l,f], <[f,l], mux[f,f,l].
-Each decoratable operator has a field kernel, one loop over the field:
-+ - * < = compute a point of two numbers inline and mux one with a
-boolean condition, Pair and Cons build their data in the loop, and any
-other point goes to the base operator, which computes it or raises its
-error there; the hoods are single loops too. min-hood, min-hood+ and <
-on non-numbers order values by one walk over both (_compare): numbers
-first with NaN greatest, then data by constructor and arguments left to
-right, stopping at the first difference; functions and fields have no
-order.
+A decorated name has one fused kernel, made from its flags: it checks
+that each f-flagged argument is a field and runs one loop over
+ctx.domain, in a single frame. + - * < = compute a point of two numbers
+inline and mux one with a boolean condition, Pair and Cons build their
+data in the loop, and any other point goes to the base operator, which
+computes it or raises its error there; the hoods are single loops too.
+min-hood and min-hood+ compare two numbers inline; they, and < on
+non-numbers, order other values by one walk over both (_compare):
+numbers first with NaN greatest, then data by constructor and arguments
+left to right, stopping at the first difference; functions and fields
+have no order.
 
 Every field-valued argument of any builtin must have domain equal to
 the current environment's devices plus self; this is the side condition
@@ -31,8 +44,10 @@ that makes domain alignment errors (mixing fields from differently
 aligned subcomputations) detectable at the point of combination. The
 evaluator passes that domain as ctx.domain, a tuple of device ids in
 increasing order, and a field keeps its devices in the same order, so the
-condition is one tuple comparison per field, and a field operator builds
-its result position by position over ctx.domain without sorting.
+condition is one tuple comparison per field, and none when the field was
+built over ctx.domain itself; a field operator builds its result position
+by position over ctx.domain without sorting. Arity is fixed when a site
+is bound; domains are checked at every call.
 """
 
 from __future__ import annotations
@@ -57,7 +72,7 @@ from .ast import (
     boolean,
     is_num,
     num,
-    set_field,
+    slot_stores,
 )
 from .typer import Arrow, FieldT, Scheme, Sort, canonical, parse_scheme
 
@@ -148,12 +163,23 @@ def _compare(a: Expr, b: Expr) -> int:
         a, b = todo.pop()
 
 
-def _min_value(values):
-    """The first least value in device order; a lone value is not compared."""
-    it = iter(values)
-    best = next(it, None)
-    for v in it:
-        if _compare(v, best) < 0:
+def _min_value(values, skip=None):
+    """The first least value in device order, the value at device skip
+    left out; a lone value is not compared. Two numbers are compared
+    inline, as _compare orders them (NaN greatest); other values go to
+    _compare. None when no value is left."""
+    best = None
+    for d, v in values:
+        if d == skip:
+            continue
+        if best is None:
+            best = v
+        elif (v.__class__ is Data and best.__class__ is Data
+              and v.ctor.__class__ is float and best.ctor.__class__ is float):
+            x, y = v.ctor, best.ctor
+            if x < y or (y != y and x == x):
+                best = v
+        elif _compare(v, best) < 0:
             best = v
     return best
 
@@ -172,8 +198,11 @@ class SensorState(Frozen):
     __slots__ = _fields = ("local", "ranges")
 
     def __init__(self, local: Optional[dict] = None, ranges: Optional[dict] = None):
-        set_field(self, "local", {} if local is None else local)
-        set_field(self, "ranges", ranges)
+        _sensors_local(self, {} if local is None else local)
+        _sensors_ranges(self, ranges)
+
+
+_sensors_local, _sensors_ranges = slot_stores(SensorState, "local", "ranges")
 
 
 def _need_num(v: Expr, who: str) -> float:
@@ -204,9 +233,10 @@ def _need_fun(v: Expr, who: str) -> Expr:
 # ---------------------------------------------------------------------------
 # operator implementations
 #
-# op(ctx, args): a builtin reached through ctx.call sets ctx.domain anew, so
-# every op reads ctx.domain before it calls a function. TABLE.eval checked
-# each field argument's devices are ctx.domain: value i is at the i-th device.
+# op(ctx, args): the kernel of a site whose argument count is right. A
+# builtin reached through ctx.call sets ctx.domain anew, so every op reads
+# ctx.domain before it calls a function. TABLE.eval checked each field
+# argument's devices are ctx.domain: value i is at the i-th device.
 
 def _num_op(name: str, f: Callable):
     def op(ctx, args):
@@ -248,16 +278,14 @@ def _part_op(ctor: str, i: int, failure: str):
 
 def op_min_hood(ctx, args):
     phi = _need_field(args[0], "min-hood")
-    return _min_value(phi.vals)
+    return _min_value(zip(phi.devs, phi.vals))
 
 
 def op_min_hood_plus(ctx, args):
     phi = _need_field(args[0], "min-hood+")
-    rest = [v for d, v in zip(phi.devs, phi.vals) if d != ctx.device]
-    if not rest:
-        # isolated device: neutral element of min over num
-        return num(INF)
-    return _min_value(rest)
+    best = _min_value(zip(phi.devs, phi.vals), ctx.device)
+    # an isolated device: the neutral element of min over num
+    return num(INF) if best is None else best
 
 
 def op_sum_hood_plus(ctx, args):
@@ -326,78 +354,110 @@ def _make_sns(name: str):
 
 
 # ---------------------------------------------------------------------------
-# field kernels
+# fused kernels of decorated names
 #
-# loop(ctx, *columns) is a decoratable operator applied at every device: a
-# tuple whose i-th value is the operator on the i-th value of each column.
-# A point of the kind the operator expects is computed inline; any other
-# point goes to the base op, which raises its error there or computes it.
+# loop(name, flags) makes the kernel of the decorated name: run(ctx, args)
+# applies the base op at every device of ctx.domain in one frame. An
+# f-flagged argument must be a field, whose value at the i-th device is
+# its i-th; an l-flagged one repeats. A point of the kind the base op
+# expects is computed inline; any other point goes to the base op, which
+# raises its error there or computes it.
+
+def _field_vals(a: Expr, name: str) -> tuple:
+    """The values of a, an argument flagged f of decorated name, when it is
+    a field; else the error of the decoration."""
+    return _need_field(a, name).vals
+
 
 def _num_loop(f: Callable, base: Callable, test: bool):
-    """The loop of a base op that on two numbers x and y is f(x, y): a
-    truth value if test, else a number, canonical as num makes it."""
-    def loop(ctx, xs, ys):
-        out = []
-        for a, b in zip(xs, ys):
-            if (a.__class__ is Data and b.__class__ is Data
-                    and a.ctor.__class__ is float and b.ctor.__class__ is float):
-                r = f(a.ctor, b.ctor)
-                if test:
-                    out.append(TRUE if r else FALSE)
+    """The kernel maker of a base op that on two numbers x and y is
+    f(x, y): a truth value if test, else a number, canonical as num
+    makes it."""
+    def loop(name: str, flags):
+        fx, fy = flags[0] == "f", flags[1] == "f"
+
+        def run(ctx, args):
+            a, b = args
+            xs = (a.vals if a.__class__ is FieldVal else _field_vals(a, name)) if fx else repeat(a)
+            ys = (b.vals if b.__class__ is FieldVal else _field_vals(b, name)) if fy else repeat(b)
+            out = []
+            for a, b in zip(xs, ys):
+                if (a.__class__ is Data and b.__class__ is Data
+                        and a.ctor.__class__ is float and b.ctor.__class__ is float):
+                    r = f(a.ctor, b.ctor)
+                    if test:
+                        out.append(TRUE if r else FALSE)
+                    else:
+                        out.append(Data((r if r else 0.0) if r == r else NAN))  # num(r)
                 else:
-                    out.append(Data((r if r else 0.0) if r == r else NAN))  # num(r)
-            else:
-                out.append(base(ctx, (a, b)))
-        return tuple(out)
+                    out.append(base(ctx, (a, b)))
+            return FieldVal(ctx.domain, tuple(out))
+
+        return run
 
     return loop
 
 
-def _mux_loop(ctx, cs, xs, ys):
-    out = []
-    for c, x, y in zip(cs, xs, ys):
-        t = c.ctor if c.__class__ is Data else None
-        if t == "True":
-            out.append(x)
-        elif t == "False":
-            out.append(y)
-        else:
-            out.append(op_mux(ctx, (c, x, y)))
-    return tuple(out)
+def _mux_loop(name: str, flags):
+    fc, fx, fy = (flag == "f" for flag in flags)
+
+    def run(ctx, args):
+        c, a, b = args
+        cs = (c.vals if c.__class__ is FieldVal else _field_vals(c, name)) if fc else repeat(c)
+        xs = (a.vals if a.__class__ is FieldVal else _field_vals(a, name)) if fx else repeat(a)
+        ys = (b.vals if b.__class__ is FieldVal else _field_vals(b, name)) if fy else repeat(b)
+        out = []
+        for c, x, y in zip(cs, xs, ys):
+            t = c.ctor if c.__class__ is Data else None
+            if t == "True":
+                out.append(x)
+            elif t == "False":
+                out.append(y)
+            else:
+                out.append(op_mux(ctx, (c, x, y)))
+        return FieldVal(ctx.domain, tuple(out))
+
+    return run
+
+
+def _ctor_loop(ctor: str):
+    """The kernel maker of a constructor of two arguments."""
+    def loop(name: str, flags):
+        fx, fy = flags[0] == "f", flags[1] == "f"
+
+        def run(ctx, args):
+            a, b = args
+            xs = (a.vals if a.__class__ is FieldVal else _field_vals(a, name)) if fx else repeat(a)
+            ys = (b.vals if b.__class__ is FieldVal else _field_vals(b, name)) if fy else repeat(b)
+            out = []
+            for point in zip(xs, ys):
+                out.append(Data(ctor, point))
+            return FieldVal(ctx.domain, tuple(out))
+
+        return run
+
+    return loop
 
 
 def _point_loop(base: Callable):
-    """The loop of a base op with no inline path: the op at every point."""
-    def loop(ctx, *cols):
-        return tuple([base(ctx, point) for point in zip(*cols)])
+    """The kernel maker of a base op with no inline path: the op at every
+    point."""
+    def loop(name: str, flags):
+        fields = tuple([flag == "f" for flag in flags])
+
+        def run(ctx, args):
+            cols = []
+            for a, field in zip(args, fields):
+                cols.append((a.vals if a.__class__ is FieldVal else _field_vals(a, name))
+                            if field else repeat(a))
+            out = []
+            for point in zip(*cols):
+                out.append(base(ctx, point))
+            return FieldVal(ctx.domain, tuple(out))
+
+        return run
 
     return loop
-
-
-def _ctor_loop(name: str):
-    def loop(ctx, xs, ys):
-        return tuple([Data(name, point) for point in zip(xs, ys)])
-
-    return loop
-
-
-_VALS = operator.attrgetter("vals")
-
-
-def _decorated_op(loop: Callable, flags: tuple):
-    """The op of a decorated name: loop over the columns of its arguments,
-    where a field argument gives its value at each device and a local one
-    repeats. TABLE.eval has checked that args has one value per flag. Read
-    by index, three columns take 620 ns, by zip 850 (timeit, Python 3.11)."""
-    columns = tuple(enumerate([_VALS if flag == "f" else repeat for flag in flags]))
-
-    def op(ctx, args):
-        cols = []
-        for i, c in columns:
-            cols.append(c(args[i]))
-        return FieldVal(ctx.domain, loop(ctx, *cols))
-
-    return op
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +465,28 @@ def _decorated_op(loop: Callable, flags: tuple):
 
 class BuiltinEntry(Frozen):
     # op is None for a constructor: the evaluators build data; least and
-    # most bound the argument counts op accepts; loop is the field kernel
-    # of a decoratable op
+    # most bound the argument counts op accepts; loop makes the fused
+    # kernel of a decorated name from its flags (loop(name, flags)), for a
+    # decoratable op or constructor
     __slots__ = _fields = ("name", "scheme", "op", "least", "most", "loop")
     _defaults = {"loop": None}
+
+
+class Kernel(Frozen):
+    """A builtin application site once bound (TABLE.bind): run(ctx, args)
+    applies the builtin name to arguments whose number the site fixes.
+    sound is False when that number, or the name, is wrong: run then
+    raises the error, and it comes before any other at the call."""
+
+    __slots__ = _fields = ("name", "run", "sound")
+
+
+def _raising(error: type, text: str) -> Callable:
+    """The run of an unsound kernel: error(text), raised at every call."""
+    def run(ctx, args):
+        raise error(text)
+
+    return run
 
 
 def _entry(name: str, scheme: Scheme, op: Optional[Callable], most: Optional[int] = None,
@@ -435,6 +513,8 @@ class BuiltinTable:
         # kept, None when it names no builtin
         self._entries: dict = {}
         self._ctor_entries: dict = {}
+        # (name, number of arguments) -> Kernel, made at the first bind
+        self._kernels: dict = {}
 
     def add(self, name: str, scheme_text: str, op: Callable, most: Optional[int] = None,
             loop: Optional[Callable] = None):
@@ -450,12 +530,27 @@ class BuiltinTable:
             e = self._entries[name] = self._derive_decorated(name)
         return e
 
-    def bind(self, name: str):
-        """What an application of builtin name, once compiled, passes to
-        eval: the name's entry, or the name itself when it names no
-        builtin, so that eval raises at the call."""
+    def bind(self, name: str, nargs: int) -> Kernel:
+        """The kernel of an application site of builtin name to nargs
+        arguments, which the site's node fixes when it is compiled: the
+        name's op, checked against nargs here once, so that no call tests
+        its arity again. A wrong count, or a name that names no builtin,
+        binds a kernel that raises the error at the call. Kernels are kept
+        by (name, nargs); the name is resolved at every bind."""
         e = self.entry(name)
-        return name if e is None else e
+        k = self._kernels.get((name, nargs))
+        if k is None:
+            if e is None:
+                k = Kernel(name, _raising(EvalError, f"unknown builtin {name!r}"), False)
+            elif not e.least <= nargs <= e.most:
+                lo, hi = e.least, e.most
+                k = Kernel(name, _raising(
+                    ArityError, f"{name} takes {lo} argument(s), got {nargs}" if lo == hi
+                    else f"{name} takes {lo} to {hi} arguments, got {nargs}"), False)
+            else:
+                k = Kernel(name, e.op, True)
+            self._kernels[name, nargs] = k
+        return k
 
     def is_builtin_name(self, name: str) -> bool:
         return self.entry(name) is not None
@@ -495,33 +590,27 @@ class BuiltinTable:
         )
         scheme = canonical(Arrow(new_args, FieldT(body.res)),
                            {vid: Sort.S for vid, _ in base.scheme.qvars})
-        return _entry(name, scheme, _decorated_op(base.loop, flags))
+        return _entry(name, scheme, base.loop(name, flags))
 
-    def eval(self, name, ctx, args: list) -> Expr:
-        """Apply builtin name to args, a list that no op mutates. name may
-        be the builtin's entry, which an application of a builtin name
-        binds when it is compiled; every call checks arity and domains
-        here."""
-        if name.__class__ is BuiltinEntry:
-            e = name
-        else:
-            e = self._entries.get(name) or self.entry(name)  # entry() derives a decoration
-            if e is None:
-                raise EvalError(f"unknown builtin {name!r}")
-        if not e.least <= len(args) <= e.most:
-            lo, hi = e.least, e.most
-            raise ArityError(f"{e.name} takes {lo} argument(s), got {len(args)}" if lo == hi
-                             else f"{e.name} takes {lo} to {hi} arguments, got {len(args)}")
-        expected = ctx.domain
+    def eval(self, site, ctx, args: list) -> Expr:
+        """Apply a site to args, a list that no kernel mutates. site is
+        the Kernel that TABLE.bind gave an application when it was
+        compiled, or a builtin name, bound here for len(args). Arity was
+        fixed when the site was bound, so a call neither dispatches nor
+        tests it: it checks that every field argument has ctx.domain as
+        its devices, runs the kernel, and checks a field result so too."""
+        if site.__class__ is not Kernel:
+            site = self._kernels.get((site, len(args))) or self.bind(site, len(args))
+        dom = ctx.domain
         for a in args:
-            if a.__class__ is FieldVal and a.devs != expected:
-                raise DomainError(
-                    f"field argument of {e.name} has domain {list(a.devs)}, "
-                    f"expected {list(expected)} at device {ctx.device}"
-                )
-        result = e.op(ctx, args)
-        if result.__class__ is FieldVal and result.devs != expected:
-            raise DomainError(f"{e.name} produced a misaligned field at device {ctx.device}")
+            if a.__class__ is FieldVal and a.devs is not dom and a.devs != dom:
+                if not site.sound:
+                    site.run(ctx, args)  # the site's own error comes first
+                raise DomainError(f"field argument of {site.name} has domain {list(a.devs)}, "
+                                  f"expected {list(dom)} at device {ctx.device}")
+        result = site.run(ctx, args)
+        if result.__class__ is FieldVal and result.devs is not dom and result.devs != dom:
+            raise DomainError(f"{site.name} produced a misaligned field at device {ctx.device}")
         return result
 
 

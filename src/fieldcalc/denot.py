@@ -448,10 +448,10 @@ def _child(c: Expr):
 
 
 def _apply_builtin(b, arg_runs: list):
-    """The closure of an application of a builtin name: b is what
-    TABLE.bind gives for the name. The arguments run in a plain loop,
-    which costs no frame of its own, as a comprehension does before
-    Python 3.12."""
+    """The closure of an application of a builtin name: b is the kernel
+    TABLE.bind gives for the name and the number of arguments, which the
+    node fixes. The arguments run in a plain loop, which costs no frame of
+    its own, as a comprehension does before Python 3.12."""
     def run(den, S, X):
         avs = []
         for r in arg_runs:
@@ -470,7 +470,7 @@ def _compile(e: Expr):
         n, key = len(e.args), id(e)
         arg_runs = [_child(a) for a in e.args]
         if type(e.fn) is Builtin:
-            return _apply_builtin(TABLE.bind(e.fn.name), arg_runs)
+            return _apply_builtin(TABLE.bind(e.fn.name, n), arg_runs)
         fn_run = _child(e.fn)
 
         def run(den, S, X):

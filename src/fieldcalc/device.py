@@ -16,8 +16,8 @@ and to what each child is (Feeley and Lapalme, "Using Closures for Code
 Generation", 1987): a closed constant child is a leaf built once, a
 child that is never a value skips the value test, a variable child reads
 the variables in scope, and an application of a builtin name is bound to
-the builtin's table entry. The closure is kept on the node, and there is
-no other evaluator.
+the kernel of its name and argument count (builtins.TABLE.bind). The
+closure is kept on the node, and there is no other evaluator.
 """
 
 from __future__ import annotations
@@ -245,10 +245,12 @@ def _align(A: tuple, i: int, device: int) -> tuple:
 
 def _align_fun(A: tuple, f: Expr, device: int) -> tuple:
     """A aligned to the body of function value f: the last child of each
-    tree whose second-to-last child's root is f; the others drop out."""
+    tree whose second-to-last child's root is f; the others drop out. A
+    root is often f itself, a node the trees share, so it is tested by
+    identity before ==."""
     devs, trees, dom = A
     keep = [j for j, t in enumerate(trees)
-            if len(t.children) >= 2 and t.children[-2].root == f]
+            if len(t.children) >= 2 and ((g := t.children[-2].root) is f or g == f)]
     if len(keep) == len(trees):
         return devs, [t.children[-1] for t in trees], dom
     devs = tuple([devs[j] for j in keep])
@@ -348,11 +350,11 @@ def _value_tree(ctx: EvalContext, A: tuple, v: Expr) -> ValueTree:
 
 
 def _apply_builtin(b, lf: ValueTree, kid_trees: list):
-    """The closure of an application of a builtin name: b is what
-    TABLE.bind gives for the name, and lf the leaf tree of the name, whose
-    tick comes after the arguments'. The arguments run in a plain loop,
-    which costs no frame of its own, as a comprehension does before
-    Python 3.12."""
+    """The closure of an application of a builtin name: b is the kernel
+    TABLE.bind gives for the name and the number of arguments, which the
+    node fixes, and lf the leaf tree of the name, whose tick comes after
+    the arguments'. The arguments run in a plain loop, which costs no
+    frame of its own, as a comprehension does before Python 3.12."""
     def run(ctx, A, X):
         if ctx.fuel <= 0:
             ctx.tick()
@@ -379,7 +381,7 @@ def _compile(e: Expr):
         fn, n = e.fn, len(e.args)
         kid_trees = [_child(a, i) for i, a in enumerate(e.args)]
         if type(fn) is Builtin:
-            return _apply_builtin(TABLE.bind(fn.name), Leaf(fn), kid_trees)
+            return _apply_builtin(TABLE.bind(fn.name, n), Leaf(fn), kid_trees)
         fn_tree = _child(fn, n)
 
         def run(ctx, A, X):

@@ -66,7 +66,7 @@ from .ast import (
     desugar_if,
     is_value,
     rebuild,
-    set_field,
+    slot_stores,
 )
 from .builtins import TABLE
 
@@ -100,10 +100,14 @@ class Token(Frozen):
     __slots__ = _fields = ("kind", "text", "span", "value")
 
     def __init__(self, kind: str, text: str, span: Span, value: float = 0.0):
-        set_field(self, "kind", kind)
-        set_field(self, "text", text)
-        set_field(self, "span", span)
-        set_field(self, "value", value)
+        _token_kind(self, kind)
+        _token_text(self, text)
+        _token_span(self, span)
+        _token_value(self, value)
+
+
+_token_kind, _token_text, _token_span, _token_value = slot_stores(
+    Token, "kind", "text", "span", "value")
 
 
 _DECO = r"(?:\[[fl](?:,[fl])*\])?"

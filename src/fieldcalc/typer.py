@@ -43,7 +43,7 @@ from .ast import (
     Span,
     Var,
     free_vars,
-    set_field,
+    slot_stores,
 )
 
 
@@ -74,37 +74,52 @@ class Base(Frozen):
     __slots__ = _fields = ("name",)  # 'num' | 'bool'
 
     def __init__(self, name: str):
-        set_field(self, "name", name)
+        _base_name(self, name)
+
+
+_base_name, = slot_stores(Base, "name")
 
 
 class TCon(Frozen):
     __slots__ = _fields = ("name", "args")  # 'pair' | 'list', argument types
 
     def __init__(self, name: str, args: tuple):
-        set_field(self, "name", name)
-        set_field(self, "args", args)
+        _tcon_name(self, name)
+        _tcon_args(self, args)
+
+
+_tcon_name, _tcon_args = slot_stores(TCon, "name", "args")
 
 
 class FieldT(Frozen):
     __slots__ = _fields = ("inner",)
 
     def __init__(self, inner: "Type"):
-        set_field(self, "inner", inner)
+        _fieldt_inner(self, inner)
+
+
+_fieldt_inner, = slot_stores(FieldT, "inner")
 
 
 class Arrow(Frozen):
     __slots__ = _fields = ("args", "res")
 
     def __init__(self, args: tuple, res: "Type"):
-        set_field(self, "args", args)
-        set_field(self, "res", res)
+        _arrow_args(self, args)
+        _arrow_res(self, res)
+
+
+_arrow_args, _arrow_res = slot_stores(Arrow, "args", "res")
 
 
 class TVar(Frozen):
     __slots__ = _fields = ("vid",)
 
     def __init__(self, vid: int):
-        set_field(self, "vid", vid)
+        _tvar_vid(self, vid)
+
+
+_tvar_vid, = slot_stores(TVar, "vid")
 
 
 Type = (Base, TCon, FieldT, Arrow, TVar)  # a tuple: see ast.Expr

@@ -485,6 +485,19 @@ def test_field_arguments_must_cover_the_whole_domain():
         ev("+[f,f]", [fld({1: 1, 2: 2}), fld({1: 1, 3: 3})], env_domain={2})
 
 
+@pytest.mark.parametrize("name, args, got", [
+    ("+[f,f]", [num(1), num(2)], num(1)),
+    ("mux[f,f,l]", [TRUE, num(1), num(2)], TRUE),
+    ("Pair[l,f]", [num(1), num(2)], num(2)),
+])
+def test_a_local_value_where_the_decoration_says_field_is_an_eval_error(name, args, got):
+    # only a program that was never typechecked reaches the kernel so
+    with pytest.raises(EvalError) as err:
+        ev(name, args)
+    assert type(err.value) is EvalError
+    assert str(err.value) == f"{name} expects a neighbouring field value, got {got!r}"
+
+
 def test_arity_errors():
     with pytest.raises(ArityError):
         ev("+", [num(1)])

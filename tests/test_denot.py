@@ -325,16 +325,47 @@ def test_an_unknown_builtin_name_fails_at_its_call():
         denotation(g, Program((), failing))
 
 
+def test_a_local_value_where_the_decoration_says_field_fails_on_both_sides():
+    """+[f,f] applied to two numbers, in a program that was never
+    typechecked: the device's fire fails as a FireError and the
+    denotation as an EvalError, each with the decoration's text at the
+    first event, and check-adequacy reports the device's."""
+    sc = line_scenario(3, rounds=2)
+    prog = parse_program("+[f,f](1, 2)")
+    text = "+[f,f] expects a neighbouring field value, got Data(ctor=1.0, args=())"
+    first = f"t={sc.fires[0][0]} device={sc.fires[0][1]}: {text}"
+    with pytest.raises(network.FireError) as dev:
+        network.run_scenario(sc, prog)
+    assert str(dev.value) == first
+    with pytest.raises(EvalError) as den:
+        denot_program(sc, prog, lambda *event: pytest.fail("no event is denoted"))
+    assert type(den.value) is EvalError and str(den.value) == text
+    with pytest.raises(network.FireError) as both:
+        check_adequacy(sc, prog)
+    assert str(both.value) == first
+
+
 @pytest.mark.parametrize("rounds", [20, 40, 80])
 def test_rep_counter_evaluates_each_event_once(rounds, monkeypatch):
-    # the fixpoint took rounds + 1 passes, (rounds + 1) * |E| builtin calls
-    g = build_dag_from_scenario(line_scenario(5, rounds=rounds))
+    """The denotation applies + once per event: the fixpoint took rounds +
+    1 passes, (rounds + 1) * |E| builtin calls. Every builtin application
+    reaches TABLE.eval, on the device side too: one call per fire, and
+    two per event when check-adequacy runs both."""
+    sc = line_scenario(5, rounds=rounds)
+    g = build_dag_from_scenario(sc)
     calls = []
     real = TABLE.eval
     monkeypatch.setattr(TABLE, "eval", lambda *a: calls.append(a[0]) or real(*a))
-    out = denotation(g, parse_program("rep(0){(x) => x + 1}"))
+    prog = parse_program("rep(0){(x) => x + 1}")
+    out = denotation(g, prog)
     assert len(calls) == len(g.events) == 5 * rounds
     assert [out[e] for e in g.events] == [num(k // 5 + 1) for k in range(5 * rounds)]
+    calls.clear()
+    network.run_scenario(sc, prog)
+    assert len(calls) == len(sc.fires) == 5 * rounds
+    calls.clear()
+    report = check_adequacy(sc, prog)
+    assert report.ok and len(calls) == 2 * report.events == 2 * 5 * rounds
 
 
 def test_data_over_a_rep_variable_is_denoted_as_its_value():

@@ -880,6 +880,25 @@ def test_fuel_runs_out_at_the_same_tick_as_in_the_reference(prog, feeder, reache
     assert {FuelExhausted, reached} <= seen, seen
 
 
+def test_the_denotation_raises_the_arity_error_its_site_was_bound_with():
+    """The arity program of FUEL_PROGRAMS applies mux to 2 arguments. Its
+    site is bound when the node is compiled, on each side, and raises at
+    the call: the denotation raises the device's class and text, at the
+    same first event."""
+    prog = next(p for p, _, reached in FUEL_PROGRAMS if reached is ArityError)
+    fired, denoted = [], []
+    with pytest.raises(EvalError) as dev:
+        run_scenario(FUEL_SCENARIO, prog, sink=lambda t, d, tree, fresh: fired.append((t, d)))
+    with pytest.raises(EvalError) as den:
+        denot.denot_program(FUEL_SCENARIO, prog, lambda i, t, d, v: denoted.append((t, d)))
+    cause = dev.value.__cause__
+    assert type(den.value) is type(cause) is ArityError
+    assert str(den.value) == str(cause) == "mux takes 3 argument(s), got 2"
+    assert denoted == fired == []
+    t, d = FUEL_SCENARIO.fires[0]
+    assert str(dev.value) == f"t={t} device={d}: {cause}"
+
+
 def test_builtins_applied_to_up_to_5_arguments_are_adequate():
     """map-hood over 3 and 4 fields, on the mobile scenario with a reboot:
     both evaluators apply builtins to 4 and 5 arguments and agree."""
