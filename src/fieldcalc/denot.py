@@ -16,11 +16,13 @@ of the body's nbr and rep nodes, by node id.
 Every input is denoted in one event loop (network.walk): a scenario in
 lockstep with the delivery sweep, whose time order is causal, and an
 event DAG by its replay, which visits its events in a causal order, least
-(time, id) first. Each event is denoted as it is reached, and its record
-goes out in the payload it sends, which is dropped once its last
-receiver has read it. The adequacy checker takes the same step, plus the
-fire and the comparison. The first failure in that order is reported; at
-one event, the device's error comes before the denotation's.
+(time, id) first. An EventDAG is checked where it is made, so no replay
+meets a structure the neigh properties forbid. Each event is denoted as
+it is reached, and its record goes out in the payload it sends, which is
+dropped once its last receiver has read it. The adequacy checker takes
+the same step, plus the fire and the comparison. The first failure in
+that order is reported; at one event, the device's error comes before
+the denotation's.
 
 Denotational values reuse the syntax tree: local data values and fields
 stand for themselves, and a function value is represented by its tag
@@ -108,32 +110,43 @@ class Event(Frozen):
 
 
 class EventDAG:
-    """Events plus the neigh relation, stored as sender -> receiver edges.
+    """Events plus the neigh relation, kept once: each event's senders, in
+    the order the edges first list them.
 
     neigh(e, e') of the calculus ("e is aware of e'") corresponds to an
     edge (e'.id, e.id) here. Sensor readings are attached per event so
-    builtins can be interpreted at each event."""
+    builtins can be interpreted at each event. The constructor is the one
+    check of an event structure, from a file or a caller alike: it raises
+    DagError unless the ids are unique, each edge end is an id as given,
+    and validate_dag finds no violation."""
 
     def __init__(self, events, neigh, sensors=None):
         self.events = tuple(sorted(events, key=lambda e: (e.time, e.id)))
-        self.neigh = frozenset((int(a), int(b)) for a, b in neigh)
         self.sensors = dict(sensors or {})
-        self.by_id = {}
+        self.by_id = by_id = {}
         for e in self.events:
-            if e.id in self.by_id:
+            if e.id in by_id:
                 raise DagError(f"duplicate event id {show_id(e.id)}")
-            self.by_id[e.id] = e
-        for a, b in self.neigh:
-            if a not in self.by_id or b not in self.by_id:
+            by_id[e.id] = e
+        self._in = heard = {}  # receiver id -> sender ids as listed, then its senders
+        for a, b in neigh:
+            if a not in by_id or b not in by_id:
                 raise DagError(f"neigh edge ({show_id(a)}, {show_id(b)}) references unknown events")
-        senders = {e.id: [] for e in self.events}
-        for a, b in self.neigh:
-            senders[b].append(self.by_id[a])
-        self._in = {i: tuple(ss) for i, ss in senders.items()}
+            heard.setdefault(b, []).append(a)
+        for b, ss in heard.items():  # each sender once, where it is first listed
+            heard[b] = tuple(map(by_id.__getitem__, dict.fromkeys(ss)))
+        if bad := validate_dag(self):
+            raise DagError("neigh violates " + "; ".join(
+                f"{v.kind} (events {', '.join(map(show_id, v.events))})" for v in bad))
 
     def senders(self, e: Event) -> tuple:
         """Events e is aware of (its neighbour events)."""
-        return self._in[e.id]
+        return self._in.get(e.id, ())
+
+    @property
+    def neigh(self) -> frozenset:
+        """The edges (sender id, receiver id), for readers outside the package."""
+        return frozenset((s.id, e.id) for e in self.events for s in self.senders(e))
 
     def replay(self, step) -> None:
         """Run the events as network.sweep runs fires: ``step(i, t, d, fresh,
@@ -142,24 +155,22 @@ class EventDAG:
         sensors are the event's own or none. The events come in a causal
         order, least (time, id) first of those whose senders have all run,
         which is (time, id) order when every edge points forward in it. A
-        payload is kept only until its last receiver has read it. Raises
-        DagError when two senders share a device or neigh has a cycle."""
+        payload is kept only until its last receiver has read it. The
+        constructor has refused two senders on one device and any cycle."""
         events = self.events  # in (time, id) order, so ranks are heap keys
         rank = {e.id: k for k, e in enumerate(events)}
-        waiting = [len(self._in[e.id]) for e in events]
+        waiting = [len(self.senders(e)) for e in events]
         receivers = [[] for _ in events]
-        for a, b in self.neigh:
-            receivers[rank[a]].append(rank[b])
+        for k, e in enumerate(events):
+            for s in self.senders(e):
+                receivers[rank[s.id]].append(k)
         unread = [len(rs) for rs in receivers]
         ready = [k for k, n in enumerate(waiting) if not n]  # sorted, so a heap
         kept, none = {}, SensorState()
         while ready:
             k = heappop(ready)
             e, fresh = events[k], {}
-            for s in self._in[e.id]:
-                if s.device in fresh:
-                    raise DagError(f"event {show_id(e.id)} has two neighbour events "
-                                   f"at device {s.device}")
+            for s in self.senders(e):
                 j = rank[s.id]
                 fresh[s.device] = kept[j]
                 unread[j] -= 1
@@ -172,8 +183,6 @@ class EventDAG:
                 waiting[b] -= 1
                 if not waiting[b]:
                     heappush(ready, b)
-        if any(waiting):  # the events on or after a cycle never ran
-            raise DagError("neigh relation has a cycle")
 
 
 class Violation(Frozen):
@@ -181,7 +190,9 @@ class Violation(Frozen):
 
 
 def validate_dag(g: EventDAG):
-    """Check the three neigh properties; violations come back as data."""
+    """Check the three neigh properties on g's senders, for EventDAG's
+    constructor; violations come back as data, in the order of g's events
+    and of their senders."""
     out = []
     # property 1: acyclicity, by a depth-first walk along senders with an
     # explicit stack (long causal chains would exhaust Python's)
@@ -204,17 +215,16 @@ def validate_dag(g: EventDAG):
                 path.append(s.id)
                 todo.append(iter(g.senders(s)))
     # property 2: neighbour events of any event lie on distinct devices
+    # and property 3: an event feeds at most one later event of its own device
+    consumers = {}
     for e in g.events:
         seen = {}
         for s in g.senders(e):
             if s.device in seen:
                 out.append(Violation("duplicate-device", (seen[s.device], s.id, e.id)))
             seen[s.device] = s.id
-    # property 3: an event feeds at most one later event of its own device
-    consumers = {}
-    for a, b in g.neigh:
-        if g.by_id[b].device == g.by_id[a].device:
-            consumers.setdefault(a, []).append(b)
+            if s.device == e.device:
+                consumers.setdefault(s.id, []).append(e.id)
     for a, bs in consumers.items():
         if len(bs) > 1:
             out.append(Violation("double-consumption", (a, *sorted(bs))))
@@ -232,13 +242,7 @@ def latest_event(g: EventDAG, E, e: Event, d: int) -> Optional[Event]:
     when d is e's own device."""
     if d == e.device:
         return e if e in E else None
-    found = None
-    for s in g.senders(e):
-        if s.device == d and s in E:
-            if found is not None:
-                raise DagError(f"event {show_id(e.id)} has two neighbour events at device {d}")
-            found = s
-    return found
+    return next((s for s in g.senders(e) if s.device == d and s in E), None)
 
 
 def nbr_devices(g: EventDAG, E, e: Event) -> frozenset:
@@ -251,13 +255,7 @@ def nbr_devices(g: EventDAG, E, e: Event) -> frozenset:
 
 
 def prev_event(g: EventDAG, e: Event) -> Optional[Event]:
-    found = None
-    for s in g.senders(e):
-        if s.device == e.device:
-            if found is not None:
-                raise DagError(f"event {show_id(e.id)} has two same-device predecessors")
-            found = s
-    return found
+    return next((s for s in g.senders(e) if s.device == e.device), None)
 
 
 def shift(g: EventDAG, E, phi: dict, phi0: dict) -> dict:
@@ -282,7 +280,7 @@ SCENARIO_KEYS = frozenset({"decay", "devices", "fires", "paths", "radius", "sens
 
 
 def dag_from_json(obj) -> EventDAG:
-    """The event DAG a DAG file holds, which must satisfy validate_dag."""
+    """The event DAG a DAG file holds; EventDAG checks it."""
     if not isinstance(obj, dict) or "events" not in obj or "neigh" not in obj:
         raise DagError("DAG file must be an object with keys events, neigh")
     mixed = sorted(SCENARIO_KEYS.intersection(obj))
@@ -308,13 +306,7 @@ def dag_from_json(obj) -> EventDAG:
             neigh.append((a, b))
     except ScenarioError as e:
         raise DagError(str(e)) from None
-    g = EventDAG(events, neigh)
-    del events, neigh  # g holds copies of both: free them before the check walks g
-    bad = validate_dag(g)
-    if bad:
-        raise DagError("neigh violates " + "; ".join(
-            f"{v.kind} (events {', '.join(map(show_id, v.events))})" for v in bad))
-    return g
+    return EventDAG(events, neigh)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ later fire asks only which are on, and its range to each still device.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import Optional
 
@@ -67,19 +69,35 @@ class FireError(EvalError):
 Timestamp = Fraction
 
 
+# a decimal time with an exponent: its integer digits, fraction digits and exponent
+_EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)(\d*(?:_\d+)*)(?:\.(\d*(?:_\d+)*))?"
+                       r"[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
 def as_time(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, bool):
+    """A time, exact. Each output line prints its time, so one whose
+    numerator or denominator has more digits than Python converts to text
+    (sys.get_int_max_str_digits()) is refused, before Fraction expands
+    an exponent that alone makes it so."""
+    if isinstance(x, bool) or not isinstance(x, (str, int, float, Fraction)):
         raise ScenarioError(f"not a timestamp: {show_value(x)}")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (float, str)):
-        try:
-            return Fraction(str(x))
-        except (ValueError, ZeroDivisionError):
-            raise ScenarioError(f"not a timestamp: {show_value(x)}") from None
-    raise ScenarioError(f"not a timestamp: {show_value(x)}")
+    limit = sys.get_int_max_str_digits() or math.inf
+    s = str(x) if isinstance(x, (float, str)) else ""
+    m = _EXPONENT.fullmatch(s) if "e" in s or "E" in s else None
+    if m:  # s is a mantissa of n digits times 10 ** (exponent - fraction digits)
+        frac, exp = (m[2] or "").replace("_", ""), m[3].replace("_", "")
+        n = len((m[1].replace("_", "") + frac).lstrip("0"))
+        if n and (len(exp.lstrip("+-0")) > 18 or not -limit - n < int(exp) - len(frac) < limit):
+            raise ScenarioError(f"timestamp has more than {limit} digits, got {show_value(x)}")
+        s = s if n else "0"  # zero, whatever its exponent
+    try:
+        t = Fraction(s or x)
+    except (ValueError, ZeroDivisionError):
+        raise ScenarioError(f"not a timestamp: {show_value(x)}") from None
+    num, den = t.as_integer_ratio()  # 2 ** (3 * limit) < 10 ** limit
+    if max(num.bit_length(), den.bit_length()) > 3 * limit and max(-num, num, den) >= 10 ** limit:
+        raise ScenarioError(f"timestamp has more than {limit} digits, got {show_value(x)}")
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -38,7 +39,7 @@ from fieldcalc.device import DEFAULT_FUEL, ValueTree, csv_text
 from fieldcalc.network import FireError, FireTrace, run_scenario, scenario_from_json
 from fieldcalc.parser import parse_program
 from fieldcalc.stdlib import corpus_entry
-from generators import ExprGen, gen_scenario
+from generators import ExprGen, gen_dag, gen_scenario
 from helpers import (
     dag_to_json,
     denot_jsonl,
@@ -540,7 +541,7 @@ BAD_DAG_INPUTS = {
     "cycle": ({"events": TWO_EVENTS, "neigh": [[1, 2], [2, 1]]}, [],
               "neigh violates cycle (events 1, 2, 1)"),
     "duplicate device": ({"events": [{"id": i, "device": 1, "time": str(i)} for i in (1, 2, 3)],
-                          "neigh": [[1, 3], [2, 3]]}, [], "duplicate-device (events 2, 1, 3)"),
+                          "neigh": [[1, 3], [2, 3]]}, [], "duplicate-device (events 1, 2, 3)"),
     "double consumption": ({"events": [{"id": i, "device": 1, "time": str(i)} for i in (1, 2, 3)],
                             "neigh": [[1, 2], [1, 3]]}, [], "double-consumption (events 1, 2, 3)"),
     "unknown edge end": ({"events": [], "neigh": [[1, 2]]}, [],
@@ -563,6 +564,27 @@ def test_a_bad_dag_input_is_exit_2_under_every_command(command, case, counter, t
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {p}: ") and msg in err, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["run"], ["denot"], ["check-adequacy", "--format", "json"]],
+                         ids=["run", "denot", "check-adequacy"])
+def test_an_edge_listed_twice_runs_as_listed_once(command, tmp_path, capsys):
+    """A DAG file that repeats edges writes what it writes with each edge
+    listed once: the DAG holds each edge once."""
+    prog = tmp_path / "heard.hfc"
+    prog.write_text("sum-hood+(nbr{uid()}) + rep(0){(x) => x + 1}\n")
+    rnd, runs = random.Random(7), 0
+    while runs < 10:
+        dag = dag_to_json(gen_dag(rnd))
+        if not dag["neigh"]:
+            continue
+        runs += 1
+        outs = []
+        for neigh in (dag["neigh"], [*dag["neigh"], *rnd.choices(dag["neigh"], k=3)]):
+            p = tmp_path / "dag.json"
+            p.write_text(json.dumps({**dag, "neigh": neigh}))
+            outs.append((main([*command, str(prog), str(p)]), capsys.readouterr()))
+        assert outs[0][0] == 0 and outs[1] == outs[0]
 
 
 def test_denot_calls_denot_program_once_for_any_input(counter, one_device, tmp_path,
@@ -897,13 +919,16 @@ def test_denot_rejects_a_cyclic_dag(counter, tmp_path, capsys):
 
 
 def test_denot_rejects_two_same_device_predecessors(counter, tmp_path, capsys):
+    """A duplicate-device violation names the two senders in the order the
+    file lists their edges, then the receiver."""
     p = tmp_path / "dag.json"
-    p.write_text(json.dumps({
-        "events": [{"id": i, "device": 1, "time": str(i)} for i in (1, 2, 3)],
-        "neigh": [[1, 3], [2, 3]],
-    }))
-    assert main(["denot", counter, str(p)]) == 2
-    assert "duplicate-device (events 2, 1, 3)" in capsys.readouterr().err
+    for neigh, named in (([[1, 3], [2, 3]], "1, 2, 3"), ([[2, 3], [1, 3]], "2, 1, 3")):
+        p.write_text(json.dumps({
+            "events": [{"id": i, "device": 1, "time": str(i)} for i in (1, 2, 3)],
+            "neigh": neigh,
+        }))
+        assert main(["denot", counter, str(p)]) == 2
+        assert f"duplicate-device (events {named})" in capsys.readouterr().err
 
 
 def test_bad_timestamps_are_diagnostics(counter, one_device, tmp_path, capsys):
@@ -1084,6 +1109,51 @@ def test_integer_of_over_4300_digits_is_exit_2(counter, tmp_path, capsys):
     assert f"{p}: not valid JSON" in capsys.readouterr().err
 
 
+# each time is read as an exact rational and printed on every output line,
+# so one whose numerator or denominator has more digits than Python
+# converts to text is refused as it is read, before an exponent expands
+TOO_LONG_TIMES = {
+    "fire": ({**ONE_DEVICE, "fires": [{"t": "1e-5000", "device": 1}]}, [],
+             "fire 0: timestamp has more than 4300 digits, got '1e-5000'"),
+    "segment border": ({**ONE_DEVICE, "paths": {"1": [
+        {"from": "-1e10000000", "to": 10, "waypoints": [[0, 0]]}]}}, [],
+        "path segment 0 of device 1: timestamp has more than 4300 digits, got '-1e10000000'"),
+    "sensor step": ({**ONE_DEVICE, "sensors": {"1": {"sns-num": {"steps": [["1e-10000000", 1]]}}}},
+                    [], "sensor step: timestamp has more than 4300 digits, got '1e-10000000'"),
+    "--decay": (ONE_DEVICE, ["--decay", "1e-5000"],
+                "decay: timestamp has more than 4300 digits, got '1e-5000'"),
+    "DAG event": ({"events": [{"id": 1, "device": 1, "time": "1e-5000"}], "neigh": []}, [],
+                  "DAG event: timestamp has more than 4300 digits, got '1e-5000'"),
+    "DAG event, exponent to expand": (
+        {"events": [{"id": 1, "device": 1, "time": "2.5e10000000"}], "neigh": []}, [],
+        "DAG event: timestamp has more than 4300 digits, got '2.5e10000000'"),
+}
+
+
+@pytest.mark.parametrize("command", [["run"], ["denot"], ["check-adequacy", "--format", "json"]],
+                         ids=["run", "denot", "check-adequacy"])
+@pytest.mark.parametrize("case", sorted(TOO_LONG_TIMES))
+def test_a_time_of_too_many_digits_is_exit_2(command, case, counter, tmp_path, capsys):
+    # a fire at t=1e-5000 ended in a traceback from the output writer
+    obj, opts, msg = TOO_LONG_TIMES[case]
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps(obj))
+    t0 = time.monotonic()
+    assert main([*command, counter, str(p), *opts]) == 2
+    assert time.monotonic() - t0 < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and msg in err, err
+    assert "Traceback" not in err
+
+
+def test_the_longest_printable_time_is_read(counter, tmp_path, capsys):
+    """A time of exactly 4300 digits is read, and printed whole."""
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps({**ONE_DEVICE, "fires": [{"t": "1e-4299", "device": 1}]}))
+    assert main(["denot", counter, str(p)]) == 0
+    assert json.loads(capsys.readouterr().out)["t"] == "1/1" + "0" * 4299
+
+
 # ---------------------------------------------------------------------------
 # program text that no token matches ends in a diagnostic
 
@@ -1208,7 +1278,7 @@ def test_a_huge_dag_event_id_gives_a_short_diagnostic(counter, tmp_path, capsys)
 @pytest.mark.parametrize("command", ["run", "denot", "check-adequacy"])
 @pytest.mark.parametrize("change, shown", [
     ('"decay": -' + _huge(401), "decay must be >= 0, got -1000000000000000"),
-    ('"decay": "-1e-5000"', "decay must be >= 0, got a value with too many digits to print"),
+    ('"decay": "-1e-5000"', "decay: timestamp has more than 4300 digits, got '-1e-5000'"),
     ('"radius": [' + ", ".join(["0"] * 3000) + "]",
      "radius must be a number >= 0, got [0, 0, 0,"),
     ('"paths": {"' + "1" * 5000 + '": []}', "device id has too many digits to read, "
@@ -1238,7 +1308,7 @@ def test_a_violation_naming_a_huge_event_id_is_short(counter, tmp_path, capsys):
                  '"neigh": [[' + _huge(401) + ", 3], [2, 3]]}")
     assert main(["denot", counter, str(p)]) == 2
     err = capsys.readouterr().err
-    assert "duplicate-device (events 2, 100000000000... (401 digits), 3)" in err
+    assert "duplicate-device (events 100000000000... (401 digits), 2, 3)" in err
     assert len(err) < len(str(p)) + 120
 
 

@@ -19,7 +19,6 @@ from fieldcalc.denot import (
     Event,
     EventDAG,
     Verdict,
-    Violation,
     _Scope,
     build_dag_from_scenario,
     check_adequacy,
@@ -77,27 +76,37 @@ def test_example_dag_is_valid():
 
 
 def test_cycle_is_reported():
-    g = EventDAG([Event(1, 1, F(0)), Event(2, 2, F(1))], [(1, 2), (2, 1)])
-    kinds = {v.kind for v in validate_dag(g)}
-    assert "cycle" in kinds
+    with pytest.raises(DagError, match=r"^neigh violates cycle \(events 1, 2, 1\)$"):
+        EventDAG([Event(1, 1, F(0)), Event(2, 2, F(1))], [(1, 2), (2, 1)])
 
 
 def test_duplicate_device_is_reported():
-    g = EventDAG(
-        [Event(1, 3, F(0)), Event(2, 3, F(1)), Event(3, 1, F(2))],
-        [(1, 3), (2, 3)],
-    )
-    v = [v for v in validate_dag(g) if v.kind == "duplicate-device"]
-    assert v and v[0].events[-1] == 3
+    # the two senders on device 3 in the order their edges are listed, then the receiver
+    with pytest.raises(DagError, match=r"^neigh violates duplicate-device \(events 2, 1, 3\)$"):
+        EventDAG([Event(1, 3, F(0)), Event(2, 3, F(1)), Event(3, 1, F(2))], [(2, 3), (1, 3)])
 
 
 def test_double_consumption_is_reported():
-    g = EventDAG(
-        [Event(1, 1, F(0)), Event(2, 1, F(1)), Event(3, 1, F(2))],
-        [(1, 2), (1, 3)],
-    )
-    v = [v for v in validate_dag(g) if v.kind == "double-consumption"]
-    assert v == [Violation("double-consumption", (1, 2, 3))]
+    # built in Python, so no file reader ever sees it
+    with pytest.raises(DagError,
+                       match=r"^neigh violates double-consumption \(events 1, 2, 3\)$"):
+        EventDAG([Event(1, 1, F(0)), Event(2, 1, F(1)), Event(3, 1, F(2))], [(1, 2), (1, 3)])
+
+
+@pytest.mark.parametrize("neigh", [[(1, 2), (2, 1)], [(1, 3), (2, 3)], [(1, 2), (1, 3)],
+                                   [(1, 2), (2, 3), (3, 1), (1, 3)]],
+                         ids=["cycle", "duplicate device", "double consumption", "all three"])
+def test_a_dag_built_in_python_is_held_to_the_rules_of_a_dag_file(neigh):
+    """EventDAG's constructor and dag_from_json refuse the same structures
+    with the same text, validate_dag's violations in order."""
+    events = [Event(i, 1, F(i)) for i in (1, 2, 3)]
+    with pytest.raises(DagError) as made:
+        EventDAG(events, neigh)
+    with pytest.raises(DagError) as read:
+        dag_from_json({"events": [{"id": e.id, "device": e.device, "time": str(e.time)}
+                                  for e in events], "neigh": [list(edge) for edge in neigh]})
+    assert str(made.value) == str(read.value)
+    assert str(made.value).startswith("neigh violates ")
 
 
 def test_focus_event_awareness():
@@ -160,6 +169,25 @@ def test_dag_rejects_bad_references():
         EventDAG([Event(1, 1, F(0))], [(1, 99)])
     with pytest.raises(DagError):
         EventDAG([Event(1, 1, F(0)), Event(1, 2, F(1))], [])
+
+
+def test_an_edge_end_is_an_event_id_as_given():
+    """An edge end is looked up as it is given, never converted: 1.5 names
+    no event, where int() once made it event 1."""
+    with pytest.raises(DagError, match=r"^neigh edge \(1\.5, 2\) references unknown events$"):
+        EventDAG([Event(1, 1, F(0)), Event(2, 2, F(1))], [(1.5, 2)])
+
+
+def test_an_edge_listed_twice_is_kept_once():
+    """The senders hold each edge once, in the order the edges first list
+    them, so a repeated edge changes neither the checks nor the replay."""
+    events = [Event(1, 1, F(0)), Event(2, 2, F(0)), Event(3, 1, F(1))]
+    g = EventDAG(events, [(2, 3), (1, 3), (2, 3), (1, 3)])
+    assert g.senders(g.by_id[3]) == (g.by_id[2], g.by_id[1])
+    assert g.neigh == {(1, 3), (2, 3)}
+    seen = []
+    g.replay(lambda i, t, d, fresh, sensors: seen.append((i, dict(fresh))) or i)
+    assert seen == [(1, {}), (2, {}), (3, {2: 2, 1: 1})]
 
 
 # ---------------------------------------------------------------------------
@@ -788,15 +816,12 @@ def test_replay_runs_each_event_after_its_senders_least_time_and_id_first():
 
 
 def test_replay_refuses_two_senders_on_one_device_and_a_cycle():
-    two = EventDAG([Event(1, 1, F(1)), Event(2, 1, F(2)), Event(3, 2, F(3))], [(1, 3), (2, 3)])
-    with pytest.raises(DagError, match="^event 3 has two neighbour events at device 1$"):
-        two.replay(lambda *event: None)
-    ran = []
-    cyclic = EventDAG([Event(1, 1, F(0)), Event(2, 2, F(1)), Event(3, 3, F(2))],
-                      [(1, 2), (2, 1)])
-    with pytest.raises(DagError, match="^neigh relation has a cycle$"):
-        cyclic.replay(lambda i, *event: ran.append(i))
-    assert ran == [3]
+    """Neither structure becomes an EventDAG, so no replay ever meets one:
+    the constructor refuses both, before any event runs."""
+    with pytest.raises(DagError, match=r"^neigh violates duplicate-device \(events 1, 2, 3\)$"):
+        EventDAG([Event(1, 1, F(1)), Event(2, 1, F(2)), Event(3, 2, F(3))], [(1, 3), (2, 3)])
+    with pytest.raises(DagError, match=r"^neigh violates cycle \(events 1, 2, 1\)$"):
+        EventDAG([Event(1, 1, F(0)), Event(2, 2, F(1)), Event(3, 3, F(2))], [(1, 2), (2, 1)])
 
 
 def test_nbr_range_adequacy():
