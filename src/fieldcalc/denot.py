@@ -81,6 +81,7 @@ from .network import (
     json_id,
     shape_error,
     show_id,
+    show_value,
     sweep,
     walk,
 )
@@ -126,18 +127,19 @@ class EventDAG:
         self.by_id = by_id = {}
         for e in self.events:
             if e.id in by_id:
-                raise DagError(f"duplicate event id {show_id(e.id)}")
+                raise DagError(f"duplicate event id {_show_event_id(e.id)}")
             by_id[e.id] = e
         self._in = heard = {}  # receiver id -> sender ids as listed, then its senders
         for a, b in neigh:
             if a not in by_id or b not in by_id:
-                raise DagError(f"neigh edge ({show_id(a)}, {show_id(b)}) references unknown events")
+                raise DagError(f"neigh edge ({_show_event_id(a)}, {_show_event_id(b)}) "
+                               "references unknown events")
             heard.setdefault(b, []).append(a)
         for b, ss in heard.items():  # each sender once, where it is first listed
             heard[b] = tuple(map(by_id.__getitem__, dict.fromkeys(ss)))
         if bad := validate_dag(self):
             raise DagError("neigh violates " + "; ".join(
-                f"{v.kind} (events {', '.join(map(show_id, v.events))})" for v in bad))
+                f"{v.kind} (events {', '.join(map(_show_event_id, v.events))})" for v in bad))
 
     def senders(self, e: Event) -> tuple:
         """Events e is aware of (its neighbour events)."""
@@ -183,6 +185,10 @@ class EventDAG:
                 waiting[b] -= 1
                 if not waiting[b]:
                     heappush(ready, b)
+
+
+def _show_event_id(i) -> str:  # a caller's id that is no integer as given: '2', not 2
+    return show_id(i) if isinstance(i, int) else show_value(i)
 
 
 class Violation(Frozen):
@@ -280,7 +286,8 @@ SCENARIO_KEYS = frozenset({"decay", "devices", "fires", "paths", "radius", "sens
 
 
 def dag_from_json(obj) -> EventDAG:
-    """The event DAG a DAG file holds; EventDAG checks it."""
+    """The event DAG a DAG file holds; EventDAG checks it, reading each edge
+    from the file as it takes it, after the events."""
     if not isinstance(obj, dict) or "events" not in obj or "neigh" not in obj:
         raise DagError("DAG file must be an object with keys events, neigh")
     mixed = sorted(SCENARIO_KEYS.intersection(obj))
@@ -295,18 +302,20 @@ def dag_from_json(obj) -> EventDAG:
                 raise shape_error("DAG event", EVENT_SHAPE, r, e) from None
             i, d = json_id(i, "DAG event id"), json_device(d, "DAG event device")
             events.append(Event(i, d, t))
-        neigh = []
-        for edge in json_container(obj["neigh"], list, "neigh"):
-            try:
-                a, b = edge
-            except SHAPE_ERRORS as e:
-                raise shape_error("neigh edge", "[id, id]", edge, e) from None
-            if type(a) is not int or type(b) is not int:
-                a, b = json_id(a, "neigh edge end"), json_id(b, "neigh edge end")
-            neigh.append((a, b))
+        return EventDAG(events, map(_edge, json_container(obj["neigh"], list, "neigh")))
     except ScenarioError as e:
         raise DagError(str(e)) from None
-    return EventDAG(events, neigh)
+
+
+def _edge(edge) -> tuple:
+    """An edge of a DAG file, as a pair of integer ids."""
+    try:
+        a, b = edge
+    except SHAPE_ERRORS as e:
+        raise shape_error("neigh edge", "[id, id]", edge, e) from None
+    if type(a) is not int or type(b) is not int:
+        a, b = json_id(a, "neigh edge end"), json_id(b, "neigh edge end")
+    return a, b
 
 
 # ---------------------------------------------------------------------------

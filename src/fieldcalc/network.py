@@ -94,10 +94,18 @@ def as_time(x) -> Fraction:
         t = Fraction(s or x)
     except (ValueError, ZeroDivisionError):
         raise ScenarioError(f"not a timestamp: {show_value(x)}") from None
+    if fault := _digit_fault(t, limit, x):
+        raise ScenarioError(fault)
+    return t
+
+
+def _digit_fault(t, limit, given) -> Optional[str]:
+    """as_time's text on the exact time t, shown as given, when its numerator
+    or denominator has more than limit digits; None when neither has."""
     num, den = t.as_integer_ratio()  # 2 ** (3 * limit) < 10 ** limit
     if max(num.bit_length(), den.bit_length()) > 3 * limit and max(-num, num, den) >= 10 ** limit:
-        raise ScenarioError(f"timestamp has more than {limit} digits, got {show_value(x)}")
-    return t
+        return f"timestamp has more than {limit} digits, got {show_value(given)}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +128,8 @@ class Scenario(Frozen):
         # the one check of radius, decay and sensor names, which may arrive
         # raw from a file, an override or a caller: a negative or NaN radius
         # would cut a device off from itself, a negative decay would expire
-        # messages early, and a sensor no sns-* builtin names is never read
+        # messages early, a sensor no sns-* builtin names is never read, and
+        # a caller's time with more digits than as_time allows never prints
         try:
             r = math.nan if isinstance(radius, bool) else float(radius)
         except (TypeError, ValueError):
@@ -133,6 +142,14 @@ class Scenario(Frozen):
             raise ScenarioError(f"decay: {e}") from None
         if d < 0:
             raise ScenarioError(f"decay must be >= 0, got {show_value(d, str)}")
+        limit = sys.get_int_max_str_digits() or math.inf
+        for i, (t, _) in enumerate(fires):
+            if fault := _digit_fault(t, limit, t):
+                raise ScenarioError(f"fire {i}: {fault}")
+        for device, segs in paths.items():
+            for i, t in enumerate(b for seg in segs for b in (seg.start, seg.end)):
+                if fault := _digit_fault(t, limit, t):
+                    raise ScenarioError(f"path segment {i // 2} of device {device}: {fault}")
         sensor_scripts = {} if sensor_scripts is None else sensor_scripts
         for device, table in sensor_scripts.items():
             for name in table:

@@ -38,6 +38,14 @@ column. Lexical quirks, all needed by the standard library sources:
 
 'if' desugars at parse time; neighbouring-field literals have no surface
 syntax and are rejected here by construction.
+
+Each name is resolved where the parser reads it, so each node is built
+once. A constructor name is data in every scope. Any other name is the
+variable of the nearest lambda or rep around it (a rep's variable is not
+in scope in its init; a def's parameters are in its body), else a def
+declared so far (a def sees itself), else a builtin; an operator must be
+a builtin. The text is read once, left to right, so of several errors
+the first one met is reported.
 """
 
 from __future__ import annotations
@@ -62,10 +70,8 @@ from .ast import (
     Span,
     Var,
     canon_num,
-    children,
     desugar_if,
     is_value,
-    rebuild,
     slot_stores,
 )
 from .builtins import TABLE
@@ -73,25 +79,15 @@ from .builtins import TABLE
 KEYWORDS = {"def", "rep", "nbr", "if", "else", "and"}
 
 # binary levels, loosest first; each entry is the set of operator names
-INFIX_LEVELS = [
-    {"and"},
-    {"=", "<"},
-    {"+", "-"},
-    {"*"},
-]
+INFIX_LEVELS = [{"and"}, {"=", "<"}, {"+", "-"}, {"*"}]
+INFIX_OPS = set().union(*INFIX_LEVELS)
 
 
 class ParseError(Exception):
     def __init__(self, msg: str, span: Optional[Span] = None, path: str = "<string>"):
-        self.msg = msg
-        self.span = span
-        self.path = path
-        super().__init__(self.render())
-
-    def render(self) -> str:
-        if self.span is None:
-            return f"{self.path}: error: {self.msg}"
-        return f"{self.path}:{self.span.line}:{self.span.col}: error: {self.msg}"
+        self.msg, self.span, self.path = msg, span, path
+        where = path if span is None else f"{path}:{span.line}:{span.col}"
+        super().__init__(f"{where}: error: {msg}")
 
 
 class Token(Frozen):
@@ -136,15 +132,17 @@ def lex(src: str, path: str = "<string>") -> list[Token]:
     while pos < len(src):
         m = _TOKEN.match(src, pos)
         kind, text = m.lastgroup, m.group()
-        if kind == "num" and (m.group("exp") or "").isdigit():
-            pos = m.start("exp")  # isdigit() holds for '²', float() fails on it
-            kind = "bad"
-        sp = Span(line, pos - line_start + 1)
         if kind == "skip":
             if "\n" in text:
                 line += text.count("\n")
                 line_start = pos + text.rindex("\n") + 1
-        elif kind == "num" and text[0] == "-" and toks and _ends_operand(toks[-1]):
+            pos = m.end()
+            continue
+        if kind == "num" and (m.group("exp") or "").isdigit():
+            pos = m.start("exp")  # isdigit() holds for '²', float() fails on it
+            kind = "bad"
+        sp = Span(line, pos - line_start + 1)
+        if kind == "num" and text[0] == "-" and toks and _ends_operand(toks[-1]):
             # a sign only where no operand ends: after one, '-' subtracts
             toks.append(Token("op", "-", sp))
             pos += 1
@@ -162,10 +160,16 @@ def lex(src: str, path: str = "<string>") -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, toks: list[Token], path: str):
+    """Recursive descent over the tokens, resolving each name where it is
+    read: bound holds the variables in scope, defs the function names
+    declared so far (the def being read among them)."""
+
+    def __init__(self, toks: list[Token], path: str, defs=()):
         self.toks = toks
         self.pos = 0
         self.path = path
+        self.bound = frozenset()
+        self.defs = set(defs)
 
     def peek(self, k: int = 0) -> Token:
         return self.toks[min(self.pos + k, len(self.toks) - 1)]
@@ -203,15 +207,18 @@ class _Parser:
     def definition(self) -> Def:
         sp = self.expect("def").span
         name_tok = self.next()
-        if name_tok.kind != "name" or name_tok.text in KEYWORDS:
+        name = name_tok.text
+        if name_tok.kind != "name" or name in KEYWORDS:
             raise self.err("expected function name after 'def'", name_tok.span)
+        if name in self.defs:
+            raise self.err(f"duplicate definition of {name!r}", sp)
+        if TABLE.is_builtin_name(name):
+            raise self.err(f"definition shadows builtin {name!r}", sp)
+        self.defs.add(name)
         self.expect("(")
         params = self.name_list()
         self.expect(")")
-        self.expect("{")
-        body = self.expr()
-        self.expect("}")
-        return Def(name_tok.text, params, body, span=sp)
+        return Def(name, params, self.enclosed("{", "}", params), span=sp)
 
     def name_list(self) -> tuple:
         names = []
@@ -224,6 +231,35 @@ class _Parser:
                     raise self.err("expected parameter name", t.span)
                 names.append(t.text)
         return tuple(names)
+
+    # ---- names -------------------------------------------------------
+
+    def scoped(self, names: tuple) -> Expr:  # an expression names bind in
+        outer = self.bound
+        self.bound = outer.union(names)
+        e = self.expr()
+        self.bound = outer
+        return e
+
+    def enclosed(self, start: str, end: str, names: tuple = ()) -> Expr:
+        self.expect(start)
+        e = self.scoped(names)
+        self.expect(end)
+        return e
+
+    def name(self, t: Token) -> Expr:
+        if t.text in self.bound:
+            return Var(t.text, span=t.span)
+        if t.text in self.defs:
+            return DefName(t.text, span=t.span)
+        if TABLE.is_builtin_name(t.text):
+            return Builtin(t.text, span=t.span)
+        raise self.err(f"unknown name {t.text!r}", t.span)
+
+    def operator(self, t: Token) -> Builtin:
+        if not TABLE.is_builtin_name(t.text):
+            raise self.err(f"unknown operator {t.text!r}", t.span)
+        return Builtin(t.text, span=t.span)
 
     # ---- expressions -------------------------------------------------
 
@@ -239,9 +275,7 @@ class _Parser:
             t = self.peek()
             base = t.text.split("[", 1)[0]
             if (t.kind == "op" or (t.kind == "name" and t.text == "and")) and base in ops:
-                self.next()
-                right = self.infix(level + 1)
-                left = Apply(Builtin(t.text, span=t.span), (left, right), span=t.span)
+                left = Apply(self.operator(self.next()), (left, self.infix(level + 1)), span=t.span)
             else:
                 return left
 
@@ -253,55 +287,49 @@ class _Parser:
             return self.rep()
         e = self.primary()
         while self.at("("):
-            sp = self.next().span
-            args = []
-            if not self.at(")"):
-                args.append(self.expr())
-                while self.at(","):
-                    self.next()
-                    args.append(self.expr())
-            self.expect(")")
-            e = self.finish_call(e, tuple(args), sp)
+            sp = self.peek().span
+            e = Apply(e, self.args(), span=sp)
         return e
 
-    def finish_call(self, fn: Expr, args: tuple, sp: Span) -> Expr:
-        # constructor applications become Data nodes (nullary constructors
-        # are Data already)
-        want = TABLE.ctor_arity(fn.name) if isinstance(fn, Var) else None
-        if want is not None:
-            if len(args) != want:
-                raise ParseError(f"constructor {fn.name} takes {want} arguments, got {len(args)}", sp, self.path)
-            return Data(fn.name, args, span=sp)
-        return Apply(fn, args, span=sp)
+    def args(self) -> tuple:  # '(' expr, ... ')'
+        self.expect("(")
+        args = []
+        if not self.at(")"):
+            args.append(self.expr())
+            while self.at(","):
+                self.next()
+                args.append(self.expr())
+        self.expect(")")
+        return tuple(args)
 
     def primary(self) -> Expr:
         t = self.peek()
         if t.kind == "num":
             self.next()
             return Data(canon_num(t.value), span=t.span)
-        if t.kind == "op":
-            # prefix operator, either applied or passed as a value
-            self.next()
-            return Builtin(t.text, span=t.span)
+        if t.kind == "op" or t.text == "and":
+            return self.operator(self.next())  # applied or passed as a value
         if t.kind == "name":
             if t.text == "nbr":
                 return self.nbr()
             if t.text == "if":
                 return self.ifexpr()
-            if t.text == "and":
-                self.next()
-                return Builtin("and", span=t.span)
             if t.text in KEYWORDS:
                 raise self.err(f"unexpected keyword {t.text!r}", t.span)
             self.next()
+            # a constructor name is its constructor in every scope
             arity = TABLE.ctor_arity(t.text)
+            if arity is None:
+                return self.name(t)
             if arity == 0:
                 return Data(t.text, span=t.span)
-            if arity and not self.at("("):
+            if not self.at("("):
                 raise self.err(f"constructor {t.text} must be applied", t.span)
-            # variable for now; the name resolution pass rewrites known
-            # builtin and def names
-            return Var(t.text, span=t.span)
+            sp = self.peek().span
+            args = self.args()
+            if len(args) != arity:
+                raise self.err(f"constructor {t.text} takes {arity} arguments, got {len(args)}", sp)
+            return Data(t.text, args, span=sp)
         if t.text == "(":
             return self.parens_or_lambda()
         raise self.err(f"unexpected token {t.text!r}" if t.kind != "eof" else "unexpected end of input", t.span)
@@ -313,113 +341,59 @@ class _Parser:
             params = self.name_list()
             self.expect(")")
             self.expect("=>")
-            body = self.expr()
-            return Lambda(params, body, span=start)
+            return Lambda(params, self.scoped(params), span=start)
         e = self.expr()
         self.expect(")")
         return e
 
     def lambda_ahead(self) -> bool:
+        # after the '(' read: names ')' '=>', the first name no keyword
         k = 0
-        if self.peek(k).text != ")":
-            if self.peek(k).kind != "name" or self.peek(k).text in KEYWORDS:
+        if self.peek().text != ")":
+            if self.peek().text in KEYWORDS:
+                return False
+            while self.peek(k).kind == "name" and self.peek(k + 1).text == ",":
+                k += 2
+            if self.peek(k).kind != "name":
                 return False
             k += 1
-            while self.peek(k).text == ",":
-                k += 1
-                if self.peek(k).kind != "name":
-                    return False
-                k += 1
-            if self.peek(k).text != ")":
-                return False
-        return self.peek(k + 1).text == "=>"
+        return self.peek(k).text == ")" and self.peek(k + 1).text == "=>"
 
     def rep(self) -> Rep:
         sp = self.expect("rep").span
-        self.expect("(")
-        init = self.expr()
-        self.expect(")")
+        init = self.enclosed("(", ")")
         self.expect("{")
         self.expect("(")
         var_tok = self.next()
         if var_tok.kind != "name":
             raise self.err("expected rep variable name", var_tok.span)
         self.expect(")")
-        self.expect("=>")
-        body = self.expr()
-        self.expect("}")
-        return Rep(init, var_tok.text, body, span=sp)
+        return Rep(init, var_tok.text, self.enclosed("=>", "}", (var_tok.text,)), span=sp)
 
     def nbr(self) -> Nbr:
         sp = self.expect("nbr").span
-        self.expect("{")
-        body = self.expr()
-        self.expect("}")
-        return Nbr(body, span=sp)
+        return Nbr(self.enclosed("{", "}"), span=sp)
 
     def ifexpr(self) -> Expr:
         sp = self.expect("if").span
-        self.expect("(")
-        guard = self.expr()
-        self.expect(")")
-        self.expect("{")
-        then = self.expr()
-        self.expect("}")
+        guard = self.enclosed("(", ")")
+        then = self.enclosed("{", "}")
         self.expect("else")
-        self.expect("{")
-        els = self.expr()
-        self.expect("}")
-        return desugar_if(guard, then, els, span=sp)
-
-
-# ---------------------------------------------------------------------------
-# name resolution: decide Var / Builtin / DefName
-
-def _resolve(e: Expr, def_names, bound, path) -> Expr:
-    match e:
-        case Var(name=n, span=sp):
-            if n in bound:
-                return e
-            if n in def_names:
-                return DefName(n, span=sp)
-            if TABLE.is_builtin_name(n):
-                return Builtin(n, span=sp)
-            raise ParseError(f"unknown name {n!r}", sp, path)
-        case Builtin(name=n, span=sp):
-            if not TABLE.is_builtin_name(n):
-                raise ParseError(f"unknown operator {n!r}", sp, path)
-            return e
-    return rebuild(e, [_resolve(c, def_names, bound.union(b) if b else bound, path)
-                       for c, b in children(e)])
+        return desugar_if(guard, then, self.enclosed("{", "}"), span=sp)
 
 
 def parse_program(src: str, path: str = "<string>") -> Program:
-    toks = lex(src, path)
-    p = _Parser(toks, path)
-    prog = p.program()
-    def_names: set = set()
-    defs = []
-    for d in prog.defs:
-        if d.name in def_names:
-            raise ParseError(f"duplicate definition of {d.name!r}", d.span, path)
-        if TABLE.is_builtin_name(d.name):
-            raise ParseError(f"definition shadows builtin {d.name!r}", d.span, path)
-        body = _resolve(d.body, def_names | {d.name}, set(d.params), path)
-        defs.append(Def(d.name, d.params, body, span=d.span))
-        def_names.add(d.name)
-    main = _resolve(prog.main, def_names, set(), path)
-    return Program(tuple(defs), main)
+    return _Parser(lex(src, path), path).program()
 
 
 def parse_expr(src: str, path: str = "<string>", defs=()) -> Expr:
     """Parse a bare expression; defs lists declared function names in scope."""
-    toks = lex(src, path)
-    p = _Parser(toks, path)
+    p = _Parser(lex(src, path), path, defs)
     e = p.expr()
     t = p.peek()
     if t.kind != "eof":
         raise ParseError(f"trailing input: {t.text!r}", t.span, path)
-    return _resolve(e, set(defs), set(), path)
+    return e
 
 
 def parse_value(src: str, path: str = "<string>") -> Expr:
@@ -442,11 +416,6 @@ def show_num(x: float) -> str:
     return repr(x)
 
 
-def _is_infix(name: str) -> bool:
-    base = name.split("[", 1)[0]
-    return base in ("+", "-", "*", "<", "=", "and")
-
-
 def pretty(e: Expr) -> str:
     match e:
         case Var(name=n) | DefName(name=n):
@@ -463,7 +432,7 @@ def pretty(e: Expr) -> str:
         case Lambda(params=ps, body=b):
             return f"({', '.join(ps)}) => {pretty(b)}"
         case Apply(fn=f, args=args):
-            if isinstance(f, Builtin) and _is_infix(f.name) and len(args) == 2:
+            if isinstance(f, Builtin) and f.name.split("[", 1)[0] in INFIX_OPS and len(args) == 2:
                 sides = [
                     f"({pretty(a)})" if isinstance(a, Lambda) else pretty(a)
                     for a in args

@@ -178,6 +178,25 @@ def test_an_edge_end_is_an_event_id_as_given():
         EventDAG([Event(1, 1, F(0)), Event(2, 2, F(1))], [(1.5, 2)])
 
 
+def test_an_edge_end_not_an_integer_is_shown_as_given():
+    """A caller's edge end that is not an integer is shown as given, so
+    '2' does not read as the event 2 that exists."""
+    with pytest.raises(DagError, match=r"^neigh edge \(1, '2'\) references unknown events$"):
+        EventDAG([Event(1, 1, F(0)), Event(2, 2, F(1))], [(1, "2")])
+
+
+def test_a_dag_file_names_its_first_fault_in_file_order():
+    """The events are checked before the edges, and the edges one at a time
+    in file order, as EventDAG reads them."""
+    events = [{"id": i, "device": 1, "time": str(i)} for i in (1, 2)]
+    with pytest.raises(DagError, match="^duplicate event id 1$"):
+        dag_from_json({"events": events + events[:1], "neigh": [[1]]})
+    with pytest.raises(DagError, match=r"^neigh edge \(1, 3\) references unknown events$"):
+        dag_from_json({"events": events, "neigh": [[1, 3], [1]]})
+    with pytest.raises(DagError, match="^neigh edge"):
+        dag_from_json({"events": events, "neigh": [[1], [1, 3]]})
+
+
 def test_an_edge_listed_twice_is_kept_once():
     """The senders hold each edge once, in the order the edges first list
     them, so a repeated edge changes neither the checks nor the replay."""

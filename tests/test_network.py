@@ -272,6 +272,26 @@ def test_a_scenario_built_in_python_checks_its_sensor_names():
         sc.replace(sensor_scripts={1: {"nbr-range": ((None, num(3)),)}})
 
 
+def test_a_scenario_built_in_python_holds_its_times_to_the_digit_rule():
+    """A fire time or a segment border with more digits than Python prints
+    is refused where the scenario is made, with as_time's text after the
+    field, however the scenario is made, before a fire's record fails to
+    print its time."""
+    paths = {1: (PathSeg(F(0), F(10), ((0.0, 0.0),)),)}
+    with pytest.raises(ScenarioError, match="^fire 0: timestamp has more than 4300 digits, "):
+        Scenario(devices=(1,), radius=1, decay=F(10), paths=paths,
+                 fires=((F(1, 10**5000), 1),))
+    with pytest.raises(ScenarioError, match="^path segment 0 of device 1: timestamp has more "):
+        Scenario(devices=(1,), radius=1, decay=F(10), fires=((F(1), 1),),
+                 paths={1: (PathSeg(F(0), F(10**5000), ((0.0, 0.0),)),)})
+    long_time = F(1, 10**4299)  # one digit short of the limit: kept and printed
+    sc = Scenario(devices=(1,), radius=1, decay=F(10), paths=paths, fires=((long_time, 1),))
+    lines = []
+    run_scenario(sc, parse_program("uid()"), sink=lambda t, d, tree, fresh: lines.append(
+        network.fire_jsonl(t, d, tree, fresh)))
+    assert len(lines) == 1 and str(long_time) in lines[0]
+
+
 def test_ranges_use_clamped_positions():
     sc = Scenario(
         devices=(1, 2), radius=10, decay=F(1),

@@ -2,21 +2,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fieldcalc import parser
 from fieldcalc.ast import (
     INF,
     NAN,
     Apply,
     Builtin,
     Data,
+    Def,
     DefName,
+    Expr,
     Lambda,
     Nbr,
+    Program,
     Rep,
+    Span,
     Var,
+    children,
     num,
 )
-from fieldcalc.parser import ParseError, lex, parse_expr, parse_program, pretty
-from helpers import pretty_program
+from fieldcalc.parser import ParseError, Token, lex, parse_expr, parse_program, pretty
+from fieldcalc.stdlib import load_corpus
+from helpers import pretty_program, subexpressions
 
 
 def toks(src):
@@ -250,6 +257,114 @@ def test_parse_error_rendering():
 def test_sensors_resolve():
     e = parse_expr("min-hood(nbr{sns-num()})")
     assert e.args[0] == Nbr(Apply(Builtin("sns-num"), ()))
+
+
+def test_scope_is_the_nearest_binder_then_the_defs_so_far_then_the_builtins():
+    # a lambda parameter shadows a def and a builtin in the lambda's body
+    p = parse_program("def f(x) {x} ((f, uid) => f(uid))(f, uid)")
+    assert p.main.fn == Lambda(("f", "uid"), Apply(Var("f"), (Var("uid"),)))
+    assert p.main.args == (DefName("f"), Builtin("uid"))
+    # a def's parameter shadows a builtin in the def's body only
+    p = parse_program("def g(uid) {uid} g(uid())")
+    assert p.defs[0].body == Var("uid")
+    assert p.main == Apply(DefName("g"), (Apply(Builtin("uid"), ()),))
+    # a rep variable is in scope in the rep's body, not in its own init
+    with pytest.raises(ParseError, match=r"^<string>:1:5: error: unknown name 'x'$"):
+        parse_expr("rep(x){(x) => x}")
+    assert parse_expr("(x) => rep(x){(x) => x}") == Lambda(("x",), Rep(Var("x"), "x", Var("x")))
+    # a binder's scope ends with its body
+    with pytest.raises(ParseError, match=r"^<string>:1:16: error: unknown name 'y'$"):
+        parse_expr("Pair((y) => y, y)")
+    # a def sees itself and the defs before it, not those after it
+    with pytest.raises(ParseError, match=r"^<string>:1:10: error: unknown name 'b'$"):
+        parse_program("def a() {b()} def b() {a()} a()")
+    # a constructor name is data in every scope
+    assert parse_expr("(Pair) => Pair(1, 2)") == Lambda(("Pair",), Data("Pair", (num(1), num(2))))
+
+
+def test_the_first_error_met_is_reported():
+    """The text is read once, left to right, names resolved as they are
+    read: a name error before a syntax error is the one reported."""
+    with pytest.raises(ParseError, match=r"^<string>:1:12: error: unknown name 'zog'$"):
+        parse_program("def f(x) { zog } f(1")
+    with pytest.raises(ParseError, match=r"^<string>:1:3: error: unknown operator '\+\[f,f,f\]'$"):
+        parse_program("1 +[f,f,f] 2)")
+    with pytest.raises(ParseError, match=r"^<string>:1:13: error: duplicate definition of 'f'$"):
+        parse_program("def f() {0} def f() {1 0")
+    with pytest.raises(ParseError, match=r"^<string>:1:1: error: definition shadows builtin 'uid'$"):
+        parse_program("def uid() {0} uid(")
+    # a syntax error before a name error is the one reported
+    with pytest.raises(ParseError, match=r"^<string>:1:3: error: trailing input after main"):
+        parse_program("1 ) zog")
+
+
+def test_a_long_flat_sum_parses():
+    e = parse_expr(" + ".join(["1"] * 3000))
+    depth = 0
+    while isinstance(e, Apply):
+        e, depth = e.args[0], depth + 1
+    assert depth == 2999 and e == num(1)
+
+
+def test_each_name_node_carries_the_span_of_its_name():
+    """Every variable, function name and builtin of a corpus program sits
+    at the token of its name; only if's desugaring adds names (mux and
+    snd twice), which have no span."""
+    for entry in load_corpus():
+        toks = lex(entry.source)
+        at = {(t.span.line, t.span.col): t.text for t in toks}
+        prog = parse_program(entry.source)
+        names = [e for top in [*[d.body for d in prog.defs], prog.main]
+                 for e in subexpressions(top) if isinstance(e, (Var, DefName, Builtin))]
+        for e in names:
+            if e.span is not None:
+                assert at[(e.span.line, e.span.col)] == e.name, (entry.name, e)
+        spanless = [e.name for e in names if e.span is None]
+        ifs = sum(t.text == "if" for t in toks)
+        assert sorted(spanless) == sorted(["mux", "snd", "snd"] * ifs), entry.name
+
+
+RECORDS = (Span, Token, Var, Builtin, DefName, Data, Lambda, Apply, Rep, Nbr, Def, Program)
+ONE_OF_EACH = """// every kind of node, and whitespace and comments to skip
+def f(x, y) {
+  if (x < -1) { Pair(x, y) } else { f(x - 1, nbr{rep(y){(z) => z}}) }   // recursion
+}
+((g) => g(3, True))(f) + +(1, 2)
+"""
+
+
+def test_one_pass_builds_no_record_it_drops(monkeypatch):
+    """Every span, token and node made while a text is lexed and parsed is
+    reachable from the program or its tokens: none is built to be dropped,
+    as a skipped space's span or a tree rebuilt by a second pass would be."""
+    built = []
+    for cls in RECORDS:
+        def init(self, *args, _init=cls.__init__, **kwargs):
+            built.append(self)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", init)
+    toks = []
+    real_lex = parser.lex
+    monkeypatch.setattr(parser, "lex", lambda src, path: toks.extend(real_lex(src, path)) or toks)
+    for src in [ONE_OF_EACH] + [entry.source for entry in load_corpus()]:
+        built.clear()
+        toks.clear()
+        prog = parse_program(src)
+        kept, todo = {}, [prog, *toks]
+        while todo:
+            r = todo.pop()
+            if r is None or id(r) in kept:
+                continue
+            kept[id(r)] = r
+            if isinstance(r, Program):
+                todo += [*r.defs, r.main]
+            elif isinstance(r, Def):
+                todo += [r.span, r.body]
+            elif isinstance(r, Token):
+                todo.append(r.span)
+            elif isinstance(r, Expr):
+                todo += [r.span, *[c for c, _ in children(r)]]
+        assert built and [r for r in built if id(r) not in kept] == []
 
 
 # ---------------------------------------------------------------------------
