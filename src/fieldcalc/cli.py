@@ -103,21 +103,17 @@ def _load_input(path: str, ns):
     malformed input exits with code 2."""
     obj = _read_json(path)
     dag = isinstance(obj, dict) and "events" in obj
-    for opt in ("decay", "radius"):
-        if dag and getattr(ns, opt) is not None:
-            raise CliError(2, f"{path}: --{opt} overrides a scenario, not an event DAG")
+    changes = {opt: v for opt in ("decay", "radius") if (v := getattr(ns, opt)) is not None}
+    if dag and changes:
+        raise CliError(2, f"{path}: --{next(iter(changes))} overrides a scenario, not an event DAG")
     try:
         src = dag_from_json(obj) if dag else scenario_from_json(obj)
     except (DagError, ScenarioError) as e:
         raise CliError(2, f"{path}: {e}") from None
-    try:
-        if ns.decay is not None:
-            src = src.replace(decay=ns.decay)
-        if ns.radius is not None:
-            src = src.replace(radius=ns.radius)
+    try:  # both overrides in one replace, so the scenario is checked once more
+        return src.replace(**changes) if changes else src
     except ScenarioError as e:
         raise CliError(2, str(e)) from None  # the message names the field
-    return src
 
 
 # ---------------------------------------------------------------------------

@@ -75,13 +75,12 @@ from .network import (
     SHAPE_ERRORS,
     ScenarioError,
     as_time,
+    device_id,
     fire,
     json_container,
-    json_device,
     json_id,
     shape_error,
     show_id,
-    show_value,
     sweep,
     walk,
 )
@@ -118,28 +117,32 @@ class EventDAG:
     edge (e'.id, e.id) here. Sensor readings are attached per event so
     builtins can be interpreted at each event. The constructor is the one
     check of an event structure, from a file or a caller alike: it raises
-    DagError unless the ids are unique, each edge end is an id as given,
-    and validate_dag finds no violation."""
+    DagError unless each event's device is a device id and its time reads
+    by as_time, the ids are unique, each edge end is an id as given, and
+    validate_dag finds no violation."""
 
     def __init__(self, events, neigh, sensors=None):
-        self.events = tuple(sorted(events, key=lambda e: (e.time, e.id)))
+        try:
+            self.events = tuple(sorted(map(_event, events), key=lambda e: (e.time, e.id)))
+        except ScenarioError as e:
+            raise DagError(str(e)) from None
         self.sensors = dict(sensors or {})
         self.by_id = by_id = {}
         for e in self.events:
             if e.id in by_id:
-                raise DagError(f"duplicate event id {_show_event_id(e.id)}")
+                raise DagError(f"duplicate event id {show_id(e.id)}")
             by_id[e.id] = e
         self._in = heard = {}  # receiver id -> sender ids as listed, then its senders
         for a, b in neigh:
             if a not in by_id or b not in by_id:
-                raise DagError(f"neigh edge ({_show_event_id(a)}, {_show_event_id(b)}) "
+                raise DagError(f"neigh edge ({show_id(a)}, {show_id(b)}) "
                                "references unknown events")
             heard.setdefault(b, []).append(a)
         for b, ss in heard.items():  # each sender once, where it is first listed
             heard[b] = tuple(map(by_id.__getitem__, dict.fromkeys(ss)))
         if bad := validate_dag(self):
             raise DagError("neigh violates " + "; ".join(
-                f"{v.kind} (events {', '.join(map(_show_event_id, v.events))})" for v in bad))
+                f"{v.kind} (events {', '.join(map(show_id, v.events))})" for v in bad))
 
     def senders(self, e: Event) -> tuple:
         """Events e is aware of (its neighbour events)."""
@@ -187,8 +190,11 @@ class EventDAG:
                     heappush(ready, b)
 
 
-def _show_event_id(i) -> str:  # a caller's id that is no integer as given: '2', not 2
-    return show_id(i) if isinstance(i, int) else show_value(i)
+def _event(e: Event) -> Event:
+    """e, checked, its time exact: e itself when that time already is."""
+    t = as_time(e.time, "DAG event")
+    device_id(e.device, "DAG event device")
+    return e if t is e.time else Event(e.id, e.device, t)
 
 
 class Violation(Frozen):
@@ -286,25 +292,27 @@ SCENARIO_KEYS = frozenset({"decay", "devices", "fires", "paths", "radius", "sens
 
 
 def dag_from_json(obj) -> EventDAG:
-    """The event DAG a DAG file holds; EventDAG checks it, reading each edge
-    from the file as it takes it, after the events."""
+    """The event DAG a DAG file holds; EventDAG checks it, reading each event
+    and then each edge from the file as it takes it."""
     if not isinstance(obj, dict) or "events" not in obj or "neigh" not in obj:
         raise DagError("DAG file must be an object with keys events, neigh")
     mixed = sorted(SCENARIO_KEYS.intersection(obj))
     if mixed:
         raise DagError(f"DAG file holds the scenario keys {', '.join(mixed)}")
     try:
-        events = []
-        for r in json_container(obj["events"], list, "events"):
-            try:
-                i, d, t = r["id"], r["device"], as_time(r["time"])
-            except SHAPE_ERRORS as e:
-                raise shape_error("DAG event", EVENT_SHAPE, r, e) from None
-            i, d = json_id(i, "DAG event id"), json_device(d, "DAG event device")
-            events.append(Event(i, d, t))
-        return EventDAG(events, map(_edge, json_container(obj["neigh"], list, "neigh")))
+        events, neigh = (json_container(obj[k], list, k) for k in ("events", "neigh"))
+        return EventDAG(map(_json_event, events), map(_edge, neigh))
     except ScenarioError as e:
         raise DagError(str(e)) from None
+
+
+def _json_event(r) -> Event:
+    """An event of a DAG file, its ids integers and its time as given."""
+    try:
+        i, d, t = r["id"], r["device"], r["time"]
+    except SHAPE_ERRORS as e:
+        raise shape_error("DAG event", EVENT_SHAPE, r, e) from None
+    return Event(json_id(i, "DAG event id"), json_id(d, "DAG event device"), t)
 
 
 def _edge(edge) -> tuple:

@@ -41,7 +41,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .ast import Expr, Frozen, Program, Record, boolean, num, set_field
+from .ast import Expr, Frozen, Program, Record, boolean, is_value, num, set_field
 from .builtins import TABLE, EvalError, SensorState
 from .device import (
     DEFAULT_FUEL,
@@ -74,13 +74,14 @@ _EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)(\d*(?:_\d+)*)(?:\.(\d*(?:_\d+)*))?"
                        r"[eE]([-+]?\d+(?:_\d+)*)\s*")
 
 
-def as_time(x) -> Fraction:
-    """A time, exact. Each output line prints its time, so one whose
-    numerator or denominator has more digits than Python converts to text
-    (sys.get_int_max_str_digits()) is refused, before Fraction expands
-    an exponent that alone makes it so."""
+def as_time(x, what: str = "") -> Fraction:
+    """A time, exact (a Fraction is its own), named ``what`` in a diagnostic.
+    Each output line prints its time, so one whose numerator or denominator
+    has more digits than Python converts to text (sys.get_int_max_str_digits())
+    is refused, before Fraction expands an exponent that alone makes it so."""
+    where = f"{what}: " if what else ""
     if isinstance(x, bool) or not isinstance(x, (str, int, float, Fraction)):
-        raise ScenarioError(f"not a timestamp: {show_value(x)}")
+        raise ScenarioError(f"{where}not a timestamp: {show_value(x)}")
     limit = sys.get_int_max_str_digits() or math.inf
     s = str(x) if isinstance(x, (float, str)) else ""
     m = _EXPONENT.fullmatch(s) if "e" in s or "E" in s else None
@@ -88,24 +89,16 @@ def as_time(x) -> Fraction:
         frac, exp = (m[2] or "").replace("_", ""), m[3].replace("_", "")
         n = len((m[1].replace("_", "") + frac).lstrip("0"))
         if n and (len(exp.lstrip("+-0")) > 18 or not -limit - n < int(exp) - len(frac) < limit):
-            raise ScenarioError(f"timestamp has more than {limit} digits, got {show_value(x)}")
+            raise ScenarioError(f"{where}timestamp has more than {limit} digits, got {show_value(x)}")
         s = s if n else "0"  # zero, whatever its exponent
     try:
-        t = Fraction(s or x)
+        t = x if type(x) is Fraction else Fraction(s or x)
     except (ValueError, ZeroDivisionError):
-        raise ScenarioError(f"not a timestamp: {show_value(x)}") from None
-    if fault := _digit_fault(t, limit, x):
-        raise ScenarioError(fault)
-    return t
-
-
-def _digit_fault(t, limit, given) -> Optional[str]:
-    """as_time's text on the exact time t, shown as given, when its numerator
-    or denominator has more than limit digits; None when neither has."""
+        raise ScenarioError(f"{where}not a timestamp: {show_value(x)}") from None
     num, den = t.as_integer_ratio()  # 2 ** (3 * limit) < 10 ** limit
     if max(num.bit_length(), den.bit_length()) > 3 * limit and max(-num, num, den) >= 10 ** limit:
-        return f"timestamp has more than {limit} digits, got {show_value(given)}"
-    return None
+        raise ScenarioError(f"{where}timestamp has more than {limit} digits, got {show_value(x)}")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -115,57 +108,106 @@ class PathSeg(Frozen):
     __slots__ = _fields = ("start", "end", "waypoints")  # waypoints: a tuple of (x, y)
 
 
+def device_id(d, what: str) -> int:
+    """d, a device id: an int, not a bool, that uid(), a float, holds exactly."""
+    if type(d) is not int:
+        raise ScenarioError(f"{what} must be an integer, got {show_value(d)}")
+    if not -2 ** 53 <= d <= 2 ** 53:
+        raise ScenarioError(f"{what} must lie in [-2**53, 2**53], where uid() "
+                            f"is exact, got {show_id(d)}")
+    return d
+
+
 class Scenario(Frozen):
-    """paths maps a device id to its tuple of PathSeg; fires holds
-    (Timestamp, device id) pairs at strictly increasing times;
-    sensor_scripts maps a device id to {sensor name: tuple of (start time
-    or None, value)}, a new empty dict when not given."""
+    """A scenario, checked where it is made, from a file or a caller alike:
+    distinct device ids (device_id); paths, each device's PathSeg tuple
+    (_segment); fires, (time, device) pairs sorted by time, no two at one
+    instant; sensor_scripts, {device: {sensor name: steps (_script)}}, new
+    and empty when not given. Devices named are known; times read by as_time."""
 
     __slots__ = _fields = ("devices", "radius", "decay", "paths", "fires", "sensor_scripts")
 
-    def __init__(self, devices: tuple, radius: float, decay: Timestamp, paths: dict,
-                 fires: tuple, sensor_scripts: Optional[dict] = None):
-        # the one check of radius, decay and sensor names, which may arrive
-        # raw from a file, an override or a caller: a negative or NaN radius
-        # would cut a device off from itself, a negative decay would expire
-        # messages early, a sensor no sns-* builtin names is never read, and
-        # a caller's time with more digits than as_time allows never prints
+    def __init__(self, devices, radius, decay, paths: dict, fires,
+                 sensor_scripts: Optional[dict] = None):
+        devices = tuple(device_id(d, "device id") for d in devices)
+        known = set(devices)
+        if len(known) != len(devices):
+            raise ScenarioError("duplicate device ids")
+        paths = {_known(d, known, "path for"): tuple(_segment(i, d, s) for i, s in enumerate(segs))
+                 for d, segs in paths.items()}
+        fires = sorted(((as_time(t, f"fire {i}"), _known(d, known, "fire by"))
+                        for i, (t, d) in enumerate(fires)), key=lambda f: f[0])
+        for (t1, _), (t2, _) in zip(fires, fires[1:]):
+            if t1 == t2:
+                raise ScenarioError(f"two fires at the same instant t={t1}")
+        scripts = {_known(d, known, "sensors for"): {name: _script(d, name, steps)
+                                                    for name, steps in table.items()}
+                   for d, table in (sensor_scripts or {}).items()}
+        # a negative or NaN radius would cut a device off from itself, and
+        # a negative decay would expire messages early
         try:
             r = math.nan if isinstance(radius, bool) else float(radius)
         except (TypeError, ValueError):
             r = math.nan
         if not r >= 0:
             raise ScenarioError(f"radius must be a number >= 0, got {show_value(radius)}")
-        try:
-            d = as_time(decay)
-        except ScenarioError as e:
-            raise ScenarioError(f"decay: {e}") from None
-        if d < 0:
-            raise ScenarioError(f"decay must be >= 0, got {show_value(d, str)}")
-        limit = sys.get_int_max_str_digits() or math.inf
-        for i, (t, _) in enumerate(fires):
-            if fault := _digit_fault(t, limit, t):
-                raise ScenarioError(f"fire {i}: {fault}")
-        for device, segs in paths.items():
-            for i, t in enumerate(b for seg in segs for b in (seg.start, seg.end)):
-                if fault := _digit_fault(t, limit, t):
-                    raise ScenarioError(f"path segment {i // 2} of device {device}: {fault}")
-        sensor_scripts = {} if sensor_scripts is None else sensor_scripts
-        for device, table in sensor_scripts.items():
-            for name in table:
-                if not TABLE.is_sensor_name(name):
-                    raise ScenarioError(f"unknown sensor {show_value(name)} for device {device}: "
-                                        "a sensor is named by an sns-* builtin")
+        decay = as_time(decay, "decay")
+        if decay < 0:
+            raise ScenarioError(f"decay must be >= 0, got {show_value(decay, str)}")
         set_field(self, "devices", devices)
         set_field(self, "radius", r)
-        set_field(self, "decay", d)
+        set_field(self, "decay", decay)
         set_field(self, "paths", paths)
-        set_field(self, "fires", fires)
-        set_field(self, "sensor_scripts", sensor_scripts)
+        set_field(self, "fires", tuple(fires))
+        set_field(self, "sensor_scripts", scripts)
 
     def replace(self, **changes) -> Scenario:
         """This scenario with the named fields changed, checked again."""
         return Scenario(**{**{f: getattr(self, f) for f in self._fields}, **changes})
+
+
+def _known(d, known: set, what: str) -> int:
+    """d, when it is one of the devices known; a bool is none of them."""
+    if type(d) is not int or d not in known:
+        raise ScenarioError(f"{what} unknown device {show_id(d)}")
+    return d
+
+
+def _segment(i: int, d: int, seg: PathSeg) -> PathSeg:
+    """Segment i of device d's path, its waypoints (x, y) floats, finite and
+    each a finite step from the one before, since interpolation scales it."""
+    what, pts = f"path segment {i} of device {d}", seg.waypoints
+    start, end = as_time(seg.start, what), as_time(seg.end, what)
+    try:
+        xys = tuple((float(x), float(y)) for x, y in pts)
+        if any(isinstance(c, bool) for p in pts for c in p):
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{what}: waypoints must be numbers, got {show_value(pts)}") from None
+    if not all(map(math.isfinite, (c for p in xys for c in p))):
+        raise ScenarioError(f"{what}: waypoints must be finite, got {show_value(pts)}")
+    if not all(math.isfinite(b - a) for p, q in zip(xys, xys[1:]) for a, b in zip(p, q)):
+        raise ScenarioError(f"{what}: consecutive waypoints must differ by a finite "
+                            f"amount, got {show_value(pts)}")
+    if end < start:
+        raise ScenarioError(f"path segment of device {d} ends before it starts")
+    if not xys:
+        raise ScenarioError(f"empty waypoints for device {d}")
+    return PathSeg(start, end, xys)
+
+
+def _script(d: int, name, steps) -> tuple:
+    """Device d's script of sensor name, which an sns-* builtin names: its
+    steps (start time or None, closed value), sorted by start."""
+    if not TABLE.is_sensor_name(name):
+        raise ScenarioError(f"unknown sensor {show_value(name)} for device {d}: "
+                            "a sensor is named by an sns-* builtin")
+    out = []
+    for t, v in steps:
+        out.append((None if t is None else as_time(t, "sensor step"), v))
+        if not is_value(v):
+            raise ScenarioError(f"sensor {name} of device {d}: {show_value(v)} is not a closed value")
+    return tuple(sorted(out, key=lambda s: (s[0] is not None, s[0] or 0)))
 
 
 def sample_script(steps, t: Timestamp):
@@ -506,7 +548,8 @@ def run_scenario(src, program: Program, fuel: int = DEFAULT_FUEL,
 # (a segment, a fire, an event, an edge) inside one try, so valid input
 # pays nothing for the diagnosis; a part that does not have its shape is a
 # ScenarioError naming it. Explicit checks stay only where a wrong shape
-# would not raise: containers of the wrong kind and non-integer ids.
+# would not raise: containers, ids, waypoint pairs and a null step time.
+# Scenario and EventDAG hold every other rule.
 
 SHAPE_ERRORS = (KeyError, TypeError, ValueError, ScenarioError)
 
@@ -539,18 +582,21 @@ def json_id(v, what: str) -> int:
             s = v.strip()
             if (s[1:] if s[:1] in ("+", "-") else s).isdecimal():  # refused for its length
                 raise ScenarioError(f"{what} has too many digits to read, "
-                                    f"got {show_id(s.removeprefix('+'))}") from None
+                                    f"got {_head(s.removeprefix('+'))}") from None
     raise ScenarioError(f"{what} must be an integer, got {show_value(v)}")
 
 
-# uid() is a float, which holds every integer in this range exactly
-DEVICE_ID_LIMIT = 2 ** 53
-
-
-def show_id(d: int) -> str:
-    """An id read from a file, for a diagnostic: a long one by its head and digit count."""
-    s = str(d)
+def _head(s: str) -> str:
+    """The digits of an id, a long one by its head and digit count."""
     return s if len(s) <= 20 else f"{s[:12]}... ({len(s.lstrip('-'))} digits)"
+
+
+def show_id(d) -> str:
+    """An id, for a diagnostic: an int by _head, else, as a caller's '2', by show_value."""
+    try:
+        return _head(str(d)) if type(d) is int else show_value(d)
+    except ValueError:  # an int with more digits than Python will print
+        return show_value(d, str)
 
 
 def show_value(v, text=repr) -> str:
@@ -561,19 +607,6 @@ def show_value(v, text=repr) -> str:
     except ValueError:  # it holds an integer longer than Python will print
         return "a value with too many digits to print"
     return s if len(s) <= 80 else f"{s[:60]}... ({len(s)} characters)"
-
-
-def json_device(v, what: str) -> int:
-    """A device id: an integer id that uid() represents exactly."""
-    d = json_id(v, what)
-    if not -DEVICE_ID_LIMIT <= d <= DEVICE_ID_LIMIT:
-        raise ScenarioError(f"{what} must lie in [-2**53, 2**53], where uid() "
-                            f"is exact, got {show_id(d)}")
-    return d
-
-
-SEGMENT_SHAPE = '{"from": time, "to": time, "waypoints": [[x, y], ...]}'
-FIRE_SHAPE = '{"t": time, "device": id}'
 
 
 def _parse_scalar(v) -> Expr:
@@ -595,12 +628,24 @@ def _parse_script(v):
         for step in json_container(v["steps"], list, "sensor steps"):
             try:
                 t, value = step
-                steps.append((as_time(t), _parse_scalar(value)))
+                if t is None:  # null is no time; None starts a caller's constant reading
+                    raise TypeError(step)
+                steps.append((t, _parse_scalar(value)))
             except SHAPE_ERRORS as e:
                 raise shape_error("sensor step", "[time, value]", step, e) from None
-        steps.sort(key=lambda s: s[0])
-        return tuple(steps)
+        return steps
     return ((None, _parse_scalar(v)),)
+
+
+def _json_fires(fires):
+    """The (time, device) pair of each fire of a file as Scenario takes it,
+    so that no list of them as given is kept beside the checked ones."""
+    for i, f in enumerate(fires):
+        try:
+            t, d = f["t"], f["device"]
+        except SHAPE_ERRORS as e:
+            raise shape_error(f"fire {i}", '{"t": time, "device": id}', f, e) from None
+        yield t, d if type(d) is int else json_id(d, f"device of fire {i}")
 
 
 def scenario_from_json(obj) -> Scenario:
@@ -609,69 +654,24 @@ def scenario_from_json(obj) -> Scenario:
     missing = {"devices", "radius", "decay", "fires"} - set(obj)
     if missing:
         raise ScenarioError(f"scenario lacks keys: {', '.join(sorted(missing))}")
-    devices = tuple(json_device(d, "device id")
-                    for d in json_container(obj["devices"], list, "devices"))
-    if len(set(devices)) != len(devices):
-        raise ScenarioError("duplicate device ids")
+    devices = [json_id(d, "device id") for d in json_container(obj["devices"], list, "devices")]
     paths = {}
     for key, segs in json_container(obj.get("paths", {}), dict, "paths").items():
-        d = json_id(key, "device id")
-        if d not in devices:
-            raise ScenarioError(f"path for unknown device {show_id(d)}")
-        out = []
+        d, out = json_id(key, "device id"), []
         for i, seg in enumerate(json_container(segs, list, f"path of device {d}")):
             try:
-                start, end = as_time(seg["from"]), as_time(seg["to"])
-                pts = tuple((float(x), float(y)) for x, y in seg["waypoints"])
-                if any(isinstance(c, bool) for p in seg["waypoints"] for c in p):
-                    raise ScenarioError("waypoints must be numbers, "
-                                        f"got {show_value(seg['waypoints'])}")
-                if not all(map(math.isfinite, (c for p in pts for c in p))):
-                    raise ScenarioError("waypoints must be finite, "
-                                        f"got {show_value(seg['waypoints'])}")
-                # interpolation scales the step between waypoints, which must
-                # be finite too: [-1e308, 0] to [1e308, 0] would overflow
-                if not all(math.isfinite(b - a) for p, q in zip(pts, pts[1:])
-                           for a, b in zip(p, q)):
-                    raise ScenarioError("consecutive waypoints must differ by a finite "
-                                        f"amount, got {show_value(seg['waypoints'])}")
+                start, end, pts = seg["from"], seg["to"], seg["waypoints"]
+                if not all(len(p) == 2 for p in pts):  # [x, y] pairs
+                    raise ValueError(pts)
+                out.append(PathSeg(start, end, pts))
             except SHAPE_ERRORS as e:
-                raise shape_error(f"path segment {i} of device {d}", SEGMENT_SHAPE,
-                                  seg, e) from None
-            if end < start:
-                raise ScenarioError(f"path segment of device {d} ends before it starts")
-            if not pts:
-                raise ScenarioError(f"empty waypoints for device {d}")
-            out.append(PathSeg(start, end, pts))
-        paths[d] = tuple(out)
-    fires = []
-    for i, f in enumerate(json_container(obj["fires"], list, "fires")):
-        try:
-            t, d = as_time(f["t"]), f["device"]
-        except SHAPE_ERRORS as e:
-            raise shape_error(f"fire {i}", FIRE_SHAPE, f, e) from None
-        if type(d) is not int:
-            d = json_id(d, f"device of fire {i}")
-        if d not in devices:
-            raise ScenarioError(f"fire by unknown device {show_id(d)}")
-        fires.append((t, d))
-    fires.sort(key=lambda f: f[0])
-    for (t1, _), (t2, _) in zip(fires, fires[1:]):
-        if t1 == t2:
-            raise ScenarioError(f"two fires at the same instant t={t1}")
+                raise shape_error(f"path segment {i} of device {d}", '{"from": time, "to": '
+                                  'time, "waypoints": [[x, y], ...]}', seg, e) from None
+        paths[d] = out
+    fires = _json_fires(json_container(obj["fires"], list, "fires"))
     sensors = {}
     for key, table in json_container(obj.get("sensors", {}), dict, "sensors").items():
         d = json_id(key, "device id")
-        if d not in devices:
-            raise ScenarioError(f"sensors for unknown device {show_id(d)}")
         table = json_container(table, dict, f"sensors of device {d}")
         sensors[d] = {name: _parse_script(v) for name, v in table.items()}
-    return Scenario(
-        devices=devices,
-        radius=obj["radius"],
-        decay=obj["decay"],
-        paths=paths,
-        fires=tuple(fires),
-        sensor_scripts=sensors,
-    )
-
+    return Scenario(devices, obj["radius"], obj["decay"], paths, fires, sensors)

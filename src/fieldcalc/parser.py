@@ -223,14 +223,19 @@ class _Parser:
     def name_list(self) -> tuple:
         names = []
         if self.peek().kind == "name" and not self.at(")"):
-            names.append(self.next().text)
+            names.append(self.binder(self.next(), "parameter"))
             while self.at(","):
                 self.next()
-                t = self.next()
-                if t.kind != "name":
-                    raise self.err("expected parameter name", t.span)
-                names.append(t.text)
+                names.append(self.binder(self.next(), "parameter"))
         return tuple(names)
+
+    def binder(self, t: Token, what: str) -> str:
+        """The name a parameter or rep variable binds: no keyword."""
+        if t.kind != "name":
+            raise self.err(f"expected {what} name", t.span)
+        if t.text in KEYWORDS:
+            raise self.err(f"keyword {t.text!r} cannot be a {what} name", t.span)
+        return t.text
 
     # ---- names -------------------------------------------------------
 
@@ -347,11 +352,10 @@ class _Parser:
         return e
 
     def lambda_ahead(self) -> bool:
-        # after the '(' read: names ')' '=>', the first name no keyword
+        # after the '(' read: names ')' '=>'; a keyword among them is
+        # refused where name_list reads it
         k = 0
         if self.peek().text != ")":
-            if self.peek().text in KEYWORDS:
-                return False
             while self.peek(k).kind == "name" and self.peek(k + 1).text == ",":
                 k += 2
             if self.peek(k).kind != "name":
@@ -364,11 +368,9 @@ class _Parser:
         init = self.enclosed("(", ")")
         self.expect("{")
         self.expect("(")
-        var_tok = self.next()
-        if var_tok.kind != "name":
-            raise self.err("expected rep variable name", var_tok.span)
+        var = self.binder(self.next(), "rep variable")
         self.expect(")")
-        return Rep(init, var_tok.text, self.enclosed("=>", "}", (var_tok.text,)), span=sp)
+        return Rep(init, var, self.enclosed("=>", "}", (var,)), span=sp)
 
     def nbr(self) -> Nbr:
         sp = self.expect("nbr").span

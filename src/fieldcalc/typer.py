@@ -302,58 +302,52 @@ class Typer:
         if getattr(e, "span", None) is not None:
             self.span = e.span
         try:
-            return self._infer(e, env, schemes)
+            match e:
+                case Var(name=n):
+                    if n not in env:
+                        raise self.err(f"unbound variable {n!r}", "T-VAR")
+                    return env[n]
+                case Builtin(name=n):
+                    return self.builtin_type(n)
+                case DefName(name=n):
+                    if n not in schemes:
+                        raise self.err(f"unknown function {n!r}", "T-N-FUN")
+                    return self.instantiate(schemes[n], "T-N-FUN")
+                case Data(ctor=c, args=args):
+                    sch = self.ctor_scheme(c, len(args))
+                    if sch is None:
+                        raise self.err(f"unknown constructor {c!r} of arity {len(args)}", "T-VAL")
+                    ct = self.instantiate(sch, "T-VAL")  # an arrow, () -> T for a constant
+                    for a, want in zip(args, ct.args):
+                        self.unify(self.infer(a, env, schemes), want, "T-VAL")
+                    return ct.res
+                case Lambda(params=ps, body=b):
+                    for y in sorted(free_vars(e)):
+                        self.demote(env[y], Sort.L, "T-A-FUN")
+                    pvars = {x: self.fresh(Sort.T) for x in ps}
+                    tb = self.infer(b, {**env, **pvars}, schemes)
+                    self.demote(tb, Sort.R, "T-A-FUN")
+                    return Arrow(tuple(pvars[x] for x in ps), tb)
+                case Apply(fn=f, args=args):
+                    tf = (self.builtin_type(f.name, arity=len(args)) if isinstance(f, Builtin)
+                          else self.infer(f, env, schemes))
+                    targs = []  # a plain loop, so one frame per level of nesting
+                    for a in args:
+                        targs.append(self.infer(a, env, schemes))
+                    res = self.fresh(Sort.R, origin="T-APP")
+                    self.unify(tf, Arrow(tuple(targs), res), "T-APP")
+                    return res
+                case Rep(init=i, var=x, body=b):
+                    alpha = self.fresh(Sort.S, origin="T-REP")
+                    self.unify(self.infer(i, env, schemes), alpha, "T-REP")
+                    self.unify(self.infer(b, {**env, x: alpha}, schemes), alpha, "T-REP")
+                    return alpha
+                case Nbr(body=b):
+                    t = self.infer(b, env, schemes)
+                    self.demote(t, Sort.S, "T-NBR")
+                    return FieldT(t)
         finally:
             self.span = prev
-
-    def _infer(self, e: Expr, env: dict, schemes: dict) -> Type:
-        match e:
-            case Var(name=n):
-                if n not in env:
-                    raise self.err(f"unbound variable {n!r}", "T-VAR")
-                return env[n]
-            case Builtin(name=n):
-                return self.builtin_type(n)
-            case DefName(name=n):
-                if n not in schemes:
-                    raise self.err(f"unknown function {n!r}", "T-N-FUN")
-                return self.instantiate(schemes[n], "T-N-FUN")
-            case Data(ctor=c, args=args):
-                sch = self.ctor_scheme(c, len(args))
-                if sch is None:
-                    raise self.err(f"unknown constructor {c!r} of arity {len(args)}", "T-VAL")
-                ct = self.instantiate(sch, "T-VAL")  # an arrow, () -> T for a constant
-                for a, want in zip(args, ct.args):
-                    got = self.infer(a, env, schemes)
-                    self.unify(got, want, "T-VAL")
-                return ct.res
-            case Lambda(params=ps, body=b):
-                for y in sorted(free_vars(e)):
-                    self.demote(env[y], Sort.L, "T-A-FUN")
-                pvars = {x: self.fresh(Sort.T) for x in ps}
-                tb = self.infer(b, {**env, **pvars}, schemes)
-                self.demote(tb, Sort.R, "T-A-FUN")
-                return Arrow(tuple(pvars[x] for x in ps), tb)
-            case Apply(fn=f, args=args):
-                if isinstance(f, Builtin):
-                    tf = self.builtin_type(f.name, arity=len(args))
-                else:
-                    tf = self.infer(f, env, schemes)
-                targs = tuple(self.infer(a, env, schemes) for a in args)
-                res = self.fresh(Sort.R, origin="T-APP")
-                self.unify(tf, Arrow(targs, res), "T-APP")
-                return res
-            case Rep(init=i, var=x, body=b):
-                alpha = self.fresh(Sort.S, origin="T-REP")
-                t0 = self.infer(i, env, schemes)
-                self.unify(t0, alpha, "T-REP")
-                t1 = self.infer(b, {**env, x: alpha}, schemes)
-                self.unify(t1, alpha, "T-REP")
-                return alpha
-            case Nbr(body=b):
-                t = self.infer(b, env, schemes)
-                self.demote(t, Sort.S, "T-NBR")
-                return FieldT(t)
         raise TypeError(f"not an expression: {e!r}")
 
     # ---- rendering ---------------------------------------------------

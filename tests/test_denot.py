@@ -109,6 +109,42 @@ def test_a_dag_built_in_python_is_held_to_the_rules_of_a_dag_file(neigh):
     assert str(made.value).startswith("neigh violates ")
 
 
+# (the Python event, the file's event, the text both raise): each fault a
+# DAG file has been held to, and a DAG built in Python escaped
+EVENT_FAULTS = {
+    # the time is shown as given: a Fraction too long to print, and '1e-5000'
+    "a time of 5,000 digits": (Event(1, 1, F(1, 10 ** 5000)), {"time": "1e-5000"},
+                               r"DAG event: timestamp has more than 4300 digits, got "),
+    "device 2**60": (Event(1, 2 ** 60, F(1)), {"device": 2 ** 60},
+                     r"DAG event device must lie in \[-2\*\*53, 2\*\*53\], where uid\(\) is "
+                     r"exact, got 1152921504606846976$"),
+    "device True": (Event(1, True, F(1)), {"device": True},
+                    r"DAG event device must be an integer, got True$"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(EVENT_FAULTS))
+def test_a_dag_event_built_in_python_is_held_to_the_rules_of_a_dag_file(fault):
+    event, changes, text = EVENT_FAULTS[fault]
+    with pytest.raises(DagError, match=text):
+        EventDAG([event], [])
+    with pytest.raises(DagError, match=text):
+        dag_from_json(json.loads(json.dumps({"events": [{"id": 1, "device": 1, "time": "1",
+                                                          **changes}], "neigh": []})))
+
+
+def test_a_dag_event_time_is_read_as_a_file_reads_it():
+    """A float time is read as as_time reads it, 1.5 as 3/2, and an event
+    whose time is already exact is kept as it is, not made again."""
+    exact = Event(2, 1, F(2))
+    made = EventDAG([Event(1, 1, 1.5), exact], [])
+    read = dag_from_json({"events": [{"id": 1, "device": 1, "time": 1.5},
+                                     {"id": 2, "device": 1, "time": "2"}], "neigh": []})
+    assert made.events == read.events
+    assert [str(e.time) for e in made.events] == ["3/2", "2"]
+    assert made.events[1] is exact
+
+
 def test_focus_event_awareness():
     g = example_dag()
     E = frozenset(g.events)

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction as F
 from unittest import mock
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fieldcalc import network
-from fieldcalc.ast import num
+from fieldcalc.ast import Var, num
 from fieldcalc.builtins import SensorState
 from fieldcalc.denot import build_dag_from_scenario
 from fieldcalc.network import (
@@ -34,8 +35,15 @@ from fieldcalc.network import (
     sweep,
 )
 from fieldcalc.parser import parse_program
-from generators import gen_world
-from helpers import leaf, mkfield, reference_position_at, reference_sweep, roots
+from generators import gen_scenario, gen_world
+from helpers import (
+    leaf,
+    mkfield,
+    reference_position_at,
+    reference_sweep,
+    roots,
+    scenario_json,
+)
 
 
 def static_sc(positions, radius, decay, fires, sensors=None, until=100):
@@ -140,12 +148,13 @@ def test_env_change_add_remove_retain():
 
 
 def test_env_change_validates_well_formedness():
-    # a device may fire only while it is on
+    # a device may fire only while it is on; a decay of 1/2 makes the
+    # ticks halves, so the world can stand at t=1/2 without a fire there
     off = [(1, F(1, 2)), (1, F(3)), (1, F(7)), (2, F(1)), (9, F(1))]
     sc = Scenario(
-        devices=(1, 2), radius=10, decay=F(100),
+        devices=(1, 2), radius=10, decay=F(1, 2),
         paths={1: (PathSeg(F(1), F(2), HERE), PathSeg(F(4), F(6), HERE))},
-        fires=tuple((t, d) for d, t in off),
+        fires=(),
     )
     w = World(sc)
     for d, t in off:
@@ -155,9 +164,8 @@ def test_env_change_validates_well_formedness():
 
 def test_fire_requires_known_device():
     prog = parse_program("0")
-    sc = static_sc({1: (0, 0)}, radius=1, decay=10, fires=[(0, 1), (1, 2)])
-    with pytest.raises(ScenarioError, match="device 2 fires at t=1"):
-        run_scenario(sc, prog)
+    with pytest.raises(ScenarioError, match="^fire by unknown device 2$"):
+        static_sc({1: (0, 0)}, radius=1, decay=10, fires=[(0, 1), (1, 2)])
     sc = static_sc({1: (0, 0)}, radius=1, decay=10, fires=[(200, 1)])
     with pytest.raises(ScenarioError, match="not in the network"):
         run_scenario(sc, prog)
@@ -601,6 +609,86 @@ def test_scenario_json_rejects_bad_input():
     ]:
         with pytest.raises(ScenarioError):
             scenario_from_json(bad)
+
+
+# GOOD without its sensors, as a file and as built in Python
+FILE = {k: v for k, v in GOOD.items() if k != "sensors"}
+MADE = dict(devices=(1, 2), radius=5, decay=F(10),
+            paths={1: (PathSeg(F(0), F(10), ((0.0, 0.0),)),),
+                   2: (PathSeg(F(0), F(10), ((3.0, 4.0),)),)},
+            fires=((F(0), 1), (F(1, 2), 2)))
+
+# (changes to MADE, changes to FILE, the text both raise, or None where
+# both make the same scenario): each fault a scenario file has been held
+# to, and a scenario built in Python escaped
+HELD_TO_FILE_RULES = {
+    "fires out of time order": ({"fires": ((F(1, 2), 2), (F(0), 1))},
+                                {"fires": [{"t": "1/2", "device": 2}, {"t": 0, "device": 1}]},
+                                None),
+    "two fires at one instant": ({"fires": ((F(1), 1), (F(1), 2))},
+                                 {"fires": [{"t": 1, "device": 1}, {"t": 1, "device": 2}]},
+                                 r"two fires at the same instant t=1$"),
+    "a fire time '1'": ({"fires": (("1", 1),)}, {"fires": [{"t": "1", "device": 1}]}, None),
+    "a fire time 1.0": ({"fires": ((1.0, 1),)}, {"fires": [{"t": 1.0, "device": 1}]}, None),
+    "empty waypoints": ({"paths": {1: (PathSeg(F(0), F(10), ()),)}},
+                        {"paths": {"1": [{"from": 0, "to": 10, "waypoints": []}]}},
+                        r"empty waypoints for device 1$"),
+    # the waypoints are shown as given: ((nan, 0.0),) and [[nan, 0.0]]
+    "NaN waypoint": ({"paths": {1: (PathSeg(F(0), F(10), ((math.nan, 0.0),)),)}},
+                     {"paths": {"1": [{"from": 0, "to": 10, "waypoints": [[math.nan, 0.0]]}]}},
+                     r"path segment 0 of device 1: waypoints must be finite, got "),
+    "duplicate device ids": ({"devices": (1, 1)}, {"devices": [1, 1]}, r"duplicate device ids$"),
+    "device 2**60": ({"devices": (1, 2 ** 60)}, {"devices": [1, 2 ** 60]},
+                     r"device id must lie in \[-2\*\*53, 2\*\*53\], where uid\(\) is exact, "
+                     r"got 1152921504606846976$"),
+    "device True": ({"devices": (1, True)}, {"devices": [1, True]},
+                    r"device id must be an integer, got True$"),
+    "sensor steps out of order": (
+        {"sensor_scripts": {1: {"sns-num": ((F(2), num(1)), (F(1), num(0)))}}},
+        {"sensors": {"1": {"sns-num": {"steps": [[2, 1], [1, 0]]}}}}, None),
+}
+
+
+def _outcome(make):
+    """What make() gives: a Scenario, or the text of its ScenarioError."""
+    try:
+        return make()
+    except ScenarioError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("fault", sorted(HELD_TO_FILE_RULES))
+def test_a_scenario_built_in_python_is_held_to_the_rules_of_a_scenario_file(fault):
+    """Scenario's constructor and scenario_from_json refuse the same faults
+    with the same text, and read the same input as the same scenario, on
+    which the rep counter prints the same lines."""
+    made_changes, file_changes, text = HELD_TO_FILE_RULES[fault]
+    made = _outcome(lambda: Scenario(**{**MADE, **made_changes}))
+    read = _outcome(lambda: scenario_from_json(json.loads(json.dumps({**FILE, **file_changes}))))
+    if text is None:
+        assert isinstance(made, Scenario) and made == read
+        counter = parse_program("rep(0){(x) => x + 1}")
+        assert run_scenario(made, counter).jsonl() == run_scenario(read, counter).jsonl()
+    else:
+        assert re.match(text, made) and re.match(text, read), (made, read)
+
+
+def test_a_sensor_reading_built_in_python_is_a_closed_value():
+    # a file's reading is parsed as a closed value; a caller's is checked
+    with pytest.raises(ScenarioError, match=r"^sensor sns-num of device 1: Var\(name='x'\) "
+                                            r"is not a closed value$"):
+        Scenario(**MADE, sensor_scripts={1: {"sns-num": ((None, Var("x")),)}})
+
+
+def test_the_file_and_the_python_scenario_agree_without_a_fault():
+    assert Scenario(**MADE) == scenario_from_json(FILE)
+
+
+@pytest.mark.parametrize("gen", [gen_scenario, gen_world])
+def test_a_scenario_read_back_from_its_file_is_itself(gen):
+    for seed in range(200):
+        sc = gen(random.Random(seed))
+        assert scenario_from_json(json.loads(json.dumps(scenario_json(sc)))) == sc, seed
 
 
 SEGMENT = {"from": 0, "to": 10, "waypoints": [[0, 0]]}

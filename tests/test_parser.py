@@ -298,6 +298,27 @@ def test_the_first_error_met_is_reported():
         parse_program("1 ) zog")
 
 
+@pytest.mark.parametrize("src, col, keyword, what", [
+    ("(x, and) => 1", 5, "and", "parameter"),
+    ("(x, rep) => 1", 5, "rep", "parameter"),
+    ("(rep) => 1", 2, "rep", "parameter"),
+    ("def f(rep) {1} 0", 7, "rep", "parameter"),
+    ("def f(x, if) {1} 0", 10, "if", "parameter"),
+    ("rep(0){(nbr) => 1}", 9, "nbr", "rep variable"),
+])
+def test_no_keyword_is_bound(src, col, keyword, what):
+    """A keyword is refused as every binder, a lambda or def parameter or a
+    rep variable, at its own span: no expression could name it, since it
+    always reads as the keyword or, for and, the builtin."""
+    with pytest.raises(ParseError, match=rf"^<string>:1:{col}: error: keyword '{keyword}' "
+                                         rf"cannot be a {what} name$"):
+        parse_program(src)
+
+
+def test_a_keyword_builtin_in_parentheses_is_still_an_operand():
+    assert parse_expr("(and)(True, False)") == Apply(Builtin("and"), (Data("True"), Data("False")))
+
+
 def test_a_long_flat_sum_parses():
     e = parse_expr(" + ".join(["1"] * 3000))
     depth = 0

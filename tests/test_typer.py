@@ -523,3 +523,11 @@ def test_renaming_changes_no_answer(a, b, data):
     assert scheme_instance(ra, rb) == scheme_instance(a, b)
     assert scheme_instance(rb, ra) == scheme_instance(b, a)
     assert scheme_instance(ra, a)
+
+
+def test_a_600_term_flat_sum_typechecks():
+    """The typer spends one Python frame per level of nesting, so a sum
+    deeper than a third of the recursion limit typechecks; at three frames
+    a level it stopped at 331 terms."""
+    main_type, _, _ = typecheck_program(parse_program(" + ".join(["1"] * 600)))
+    assert main_type == NUM
