@@ -22,7 +22,9 @@ arguments it gets; kernels are kept by name and number.
 
 Decorated names like +[f,f] or mux[f,f,l] are derived mechanically:
 arguments flagged f and the result are promoted to neighbouring-field
-types, remaining type variables are re-sorted to local return types,
+types, field(t), the one type constructor known by its name here (a
+base operator with a field-typed argument or result has no decorated
+form); remaining type variables are re-sorted to local return types,
 and evaluation applies the base operator pointwise over the domain,
 broadcasting the l-flagged arguments. The derived schemes coincide with
 the listed ones for +[f,f], Pair[f,f], Pair[l,f], <[f,l], mux[f,f,l].
@@ -74,7 +76,7 @@ from .ast import (
     num,
     slot_stores,
 )
-from .typer import Arrow, FieldT, Scheme, Sort, canonical, parse_scheme
+from .typer import Arrow, Scheme, Sort, TCon, canonical, field, parse_scheme
 
 
 class EvalError(Exception):
@@ -583,12 +585,10 @@ class BuiltinTable:
         body = base.scheme.body
         if not isinstance(body, Arrow) or len(body.args) != len(flags):
             return None
-        if any(isinstance(t, FieldT) for t in (*body.args, body.res)):
+        if any(isinstance(t, TCon) and t.name == "field" for t in (*body.args, body.res)):
             return None
-        new_args = tuple(
-            FieldT(t) if flag == "f" else t for t, flag in zip(body.args, flags)
-        )
-        scheme = canonical(Arrow(new_args, FieldT(body.res)),
+        new_args = tuple(field(t) if flag == "f" else t for t, flag in zip(body.args, flags))
+        scheme = canonical(Arrow(new_args, field(body.res)),
                            {vid: Sort.S for vid, _ in base.scheme.qvars})
         return _entry(name, scheme, base.loop(name, flags))
 

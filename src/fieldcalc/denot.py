@@ -117,9 +117,9 @@ class EventDAG:
     edge (e'.id, e.id) here. Sensor readings are attached per event so
     builtins can be interpreted at each event. The constructor is the one
     check of an event structure, from a file or a caller alike: it raises
-    DagError unless each event's device is a device id and its time reads
-    by as_time, the ids are unique, each edge end is an id as given, and
-    validate_dag finds no violation."""
+    DagError unless each event's id is an int and its device a device id,
+    its time reads by as_time, the ids are unique, each edge end is an id
+    as given, and validate_dag finds no violation."""
 
     def __init__(self, events, neigh, sensors=None):
         try:
@@ -191,7 +191,10 @@ class EventDAG:
 
 
 def _event(e: Event) -> Event:
-    """e, checked, its time exact: e itself when that time already is."""
+    """e, checked, its time exact: e itself when that time already is. Its
+    id is an int, not a bool, as a DAG file's, so that ids compare."""
+    if type(e.id) is not int:
+        raise ScenarioError(f"DAG event id must be an integer, got {show_id(e.id)}")
     t = as_time(e.time, "DAG event")
     device_id(e.device, "DAG event device")
     return e if t is e.time else Event(e.id, e.device, t)
@@ -435,25 +438,22 @@ class _Denot:
 # a node of scope S's body, where X holds the values there of the
 # variables in scope. Apply, nbr and rep are never values, a variable's
 # value is restricted to the cluster, and any other node is first tried as
-# a value (value_of), unless it can never be one.
-
-def _compiled(e: Expr):
-    """e's closure, compiled on the first call and kept on the node."""
-    try:
-        return e._den
-    except AttributeError:
-        run = _compile(e)
-        set_field(e, "_den", run)
-        return run
-
+# a value (value_of), unless it can never be one. Compiling spends two
+# frames a level of nesting, _child and _compile, as on the device.
 
 def _child(c: Expr):
-    """The closure of c, a child of a node or a scope's body; a closed
-    constant is its own value, and is not compiled."""
+    """The closure of c, a child of a node or a scope's body, compiled on
+    the first call and kept on the node; a closed constant is its own
+    value, and is not compiled."""
     fv, leaf_vars, _ = plan(c)
     if leaf_vars is not None and not fv:
         return lambda den, S, X: c
-    return _compiled(c)
+    try:
+        return c._den
+    except AttributeError:
+        run = _compile(c)
+        set_field(c, "_den", run)
+        return run
 
 
 def _apply_builtin(b, arg_runs: list):
@@ -476,8 +476,9 @@ def _compile(e: Expr):
     """The closure run(den, S, X) of e, from its children's."""
     k = type(e)
     if k is Apply:
-        n, key = len(e.args), id(e)
-        arg_runs = [_child(a) for a in e.args]
+        n, key, arg_runs = len(e.args), id(e), []
+        for a in e.args:
+            arg_runs.append(_child(a))
         if type(e.fn) is Builtin:
             return _apply_builtin(TABLE.bind(e.fn.name, n), arg_runs)
         fn_run = _child(e.fn)
@@ -527,7 +528,9 @@ def _compile(e: Expr):
         return run
     fv, leaf_vars, _ = plan(e)
     if k is Data:
-        ctor, arg_runs = e.ctor, [_child(a) for a in e.args]
+        ctor, arg_runs = e.ctor, []
+        for a in e.args:
+            arg_runs.append(_child(a))
         if leaf_vars is None:
             return lambda den, S, X: Data(ctor, tuple([r(den, S, X) for r in arg_runs]))
 

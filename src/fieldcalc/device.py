@@ -148,9 +148,8 @@ class EvalContext(Record):
         """f applied to the values args (map-hood, fold-hood) against the
         empty environment A, whose domain is the device alone, keeping no
         tree: a tick for the application, one per argument and one for f (a
-        field restricted to the device), then builtin f at A's domain, or
-        f's body as a local value for one tick, else run against A aligned
-        to f, which is A."""
+        field restricted to the device), then f applied by _apply, its body
+        run, if it must be, against A, which aligning to f leaves as it is."""
         if self.fuel <= 0:
             self.tick()
         self.fuel -= 1
@@ -161,19 +160,8 @@ class EvalContext(Record):
                 self.tick()
             self.fuel -= 1
             vals.append(v if is_local_value(v) else _value_tree(self, A, v).root)
-        f = vals.pop()
-        if isinstance(f, Builtin):
-            self.domain = A[2]
-            return TABLE.eval(f.name, self, vals)
-        params, body = fun_parts(self.defs, f, len(vals))
-        X = dict(zip(params, vals))
-        v = value_of(body, X)
-        if v is None:
-            return _compiled(body)(self, A, X).root
-        if self.fuel <= 0:
-            self.tick()
-        self.fuel -= 1
-        return v
+        v, X = _apply(self, A, vals.pop(), vals)
+        return v if X is None else _compiled(v)(self, A, X).root
 
 
 def fun_parts(defs: dict, f: Expr, nargs: int):
@@ -261,7 +249,10 @@ def _align_fun(A: tuple, f: Expr, device: int) -> tuple:
 # local value under X, against A, its aligned environment; it spends the
 # node's fuel unit first. A child runs through a closure made for its
 # place (_child). The body of an applied function is known only at run
-# time, so it is compiled at its first application.
+# time, so it is compiled at its first application. Compiling spends two
+# frames a level of nesting, _child and _compile: _child reads or fills
+# the node's kept closure itself, and _compile makes its children's
+# closures in plain loops.
 
 def _compiled(e: Expr):
     """e's closure, compiled on the first call and kept on the node."""
@@ -279,8 +270,22 @@ def _child(c: Expr, i: Optional[int]):
     value, which reads no aligned environment, else c run against A
     aligned to its i-th child, or against A itself when i is None."""
     fv, leaf_vars, _ = plan(c)
+    if leaf_vars is not None and not fv:
+        lf = Leaf(c)
+
+        def tree(ctx, A, X):
+            if ctx.fuel <= 0:
+                ctx.tick()
+            ctx.fuel -= 1
+            return lf
+
+        return tree
+    try:
+        run = c._dev
+    except AttributeError:
+        run = _compile(c)
+        set_field(c, "_dev", run)
     if leaf_vars is None:
-        run = _compiled(c)
         if i is None:
             return run
 
@@ -292,17 +297,6 @@ def _child(c: Expr, i: Optional[int]):
             return run(ctx, (A[0], kids, A[2]), X)
 
         return tree
-    if not fv:
-        lf = Leaf(c)
-
-        def tree(ctx, A, X):
-            if ctx.fuel <= 0:
-                ctx.tick()
-            ctx.fuel -= 1
-            return lf
-
-        return tree
-    run = _compiled(c)
     if type(c) is Var:
         name = c.name
 
@@ -349,6 +343,25 @@ def _value_tree(ctx: EvalContext, A: tuple, v: Expr) -> ValueTree:
     raise EvalError(f"cannot evaluate {v!r}")
 
 
+def _apply(ctx: EvalContext, A: tuple, f: Expr, vals: list) -> tuple:
+    """f applied to the values vals short of running its body: (value,
+    None) for a builtin, run at the domain of A, or for a body (fun_parts)
+    that is a local value under the arguments, its tick spent; else (body,
+    X), which the caller runs against A aligned to f in its own frame."""
+    if isinstance(f, Builtin):
+        ctx.domain = A[2]
+        return TABLE.eval(f.name, ctx, vals), None
+    params, body = fun_parts(ctx.defs, f, len(vals))
+    X = dict(zip(params, vals))
+    v = value_of(body, X)
+    if v is None:
+        return body, X
+    if ctx.fuel <= 0:
+        ctx.tick()
+    ctx.fuel -= 1
+    return v, None
+
+
 def _apply_builtin(b, lf: ValueTree, kid_trees: list):
     """The closure of an application of a builtin name: b is the kernel
     TABLE.bind gives for the name and the number of arguments, which the
@@ -379,7 +392,9 @@ def _compile(e: Expr):
     k = type(e)
     if k is Apply:
         fn, n = e.fn, len(e.args)
-        kid_trees = [_child(a, i) for i, a in enumerate(e.args)]
+        kid_trees = []
+        for i, a in enumerate(e.args):
+            kid_trees.append(_child(a, i))
         if type(fn) is Builtin:
             return _apply_builtin(TABLE.bind(fn.name, n), Leaf(fn), kid_trees)
         fn_tree = _child(fn, n)
@@ -391,20 +406,12 @@ def _compile(e: Expr):
             kids = [t(ctx, A, X) for t in kid_trees] if kid_trees else []
             ft = fn_tree(ctx, A, X)
             f = ft.root
-            if isinstance(f, Builtin):
-                ctx.domain = A[2]
-                v = TABLE.eval(f.name, ctx, [t.root for t in kids])
+            v, Xb = _apply(ctx, A, f, [t.root for t in kids])
+            if Xb is not None:
+                bt = _compiled(v)(ctx, _align_fun(A, f, ctx.device), Xb)
+            elif isinstance(f, Builtin):
                 return ValueTree(v, (*kids, ft))
-            params, body = fun_parts(ctx.defs, f, n)
-            # f's body, as EvalContext.call evaluates it, against A aligned to f
-            Xb = dict(zip(params, [t.root for t in kids]))
-            v = value_of(body, Xb)
-            if v is None:
-                bt = _compiled(body)(ctx, _align_fun(A, f, ctx.device), Xb)
             else:
-                if ctx.fuel <= 0:
-                    ctx.tick()
-                ctx.fuel -= 1
                 bt = ValueTree(v)
             return ValueTree(bt.root, (*kids, ft, bt))
 
@@ -426,8 +433,9 @@ def _compile(e: Expr):
     if k is Data:
         # constructor over unevaluated arguments: evaluate each against
         # its aligned environment, collect a tree per argument
-        ctor = e.ctor
-        kid_trees = [_child(a, i) for i, a in enumerate(e.args)]
+        ctor, kid_trees = e.ctor, []
+        for i, a in enumerate(e.args):
+            kid_trees.append(_child(a, i))
 
         def run(ctx, A, X):
             if ctx.fuel <= 0:

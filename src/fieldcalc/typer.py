@@ -1,5 +1,9 @@
 """Sorted Hindley-Milner type inference for the field calculus.
 
+A type is a variable, a named constructor applied to types, or an arrow:
+TVar | TCon | Arrow. The constructors are _ARITY's: num, bool, pair, list
+and field, the neighbouring-field type made by `field`.
+
 Types come in four sorts forming a small lattice:
 
     T  any type
@@ -9,10 +13,11 @@ Types come in four sorts forming a small lattice:
 
 with T above L and R, and meet(L, R) = S. Concretely: field(t) lives in
 R but not L; an arrow lives in L, and additionally in S when both its
-arguments and result are in S; base types and constructor types are in
-S. The unifier tracks one sort per variable and demotes on the fly, so
-unifying an L-variable with an R-variable re-sorts both to S, and
-binding an L-variable to field(num) is a sort error.
+arguments and result are in S; every other constructed type is in S, as
+field's is the only sort rule tied to a constructor's name. The unifier
+tracks one sort per variable and demotes on the fly, so unifying an
+L-variable with an R-variable re-sorts both to S, and binding an
+L-variable to field(num) is a sort error.
 
 Every demotion records which syntax rule caused it, so a later sort
 clash can say which construct is to blame ([T-A-FUN] for a field-typed
@@ -70,18 +75,8 @@ def sort_meet(a: Sort, b: Sort) -> Sort:
 # ---------------------------------------------------------------------------
 # type syntax
 
-class Base(Frozen):
-    __slots__ = _fields = ("name",)  # 'num' | 'bool'
-
-    def __init__(self, name: str):
-        _base_name(self, name)
-
-
-_base_name, = slot_stores(Base, "name")
-
-
 class TCon(Frozen):
-    __slots__ = _fields = ("name", "args")  # 'pair' | 'list', argument types
+    __slots__ = _fields = ("name", "args")  # a name of _ARITY, argument types
 
     def __init__(self, name: str, args: tuple):
         _tcon_name(self, name)
@@ -89,16 +84,6 @@ class TCon(Frozen):
 
 
 _tcon_name, _tcon_args = slot_stores(TCon, "name", "args")
-
-
-class FieldT(Frozen):
-    __slots__ = _fields = ("inner",)
-
-    def __init__(self, inner: "Type"):
-        _fieldt_inner(self, inner)
-
-
-_fieldt_inner, = slot_stores(FieldT, "inner")
 
 
 class Arrow(Frozen):
@@ -122,7 +107,13 @@ class TVar(Frozen):
 _tvar_vid, = slot_stores(TVar, "vid")
 
 
-Type = (Base, TCon, FieldT, Arrow, TVar)  # a tuple: see ast.Expr
+Type = (TCon, Arrow, TVar)  # a tuple: see ast.Expr
+_ARITY = {"num": 0, "bool": 0, "pair": 2, "list": 1, "field": 1}  # each TCon name: its arity
+
+
+def field(t: Type) -> TCon:
+    """The neighbouring-field type of t."""
+    return TCon("field", (t,))
 
 
 def map_vars(t: Type, f) -> Type:
@@ -131,14 +122,10 @@ def map_vars(t: Type, f) -> Type:
     k = type(t)
     if k is TVar:
         return f(t)
-    if k is Base:
-        return t
+    if k is TCon:
+        return TCon(t.name, tuple([map_vars(x, f) for x in t.args])) if t.args else t
     if k is Arrow:
         return Arrow(tuple([map_vars(x, f) for x in t.args]), map_vars(t.res, f))
-    if k is TCon:
-        return TCon(t.name, tuple([map_vars(x, f) for x in t.args]))
-    if k is FieldT:
-        return FieldT(map_vars(t.inner, f))
     raise TypeError(f"not a type: {t!r}")
 
 
@@ -211,17 +198,13 @@ class Typer:
         blame = blame or rule
         t = self.resolve(t)
         match t:
-            case Base():
-                return
-            case TCon(args=args):
-                for a in args:
-                    self.demote(a, Sort.S, rule, blame)
-            case FieldT(inner=inner):
-                if want in (Sort.L, Sort.S):
+            case TCon(name=name, args=args):
+                if name == "field" and want in (Sort.L, Sort.S):
                     raise self.err(
                         f"{self.show(t)} is a neighbouring-field type, not a local type", blame
                     )
-                self.demote(inner, Sort.S, rule, blame)
+                for a in args:
+                    self.demote(a, Sort.S, rule, blame)
             case Arrow(args=args, res=res):
                 if want in (Sort.R, Sort.S):
                     # only arrows between local return types are return types
@@ -265,12 +248,8 @@ class Typer:
             self.bind(b, a, rule)
             return
         match (a, b):  # the pairs of parts to unify, left to right
-            case (Base(), Base()) if a == b:
-                pairs = ()
             case (TCon(name=n1, args=a1), TCon(name=n2, args=a2)) if n1 == n2 and len(a1) == len(a2):
                 pairs = zip(a1, a2)
-            case (FieldT(inner=i1), FieldT(inner=i2)):
-                pairs = ((i1, i2),)
             case (Arrow(args=a1, res=r1), Arrow(args=a2, res=r2)) if len(a1) == len(a2):
                 pairs = (*zip(a1, a2), (r1, r2))
             case _:
@@ -345,7 +324,7 @@ class Typer:
                 case Nbr(body=b):
                     t = self.infer(b, env, schemes)
                     self.demote(t, Sort.S, "T-NBR")
-                    return FieldT(t)
+                    return field(t)
         finally:
             self.span = prev
         raise TypeError(f"not an expression: {e!r}")
@@ -444,16 +423,16 @@ def _read_type(toks: list, i: int, names: dict) -> tuple:
         if len(args) == 1:
             return args[0], i
         raise ValueError("tuple types do not exist; use pair(...)")
-    if tok in ("num", "bool"):
-        return Base(tok), i
-    if tok in ("pair", "list", "field"):
-        args, i = _read_types(toks, _expect(toks, i, "("), names)
-        i = _expect(toks, i, ")")
-        want = 2 if tok == "pair" else 1
-        if len(args) != want:
-            raise ValueError("field takes one argument" if tok == "field"
-                             else f"{tok} takes {want} argument(s)")
-        return (FieldT(args[0]) if tok == "field" else TCon(tok, tuple(args))), i
+    want = _ARITY.get(tok)
+    if want is not None:
+        args = ()
+        if want:
+            args, i = _read_types(toks, _expect(toks, i, "("), names)
+            i = _expect(toks, i, ")")
+            if len(args) != want:
+                raise ValueError("field takes one argument" if tok == "field"
+                                 else f"{tok} takes {want} argument(s)")
+        return TCon(tok, tuple(args)), i
     if _TYPE_VAR.fullmatch(tok):
         return names.setdefault(tok, TVar(len(names))), i
     raise ValueError(f"unknown type {tok!r}")
@@ -499,12 +478,8 @@ def show_type(t: Type, sorts: dict) -> str:
 
     def walk(t: Type) -> str:
         match t:
-            case Base(name=n):
-                return n
             case TCon(name=n, args=a):
-                return f"{n}({', '.join(walk(x) for x in a)})"
-            case FieldT(inner=i):
-                return f"field({walk(i)})"
+                return f"{n}({', '.join(walk(x) for x in a)})" if a else n
             case Arrow(args=a, res=r):
                 return f"({', '.join(walk(x) for x in a)}) -> {walk(r)}"
             case TVar(vid=v):

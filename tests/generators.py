@@ -33,8 +33,8 @@ from fieldcalc.builtins import MAP_HOOD_MAX_ARITY, SensorState
 from fieldcalc.denot import Event, EventDAG
 from fieldcalc.network import PathSeg, Scenario, as_time
 from fieldcalc.parser import parse_value
-from fieldcalc.typer import Arrow, FieldT
-from helpers import BOOL, NUM
+from fieldcalc.typer import Arrow, field
+from helpers import BOOL, NUM, is_field
 
 
 def bapp(name, *args):
@@ -77,9 +77,9 @@ class ExprGen:
         if kind == "bool":
             return BOOL
         if kind == "fnum":
-            return FieldT(NUM)
+            return field(NUM)
         if kind == "fbool":
-            return FieldT(BOOL)
+            return field(BOOL)
         n = self.rnd.randint(0, 2)
         args = tuple(self.type(fields=True, funs=False) for _ in range(n))
         return Arrow(args, self.type(fields=False, funs=False))
@@ -103,10 +103,9 @@ class ExprGen:
             opts += [TRUE, FALSE]
             if self.sensors:
                 opts += [bapp("sns-patron"), bapp("sns-injection-point")]
-        elif isinstance(T, FieldT):
-            opts += [Nbr(self.atom(T.inner, env))] if not isinstance(
-                T.inner, FieldT) else []
-            if T == FieldT(NUM) and self.sensors:
+        elif is_field(T):
+            opts += [] if is_field(T.args[0]) else [Nbr(self.atom(T.args[0], env))]
+            if T == field(NUM) and self.sensors:
                 opts += [bapp("nbr-range")]
         elif isinstance(T, Arrow):
             opts += [self.lam(T, env, 0)]
@@ -121,7 +120,7 @@ class ExprGen:
     def lam(self, T, env, depth):
         """A literal lambda; the body may not capture field-typed vars."""
         params = tuple(self.fresh() for _ in T.args)
-        inner = {x: t for x, t in env.items() if not isinstance(t, FieldT)}
+        inner = {x: t for x, t in env.items() if not is_field(t)}
         inner.update(zip(params, T.args))
         return Lambda(params, self.expr(T.res, inner, depth))
 
@@ -139,7 +138,7 @@ class ExprGen:
 
         Branching with mux is only well sorted for arrows over local
         types, so field-consuming functions stay literal."""
-        local_arrow = not any(isinstance(a, FieldT) for a in T.args)
+        local_arrow = not any(is_field(a) for a in T.args)
         roll = self.rnd.random()
         if roll < 0.55 or not local_arrow:
             return self.lam(T, env, depth)
@@ -160,13 +159,13 @@ class ExprGen:
                 lambda T, e, d: bapp(
                     self.rnd.choice(["min-hood", "min-hood+", "sum-hood+",
                                      "pick-hood"]),
-                    g(FieldT(NUM), e, d)),
+                    g(field(NUM), e, d)),
                 lambda T, e, d: Rep(g(NUM, e, 1), "r",
                                     g(NUM, {**e, "r": NUM}, d)),
                 lambda T, e, d: self.apply(NUM, e, d),
                 lambda T, e, d: bapp("fold-hood",
                                      self.hood_fun(Arrow((NUM, NUM), NUM), e, d),
-                                     g(FieldT(NUM), e, d)),
+                                     g(field(NUM), e, d)),
                 lambda T, e, d: Apply(bapp("pick-hood", Nbr(bapp("sns-fun"))),
                                       ()) if self.sensors
                 else self.atom(NUM, e),
@@ -179,29 +178,29 @@ class ExprGen:
                 lambda T, e, d: bapp("and", g(BOOL, e, d), g(BOOL, e, d)),
                 lambda T, e, d: bapp("mux", g(BOOL, e, d), g(BOOL, e, d),
                                      g(BOOL, e, d)),
-                lambda T, e, d: bapp("pick-hood", g(FieldT(BOOL), e, d)),
+                lambda T, e, d: bapp("pick-hood", g(field(BOOL), e, d)),
                 lambda T, e, d: bapp("fold-hood",
                                      self.hood_fun(Arrow((BOOL, BOOL), BOOL), e, d),
-                                     g(FieldT(BOOL), e, d)),
+                                     g(field(BOOL), e, d)),
                 lambda T, e, d: Rep(g(BOOL, e, 1), "r",
                                     g(BOOL, {**e, "r": BOOL}, d)),
                 lambda T, e, d: self.apply(BOOL, e, d),
             ]
-        elif T == FieldT(NUM):
+        elif T == field(NUM):
             out = [
                 lambda T, e, d: self.atom(T, e),
                 lambda T, e, d: Nbr(g(NUM, e, d)),
                 lambda T, e, d: bapp("+[f,f]", g(T, e, d), g(T, e, d)),
-                lambda T, e, d: bapp("mux[f,f,l]", g(FieldT(BOOL), e, d),
+                lambda T, e, d: bapp("mux[f,f,l]", g(field(BOOL), e, d),
                                      g(T, e, d), g(NUM, e, d)),
                 lambda T, e, d: self.map_hood(NUM, e, d),
             ]
-        elif T == FieldT(BOOL):
+        elif T == field(BOOL):
             out = [
                 lambda T, e, d: self.atom(T, e),
                 lambda T, e, d: Nbr(g(BOOL, e, d)),
-                lambda T, e, d: bapp("<[f,f]", g(FieldT(NUM), e, d),
-                                     g(FieldT(NUM), e, d)),
+                lambda T, e, d: bapp("<[f,f]", g(field(NUM), e, d),
+                                     g(field(NUM), e, d)),
                 lambda T, e, d: self.map_hood(BOOL, e, d),
             ]
         elif isinstance(T, Arrow):
@@ -215,7 +214,7 @@ class ExprGen:
         fields, so builtins are applied to up to 5 arguments."""
         n = self.rnd.randint(1, MAP_HOOD_MAX_ARITY)
         return bapp("map-hood", self.hood_fun(Arrow((NUM,) * n, R), env, depth),
-                    *[self.expr(FieldT(NUM), env, depth) for _ in range(n)])
+                    *[self.expr(field(NUM), env, depth) for _ in range(n)])
 
     def apply(self, R, env, depth):
         n = self.rnd.randint(0, 2)

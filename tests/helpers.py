@@ -70,10 +70,15 @@ from fieldcalc.device import (
 )
 from fieldcalc.network import PathSeg, Scenario, as_time, sample_script
 from fieldcalc.parser import parse_expr, pretty, show_num
-from fieldcalc.typer import Base, Typer
+from fieldcalc.typer import TCon, Typer
 
-NUM = Base("num")
-BOOL = Base("bool")
+NUM = TCon("num", ())
+BOOL = TCon("bool", ())
+
+
+def is_field(t) -> bool:
+    """Whether type t is a neighbouring-field type, field(...)."""
+    return isinstance(t, TCon) and t.name == "field"
 
 # (id, device, time)
 EXAMPLE_EVENTS = [

@@ -49,11 +49,10 @@ from fieldcalc.parser import parse_expr, parse_program, parse_value
 from fieldcalc.stdlib import corpus_entry, load_corpus
 from fieldcalc.typer import (
     Arrow,
-    Base,
-    FieldT,
     Scheme,
     Typer,
     TypecheckError,
+    field,
     scheme_instance,
     typecheck_program,
 )
@@ -62,11 +61,13 @@ from generators import ExprGen, SNS_FUNS, gen_dag, gen_scenario
 from helpers import (
     EXAMPLE_EVENTS,
     EXAMPLE_NEIGH,
+    BOOL,
     NUM,
     check_restriction,
     denot_eval,
     denotation,
     example_dag,
+    is_field,
     leaf,
     line_scenario,
     mkfield,
@@ -169,7 +170,7 @@ def test_pick_hood_gossip_applies_remote_function():
 
 def test_alignment_fixtures_and_corpus_annotations():
     t0 = time.monotonic()
-    assert typecheck_expr(parse_expr(E_SAFE)) == FieldT(NUM)
+    assert typecheck_expr(parse_expr(E_SAFE)) == field(NUM)
     for src, rule in ((E_WRONG, "T-VAL"),
                       (E1_WRONG, "T-A-FUN"),
                       (E2_WRONG, "T-REP")):
@@ -189,13 +190,13 @@ def test_alignment_fixtures_and_corpus_annotations():
 # the static type, with field domains bounded by the environment
 
 def value_has_type(v, T):
-    if isinstance(T, Base) and T.name == "num":
+    if T == NUM:
         return isinstance(v, Data) and isinstance(v.ctor, float) and not v.args
-    if isinstance(T, Base) and T.name == "bool":
+    if T == BOOL:
         return v == TRUE or v == FALSE
-    if isinstance(T, FieldT):
+    if is_field(T):
         return isinstance(v, FieldVal) and all(
-            value_has_type(x, T.inner) for _, x in v.entries
+            value_has_type(x, T.args[0]) for _, x in v.entries
         )
     if isinstance(T, Arrow):
         if not (isinstance(v, (Builtin, DefName, Lambda)) and is_value(v)):

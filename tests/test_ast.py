@@ -45,7 +45,7 @@ from fieldcalc.device import EvalContext, ValueTree
 from fieldcalc.network import FireRecord, FireTrace, PathSeg, Scenario
 from fieldcalc.parser import Token, parse_expr
 from fieldcalc.stdlib import CorpusEntry
-from fieldcalc.typer import Arrow, Base, FieldT, Scheme, TCon, TVar
+from fieldcalc.typer import Arrow, Scheme, TCon, TVar, field
 from generators import ExprGen
 import helpers
 from helpers import BOOL, NUM, mkfield, subexpressions
@@ -136,9 +136,7 @@ FROZEN_RECORDS = [
     (FieldVal, dict(devs=(1, 2), vals=(num(4), TRUE))),
     (Def, dict(name="f", params=("x",), body=_X)),
     (Program, dict(defs=(), main=num(1))),
-    (Base, dict(name="num")),
     (TCon, dict(name="pair", args=(NUM, NUM))),
-    (FieldT, dict(inner=NUM)),
     (Arrow, dict(args=(NUM,), res=NUM)),
     (TVar, dict(vid=7)),
     (Scheme, dict(qvars=(), body=NUM)),
@@ -286,7 +284,7 @@ def test_value_of_is_substitution_to_a_local_value(seed):
     (or data holding one): value_of(e, X) is substitute(e, X) when that is
     a local value by the references' own walk, and None otherwise."""
     rnd = random.Random(seed)
-    T = rnd.choice([NUM, NUM, BOOL, FieldT(NUM), FieldT(BOOL)])
+    T = rnd.choice([NUM, NUM, BOOL, field(NUM), field(BOOL)])
     main = ExprGen(rnd).expr(T, {}, rnd.randint(1, 4))
     for e in subexpressions(main):
         if any(isinstance(s, FieldVal) for s in subexpressions(e)):

@@ -1066,6 +1066,22 @@ def test_a_function_recursing_110_calls_deep_runs_and_checks(one_device, tmp_pat
         assert want in proc.stdout.decode().splitlines(keepends=True)[-1], command
 
 
+def test_a_flat_sum_of_400_terms_runs_and_checks(one_device, tmp_path):
+    """1 + ... + 1 of 400 terms, nested 400 applications deep: run, denot
+    and check-adequacy each exit 0 in a fresh interpreter under Python's
+    default recursion limit, with the sum. Each evaluator compiles in two
+    frames per level (_child and _compile) and reaches about 490 terms; at
+    four per level it stopped at 247."""
+    n = 400
+    p = tmp_path / "sum.hfc"
+    p.write_text(" + ".join(["1"] * n) + "\n")
+    for command, want in (("run", f'"root":{{"num":{n}.0}}'), ("denot", f'{{"num":{n}.0}}'),
+                          ("check-adequacy", "5/5 events equal\n")):
+        proc = fresh_fieldc(command, str(p), one_device)
+        assert proc.returncode == 0, (command, proc.stderr.decode())
+        assert want in proc.stdout.decode(), command
+
+
 def test_writing_fresh_deep_lists_holds_no_text_past_its_record(tmp_path):
     """fieldc denot of a list 50 deep, built afresh at each of 12 events:
     beyond what the denotation itself holds, writing it takes memory of

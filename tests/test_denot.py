@@ -36,7 +36,7 @@ from fieldcalc.device import FuelExhausted, ValueTree
 from fieldcalc.network import PathSeg, Scenario
 from fieldcalc.parser import parse_expr, parse_program
 from fieldcalc.stdlib import corpus_entry
-from fieldcalc.typer import FieldT
+from fieldcalc.typer import field
 
 from generators import ExprGen, gen_dag, gen_scenario
 from helpers import (
@@ -219,6 +219,15 @@ def test_an_edge_end_not_an_integer_is_shown_as_given():
     '2' does not read as the event 2 that exists."""
     with pytest.raises(DagError, match=r"^neigh edge \(1, '2'\) references unknown events$"):
         EventDAG([Event(1, 1, F(0)), Event(2, 2, F(1))], [(1, "2")])
+
+
+@pytest.mark.parametrize("bad", ["a", True, 1.0, None])
+def test_an_event_id_is_an_int_as_in_a_dag_file(bad):
+    """An event id that is not an int (a bool is not one) is refused by
+    name, before the events are sorted, so ids that do not compare never
+    reach the sort."""
+    with pytest.raises(DagError, match=rf"^DAG event id must be an integer, got {bad!r}$"):
+        EventDAG([Event(1, 1, F(1)), Event(bad, 2, F(1))], [])
 
 
 def test_a_dag_file_names_its_first_fault_in_file_order():
@@ -508,13 +517,13 @@ def test_denotation_matches_the_fixpoint_on_sub_domains(seed, ids, kind):
         E = cluster(g, g.events, branch, {}, g.by_id[min(ids, default=FOCUS)])
     X = {"u": {e: num(e.id % 3) for e in g.events},
          "w": reference_denot(g, g.events, {}, parse_expr("nbr{uid()}"))}
-    env = {"u": NUM, "w": FieldT(NUM)}
+    env = {"u": NUM, "w": field(NUM)}
     depth = rnd.randint(1, 4)
     if rnd.random() < 0.5:
         e = gen.expr(rnd.choice([NUM, BOOL]), env, depth)
     else:
-        body = gen.expr(NUM, {"u": NUM, "f": FieldT(NUM)}, depth)
-        e = Apply(Lambda(("f",), body), (gen.expr(FieldT(NUM), env, 2),))
+        body = gen.expr(NUM, {"u": NUM, "f": field(NUM)}, depth)
+        e = Apply(Lambda(("f",), body), (gen.expr(field(NUM), env, 2),))
     assert denot_eval(g, E, X, e) == reference_denot(g, E, X, e), e
 
 

@@ -52,7 +52,7 @@ from fieldcalc.device import (
 from fieldcalc.network import PathSeg, Scenario, fire, run_scenario, sweep
 from fieldcalc.parser import parse_expr, parse_program
 from fieldcalc.stdlib import corpus_entry
-from fieldcalc.typer import FieldT
+from fieldcalc.typer import field
 from generators import ExprGen, gen_scenario
 from helpers import (
     BOOL,
@@ -1021,7 +1021,7 @@ def test_every_field_is_built_in_domain_order(seed):
     if rnd.random() < 0.4:
         prog = rnd.choice(DIFFERENTIAL_PROGRAMS[:4])
     else:
-        T = rnd.choice([FieldT(NUM), FieldT(BOOL), NUM, BOOL])
+        T = rnd.choice([field(NUM), field(BOOL), NUM, BOOL])
         prog = Program((), ExprGen(rnd).expr(T, {}, rnd.randint(1, 4)))
     built = []
     init = FieldVal.__init__

@@ -9,7 +9,6 @@ from fieldcalc.parser import parse_expr, parse_program
 from fieldcalc.stdlib import corpus_entry
 from fieldcalc.typer import (
     Arrow,
-    FieldT,
     Scheme,
     Sort,
     TCon,
@@ -17,6 +16,7 @@ from fieldcalc.typer import (
     Typer,
     TypecheckError,
     canonical,
+    field,
     map_vars,
     parse_scheme,
     scheme_eq,
@@ -101,7 +101,7 @@ def test_unify_l_var_with_field_is_a_sort_error():
     ty = Typer()
     a = ty.fresh(Sort.L)
     with pytest.raises(TypecheckError):
-        ty.unify(a, FieldT(NUM), "test")
+        ty.unify(a, field(NUM), "test")
 
 
 def test_unify_l_var_with_t_var_narrows_to_l():
@@ -117,7 +117,7 @@ def test_unify_l_var_with_t_var_narrows_to_l():
 def test_unify_structure_mismatch():
     ty = Typer()
     with pytest.raises(TypecheckError):
-        ty.unify(FieldT(NUM), Arrow((), NUM), "test")
+        ty.unify(field(NUM), Arrow((), NUM), "test")
 
 
 def test_unify_occurs_check():
@@ -134,12 +134,10 @@ def test_s_vars_never_resolve_to_field_types():
 
     def s_clean(t):
         t = ty.resolve(t)
-        if isinstance(t, FieldT):
-            return False
         if isinstance(t, TVar):
             return sort_leq(ty.sorts[t.vid], Sort.S) or ty.sorts[t.vid] == Sort.S
         if isinstance(t, TCon):
-            return all(s_clean(a) for a in t.args)
+            return t.name != "field" and all(s_clean(a) for a in t.args)
         if isinstance(t, Arrow):
             return all(s_clean(a) for a in t.args) and s_clean(t.res)
         return True
@@ -157,8 +155,7 @@ def test_instantiate_min_hood_scheme():
     ty = Typer()
     t = ty.instantiate(sch, "test")
     assert isinstance(t, Arrow) and len(t.args) == 1
-    assert isinstance(t.args[0], FieldT)
-    assert t.args[0].inner == t.res
+    assert t.args[0] == field(t.res)
     assert isinstance(t.res, TVar)
     assert ty.sorts[t.res.vid] == Sort.S
     # fresh variables on every instantiation
@@ -191,13 +188,13 @@ def expr_type(src):
 def test_basic_expressions():
     assert expr_type("3") == NUM
     assert expr_type("True") == BOOL
-    assert expr_type("nbr{0}") == FieldT(NUM)
+    assert expr_type("nbr{0}") == field(NUM)
     assert expr_type("uid()") == NUM
-    assert expr_type("nbr-range()") == FieldT(NUM)
+    assert expr_type("nbr-range()") == field(NUM)
     assert expr_type("rep(0){(x) => x + 1}") == NUM
     assert expr_type("mux(True, 1, 0)") == NUM
     assert expr_type("min-hood(nbr{0})") == NUM
-    assert expr_type("nbr{0} +[f,f] nbr{1}") == FieldT(NUM)
+    assert expr_type("nbr{0} +[f,f] nbr{1}") == field(NUM)
     assert expr_type("Pair(uid(), 0)") == TCon("pair", (NUM, NUM))
     assert expr_type("Cons(1, Null)") == TCon("list", (NUM,))
 
@@ -213,7 +210,7 @@ def test_mux_is_local_only():
     with pytest.raises(TypecheckError):
         expr_type("mux(True, nbr{0}, nbr{1})")
     t = expr_type("mux[f,f,l](nbr{True}, nbr{1}, 0)")
-    assert t == FieldT(NUM)
+    assert t == field(NUM)
 
 
 def test_identity_lambda_applied():
@@ -235,7 +232,7 @@ E2_WRONG = "min-hood(rep(nbr{0}){(x) => x +[f,f] nbr{uid()}})"
 
 def test_e_safe_accepted_at_field_num():
     t = expr_type(E_SAFE)
-    assert t == FieldT(NUM)
+    assert t == field(NUM)
 
 
 def test_e_wrong_rejected_at_t_val():
@@ -441,7 +438,7 @@ def test_scheme_text_round_trip(s):
 
 
 def test_parse_type_plain():
-    assert parse_scheme("field(num)") == Scheme((), FieldT(NUM))
+    assert parse_scheme("field(num)") == Scheme((), field(NUM))
     assert parse_scheme("(num) -> bool") == Scheme((), Arrow((NUM,), BOOL))
 
 
@@ -474,7 +471,7 @@ TYPES = st.recursive(
     lambda inner: st.one_of(
         st.builds(lambda a, b: TCon("pair", (a, b)), inner, inner),
         inner.map(lambda a: TCon("list", (a,))),
-        inner.map(FieldT),
+        inner.map(field),
         st.builds(lambda a, r: Arrow(tuple(a), r), st.lists(inner, max_size=3), inner),
     ),
     max_leaves=10,
