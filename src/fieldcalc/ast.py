@@ -476,10 +476,6 @@ def is_value(e: Expr) -> bool:
     return is_local_value(e)
 
 
-def free_vars(e: Expr) -> frozenset:
-    return frozenset(plan(e).fv)
-
-
 def substitute(e: Expr, subst: dict) -> Expr:
     """Substitute closed values for variables.
 

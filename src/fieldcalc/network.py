@@ -619,6 +619,9 @@ def _parse_scalar(v) -> Expr:
             return parse_value(v)
         except ParseError as e:
             raise ScenarioError(f"cannot read sensor value {show_value(v)}: {e.msg}") from None
+        except RecursionError:
+            raise ScenarioError(f"cannot read sensor value {show_value(v)}: "
+                                "nested too deep to read") from None
     raise ScenarioError(f"cannot read sensor value {show_value(v)}")
 
 

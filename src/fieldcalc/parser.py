@@ -4,16 +4,20 @@ Surface syntax:
 
     program  :=  def* expr
     def      :=  'def' NAME '(' names? ')' '{' expr '}'
-    expr     :=  infix chains over 'and' < comparisons (= <) < + - < *
-    postfix  :=  primary ( '(' args ')' )*
+    expr     :=  operand ( BINOP operand )*       (precedence climbing)
+    operand  :=  'rep' '(' expr ')' '{' '(' NAME ')' '=>' expr '}'
+              |  primary ( '(' args ')' )*        (call suffixes)
     primary  :=  numeral | True | False | Null | infinity | NaN
               |  NAME | NAME '(' args ')'         (builtin, def, ctor, var)
               |  '(' names ')' '=>' expr          (lambda)
-              |  'rep' '(' expr ')' '{' '(' NAME ')' '=>' expr '}'
               |  'nbr' '{' expr '}'
               |  'if' '(' expr ')' '{' expr '}' 'else' '{' expr '}'
               |  '(' expr ')'
               |  OP | OP '(' args ')'             (prefix operator call)
+
+A binary operator binds by its base name, as BINDS gives: 'and' loosest,
+then '=' and '<', then '+' and '-', then '*', each left-associative; so
++[f,f] binds as + does and and[f,l] as and does.
 
 Tokens are read by one regular expression, _TOKEN, with one alternative
 per token class. Whitespace is space, tab, CR and LF; '//' comments run
@@ -31,7 +35,8 @@ column. Lexical quirks, all needed by the standard library sources:
     forming atomic builtin names: +[f,f], mux[f,f,l], =[f,l], Pair[l,f];
   - '-' directly followed by a digit or 'infinity' is a negative numeral
     unless the token before it ends an operand (a name other than a
-    keyword, a numeral, ')' or '}'), the one rule the lexer keeps in code;
+    keyword or a decorated 'and', a numeral, ')' or '}'), the one rule the
+    lexer keeps in code;
   - a call suffix never attaches to rep(..){..}; parenthesise to apply a
     rep result. This is what lets a lambda of the form
     (x) => rep(x){...} (e) denote the lambda applied to e.
@@ -44,8 +49,10 @@ once. A constructor name is data in every scope. Any other name is the
 variable of the nearest lambda or rep around it (a rep's variable is not
 in scope in its init; a def's parameters are in its body), else a def
 declared so far (a def sees itself), else a builtin; an operator must be
-a builtin. The text is read once, left to right, so of several errors
-the first one met is reported.
+a builtin. A binder (a parameter, a rep variable, a def's name) is a plain
+name, no keyword and undecorated, and no name repeats in one parameter
+list. The text is read once, left to right, so of several errors the
+first one met is reported.
 """
 
 from __future__ import annotations
@@ -78,9 +85,8 @@ from .builtins import TABLE
 
 KEYWORDS = {"def", "rep", "nbr", "if", "else", "and"}
 
-# binary levels, loosest first; each entry is the set of operator names
-INFIX_LEVELS = [{"and"}, {"=", "<"}, {"+", "-"}, {"*"}]
-INFIX_OPS = set().union(*INFIX_LEVELS)
+# each binary operator's binding strength, by base name
+BINDS = {"and": 0, "=": 1, "<": 1, "+": 2, "-": 2, "*": 3}
 
 
 class ParseError(Exception):
@@ -121,8 +127,8 @@ _TOKEN = re.compile(rf"""
 
 
 def _ends_operand(t: Token) -> bool:
-    if t.kind == "name":
-        return t.text not in KEYWORDS  # after infix 'and' comes an operand
+    if t.kind == "name":  # after infix 'and' or 'and[f,l]' comes an operand
+        return t.text.partition("[")[0] not in KEYWORDS
     return t.kind == "num" or t.text in (")", "}")
 
 
@@ -210,6 +216,8 @@ class _Parser:
         name = name_tok.text
         if name_tok.kind != "name" or name in KEYWORDS:
             raise self.err("expected function name after 'def'", name_tok.span)
+        if "[" in name:
+            raise self.err(f"decorated name {name!r} cannot be a function name", name_tok.span)
         if name in self.defs:
             raise self.err(f"duplicate definition of {name!r}", sp)
         if TABLE.is_builtin_name(name):
@@ -222,33 +230,34 @@ class _Parser:
 
     def name_list(self) -> tuple:
         names = []
-        if self.peek().kind == "name" and not self.at(")"):
+        if self.peek().kind == "name":
             names.append(self.binder(self.next(), "parameter"))
             while self.at(","):
                 self.next()
-                names.append(self.binder(self.next(), "parameter"))
+                names.append(self.binder(self.next(), "parameter", names))
         return tuple(names)
 
-    def binder(self, t: Token, what: str) -> str:
-        """The name a parameter or rep variable binds: no keyword."""
+    def binder(self, t: Token, what: str, beside=()) -> str:
+        """The name a parameter or rep variable binds: a plain name, no
+        keyword, undecorated, and none of the names beside it in its list."""
         if t.kind != "name":
             raise self.err(f"expected {what} name", t.span)
         if t.text in KEYWORDS:
             raise self.err(f"keyword {t.text!r} cannot be a {what} name", t.span)
+        if "[" in t.text:
+            raise self.err(f"decorated name {t.text!r} cannot be a {what} name", t.span)
+        if t.text in beside:
+            raise self.err(f"duplicate {what} {t.text!r}", t.span)
         return t.text
 
     # ---- names -------------------------------------------------------
 
-    def scoped(self, names: tuple) -> Expr:  # an expression names bind in
-        outer = self.bound
-        self.bound = outer.union(names)
+    def enclosed(self, start: str, end: str, names: tuple = ()) -> Expr:
+        """start, an expression the names bind in, end."""
+        self.expect(start)
+        outer, self.bound = self.bound, self.bound.union(names)
         e = self.expr()
         self.bound = outer
-        return e
-
-    def enclosed(self, start: str, end: str, names: tuple = ()) -> Expr:
-        self.expect(start)
-        e = self.scoped(names)
         self.expect(end)
         return e
 
@@ -268,33 +277,26 @@ class _Parser:
 
     # ---- expressions -------------------------------------------------
 
-    def expr(self) -> Expr:
-        return self.infix(0)
-
-    def infix(self, level: int) -> Expr:
-        if level >= len(INFIX_LEVELS):
-            return self.postfix()
-        ops = INFIX_LEVELS[level]
-        left = self.infix(level + 1)
-        while True:
-            t = self.peek()
-            base = t.text.split("[", 1)[0]
-            if (t.kind == "op" or (t.kind == "name" and t.text == "and")) and base in ops:
-                left = Apply(self.operator(self.next()), (left, self.infix(level + 1)), span=t.span)
-            else:
-                return left
-
-    def postfix(self) -> Expr:
+    def expr(self, level: int = 0) -> Expr:
+        """An operand, then each binary operator binding at least level,
+        its right operand read one level tighter."""
         # a bare rep(..){..} never takes a call suffix (parenthesise it to
         # apply its result); anything else, including a parenthesised rep,
         # can be called
         if self.at("rep"):
-            return self.rep()
-        e = self.primary()
-        while self.at("("):
-            sp = self.peek().span
-            e = Apply(e, self.args(), span=sp)
-        return e
+            left = self.rep()
+        else:
+            left = self.primary()
+            while self.at("("):
+                sp = self.peek().span
+                left = Apply(left, self.args(), span=sp)
+        while True:
+            t = self.peek()
+            binds = BINDS.get(t.text.partition("[")[0], -1)
+            if binds < level:
+                return left
+            self.next()
+            left = Apply(self.operator(t), (left, self.expr(binds + 1)), span=t.span)
 
     def args(self) -> tuple:  # '(' expr, ... ')'
         self.expect("(")
@@ -316,9 +318,14 @@ class _Parser:
             return self.operator(self.next())  # applied or passed as a value
         if t.kind == "name":
             if t.text == "nbr":
-                return self.nbr()
+                self.next()
+                return Nbr(self.enclosed("{", "}"), span=t.span)
             if t.text == "if":
-                return self.ifexpr()
+                self.next()
+                guard = self.enclosed("(", ")")
+                then = self.enclosed("{", "}")
+                self.expect("else")
+                return desugar_if(guard, then, self.enclosed("{", "}"), span=t.span)
             if t.text in KEYWORDS:
                 raise self.err(f"unexpected keyword {t.text!r}", t.span)
             self.next()
@@ -336,20 +343,19 @@ class _Parser:
                 raise self.err(f"constructor {t.text} takes {arity} arguments, got {len(args)}", sp)
             return Data(t.text, args, span=sp)
         if t.text == "(":
-            return self.parens_or_lambda()
-        raise self.err(f"unexpected token {t.text!r}" if t.kind != "eof" else "unexpected end of input", t.span)
-
-    def parens_or_lambda(self) -> Expr:
-        start = self.expect("(").span
-        # lambda when '(' names ')' '=>' ahead
-        if self.lambda_ahead():
+            self.next()
+            if not self.lambda_ahead():
+                e = self.expr()
+                self.expect(")")
+                return e
             params = self.name_list()
             self.expect(")")
             self.expect("=>")
-            return Lambda(params, self.scoped(params), span=start)
-        e = self.expr()
-        self.expect(")")
-        return e
+            outer, self.bound = self.bound, self.bound.union(params)  # as enclosed binds
+            body = self.expr()
+            self.bound = outer
+            return Lambda(params, body, span=t.span)
+        raise self.err(f"unexpected token {t.text!r}" if t.kind != "eof" else "unexpected end of input", t.span)
 
     def lambda_ahead(self) -> bool:
         # after the '(' read: names ')' '=>'; a keyword among them is
@@ -371,17 +377,6 @@ class _Parser:
         var = self.binder(self.next(), "rep variable")
         self.expect(")")
         return Rep(init, var, self.enclosed("=>", "}", (var,)), span=sp)
-
-    def nbr(self) -> Nbr:
-        sp = self.expect("nbr").span
-        return Nbr(self.enclosed("{", "}"), span=sp)
-
-    def ifexpr(self) -> Expr:
-        sp = self.expect("if").span
-        guard = self.enclosed("(", ")")
-        then = self.enclosed("{", "}")
-        self.expect("else")
-        return desugar_if(guard, then, self.enclosed("{", "}"), span=sp)
 
 
 def parse_program(src: str, path: str = "<string>") -> Program:
@@ -434,7 +429,7 @@ def pretty(e: Expr) -> str:
         case Lambda(params=ps, body=b):
             return f"({', '.join(ps)}) => {pretty(b)}"
         case Apply(fn=f, args=args):
-            if isinstance(f, Builtin) and f.name.split("[", 1)[0] in INFIX_OPS and len(args) == 2:
+            if isinstance(f, Builtin) and f.name.partition("[")[0] in BINDS and len(args) == 2:
                 sides = [
                     f"({pretty(a)})" if isinstance(a, Lambda) else pretty(a)
                     for a in args

@@ -47,7 +47,7 @@ from .ast import (
     Rep,
     Span,
     Var,
-    free_vars,
+    plan,
     slot_stores,
 )
 
@@ -301,7 +301,7 @@ class Typer:
                         self.unify(self.infer(a, env, schemes), want, "T-VAL")
                     return ct.res
                 case Lambda(params=ps, body=b):
-                    for y in sorted(free_vars(e)):
+                    for y in plan(e).fv:
                         self.demote(env[y], Sort.L, "T-A-FUN")
                     pvars = {x: self.fresh(Sort.T) for x in ps}
                     tb = self.infer(b, {**env, **pvars}, schemes)

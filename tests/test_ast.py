@@ -31,11 +31,11 @@ from fieldcalc.ast import (
     boolean,
     canon_num,
     desugar_if,
-    free_vars,
     is_local_value,
     is_num,
     is_value,
     num,
+    plan,
     substitute,
     value_of,
 )
@@ -255,10 +255,10 @@ def test_value_predicates():
 
 def test_free_vars():
     e = Lambda(("x",), Apply(Var("x"), (Var("y"),)))
-    assert free_vars(e) == {"y"}
+    assert plan(e).fv == ("y",)
     r = Rep(Var("a"), "x", Apply(Builtin("+"), (Var("x"), Var("b"))))
-    assert free_vars(r) == {"a", "b"}
-    assert free_vars(Nbr(Var("z"))) == {"z"}
+    assert plan(r).fv == ("a", "b")
+    assert plan(Nbr(Var("z"))).fv == ("z",)
 
 
 def test_substitute_respects_binders():

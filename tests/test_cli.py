@@ -826,6 +826,11 @@ MALFORMED_SHAPES = {
         {"from": 0, "to": 10, "waypoints": [[0, "left"]]}]}}, "[[0, 'left']]"),
     "sensor value not a value": ("denot", {**ONE_DEVICE, "sensors": {"1": {
         "sns-num": "(("}}}, "cannot read sensor value"),
+    # deeper than the parser's stack holds: refused as a malformed value is
+    "sensor value nested too deep": ("run", {**ONE_DEVICE, "sensors": {"1": {
+        "sns-num": "(" * 2000 + "1" + ")" * 2000}}},
+        "bad.json: cannot read sensor value '" + "(" * 59 + "... (4003 characters): "
+        "nested too deep to read\n"),
     "neigh edge not a pair": ("denot", {**ONE_EVENT, "neigh": [[1]]},
                               "neigh edge must be [id, id], got [1]"),
     "neigh edge end not an id": ("denot", {**ONE_EVENT, "neigh": [[1, None]]},

@@ -710,6 +710,13 @@ def test_scenario_json_names_a_missing_fire_key(key):
         scenario_from_json(bad)
 
 
+def test_a_sensor_value_nested_too_deep_to_read_is_a_scenario_error():
+    deep = "(" * 2000 + "1" + ")" * 2000
+    with pytest.raises(ScenarioError, match=r"^cannot read sensor value '\(+\.\.\. "
+                                            r"\(4003 characters\): nested too deep to read$"):
+        scenario_from_json({**GOOD, "sensors": {"1": {"sns-num": deep}}})
+
+
 def test_scenario_sensor_value_kinds():
     sc = scenario_from_json({
         **GOOD,

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -315,6 +317,50 @@ def test_no_keyword_is_bound(src, col, keyword, what):
         parse_program(src)
 
 
+@pytest.mark.parametrize("src, col, msg", [
+    ("((x, x) => x)(1, 2)", 6, "duplicate parameter 'x'"),
+    ("def f(x, y, x) { x } f(1, 2, True)", 13, "duplicate parameter 'x'"),
+    ("(x[f]) => x[f]", 2, "decorated name 'x[f]' cannot be a parameter name"),
+    ("rep(0){(v[f]) => v[f]}", 9, "decorated name 'v[f]' cannot be a rep variable name"),
+    ("def g[l](x) { x } g[l](1)", 5, "decorated name 'g[l]' cannot be a function name"),
+])
+def test_a_binder_is_a_plain_distinct_name(src, col, msg):
+    """A decoration forms a builtin name, so no binder carries one, and
+    the names of one parameter list are distinct."""
+    with pytest.raises(ParseError, match=rf"^<string>:1:{col}: error: {re.escape(msg)}$"):
+        parse_program(src)
+
+
+def test_a_decorated_and_is_infix_as_and_is():
+    e = parse_expr("and[f,f](nbr{True}, nbr{False})")
+    assert pretty(e) == "(nbr{True} and[f,f] nbr{False})"
+    assert parse_expr(pretty(e)) == e
+    # it binds loosest and to the left, and a '-' after it signs a numeral
+    e = parse_expr("True and False and[l,f] nbr{-1 < 2}")
+    conj = Apply(Builtin("and"), (Data("True"), Data("False")))
+    assert e == Apply(Builtin("and[l,f]"), (conj, Nbr(Apply(Builtin("<"), (num(-1), num(2))))))
+    e = parse_expr("nbr{True} and[f,l] -1 < 2")
+    assert e == Apply(Builtin("and[f,l]"), (Nbr(Data("True")),
+                                            Apply(Builtin("<"), (num(-1), num(2)))))
+
+
+DEEP = {  # each shape at a depth its parser must read under pytest's own stack
+    "nested parentheses": (300, lambda n: "(" * n + "1" + ")" * n),
+    "nested applied lambdas": (150, lambda n: "((x) => " * n + "1" + ")(1)" * n),
+    "nested ifs": (150, lambda n: "if (1 < 2) { " * n + "1" + " } else { 0 }" * n),
+    "nested Pair": (150, lambda n: "Pair(1, " * n + "1" + ")" * n),
+    "rep in rep": (150, lambda n: "rep(" * n + "0" + "){(v) => v}" * n),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_a_bracket_costs_a_few_frames(shape):
+    """A bracketed expression costs the parser two or three frames, so
+    hundreds of levels parse at the default recursion limit."""
+    n, build = DEEP[shape]
+    assert isinstance(parse_program(build(n)), Program)
+
+
 def test_a_keyword_builtin_in_parentheses_is_still_an_operand():
     assert parse_expr("(and)(True, False)") == Apply(Builtin("and"), (Data("True"), Data("False")))
 
@@ -396,7 +442,7 @@ names = st.sampled_from(["x", "y", "z", "w"])
 builtin_names = st.sampled_from(
     ["+", "-", "*", "and", "<", "=", "min-hood", "min-hood+", "pick-hood",
      "mux", "fst", "snd", "uid", "nbr-range", "sns-num", "+[f,f]", "mux[f,f,l]",
-     "Pair[l,f]", "=[f,l]", "<[f,l]"]
+     "Pair[l,f]", "=[f,l]", "<[f,l]", "and[f,f]", "and[l,f]", "-[f,l]", "*[f,f]"]
 )
 numerals = st.one_of(
     st.integers(-100, 100).map(float),
